@@ -8,15 +8,7 @@ rollout harness with reproducible baseline policies and a synthetic scenario
 generator make the whole pipeline runnable at desk scale.
 """
 
-from .aggregation import (
-    MetricsBundle,
-    MetricWeights,
-    ade,
-    composite,
-    dataset_composite,
-    min_ade,
-    scenario_component,
-)
+from .aggregation import MetricsBundle, MetricWeights, ade, composite, min_ade
 from .config import DEFAULT_CONFIG, EvalConfig, config_from_dict, config_to_dict
 from .errors import (
     EmptySampleSet,
@@ -29,43 +21,8 @@ from .errors import (
     PolicyContractViolation,
     SimRealError,
 )
-from .estimators import (
-    DEFAULT_HISTOGRAM_SPECS,
-    FittedDistribution,
-    HistogramSpec,
-    LikelihoodEstimate,
-    fit_bernoulli,
-    fit_histogram,
-    pool_simulated_samples,
-    time_series_likelihood,
-)
-from .evaluate import DatasetSummary, evaluate_dataset, evaluate_scenario, summarize
-from .features import (
-    BOOLEAN_METRICS,
-    FeatureParams,
-    FeatureSeries,
-    MetricKind,
-    SceneStates,
-    angular_accel_magnitude,
-    angular_speed,
-    collision_indication,
-    distance_to_nearest_object,
-    distance_to_road_edge,
-    extract_features,
-    linear_accel_magnitude,
-    linear_speed,
-    offroad_indication,
-    time_to_collision,
-)
-from .geometry import (
-    OrientedBox2D,
-    Side,
-    angle_diff,
-    box_signed_distance,
-    box_signed_distance_batch,
-    point_to_polyline_distance,
-    signed_angle_step,
-)
+from .evaluate import DatasetSummary, evaluate_dataset, evaluate_scenario
+from .features import FeatureParams, FeatureSeries, MetricKind, SceneStates, extract_features
 from .harness import (
     AuditReport,
     Policy,
@@ -74,6 +31,15 @@ from .harness import (
     audit_trace,
     closed_loop_rollout,
     generate_submission,
+)
+from .io import (
+    read_scenario,
+    read_scenario_dir,
+    read_submission,
+    validate_submission,
+    write_report,
+    write_scenario,
+    write_submission,
 )
 from .policies import (
     POLICY_REGISTRY,
@@ -85,10 +51,8 @@ from .policies import (
     create_policy,
 )
 from .scene import (
-    JointScene,
     MapFeature,
     MapFeatureKind,
-    ObjectState,
     ObjectType,
     Scenario,
     ScenarioRollouts,

@@ -122,24 +122,15 @@ def dataset_composite(bundles: Sequence[MetricsBundle]) -> float:
 def _displacements_per_rollout(rollouts: ScenarioRollouts, scenario: Scenario) -> np.ndarray:
     """Mean 2D displacement of each rollout against the valid logged future."""
     ids = sorted(simulated_object_ids(scenario) & rollouts.object_ids)
-    logged_xy = []
-    logged_ok = []
-    for oid in ids:
-        fut = scenario.future_states(oid)
-        logged_xy.append([(s.x, s.y) for s in fut])
-        logged_ok.append([s.valid for s in fut])
-    logged_xy = np.asarray(logged_xy)  # (A, T, 2)
-    logged_ok = np.asarray(logged_ok, dtype=bool)
+    logged, logged_ok = scenario.future(ids)
     if not logged_ok.any():
         return np.zeros(len(rollouts.rollouts))
-    means = []
-    for joint in rollouts.rollouts:
-        sim_xy = np.asarray(
-            [[(s.x, s.y) for s in joint.trajectories[oid]] for oid in ids]
-        )
-        disp = np.linalg.norm(sim_xy - logged_xy, axis=-1)
-        means.append(float(disp[logged_ok].mean()))
-    return np.asarray(means)
+    rows = np.searchsorted(rollouts.ids, ids)
+    sim_xy = rollouts.rollouts[:, rows, :, :2]  # (K, A, T, 2)
+    disp = np.linalg.norm(sim_xy - logged[None, :, :, :2], axis=-1)
+    # C order keeps each rollout's mean a reduction over one contiguous row,
+    # which sums in the same order as a per-rollout mean.
+    return np.ascontiguousarray(disp[:, logged_ok]).mean(axis=1)
 
 
 def ade(rollouts: ScenarioRollouts, scenario: Scenario) -> float:

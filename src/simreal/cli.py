@@ -139,8 +139,8 @@ def _rollout_one(packed):
         scenario, av_policy, env_policy, k=k, base_seed=seed, with_traces=True
     )
     audits = [
-        audit_trace(trace, joint, replan_interval=interval)
-        for trace, joint in zip(traces, rollouts.rollouts)
+        audit_trace(trace, poses, rollouts.ids, replan_interval=interval)
+        for trace, poses in zip(traces, rollouts.rollouts)
     ]
     ok = all(a.ok for a in audits)
     hybrid = audits[0].hybrid if audits else False

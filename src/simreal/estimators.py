@@ -186,13 +186,12 @@ def rollout_features(
     """
     out = []
     cache: dict = {}
-    for joint in rollouts.rollouts:
-        states = SceneStates.from_rollout(scenario, joint)
-        key = (states.ids, states.centers.tobytes(), states.headings.tobytes())
+    for k in range(len(rollouts.rollouts)):
+        key = rollouts.rollouts[k].tobytes()
         hit = cache.get(key)
         if hit is None:
-            hit = extract_features(states, scenario.map_features, params)
-            cache[key] = hit
+            states = SceneStates.from_rollout(scenario, rollouts, k)
+            hit = cache[key] = extract_features(states, scenario.map_features, params)
         out.append(hit)
     return out
 
@@ -200,37 +199,20 @@ def rollout_features(
 def pool_from_features(
     features: RolloutFeatures, object_id: int, metric: MetricKind
 ) -> np.ndarray:
-    """Pool already-extracted rollout features for one (object, metric) pair."""
-    if metric in BOOLEAN_METRICS:
-        events = []
-        for per_metric in features:
-            series = per_metric[metric][object_id]
-            events.append(bool(np.any(series.valid_values() > 0.5)))
-        return np.asarray(events, dtype=bool)
-    chunks = [per_metric[metric][object_id].valid_values() for per_metric in features]
-    return np.concatenate(chunks) if chunks else np.empty(0)
-
-
-def pool_simulated_samples(
-    scenario: Scenario,
-    rollouts: ScenarioRollouts,
-    object_id: int,
-    metric: MetricKind,
-    params: FeatureParams = DEFAULT_FEATURE_PARAMS,
-    features: RolloutFeatures | None = None,
-) -> np.ndarray:
     """Pool one object's simulated samples for one metric across all rollouts.
 
     Scalar metrics concatenate every valid timestep of every rollout; boolean
-    metrics contribute exactly one event sample per rollout.  Pass
-    ``features`` (from :func:`rollout_features`) to avoid re-extraction.
+    metrics contribute exactly one event sample per rollout.  ``features``
+    comes from :func:`rollout_features`.
     """
-    for k, joint in enumerate(rollouts.rollouts):
-        if object_id not in joint.object_ids:
-            raise InconsistentRollouts(f"object {object_id} missing from rollout {k}")
-    if features is None:
-        features = rollout_features(scenario, rollouts, params)
-    return pool_from_features(features, object_id, metric)
+    try:
+        series = [per_metric[metric][object_id] for per_metric in features]
+    except KeyError:
+        raise InconsistentRollouts(f"object {object_id} is not in the rollouts") from None
+    if metric in BOOLEAN_METRICS:
+        return np.asarray([bool(np.any(s.valid_values() > 0.5)) for s in series], dtype=bool)
+    chunks = [s.valid_values() for s in series]
+    return np.concatenate(chunks) if chunks else np.empty(0)
 
 
 def fit_metric_distribution(

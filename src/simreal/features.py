@@ -1,4 +1,4 @@
-"""Per-object scalar feature series extracted from a joint scene.
+"""Per-object scalar feature series extracted from a simulated or logged scene.
 
 Nine measurements are produced for every object over the 80-step future
 window: four kinematic (linear speed, linear acceleration, angular speed,
@@ -26,7 +26,7 @@ import numpy as np
 
 from .geometry import box_signed_distance_batch, polyline_distance_batch
 from .errors import InconsistentRollouts, MalformedScenario
-from .scene import JointScene, MapFeature, MapFeatureKind, ObjectState, Scenario
+from .scene import MapFeature, MapFeatureKind, Scenario, ScenarioRollouts
 
 TWO_PI = 2.0 * math.pi
 
@@ -108,46 +108,37 @@ class SceneStates:
     def from_logged_future(cls, scenario: Scenario) -> "SceneStates":
         """All logged tracks over the future window, with logged validity."""
         ids = tuple(sorted(t.object_id for t in scenario.tracks))
-        return cls._from_states(
-            ids,
-            {oid: scenario.future_states(oid) for oid in ids},
-            {oid: scenario.track(oid) for oid in ids},
-            scenario.timestep,
-        )
+        poses, valid = scenario.future(ids)
+        return cls._from_poses(scenario, ids, poses, valid)
 
     @classmethod
-    def from_rollout(cls, scenario: Scenario, joint: JointScene) -> "SceneStates":
-        """A simulated joint scene; box extents come from the source scenario."""
-        ids = tuple(sorted(joint.object_ids))
-        tracks = {}
+    def from_rollout(cls, scenario: Scenario, rollouts: ScenarioRollouts, k: int) -> "SceneStates":
+        """Rollout ``k`` of a bundle; box extents come from the source scenario."""
+        ids = tuple(int(oid) for oid in rollouts.ids)
         for oid in ids:
             if not scenario.has_track(oid):
                 raise InconsistentRollouts(
                     f"rollout object {oid} is absent from scenario {scenario.scenario_id!r}"
                 )
-            tracks[oid] = scenario.track(oid)
-        if joint.num_steps != scenario.future_length:
+        if rollouts.num_steps != scenario.future_length:
             raise MalformedScenario(
-                f"rollout has {joint.num_steps} steps, scenario expects {scenario.future_length}"
+                f"rollout has {rollouts.num_steps} steps, scenario expects {scenario.future_length}"
             )
-        return cls._from_states(ids, dict(joint.trajectories), tracks, scenario.timestep)
+        poses = rollouts.rollouts[k]
+        return cls._from_poses(scenario, ids, poses, np.ones(poses.shape[:2], dtype=bool))
 
     @classmethod
-    def _from_states(cls, ids, states_by_id, tracks_by_id, dt) -> "SceneStates":
-        n = len(ids)
-        t = len(next(iter(states_by_id.values()))) if n else 0
-        centers = np.zeros((n, t, 3))
-        headings = np.zeros((n, t))
-        valid = np.zeros((n, t), dtype=bool)
-        dims = np.zeros((n, 3))
-        for row, oid in enumerate(ids):
-            seq = states_by_id[oid]
-            centers[row] = [(s.x, s.y, s.z) for s in seq]
-            headings[row] = [s.heading for s in seq]
-            valid[row] = [s.valid for s in seq]
-            trk = tracks_by_id[oid]
-            dims[row] = (trk.length, trk.width, trk.height)
-        return cls(ids=tuple(ids), centers=centers, headings=headings, valid=valid, dims=dims, dt=dt)
+    def _from_poses(cls, scenario, ids, poses, valid) -> "SceneStates":
+        tracks = [scenario.track(oid) for oid in ids]
+        dims = np.array([(t.length, t.width, t.height) for t in tracks]).reshape(len(ids), 3)
+        return cls(
+            ids=ids,
+            centers=poses[:, :, :3],
+            headings=poses[:, :, 3],
+            valid=valid,
+            dims=dims,
+            dt=scenario.timestep,
+        )
 
     @property
     def num_objects(self) -> int:
@@ -171,6 +162,7 @@ def _masked(vals: np.ndarray, ok: np.ndarray) -> np.ndarray:
 
 
 def _speed_arrays(centers: np.ndarray, valid: np.ndarray, dt: float):
+    """Linear speed: 3D speed from one-step position differences."""
     vals = np.zeros(valid.shape)
     ok = np.zeros(valid.shape, dtype=bool)
     if valid.shape[1] >= 2:
@@ -181,6 +173,8 @@ def _speed_arrays(centers: np.ndarray, valid: np.ndarray, dt: float):
 
 
 def _derivative_arrays(vals: np.ndarray, ok: np.ndarray, dt: float):
+    """One-step difference of a series: linear acceleration from signed speed
+    differences, angular acceleration from signed angular speed differences."""
     out = np.zeros_like(vals)
     out_ok = np.zeros_like(ok)
     if vals.shape[1] >= 2:
@@ -195,6 +189,7 @@ def _wrap_signed(delta: np.ndarray) -> np.ndarray:
 
 
 def _angular_speed_arrays(headings: np.ndarray, valid: np.ndarray, dt: float):
+    """Signed heading rate using the shortest rotation between steps."""
     vals = np.zeros(valid.shape)
     ok = np.zeros(valid.shape, dtype=bool)
     if valid.shape[1] >= 2:
@@ -204,6 +199,12 @@ def _angular_speed_arrays(headings: np.ndarray, valid: np.ndarray, dt: float):
 
 
 def _nearest_object_arrays(states: SceneStates):
+    """Signed box distance to the nearest other object, per object per step.
+
+    Pairs are gated on vertical overlap of the two boxes; when no other
+    object overlaps vertically the plain 2D minimum is used instead.  A scene
+    with a single object yields an all-invalid series.
+    """
     a, t = states.valid.shape
     vals = np.zeros((a, t))
     ok = np.zeros((a, t), dtype=bool)
@@ -248,6 +249,11 @@ def _nearest_object_arrays(states: SceneStates):
 
 
 def _event_series(per_step_vals, per_step_ok, predicate):
+    """Constant boolean series: ``predicate`` held at some valid step.
+
+    Collision is a negative nearest-object distance (overlap with someone);
+    off-road is a positive road-edge distance (some corner left the road).
+    """
     event = (predicate(per_step_vals) & per_step_ok).any(axis=1)
     defined = per_step_ok.any(axis=1)
     t = per_step_ok.shape[1]
@@ -257,6 +263,13 @@ def _event_series(per_step_vals, per_step_ok, predicate):
 
 
 def _ttc_arrays(states: SceneStates, speed_vals, speed_ok, params: FeatureParams):
+    """Constant-speed time to reach the followed object, capped at ttc_max.
+
+    An object follows a leader when the leader is longitudinally ahead with a
+    positive bumper gap, laterally within the shared corridor, and heading
+    within the alignment threshold.  Steps with no followed object, a
+    non-closing follower, or an already-overlapping pair take the cap.
+    """
     a, t = states.valid.shape
     cap = params.ttc_max
     vals = np.full((a, t), cap)
@@ -306,6 +319,12 @@ _POLYLINE_CHUNK = 200_000  # max points*segments handled in one batch call
 
 
 def _road_edge_arrays(states: SceneStates, map_features: Sequence[MapFeature]):
+    """Signed distance from the most off-road box corner to the nearest road edge.
+
+    Positive values are off the drivable area (left of the edge direction),
+    negative values are inside.  A map without road edges yields all-invalid
+    series.
+    """
     a, t = states.valid.shape
     vals = np.zeros((a, t))
     ok = np.zeros((a, t), dtype=bool)
@@ -354,52 +373,7 @@ def _road_edge_segments(map_features: Sequence[MapFeature]):
 
 
 # ---------------------------------------------------------------------------
-# Per-track operations.
-
-
-def _single_track(states: Sequence[ObjectState]):
-    centers = np.array([(s.x, s.y, s.z) for s in states])[None, :, :]
-    headings = np.array([s.heading for s in states])[None, :]
-    valid = np.array([s.valid for s in states], dtype=bool)[None, :]
-    return centers, headings, valid
-
-
-def linear_speed(states: Sequence[ObjectState], dt: float, object_id: int = 0) -> FeatureSeries:
-    """3D speed from one-step position differences."""
-    centers, _, valid = _single_track(states)
-    vals, ok = _speed_arrays(centers, valid, dt)
-    return FeatureSeries(object_id, MetricKind.LINEAR_SPEED, vals[0], ok[0])
-
-
-def linear_accel_magnitude(
-    states: Sequence[ObjectState], dt: float, object_id: int = 0
-) -> FeatureSeries:
-    """Signed one-step difference of consecutive speeds."""
-    centers, _, valid = _single_track(states)
-    sv, sok = _speed_arrays(centers, valid, dt)
-    vals, ok = _derivative_arrays(sv, sok, dt)
-    return FeatureSeries(object_id, MetricKind.LINEAR_ACCEL, vals[0], ok[0])
-
-
-def angular_speed(states: Sequence[ObjectState], dt: float, object_id: int = 0) -> FeatureSeries:
-    """Signed heading rate using the shortest rotation between steps."""
-    _, headings, valid = _single_track(states)
-    vals, ok = _angular_speed_arrays(headings, valid, dt)
-    return FeatureSeries(object_id, MetricKind.ANGULAR_SPEED, vals[0], ok[0])
-
-
-def angular_accel_magnitude(
-    states: Sequence[ObjectState], dt: float, object_id: int = 0
-) -> FeatureSeries:
-    """One-step difference of signed angular speed."""
-    _, headings, valid = _single_track(states)
-    wv, wok = _angular_speed_arrays(headings, valid, dt)
-    vals, ok = _derivative_arrays(wv, wok, dt)
-    return FeatureSeries(object_id, MetricKind.ANGULAR_ACCEL, vals[0], ok[0])
-
-
-# ---------------------------------------------------------------------------
-# Scene-level operations.
+# Scene-level extraction.
 
 
 def _wrap_series(states: SceneStates, metric: MetricKind, vals, ok) -> dict[int, FeatureSeries]:
@@ -407,61 +381,6 @@ def _wrap_series(states: SceneStates, metric: MetricKind, vals, ok) -> dict[int,
         oid: FeatureSeries(oid, metric, vals[row], ok[row])
         for row, oid in enumerate(states.ids)
     }
-
-
-def distance_to_nearest_object(states: SceneStates) -> dict[int, FeatureSeries]:
-    """Signed box distance to the nearest other object, per object per step.
-
-    Pairs are gated on vertical overlap of the two boxes; when no other
-    object overlaps vertically the plain 2D minimum is used instead.  A scene
-    with a single object yields an all-invalid series.
-    """
-    vals, ok = _nearest_object_arrays(states)
-    return _wrap_series(states, MetricKind.DIST_TO_NEAREST_OBJECT, vals, ok)
-
-
-def collision_indication(states: SceneStates) -> dict[int, FeatureSeries]:
-    """Constant boolean series: the object overlapped someone at some valid step."""
-    vals, ok = _nearest_object_arrays(states)
-    ev, eok = _event_series(vals, ok, lambda v: v < 0.0)
-    return _wrap_series(states, MetricKind.COLLISION, ev, eok)
-
-
-def time_to_collision(
-    states: SceneStates, params: FeatureParams = DEFAULT_FEATURE_PARAMS
-) -> dict[int, FeatureSeries]:
-    """Constant-speed time to reach the followed object, capped at ttc_max.
-
-    An object follows a leader when the leader is longitudinally ahead with a
-    positive bumper gap, laterally within the shared corridor, and heading
-    within the alignment threshold.  Steps with no followed object, a
-    non-closing follower, or an already-overlapping pair take the cap.
-    """
-    sv, sok = _speed_arrays(states.centers, states.valid, states.dt)
-    vals, ok = _ttc_arrays(states, sv, sok, params)
-    return _wrap_series(states, MetricKind.TIME_TO_COLLISION, vals, ok)
-
-
-def distance_to_road_edge(
-    states: SceneStates, map_features: Sequence[MapFeature]
-) -> dict[int, FeatureSeries]:
-    """Signed distance from the most off-road box corner to the nearest road edge.
-
-    Positive values are off the drivable area (left of the edge direction),
-    negative values are inside.  A map without road edges yields all-invalid
-    series.
-    """
-    vals, ok = _road_edge_arrays(states, map_features)
-    return _wrap_series(states, MetricKind.DIST_TO_ROAD_EDGE, vals, ok)
-
-
-def offroad_indication(
-    states: SceneStates, map_features: Sequence[MapFeature]
-) -> dict[int, FeatureSeries]:
-    """Constant boolean series: some corner left the road at some valid step."""
-    vals, ok = _road_edge_arrays(states, map_features)
-    ev, eok = _event_series(vals, ok, lambda v: v > 0.0)
-    return _wrap_series(states, MetricKind.OFFROAD, ev, eok)
 
 
 def extract_features(

@@ -4,7 +4,8 @@ Sign conventions used throughout:
 
 * Box-to-box distance is positive separation, zero at contact, and the
   negative penetration depth (minimum translation to separate) when the box
-  polygons overlap.
+  polygons overlap.  Boxes are arrays of [center_x, center_y, heading,
+  length, width].
 * Polyline queries report which side of the nearest segment a point falls on,
   taken from the cross product with the segment direction: left is positive.
 
@@ -14,7 +15,6 @@ All interaction geometry is top-down 2D; callers gate on z separately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -41,60 +41,10 @@ def signed_angle_step(start: float, end: float) -> float:
     return d - TWO_PI if d > math.pi else d
 
 
-@dataclass(frozen=True)
-class OrientedBox2D:
-    """An oriented rectangle: center, heading, and full extents in meters."""
-
-    center_x: float
-    center_y: float
-    heading: float
-    length: float
-    width: float
-
-    def __post_init__(self):
-        if self.length <= 0.0 or self.width <= 0.0:
-            raise ValueError("box extents must be strictly positive")
-
-    def corners(self) -> np.ndarray:
-        """The 4 corner points in consecutive order, shape (4, 2)."""
-        c, s = math.cos(self.heading), math.sin(self.heading)
-        dx = np.array([c, s]) * (self.length / 2.0)
-        dy = np.array([-s, c]) * (self.width / 2.0)
-        ctr = np.array([self.center_x, self.center_y])
-        return np.stack([ctr + dx + dy, ctr + dx - dy, ctr - dx - dy, ctr - dx + dy])
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.center_x, self.center_y, self.heading, self.length, self.width]
-        )
-
-
 class Side(Enum):
     LEFT = 1
     RIGHT = -1
     ON = 0
-
-
-def _convex_hull(points: np.ndarray) -> np.ndarray:
-    """Monotone-chain convex hull, counter-clockwise, collinear points dropped."""
-    pts = sorted({(float(x), float(y)) for x, y in points})
-    if len(pts) <= 2:
-        return np.array(pts)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[tuple[float, float]] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[float, float]] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return np.array(lower[:-1] + upper[:-1])
 
 
 def _point_segment_distance(p: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -105,30 +55,6 @@ def _point_segment_distance(p: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.n
     t = np.clip(t, 0.0, 1.0)
     proj = s + t[..., None] * d
     return np.linalg.norm(p - proj, axis=-1)
-
-
-def box_signed_distance(a: OrientedBox2D, b: OrientedBox2D) -> float:
-    """Signed distance between two oriented boxes.
-
-    Works on the Minkowski difference of the two corner polygons: the
-    difference polygon contains the origin exactly when the boxes overlap, so
-    the result is the distance from the origin to the difference polygon's
-    boundary, negated in the overlap case.
-    """
-    diff = (a.corners()[:, None, :] - b.corners()[None, :, :]).reshape(16, 2)
-    hull = _convex_hull(diff)
-    n = len(hull)
-    origin = np.zeros(2)
-    if n < 3:
-        starts = hull[:-1] if n == 2 else hull
-        ends = hull[1:] if n == 2 else hull
-        return float(_point_segment_distance(origin, starts, ends).min())
-    nxt = np.roll(hull, -1, axis=0)
-    edge = nxt - hull
-    crosses = edge[:, 0] * (-hull[:, 1]) - edge[:, 1] * (-hull[:, 0])
-    inside = bool(np.all(crosses >= -ABS_TOL))
-    boundary = float(_point_segment_distance(origin, hull, nxt).min())
-    return -boundary if inside else boundary
 
 
 def _boxes_corners(boxes: np.ndarray) -> np.ndarray:

@@ -19,19 +19,53 @@ import hashlib
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import PolicyContractViolation
 from .scene import (
-    JointScene,
     MapFeature,
-    ObjectState,
     Scenario,
     ScenarioRollouts,
+    normalize_heading,
     simulated_object_ids,
 )
+
+# One hashed pose: the same bytes as struct.pack("<q4d", id, x, y, z, heading).
+_HASH_RECORD = np.dtype([("id", "<i8"), ("pose", "<f8", (4,))])
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.setflags(write=False)
+    return view
+
+
+def _history_motion(
+    poses: np.ndarray, valid: np.ndarray, t0_index: int, dt: float, rows, ids
+) -> np.ndarray:
+    """(n, 3) [speed, heading, z] of the given rows from the history window only.
+
+    Speed comes from the two most recent valid history observations; objects
+    with a single valid observation get zero speed.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    hist = valid[rows, : t0_index + 1]
+    if not hist.any(axis=1).all():
+        missing = [ids[r] for r in rows[~hist.any(axis=1)]]
+        raise PolicyContractViolation(f"objects {missing} have no valid history")
+    n = hist.shape[1]
+    last = n - 1 - np.argmax(hist[:, ::-1], axis=1)
+    earlier = hist.copy()
+    earlier[np.arange(len(rows)), last] = False
+    prev = n - 1 - np.argmax(earlier[:, ::-1], axis=1)
+    last_pose = poses[rows, last]
+    prev_pose = poses[rows, prev]
+    gap = np.hypot(last_pose[:, 0] - prev_pose[:, 0], last_pose[:, 1] - prev_pose[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        speed = np.where(earlier.any(axis=1), gap / ((last - prev) * dt), 0.0)
+    return np.stack([speed, last_pose[:, 3], last_pose[:, 2]], axis=1)
 
 
 @dataclass(frozen=True)
@@ -40,13 +74,15 @@ class PolicyContext:
 
     ``poses`` is (A, L, 4) as [x, y, z, heading] and ``valid`` is (A, L),
     where L covers the history window plus all previously simulated steps;
-    states at or after the current step are structurally absent.  Arrays are
+    states at or after the current step are structurally absent.  Row order
+    follows ``ids``, and policies address their objects by row.  Arrays are
     read-only views; policies must not retain them beyond the call.
+    ``motion`` caches :meth:`history_motion` for every row as (A, 3); the
+    harness fills it once per rollout, since the history never changes.
     """
 
     scenario_id: str
     map_features: tuple[MapFeature, ...]
-    signals: tuple = ()  # reserved for traffic-signal observations; unused
     ids: tuple[int, ...] = ()
     av_id: int = 0
     step: int = 1
@@ -55,6 +91,7 @@ class PolicyContext:
     seed: int = 0
     poses: np.ndarray | None = None
     valid: np.ndarray | None = None
+    motion: np.ndarray | None = None
 
     def row_of(self, object_id: int) -> int:
         return self.ids.index(object_id)
@@ -68,76 +105,88 @@ class PolicyContext:
         key = np.random.SeedSequence((self.seed, self.step, int(object_id)))
         return np.random.Generator(np.random.Philox(key))
 
-    def last_valid_pose(self, object_id: int) -> np.ndarray:
-        row = self.row_of(object_id)
-        idx = np.nonzero(self.valid[row])[0]
-        if len(idx) == 0:
-            raise PolicyContractViolation(f"object {object_id} has no valid state in context")
-        return self.poses[row, idx[-1]]
+    def last_valid_pose(self, rows) -> np.ndarray:
+        """(n, 4) most recent valid pose of each row."""
+        if self.valid[rows, -1].all():  # always true in closed loop
+            return self.poses[rows, -1]
+        ok = self.valid[rows]
+        if not ok.any(axis=1).all():
+            missing = [self.ids[r] for r in np.asarray(rows)[~ok.any(axis=1)]]
+            raise PolicyContractViolation(f"objects {missing} have no valid state in context")
+        last = ok.shape[1] - 1 - np.argmax(ok[:, ::-1], axis=1)
+        return self.poses[rows, last]
 
-    def history_motion(self, object_id: int) -> tuple[float, float, float]:
-        """(speed, heading, z) from the logged history window only.
+    def history_motion(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(speed, heading, z) arrays of the given rows, from the logged history only.
 
         Speed comes from the two most recent valid history observations;
         objects with a single valid observation get zero speed.
         """
-        row = self.row_of(object_id)
-        hist_valid = self.valid[row, : self.t0_index + 1]
-        idx = np.nonzero(hist_valid)[0]
-        if len(idx) == 0:
-            raise PolicyContractViolation(f"object {object_id} has no valid history")
-        last = self.poses[row, idx[-1]]
-        heading = float(last[3])
-        z = float(last[2])
-        if len(idx) < 2:
-            return 0.0, heading, z
-        prev = self.poses[row, idx[-2]]
-        gap_steps = int(idx[-1] - idx[-2])
-        speed = float(np.hypot(last[0] - prev[0], last[1] - prev[1]) / (gap_steps * self.dt))
-        return speed, heading, z
+        if self.motion is not None:
+            motion = self.motion[rows]
+        else:
+            motion = _history_motion(
+                self.poses, self.valid, self.t0_index, self.dt, rows, self.ids
+            )
+        return motion[:, 0], motion[:, 1], motion[:, 2]
+
+
+def _checked_poses(out, rows, ids: Sequence[int], who: str, step: int) -> np.ndarray:
+    """A policy's output as a fresh (len(rows), 4) array with wrapped headings."""
+    try:
+        poses = np.array(out, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise PolicyContractViolation(
+            f"{who} policy at step {step}: output is not a pose array ({exc})"
+        ) from exc
+    if poses.shape != (len(rows), 4):
+        raise PolicyContractViolation(
+            f"{who} policy at step {step}: expected ({len(rows)}, 4) poses for its "
+            f"controlled objects, got shape {poses.shape}"
+        )
+    if not np.isfinite(poses).all():
+        bad = [ids[r] for r in np.asarray(rows)[~np.isfinite(poses).all(axis=1)]]
+        raise PolicyContractViolation(
+            f"{who} policy at step {step}: objects {bad} returned a non-finite pose"
+        )
+    poses[:, 3] = normalize_heading(poses[:, 3])
+    return poses
 
 
 class Policy(ABC):
     """A per-step pose producer for a fixed set of controlled objects."""
 
     @abstractmethod
-    def step(
-        self, context: PolicyContext, controlled_ids: frozenset[int]
-    ) -> Mapping[int, ObjectState]:
-        """Return a valid state for every controlled id, for context.step."""
+    def step(self, context: PolicyContext, rows: np.ndarray) -> np.ndarray:
+        """Return (len(rows), 4) poses [x, y, z, heading] for context.step.
 
-    def plan(
-        self, context: PolicyContext, controlled_ids: frozenset[int], horizon: int
-    ) -> list[dict[int, ObjectState]]:
+        ``rows`` indexes the controlled objects in ``context.ids``.
+        """
+
+    def plan(self, context: PolicyContext, rows: np.ndarray, horizon: int) -> np.ndarray:
         """Produce ``horizon`` consecutive steps without re-observing others.
 
-        The default rolls :meth:`step` forward against virtually extended
-        contexts in which only the policy's own outputs advance; other
-        objects stay frozen at their last known (now stale) state.  Plan
-        holders use this to emulate slower replanning.
+        Returns (horizon, len(rows), 4).  The default rolls :meth:`step`
+        forward against virtually extended contexts in which only the
+        policy's own outputs advance; other objects stay frozen at their last
+        known (now stale) state.  Plan holders use this to emulate slower
+        replanning.
         """
-        outputs: list[dict[int, ObjectState]] = []
+        outputs = np.empty((horizon, len(rows), 4))
         poses = np.array(context.poses)
         valid = np.array(context.valid)
         ctx = context
         for j in range(horizon):
-            out = dict(self.step(ctx, controlled_ids))
-            outputs.append(out)
+            outputs[j] = _checked_poses(self.step(ctx, rows), rows, ctx.ids, "planning", ctx.step)
             if j == horizon - 1:
                 break
             new_col_pose = np.zeros((poses.shape[0], 1, 4))
             new_col_valid = np.zeros((poses.shape[0], 1), dtype=bool)
-            for oid, state in out.items():
-                row = context.ids.index(oid)
-                new_col_pose[row, 0] = (state.x, state.y, state.z, state.heading)
-                new_col_valid[row, 0] = True
+            new_col_pose[rows, 0] = outputs[j]
+            new_col_valid[rows, 0] = True
             poses = np.concatenate([poses, new_col_pose], axis=1)
             valid = np.concatenate([valid, new_col_valid], axis=1)
-            ro_poses = poses.view()
-            ro_poses.setflags(write=False)
-            ro_valid = valid.view()
-            ro_valid.setflags(write=False)
-            ctx = replace(ctx, step=ctx.step + 1, poses=ro_poses, valid=ro_valid)
+            ctx = replace(ctx, step=ctx.step + 1, poses=_read_only(poses), valid=_read_only(valid))
         return outputs
 
 
@@ -164,32 +213,11 @@ class AuditReport:
     issues: tuple[str, ...]
 
 
-def _hash_step(hasher, step: int, ids: Sequence[int], states: Mapping[int, ObjectState]):
+def _hash_step(hasher, step: int, record: np.ndarray, poses: np.ndarray) -> None:
+    """Fold one step's poses (rows in ``record`` id order) into the hash chain."""
+    record["pose"] = poses
     hasher.update(struct.pack("<i", step))
-    for oid in ids:
-        s = states[oid]
-        hasher.update(struct.pack("<q4d", oid, s.x, s.y, s.z, s.heading))
-
-
-def _validate_policy_output(
-    out: Mapping[int, ObjectState], controlled: frozenset[int], who: str, step: int
-) -> None:
-    got = frozenset(out)
-    if got != controlled:
-        missing = sorted(controlled - got)
-        extra = sorted(got - controlled)
-        raise PolicyContractViolation(
-            f"{who} policy at step {step}: missing ids {missing}, extra ids {extra}"
-        )
-    for oid, state in out.items():
-        if not state.valid:
-            raise PolicyContractViolation(
-                f"{who} policy at step {step}: object {oid} returned an invalid state"
-            )
-        if not all(np.isfinite([state.x, state.y, state.z, state.heading])):
-            raise PolicyContractViolation(
-                f"{who} policy at step {step}: object {oid} returned a non-finite pose"
-            )
+    hasher.update(record.tobytes())
 
 
 def closed_loop_rollout(
@@ -197,77 +225,67 @@ def closed_loop_rollout(
     av_policy: Policy,
     env_policy: Policy,
     seed: int = 0,
-) -> tuple[JointScene, RolloutTrace]:
+) -> tuple[np.ndarray, RolloutTrace]:
     """Roll the scene forward one step at a time for the whole future window.
 
-    Controlled sets partition the simulated objects into {AV} and the rest;
+    Controlled rows partition the simulated objects into {AV} and the rest;
     both policies are stepped against the identical context each step and
-    their outputs merged afterwards.
+    their outputs merged afterwards.  Returns the simulated future as
+    (A, T, 4) poses with rows in ascending object id order (the trace's
+    ``ids_queried``), plus the trace.
     """
     if av_policy is env_policy:
         raise PolicyContractViolation("AV and environment policies must be distinct objects")
     sim_ids = tuple(sorted(simulated_object_ids(scenario)))
-    av_id = scenario.av_track_id
-    env_ids = frozenset(sim_ids) - {av_id}
-    av_ids = frozenset({av_id})
+    av_row = sim_ids.index(scenario.av_track_id)
+    all_rows = np.arange(len(sim_ids))
+    av_rows = np.array([av_row])
+    env_rows = all_rows[all_rows != av_row]
 
     h, t_total = scenario.history_length, scenario.future_length
     n = len(sim_ids)
+    tracks = [scenario.track(oid) for oid in sim_ids]
     poses = np.zeros((n, h + t_total, 4))
     valid = np.zeros((n, h + t_total), dtype=bool)
-    for row, oid in enumerate(sim_ids):
-        for i, s in enumerate(scenario.track(oid).states[:h]):
-            if s.valid:
-                poses[row, i] = (s.x, s.y, s.z, s.heading)
-                valid[row, i] = True
+    valid[:, :h] = [trk.valid[:h] for trk in tracks]
+    poses[:, :h] = np.where(valid[:, :h, None], [trk.poses[:h] for trk in tracks], 0.0)
+    motion = _history_motion(poses, valid, h - 1, scenario.timestep, all_rows, sim_ids)
 
+    record = np.zeros(n, dtype=_HASH_RECORD)
+    record["id"] = sim_ids
     hasher = hashlib.sha256(scenario.scenario_id.encode("utf-8"))
     steps: list[TraceStep] = []
     for t in range(1, t_total + 1):
         context_hash = hasher.copy().hexdigest()
         upto = h + t - 1
-        ctx_poses = poses[:, :upto]
-        ctx_valid = valid[:, :upto]
-        ctx_poses.setflags(write=False)
-        ctx_valid.setflags(write=False)
         ctx = PolicyContext(
             scenario_id=scenario.scenario_id,
             map_features=scenario.map_features,
             ids=sim_ids,
-            av_id=av_id,
+            av_id=scenario.av_track_id,
             step=t,
             t0_index=h - 1,
             dt=scenario.timestep,
             seed=seed,
-            poses=ctx_poses,
-            valid=ctx_valid,
+            poses=_read_only(poses[:, :upto]),
+            valid=_read_only(valid[:, :upto]),
+            motion=motion,
         )
-        env_out = dict(env_policy.step(ctx, env_ids)) if env_ids else {}
-        av_out = dict(av_policy.step(ctx, av_ids))
-        _validate_policy_output(env_out, env_ids, "environment", t)
-        _validate_policy_output(av_out, av_ids, "AV", t)
-        merged = {**env_out, **av_out}
-        for row, oid in enumerate(sim_ids):
-            s = merged[oid]
-            poses[row, upto] = (s.x, s.y, s.z, s.heading)
-            valid[row, upto] = True
-        _hash_step(hasher, t, sim_ids, merged)
+        env_out = env_policy.step(ctx, env_rows) if len(env_rows) else np.empty((0, 4))
+        av_out = av_policy.step(ctx, av_rows)
+        poses[env_rows, upto] = _checked_poses(env_out, env_rows, sim_ids, "environment", t)
+        poses[av_rows, upto] = _checked_poses(av_out, av_rows, sim_ids, "AV", t)
+        valid[:, upto] = True
+        _hash_step(hasher, t, record, poses[:, upto])
         steps.append(TraceStep(step=t, ids_queried=sim_ids, context_hash=context_hash))
 
-    trajectories = {
-        oid: tuple(
-            ObjectState(*poses[row, h + j], valid=True) for j in range(t_total)
-        )
-        for row, oid in enumerate(sim_ids)
-    }
-    joint = JointScene(scenario_id=scenario.scenario_id, trajectories=trajectories)
     trace = RolloutTrace(
         scenario_id=scenario.scenario_id,
         seed=seed,
         steps=tuple(steps),
         final_hash=hasher.hexdigest(),
     )
-    return joint, trace
+    return poses[:, h:], trace
 
 
 def generate_submission(
@@ -281,13 +299,17 @@ def generate_submission(
     """Run ``k`` independent rollouts seeded base_seed .. base_seed+k-1."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    joints: list[JointScene] = []
+    futures: list[np.ndarray] = []
     traces: list[RolloutTrace] = []
     for i in range(k):
-        joint, trace = closed_loop_rollout(scenario, av_policy, env_policy, seed=base_seed + i)
-        joints.append(joint)
+        future, trace = closed_loop_rollout(scenario, av_policy, env_policy, seed=base_seed + i)
+        futures.append(future)
         traces.append(trace)
-    rollouts = ScenarioRollouts(scenario_id=scenario.scenario_id, rollouts=tuple(joints))
+    rollouts = ScenarioRollouts(
+        scenario_id=scenario.scenario_id,
+        ids=sorted(simulated_object_ids(scenario)),
+        rollouts=np.stack(futures),
+    )
     if with_traces:
         return rollouts, tuple(traces)
     return rollouts
@@ -295,38 +317,49 @@ def generate_submission(
 
 def audit_trace(
     trace: RolloutTrace,
-    joint: JointScene | None = None,
+    poses: np.ndarray | None = None,
+    ids: Sequence[int] | None = None,
     replan_interval: int = 1,
     expected_steps: int | None = None,
 ) -> AuditReport:
     """Best-effort mechanical check of a rollout trace.
 
-    Verifies strictly increasing, gap-free steps; constant queried-id sets
-    (matching the rollout when one is provided); and, given the rollout, the
-    per-step context-hash chain.  A declared replan interval above one step
-    is flagged as hybrid open/closed loop rather than failed.
+    ``poses`` is the finished rollout as (A, T, 4) and ``ids`` the object id
+    of each row (default: the trace's queried order).  Verifies strictly
+    increasing, gap-free steps; constant queried-id sets (matching the
+    rollout when one is provided); and, given the rollout, the per-step
+    context-hash chain.  A declared replan interval above one step is flagged
+    as hybrid open/closed loop rather than failed.
     """
     issues: list[str] = []
     steps = trace.steps
-    n = expected_steps if expected_steps is not None else (joint.num_steps if joint else len(steps))
+    n = expected_steps if expected_steps is not None else (
+        poses.shape[1] if poses is not None else len(steps)
+    )
     if [s.step for s in steps] != list(range(1, n + 1)):
         issues.append(f"expected steps 1..{n} strictly increasing, got {len(steps)} records")
     if steps:
-        id_sets = {s.ids_queried for s in steps}
-        if len(id_sets) != 1:
+        queried = steps[0].ids_queried
+        row_ids = list(queried if ids is None else ids)
+        if len({s.ids_queried for s in steps}) != 1:
             issues.append("queried id set changed between steps")
-        elif joint is not None and set(steps[0].ids_queried) != set(joint.object_ids):
+        elif poses is not None and (
+            sorted(queried) != sorted(row_ids) or len(row_ids) != poses.shape[0]
+        ):
             issues.append("queried ids do not match the rollout's object set")
+        elif poses is not None and poses.shape[1] != len(steps):
+            issues.append(f"rollout has {poses.shape[1]} steps, trace has {len(steps)}")
 
-    if joint is not None and not issues:
-        ids = steps[0].ids_queried
+    if poses is not None and not issues:
+        rows = [row_ids.index(oid) for oid in queried]
+        record = np.zeros(len(queried), dtype=_HASH_RECORD)
+        record["id"] = queried
         hasher = hashlib.sha256(trace.scenario_id.encode("utf-8"))
         for s in steps:
             if hasher.copy().hexdigest() != s.context_hash:
                 issues.append(f"context hash mismatch at step {s.step}")
                 break
-            states = {oid: joint.trajectories[oid][s.step - 1] for oid in ids}
-            _hash_step(hasher, s.step, ids, states)
+            _hash_step(hasher, s.step, record, poses[rows, s.step - 1])
         else:
             if hasher.hexdigest() != trace.final_hash:
                 issues.append("final hash mismatch")

@@ -6,7 +6,10 @@ Two interchange forms exist for scenarios and rollout bundles:
 * A versioned binary format: an 8-byte magic ``SMRLBIN1`` followed by
   records, each ``[kind:u8][length:u64le][payload]``.  Payload scalars are
   little-endian; floats are 64-bit.  Record kinds: 1 = scenario,
-  2 = scenario rollouts.
+  2 = scenario rollouts.  A rollouts payload stores its (K, A, T, 4) pose
+  tensor as one contiguous block, so it decodes with a single
+  ``np.frombuffer``.  Unknown record kinds and payload bytes left over after
+  parsing are errors.
 
 A submission archive is a gzip-compressed tar holding ``manifest.json`` plus
 binary shards named ``rollouts.<index>-of-<total>.bin``, each shard holding
@@ -24,6 +27,7 @@ import math
 import re
 import struct
 import tarfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -37,10 +41,8 @@ from .evaluate import DatasetSummary
 from .features import METRIC_ORDER
 from .scene import (
     DEFAULT_ROLLOUT_COUNT,
-    JointScene,
     MapFeature,
     MapFeatureKind,
-    ObjectState,
     ObjectType,
     Scenario,
     ScenarioRollouts,
@@ -76,8 +78,8 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
                 "width": t.width,
                 "height": t.height,
                 "states": [
-                    {"x": s.x, "y": s.y, "z": s.z, "heading": s.heading, "valid": s.valid}
-                    for s in t.states
+                    {"x": x, "y": y, "z": z, "heading": h, "valid": v}
+                    for (x, y, z, h), v in zip(t.poses.tolist(), t.valid.tolist())
                 ],
             }
             for t in scenario.tracks
@@ -102,16 +104,13 @@ def scenario_from_dict(data: Mapping[str, Any], path: str | None = None) -> Scen
                 length=float(t["length"]),
                 width=float(t["width"]),
                 height=float(t["height"]),
-                states=tuple(
-                    ObjectState(
-                        x=float(s["x"]),
-                        y=float(s["y"]),
-                        z=float(s["z"]),
-                        heading=float(s["heading"]),
-                        valid=bool(s["valid"]),
-                    )
-                    for s in t["states"]
-                ),
+                poses=np.array(
+                    [
+                        (float(s["x"]), float(s["y"]), float(s["z"]), float(s["heading"]))
+                        for s in t["states"]
+                    ]
+                ).reshape(-1, 4),
+                valid=[bool(s["valid"]) for s in t["states"]],
             )
             for t in data["tracks"]
         )
@@ -141,13 +140,16 @@ def scenario_from_dict(data: Mapping[str, Any], path: str | None = None) -> Scen
 
 
 class _Reader:
-    def __init__(self, data: bytes, path: str | None):
+    """A cursor over ``data``, which starts ``base`` bytes into the file."""
+
+    def __init__(self, data: bytes, path: str | None, base: int = 0):
         self.data = data
         self.path = path
+        self.base = base
         self.pos = 0
 
     def fail(self, message: str):
-        raise ParseError(message, path=self.path, offset=self.pos)
+        raise ParseError(message, path=self.path, offset=self.base + self.pos)
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
@@ -159,8 +161,10 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
 
-    def floats(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * count), dtype="<f8").astype(float)
+    def floats(self, *shape: int) -> np.ndarray:
+        """A read-only float64 view of the next ``prod(shape)`` values."""
+        raw = self.take(8 * math.prod(shape))
+        return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
     @property
     def exhausted(self) -> bool:
@@ -174,7 +178,12 @@ def _pack_str(text: str) -> bytes:
 
 def _read_str(r: _Reader) -> str:
     (n,) = r.unpack("H")
-    return r.take(n).decode("utf-8")
+    start = r.pos
+    try:
+        return r.take(n).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        r.pos = start + exc.start
+        r.fail(f"string is not valid UTF-8: {exc.reason}")
 
 
 def _scenario_payload(scenario: Scenario) -> bytes:
@@ -193,10 +202,8 @@ def _scenario_payload(scenario: Scenario) -> bytes:
         parts.append(
             struct.pack("<qB3d", t.object_id, _TYPE_CODE[t.object_type], t.length, t.width, t.height)
         )
-        poses = np.array([(s.x, s.y, s.z, s.heading) for s in t.states], dtype="<f8")
-        flags = np.array([s.valid for s in t.states], dtype=np.uint8)
-        parts.append(poses.tobytes())
-        parts.append(flags.tobytes())
+        parts.append(t.poses.astype("<f8").tobytes())
+        parts.append(t.valid.astype(np.uint8).tobytes())
     parts.append(struct.pack("<I", len(scenario.map_features)))
     for f in scenario.map_features:
         pts = np.array(f.polyline, dtype="<f8")
@@ -221,11 +228,8 @@ def _scenario_from_payload(r: _Reader) -> Scenario:
         oid, code, length, width, height = r.unpack("qB3d")
         if code not in _TYPE_FROM_CODE:
             r.fail(f"unknown object type code {code}")
-        poses = r.floats(n_states * 4).reshape(n_states, 4)
+        poses = r.floats(n_states, 4)
         flags = np.frombuffer(r.take(n_states), dtype=np.uint8)
-        states = tuple(
-            ObjectState(p[0], p[1], p[2], p[3], bool(fl)) for p, fl in zip(poses, flags)
-        )
         tracks.append(
             Track(
                 object_id=oid,
@@ -233,7 +237,8 @@ def _scenario_from_payload(r: _Reader) -> Scenario:
                 length=length,
                 width=width,
                 height=height,
-                states=states,
+                poses=poses,
+                valid=flags != 0,
             )
         )
     (n_feats,) = r.unpack("I")
@@ -242,7 +247,7 @@ def _scenario_from_payload(r: _Reader) -> Scenario:
         fid, code, n_pts = r.unpack("qBI")
         if code not in _MAP_FROM_CODE:
             r.fail(f"unknown map feature code {code}")
-        pts = r.floats(n_pts * 2).reshape(n_pts, 2)
+        pts = r.floats(n_pts, 2)
         feats.append(
             MapFeature(feature_id=fid, kind=_MAP_FROM_CODE[code], polyline=tuple(map(tuple, pts)))
         )
@@ -258,32 +263,22 @@ def _scenario_from_payload(r: _Reader) -> Scenario:
 
 
 def _rollouts_payload(rollouts: ScenarioRollouts) -> bytes:
-    ids = sorted(rollouts.object_ids)
-    n_steps = rollouts.rollouts[0].num_steps
-    parts = [_pack_str(rollouts.scenario_id)]
-    parts.append(struct.pack("<IIH", len(rollouts.rollouts), len(ids), n_steps))
-    parts.append(np.array(ids, dtype="<i8").tobytes())
-    for joint in rollouts.rollouts:
-        block = np.empty((len(ids), n_steps, 4), dtype="<f8")
-        for row, oid in enumerate(ids):
-            block[row] = [(s.x, s.y, s.z, s.heading) for s in joint.trajectories[oid]]
-        parts.append(block.tobytes())
-    return b"".join(parts)
+    k, n_ids, n_steps, _ = rollouts.rollouts.shape
+    return b"".join(
+        [
+            _pack_str(rollouts.scenario_id),
+            struct.pack("<IIH", k, n_ids, n_steps),
+            rollouts.ids.astype("<i8").tobytes(),
+            rollouts.rollouts.astype("<f8").tobytes(),
+        ]
+    )
 
 
 def _rollouts_from_payload(r: _Reader) -> ScenarioRollouts:
     scenario_id = _read_str(r)
     k, n_ids, n_steps = r.unpack("IIH")
     ids = np.frombuffer(r.take(8 * n_ids), dtype="<i8")
-    joints = []
-    for _ in range(k):
-        block = r.floats(n_ids * n_steps * 4).reshape(n_ids, n_steps, 4)
-        trajectories = {
-            int(oid): tuple(ObjectState(p[0], p[1], p[2], p[3], True) for p in block[row])
-            for row, oid in enumerate(ids)
-        }
-        joints.append(JointScene(scenario_id=scenario_id, trajectories=trajectories))
-    return ScenarioRollouts(scenario_id=scenario_id, rollouts=tuple(joints))
+    return ScenarioRollouts(scenario_id, ids, r.floats(k, n_ids, n_steps, 4))
 
 
 def _write_records(records: Iterable[tuple[int, bytes]]) -> bytes:
@@ -301,10 +296,22 @@ def _read_records(data: bytes, path: str | None) -> list[tuple[int, _Reader]]:
         r.fail("bad magic; not a binary scenario/rollout file")
     out = []
     while not r.exhausted:
+        start = r.pos
         kind, length = r.unpack("BQ")
+        if kind not in (_KIND_SCENARIO, _KIND_ROLLOUTS):
+            r.pos = start
+            r.fail(f"unknown record kind {kind}")
         payload = r.take(length)
-        out.append((kind, _Reader(payload, path)))
+        out.append((kind, _Reader(payload, path, base=r.pos - length)))
     return out
+
+
+def _parse_whole(r: _Reader, parse):
+    """Parse one record payload, which must be consumed exactly."""
+    value = parse(r)
+    if not r.exhausted:
+        r.fail(f"{len(r.data) - r.pos} unparsed bytes at the end of the record")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +335,7 @@ def read_scenario(path: str | Path) -> Scenario:
         records = _read_records(path.read_bytes(), str(path))
         for kind, payload in records:
             if kind == _KIND_SCENARIO:
-                return _scenario_from_payload(payload)
+                return _parse_whole(payload, _scenario_from_payload)
         raise ParseError("no scenario record in file", path=str(path))
     try:
         data = json.loads(path.read_text())
@@ -458,8 +465,9 @@ def read_submission(path: str | Path) -> SubmissionArchive:
                     continue
                 for kind, payload in _read_records(blob, f"{path}:{member.name}"):
                     if kind == _KIND_ROLLOUTS:
-                        entries.append((member.name, _rollouts_from_payload(payload)))
-    except (tarfile.TarError, OSError, json.JSONDecodeError) as exc:
+                        rollouts = _parse_whole(payload, _rollouts_from_payload)
+                        entries.append((member.name, rollouts))
+    except (tarfile.TarError, OSError, EOFError, zlib.error, ValueError) as exc:
         raise ParseError(f"unreadable archive: {exc}", path=str(path)) from exc
     return SubmissionArchive(manifest=manifest, entries=tuple(entries))
 
@@ -523,32 +531,30 @@ def validate_submission(
                     f"expected {expected_rollouts} rollouts, found {len(rec.rollouts)}",
                 )
             )
-        for k, joint in enumerate(rec.rollouts):
-            missing = required - joint.object_ids
-            extra = joint.object_ids - required
-            if missing:
-                violations.append(
-                    Violation("MISSING_OBJECT", sid, f"rollout {k} missing ids {sorted(missing)}")
+        missing = required - rec.object_ids
+        extra = rec.object_ids - required
+        if missing:
+            violations.append(
+                Violation("MISSING_OBJECT", sid, f"rollouts miss ids {sorted(missing)}")
+            )
+        if extra:
+            violations.append(
+                Violation("EXTRA_OBJECT", sid, f"rollouts have unknown ids {sorted(extra)}")
+            )
+        if rec.num_steps != scenario.future_length:
+            violations.append(
+                Violation(
+                    "BAD_STEP_COUNT",
+                    sid,
+                    f"rollouts have {rec.num_steps} steps, expected {scenario.future_length}",
                 )
-            if extra:
-                violations.append(
-                    Violation("EXTRA_OBJECT", sid, f"rollout {k} has unknown ids {sorted(extra)}")
-                )
-            if joint.num_steps != scenario.future_length:
-                violations.append(
-                    Violation(
-                        "BAD_STEP_COUNT",
-                        sid,
-                        f"rollout {k} has {joint.num_steps} steps, expected {scenario.future_length}",
-                    )
-                )
-            for oid, states in joint.trajectories.items():
-                vals = np.array([(s.x, s.y, s.z, s.heading) for s in states])
-                if not np.isfinite(vals).all():
-                    violations.append(
-                        Violation("NONFINITE_POSE", sid, f"rollout {k} object {oid} has NaN/Inf")
-                    )
-                    break
+            )
+        finite = np.isfinite(rec.rollouts).all(axis=(2, 3))  # (K, A)
+        for k in np.flatnonzero(~finite.all(axis=1)):
+            oid = rec.ids[np.argmin(finite[k])]  # first object with a bad pose
+            violations.append(
+                Violation("NONFINITE_POSE", sid, f"rollout {k} object {oid} has NaN/Inf")
+            )
     for sid in scenarios:
         if sid not in seen:
             violations.append(Violation("MISSING_SCENARIO", sid, "no rollouts in archive"))

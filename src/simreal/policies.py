@@ -10,9 +10,11 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Mapping
 
+import numpy as np
+
 from .errors import PolicyContractViolation
 from .harness import Policy, PolicyContext
-from .scene import ObjectState, Scenario, simulated_object_ids
+from .scene import Scenario, simulated_object_ids
 
 
 class ConstantVelocityPolicy(Policy):
@@ -23,18 +25,15 @@ class ConstantVelocityPolicy(Policy):
     Memoryless, so plan-holding wrappers reproduce it exactly.
     """
 
-    def step(self, context: PolicyContext, controlled_ids):
-        out = {}
-        dt = context.dt
-        for oid in sorted(controlled_ids):
-            speed, heading, z = context.history_motion(oid)
-            last = context.last_valid_pose(oid)
-            out[oid] = ObjectState(
-                x=last[0] + speed * dt * math.cos(heading),
-                y=last[1] + speed * dt * math.sin(heading),
-                z=z,
-                heading=heading,
-            )
+    def step(self, context: PolicyContext, rows):
+        speed, heading, z = context.history_motion(rows)
+        last = context.last_valid_pose(rows)
+        stride = speed * context.dt
+        out = np.empty((len(heading), 4))
+        out[:, 0] = last[:, 0] + stride * np.cos(heading)
+        out[:, 1] = last[:, 1] + stride * np.sin(heading)
+        out[:, 2] = z
+        out[:, 3] = heading
         return out
 
 
@@ -49,20 +48,22 @@ class RandomAgentPolicy(Policy):
         self.mu = mu
         self.sigma = sigma
 
-    def step(self, context: PolicyContext, controlled_ids):
+    def step(self, context: PolicyContext, rows):
         av = context.poses[context.row_of(context.av_id), context.t0_index]
         c, s = math.cos(av[3]), math.sin(av[3])
-        out = {}
-        for oid in sorted(controlled_ids):
-            dx, dy, dh = context.rng(oid).normal(self.mu, self.sigma, size=3)
-            _, _, z = context.history_motion(oid)
-            out[oid] = ObjectState(
-                x=av[0] + c * dx - s * dy,
-                y=av[1] + s * dx + c * dy,
-                z=z,
-                heading=av[3] + dh,
-            )
-        return out
+        d = np.array(
+            [context.rng(context.ids[r]).normal(self.mu, self.sigma, size=3) for r in rows]
+        ).reshape(len(rows), 3)
+        _, _, z = context.history_motion(rows)
+        return np.stack(
+            [
+                av[0] + c * d[:, 0] - s * d[:, 1],
+                av[1] + s * d[:, 0] + c * d[:, 1],
+                z,
+                av[3] + d[:, 2],
+            ],
+            axis=1,
+        )
 
 
 class LoggedOraclePolicy(Policy):
@@ -70,24 +71,25 @@ class LoggedOraclePolicy(Policy):
 
     def __init__(self, scenario: Scenario):
         h = scenario.history_length
-        self._future: dict[int, list[ObjectState]] = {}
-        for oid in simulated_object_ids(scenario):
+        ids = sorted(simulated_object_ids(scenario))
+        self._row = {oid: i for i, oid in enumerate(ids)}
+        futures = []
+        for oid in ids:
             track = scenario.track(oid)
-            last = track.states[h - 1]
-            seq = []
-            for state in track.states[h:]:
-                if state.valid:
-                    last = state
-                seq.append(ObjectState(last.x, last.y, last.z, last.heading, valid=True))
-            self._future[oid] = seq
+            # Offsets from t=0, which anchors the hold: simulated objects are valid there.
+            seen = np.where(track.valid[h - 1 :], np.arange(len(track.valid) - h + 1), 0)
+            held = np.maximum.accumulate(seen)[1:] + (h - 1)
+            futures.append(track.poses[held])
+        self._future = np.array(futures).reshape(len(ids), scenario.future_length, 4)
 
-    def step(self, context: PolicyContext, controlled_ids):
-        out = {}
-        for oid in sorted(controlled_ids):
-            if oid not in self._future:
-                raise PolicyContractViolation(f"oracle has no logged future for object {oid}")
-            out[oid] = self._future[oid][context.step - 1]
-        return out
+    def step(self, context: PolicyContext, rows):
+        try:
+            idx = [self._row[context.ids[r]] for r in rows]
+        except KeyError as exc:
+            raise PolicyContractViolation(
+                f"oracle has no logged future for object {exc.args[0]}"
+            ) from None
+        return self._future[idx, context.step - 1]
 
 
 class NoisyPlanPolicy(Policy):
@@ -103,34 +105,41 @@ class NoisyPlanPolicy(Policy):
         self.heading_sigma = heading_sigma
         self.speed_sigma = speed_sigma
 
-    def plan(self, context: PolicyContext, controlled_ids, horizon: int):
-        outputs: list[dict[int, ObjectState]] = [dict() for _ in range(horizon)]
-        dt = context.dt
-        for oid in sorted(controlled_ids):
-            speed, heading, z = context.history_motion(oid)
-            g = context.rng(oid)
-            heading = heading + float(g.normal(0.0, self.heading_sigma))
-            speed = max(0.0, speed + float(g.normal(0.0, self.speed_sigma)))
-            last = context.last_valid_pose(oid)
-            x, y = float(last[0]), float(last[1])
-            vx, vy = speed * dt * math.cos(heading), speed * dt * math.sin(heading)
-            for j in range(horizon):
-                x += vx
-                y += vy
-                outputs[j][oid] = ObjectState(x=x, y=y, z=z, heading=heading)
+    def plan(self, context: PolicyContext, rows, horizon: int):
+        speed, heading, z = context.history_motion(rows)
+        noise = np.empty((len(rows), 2))
+        for i, r in enumerate(rows):
+            g = context.rng(context.ids[r])
+            noise[i, 0] = g.normal(0.0, self.heading_sigma)
+            noise[i, 1] = g.normal(0.0, self.speed_sigma)
+        heading = heading + noise[:, 0]
+        speed = speed + noise[:, 1]
+        speed = np.where(speed > 0.0, speed, 0.0)
+        last = context.last_valid_pose(rows)
+        stride = speed * context.dt
+        vx, vy = stride * np.cos(heading), stride * np.sin(heading)
+        outputs = np.empty((horizon, len(rows), 4))
+        outputs[:, :, 2] = z
+        outputs[:, :, 3] = heading
+        x, y = last[:, 0], last[:, 1]
+        for j in range(horizon):
+            x = x + vx
+            y = y + vy
+            outputs[j, :, 0] = x
+            outputs[j, :, 1] = y
         return outputs
 
-    def step(self, context: PolicyContext, controlled_ids):
-        return self.plan(context, controlled_ids, 1)[0]
+    def step(self, context: PolicyContext, rows):
+        return self.plan(context, rows, 1)[0]
 
 
 class ReplanWrapper(Policy):
     """Hold a policy's multi-step plan and re-invoke it every ``interval`` steps.
 
     Interval 1 is fully closed-loop; larger intervals emulate the hybrid
-    open/closed-loop pattern of slower replanning.  Instances carry plan
-    state, so use one wrapper per rollout stream (a restart is detected when
-    the step counter moves backwards).
+    open/closed-loop pattern of slower replanning.  The held plan is keyed on
+    the context's scenario and seed, so every new rollout plans afresh even
+    when one plan spans the whole future window.
     """
 
     def __init__(self, inner: Policy, interval: int):
@@ -138,19 +147,22 @@ class ReplanWrapper(Policy):
             raise ValueError("replan interval must be >= 1")
         self.inner = inner
         self.interval = interval
-        self._plan: list[Mapping[int, ObjectState]] = []
+        self._plan = np.empty((0, 0, 4))
         self._plan_start = -1
+        self._plan_key: tuple | None = None
 
-    def step(self, context: PolicyContext, controlled_ids):
+    def step(self, context: PolicyContext, rows):
         t = context.step
+        key = (context.scenario_id, context.seed)
         stale = (
-            self._plan_start < 0
+            key != self._plan_key
             or t < self._plan_start
             or t >= self._plan_start + len(self._plan)
         )
         if stale:
-            self._plan = self.inner.plan(context, controlled_ids, self.interval)
+            self._plan = self.inner.plan(context, rows, self.interval)
             self._plan_start = t
+            self._plan_key = key
         return self._plan[t - self._plan_start]
 
 

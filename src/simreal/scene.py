@@ -4,10 +4,14 @@ A scenario is a history/future pair sampled at a fixed rate: 11 history
 observations (1.1 s, the last of which is the handover step t=0) followed by
 80 future steps (8 s) at 10 Hz.  Time indexing is relative: history steps
 -10..0 map to array indices 0..10 and future steps 1..80 map to 11..90, so a
-track's state buffer is one contiguous sequence of length 91.
+track's pose buffer is one contiguous sequence of length 91.
 
-All types are immutable values after construction and safe to share across
-threads.
+Poses are float64 arrays of ``[x, y, z, heading]`` everywhere: a track holds
+``(L, 4)`` poses with an ``(L,)`` validity mask, and a rollout bundle holds
+``(K, A, T, 4)`` poses for K rollouts of A objects over T future steps.
+Headings are wrapped into [0, 2*pi) wherever a pose enters one of these
+types.  All types are immutable values after construction (their arrays are
+read-only) and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import InconsistentRollouts, MalformedScenario
 
@@ -28,14 +34,23 @@ DEFAULT_ROLLOUT_COUNT = 32
 MAX_SIMULATED_OBJECTS = 128
 
 
-def normalize_heading(theta: float) -> float:
-    """Wrap an angle into [0, 2*pi). Non-finite input is returned unchanged."""
-    if not math.isfinite(theta):
-        return theta
-    wrapped = theta % TWO_PI
-    if wrapped >= TWO_PI:  # theta % TWO_PI can round up to TWO_PI itself
-        wrapped -= TWO_PI
-    return wrapped
+def normalize_heading(theta) -> np.ndarray:
+    """Wrap angles into [0, 2*pi) elementwise. Non-finite input is returned unchanged.
+
+    Bit-identical to Python's float ``theta % TWO_PI`` on every finite value,
+    including ``-0.0`` (which maps to ``0.0``).
+    """
+    theta = np.asarray(theta, dtype=float)
+    with np.errstate(invalid="ignore"):
+        wrapped = np.remainder(theta, TWO_PI)
+    # theta % TWO_PI can round up to TWO_PI itself
+    wrapped = np.where(wrapped >= TWO_PI, wrapped - TWO_PI, wrapped)
+    return np.where(np.isfinite(theta), wrapped, theta)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 class ObjectType(Enum):
@@ -50,30 +65,14 @@ class MapFeatureKind(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class ObjectState:
-    """One 3D centroid pose with heading.
-
-    When ``valid`` is False the pose fields carry no meaning and consumers
-    must ignore them.  Headings are normalized to [0, 2*pi) on construction.
-    """
-
-    x: float
-    y: float
-    z: float
-    heading: float
-    valid: bool = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "heading", normalize_heading(float(self.heading)))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Track:
-    """An object's box extents plus its state at every relative time index.
+    """An object's box extents plus its pose at every relative time index.
 
-    Extents are fixed for the whole window; they are taken once and never
-    vary over time.
+    ``poses`` is (L, 4) as [x, y, z, heading] and ``valid`` is (L,).  Where
+    ``valid`` is False the pose carries no meaning and consumers must ignore
+    it.  Extents are fixed for the whole window; they are taken once and
+    never vary over time.
     """
 
     object_id: int
@@ -81,14 +80,35 @@ class Track:
     length: float
     width: float
     height: float
-    states: tuple[ObjectState, ...]
+    poses: np.ndarray
+    valid: np.ndarray
 
     def __post_init__(self):
         if min(self.length, self.width, self.height) <= 0.0:
             raise MalformedScenario(
                 f"track {self.object_id}: box extents must be strictly positive"
             )
-        object.__setattr__(self, "states", tuple(self.states))
+        poses = np.array(self.poses, dtype=float)
+        valid = np.array(self.valid, dtype=bool)
+        if poses.ndim != 2 or poses.shape[1] != 4 or valid.shape != poses.shape[:1]:
+            raise MalformedScenario(
+                f"track {self.object_id}: expected (L, 4) poses and (L,) validity, "
+                f"got {poses.shape} and {valid.shape}"
+            )
+        poses[:, 3] = normalize_heading(poses[:, 3])
+        object.__setattr__(self, "poses", _frozen(poses))
+        object.__setattr__(self, "valid", _frozen(valid))
+
+    def __eq__(self, other):
+        if not isinstance(other, Track):
+            return NotImplemented
+        head = (self.object_id, self.object_type, self.length, self.width, self.height)
+        other_head = (other.object_id, other.object_type, other.length, other.width, other.height)
+        return (
+            head == other_head
+            and np.array_equal(self.poses, other.poses)
+            and np.array_equal(self.valid, other.valid)
+        )
 
 
 @dataclass(frozen=True)
@@ -136,15 +156,15 @@ class Scenario:
         for track in self.tracks:
             if track.object_id in by_id:
                 raise MalformedScenario(f"duplicate object_id {track.object_id}")
-            if len(track.states) != expected:
+            if len(track.poses) != expected:
                 raise MalformedScenario(
-                    f"track {track.object_id}: expected {expected} states, got {len(track.states)}"
+                    f"track {track.object_id}: expected {expected} poses, got {len(track.poses)}"
                 )
             by_id[track.object_id] = track
         if self.av_track_id not in by_id:
             raise MalformedScenario(f"AV track {self.av_track_id} not present")
         t0 = self.history_length - 1
-        n_simulated = sum(1 for t in self.tracks if t.states[t0].valid)
+        n_simulated = sum(1 for t in self.tracks if t.valid[t0])
         if n_simulated > MAX_SIMULATED_OBJECTS:
             raise MalformedScenario(
                 f"{n_simulated} objects valid at t=0 exceeds the {MAX_SIMULATED_OBJECTS} limit"
@@ -162,69 +182,66 @@ class Scenario:
     def has_track(self, object_id: int) -> bool:
         return object_id in self._by_id
 
-    def future_states(self, object_id: int) -> tuple[ObjectState, ...]:
-        """The logged future window (steps 1..future_length) of one track."""
-        return self._by_id[object_id].states[self.history_length :]
+    def future(self, object_ids: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Logged future window (steps 1..T) of some tracks, in the given order.
 
-    def history_states(self, object_id: int) -> tuple[ObjectState, ...]:
-        return self._by_id[object_id].states[: self.history_length]
+        Returns poses (A, T, 4) and validity (A, T).
+        """
+        h, t = self.history_length, self.future_length
+        tracks = [self._by_id[oid] for oid in object_ids]
+        poses = np.array([trk.poses[h:] for trk in tracks]).reshape(len(tracks), t, 4)
+        valid = np.array([trk.valid[h:] for trk in tracks], dtype=bool).reshape(len(tracks), t)
+        return poses, valid
 
 
-@dataclass(frozen=True)
-class JointScene:
-    """One simulated future: a pose for every simulated object at every step.
+@dataclass(frozen=True, eq=False)
+class ScenarioRollouts:
+    """A bundle of sampled joint futures for one scenario (32 for scoring).
 
-    Simulators always produce poses, so every state is valid by construction.
+    ``rollouts`` is (K, A, T, 4) as [x, y, z, heading] and row ``a`` of every
+    rollout is object ``ids[a]``, so all rollouts cover one object set by
+    construction.  Simulators always produce poses, so there is no validity
+    mask.  Rows are sorted by object id on construction.
     """
 
     scenario_id: str
-    trajectories: dict[int, tuple[ObjectState, ...]]
+    ids: np.ndarray
+    rollouts: np.ndarray
 
     def __post_init__(self):
-        traj = {int(k): tuple(v) for k, v in self.trajectories.items()}
-        lengths = {len(v) for v in traj.values()}
-        if len(lengths) > 1:
-            raise MalformedScenario("all trajectories in a joint scene must share one length")
-        for oid, states in traj.items():
-            for s in states:
-                if not s.valid:
-                    raise MalformedScenario(f"object {oid}: simulated states must all be valid")
-        object.__setattr__(self, "trajectories", traj)
+        sid = self.scenario_id
+        try:
+            poses = np.array(self.rollouts, dtype=float)
+        except ValueError as exc:  # ragged input
+            raise InconsistentRollouts(
+                f"{sid}: rollouts differ in object count or step count ({exc})"
+            ) from exc
+        ids = np.array(self.ids, dtype=np.int64)
+        if poses.ndim != 4 or poses.shape[-1] != 4:
+            raise MalformedScenario(f"{sid}: expected (K, A, T, 4) rollouts, got {poses.shape}")
+        if len(poses) == 0:
+            raise MalformedScenario("a rollout bundle needs at least one rollout")
+        if ids.shape != poses.shape[1:2]:
+            raise InconsistentRollouts(
+                f"{sid}: {ids.shape} ids for {poses.shape[1]} rollout rows"
+            )
+        if np.any(ids[1:] < ids[:-1]):
+            order = np.argsort(ids, kind="stable")
+            ids, poses = ids[order], poses[:, order]
+        if np.any(ids[1:] == ids[:-1]):
+            dup = sorted({int(i) for i in ids[1:][ids[1:] == ids[:-1]]})
+            raise InconsistentRollouts(f"{sid}: duplicate object ids {dup}")
+        poses[..., 3] = normalize_heading(poses[..., 3])
+        object.__setattr__(self, "ids", _frozen(ids))
+        object.__setattr__(self, "rollouts", _frozen(poses))
 
     @property
     def object_ids(self) -> frozenset[int]:
-        return frozenset(self.trajectories)
+        return frozenset(int(i) for i in self.ids)
 
     @property
     def num_steps(self) -> int:
-        if not self.trajectories:
-            return 0
-        return len(next(iter(self.trajectories.values())))
-
-
-@dataclass(frozen=True)
-class ScenarioRollouts:
-    """A bundle of sampled joint futures for one scenario (32 for scoring)."""
-
-    scenario_id: str
-    rollouts: tuple[JointScene, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rollouts", tuple(self.rollouts))
-        if not self.rollouts:
-            raise MalformedScenario("a rollout bundle needs at least one rollout")
-        ids = self.rollouts[0].object_ids
-        for k, joint in enumerate(self.rollouts):
-            if joint.scenario_id != self.scenario_id:
-                raise InconsistentRollouts(
-                    f"rollout {k} belongs to scenario {joint.scenario_id!r}"
-                )
-            if joint.object_ids != ids:
-                raise InconsistentRollouts(f"rollout {k} covers a different object set")
-
-    @property
-    def object_ids(self) -> frozenset[int]:
-        return self.rollouts[0].object_ids
+        return self.rollouts.shape[2]
 
 
 def simulated_object_ids(scenario: Scenario) -> frozenset[int]:
@@ -234,7 +251,7 @@ def simulated_object_ids(scenario: Scenario) -> frozenset[int]:
     scenario unusable.
     """
     t0 = scenario.t0_index
-    ids = frozenset(t.object_id for t in scenario.tracks if t.states[t0].valid)
+    ids = frozenset(t.object_id for t in scenario.tracks if t.valid[t0])
     if scenario.av_track_id not in ids:
         raise MalformedScenario(f"AV track {scenario.av_track_id} is invalid at t=0")
     return ids
@@ -247,9 +264,7 @@ def strip_late_spawns(scenario: Scenario) -> Scenario:
     the future cannot bias the logged feature distribution.
     """
     h = scenario.history_length
-    keep = tuple(
-        t for t in scenario.tracks if any(s.valid for s in t.states[:h])
-    )
+    keep = tuple(t for t in scenario.tracks if t.valid[:h].any())
     if len(keep) == len(scenario.tracks):
         return scenario
     return Scenario(
@@ -260,20 +275,4 @@ def strip_late_spawns(scenario: Scenario) -> Scenario:
         timestep=scenario.timestep,
         history_length=scenario.history_length,
         future_length=scenario.future_length,
-    )
-
-
-def states_tuple(
-    xs: Iterable[float],
-    ys: Iterable[float],
-    zs: Iterable[float],
-    headings: Iterable[float],
-    valid: Iterable[bool] | None = None,
-) -> tuple[ObjectState, ...]:
-    """Zip coordinate sequences into a state tuple (all-valid by default)."""
-    xs, ys, zs, headings = list(xs), list(ys), list(zs), list(headings)
-    flags = [True] * len(xs) if valid is None else list(valid)
-    return tuple(
-        ObjectState(x, y, z, h, v)
-        for x, y, z, h, v in zip(xs, ys, zs, headings, flags)
     )

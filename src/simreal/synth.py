@@ -32,7 +32,6 @@ from .scene import (
     DEFAULT_TIMESTEP,
     MapFeature,
     MapFeatureKind,
-    ObjectState,
     ObjectType,
     Scenario,
     Track,
@@ -405,11 +404,7 @@ def _assemble(
     agents = plan.agents
     tracks = []
     for agent in agents:
-        states = []
-        for i in range(h_len + t_len):
-            tau = (i - (h_len - 1)) * dt
-            x, y, z, heading = agent.motion.pose(tau)
-            states.append(ObjectState(x, y, z, heading))
+        poses = [agent.motion.pose((i - (h_len - 1)) * dt) for i in range(h_len + t_len)]
         tracks.append(
             Track(
                 object_id=agent.object_id,
@@ -417,7 +412,8 @@ def _assemble(
                 length=agent.dims[0],
                 width=agent.dims[1],
                 height=agent.dims[2],
-                states=tuple(states),
+                poses=poses,
+                valid=np.ones(len(poses), dtype=bool),
             )
         )
     scenario = Scenario(

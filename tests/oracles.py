@@ -99,6 +99,16 @@ def brute_force_signed_distance(box_a, box_b) -> float:
     return disjoint_distance(ca, cb)
 
 
+def scalar_normalize_heading(theta: float) -> float:
+    """Reference heading wrap into [0, 2*pi), one Python float at a time."""
+    if not math.isfinite(theta):
+        return theta
+    wrapped = theta % (2.0 * math.pi)
+    if wrapped >= 2.0 * math.pi:  # theta % (2 pi) can round up to 2 pi itself
+        wrapped -= 2.0 * math.pi
+    return wrapped
+
+
 def random_box(rng: np.random.Generator, span=10.0):
     return (
         float(rng.uniform(-span, span)),

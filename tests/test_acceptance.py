@@ -20,7 +20,7 @@ from simreal.config import DEFAULT_CONFIG
 from simreal.estimators import HistogramSpec, fit_histogram, time_series_likelihood
 from simreal.evaluate import evaluate_dataset, evaluate_scenario
 from simreal.features import BOOLEAN_METRICS, FeatureSeries, MetricKind
-from simreal.geometry import OrientedBox2D, box_signed_distance
+from simreal.geometry import box_signed_distance_batch
 from simreal.harness import Policy, generate_submission
 from simreal.io import read_report
 from simreal.policies import (
@@ -29,7 +29,7 @@ from simreal.policies import (
     ReplanWrapper,
     create_policy,
 )
-from simreal.scene import ObjectState, ScenarioRollouts
+from simreal.scene import ScenarioRollouts
 from simreal.synth import SynthSpec, Template, generate, make_suite
 
 from oracles import box_corners, brute_force_signed_distance, random_box, sat_overlap
@@ -131,12 +131,14 @@ def test_criterion_4_replan_rate_trend():
 def test_criterion_5_geometry_oracle():
     with criterion(5, "signed box distance matches brute force on 1000 pairs"):
         rng = np.random.default_rng(99)
-        for _ in range(1000):
-            ba, bb = random_box(rng), random_box(rng)
-            got = box_signed_distance(OrientedBox2D(*ba), OrientedBox2D(*bb))
+        pairs = [(random_box(rng), random_box(rng)) for _ in range(1000)]
+        got = box_signed_distance_batch(
+            np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
+        )
+        for d, (ba, bb) in zip(got, pairs):
             want = brute_force_signed_distance(ba, bb)
-            assert got == pytest.approx(want, abs=1e-6)
-            assert (got < 0.0) == sat_overlap(box_corners(*ba), box_corners(*bb))
+            assert d == pytest.approx(want, abs=1e-6)
+            assert (d < 0.0) == sat_overlap(box_corners(*ba), box_corners(*bb))
 
 
 def test_criterion_6_estimator_invariances():
@@ -151,9 +153,7 @@ def test_criterion_6_estimator_invariances():
         )
         base = evaluate_scenario(scenario, rollouts, DEFAULT_CONFIG)
         order = np.random.default_rng(0).permutation(len(rollouts.rollouts))
-        shuffled = ScenarioRollouts(
-            scenario.scenario_id, tuple(rollouts.rollouts[i] for i in order)
-        )
+        shuffled = ScenarioRollouts(scenario.scenario_id, rollouts.ids, rollouts.rollouts[order])
         again = evaluate_scenario(scenario, shuffled, DEFAULT_CONFIG)
         for metric in MetricKind:
             assert again.components[metric] == base.components[metric]  # bit-identical
@@ -244,12 +244,10 @@ class _JitteredOracle(Policy):
         self._inner = LoggedOraclePolicy(scenario)
         self._sigma = sigma
 
-    def step(self, context, controlled_ids):
-        base = self._inner.step(context, controlled_ids)
-        out = {}
-        for oid, s in base.items():
-            dx, dy = context.rng(oid).normal(0.0, self._sigma, size=2)
-            out[oid] = ObjectState(s.x + dx, s.y + dy, s.z, s.heading)
+    def step(self, context, rows):
+        out = np.array(self._inner.step(context, rows))
+        for i, r in enumerate(rows):
+            out[i, :2] += context.rng(context.ids[r]).normal(0.0, self._sigma, size=2)
         return out
 
 
@@ -260,12 +258,10 @@ class _OffsetOracle(Policy):
         self._inner = LoggedOraclePolicy(scenario)
         self._offset = offset
 
-    def step(self, context, controlled_ids):
-        base = self._inner.step(context, controlled_ids)
-        return {
-            oid: ObjectState(s.x, s.y + self._offset, s.z, s.heading)
-            for oid, s in base.items()
-        }
+    def step(self, context, rows):
+        out = np.array(self._inner.step(context, rows))
+        out[:, 1] += self._offset
+        return out
 
 
 def test_criterion_9_displacement_metrics(baseline_runs):

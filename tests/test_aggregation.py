@@ -18,7 +18,7 @@ from simreal.aggregation import (
 from simreal.errors import IncompleteBundle, MetricUnscorable
 from simreal.estimators import LikelihoodEstimate
 from simreal.features import BOOLEAN_METRICS, MetricKind
-from simreal.scene import JointScene, ObjectState, ScenarioRollouts
+from simreal.scene import ScenarioRollouts
 from simreal.synth import SynthSpec, Template, generate
 
 
@@ -134,47 +134,43 @@ class TestDatasetComposite:
 
 
 def _rollout(scenario, offsets):
-    h = scenario.history_length
-    return JointScene(
-        scenario_id=scenario.scenario_id,
-        trajectories={
-            t.object_id: tuple(
-                ObjectState(s.x + offsets[0], s.y + offsets[1], s.z, s.heading, True)
-                for s in t.states[h:]
-            )
-            for t in scenario.tracks
-        },
-    )
+    """The logged future of every track, shifted by (dx, dy): (A, T, 4)."""
+    ids = sorted(t.object_id for t in scenario.tracks)
+    poses, _ = scenario.future(ids)
+    poses = poses.copy()
+    poses[:, :, :2] += offsets
+    return poses
+
+
+def _bundle(scenario, futures):
+    ids = sorted(t.object_id for t in scenario.tracks)
+    return ScenarioRollouts(scenario.scenario_id, ids, np.stack(futures))
 
 
 class TestDisplacement:
     def test_logged_oracle_scores_zero(self):
         scenario = generate(SynthSpec(Template.STRAIGHT_ROAD, seed=0)).scenario
-        rollouts = ScenarioRollouts(
-            scenario.scenario_id, tuple(_rollout(scenario, (0.0, 0.0)) for _ in range(4))
-        )
+        rollouts = _bundle(scenario, [_rollout(scenario, (0.0, 0.0)) for _ in range(4)])
         assert ade(rollouts, scenario) == 0.0
         assert min_ade(rollouts, scenario) == 0.0
 
     def test_constant_offset(self):
         scenario = generate(SynthSpec(Template.STRAIGHT_ROAD, seed=0)).scenario
-        rollouts = ScenarioRollouts(
-            scenario.scenario_id, tuple(_rollout(scenario, (1.0, 0.0)) for _ in range(4))
-        )
+        rollouts = _bundle(scenario, [_rollout(scenario, (1.0, 0.0)) for _ in range(4)])
         assert ade(rollouts, scenario) == pytest.approx(1.0, abs=1e-12)
         assert min_ade(rollouts, scenario) == pytest.approx(1.0, abs=1e-12)
 
     def test_one_exact_rollout_wins_min(self):
         scenario = generate(SynthSpec(Template.STRAIGHT_ROAD, seed=0)).scenario
-        joints = [_rollout(scenario, (3.0, 4.0)) for _ in range(31)]
-        joints.append(_rollout(scenario, (0.0, 0.0)))
-        rollouts = ScenarioRollouts(scenario.scenario_id, tuple(joints))
+        futures = [_rollout(scenario, (3.0, 4.0)) for _ in range(31)]
+        futures.append(_rollout(scenario, (0.0, 0.0)))
+        rollouts = _bundle(scenario, futures)
         assert min_ade(rollouts, scenario) == 0.0
         assert ade(rollouts, scenario) == pytest.approx(5.0 * 31 / 32, abs=1e-9)
 
     def test_min_ade_never_exceeds_ade(self):
         scenario = generate(SynthSpec(Template.CURVED_ROAD, seed=1)).scenario
         rng = np.random.default_rng(8)
-        joints = [_rollout(scenario, tuple(rng.uniform(-2, 2, 2))) for _ in range(8)]
-        rollouts = ScenarioRollouts(scenario.scenario_id, tuple(joints))
+        futures = [_rollout(scenario, tuple(rng.uniform(-2, 2, 2))) for _ in range(8)]
+        rollouts = _bundle(scenario, futures)
         assert min_ade(rollouts, scenario) <= ade(rollouts, scenario)

@@ -14,11 +14,11 @@ from simreal.estimators import (
     HistogramSpec,
     fit_bernoulli,
     fit_histogram,
-    pool_simulated_samples,
+    pool_from_features,
     rollout_features,
     time_series_likelihood,
 )
-from simreal.features import FeatureSeries, MetricKind
+from simreal.features import FeatureSeries, MetricKind, SceneStates, extract_features
 from simreal.harness import generate_submission
 from simreal.policies import ConstantVelocityPolicy, LoggedOraclePolicy
 from simreal.synth import SynthSpec, Template, generate
@@ -168,28 +168,34 @@ def scenario_and_rollouts():
 class TestPooling:
     def test_scalar_pool_counts_valid_steps(self, scenario_and_rollouts):
         scenario, rollouts = scenario_and_rollouts
-        samples = pool_simulated_samples(scenario, rollouts, 0, MetricKind.LINEAR_SPEED)
+        samples = pool_from_features(
+            rollout_features(scenario, rollouts), 0, MetricKind.LINEAR_SPEED
+        )
         assert len(samples) == 32 * 79
 
     def test_boolean_pool_is_one_event_per_rollout(self, scenario_and_rollouts):
         scenario, rollouts = scenario_and_rollouts
-        samples = pool_simulated_samples(scenario, rollouts, 0, MetricKind.COLLISION)
+        samples = pool_from_features(rollout_features(scenario, rollouts), 0, MetricKind.COLLISION)
         assert len(samples) == 32
         assert samples.dtype == bool
 
     def test_missing_object_raises(self, scenario_and_rollouts):
         scenario, rollouts = scenario_and_rollouts
         with pytest.raises(InconsistentRollouts):
-            pool_simulated_samples(scenario, rollouts, 99, MetricKind.LINEAR_SPEED)
+            pool_from_features(rollout_features(scenario, rollouts), 99, MetricKind.LINEAR_SPEED)
 
     def test_precomputed_features_shortcut_matches(self, scenario_and_rollouts):
         scenario, rollouts = scenario_and_rollouts
-        feats = rollout_features(scenario, rollouts)
-        direct = pool_simulated_samples(scenario, rollouts, 1, MetricKind.LINEAR_SPEED)
-        shortcut = pool_simulated_samples(
-            scenario, rollouts, 1, MetricKind.LINEAR_SPEED, features=feats
-        )
-        np.testing.assert_array_equal(direct, shortcut)
+        # Deduplicated extraction pools exactly what one extraction per rollout does.
+        shared = rollout_features(scenario, rollouts)
+        direct = [
+            extract_features(SceneStates.from_rollout(scenario, rollouts, k), scenario.map_features)
+            for k in range(len(rollouts.rollouts))
+        ]
+        for metric in MetricKind:
+            np.testing.assert_array_equal(
+                pool_from_features(direct, 1, metric), pool_from_features(shared, 1, metric)
+            )
 
 
 class TestDefaultSpecs:

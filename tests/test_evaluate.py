@@ -10,7 +10,7 @@ from simreal.evaluate import evaluate_dataset, evaluate_scenario
 from simreal.features import MetricKind
 from simreal.harness import generate_submission
 from simreal.policies import ConstantVelocityPolicy, LoggedOraclePolicy, RandomAgentPolicy
-from simreal.scene import ObjectState, ScenarioRollouts
+from simreal.scene import ScenarioRollouts
 from simreal.synth import SynthSpec, Template, generate
 
 
@@ -50,9 +50,7 @@ class TestEvaluateScenario:
         base = evaluate_scenario(scenario, rollouts)
         rng = np.random.default_rng(1)
         order = rng.permutation(8)
-        shuffled = ScenarioRollouts(
-            scenario.scenario_id, tuple(rollouts.rollouts[i] for i in order)
-        )
+        shuffled = ScenarioRollouts(scenario.scenario_id, rollouts.ids, rollouts.rollouts[order])
         again = evaluate_scenario(scenario, shuffled)
         for m in MetricKind:
             assert again.components[m] == base.components[m]  # bitwise
@@ -78,10 +76,12 @@ class TestEvaluateScenario:
         # Append a track that only exists in the future; evaluation must strip
         # it rather than fail or score it.
         h, t = scenario.history_length, scenario.future_length
-        ghost_states = tuple(
-            ObjectState(1000.0 + i, 500.0, 0.0, 0.0, valid=i >= h + 5) for i in range(h + t)
+        ghost_poses = np.zeros((h + t, 4))
+        ghost_poses[:, 0] = 1000.0 + np.arange(h + t)
+        ghost_poses[:, 1] = 500.0
+        ghost = replace(
+            scenario.tracks[0], object_id=77, poses=ghost_poses, valid=np.arange(h + t) >= h + 5
         )
-        ghost = replace(scenario.tracks[0], object_id=77, states=ghost_states)
         spawned = replace(scenario, tracks=scenario.tracks + (ghost,))
         bundle = evaluate_scenario(spawned, rollouts)
         reference = evaluate_scenario(scenario, rollouts)

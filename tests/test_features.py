@@ -6,32 +6,31 @@ import numpy as np
 import pytest
 
 from simreal.features import (
+    DEFAULT_FEATURE_PARAMS,
     FeatureParams,
     MetricKind,
     SceneStates,
-    angular_accel_magnitude,
-    angular_speed,
-    collision_indication,
-    distance_to_nearest_object,
-    distance_to_road_edge,
     extract_features,
-    linear_accel_magnitude,
-    linear_speed,
-    offroad_indication,
-    time_to_collision,
 )
-from simreal.scene import MapFeature, MapFeatureKind, ObjectState
+from simreal.harness import generate_submission
+from simreal.policies import LoggedOraclePolicy
+from simreal.scene import MapFeature, MapFeatureKind
 
 DT = 0.1
 
 
-def states_from_xyz(xs, ys=None, zs=None, headings=None, valid=None):
-    n = len(xs)
-    ys = ys if ys is not None else [0.0] * n
-    zs = zs if zs is not None else [0.0] * n
-    headings = headings if headings is not None else [0.0] * n
-    valid = valid if valid is not None else [True] * n
-    return [ObjectState(x, y, z, h, v) for x, y, z, h, v in zip(xs, ys, zs, headings, valid)]
+def features(states, metric, map_features=(), params=DEFAULT_FEATURE_PARAMS):
+    """One metric's series for every object, through the full extraction."""
+    return extract_features(states, map_features, params)[metric]
+
+
+def track_series(metric, xs, ys=None, zs=None, headings=None, valid=None, dt=DT):
+    """One metric's series for a single object given by coordinate sequences."""
+    obj = {"x": xs}
+    for key, value in (("y", ys), ("z", zs), ("heading", headings), ("valid", valid)):
+        if value is not None:
+            obj[key] = value
+    return features(scene([obj], dt), metric)[0]
 
 
 def scene(objs, dt=DT):
@@ -57,12 +56,12 @@ def scene(objs, dt=DT):
 
 class TestLinearSpeed:
     def test_stationary_is_zero(self):
-        series = linear_speed(states_from_xyz([1.0] * 10), DT)
+        series = track_series(MetricKind.LINEAR_SPEED, [1.0] * 10)
         assert np.all(series.values[series.valid] == 0.0)
 
     def test_constant_velocity(self):
         xs = [i * 1.0 for i in range(10)]
-        series = linear_speed(states_from_xyz(xs), DT)
+        series = track_series(MetricKind.LINEAR_SPEED, xs)
         assert np.allclose(series.values[series.valid], 10.0)
         assert not series.valid[0]  # one-step derivative loses the first step
         assert series.valid[1:].all()
@@ -73,50 +72,50 @@ class TestLinearSpeed:
         xs = np.cos(taus)
         ys = np.sin(taus)
         zs = 0.1 * np.arange(n)
-        series = linear_speed(states_from_xyz(xs, ys, zs), DT)
+        series = track_series(MetricKind.LINEAR_SPEED, xs, ys, zs)
         dxy = 2.0 * np.sin(DT / 2.0)  # chord of a unit circle per step
         expected = math.hypot(dxy, 0.1) / DT
         assert np.allclose(series.values[series.valid], expected, atol=1e-12)
 
     def test_validity_needs_both_endpoints(self):
         valid = [True, True, False, True, True]
-        series = linear_speed(states_from_xyz([0, 1, 2, 3, 4], valid=valid), DT)
+        series = track_series(MetricKind.LINEAR_SPEED, [0, 1, 2, 3, 4], valid=valid)
         assert list(series.valid) == [False, True, False, False, True]
 
 
 class TestLinearAccel:
     def test_constant_speed_zero(self):
         xs = [i * 0.5 for i in range(10)]
-        series = linear_accel_magnitude(states_from_xyz(xs), DT)
+        series = track_series(MetricKind.LINEAR_ACCEL, xs)
         assert np.allclose(series.values[series.valid], 0.0)
         assert list(series.valid[:2]) == [False, False]
 
     def test_linear_ramp(self):
         # Speeds 0, 1, 2, ... m/s per step: accel 10 m/s^2 everywhere.
         xs = np.concatenate([[0.0], np.cumsum(np.arange(10)) * DT])
-        series = linear_accel_magnitude(states_from_xyz(xs), DT)
+        series = track_series(MetricKind.LINEAR_ACCEL, xs)
         assert np.allclose(series.values[series.valid], 10.0)
 
     def test_braking_profile(self):
         # Consecutive speeds 10, 8, 6 m/s -> -20 m/s^2.
         xs = [0.0, 1.0, 1.8, 2.4]
-        series = linear_accel_magnitude(states_from_xyz(xs), DT)
+        series = track_series(MetricKind.LINEAR_ACCEL, xs)
         assert np.allclose(series.values[series.valid], -20.0)
 
 
 class TestAngularSpeed:
     def test_constant_heading(self):
-        series = angular_speed(states_from_xyz([0] * 8, headings=[1.0] * 8), DT)
+        series = track_series(MetricKind.ANGULAR_SPEED, [0] * 8, headings=[1.0] * 8)
         assert np.all(series.values[series.valid] == 0.0)
 
     def test_constant_rate(self):
         headings = [0.05 * i for i in range(10)]
-        series = angular_speed(states_from_xyz([0] * 10, headings=headings), DT)
+        series = track_series(MetricKind.ANGULAR_SPEED, [0] * 10, headings=headings)
         assert np.allclose(series.values[series.valid], 0.5)
 
     def test_wrap_has_no_spike(self):
         headings = [(6.2 + 0.05 * i) % (2 * math.pi) for i in range(10)]
-        series = angular_speed(states_from_xyz([0] * 10, headings=headings), DT)
+        series = track_series(MetricKind.ANGULAR_SPEED, [0] * 10, headings=headings)
         assert np.all(np.abs(series.values[series.valid]) < 1.0)
         assert np.allclose(series.values[series.valid], 0.5)
 
@@ -124,13 +123,13 @@ class TestAngularSpeed:
 class TestAngularAccel:
     def test_constant_turn_rate(self):
         headings = [0.05 * i for i in range(10)]
-        series = angular_accel_magnitude(states_from_xyz([0] * 10, headings=headings), DT)
+        series = track_series(MetricKind.ANGULAR_ACCEL, [0] * 10, headings=headings)
         assert np.allclose(series.values[series.valid], 0.0)
 
     def test_omega_ramp(self):
         # Angular speeds 0, 0.1, 0.2 rad/s -> 1.0 rad/s^2.
         headings = np.concatenate([[0.0], np.cumsum([0.0, 0.01, 0.02, 0.03])])
-        series = angular_accel_magnitude(states_from_xyz([0] * 5, headings=headings), DT)
+        series = track_series(MetricKind.ANGULAR_ACCEL, [0] * 5, headings=headings)
         assert np.allclose(series.values[series.valid], 1.0)
 
     def test_sinusoid_matches_analytic_to_first_order(self):
@@ -139,7 +138,7 @@ class TestAngularAccel:
         taus = np.arange(n) * dt
         amp, freq = 0.5, 1.0
         headings = amp * np.sin(2 * math.pi * freq * taus)
-        series = angular_accel_magnitude(states_from_xyz([0] * n, headings=headings), dt)
+        series = track_series(MetricKind.ANGULAR_ACCEL, [0] * n, headings=headings, dt=dt)
         # Backward second difference approximates the second derivative at
         # tau - dt with O(dt) error.
         analytic = -amp * (2 * math.pi * freq) ** 2 * np.sin(2 * math.pi * freq * (taus - dt))
@@ -155,17 +154,17 @@ class TestDistanceToNearest:
                 {"x": [4.0] * 3, "dims": (2.0, 2.0, 2.0)},
             ]
         )
-        series = distance_to_nearest_object(s)
+        series = features(s, MetricKind.DIST_TO_NEAREST_OBJECT)
         assert np.allclose(series[0].values, 2.0)
         assert np.allclose(series[1].values, 2.0)
 
     def test_overlap_is_negative(self):
         s = scene([{"x": [0.0] * 3}, {"x": [1.0] * 3}])
-        assert np.all(distance_to_nearest_object(s)[0].values < 0.0)
+        assert np.all(features(s, MetricKind.DIST_TO_NEAREST_OBJECT)[0].values < 0.0)
 
     def test_three_collinear_boxes_middle_reports_nearest(self):
         s = scene([{"x": [0.0] * 2}, {"x": [5.0] * 2}, {"x": [9.0] * 2}])
-        series = distance_to_nearest_object(s)
+        series = features(s, MetricKind.DIST_TO_NEAREST_OBJECT)
         # Middle object: gaps 3.0 (left) and 2.0 (right).
         assert np.allclose(series[1].values, 2.0)
         assert np.allclose(series[0].values, 3.0)
@@ -173,7 +172,7 @@ class TestDistanceToNearest:
 
     def test_single_object_scene_all_invalid(self):
         s = scene([{"x": [0.0] * 4}])
-        series = distance_to_nearest_object(s)
+        series = features(s, MetricKind.DIST_TO_NEAREST_OBJECT)
         assert not series[0].valid.any()
 
     def test_vertical_gate_skips_stacked_box(self):
@@ -185,12 +184,12 @@ class TestDistanceToNearest:
                 {"x": [8.0] * 3, "z": [0.0] * 3},
             ]
         )
-        series = distance_to_nearest_object(s)
+        series = features(s, MetricKind.DIST_TO_NEAREST_OBJECT)
         assert np.allclose(series[0].values, 6.0)
 
     def test_vertical_gate_fallback_keeps_step_valid(self):
         s = scene([{"x": [0.0] * 3, "z": [0.0] * 3}, {"x": [4.0] * 3, "z": [50.0] * 3}])
-        series = distance_to_nearest_object(s)
+        series = features(s, MetricKind.DIST_TO_NEAREST_OBJECT)
         assert series[0].valid.all()
         assert np.allclose(series[0].values, 2.0)  # ungated 2D minimum
 
@@ -198,26 +197,26 @@ class TestDistanceToNearest:
 class TestCollisionIndication:
     def test_never_overlapping_is_false(self):
         s = scene([{"x": [0.0] * 5}, {"x": [10.0] * 5}])
-        assert np.all(collision_indication(s)[0].values == 0.0)
+        assert np.all(features(s, MetricKind.COLLISION)[0].values == 0.0)
 
     def test_single_overlapping_step_is_true(self):
         xs = [10.0, 1.5, 10.0, 10.0, 10.0]
         s = scene([{"x": [0.0] * 5}, {"x": xs}])
-        series = collision_indication(s)
+        series = features(s, MetricKind.COLLISION)
         assert np.all(series[0].values == 1.0)
         assert np.all(series[1].values == 1.0)
 
     def test_grazing_contact_is_not_collision(self):
         s = scene([{"x": [0.0] * 3}, {"x": [2.0] * 3}])
-        assert np.all(collision_indication(s)[0].values == 0.0)
+        assert np.all(features(s, MetricKind.COLLISION)[0].values == 0.0)
 
     def test_matches_independent_recomputation(self):
         rng = np.random.default_rng(5)
         xs = rng.uniform(-4, 4, size=(3, 12))
         ys = rng.uniform(-4, 4, size=(3, 12))
         s = scene([{"x": xs[i], "y": ys[i]} for i in range(3)])
-        dist = distance_to_nearest_object(s)
-        coll = collision_indication(s)
+        dist = features(s, MetricKind.DIST_TO_NEAREST_OBJECT)
+        coll = features(s, MetricKind.COLLISION)
         for i in range(3):
             expected = bool((dist[i].values[dist[i].valid] < 0.0).any())
             assert bool(coll[i].values[0]) == expected
@@ -237,7 +236,7 @@ def follow_scene(gap, v_follow, v_lead, lateral=0.0, heading_lead=0.0, n=6):
 
 class TestTimeToCollision:
     def test_closing_arithmetic(self):
-        series = time_to_collision(follow_scene(10.0, 10.0, 5.0))
+        series = features(follow_scene(10.0, 10.0, 5.0), MetricKind.TIME_TO_COLLISION)
         vals = series[0].values[series[0].valid]
         # Bumper gap starts at 10 and shrinks 0.5 m per step; closing 5 m/s,
         # so the first scored step reads 9.5 / 5 = 1.9 s.
@@ -248,28 +247,31 @@ class TestTimeToCollision:
     def test_ten_meter_gap_at_five_closing_reads_two_seconds(self):
         # Gap is 10.5 at the window start, so the first scored step sees
         # exactly 10 m of bumper gap against 5 m/s closing speed.
-        series = time_to_collision(follow_scene(10.5, 10.0, 5.0))
+        series = features(follow_scene(10.5, 10.0, 5.0), MetricKind.TIME_TO_COLLISION)
         assert series[0].values[1] == pytest.approx(2.0, abs=1e-12)
 
     def test_slower_follower_takes_cap(self):
-        series = time_to_collision(follow_scene(10.0, 5.0, 10.0))
+        series = features(follow_scene(10.0, 5.0, 10.0), MetricKind.TIME_TO_COLLISION)
         assert np.allclose(series[0].values[series[0].valid], 5.0)
 
     def test_perpendicular_traffic_takes_cap(self):
-        series = time_to_collision(follow_scene(10.0, 10.0, 5.0, heading_lead=math.pi / 2))
+        scene_ = follow_scene(10.0, 10.0, 5.0, heading_lead=math.pi / 2)
+        series = features(scene_, MetricKind.TIME_TO_COLLISION)
         assert np.allclose(series[0].values[series[0].valid], 5.0)
 
     def test_lateral_offset_breaks_following(self):
-        series = time_to_collision(follow_scene(10.0, 10.0, 5.0, lateral=5.0))
+        scene_ = follow_scene(10.0, 10.0, 5.0, lateral=5.0)
+        series = features(scene_, MetricKind.TIME_TO_COLLISION)
         assert np.allclose(series[0].values[series[0].valid], 5.0)
 
     def test_leader_has_no_leader(self):
-        series = time_to_collision(follow_scene(10.0, 10.0, 5.0))
+        series = features(follow_scene(10.0, 10.0, 5.0), MetricKind.TIME_TO_COLLISION)
         assert np.allclose(series[1].values[series[1].valid], 5.0)
 
     def test_values_within_cap(self):
         params = FeatureParams(ttc_max=3.0)
-        series = time_to_collision(follow_scene(40.0, 12.0, 2.0), params)
+        scene_ = follow_scene(40.0, 12.0, 2.0)
+        series = features(scene_, MetricKind.TIME_TO_COLLISION, params=params)
         vals = series[0].values[series[0].valid]
         assert np.all(vals > 0.0) and np.all(vals <= 3.0)
 
@@ -283,42 +285,42 @@ ROAD = [
 class TestRoadEdge:
     def test_inside_reports_negative_with_corner_adjustment(self):
         s = scene([{"x": [0.0] * 3, "y": [4.0] * 3, "dims": (2.0, 2.0, 1.5)}])
-        series = distance_to_road_edge(s, ROAD)
+        series = features(s, MetricKind.DIST_TO_ROAD_EDGE, ROAD)
         # Center 3 m inside the top edge; the closest corner is 1 m nearer.
         assert np.allclose(series[0].values, -2.0)
 
     def test_straddling_edge_is_positive(self):
         s = scene([{"x": [0.0] * 3, "y": [7.0] * 3, "dims": (2.0, 2.0, 1.5)}])
-        series = distance_to_road_edge(s, ROAD)
+        series = features(s, MetricKind.DIST_TO_ROAD_EDGE, ROAD)
         assert np.allclose(series[0].values, 1.0)
 
     def test_far_outside_is_positive_distance(self):
         s = scene([{"x": [0.0] * 3, "y": [17.0] * 3, "dims": (0.01, 0.01, 1.5)}])
-        series = distance_to_road_edge(s, ROAD)
+        series = features(s, MetricKind.DIST_TO_ROAD_EDGE, ROAD)
         assert np.allclose(series[0].values, 10.0, atol=0.01)
 
     def test_no_road_edges_all_invalid(self):
         lane_only = [MapFeature(5, MapFeatureKind.LANE_CENTER, ((0.0, 0.0), (1.0, 0.0)))]
         s = scene([{"x": [0.0] * 3}])
-        series = distance_to_road_edge(s, lane_only)
+        series = features(s, MetricKind.DIST_TO_ROAD_EDGE, lane_only)
         assert not series[0].valid.any()
 
 
 class TestOffroad:
     def test_always_inside_false(self):
         s = scene([{"x": [0.0] * 4, "y": [0.0] * 4}])
-        assert np.all(offroad_indication(s, ROAD)[0].values == 0.0)
+        assert np.all(features(s, MetricKind.OFFROAD, ROAD)[0].values == 0.0)
 
     def test_single_offroad_step_true(self):
         s = scene([{"x": [0.0] * 4, "y": [0.0, 0.0, 9.0, 0.0]}])
-        assert np.all(offroad_indication(s, ROAD)[0].values == 1.0)
+        assert np.all(features(s, MetricKind.OFFROAD, ROAD)[0].values == 1.0)
 
     def test_exactly_on_edge_is_false(self):
         # Top corners land exactly on the edge: signed distance 0, not > 0.
         s = scene([{"x": [0.0] * 3, "y": [6.0] * 3, "dims": (2.0, 2.0, 1.5)}])
-        series = distance_to_road_edge(s, ROAD)
+        series = features(s, MetricKind.DIST_TO_ROAD_EDGE, ROAD)
         assert np.allclose(series[0].values, 0.0, atol=1e-12)
-        assert np.all(offroad_indication(s, ROAD)[0].values == 0.0)
+        assert np.all(features(s, MetricKind.OFFROAD, ROAD)[0].values == 0.0)
 
 
 class TestInvariances:
@@ -372,41 +374,31 @@ class TestInvariances:
 
     def test_angular_features_invariant_to_heading_offset(self):
         headings = [0.3 * math.sin(0.2 * i) for i in range(15)]
-        base = angular_speed(states_from_xyz([0] * 15, headings=headings), DT)
-        off = angular_speed(
-            states_from_xyz([0] * 15, headings=[h + 2.0 for h in headings]), DT
-        )
+        base = track_series(MetricKind.ANGULAR_SPEED, [0] * 15, headings=headings)
+        off = track_series(MetricKind.ANGULAR_SPEED, [0] * 15, headings=[h + 2.0 for h in headings])
         np.testing.assert_allclose(off.values, base.values, atol=1e-12)
 
 
 class TestRoundTripIdentity:
     def test_logged_future_equals_oracle_rollout_features(self):
-        from simreal.scene import JointScene
         from simreal.synth import SynthSpec, Template, generate
 
         synth = generate(SynthSpec(Template.CURVED_ROAD, seed=4, noise_level=0.2))
         scenario = synth.scenario
-        h = scenario.history_length
-        joint = JointScene(
-            scenario_id=scenario.scenario_id,
-            trajectories={
-                t.object_id: tuple(
-                    ObjectState(s.x, s.y, s.z, s.heading, True) for s in t.states[h:]
-                )
-                for t in scenario.tracks
-            },
+        rollouts = generate_submission(
+            scenario, LoggedOraclePolicy(scenario), LoggedOraclePolicy(scenario), k=1
         )
         from_log = extract_features(
             SceneStates.from_logged_future(scenario), scenario.map_features
         )
-        from_joint = extract_features(
-            SceneStates.from_rollout(scenario, joint), scenario.map_features
+        from_rollout = extract_features(
+            SceneStates.from_rollout(scenario, rollouts, 0), scenario.map_features
         )
         for metric in MetricKind:
             for oid in from_log[metric]:
                 np.testing.assert_array_equal(
-                    from_log[metric][oid].values, from_joint[metric][oid].values
+                    from_log[metric][oid].values, from_rollout[metric][oid].values
                 )
                 np.testing.assert_array_equal(
-                    from_log[metric][oid].valid, from_joint[metric][oid].valid
+                    from_log[metric][oid].valid, from_rollout[metric][oid].valid
                 )

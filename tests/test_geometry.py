@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from simreal.geometry import (
-    OrientedBox2D,
     Side,
     angle_diff,
-    box_signed_distance,
     box_signed_distance_batch,
     point_to_polyline_distance,
     signed_angle_step,
@@ -22,7 +20,12 @@ DEG = math.pi / 180.0
 
 
 def box(cx, cy, heading=0.0, length=2.0, width=2.0):
-    return OrientedBox2D(cx, cy, heading, length, width)
+    return (cx, cy, heading, length, width)
+
+
+def pair_distance(a, b) -> float:
+    """The batch kernel on a single pair of (cx, cy, heading, length, width) boxes."""
+    return float(box_signed_distance_batch(np.array(a, dtype=float), np.array(b, dtype=float)))
 
 
 class TestAngles:
@@ -65,61 +68,63 @@ class TestAngles:
 
 class TestBoxSignedDistance:
     def test_face_to_face_gap(self):
-        assert box_signed_distance(box(0, 0), box(4, 0)) == pytest.approx(2.0, abs=1e-9)
+        assert pair_distance(box(0, 0), box(4, 0)) == pytest.approx(2.0, abs=1e-9)
 
     def test_coincident_penetration(self):
-        assert box_signed_distance(box(0, 0), box(0, 0)) == pytest.approx(-2.0, abs=1e-9)
+        assert pair_distance(box(0, 0), box(0, 0)) == pytest.approx(-2.0, abs=1e-9)
 
     def test_touching_faces(self):
-        assert box_signed_distance(box(0, 0), box(2, 0)) == pytest.approx(0.0, abs=1e-9)
+        assert pair_distance(box(0, 0), box(2, 0)) == pytest.approx(0.0, abs=1e-9)
 
     def test_diagonal_corner_gap(self):
         # Nearest features are corners: the axis-aligned face gaps understate this.
-        d = box_signed_distance(box(0, 0), box(3, 3))
+        d = pair_distance(box(0, 0), box(3, 3))
         assert d == pytest.approx(math.hypot(1.0, 1.0), abs=1e-9)
 
     def test_symmetry(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            a = OrientedBox2D(*random_box(rng))
-            b = OrientedBox2D(*random_box(rng))
-            assert box_signed_distance(a, b) == pytest.approx(
-                box_signed_distance(b, a), abs=1e-9
+            a = random_box(rng)
+            b = random_box(rng)
+            assert pair_distance(a, b) == pytest.approx(
+                pair_distance(b, a), abs=1e-9
             )
 
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
             ba, bb = random_box(rng), random_box(rng)
-            base = box_signed_distance(OrientedBox2D(*ba), OrientedBox2D(*bb))
+            base = pair_distance(ba, bb)
             angle = rng.uniform(0, 2 * math.pi)
             tx, ty = rng.uniform(-30, 30, 2)
             c, s = math.cos(angle), math.sin(angle)
 
             def moved(bx):
                 x, y, h, l, w = bx
-                return OrientedBox2D(c * x - s * y + tx, s * x + c * y + ty, h + angle, l, w)
+                return (c * x - s * y + tx, s * x + c * y + ty, h + angle, l, w)
 
-            assert box_signed_distance(moved(ba), moved(bb)) == pytest.approx(base, abs=1e-6)
+            assert pair_distance(moved(ba), moved(bb)) == pytest.approx(base, abs=1e-6)
 
     def test_matches_brute_force_on_random_pairs(self):
         rng = np.random.default_rng(2024)
         for _ in range(1000):
             ba, bb = random_box(rng), random_box(rng)
-            got = box_signed_distance(OrientedBox2D(*ba), OrientedBox2D(*bb))
+            got = pair_distance(ba, bb)
             want = brute_force_signed_distance(ba, bb)
             assert got == pytest.approx(want, abs=1e-6)
             overlap = sat_overlap(box_corners(*ba), box_corners(*bb))
             assert (got < 0.0) == overlap
 
     def test_batch_matches_scalar(self):
+        # One batched call over many pairs equals the scalar brute-force oracle.
         rng = np.random.default_rng(7)
         boxes_a = np.array([random_box(rng) for _ in range(300)])
         boxes_b = np.array([random_box(rng) for _ in range(300)])
         batch = box_signed_distance_batch(boxes_a, boxes_b)
         for i in range(300):
-            scalar = box_signed_distance(OrientedBox2D(*boxes_a[i]), OrientedBox2D(*boxes_b[i]))
-            assert batch[i] == pytest.approx(scalar, abs=1e-9)
+            scalar = brute_force_signed_distance(tuple(boxes_a[i]), tuple(boxes_b[i]))
+            assert batch[i] == pytest.approx(scalar, abs=1e-6)
+            assert batch[i] == pair_distance(boxes_a[i], boxes_b[i])
 
     def test_batch_broadcasting(self):
         a = np.array([random_box(np.random.default_rng(1)) for _ in range(4)])

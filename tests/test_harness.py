@@ -22,7 +22,7 @@ from simreal.policies import (
     ReplanWrapper,
     create_policy,
 )
-from simreal.scene import ObjectState, simulated_object_ids
+from simreal.scene import simulated_object_ids
 from simreal.synth import SynthSpec, Template, generate
 
 
@@ -34,8 +34,19 @@ def curved_scenario(seed=0):
     return generate(SynthSpec(Template.CURVED_ROAD, seed=seed)).scenario
 
 
-def poses(joint, oid):
-    return np.array([(s.x, s.y, s.z, s.heading) for s in joint.trajectories[oid]])
+def poses(future, scenario, oid):
+    """One object's (T, 4) rollout; rows follow ascending simulated ids."""
+    return future[sorted(simulated_object_ids(scenario)).index(oid)]
+
+
+def with_track_poses(scenario, edit):
+    """The scenario with ``edit(poses, valid)`` applied to copies of every track."""
+    tracks = []
+    for t in scenario.tracks:
+        p, v = t.poses.copy(), t.valid.copy()
+        edit(p, v)
+        tracks.append(replace(t, poses=p, valid=v))
+    return replace(scenario, tracks=tuple(tracks))
 
 
 class TestClosedLoopRollout:
@@ -43,9 +54,10 @@ class TestClosedLoopRollout:
         scenario = straight_scenario()
         env = ConstantVelocityPolicy()
         av = ConstantVelocityPolicy()
-        joint, trace = closed_loop_rollout(scenario, av, env, seed=0)
+        future, trace = closed_loop_rollout(scenario, av, env, seed=0)
         assert len(trace.steps) == 80
-        xy = poses(joint, 0)[:, :2]
+        assert future.shape == (len(simulated_object_ids(scenario)), 80, 4)
+        xy = poses(future, scenario, 0)[:, :2]
         steps = np.diff(xy, axis=0)
         assert np.allclose(steps, steps[0], atol=1e-9)  # equal step vectors
 
@@ -53,11 +65,11 @@ class TestClosedLoopRollout:
         scenario = curved_scenario()
         av = LoggedOraclePolicy(scenario)
         env = LoggedOraclePolicy(scenario)
-        joint, _ = closed_loop_rollout(scenario, av, env, seed=0)
+        future, _ = closed_loop_rollout(scenario, av, env, seed=0)
         h = scenario.history_length
         for track in scenario.tracks:
-            want = np.array([(s.x, s.y, s.z, s.heading) for s in track.states[h:]])
-            np.testing.assert_allclose(poses(joint, track.object_id), want, atol=0.0)
+            want = track.poses[h:]
+            np.testing.assert_allclose(poses(future, scenario, track.object_id), want, atol=0.0)
 
     def test_seeded_random_rollouts_are_bit_identical(self):
         scenario = straight_scenario()
@@ -67,14 +79,13 @@ class TestClosedLoopRollout:
         b, _ = closed_loop_rollout(
             scenario, RandomAgentPolicy(), RandomAgentPolicy(), seed=123
         )
-        for oid in a.object_ids:
-            np.testing.assert_array_equal(poses(a, oid), poses(b, oid))
+        np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self):
         scenario = straight_scenario()
         a, _ = closed_loop_rollout(scenario, RandomAgentPolicy(), RandomAgentPolicy(), seed=1)
         b, _ = closed_loop_rollout(scenario, RandomAgentPolicy(), RandomAgentPolicy(), seed=2)
-        assert not np.array_equal(poses(a, 0), poses(b, 0))
+        assert not np.array_equal(poses(a, scenario, 0), poses(b, scenario, 0))
 
     def test_same_policy_object_rejected(self):
         scenario = straight_scenario()
@@ -84,27 +95,44 @@ class TestClosedLoopRollout:
 
 
 class _DropsOneId(Policy):
-    def step(self, context, controlled_ids):
-        out = ConstantVelocityPolicy().step(context, controlled_ids)
-        out.pop(max(controlled_ids))
-        return out
+    def step(self, context, rows):
+        return ConstantVelocityPolicy().step(context, rows)[:-1]
 
 
 class _AddsExtraId(Policy):
-    def step(self, context, controlled_ids):
-        out = ConstantVelocityPolicy().step(context, controlled_ids)
-        out[9999] = ObjectState(0, 0, 0, 0)
-        return out
+    def step(self, context, rows):
+        out = ConstantVelocityPolicy().step(context, rows)
+        return np.vstack([out, np.zeros((1, 4))])
 
 
 class _ReturnsInvalid(Policy):
-    def step(self, context, controlled_ids):
-        return {oid: ObjectState(0, 0, 0, 0, valid=False) for oid in controlled_ids}
+    def step(self, context, rows):
+        return {context.ids[r]: (0.0, 0.0, 0.0, 0.0) for r in rows}
 
 
 class _ReturnsNaN(Policy):
-    def step(self, context, controlled_ids):
-        return {oid: ObjectState(math.nan, 0, 0, 0) for oid in controlled_ids}
+    def step(self, context, rows):
+        out = ConstantVelocityPolicy().step(context, rows)
+        out[-1, 0] = math.nan
+        return out
+
+
+class _OneRowAtATime(Policy):
+    def __init__(self, inner):
+        self.inner = inner
+
+    def step(self, context, rows):
+        return np.concatenate([self.inner.step(context, rows[i : i + 1]) for i in range(len(rows))])
+
+
+class _Same(Policy):
+    """A distinct object delegating to ``inner``, for use as the second policy."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def step(self, context, rows):
+        return self.inner.step(context, rows)
 
 
 class TestPolicyContract:
@@ -118,9 +146,9 @@ class TestPolicyContract:
         scenario = straight_scenario()
 
         class Mutator(Policy):
-            def step(self, context, controlled_ids):
+            def step(self, context, rows):
                 context.poses[0, 0, 0] = 1e9  # must be refused
-                return ConstantVelocityPolicy().step(context, controlled_ids)
+                return ConstantVelocityPolicy().step(context, rows)
 
         with pytest.raises(ValueError):
             closed_loop_rollout(scenario, ConstantVelocityPolicy(), Mutator(), seed=0)
@@ -129,13 +157,12 @@ class TestPolicyContract:
 class TestNoLookahead:
     def _zero_future(self, scenario):
         h = scenario.history_length
-        tracks = []
-        for t in scenario.tracks:
-            states = t.states[:h] + tuple(
-                ObjectState(0.0, 0.0, 0.0, 0.0, valid=False) for _ in range(scenario.future_length)
-            )
-            tracks.append(replace(t, states=states))
-        return replace(scenario, tracks=tuple(tracks))
+
+        def blind(poses, valid):
+            poses[h:] = 0.0
+            valid[h:] = False
+
+        return with_track_poses(scenario, blind)
 
     @pytest.mark.parametrize(
         "factory",
@@ -150,8 +177,7 @@ class TestNoLookahead:
         blind = self._zero_future(scenario)
         a, _ = closed_loop_rollout(scenario, factory(scenario), factory(scenario), seed=5)
         b, _ = closed_loop_rollout(blind, factory(blind), factory(blind), seed=5)
-        for oid in a.object_ids:
-            np.testing.assert_array_equal(poses(a, oid), poses(b, oid))
+        np.testing.assert_array_equal(a, b)
 
 
 class TestFactorization:
@@ -162,7 +188,7 @@ class TestFactorization:
         b, _ = closed_loop_rollout(scenario, RandomAgentPolicy(), env, seed=3)
         env_ids = sorted(simulated_object_ids(scenario) - {scenario.av_track_id})
         for oid in env_ids:
-            np.testing.assert_array_equal(poses(a, oid)[0], poses(b, oid)[0])
+            np.testing.assert_array_equal(poses(a, scenario, oid)[0], poses(b, scenario, oid)[0])
 
     def test_later_env_steps_unchanged_for_context_blind_policy(self):
         # Constant velocity reads only its own past, so swapping the AV policy
@@ -174,7 +200,7 @@ class TestFactorization:
         b, _ = closed_loop_rollout(scenario, RandomAgentPolicy(), ConstantVelocityPolicy(), seed=3)
         env_ids = sorted(simulated_object_ids(scenario) - {scenario.av_track_id})
         for oid in env_ids:
-            np.testing.assert_array_equal(poses(a, oid), poses(b, oid))
+            np.testing.assert_array_equal(poses(a, scenario, oid), poses(b, scenario, oid))
 
 
 class TestGenerateSubmission:
@@ -195,17 +221,16 @@ class TestGenerateSubmission:
             base_seed=0,
         )
         first = rollouts.rollouts[0]
-        for joint in rollouts.rollouts[1:]:
-            for oid in first.object_ids:
-                np.testing.assert_array_equal(poses(joint, oid), poses(first, oid))
+        for future in rollouts.rollouts[1:]:
+            np.testing.assert_array_equal(future, first)
 
     def test_stochastic_policy_produces_distinct_rollouts(self):
         scenario = straight_scenario()
         rollouts = generate_submission(
             scenario, RandomAgentPolicy(), RandomAgentPolicy(), k=4, base_seed=0
         )
-        a = poses(rollouts.rollouts[0], 0)
-        b = poses(rollouts.rollouts[1], 0)
+        a = poses(rollouts.rollouts[0], scenario, 0)
+        b = poses(rollouts.rollouts[1], scenario, 0)
         assert not np.array_equal(a, b)
 
     def test_rejects_bad_k(self):
@@ -222,70 +247,70 @@ class TestAudit:
         )
 
     def test_harness_trace_passes(self):
-        joint, trace = self._run()
-        report = audit_trace(trace, joint, replan_interval=1)
+        future, trace = self._run()
+        report = audit_trace(trace, future, replan_interval=1)
         assert report.ok and not report.hybrid
         assert report.issues == ()
 
     def test_replan_interval_flags_hybrid(self):
-        joint, trace = self._run()
-        report = audit_trace(trace, joint, replan_interval=5)
+        future, trace = self._run()
+        report = audit_trace(trace, future, replan_interval=5)
         assert report.ok and report.hybrid
         assert report.replan_interval == 5
 
     def test_forged_trace_fails_monotonicity(self):
-        joint, trace = self._run()
+        future, trace = self._run()
         steps = tuple(s for s in trace.steps if s.step != 40)
         forged = RolloutTrace(trace.scenario_id, trace.seed, steps, trace.final_hash)
-        report = audit_trace(forged, joint)
+        report = audit_trace(forged, future)
         assert not report.ok
 
     def test_tampered_rollout_fails_hash_chain(self):
-        joint, trace = self._run()
-        oid = next(iter(joint.object_ids))
-        states = list(joint.trajectories[oid])
-        s = states[40]
-        states[40] = ObjectState(s.x + 0.5, s.y, s.z, s.heading)
-        tampered = replace(joint, trajectories={**joint.trajectories, oid: tuple(states)})
+        future, trace = self._run()
+        tampered = future.copy()
+        tampered[0, 40, 0] += 0.5
         report = audit_trace(trace, tampered)
         assert not report.ok
         assert any("hash" in issue for issue in report.issues)
+
+    def test_rollout_rows_are_matched_by_id(self):
+        future, trace = self._run()
+        ids = list(trace.steps[0].ids_queried)
+        assert audit_trace(trace, future[::-1], ids[::-1]).ok
+        report = audit_trace(trace, future, [i + 100 for i in ids])
+        assert report.issues == ("queried ids do not match the rollout's object set",)
+        assert not audit_trace(trace, future[:, :79]).ok
 
 
 class TestBaselines:
     def test_constant_velocity_holds_still_without_motion(self):
         # A stationary history extrapolates to a stationary future.
         scenario = generate(SynthSpec(Template.STRAIGHT_ROAD, seed=0)).scenario
-        frozen_tracks = []
-        for t in scenario.tracks:
-            s0 = t.states[scenario.t0_index]
-            frozen = tuple(
-                ObjectState(s0.x, s0.y, s0.z, s0.heading, True) for _ in range(91)
-            )
-            frozen_tracks.append(replace(t, states=frozen))
-        frozen_scenario = replace(scenario, tracks=tuple(frozen_tracks))
-        joint, _ = closed_loop_rollout(
+
+        def freeze(poses, valid):
+            poses[:] = poses[scenario.t0_index]
+            valid[:] = True
+
+        frozen_scenario = with_track_poses(scenario, freeze)
+        future, _ = closed_loop_rollout(
             frozen_scenario, ConstantVelocityPolicy(), ConstantVelocityPolicy(), seed=0
         )
         for track in frozen_scenario.tracks:
-            xy = poses(joint, track.object_id)[:, :2]
+            xy = poses(future, frozen_scenario, track.object_id)[:, :2]
             assert np.allclose(xy, xy[0], atol=1e-12)
 
     def test_constant_velocity_single_valid_observation_means_zero_speed(self):
         scenario = straight_scenario()
-        tracks = []
-        for t in scenario.tracks:
-            states = list(t.states)
-            for i in range(scenario.t0_index):
-                s = states[i]
-                states[i] = ObjectState(s.x, s.y, s.z, s.heading, valid=False)
-            tracks.append(replace(t, states=tuple(states)))
-        sparse = replace(scenario, tracks=tuple(tracks))
-        joint, _ = closed_loop_rollout(
+
+        def drop_history(poses, valid):
+            valid[: scenario.t0_index] = False
+
+        sparse = with_track_poses(scenario, drop_history)
+        future, _ = closed_loop_rollout(
             sparse, ConstantVelocityPolicy(), ConstantVelocityPolicy(), seed=0
         )
         for track in sparse.tracks:
-            xy = poses(joint, track.object_id)[:, :2]
+            xy = poses(future, sparse, track.object_id)[:, :2]
             assert np.allclose(xy, xy[0], atol=1e-12)
 
     def test_random_agent_centers_on_av_frame(self):
@@ -293,16 +318,11 @@ class TestBaselines:
         rollouts = generate_submission(
             scenario, RandomAgentPolicy(), RandomAgentPolicy(), k=8, base_seed=0
         )
-        av = scenario.track(scenario.av_track_id).states[scenario.t0_index]
-        samples = []
-        for joint in rollouts.rollouts:
-            for oid in joint.object_ids:
-                for s in joint.trajectories[oid]:
-                    samples.append((s.x, s.y))
-        mean = np.mean(samples, axis=0)
+        av = scenario.track(scenario.av_track_id).poses[scenario.t0_index]
+        mean = rollouts.rollouts[..., :2].reshape(-1, 2).mean(axis=0)
         # mu = (1, 1) in the AV frame; AV heading is 0 in this template.
-        assert mean[0] == pytest.approx(av.x + 1.0, abs=0.05)
-        assert mean[1] == pytest.approx(av.y + 1.0, abs=0.05)
+        assert mean[0] == pytest.approx(av[0] + 1.0, abs=0.05)
+        assert mean[1] == pytest.approx(av[1] + 1.0, abs=0.05)
 
     def test_replan_wrapper_transparent_for_constant_velocity(self):
         scenario = curved_scenario()
@@ -315,8 +335,7 @@ class TestBaselines:
             ReplanWrapper(ConstantVelocityPolicy(), 5),
             seed=0,
         )
-        for oid in plain.object_ids:
-            np.testing.assert_array_equal(poses(plain, oid), poses(wrapped, oid))
+        np.testing.assert_array_equal(plain, wrapped)
 
     def test_noisy_plan_policy_depends_on_replan_interval(self):
         scenario = straight_scenario()
@@ -332,7 +351,32 @@ class TestBaselines:
             ReplanWrapper(NoisyPlanPolicy(), 10),
             seed=0,
         )
-        assert not np.array_equal(poses(fast, 0), poses(slow, 0))
+        assert not np.array_equal(poses(fast, scenario, 0), poses(slow, scenario, 0))
+
+    @pytest.mark.parametrize("interval", [10, 79, 80, 200])
+    def test_replan_wrapper_replans_every_rollout(self, interval):
+        # A plan spanning the whole future window must not leak into the next
+        # rollout: every seed gets its own noise.
+        scenario = straight_scenario()
+        rollouts = generate_submission(
+            scenario,
+            create_policy("noisy-plan", scenario, replan_interval=interval),
+            create_policy("noisy-plan", scenario, replan_interval=interval),
+            k=4,
+            base_seed=0,
+        )
+        distinct = {r.tobytes() for r in rollouts.rollouts}
+        assert len(distinct) == 4
+
+    def test_vectorized_policies_match_per_object_steps(self):
+        # A policy stepped for all rows at once equals the same policy stepped
+        # one row at a time.
+        scenario = straight_scenario()
+        for policy in (ConstantVelocityPolicy(), RandomAgentPolicy(), NoisyPlanPolicy()):
+            future, _ = closed_loop_rollout(scenario, _OneRowAtATime(policy), _OneRowAtATime(
+                policy), seed=7)
+            batched, _ = closed_loop_rollout(scenario, policy, _Same(policy), seed=7)
+            np.testing.assert_array_equal(future, batched)
 
     def test_registry_round_trip(self):
         scenario = straight_scenario()

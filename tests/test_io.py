@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import tarfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from simreal.config import DEFAULT_CONFIG, config_from_dict, config_to_dict
-from simreal.errors import ParseError
+from simreal.errors import ParseError, SimRealError
 from simreal.evaluate import evaluate_dataset
 from simreal.features import MetricKind
 from simreal.harness import generate_submission
@@ -24,16 +27,14 @@ from simreal.io import (
 )
 from simreal.policies import ConstantVelocityPolicy, LoggedOraclePolicy
 from simreal.scene import (
-    JointScene,
     MapFeature,
     MapFeatureKind,
-    ObjectState,
     ObjectType,
     Scenario,
     ScenarioRollouts,
     Track,
 )
-from simreal.synth import make_suite
+from simreal.synth import SynthSpec, Template, generate, make_suite
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,11 +49,9 @@ def small_scenario(rng=None):
         hs = rng.uniform(-10.0, 10.0, n)
         valid = rng.uniform(size=n) > 0.2
         valid[10] = True  # keep simulation set stable
-        states = tuple(
-            ObjectState(x, y, 0.5, h, bool(v)) for x, y, h, v in zip(xs, ys, hs, valid)
-        )
+        poses = np.stack([xs, ys, np.full(n, 0.5), hs], axis=1)
         return Track(oid, ObjectType.CYCLIST if oid % 2 else ObjectType.VEHICLE,
-                     1.9 + oid, 0.7, 1.6, states)
+                     1.9 + oid, 0.7, 1.6, poses, valid)
 
     return Scenario(
         scenario_id="roundtrip-1",
@@ -83,7 +82,7 @@ class TestScenarioRoundTrip:
         doc["tracks"][0]["states"][0]["heading"] = 7.0
         path.write_text(json.dumps(doc))
         back = read_scenario(path)
-        assert back.tracks[0].states[0].heading == pytest.approx(7.0 - TWO_PI)
+        assert back.tracks[0].poses[0, 3] == pytest.approx(7.0 - TWO_PI)
 
     def test_truncated_binary_reports_offset(self, tmp_path):
         scenario = small_scenario()
@@ -119,6 +118,103 @@ class TestScenarioRoundTrip:
             assert read_scenario(path) == scenario
 
 
+# sha256 of a fixed synthetic scenario in the binary format, and of the
+# uncompressed shard of its k=2 constant-velocity submission.  The shard is
+# hashed rather than the .tar.gz so the zlib build cannot change the digest.
+GOLDEN_SCENARIO_SHA256 = "0940f94f720fcca8d2d26fba2cd21bd394dd29c0e308e79370c8746cb45776bd"
+GOLDEN_SHARD_SHA256 = "847c5fe27b8b0777a28f3b665b3b0c8a6272aced6ef55298a338b05c5c7219e8"
+
+
+def golden_scenario():
+    return generate(SynthSpec(Template.FOLLOWING_PAIR, seed=3, noise_level=0.2)).scenario
+
+
+class TestBinaryFormatPinned:
+    def test_golden_scenario_and_shard_bytes(self, tmp_path):
+        scenario = golden_scenario()
+        write_scenario(scenario, tmp_path / "s.bin")
+        assert hashlib.sha256((tmp_path / "s.bin").read_bytes()).hexdigest() == (
+            GOLDEN_SCENARIO_SHA256
+        )
+        rollouts = generate_submission(
+            scenario, ConstantVelocityPolicy(), ConstantVelocityPolicy(), k=2, base_seed=0
+        )
+        write_submission(tmp_path / "a.tar.gz", [rollouts], {"seed": 0})
+        with tarfile.open(tmp_path / "a.tar.gz", "r:gz") as tar:
+            shard = tar.extractfile("rollouts.0-of-1.bin").read()
+        assert hashlib.sha256(shard).hexdigest() == GOLDEN_SHARD_SHA256
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        poses=hnp.arrays(
+            np.float64,
+            st.tuples(
+                st.integers(1, 3), st.integers(0, 3), st.integers(1, 4), st.just(4)
+            ),
+            elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+            | st.sampled_from([-0.0, 5e-324, -2.2e-308]),
+        ),
+        id_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rollout_arrays_round_trip_bit_exact(self, tmp_path_factory, poses, id_seed):
+        rng = np.random.default_rng(id_seed)
+        ids = rng.choice(np.arange(-(2**40), 2**40, 2**30), size=poses.shape[1], replace=False)
+        rollouts = ScenarioRollouts("rt", ids, poses)
+        path = tmp_path_factory.mktemp("rt") / "sub.tar.gz"
+        write_submission(path, [rollouts], {})
+        (back,) = read_submission(path).rollouts_by_scenario().values()
+        assert back.ids.tobytes() == rollouts.ids.tobytes()
+        assert back.rollouts.tobytes() == rollouts.rollouts.tobytes()
+
+
+class TestMalformedBinary:
+    def _blob(self, tmp_path):
+        path = tmp_path / "scn.bin"
+        write_scenario(golden_scenario(), path)
+        return path, bytearray(path.read_bytes())
+
+    def test_invalid_utf8_id_is_parse_error(self, tmp_path):
+        path, blob = self._blob(tmp_path)
+        blob[19] = 0xFF  # first byte of the scenario id, after magic, header and length
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError) as err:
+            read_scenario(path)
+        assert err.value.offset == 19
+
+    def test_unknown_record_kind_is_rejected(self, tmp_path):
+        path, blob = self._blob(tmp_path)
+        path.write_bytes(bytes(blob) + bytes([9]) + (0).to_bytes(8, "little"))
+        with pytest.raises(ParseError, match="unknown record kind 9"):
+            read_scenario(path)
+
+    def test_trailing_payload_bytes_are_rejected(self, tmp_path):
+        path, blob = self._blob(tmp_path)
+        length = int.from_bytes(blob[9:17], "little")
+        blob[9:17] = (length + 3).to_bytes(8, "little")
+        path.write_bytes(bytes(blob) + b"\x00\x00\x00")
+        with pytest.raises(ParseError, match="3 unparsed bytes"):
+            read_scenario(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        edits=st.lists(st.tuples(st.integers(0, 10**9), st.integers(0, 255)), min_size=1,
+                       max_size=4),
+        truncate=st.none() | st.integers(0, 10**9),
+    )
+    def test_mutated_file_reads_or_raises_library_error(self, tmp_path_factory, edits, truncate):
+        path, blob = self._blob(tmp_path_factory.mktemp("mut"))
+        for pos, value in edits:
+            blob[pos % len(blob)] = value
+        if truncate is not None:
+            blob = blob[: truncate % len(blob)]
+        path.write_bytes(bytes(blob))
+        try:
+            scenario = read_scenario(path)
+        except SimRealError:
+            return
+        assert isinstance(scenario, Scenario)
+
+
 @pytest.fixture(scope="module")
 def suite_and_archive(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("archive")
@@ -150,12 +246,8 @@ class TestSubmissionArchive:
         want = {r.scenario_id: r for r in all_rollouts}
         for sid, rec in by_id.items():
             assert len(rec.rollouts) == 32
-            for k, joint in enumerate(rec.rollouts):
-                ref = want[sid].rollouts[k]
-                for oid in ref.object_ids:
-                    got = np.array([(s.x, s.y, s.z, s.heading) for s in joint.trajectories[oid]])
-                    exp = np.array([(s.x, s.y, s.z, s.heading) for s in ref.trajectories[oid]])
-                    np.testing.assert_array_equal(got, exp)
+            np.testing.assert_array_equal(rec.ids, want[sid].ids)
+            np.testing.assert_array_equal(rec.rollouts, want[sid].rollouts)
 
     def test_deterministic_bytes(self, suite_and_archive, tmp_path):
         scenarios, all_rollouts, path = suite_and_archive
@@ -170,36 +262,18 @@ class TestSubmissionArchive:
 
     def test_missing_object_flagged(self, suite_and_archive, tmp_path):
         scenarios, all_rollouts, _ = suite_and_archive
-        broken = []
-        for rec in all_rollouts:
-            joints = list(rec.rollouts)
-            traj = dict(joints[0].trajectories)
-            dropped = max(traj)
-            traj.pop(dropped)
-            joints[0] = JointScene(rec.scenario_id, traj)
-            # Bypass the bundle's own consistency check by writing shards with
-            # a hand-rolled rollout list.
-            broken.append((rec.scenario_id, joints))
-            break
-        import simreal.io as sio
-
-        records = []
-        for sid, joints in broken:
-            payload = []
-            rec = ScenarioRollouts.__new__(ScenarioRollouts)
-            object.__setattr__(rec, "scenario_id", sid)
-            object.__setattr__(rec, "rollouts", tuple(joints))
-            records.append(rec)
+        rec = all_rollouts[0]
+        dropped = ScenarioRollouts(rec.scenario_id, rec.ids[:-1], rec.rollouts[:, :-1])
         path = tmp_path / "broken.tar.gz"
-        sio.write_submission(path, records, {})
-        report = validate_submission(path, {records[0].scenario_id: scenarios[records[0].scenario_id]})
+        write_submission(path, [dropped], {})
+        report = validate_submission(path, {rec.scenario_id: scenarios[rec.scenario_id]})
         codes = {v.code for v in report.violations}
         assert "MISSING_OBJECT" in codes
 
     def test_bad_rollout_count_flagged(self, suite_and_archive, tmp_path):
         scenarios, all_rollouts, _ = suite_and_archive
         rec = all_rollouts[0]
-        short = ScenarioRollouts(rec.scenario_id, rec.rollouts[:31])
+        short = ScenarioRollouts(rec.scenario_id, rec.ids, rec.rollouts[:31])
         path = tmp_path / "short.tar.gz"
         write_submission(path, [short], {})
         report = validate_submission(path, {rec.scenario_id: scenarios[rec.scenario_id]})
@@ -226,19 +300,18 @@ class TestSubmissionArchive:
     def test_nonfinite_pose_flagged(self, suite_and_archive, tmp_path):
         scenarios, all_rollouts, _ = suite_and_archive
         rec = all_rollouts[0]
-        joints = list(rec.rollouts)
-        traj = dict(joints[0].trajectories)
-        oid = min(traj)
-        states = list(traj[oid])
-        states[5] = ObjectState(math.inf, 0.0, 0.0, 0.0)
-        traj[oid] = tuple(states)
-        joints[0] = JointScene(rec.scenario_id, traj)
-        broken = ScenarioRollouts(rec.scenario_id, tuple(joints))
+        poses = rec.rollouts.copy()
+        poses[0, 0, 5, 0] = math.inf
+        poses[3, 1, 7, 3] = math.nan
+        broken = ScenarioRollouts(rec.scenario_id, rec.ids, poses)
         path = tmp_path / "nan.tar.gz"
         write_submission(path, [broken], {})
         report = validate_submission(path, {rec.scenario_id: scenarios[rec.scenario_id]})
-        codes = {v.code for v in report.violations}
-        assert "NONFINITE_POSE" in codes
+        details = [v.detail for v in report.violations if v.code == "NONFINITE_POSE"]
+        assert details == [
+            f"rollout 0 object {rec.ids[0]} has NaN/Inf",
+            f"rollout 3 object {rec.ids[1]} has NaN/Inf",
+        ]
 
 
 class TestScenarioDir:

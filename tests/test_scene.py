@@ -2,15 +2,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from simreal.errors import InconsistentRollouts, MalformedScenario
 from simreal.scene import (
-    JointScene,
     MapFeature,
     MapFeatureKind,
-    ObjectState,
     ObjectType,
     Scenario,
     ScenarioRollouts,
@@ -20,16 +19,20 @@ from simreal.scene import (
     strip_late_spawns,
 )
 
+from oracles import scalar_normalize_heading
+
 TWO_PI = 2.0 * math.pi
 
 
-def make_states(valid_mask=None, n=91):
-    mask = [True] * n if valid_mask is None else valid_mask
-    return tuple(ObjectState(float(i), 0.0, 0.0, 0.0, mask[i]) for i in range(n))
+def make_poses(n=91):
+    poses = np.zeros((n, 4))
+    poses[:, 0] = np.arange(n)
+    return poses
 
 
-def make_track(object_id, valid_mask=None):
-    return Track(object_id, ObjectType.VEHICLE, 4.6, 2.0, 1.8, make_states(valid_mask))
+def make_track(object_id, valid_mask=None, n=91):
+    valid = np.ones(n, dtype=bool) if valid_mask is None else valid_mask
+    return Track(object_id, ObjectType.VEHICLE, 4.6, 2.0, 1.8, make_poses(n), valid)
 
 
 def make_scenario(tracks, av_track_id=0):
@@ -43,16 +46,22 @@ def make_scenario(tracks, av_track_id=0):
     )
 
 
+def track_heading(theta):
+    poses = np.zeros((1, 4))
+    poses[0, 3] = theta
+    return Track(0, ObjectType.VEHICLE, 4.6, 2.0, 1.8, poses, [True]).poses[0, 3]
+
+
 class TestHeadingNormalization:
     def test_wraps_positive(self):
-        assert ObjectState(0, 0, 0, 7.0).heading == pytest.approx(7.0 - TWO_PI)
+        assert track_heading(7.0) == pytest.approx(7.0 - TWO_PI)
 
     def test_wraps_negative(self):
-        assert ObjectState(0, 0, 0, -0.5).heading == pytest.approx(TWO_PI - 0.5)
+        assert track_heading(-0.5) == pytest.approx(TWO_PI - 0.5)
 
     @given(st.floats(-1e6, 1e6, allow_nan=False))
     def test_round_trip_in_range_and_congruent(self, theta):
-        h = normalize_heading(theta)
+        h = float(normalize_heading(theta))
         assert 0.0 <= h < TWO_PI
         assert math.isclose(
             math.cos(h), math.cos(theta), abs_tol=1e-6
@@ -61,15 +70,30 @@ class TestHeadingNormalization:
     def test_boundary_rounding_stays_in_range(self):
         assert 0.0 <= normalize_heading(-1e-18) < TWO_PI
 
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=50))
+    def test_bit_identical_to_scalar_wrap(self, thetas):
+        edge = [-1e-18, -0.0, 0.0, TWO_PI, -TWO_PI, math.inf, -math.inf, math.nan, 5e-324]
+        values = np.array(thetas + edge)
+        got = normalize_heading(values)
+        want = np.array([scalar_normalize_heading(float(t)) for t in values])
+        assert got.tobytes() == want.tobytes()
+
 
 class TestScenarioInvariants:
     def test_rejects_bad_extent(self):
         with pytest.raises(MalformedScenario):
-            make_track_bad = Track(0, ObjectType.VEHICLE, 0.0, 2.0, 1.8, make_states())
+            Track(0, ObjectType.VEHICLE, 0.0, 2.0, 1.8, make_poses(), np.ones(91, dtype=bool))
+
+    def test_rejects_bad_pose_shape(self):
+        with pytest.raises(MalformedScenario):
+            Track(0, ObjectType.VEHICLE, 4.6, 2.0, 1.8, np.zeros((91, 3)), np.ones(91, dtype=bool))
+        with pytest.raises(MalformedScenario):
+            Track(0, ObjectType.VEHICLE, 4.6, 2.0, 1.8, make_poses(), np.ones(90, dtype=bool))
 
     def test_rejects_wrong_state_count(self):
         with pytest.raises(MalformedScenario):
-            make_scenario([Track(0, ObjectType.VEHICLE, 4.6, 2.0, 1.8, make_states(n=90))])
+            make_scenario([make_track(0, n=90)])
 
     def test_rejects_missing_av(self):
         with pytest.raises(MalformedScenario):
@@ -92,7 +116,7 @@ class TestScenarioInvariants:
             make_scenario([make_track(i) for i in range(129)])
 
     def test_129th_track_ok_if_invalid_at_t0(self):
-        never_valid_at_t0 = [True] * 5 + [False] * 86
+        never_valid_at_t0 = np.array([True] * 5 + [False] * 86)
         tracks = [make_track(i) for i in range(128)]
         tracks.append(make_track(128, never_valid_at_t0))
         scenario = make_scenario(tracks)
@@ -101,13 +125,13 @@ class TestScenarioInvariants:
 
 class TestSimulatedObjectIds:
     def test_excludes_invalid_at_t0(self):
-        mask = [True] * 91
+        mask = np.ones(91, dtype=bool)
         mask[10] = False  # t=0 is array index history_length - 1 == 10
         tracks = [make_track(0), make_track(1, mask), make_track(2)]
         assert simulated_object_ids(make_scenario(tracks)) == {0, 2}
 
     def test_av_invalid_at_t0_raises(self):
-        mask = [True] * 91
+        mask = np.ones(91, dtype=bool)
         mask[10] = False
         with pytest.raises(MalformedScenario):
             simulated_object_ids(make_scenario([make_track(0, mask), make_track(1)]))
@@ -121,7 +145,7 @@ class TestSimulatedObjectIds:
 
 class TestStripLateSpawns:
     def test_removes_future_only_object(self):
-        late = [False] * 16 + [True] * 75  # first valid at future step 5 (index 15)
+        late = np.array([False] * 16 + [True] * 75)  # first valid at future step 5 (index 15)
         tracks = [make_track(0), make_track(1, late)]
         stripped = strip_late_spawns(make_scenario(tracks))
         assert {t.object_id for t in stripped.tracks} == {0}
@@ -131,48 +155,62 @@ class TestStripLateSpawns:
         assert strip_late_spawns(scenario) is scenario
 
     def test_one_late_spawn_among_four(self):
-        late = [False] * 11 + [True] * 80
+        late = np.array([False] * 11 + [True] * 80)
         tracks = [make_track(0), make_track(1), make_track(2), make_track(3, late)]
         stripped = strip_late_spawns(make_scenario(tracks))
         assert len(stripped.tracks) == 3
 
     def test_idempotent(self):
-        late = [False] * 20 + [True] * 71
+        late = np.array([False] * 20 + [True] * 71)
         scenario = make_scenario([make_track(0), make_track(1, late)])
         once = strip_late_spawns(scenario)
         assert strip_late_spawns(once) is once
 
     def test_preserves_simulated_ids(self):
-        late = [False] * 20 + [True] * 71
-        partial_history = [False] * 9 + [True] * 82
+        late = np.array([False] * 20 + [True] * 71)
+        partial_history = np.array([False] * 9 + [True] * 82)
         scenario = make_scenario(
             [make_track(0), make_track(1, late), make_track(2, partial_history)]
         )
         assert simulated_object_ids(strip_late_spawns(scenario)) == simulated_object_ids(scenario)
 
 
-class TestJointSceneAndRollouts:
-    def _joint(self, ids=(0, 1), n=80, scenario_id="test"):
-        return JointScene(
-            scenario_id=scenario_id,
-            trajectories={
-                oid: tuple(ObjectState(float(i), 0.0, 0.0, 0.0) for i in range(n))
-                for oid in ids
-            },
-        )
+class TestScenarioRollouts:
+    def _poses(self, k=2, a=2, n=80):
+        poses = np.zeros((k, a, n, 4))
+        poses[..., 0] = np.arange(n)
+        return poses
 
-    def test_rejects_invalid_states(self):
+    def test_rejects_ragged_object_sets(self):
+        with pytest.raises(InconsistentRollouts):
+            ScenarioRollouts("test", [0, 1], [self._poses(1, 2)[0], self._poses(1, 3)[0]])
+
+    def test_rejects_id_count_mismatch(self):
+        with pytest.raises(InconsistentRollouts):
+            ScenarioRollouts("test", [0, 1, 2], self._poses())
+
+    def test_rejects_duplicate_ids(self):
+        with pytest.raises(InconsistentRollouts):
+            ScenarioRollouts("test", [3, 3], self._poses())
+
+    def test_rejects_bad_shape_and_empty_bundle(self):
         with pytest.raises(MalformedScenario):
-            JointScene("test", {0: (ObjectState(0, 0, 0, 0, valid=False),)})
+            ScenarioRollouts("test", [0, 1], np.zeros((2, 2, 80, 3)))
+        with pytest.raises(MalformedScenario):
+            ScenarioRollouts("test", [0, 1], np.zeros((0, 2, 80, 4)))
 
-    def test_rejects_mismatched_object_sets(self):
-        with pytest.raises(InconsistentRollouts):
-            ScenarioRollouts("test", (self._joint((0, 1)), self._joint((0, 2))))
-
-    def test_rejects_wrong_scenario_id(self):
-        with pytest.raises(InconsistentRollouts):
-            ScenarioRollouts("test", (self._joint(scenario_id="other"),))
+    def test_rows_sorted_by_id_and_headings_wrapped(self):
+        poses = self._poses()
+        poses[:, 0, :, 1] = 7.0  # object 5
+        poses[:, 1, :, 3] = -0.5  # object 2
+        rollouts = ScenarioRollouts("test", [5, 2], poses)
+        assert rollouts.ids.tolist() == [2, 5]
+        assert np.all(rollouts.rollouts[:, 1, :, 1] == 7.0)
+        assert rollouts.rollouts[0, 0, 0, 3] == pytest.approx(TWO_PI - 0.5)
+        with pytest.raises(ValueError):
+            rollouts.rollouts[0, 0, 0, 0] = 1.0  # read-only
 
     def test_object_ids(self):
-        rollouts = ScenarioRollouts("test", (self._joint(), self._joint()))
+        rollouts = ScenarioRollouts("test", [0, 1], self._poses())
         assert rollouts.object_ids == {0, 1}
+        assert rollouts.num_steps == 80

@@ -54,8 +54,8 @@ def test_deterministic_in_template_and_seed(template):
     b = generate(SynthSpec(template, seed=9, noise_level=0.4))
     assert a.scenario == b.scenario
     c = generate(SynthSpec(template, seed=10, noise_level=0.4))
-    tracks_a = [[(s.x, s.y) for s in t.states] for t in a.scenario.tracks]
-    tracks_c = [[(s.x, s.y) for s in t.states] for t in c.scenario.tracks]
+    tracks_a = [t.poses[:, :2].tolist() for t in a.scenario.tracks]
+    tracks_c = [t.poses[:, :2].tolist() for t in c.scenario.tracks]
     assert tracks_a != tracks_c
 
 
@@ -86,7 +86,7 @@ def test_curved_road_angular_speed_fixture_value():
 
 def test_heading_wrap_occurs_in_curved_template():
     scenario = generate(SynthSpec(Template.CURVED_ROAD, seed=0)).scenario
-    headings = [s.heading for s in scenario.tracks[0].states]
+    headings = scenario.tracks[0].poses[:, 3].tolist()
     jumps = np.abs(np.diff(headings))
     assert jumps.max() > 5.0  # raw stored headings wrap through 2*pi
 
