@@ -77,21 +77,22 @@ class PolicyContext:
     states at or after the current step are structurally absent.  Row order
     follows ``ids``, and policies address their objects by row.  Arrays are
     read-only views; policies must not retain them beyond the call.
-    ``motion`` caches :meth:`history_motion` for every row as (A, 3); the
-    harness fills it once per rollout, since the history never changes.
+    ``motion`` is (A, 3) [speed, heading, z] of every row from the history
+    window (see :meth:`history_motion`); the harness computes it once per
+    rollout, since the history never changes.
     """
 
     scenario_id: str
     map_features: tuple[MapFeature, ...]
-    ids: tuple[int, ...] = ()
-    av_id: int = 0
-    step: int = 1
-    t0_index: int = 10
-    dt: float = 0.1
-    seed: int = 0
-    poses: np.ndarray | None = None
-    valid: np.ndarray | None = None
-    motion: np.ndarray | None = None
+    ids: tuple[int, ...]
+    av_id: int
+    step: int
+    t0_index: int
+    dt: float
+    seed: int
+    poses: np.ndarray
+    valid: np.ndarray
+    motion: np.ndarray
 
     def row_of(self, object_id: int) -> int:
         return self.ids.index(object_id)
@@ -106,15 +107,12 @@ class PolicyContext:
         return np.random.Generator(np.random.Philox(key))
 
     def last_valid_pose(self, rows) -> np.ndarray:
-        """(n, 4) most recent valid pose of each row."""
-        if self.valid[rows, -1].all():  # always true in closed loop
-            return self.poses[rows, -1]
-        ok = self.valid[rows]
-        if not ok.any(axis=1).all():
-            missing = [self.ids[r] for r in np.asarray(rows)[~ok.any(axis=1)]]
-            raise PolicyContractViolation(f"objects {missing} have no valid state in context")
-        last = ok.shape[1] - 1 - np.argmax(ok[:, ::-1], axis=1)
-        return self.poses[rows, last]
+        """(n, 4) most recent valid pose of each controlled row.
+
+        That is the context's last column: simulated objects are valid at the
+        handover step, and every simulated step fills all of a policy's rows.
+        """
+        return self.poses[rows, -1]
 
     def history_motion(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(speed, heading, z) arrays of the given rows, from the logged history only.
@@ -122,35 +120,39 @@ class PolicyContext:
         Speed comes from the two most recent valid history observations;
         objects with a single valid observation get zero speed.
         """
-        if self.motion is not None:
-            motion = self.motion[rows]
-        else:
-            motion = _history_motion(
-                self.poses, self.valid, self.t0_index, self.dt, rows, self.ids
-            )
+        motion = self.motion[rows]
         return motion[:, 0], motion[:, 1], motion[:, 2]
 
 
-def _checked_poses(out, rows, ids: Sequence[int], who: str, step: int) -> np.ndarray:
-    """A policy's output as a fresh (len(rows), 4) array with wrapped headings."""
+def _shaped_poses(out, n: int, who: str, step: int) -> np.ndarray:
+    """A policy's output as an (n, 4) float array, or a contract violation."""
     try:
-        poses = np.array(out, dtype=float)
+        poses = np.asarray(out, dtype=float)
     except (TypeError, ValueError) as exc:
         raise PolicyContractViolation(
             f"{who} policy at step {step}: output is not a pose array ({exc})"
         ) from exc
-    if poses.shape != (len(rows), 4):
+    if poses.shape != (n, 4):
         raise PolicyContractViolation(
-            f"{who} policy at step {step}: expected ({len(rows)}, 4) poses for its "
+            f"{who} policy at step {step}: expected ({n}, 4) poses for its "
             f"controlled objects, got shape {poses.shape}"
         )
-    if not np.isfinite(poses).all():
-        bad = [ids[r] for r in np.asarray(rows)[~np.isfinite(poses).all(axis=1)]]
+    return poses
+
+
+def _finish_poses(poses: np.ndarray, ids: Sequence[int], who, step: int) -> None:
+    """Reject non-finite rows of ``poses`` and wrap its headings in place.
+
+    ``ids`` names each row; ``who(i)`` names the policy that produced row i.
+    """
+    finite = np.isfinite(poses)
+    if not finite.all():
+        bad = np.flatnonzero(~finite.all(axis=1))
         raise PolicyContractViolation(
-            f"{who} policy at step {step}: objects {bad} returned a non-finite pose"
+            f"{who(bad[0])} policy at step {step}: objects {[ids[i] for i in bad]} "
+            "returned a non-finite pose"
         )
     poses[:, 3] = normalize_heading(poses[:, 3])
-    return poses
 
 
 class Policy(ABC):
@@ -176,8 +178,10 @@ class Policy(ABC):
         poses = np.array(context.poses)
         valid = np.array(context.valid)
         ctx = context
+        own_ids = [context.ids[r] for r in rows]
         for j in range(horizon):
-            outputs[j] = _checked_poses(self.step(ctx, rows), rows, ctx.ids, "planning", ctx.step)
+            outputs[j] = _shaped_poses(self.step(ctx, rows), len(rows), "planning", ctx.step)
+            _finish_poses(outputs[j], own_ids, lambda row: "planning", ctx.step)
             if j == horizon - 1:
                 break
             new_col_pose = np.zeros((poses.shape[0], 1, 4))
@@ -251,6 +255,9 @@ def closed_loop_rollout(
     poses[:, :h] = np.where(valid[:, :h, None], [trk.poses[:h] for trk in tracks], 0.0)
     motion = _history_motion(poses, valid, h - 1, scenario.timestep, all_rows, sim_ids)
 
+    def who(row: int) -> str:
+        return "AV" if row == av_row else "environment"
+
     record = np.zeros(n, dtype=_HASH_RECORD)
     record["id"] = sim_ids
     hasher = hashlib.sha256(scenario.scenario_id.encode("utf-8"))
@@ -271,12 +278,15 @@ def closed_loop_rollout(
             valid=_read_only(valid[:, :upto]),
             motion=motion,
         )
-        env_out = env_policy.step(ctx, env_rows) if len(env_rows) else np.empty((0, 4))
+        env_out = env_policy.step(ctx, env_rows) if len(env_rows) else None
         av_out = av_policy.step(ctx, av_rows)
-        poses[env_rows, upto] = _checked_poses(env_out, env_rows, sim_ids, "environment", t)
-        poses[av_rows, upto] = _checked_poses(av_out, av_rows, sim_ids, "AV", t)
+        merged = poses[:, upto]
+        if env_out is not None:
+            merged[env_rows] = _shaped_poses(env_out, len(env_rows), "environment", t)
+        merged[av_row] = _shaped_poses(av_out, 1, "AV", t)[0]
+        _finish_poses(merged, sim_ids, who, t)
         valid[:, upto] = True
-        _hash_step(hasher, t, record, poses[:, upto])
+        _hash_step(hasher, t, record, merged)
         steps.append(TraceStep(step=t, ids_queried=sim_ids, context_hash=context_hash))
 
     trace = RolloutTrace(
@@ -326,10 +336,10 @@ def audit_trace(
 
     ``poses`` is the finished rollout as (A, T, 4) and ``ids`` the object id
     of each row (default: the trace's queried order).  Verifies strictly
-    increasing, gap-free steps; constant queried-id sets (matching the
-    rollout when one is provided); and, given the rollout, the per-step
-    context-hash chain.  A declared replan interval above one step is flagged
-    as hybrid open/closed loop rather than failed.
+    increasing, gap-free steps; constant queried ids that name the rollout's
+    rows in order, when a rollout is provided; and, given the rollout, the
+    per-step context-hash chain.  A declared replan interval above one step is
+    flagged as hybrid open/closed loop rather than failed.
     """
     issues: list[str] = []
     steps = trace.steps
@@ -340,18 +350,15 @@ def audit_trace(
         issues.append(f"expected steps 1..{n} strictly increasing, got {len(steps)} records")
     if steps:
         queried = steps[0].ids_queried
-        row_ids = list(queried if ids is None else ids)
+        row_ids = queried if ids is None else tuple(ids)
         if len({s.ids_queried for s in steps}) != 1:
             issues.append("queried id set changed between steps")
-        elif poses is not None and (
-            sorted(queried) != sorted(row_ids) or len(row_ids) != poses.shape[0]
-        ):
-            issues.append("queried ids do not match the rollout's object set")
+        elif poses is not None and (row_ids != queried or len(queried) != poses.shape[0]):
+            issues.append("queried ids do not match the rollout's rows")
         elif poses is not None and poses.shape[1] != len(steps):
             issues.append(f"rollout has {poses.shape[1]} steps, trace has {len(steps)}")
 
     if poses is not None and not issues:
-        rows = [row_ids.index(oid) for oid in queried]
         record = np.zeros(len(queried), dtype=_HASH_RECORD)
         record["id"] = queried
         hasher = hashlib.sha256(trace.scenario_id.encode("utf-8"))
@@ -359,7 +366,7 @@ def audit_trace(
             if hasher.copy().hexdigest() != s.context_hash:
                 issues.append(f"context hash mismatch at step {s.step}")
                 break
-            _hash_step(hasher, s.step, record, poses[rows, s.step - 1])
+            _hash_step(hasher, s.step, record, poses[:, s.step - 1])
         else:
             if hasher.hexdigest() != trace.final_hash:
                 issues.append("final hash mismatch")

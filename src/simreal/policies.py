@@ -17,6 +17,22 @@ from .harness import Policy, PolicyContext
 from .scene import Scenario, simulated_object_ids
 
 
+def _cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise cos and sin through ``math``, so the bits do not depend on numpy's build."""
+    angles = angles.tolist()
+    return np.array([math.cos(a) for a in angles]), np.array([math.sin(a) for a in angles])
+
+
+def _pose_rows(x, y, z, heading) -> np.ndarray:
+    """(n, 4) [x, y, z, heading] rows from four length-n columns."""
+    out = np.empty((len(heading), 4))
+    out[:, 0] = x
+    out[:, 1] = y
+    out[:, 2] = z
+    out[:, 3] = heading
+    return out
+
+
 class ConstantVelocityPolicy(Policy):
     """Extrapolate each object along its last recorded heading and speed.
 
@@ -29,12 +45,8 @@ class ConstantVelocityPolicy(Policy):
         speed, heading, z = context.history_motion(rows)
         last = context.last_valid_pose(rows)
         stride = speed * context.dt
-        out = np.empty((len(heading), 4))
-        out[:, 0] = last[:, 0] + stride * np.cos(heading)
-        out[:, 1] = last[:, 1] + stride * np.sin(heading)
-        out[:, 2] = z
-        out[:, 3] = heading
-        return out
+        cos, sin = _cos_sin(heading)
+        return _pose_rows(last[:, 0] + stride * cos, last[:, 1] + stride * sin, z, heading)
 
 
 class RandomAgentPolicy(Policy):
@@ -55,14 +67,8 @@ class RandomAgentPolicy(Policy):
             [context.rng(context.ids[r]).normal(self.mu, self.sigma, size=3) for r in rows]
         ).reshape(len(rows), 3)
         _, _, z = context.history_motion(rows)
-        return np.stack(
-            [
-                av[0] + c * d[:, 0] - s * d[:, 1],
-                av[1] + s * d[:, 0] + c * d[:, 1],
-                z,
-                av[3] + d[:, 2],
-            ],
-            axis=1,
+        return _pose_rows(
+            av[0] + c * d[:, 0] - s * d[:, 1], av[1] + s * d[:, 0] + c * d[:, 1], z, av[3] + d[:, 2]
         )
 
 
@@ -105,32 +111,34 @@ class NoisyPlanPolicy(Policy):
         self.heading_sigma = heading_sigma
         self.speed_sigma = speed_sigma
 
-    def plan(self, context: PolicyContext, rows, horizon: int):
-        speed, heading, z = context.history_motion(rows)
-        noise = np.empty((len(rows), 2))
-        for i, r in enumerate(rows):
+    def _velocities(self, context: PolicyContext, rows) -> np.ndarray:
+        """(n, 4) per-step [vx, vy, z, heading] of each row after this plan's noise.
+
+        The draws are per object anyway, so the few scalar operations that
+        apply them share that loop.
+        """
+        out = []
+        for r, (speed, heading, z) in zip(rows, context.motion[rows].tolist()):
             g = context.rng(context.ids[r])
-            noise[i, 0] = g.normal(0.0, self.heading_sigma)
-            noise[i, 1] = g.normal(0.0, self.speed_sigma)
-        heading = heading + noise[:, 0]
-        speed = speed + noise[:, 1]
-        speed = np.where(speed > 0.0, speed, 0.0)
-        last = context.last_valid_pose(rows)
-        stride = speed * context.dt
-        vx, vy = stride * np.cos(heading), stride * np.sin(heading)
+            heading = heading + g.normal(0.0, self.heading_sigma)
+            stride = max(0.0, speed + g.normal(0.0, self.speed_sigma)) * context.dt
+            out.append((stride * math.cos(heading), stride * math.sin(heading), z, heading))
+        return np.array(out).reshape(len(rows), 4)
+
+    def plan(self, context: PolicyContext, rows, horizon: int):
+        velocities = self._velocities(context, rows)
         outputs = np.empty((horizon, len(rows), 4))
-        outputs[:, :, 2] = z
-        outputs[:, :, 3] = heading
-        x, y = last[:, 0], last[:, 1]
+        outputs[:] = velocities
+        xy, step_xy = context.last_valid_pose(rows)[:, :2], velocities[:, :2]
         for j in range(horizon):
-            x = x + vx
-            y = y + vy
-            outputs[j, :, 0] = x
-            outputs[j, :, 1] = y
+            xy = xy + step_xy
+            outputs[j, :, :2] = xy
         return outputs
 
     def step(self, context: PolicyContext, rows):
-        return self.plan(context, rows, 1)[0]
+        out = self._velocities(context, rows)
+        out[:, :2] += context.last_valid_pose(rows)[:, :2]
+        return out
 
 
 class ReplanWrapper(Policy):

@@ -40,12 +40,11 @@ def normalize_heading(theta) -> np.ndarray:
     Bit-identical to Python's float ``theta % TWO_PI`` on every finite value,
     including ``-0.0`` (which maps to ``0.0``).
     """
-    theta = np.asarray(theta, dtype=float)
-    with np.errstate(invalid="ignore"):
-        wrapped = np.remainder(theta, TWO_PI)
+    wrapped = np.array(theta, dtype=float)
+    np.remainder(wrapped, TWO_PI, out=wrapped, where=np.isfinite(wrapped))
     # theta % TWO_PI can round up to TWO_PI itself
-    wrapped = np.where(wrapped >= TWO_PI, wrapped - TWO_PI, wrapped)
-    return np.where(np.isfinite(theta), wrapped, theta)
+    np.subtract(wrapped, TWO_PI, out=wrapped, where=wrapped >= TWO_PI)
+    return wrapped
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

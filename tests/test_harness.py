@@ -273,12 +273,14 @@ class TestAudit:
         assert not report.ok
         assert any("hash" in issue for issue in report.issues)
 
-    def test_rollout_rows_are_matched_by_id(self):
+    def test_rollout_rows_must_follow_queried_ids(self):
         future, trace = self._run()
         ids = list(trace.steps[0].ids_queried)
-        assert audit_trace(trace, future[::-1], ids[::-1]).ok
-        report = audit_trace(trace, future, [i + 100 for i in ids])
-        assert report.issues == ("queried ids do not match the rollout's object set",)
+        assert audit_trace(trace, future, ids).ok
+        for bad_ids in (ids[::-1], [i + 100 for i in ids]):
+            report = audit_trace(trace, future, bad_ids)
+            assert report.issues == ("queried ids do not match the rollout's rows",)
+        assert not audit_trace(trace, future[:-1]).ok
         assert not audit_trace(trace, future[:, :79]).ok
 
 
