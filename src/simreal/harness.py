@@ -140,18 +140,12 @@ def _shaped_poses(out, n: int, who: str, step: int) -> np.ndarray:
     return poses
 
 
-def _finish_poses(poses: np.ndarray, ids: Sequence[int], who, step: int) -> None:
-    """Reject non-finite rows of ``poses`` and wrap its headings in place.
-
-    ``ids`` names each row; ``who(i)`` names the policy that produced row i.
-    """
+def _finish_poses(poses: np.ndarray, ids: Sequence[int], step: int) -> None:
+    """Reject non-finite rows of ``poses`` (object ``ids[i]`` in row i) and wrap headings in place."""
     finite = np.isfinite(poses)
     if not finite.all():
-        bad = np.flatnonzero(~finite.all(axis=1))
-        raise PolicyContractViolation(
-            f"{who(bad[0])} policy at step {step}: objects {[ids[i] for i in bad]} "
-            "returned a non-finite pose"
-        )
+        bad = [ids[i] for i in np.flatnonzero(~finite.all(axis=1))]
+        raise PolicyContractViolation(f"policy output at step {step}: objects {bad} are not finite")
     poses[:, 3] = normalize_heading(poses[:, 3])
 
 
@@ -181,7 +175,7 @@ class Policy(ABC):
         own_ids = [context.ids[r] for r in rows]
         for j in range(horizon):
             outputs[j] = _shaped_poses(self.step(ctx, rows), len(rows), "planning", ctx.step)
-            _finish_poses(outputs[j], own_ids, lambda row: "planning", ctx.step)
+            _finish_poses(outputs[j], own_ids, ctx.step)
             if j == horizon - 1:
                 break
             new_col_pose = np.zeros((poses.shape[0], 1, 4))
@@ -255,9 +249,6 @@ def closed_loop_rollout(
     poses[:, :h] = np.where(valid[:, :h, None], [trk.poses[:h] for trk in tracks], 0.0)
     motion = _history_motion(poses, valid, h - 1, scenario.timestep, all_rows, sim_ids)
 
-    def who(row: int) -> str:
-        return "AV" if row == av_row else "environment"
-
     record = np.zeros(n, dtype=_HASH_RECORD)
     record["id"] = sim_ids
     hasher = hashlib.sha256(scenario.scenario_id.encode("utf-8"))
@@ -284,7 +275,7 @@ def closed_loop_rollout(
         if env_out is not None:
             merged[env_rows] = _shaped_poses(env_out, len(env_rows), "environment", t)
         merged[av_row] = _shaped_poses(av_out, 1, "AV", t)[0]
-        _finish_poses(merged, sim_ids, who, t)
+        _finish_poses(merged, sim_ids, t)
         valid[:, upto] = True
         _hash_step(hasher, t, record, merged)
         steps.append(TraceStep(step=t, ids_queried=sim_ids, context_hash=context_hash))

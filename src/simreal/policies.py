@@ -17,12 +17,6 @@ from .harness import Policy, PolicyContext
 from .scene import Scenario, simulated_object_ids
 
 
-def _cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise cos and sin through ``math``, so the bits do not depend on numpy's build."""
-    angles = angles.tolist()
-    return np.array([math.cos(a) for a in angles]), np.array([math.sin(a) for a in angles])
-
-
 def _pose_rows(x, y, z, heading) -> np.ndarray:
     """(n, 4) [x, y, z, heading] rows from four length-n columns."""
     out = np.empty((len(heading), 4))
@@ -45,7 +39,10 @@ class ConstantVelocityPolicy(Policy):
         speed, heading, z = context.history_motion(rows)
         last = context.last_valid_pose(rows)
         stride = speed * context.dt
-        cos, sin = _cos_sin(heading)
+        # math's cos/sin, so the bits do not depend on numpy's build
+        angles = heading.tolist()
+        cos = np.array([math.cos(a) for a in angles])
+        sin = np.array([math.sin(a) for a in angles])
         return _pose_rows(last[:, 0] + stride * cos, last[:, 1] + stride * sin, z, heading)
 
 
