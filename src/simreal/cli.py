@@ -9,7 +9,8 @@ Subcommands wire the pipeline end to end:
     simreal evaluate  --archive sub.tar.gz --scenarios scenarios/ --out report.json
     simreal compare   --reports report_a.json report_b.json
 
-Exit codes: 0 success, 1 validation failures, 2 I/O or parse errors,
+Exit codes: 0 success, 1 validation failures (including a failed rollout
+audit, in which case ``rollout`` writes no archive), 2 I/O or parse errors,
 3 policy-contract violations.  ``SIMREAL_CONFIG`` sets the default config
 path for ``evaluate``.
 """
@@ -163,12 +164,19 @@ def _cmd_rollout(args) -> int:
         results = [_rollout_one(w) for w in work]
 
     all_rollouts = []
+    failed = []
     for (scn_id, _), (rollouts, ok, hybrid) in zip(sorted(scenarios.items()), results):
         tag = "hybrid" if hybrid else "closed-loop"
         status = "ok" if ok else "AUDIT FAILED"
         print(f"{scn_id}: {len(rollouts.rollouts)} rollouts, audit {status}, "
               f"{tag} (replan={args.replan_interval})")
         all_rollouts.append(rollouts)
+        if not ok:
+            failed.append(scn_id)
+    if failed:
+        print(f"error: audit failed for {len(failed)} scenario(s): {', '.join(failed)}; "
+              f"no archive written", file=sys.stderr)
+        return 1
 
     manifest = {
         "env_policy": args.env_policy,

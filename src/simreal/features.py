@@ -198,33 +198,47 @@ def _angular_speed_arrays(headings: np.ndarray, valid: np.ndarray, dt: float):
     return _masked(vals, ok), ok
 
 
+#: Absolute and coordinate-relative margins added to the broad-phase upper
+#: bound so that rounding in the bounds or the exact kernel never prunes a
+#: pair that could be a row's minimum.
+_BROAD_PHASE_SLACK = 1e-6
+_BROAD_PHASE_REL_SLACK = 1e-12
+
+
 def _nearest_object_arrays(states: SceneStates):
     """Signed box distance to the nearest other object, per object per step.
 
     Pairs are gated on vertical overlap of the two boxes; when no other
     object overlaps vertically the plain 2D minimum is used instead.  A scene
     with a single object yields an all-invalid series.
+
+    An exact broad-phase limits the box kernel to pairs that can be a row's
+    minimum.  With ``cd`` the 2D centre distance and ``r = hypot(length,
+    width) / 2`` the circumradius:
+
+    * Upper bound: a box contains its centre, so the signed distance of a
+      pair is at most ``cd`` (overlap reads negative).  Row i's minimum is
+      therefore at most ``U(i,t)``, the smallest ``cd`` over the partners
+      that define it: the gated partners when there are any, otherwise every
+      valid partner.
+    * Lower bound: the signed distance is at least ``L = cd - r_i - r_j``.
+      Disjoint boxes lie inside their circumscribed discs; overlapping boxes
+      are separated by a shift of ``r_i + r_j - cd`` along the centre line,
+      so their penetration depth is no larger than that shift.
+
+    A pair-step with ``L > max(U_i, U_j) + slack`` cannot be the minimum of
+    either row and keeps distance ``inf``; the kernel runs on every other
+    valid pair-step, a superset of each row's argmin, so the result equals
+    the all-pairs computation bit for bit.  ``slack`` is 1e-6 plus 1e-12 of
+    the largest coordinate, far above the rounding of both bounds.  Pairs
+    with a non-finite coordinate or heading always reach the kernel, so NaN
+    propagates as it would without pruning.
     """
     a, t = states.valid.shape
     vals = np.zeros((a, t))
     ok = np.zeros((a, t), dtype=bool)
     if a < 2:
         return vals, ok
-    iu, ju = np.triu_indices(a, 1)
-    boxes = np.concatenate(
-        [
-            states.centers[:, :, :2],
-            states.headings[:, :, None],
-            np.broadcast_to(states.dims[:, None, 0:1], (a, t, 1)),
-            np.broadcast_to(states.dims[:, None, 1:2], (a, t, 1)),
-        ],
-        axis=-1,
-    )
-    pair_d = box_signed_distance_batch(boxes[iu], boxes[ju])  # (P, T)
-
-    dist = np.full((a, a, t), np.inf)
-    dist[iu, ju] = pair_d
-    dist[ju, iu] = pair_d
 
     both_valid = states.valid[:, None, :] & states.valid[None, :, :]
     diag = np.arange(a)
@@ -235,17 +249,44 @@ def _nearest_object_arrays(states: SceneStates):
     zgap = np.abs(z[:, None, :] - z[None, :, :])
     zlim = half_heights[:, None] + half_heights[None, :]
     gated = both_valid & (zgap <= zlim[:, :, None])
-
-    gated_min = np.where(gated, dist, np.inf).min(axis=1)
-    any_min = np.where(both_valid, dist, np.inf).min(axis=1)
     has_gated = gated.any(axis=1)
     has_any = both_valid.any(axis=1)
-
     # Pairs with no vertical overlap fall back to the plain 2D minimum so the
     # step still scores.
-    vals = np.where(has_gated, gated_min, np.where(has_any, any_min, 0.0))
-    ok = has_any
-    return _masked(vals, ok), ok
+    defining = np.where(has_gated[:, None, :], gated, both_valid)
+
+    xy = states.centers[:, :, :2]
+    cd = np.hypot(
+        xy[:, None, :, 0] - xy[None, :, :, 0], xy[:, None, :, 1] - xy[None, :, :, 1]
+    )  # (A, A, T)
+    upper = np.where(defining, cd, np.inf).min(axis=1)  # (A, T)
+    finite = np.isfinite(xy).all(axis=-1) & np.isfinite(states.headings)
+    scale = np.abs(xy[finite]).max(initial=0.0)
+    slack = _BROAD_PHASE_SLACK + _BROAD_PHASE_REL_SLACK * scale
+
+    iu, ju = np.triu_indices(a, 1)
+    radius = np.hypot(states.dims[:, 0], states.dims[:, 1]) / 2.0
+    lower = cd[iu, ju] - radius[iu, None] - radius[ju, None]  # (P, T)
+    reach = np.maximum(upper[iu], upper[ju]) + slack
+    need = both_valid[iu, ju] & (~(lower > reach) | ~(finite[iu] & finite[ju]))
+    pair, step = np.nonzero(need)
+    rows, cols = iu[pair], ju[pair]
+
+    boxes = np.concatenate(
+        [
+            xy,
+            states.headings[:, :, None],
+            np.broadcast_to(states.dims[:, None, 0:2], (a, t, 2)),
+        ],
+        axis=-1,
+    )
+    pair_d = box_signed_distance_batch(boxes[rows, step], boxes[cols, step])
+    dist = np.full((a, a, t), np.inf)
+    dist[rows, cols, step] = pair_d
+    dist[cols, rows, step] = pair_d
+
+    vals = np.where(defining, dist, np.inf).min(axis=1)
+    return _masked(vals, has_any), has_any
 
 
 def _event_series(per_step_vals, per_step_ok, predicate):

@@ -15,6 +15,8 @@ A submission archive is a gzip-compressed tar holding ``manifest.json`` plus
 binary shards named ``rollouts.<index>-of-<total>.bin``, each shard holding
 many rollout records.  Archives are written deterministically (fixed
 timestamps, sorted members) so identical inputs produce identical bytes.
+Reading drains the gzip stream to its end, so a corrupt CRC32 or length
+trailer is a ``ParseError`` like any other damage.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ _KIND_SCENARIO = 1
 _KIND_ROLLOUTS = 2
 
 SHARD_NAME_RE = re.compile(r"rollouts\.(\d+)-of-(\d+)\.bin$")
+_DRAIN_CHUNK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -452,21 +455,30 @@ def read_submission(path: str | Path) -> SubmissionArchive:
     path = Path(path)
     manifest: dict[str, Any] = {}
     entries: list[tuple[str, ScenarioRollouts]] = []
+    blobs: list[tuple[str, bytes]] = []
     try:
-        with tarfile.open(path, "r:gz") as tar:
-            for member in tar.getmembers():
-                if not member.isfile():
-                    continue
-                blob = tar.extractfile(member).read()
-                if member.name.endswith("manifest.json"):
-                    manifest = json.loads(blob.decode("utf-8"))
-                    continue
-                if not SHARD_NAME_RE.search(member.name):
-                    continue
-                for kind, payload in _read_records(blob, f"{path}:{member.name}"):
-                    if kind == _KIND_ROLLOUTS:
-                        rollouts = _parse_whole(payload, _rollouts_from_payload)
-                        entries.append((member.name, rollouts))
+        with gzip.GzipFile(path, "rb") as gz:
+            with tarfile.open(fileobj=gz, mode="r:") as tar:
+                for member in tar:
+                    if member.isfile() and (
+                        member.name.endswith("manifest.json") or SHARD_NAME_RE.search(member.name)
+                    ):
+                        blobs.append((member.name, tar.extractfile(member).read()))
+            # tarfile stops at the end-of-archive marker; only reading the
+            # gzip stream to its end checks the CRC32 and length trailer.
+            # Members are decoded after that check, so damage is reported as
+            # a corrupt archive rather than as whatever the bad bytes decode to.
+            while gz.read(_DRAIN_CHUNK):
+                pass
+        blobs.reverse()
+        while blobs:
+            name, blob = blobs.pop()  # release each member once it is decoded
+            if name.endswith("manifest.json"):
+                manifest = json.loads(blob.decode("utf-8"))
+                continue
+            for kind, payload in _read_records(blob, f"{path}:{name}"):
+                if kind == _KIND_ROLLOUTS:
+                    entries.append((name, _parse_whole(payload, _rollouts_from_payload)))
     except (tarfile.TarError, OSError, EOFError, zlib.error, ValueError) as exc:
         raise ParseError(f"unreadable archive: {exc}", path=str(path)) from exc
     return SubmissionArchive(manifest=manifest, entries=tuple(entries))

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import simreal.cli
 from simreal.cli import main
+from simreal.harness import AuditReport
 from simreal.io import read_report, read_scenario_dir, read_submission
 
 
@@ -80,6 +82,22 @@ class TestRolloutAndValidate:
             "validate", "--archive", str(archives["constant-velocity"]),
             "--scenarios", str(scenarios), "--expected-rollouts", "31",
         ]) == 1
+
+    def test_failed_audit_exits_one_without_archive(self, workspace, tmp_path, monkeypatch,
+                                                    capsys):
+        _, scenarios, _ = workspace
+        failing = AuditReport(ok=False, hybrid=False, replan_interval=1, issues=("forged",))
+        monkeypatch.setattr(simreal.cli, "audit_trace", lambda *args, **kwargs: failing)
+        out = tmp_path / "audited.tar.gz"
+        assert main([
+            "rollout", "--scenarios", str(scenarios),
+            "--env-policy", "constant-velocity", "--av-policy", "constant-velocity",
+            "--k", "2", "--seed", "0", "--jobs", "1", "--out", str(out),
+        ]) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert "AUDIT FAILED" in captured.out
+        assert "no archive written" in captured.err
 
     def test_missing_archive_exits_two(self, workspace, tmp_path):
         _, scenarios, _ = workspace

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+import simreal.features
 from simreal.features import (
     DEFAULT_FEATURE_PARAMS,
     FeatureParams,
@@ -12,9 +15,11 @@ from simreal.features import (
     SceneStates,
     extract_features,
 )
+from simreal.geometry import box_signed_distance_batch
 from simreal.harness import generate_submission
 from simreal.policies import LoggedOraclePolicy
 from simreal.scene import MapFeature, MapFeatureKind
+from simreal.synth import SynthSpec, Template, generate
 
 DT = 0.1
 
@@ -192,6 +197,138 @@ class TestDistanceToNearest:
         series = features(s, MetricKind.DIST_TO_NEAREST_OBJECT)
         assert series[0].valid.all()
         assert np.allclose(series[0].values, 2.0)  # ungated 2D minimum
+
+
+def all_pairs_nearest(states):
+    """Reference for the interaction features: the box kernel on every pair,
+    then the vertical gate and the ungated fallback minimum."""
+    a, t = states.valid.shape
+    if a < 2:
+        return np.zeros((a, t)), np.zeros((a, t), dtype=bool)
+    boxes = np.concatenate(
+        [
+            states.centers[:, :, :2],
+            states.headings[:, :, None],
+            np.broadcast_to(states.dims[:, None, :2], (a, t, 2)),
+        ],
+        axis=-1,
+    )
+    iu, ju = np.triu_indices(a, 1)
+    pair_d = box_signed_distance_batch(boxes[iu], boxes[ju])
+    dist = np.full((a, a, t), np.inf)
+    dist[iu, ju] = pair_d
+    dist[ju, iu] = pair_d
+    both_valid = states.valid[:, None, :] & states.valid[None, :, :]
+    both_valid &= ~np.eye(a, dtype=bool)[:, :, None]
+    z = states.centers[:, :, 2]
+    zlim = (states.dims[:, 2][:, None] + states.dims[:, 2][None, :]) / 2.0
+    gated = both_valid & (np.abs(z[:, None, :] - z[None, :, :]) <= zlim[:, :, None])
+    gated_min = np.where(gated, dist, np.inf).min(axis=1)
+    any_min = np.where(both_valid, dist, np.inf).min(axis=1)
+    ok = both_valid.any(axis=1)
+    vals = np.where(gated.any(axis=1), gated_min, np.where(ok, any_min, 0.0))
+    return np.where(ok, vals, 0.0), ok
+
+
+def assert_interaction_matches_all_pairs(states):
+    feats = extract_features(states, [])
+    vals, ok = all_pairs_nearest(states)
+    collided = ((vals < 0.0) & ok).any(axis=1)
+    defined = ok.any(axis=1)
+    for row, oid in enumerate(states.ids):
+        dist = feats[MetricKind.DIST_TO_NEAREST_OBJECT][oid]
+        assert dist.values.tobytes() == vals[row].tobytes()
+        assert dist.valid.tobytes() == ok[row].tobytes()
+        coll = feats[MetricKind.COLLISION][oid]
+        want = np.full(states.num_steps, float(collided[row]) if defined[row] else 0.0)
+        assert coll.values.tobytes() == want.tobytes()
+        assert coll.valid.tobytes() == np.full(states.num_steps, defined[row]).tobytes()
+
+
+# Half-metre grid points with axis-aligned boxes give exact ties and touching
+# boxes; wide floats give far-apart objects; NaN exercises non-finite poses.
+_COORDS = st.one_of(
+    st.integers(-12, 12).map(lambda v: v / 2.0),
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.sampled_from([-1e6, 1e6, math.nan]),
+)
+_HEADINGS = st.one_of(
+    st.sampled_from([0.0, math.pi / 2, math.pi, math.pi / 4, math.nan]),
+    st.floats(-10.0, 10.0, allow_nan=False),
+)
+
+
+@st.composite
+def box_scenes(draw):
+    a = draw(st.integers(1, 6))
+    t = draw(st.integers(1, 5))
+    centers = np.stack(
+        [
+            draw(hnp.arrays(float, (a, t), elements=_COORDS)),
+            draw(hnp.arrays(float, (a, t), elements=_COORDS)),
+            draw(hnp.arrays(float, (a, t), elements=st.sampled_from([0.0, 0.0, 0.5, 10.0]))),
+        ],
+        axis=-1,
+    )
+    headings = draw(hnp.arrays(float, (a, t), elements=_HEADINGS))
+    valid = draw(hnp.arrays(bool, (a, t)))
+    # Zero extents make both bounds tight, so only the slack absorbs rounding.
+    dims = draw(hnp.arrays(float, (a, 3), elements=st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.5])))
+    return SceneStates(
+        ids=tuple(range(a)), centers=centers, headings=headings, valid=valid, dims=dims, dt=DT
+    )
+
+
+class TestNearestObjectBroadPhase:
+    @settings(max_examples=300, deadline=None)
+    @given(states=box_scenes())
+    @example(states=scene([{"x": [0.0, 1.0]}]))  # one object
+    @example(states=scene([{"x": [0.0, 2.0, 1.0]}, {"x": [2.0, 0.0, 9.0]}]))  # touching
+    @example(states=scene([{"x": [0.0] * 2}, {"x": [-4.0] * 2}, {"x": [4.0] * 2}]))  # tie
+    @example(  # z-stacked boxes: every row falls back to the ungated minimum
+        states=scene([{"x": [0.0] * 2, "z": [0.0] * 2}, {"x": [3.0] * 2, "z": [20.0] * 2}])
+    )
+    @example(  # a box stacked right above must not hide the gated neighbour
+        states=scene([
+            {"x": [0.0] * 2, "z": [0.0] * 2},
+            {"x": [0.0] * 2, "z": [10.0] * 2},
+            {"x": [5.0] * 2, "z": [0.0] * 2},
+        ])
+    )
+    @example(  # nearest box (a large one, corner first) is not the nearest centre
+        states=scene([
+            {"x": [0.0] * 2, "heading": [math.pi / 4] * 2, "dims": (1.0, 1.0, 2.0)},
+            {"x": [5.8] * 2, "heading": [math.pi / 4] * 2, "dims": (4.0, 4.0, 2.0)},
+            {"x": [-1.5 * math.sqrt(2.0)] * 2, "y": [-1.5 * math.sqrt(2.0)] * 2,
+             "dims": (0.01, 0.01, 2.0)},
+            {"x": [8.3] * 2, "dims": (0.01, 0.01, 2.0)},
+        ])
+    )
+    @example(  # overlap, invalid steps and a far-away third object
+        states=scene([
+            {"x": [0.0, 0.0, 0.0], "valid": [True, False, True]},
+            {"x": [1.0, 1.5, 0.5], "heading": [0.3, 0.7, 1.1]},
+            {"x": [500.0, 500.0, 500.0], "y": [500.0] * 3},
+        ])
+    )
+    def test_matches_all_pairs_reference_bit_for_bit(self, states):
+        assert_interaction_matches_all_pairs(states)
+
+    def test_dense_scene_sends_few_pairs_to_the_kernel(self, monkeypatch):
+        scenario = generate(SynthSpec(Template.STRAIGHT_ROAD, agent_count=64, seed=0,
+                                      noise_level=0.25)).scenario
+        states = SceneStates.from_logged_future(scenario)
+        pair_steps = []
+
+        def counting(a, b):
+            out = box_signed_distance_batch(a, b)
+            pair_steps.append(out.size)
+            return out
+
+        monkeypatch.setattr(simreal.features, "box_signed_distance_batch", counting)
+        assert_interaction_matches_all_pairs(states)
+        a, t = states.valid.shape
+        assert 0 < sum(pair_steps) < 0.2 * (a * (a - 1) // 2) * t
 
 
 class TestCollisionIndication:

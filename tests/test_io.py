@@ -314,6 +314,60 @@ class TestSubmissionArchive:
         ]
 
 
+def _tiny_archive(path):
+    """A two-scenario archive small enough to mutate many times per test."""
+    rng = np.random.default_rng(11)
+    bundles = [
+        ScenarioRollouts(sid, np.array([3, 7]), rng.normal(size=(2, 2, 6, 4)))
+        for sid in ("alpha", "beta")
+    ]
+    write_submission(path, bundles, {"seed": 0})
+    return path.read_bytes()
+
+
+def _archive_bytes(archive):
+    return archive.manifest, [
+        (name, rec.scenario_id, rec.ids.tobytes(), rec.rollouts.tobytes())
+        for name, rec in archive.entries
+    ]
+
+
+class TestArchiveIntegrity:
+    @pytest.mark.parametrize("from_end,field", [(8, "crc32"), (4, "isize")])
+    def test_corrupt_gzip_trailer_is_parse_error(self, tmp_path, from_end, field):
+        blob = bytearray(_tiny_archive(tmp_path / "ok.tar.gz"))
+        blob[-from_end] ^= 0x01
+        path = tmp_path / f"bad-{field}.tar.gz"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match="unreadable archive"):
+            read_submission(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        edits=st.lists(st.tuples(st.integers(0, 10**9), st.integers(1, 255)), min_size=1,
+                       max_size=4),
+        truncate=st.none() | st.integers(0, 10**9),
+    )
+    def test_mutated_archive_reads_identical_or_raises_parse_error(
+        self, tmp_path_factory, edits, truncate
+    ):
+        tmp = tmp_path_factory.mktemp("arch")
+        original = _tiny_archive(tmp / "ok.tar.gz")
+        want = _archive_bytes(read_submission(tmp / "ok.tar.gz"))
+        blob = bytearray(original)
+        for pos, flip in edits:
+            blob[pos % len(blob)] ^= flip
+        if truncate is not None:
+            blob = blob[: truncate % len(blob)]
+        path = tmp / "mutated.tar.gz"
+        path.write_bytes(bytes(blob))
+        try:
+            got = read_submission(path)
+        except ParseError:
+            return
+        assert _archive_bytes(got) == want
+
+
 class TestScenarioDir:
     def test_synth_dir_round_trip(self, tmp_path):
         suite = make_suite(count=3, base_seed=5, noise_level=0.0)
