@@ -16,7 +16,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import IncompleteBundle, MetricUnscorable
-from .estimators import LikelihoodEstimate
 from .features import BOOLEAN_METRICS, MetricKind
 from .scene import Scenario, ScenarioRollouts, simulated_object_ids
 
@@ -68,22 +67,23 @@ class MetricWeights:
 
 
 def scenario_component(
-    estimates: Iterable[LikelihoodEstimate],
+    nll_means: np.ndarray,
     metric: MetricKind,
     aggregation: str = "log_mean",
 ) -> float:
-    """Combine per-object estimates into one scenario-level component.
+    """Combine per-object mean NLLs into one scenario-level component.
 
     The default mirrors the time-axis treatment: average the per-object mean
-    NLLs and exponentiate.  ``linear_mean`` averages the likelihoods directly.
+    NLLs and exponentiate.  ``linear_mean`` averages the per-object
+    likelihoods ``exp(-nll)`` directly.
     """
-    ests = [e for e in estimates]
-    if not ests:
+    nll = np.asarray(nll_means, dtype=float)
+    if nll.size == 0:
         raise MetricUnscorable(f"no scored objects for {metric.value}")
     if aggregation == "log_mean":
-        return float(np.exp(-np.mean([e.nll_mean for e in ests])))
+        return float(np.exp(-nll.mean()))
     if aggregation == "linear_mean":
-        return float(np.mean([e.value for e in ests]))
+        return float(np.exp(-nll).mean())
     raise ValueError(f"unknown aggregation {aggregation!r}")
 
 

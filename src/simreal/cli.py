@@ -10,9 +10,12 @@ Subcommands wire the pipeline end to end:
     simreal compare   --reports report_a.json report_b.json
 
 Exit codes: 0 success, 1 validation failures (including a failed rollout
-audit, in which case ``rollout`` writes no archive), 2 I/O or parse errors,
-3 policy-contract violations.  ``SIMREAL_CONFIG`` sets the default config
-path for ``evaluate``.
+audit, in which case ``rollout`` writes no archive), 2 I/O or parse errors
+and, in ``evaluate``, rollouts that break the submission contract (a missing
+or extra object, a wrong step count, a non-finite pose) or an archive that
+lacks some scenario of the set (no report is written), 3 policy-contract
+violations.  ``SIMREAL_CONFIG`` sets the default config path for
+``evaluate``.
 """
 
 from __future__ import annotations
@@ -214,18 +217,16 @@ def _cmd_evaluate(args) -> int:
     scenarios = sio.read_scenario_dir(args.scenarios)
     config = _load_config(args.config)
     multi = len(args.archive) > 1
-    curve_points = []
-    for idx, archive_path in enumerate(args.archive):
-        archive = sio.read_submission(archive_path)
-        by_scenario = archive.rollouts_by_scenario()
-        pairs = [
-            (scenarios[sid], by_scenario[sid])
-            for sid in sorted(scenarios)
-            if sid in by_scenario
-        ]
-        if not pairs:
-            raise ParseError("archive shares no scenarios with the scenario set",
+    archives = [(path, sio.read_submission(path)) for path in args.archive]
+    for archive_path, archive in archives:
+        missing = sorted(set(scenarios) - set(archive.rollouts_by_scenario()))
+        if missing:
+            raise ParseError(f"archive has no rollouts for scenarios: {', '.join(missing)}",
                              path=str(archive_path))
+    curve_points = []
+    for idx, (archive_path, archive) in enumerate(archives):
+        by_scenario = archive.rollouts_by_scenario()
+        pairs = [(scenarios[sid], by_scenario[sid]) for sid in sorted(scenarios)]
         bundles, summary = evaluate_dataset(pairs, config, jobs=args.jobs)
 
         out = args.out if not multi else args.out.with_suffix(f".{idx}{args.out.suffix}")

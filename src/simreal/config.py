@@ -7,13 +7,13 @@ produced under.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .aggregation import OBJECT_AGGREGATIONS, MetricWeights
 from .errors import ParseError
 from .estimators import DEFAULT_HISTOGRAM_SPECS, HistogramSpec
-from .features import FeatureParams, MetricKind
+from .features import BOOLEAN_METRICS, FeatureParams, MetricKind
 
 CONFIG_VERSION = 1
 
@@ -36,9 +36,14 @@ class EvalConfig:
         if missing:
             names = ", ".join(sorted(m.value for m in missing))
             raise ValueError(f"histogram specs missing for: {names}")
-
-    def with_weights(self, weights: MetricWeights) -> "EvalConfig":
-        return replace(self, weights=weights)
+        for metric in sorted(BOOLEAN_METRICS, key=lambda m: m.value):
+            spec = self.histograms[metric]
+            if (spec.min_value, spec.max_value, spec.bins) != (0.0, 1.0, 2):
+                raise ValueError(
+                    f"{metric.value} counts one event per rollout: its histogram must "
+                    f"span [0, 1] with 2 bins, got [{spec.min_value}, {spec.max_value}] "
+                    f"with {spec.bins}"
+                )
 
 
 DEFAULT_CONFIG = EvalConfig()

@@ -1,26 +1,27 @@
-"""Histogram and Bernoulli likelihood estimation over pooled rollout samples.
+"""Histogram likelihood estimation over pooled rollout samples, for every object at once.
 
 Simulated feature samples (32 rollouts, all valid timesteps pooled as
-time-independent draws) are turned into a smoothed categorical distribution;
-the logged feature series is then scored as the exponential of its negative
-mean log-probability over valid steps.  Laplace smoothing with a pseudocount
-of 0.1 guarantees every bin keeps positive support, so a logged value can
-never be assigned zero probability.
+time-independent draws) are counted into one row of histogram bins per
+object; every row is turned into a smoothed categorical distribution, and
+each object's logged feature series is scored as the exponential of its
+negative mean log-probability over valid steps.  Laplace smoothing with a
+pseudocount of 0.1 guarantees every bin keeps positive support, so a logged
+value can never be assigned zero probability.  Boolean metrics count one
+any-step event per rollout into a two-bin [0, 1] histogram, so the same fit
+serves them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptySampleSet, InconsistentRollouts, NoValidSteps
+from .errors import EmptySampleSet, NoValidSteps
 from .features import (
     BOOLEAN_METRICS,
     DEFAULT_FEATURE_PARAMS,
     FeatureParams,
-    FeatureSeries,
     MetricKind,
     SceneStates,
     extract_features,
@@ -60,10 +61,6 @@ class HistogramSpec:
         return np.clip(idx, 0, self.bins - 1)
 
 
-def _bernoulli_spec(metric: MetricKind, pseudocount: float) -> HistogramSpec:
-    return HistogramSpec(metric, 0.0, 1.0, 2, pseudocount)
-
-
 # Value ranges are conventional physical envelopes; they travel with every
 # report so results stay reproducible.
 DEFAULT_HISTOGRAM_SPECS: dict[MetricKind, HistogramSpec] = {
@@ -74,153 +71,96 @@ DEFAULT_HISTOGRAM_SPECS: dict[MetricKind, HistogramSpec] = {
     MetricKind.DIST_TO_NEAREST_OBJECT: HistogramSpec(
         MetricKind.DIST_TO_NEAREST_OBJECT, -2.0, 40.0, 128
     ),
-    MetricKind.COLLISION: _bernoulli_spec(MetricKind.COLLISION, DEFAULT_PSEUDOCOUNT),
+    MetricKind.COLLISION: HistogramSpec(MetricKind.COLLISION, 0.0, 1.0, 2),
     MetricKind.TIME_TO_COLLISION: HistogramSpec(MetricKind.TIME_TO_COLLISION, 0.0, 5.0, 128),
     MetricKind.DIST_TO_ROAD_EDGE: HistogramSpec(MetricKind.DIST_TO_ROAD_EDGE, -5.0, 5.0, 128),
-    MetricKind.OFFROAD: _bernoulli_spec(MetricKind.OFFROAD, DEFAULT_PSEUDOCOUNT),
+    MetricKind.OFFROAD: HistogramSpec(MetricKind.OFFROAD, 0.0, 1.0, 2),
 }
-
-
-@dataclass(frozen=True)
-class FittedDistribution:
-    """A smoothed categorical distribution over a histogram's bins."""
-
-    spec: HistogramSpec
-    probabilities: np.ndarray
-    sample_count: int
-
-    def __post_init__(self):
-        p = np.array(self.probabilities, dtype=float)
-        p.setflags(write=False)
-        object.__setattr__(self, "probabilities", p)
-        if len(p) != self.spec.bins:
-            raise ValueError("probability vector does not match the bin count")
-        if not np.all(p > 0.0):
-            raise ValueError("smoothing must leave every bin with positive mass")
-        if abs(float(p.sum()) - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1")
-
-    def prob_of(self, values) -> np.ndarray:
-        return self.probabilities[self.spec.bin_index(values)]
-
-
-@dataclass(frozen=True)
-class LikelihoodEstimate:
-    """A per-object, per-metric likelihood in (0, 1]."""
-
-    metric: MetricKind
-    value: float
-    nll_mean: float
-    valid_steps: int
-
-
-def fit_histogram(samples, spec: HistogramSpec) -> FittedDistribution:
-    """Fit a smoothed categorical distribution to scalar samples.
-
-    Per-bin probability is (count + a) / (n + bins * a) with pseudocount a.
-    """
-    x = np.asarray(samples, dtype=float).ravel()
-    n = len(x)
-    if n == 0:
-        raise EmptySampleSet(f"no samples to fit for {spec.metric.value}")
-    counts = np.bincount(spec.bin_index(x), minlength=spec.bins)
-    probs = (counts + spec.pseudocount) / (n + spec.bins * spec.pseudocount)
-    return FittedDistribution(spec=spec, probabilities=probs, sample_count=n)
-
-
-def fit_bernoulli(
-    samples,
-    pseudocount: float = DEFAULT_PSEUDOCOUNT,
-    metric: MetricKind = MetricKind.COLLISION,
-) -> FittedDistribution:
-    """Fit a two-bin event distribution: p(true) = (n_true + a) / (n + 2a)."""
-    x = np.asarray(samples).astype(bool).ravel()
-    n = len(x)
-    if n == 0:
-        raise EmptySampleSet(f"no samples to fit for {metric.value}")
-    n_true = int(x.sum())
-    p_true = (n_true + pseudocount) / (n + 2.0 * pseudocount)
-    p_false = (n - n_true + pseudocount) / (n + 2.0 * pseudocount)
-    return FittedDistribution(
-        spec=_bernoulli_spec(metric, pseudocount),
-        probabilities=np.array([p_false, p_true]),
-        sample_count=n,
-    )
-
-
-def time_series_likelihood(
-    logged: FeatureSeries, dist: FittedDistribution
-) -> LikelihoodEstimate:
-    """Score a logged series against a fitted distribution.
-
-    The negative log-probabilities of the valid steps are averaged and
-    exponentiated back, which treats timesteps as independent draws.
-    """
-    vals = logged.valid_values()
-    if len(vals) == 0:
-        raise NoValidSteps(
-            f"object {logged.object_id}: no valid steps for {logged.metric.value}"
-        )
-    nll = -np.log(dist.prob_of(vals))
-    nll_mean = float(nll.mean())
-    return LikelihoodEstimate(
-        metric=logged.metric,
-        value=float(np.exp(-nll_mean)),
-        nll_mean=nll_mean,
-        valid_steps=len(vals),
-    )
-
-
-RolloutFeatures = Sequence[Mapping[MetricKind, Mapping[int, FeatureSeries]]]
 
 
 def rollout_features(
     scenario: Scenario,
     rollouts: ScenarioRollouts,
     params: FeatureParams = DEFAULT_FEATURE_PARAMS,
-) -> list[dict[MetricKind, dict[int, FeatureSeries]]]:
-    """Extract every rollout's feature series once, for reuse across metrics.
+) -> list[tuple[dict, int]]:
+    """Extract each distinct rollout once, with the number of rollouts it stands for.
 
-    Identical rollouts (deterministic policies repeat the same joint scene 32
-    times) share one extraction; series are immutable so aliasing is safe.
+    Returns ``(features, multiplicity)`` pairs in order of first appearance;
+    ``features`` is :func:`extract_features` output for the rollout's rows
+    (``rollouts.ids`` order).  Deterministic policies repeat the same joint
+    scene 32 times, which then costs one extraction.
     """
-    out = []
-    cache: dict = {}
-    for k in range(len(rollouts.rollouts)):
-        key = rollouts.rollouts[k].tobytes()
-        hit = cache.get(key)
-        if hit is None:
-            states = SceneStates.from_rollout(scenario, rollouts, k)
-            hit = cache[key] = extract_features(states, scenario.map_features, params)
-        out.append(hit)
-    return out
+    groups: dict[bytes, list[int]] = {}
+    for k, poses in enumerate(rollouts.rollouts):
+        groups.setdefault(poses.tobytes(), []).append(k)
+    return [
+        (
+            extract_features(
+                SceneStates.from_rollout(scenario, rollouts, ks[0]),
+                scenario.map_features,
+                params,
+            ),
+            len(ks),
+        )
+        for ks in groups.values()
+    ]
 
 
-def pool_from_features(
-    features: RolloutFeatures, object_id: int, metric: MetricKind
+def sample_counts(
+    extractions: list[tuple[dict, int]], metric: MetricKind, spec: HistogramSpec
 ) -> np.ndarray:
-    """Pool one object's simulated samples for one metric across all rollouts.
+    """(A, bins) int64 counts of one metric's simulated samples per object row.
 
-    Scalar metrics concatenate every valid timestep of every rollout; boolean
-    metrics contribute exactly one event sample per rollout.  ``features``
-    comes from :func:`rollout_features`.
+    Scalar metrics count every valid step of every rollout; boolean metrics
+    count one any-step event per rollout.  ``extractions`` comes from
+    :func:`rollout_features`; each one's counts are multiplied by the number
+    of rollouts it stands for, which equals counting every rollout.
     """
-    try:
-        series = [per_metric[metric][object_id] for per_metric in features]
-    except KeyError:
-        raise InconsistentRollouts(f"object {object_id} is not in the rollouts") from None
+    values = np.stack([feats[metric][0] for feats, _ in extractions])  # (E, A, T)
+    valid = np.stack([feats[metric][1] for feats, _ in extractions])
     if metric in BOOLEAN_METRICS:
-        return np.asarray([bool(np.any(s.valid_values() > 0.5)) for s in series], dtype=bool)
-    chunks = [s.valid_values() for s in series]
-    return np.concatenate(chunks) if chunks else np.empty(0)
+        values = (valid & (values > 0.5)).any(axis=2, keepdims=True).astype(float)
+        valid = np.ones(values.shape, dtype=bool)
+    e, a, _ = values.shape
+    rows = np.arange(e * a).reshape(e, a, 1)
+    keys = (rows * spec.bins + spec.bin_index(values))[valid]
+    per_extraction = np.bincount(keys, minlength=e * a * spec.bins).reshape(e, a, spec.bins)
+    multiplicity = np.array([n for _, n in extractions], dtype=np.int64)
+    return (per_extraction * multiplicity[:, None, None]).sum(axis=0)
 
 
-def fit_metric_distribution(
-    samples, metric: MetricKind, specs: Mapping[MetricKind, HistogramSpec] | None = None
-) -> FittedDistribution:
-    """Fit the right distribution family for a metric (histogram or Bernoulli)."""
-    specs = DEFAULT_HISTOGRAM_SPECS if specs is None else specs
-    spec = specs[metric]
-    if metric in BOOLEAN_METRICS:
-        return fit_bernoulli(samples, spec.pseudocount, metric)
-    return fit_histogram(samples, spec)
+def fit_metric_distribution(counts: np.ndarray, spec: HistogramSpec) -> np.ndarray:
+    """Smoothed categorical distribution of every row of an (R, bins) count matrix.
+
+    Row r's probability of bin b is (counts[r, b] + a) / (n_r + bins * a)
+    with pseudocount a and n_r the row's sample count.
+    """
+    n = counts.sum(axis=1, keepdims=True)
+    if not np.all(n > 0):
+        raise EmptySampleSet(f"no samples to fit for {spec.metric.value}")
+    return (counts + spec.pseudocount) / (n + spec.bins * spec.pseudocount)
+
+
+def time_series_likelihood(
+    values: np.ndarray, valid: np.ndarray, probs: np.ndarray, spec: HistogramSpec
+) -> np.ndarray:
+    """Mean negative log-probability of every row's valid logged steps.
+
+    ``values`` and ``valid`` are (R, T) logged series; ``probs`` holds the
+    fitted distribution of each row, (R, bins), or one (1, bins) row shared
+    by all.  Averaging the NLL treats timesteps as independent draws; the
+    row's likelihood is ``exp(-mean)``.
+    """
+    steps = valid.sum(axis=1)
+    if not np.all(steps > 0):
+        raise NoValidSteps(f"a logged {spec.metric.value} series has no valid steps")
+    nll = -np.log(np.take_along_axis(probs, spec.bin_index(values), axis=1))
+    # Each row's mean runs over its valid values alone, compacted in step
+    # order: rows of equal length are averaged together as contiguous rows,
+    # which sums exactly like a 1-D mean of each row.
+    compact = np.take_along_axis(nll, np.argsort(~valid, axis=1, kind="stable"), axis=1)
+    means = np.empty(len(nll))
+    for n in np.unique(steps):
+        rows = steps == n
+        means[rows] = np.ascontiguousarray(compact[rows, :n]).mean(axis=1)
+    return means

@@ -1,11 +1,12 @@
 """End-to-end scoring: logged scenario + 32 rollouts -> metrics bundle.
 
-The logged side is stripped of late-spawning objects first, then every
-simulated object is scored per metric against the distribution fitted to its
-own pooled rollout samples.  Metrics that cannot be scored for any object
-(for example road-edge distance on a map without road edges) are excluded
-and the remaining weights renormalized; exclusions are recorded on the
-bundle so reports can surface them.
+Rollouts are checked against the submission contract first.  The logged
+side is stripped of late-spawning objects, then every simulated object is
+scored per metric against the distribution fitted to its own pooled rollout
+samples, all objects of a metric at once.  Metrics that cannot be scored for
+any object (for example road-edge distance on a map without road edges) are
+excluded and the remaining weights renormalized; exclusions are recorded on
+the bundle so reports can surface them.
 """
 
 from __future__ import annotations
@@ -25,16 +26,21 @@ from .aggregation import (
     scenario_component,
 )
 from .config import DEFAULT_CONFIG, EvalConfig
-from .errors import EmptySampleSet, MetricUnscorable, NoValidSteps
+from .errors import MetricUnscorable
 from .estimators import (
-    LikelihoodEstimate,
     fit_metric_distribution,
-    pool_from_features,
     rollout_features,
+    sample_counts,
     time_series_likelihood,
 )
 from .features import MetricKind, SceneStates, extract_features
-from .scene import Scenario, ScenarioRollouts, simulated_object_ids, strip_late_spawns
+from .scene import (
+    CONTRACT_ERRORS,
+    Scenario,
+    ScenarioRollouts,
+    rollout_problems,
+    strip_late_spawns,
+)
 
 
 def evaluate_scenario(
@@ -42,22 +48,31 @@ def evaluate_scenario(
     rollouts: ScenarioRollouts,
     config: EvalConfig = DEFAULT_CONFIG,
 ) -> MetricsBundle:
-    """Score one scenario's rollouts against its logged future."""
+    """Score one scenario's rollouts against its logged future.
+
+    Rollouts that break the submission contract raise the matching typed
+    error (:data:`simreal.scene.CONTRACT_ERRORS`) before any feature is
+    extracted.
+    """
+    problems = rollout_problems(scenario, rollouts)
+    if problems:
+        code, detail = problems[0]
+        raise CONTRACT_ERRORS[code](f"{scenario.scenario_id}: {detail}")
     logged = strip_late_spawns(scenario)
-    scored_ids = sorted(simulated_object_ids(logged) & rollouts.object_ids)
 
     logged_states = SceneStates.from_logged_future(logged)
     logged_feats = extract_features(logged_states, logged.map_features, config.features)
     sim_feats = rollout_features(logged, rollouts, config.features)
+    # Logged rows of the simulated objects, in rollout row order.
+    logged_rows = np.searchsorted(logged_states.ids, rollouts.ids)
 
     components: dict[MetricKind, float] = {}
     excluded: list[MetricKind] = []
     for metric in MetricKind:
-        estimates = _metric_estimates(metric, scored_ids, logged_feats, sim_feats, config)
+        values, valid = logged_feats[metric]
+        nll = _metric_nll(metric, values[logged_rows], valid[logged_rows], sim_feats, config)
         try:
-            components[metric] = scenario_component(
-                estimates, metric, config.object_aggregation
-            )
+            components[metric] = scenario_component(nll, metric, config.object_aggregation)
         except MetricUnscorable:
             excluded.append(metric)
 
@@ -75,33 +90,32 @@ def evaluate_scenario(
     )
 
 
-def _metric_estimates(
+def _metric_nll(
     metric: MetricKind,
-    scored_ids: Sequence[int],
-    logged_feats,
+    values: np.ndarray,
+    valid: np.ndarray,
     sim_feats,
     config: EvalConfig,
-) -> list[LikelihoodEstimate]:
-    estimates: list[LikelihoodEstimate] = []
-    shared_dist = None
-    if not config.per_object_histograms:
-        pooled = [pool_from_features(sim_feats, oid, metric) for oid in scored_ids]
-        flat = np.concatenate([p for p in pooled if len(p)]) if pooled else np.empty(0)
-        if len(flat):
-            shared_dist = fit_metric_distribution(flat, metric, config.histograms)
-    for oid in scored_ids:
-        logged_series = logged_feats[metric][oid]
-        if logged_series.num_valid == 0:
-            continue
-        samples = pool_from_features(sim_feats, oid, metric)
-        if len(samples) == 0 and shared_dist is None:
-            continue
-        try:
-            dist = shared_dist or fit_metric_distribution(samples, metric, config.histograms)
-            estimates.append(time_series_likelihood(logged_series, dist))
-        except (EmptySampleSet, NoValidSteps):
-            continue
-    return estimates
+) -> np.ndarray:
+    """Mean logged NLL of every scorable object for one metric, in row order.
+
+    An object is scorable when its logged series has a valid step and its
+    distribution has samples: its own rollout samples, or in pooled mode
+    those of every object.
+    """
+    spec = config.histograms[metric]
+    counts = sample_counts(sim_feats, metric, spec)
+    scored = valid.any(axis=1)
+    if config.per_object_histograms:
+        scored &= counts.sum(axis=1) > 0
+        counts = counts[scored]
+    else:
+        counts = counts.sum(axis=0, keepdims=True)
+        scored &= counts.any()
+    if not scored.any():
+        return np.empty(0)
+    probs = fit_metric_distribution(counts, spec)
+    return time_series_likelihood(values[scored], valid[scored], probs, spec)
 
 
 @dataclass(frozen=True)

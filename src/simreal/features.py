@@ -1,4 +1,4 @@
-"""Per-object scalar feature series extracted from a simulated or logged scene.
+"""Scalar feature series of every object in a simulated or logged scene.
 
 Nine measurements are produced for every object over the 80-step future
 window: four kinematic (linear speed, linear acceleration, angular speed,
@@ -11,7 +11,8 @@ Derivatives are backward differences over the future window only, so a
 k-step derivative marks its first k steps invalid and is otherwise valid at
 step t exactly when all k+1 underlying poses are valid.  The two indications
 are collapsed to a single event per object and represented as a constant
-boolean series.
+boolean series.  Every metric is a pair of (objects, steps) arrays: values
+and validity.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import box_signed_distance_batch, polyline_distance_batch
-from .errors import InconsistentRollouts, MalformedScenario
 from .scene import MapFeature, MapFeatureKind, Scenario, ScenarioRollouts
 
 TWO_PI = 2.0 * math.pi
@@ -64,7 +64,11 @@ DEFAULT_FEATURE_PARAMS = FeatureParams()
 
 @dataclass(frozen=True)
 class FeatureSeries:
-    """One metric's values for one object, aligned to future steps 1..T."""
+    """One metric's values for one object, aligned to future steps 1..T.
+
+    The analytic fixture record of :mod:`simreal.synth`; extraction itself
+    returns whole (A, T) arrays.
+    """
 
     object_id: int
     metric: MetricKind
@@ -80,13 +84,6 @@ class FeatureSeries:
         ok.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "valid", ok)
-
-    @property
-    def num_valid(self) -> int:
-        return int(self.valid.sum())
-
-    def valid_values(self) -> np.ndarray:
-        return self.values[self.valid]
 
 
 @dataclass(frozen=True)
@@ -113,17 +110,13 @@ class SceneStates:
 
     @classmethod
     def from_rollout(cls, scenario: Scenario, rollouts: ScenarioRollouts, k: int) -> "SceneStates":
-        """Rollout ``k`` of a bundle; box extents come from the source scenario."""
+        """Rollout ``k`` of a bundle; box extents come from the source scenario.
+
+        The rollouts must meet the submission contract
+        (:func:`simreal.scene.rollout_problems`): every row a track of the
+        scenario, over its future length.
+        """
         ids = tuple(int(oid) for oid in rollouts.ids)
-        for oid in ids:
-            if not scenario.has_track(oid):
-                raise InconsistentRollouts(
-                    f"rollout object {oid} is absent from scenario {scenario.scenario_id!r}"
-                )
-        if rollouts.num_steps != scenario.future_length:
-            raise MalformedScenario(
-                f"rollout has {rollouts.num_steps} steps, scenario expects {scenario.future_length}"
-            )
         poses = rollouts.rollouts[k]
         return cls._from_poses(scenario, ids, poses, np.ones(poses.shape[:2], dtype=bool))
 
@@ -147,9 +140,6 @@ class SceneStates:
     @property
     def num_steps(self) -> int:
         return self.valid.shape[1]
-
-    def row_of(self, object_id: int) -> int:
-        return self.ids.index(object_id)
 
 
 # ---------------------------------------------------------------------------
@@ -417,48 +407,30 @@ def _road_edge_segments(map_features: Sequence[MapFeature]):
 # Scene-level extraction.
 
 
-def _wrap_series(states: SceneStates, metric: MetricKind, vals, ok) -> dict[int, FeatureSeries]:
-    return {
-        oid: FeatureSeries(oid, metric, vals[row], ok[row])
-        for row, oid in enumerate(states.ids)
-    }
-
-
 def extract_features(
     states: SceneStates,
     map_features: Sequence[MapFeature],
     params: FeatureParams = DEFAULT_FEATURE_PARAMS,
-) -> dict[MetricKind, dict[int, FeatureSeries]]:
-    """All nine feature series for every object in the scene.
+) -> dict[MetricKind, tuple[np.ndarray, np.ndarray]]:
+    """All nine metrics for every object in the scene.
 
-    Shared intermediates (speeds, pairwise distances) are computed once.
+    Each metric maps to ``(values, valid)`` arrays shaped (A, T), rows in
+    ``states.ids`` order; invalid slots hold 0.  Shared intermediates
+    (speeds, pairwise distances) are computed once.
     """
     dt = states.dt
-    out: dict[MetricKind, dict[int, FeatureSeries]] = {}
-
-    sv, sok = _speed_arrays(states.centers, states.valid, dt)
-    out[MetricKind.LINEAR_SPEED] = _wrap_series(states, MetricKind.LINEAR_SPEED, sv, sok)
-    av, aok = _derivative_arrays(sv, sok, dt)
-    out[MetricKind.LINEAR_ACCEL] = _wrap_series(states, MetricKind.LINEAR_ACCEL, av, aok)
-
-    wv, wok = _angular_speed_arrays(states.headings, states.valid, dt)
-    out[MetricKind.ANGULAR_SPEED] = _wrap_series(states, MetricKind.ANGULAR_SPEED, wv, wok)
-    aav, aaok = _derivative_arrays(wv, wok, dt)
-    out[MetricKind.ANGULAR_ACCEL] = _wrap_series(states, MetricKind.ANGULAR_ACCEL, aav, aaok)
-
-    nv, nok = _nearest_object_arrays(states)
-    out[MetricKind.DIST_TO_NEAREST_OBJECT] = _wrap_series(
-        states, MetricKind.DIST_TO_NEAREST_OBJECT, nv, nok
-    )
-    cv, cok = _event_series(nv, nok, lambda v: v < 0.0)
-    out[MetricKind.COLLISION] = _wrap_series(states, MetricKind.COLLISION, cv, cok)
-
-    tv, tok = _ttc_arrays(states, sv, sok, params)
-    out[MetricKind.TIME_TO_COLLISION] = _wrap_series(states, MetricKind.TIME_TO_COLLISION, tv, tok)
-
-    rv, rok = _road_edge_arrays(states, map_features)
-    out[MetricKind.DIST_TO_ROAD_EDGE] = _wrap_series(states, MetricKind.DIST_TO_ROAD_EDGE, rv, rok)
-    ov, ook = _event_series(rv, rok, lambda v: v > 0.0)
-    out[MetricKind.OFFROAD] = _wrap_series(states, MetricKind.OFFROAD, ov, ook)
-
-    return out
+    speed = _speed_arrays(states.centers, states.valid, dt)
+    angular = _angular_speed_arrays(states.headings, states.valid, dt)
+    nearest = _nearest_object_arrays(states)
+    road_edge = _road_edge_arrays(states, map_features)
+    return {
+        MetricKind.LINEAR_SPEED: speed,
+        MetricKind.LINEAR_ACCEL: _derivative_arrays(*speed, dt),
+        MetricKind.ANGULAR_SPEED: angular,
+        MetricKind.ANGULAR_ACCEL: _derivative_arrays(*angular, dt),
+        MetricKind.DIST_TO_NEAREST_OBJECT: nearest,
+        MetricKind.COLLISION: _event_series(*nearest, lambda v: v < 0.0),
+        MetricKind.TIME_TO_COLLISION: _ttc_arrays(states, *speed, params),
+        MetricKind.DIST_TO_ROAD_EDGE: road_edge,
+        MetricKind.OFFROAD: _event_series(*road_edge, lambda v: v > 0.0),
+    }

@@ -49,7 +49,7 @@ from .scene import (
     Scenario,
     ScenarioRollouts,
     Track,
-    simulated_object_ids,
+    rollout_problems,
 )
 
 MAGIC = b"SMRLBIN1"
@@ -533,8 +533,6 @@ def validate_submission(
         if sid not in scenarios:
             violations.append(Violation("UNKNOWN_SCENARIO", sid, f"not in the scenario set"))
             continue
-        scenario = scenarios[sid]
-        required = simulated_object_ids(scenario)
         if len(rec.rollouts) != expected_rollouts:
             violations.append(
                 Violation(
@@ -543,30 +541,9 @@ def validate_submission(
                     f"expected {expected_rollouts} rollouts, found {len(rec.rollouts)}",
                 )
             )
-        missing = required - rec.object_ids
-        extra = rec.object_ids - required
-        if missing:
-            violations.append(
-                Violation("MISSING_OBJECT", sid, f"rollouts miss ids {sorted(missing)}")
-            )
-        if extra:
-            violations.append(
-                Violation("EXTRA_OBJECT", sid, f"rollouts have unknown ids {sorted(extra)}")
-            )
-        if rec.num_steps != scenario.future_length:
-            violations.append(
-                Violation(
-                    "BAD_STEP_COUNT",
-                    sid,
-                    f"rollouts have {rec.num_steps} steps, expected {scenario.future_length}",
-                )
-            )
-        finite = np.isfinite(rec.rollouts).all(axis=(2, 3))  # (K, A)
-        for k in np.flatnonzero(~finite.all(axis=1)):
-            oid = rec.ids[np.argmin(finite[k])]  # first object with a bad pose
-            violations.append(
-                Violation("NONFINITE_POSE", sid, f"rollout {k} object {oid} has NaN/Inf")
-            )
+        violations += [
+            Violation(code, sid, detail) for code, detail in rollout_problems(scenarios[sid], rec)
+        ]
     for sid in scenarios:
         if sid not in seen:
             violations.append(Violation("MISSING_SCENARIO", sid, "no rollouts in archive"))

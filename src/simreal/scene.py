@@ -178,9 +178,6 @@ class Scenario:
     def track(self, object_id: int) -> Track:
         return self._by_id[object_id]
 
-    def has_track(self, object_id: int) -> bool:
-        return object_id in self._by_id
-
     def future(self, object_ids: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
         """Logged future window (steps 1..T) of some tracks, in the given order.
 
@@ -254,6 +251,44 @@ def simulated_object_ids(scenario: Scenario) -> frozenset[int]:
     if scenario.av_track_id not in ids:
         raise MalformedScenario(f"AV track {scenario.av_track_id} is invalid at t=0")
     return ids
+
+
+#: The typed error scoring raises for each submission-contract violation.
+CONTRACT_ERRORS: Mapping[str, type[Exception]] = {
+    "MISSING_OBJECT": InconsistentRollouts,
+    "EXTRA_OBJECT": InconsistentRollouts,
+    "BAD_STEP_COUNT": MalformedScenario,
+    "NONFINITE_POSE": MalformedScenario,
+}
+
+
+def rollout_problems(scenario: Scenario, rollouts: ScenarioRollouts) -> list[tuple[str, str]]:
+    """Where one scenario's rollouts break the submission contract.
+
+    The rollouts must cover exactly the objects valid at the handover step,
+    span the scenario's future length, and hold only finite poses.  Returns
+    ``(code, detail)`` pairs, codes as keys of :data:`CONTRACT_ERRORS`: at
+    most one per object-set or step-count problem, and one per rollout with
+    a non-finite pose.  The rollout count is not part of this contract.
+    """
+    problems = []
+    required = simulated_object_ids(scenario)
+    missing = required - rollouts.object_ids
+    extra = rollouts.object_ids - required
+    if missing:
+        problems.append(("MISSING_OBJECT", f"rollouts miss ids {sorted(missing)}"))
+    if extra:
+        problems.append(("EXTRA_OBJECT", f"rollouts have unknown ids {sorted(extra)}"))
+    if rollouts.num_steps != scenario.future_length:
+        problems.append((
+            "BAD_STEP_COUNT",
+            f"rollouts have {rollouts.num_steps} steps, expected {scenario.future_length}",
+        ))
+    finite = np.isfinite(rollouts.rollouts).all(axis=(2, 3))  # (K, A)
+    for k in np.flatnonzero(~finite.all(axis=1)):
+        oid = rollouts.ids[np.argmin(finite[k])]  # first object with a bad pose
+        problems.append(("NONFINITE_POSE", f"rollout {k} object {oid} has NaN/Inf"))
+    return problems
 
 
 def strip_late_spawns(scenario: Scenario) -> Scenario:

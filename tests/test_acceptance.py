@@ -14,12 +14,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from simreal.aggregation import MetricWeights, dataset_composite
+from simreal.aggregation import MetricWeights, dataset_composite, scenario_component
 from simreal.cli import main as cli_main
 from simreal.config import DEFAULT_CONFIG
-from simreal.estimators import HistogramSpec, fit_histogram, time_series_likelihood
+from simreal.estimators import (
+    HistogramSpec,
+    fit_metric_distribution,
+    sample_counts,
+    time_series_likelihood,
+)
 from simreal.evaluate import evaluate_dataset, evaluate_scenario
-from simreal.features import BOOLEAN_METRICS, FeatureSeries, MetricKind
+from simreal.features import BOOLEAN_METRICS, MetricKind
 from simreal.geometry import box_signed_distance_batch
 from simreal.harness import Policy, generate_submission
 from simreal.io import read_report
@@ -44,6 +49,12 @@ def criterion(number: int, label: str):
         print(f"[FAIL] criterion {number}: {label} ({time.monotonic() - start:.2f}s)")
         raise
     print(f"[PASS] criterion {number}: {label} ({time.monotonic() - start:.2f}s)")
+
+
+def _counts(samples, spec):
+    """(1, bins) counts of one object whose valid steps are ``samples``."""
+    series = (np.asarray(samples, dtype=float)[None, :], np.ones((1, len(samples)), bool))
+    return sample_counts([({spec.metric: series}, 1)], spec.metric, spec)
 
 
 def _suite_pairs(suite, policy_name, k=32, base_seed=0):
@@ -74,15 +85,12 @@ def test_criterion_1_laplace_smoothing_fixture():
     with criterion(1, "Laplace smoothing fixture (32.1/33, component 0.972727)"):
         start = time.monotonic()
         spec = HistogramSpec(MetricKind.LINEAR_SPEED, 0.0, 10.0, 10)
-        dist = fit_histogram([4.21] * 32, spec)
+        probs = fit_metric_distribution(_counts([4.21] * 32, spec), spec)
         occupied = spec.bin_index([4.21])[0]
-        assert dist.probabilities[occupied] == pytest.approx(32.1 / 33.0, abs=1e-12)
+        assert probs[0, occupied] == pytest.approx(32.1 / 33.0, abs=1e-12)
 
-        logged = FeatureSeries(
-            0, MetricKind.LINEAR_SPEED, np.full(80, 4.21), np.ones(80, dtype=bool)
-        )
-        estimate = time_series_likelihood(logged, dist)
-        assert estimate.value == pytest.approx(0.972727, abs=1e-6)
+        nll = time_series_likelihood(np.full((1, 80), 4.21), np.ones((1, 80), bool), probs, spec)
+        assert math.exp(-nll[0]) == pytest.approx(0.972727, abs=1e-6)
         assert time.monotonic() - start < 1.0
 
 
@@ -160,12 +168,11 @@ def test_criterion_6_estimator_invariances():
             assert 0.0 < base.components[metric] <= 1.0
 
         spec = HistogramSpec(MetricKind.LINEAR_SPEED, 0.0, 10.0, 16)
-        dist = fit_histogram([1.0, 2.0, 9.5, 2.2] * 4, spec)
-        logged = FeatureSeries(
-            0, MetricKind.LINEAR_SPEED, np.array([1.1, 8.0, 3.3]), np.ones(3, dtype=bool)
-        )
-        est = time_series_likelihood(logged, dist)
-        assert est.value == pytest.approx(math.exp(-est.nll_mean), abs=1e-12)
+        probs = fit_metric_distribution(_counts([1.0, 2.0, 9.5, 2.2] * 4, spec), spec)
+        logged = np.array([[1.1, 8.0, 3.3]])
+        nll = time_series_likelihood(logged, np.ones(logged.shape, bool), probs, spec)
+        linear = scenario_component(nll, MetricKind.LINEAR_SPEED, "linear_mean")
+        assert linear == pytest.approx(math.exp(-nll[0]), abs=1e-12)
 
         rng = np.random.default_rng(12)
         weights = DEFAULT_CONFIG.weights

@@ -16,14 +16,14 @@ from simreal.aggregation import (
     scenario_component,
 )
 from simreal.errors import IncompleteBundle, MetricUnscorable
-from simreal.estimators import LikelihoodEstimate
 from simreal.features import BOOLEAN_METRICS, MetricKind
 from simreal.scene import ScenarioRollouts
 from simreal.synth import SynthSpec, Template, generate
 
 
-def est(value, metric=MetricKind.LINEAR_SPEED):
-    return LikelihoodEstimate(metric, value, -math.log(value), 10)
+def nll(likelihood):
+    """One object's mean NLL for a given likelihood."""
+    return -math.log(likelihood)
 
 
 class TestWeights:
@@ -58,19 +58,19 @@ class TestWeights:
 
 class TestScenarioComponent:
     def test_singleton(self):
-        assert scenario_component([est(0.9)], MetricKind.LINEAR_SPEED) == pytest.approx(0.9)
+        assert scenario_component([nll(0.9)], MetricKind.LINEAR_SPEED) == pytest.approx(0.9)
 
     def test_idempotent_mean(self):
-        got = scenario_component([est(0.9), est(0.9)], MetricKind.LINEAR_SPEED)
+        got = scenario_component([nll(0.9), nll(0.9)], MetricKind.LINEAR_SPEED)
         assert got == pytest.approx(0.9)
 
     def test_log_space_mean(self):
-        got = scenario_component([est(1.0), est(math.exp(-2.0))], MetricKind.LINEAR_SPEED)
+        got = scenario_component([nll(1.0), nll(math.exp(-2.0))], MetricKind.LINEAR_SPEED)
         assert got == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_linear_mean_mode(self):
         got = scenario_component(
-            [est(1.0), est(math.exp(-2.0))], MetricKind.LINEAR_SPEED, aggregation="linear_mean"
+            [nll(1.0), nll(math.exp(-2.0))], MetricKind.LINEAR_SPEED, aggregation="linear_mean"
         )
         assert got == pytest.approx((1.0 + math.exp(-2.0)) / 2.0, abs=1e-12)
 

@@ -7,7 +7,7 @@ import pytest
 import simreal.cli
 from simreal.cli import main
 from simreal.harness import AuditReport
-from simreal.io import read_report, read_scenario_dir, read_submission
+from simreal.io import read_report, read_scenario_dir, read_submission, write_submission
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +158,28 @@ class TestEvaluate:
             ]) == 0
             summaries[name] = read_report(report)["summary"]["composite"]
         assert summaries["logged-oracle"] > summaries["constant-velocity"]
+
+    def test_archive_missing_a_scenario_exits_two_without_report(
+        self, workspace, tmp_path, capsys
+    ):
+        _, scenarios, archives = workspace
+        archive = read_submission(archives["constant-velocity"])
+        records = sorted((rec for _, rec in archive.entries), key=lambda r: r.scenario_id)
+        dropped = [records[0].scenario_id, records[3].scenario_id]
+        partial = tmp_path / "partial.tar.gz"
+        kept = [rec for rec in records if rec.scenario_id not in dropped]
+        write_submission(partial, kept, archive.manifest)
+        report = tmp_path / "partial.json"
+        capsys.readouterr()
+        assert main([
+            "evaluate", "--archive", str(archives["constant-velocity"]),
+            "--archive", str(partial), "--scenarios", str(scenarios),
+            "--out", str(report), "--jobs", "1",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert all(sid in err for sid in dropped)
+        assert not list(tmp_path.glob("partial*.json"))
 
     def test_multiple_archives_emit_replan_curve(self, workspace, tmp_path):
         root, scenarios, archives = workspace

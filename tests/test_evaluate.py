@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simreal.config import DEFAULT_CONFIG
+from simreal.errors import InconsistentRollouts, MalformedScenario
 from simreal.evaluate import evaluate_dataset, evaluate_scenario
 from simreal.features import MetricKind
 from simreal.harness import generate_submission
@@ -99,6 +102,71 @@ class TestEvaluateScenario:
         config = replace(DEFAULT_CONFIG, object_aggregation="linear_mean")
         bundle = evaluate_scenario(scenario, rollouts, config)
         assert 0.0 < bundle.composite <= 1.0
+
+
+@pytest.fixture(scope="module")
+def collision_run():
+    scenario = generate(SynthSpec(Template.COLLISION_COURSE, seed=0)).scenario
+    rollouts = generate_submission(
+        scenario, ConstantVelocityPolicy(), ConstantVelocityPolicy(), k=4, base_seed=0
+    )
+    return scenario, rollouts
+
+
+class TestSubmissionContract:
+    """Rollouts that break the contract raise before anything is scored."""
+
+    def test_missing_object_raises(self, collision_run):
+        scenario, rollouts = collision_run
+        keep = rollouts.ids != 1
+        partial = ScenarioRollouts(
+            scenario.scenario_id, rollouts.ids[keep], rollouts.rollouts[:, keep]
+        )
+        with pytest.raises(InconsistentRollouts, match="miss ids \\[1\\]"):
+            evaluate_scenario(scenario, partial)
+
+    def test_extra_object_raises(self, collision_run):
+        scenario, rollouts = collision_run
+        extra = ScenarioRollouts(
+            scenario.scenario_id,
+            np.append(rollouts.ids, 999),
+            np.concatenate([rollouts.rollouts, rollouts.rollouts[:, :1]], axis=1),
+        )
+        with pytest.raises(InconsistentRollouts, match="unknown ids \\[999\\]"):
+            evaluate_scenario(scenario, extra)
+
+    def test_wrong_step_count_raises(self, collision_run):
+        scenario, rollouts = collision_run
+        short = ScenarioRollouts(scenario.scenario_id, rollouts.ids, rollouts.rollouts[:, :, :-1])
+        with pytest.raises(MalformedScenario, match="steps"):
+            evaluate_scenario(scenario, short)
+
+    def test_all_nan_rollouts_raise(self, collision_run):
+        scenario, rollouts = collision_run
+        nan = ScenarioRollouts(
+            scenario.scenario_id, rollouts.ids, np.full(rollouts.rollouts.shape, np.nan)
+        )
+        with pytest.raises(MalformedScenario, match="NaN/Inf"):
+            evaluate_scenario(scenario, nan)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.data(),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
+        st.sampled_from(["log_mean", "linear_mean"]),
+    )
+    def test_non_finite_pose_never_scores_finite(self, collision_run, data, bad, aggregation):
+        scenario, rollouts = collision_run
+        poses = rollouts.rollouts.copy()
+        index = tuple(data.draw(st.integers(0, n - 1)) for n in poses.shape)
+        poses[index] = bad
+        tainted = ScenarioRollouts(scenario.scenario_id, rollouts.ids, poses)
+        config = replace(DEFAULT_CONFIG, object_aggregation=aggregation)
+        try:
+            bundle = evaluate_scenario(scenario, tainted, config)
+        except MalformedScenario:
+            return
+        assert not math.isfinite(bundle.composite)
 
 
 class TestBaselineOrdering:

@@ -11,6 +11,7 @@ import simreal.features
 from simreal.features import (
     DEFAULT_FEATURE_PARAMS,
     FeatureParams,
+    FeatureSeries,
     MetricKind,
     SceneStates,
     extract_features,
@@ -25,8 +26,13 @@ DT = 0.1
 
 
 def features(states, metric, map_features=(), params=DEFAULT_FEATURE_PARAMS):
-    """One metric's series for every object, through the full extraction."""
-    return extract_features(states, map_features, params)[metric]
+    """One metric's series for every object, keyed by object id, through the
+    full extraction."""
+    values, valid = extract_features(states, map_features, params)[metric]
+    return {
+        oid: FeatureSeries(oid, metric, values[row], valid[row])
+        for row, oid in enumerate(states.ids)
+    }
 
 
 def track_series(metric, xs, ys=None, zs=None, headings=None, valid=None, dt=DT):
@@ -233,16 +239,15 @@ def all_pairs_nearest(states):
 def assert_interaction_matches_all_pairs(states):
     feats = extract_features(states, [])
     vals, ok = all_pairs_nearest(states)
-    collided = ((vals < 0.0) & ok).any(axis=1)
-    defined = ok.any(axis=1)
-    for row, oid in enumerate(states.ids):
-        dist = feats[MetricKind.DIST_TO_NEAREST_OBJECT][oid]
-        assert dist.values.tobytes() == vals[row].tobytes()
-        assert dist.valid.tobytes() == ok[row].tobytes()
-        coll = feats[MetricKind.COLLISION][oid]
-        want = np.full(states.num_steps, float(collided[row]) if defined[row] else 0.0)
-        assert coll.values.tobytes() == want.tobytes()
-        assert coll.valid.tobytes() == np.full(states.num_steps, defined[row]).tobytes()
+    collided = ((vals < 0.0) & ok).any(axis=1, keepdims=True)
+    defined = ok.any(axis=1, keepdims=True)
+    dist_vals, dist_ok = feats[MetricKind.DIST_TO_NEAREST_OBJECT]
+    assert dist_vals.tobytes() == vals.tobytes()
+    assert dist_ok.tobytes() == ok.tobytes()
+    coll_vals, coll_ok = feats[MetricKind.COLLISION]
+    want = np.where(defined, collided, False).astype(float) * np.ones(vals.shape)
+    assert coll_vals.tobytes() == want.tobytes()
+    assert coll_ok.tobytes() == (defined & np.ones(ok.shape, dtype=bool)).tobytes()
 
 
 # Half-metre grid points with axis-aligned boxes give exact ties and touching
@@ -501,13 +506,9 @@ class TestInvariances:
             MetricKind.ANGULAR_ACCEL,
             MetricKind.DIST_TO_NEAREST_OBJECT,
         ):
-            for oid in range(3):
-                np.testing.assert_allclose(
-                    transformed[metric][oid].values,
-                    base[metric][oid].values,
-                    atol=1e-7,
-                    err_msg=metric.value,
-                )
+            np.testing.assert_allclose(
+                transformed[metric][0], base[metric][0], atol=1e-7, err_msg=metric.value
+            )
 
     def test_angular_features_invariant_to_heading_offset(self):
         headings = [0.3 * math.sin(0.2 * i) for i in range(15)]
@@ -525,17 +526,11 @@ class TestRoundTripIdentity:
         rollouts = generate_submission(
             scenario, LoggedOraclePolicy(scenario), LoggedOraclePolicy(scenario), k=1
         )
-        from_log = extract_features(
-            SceneStates.from_logged_future(scenario), scenario.map_features
-        )
-        from_rollout = extract_features(
-            SceneStates.from_rollout(scenario, rollouts, 0), scenario.map_features
-        )
+        log_states = SceneStates.from_logged_future(scenario)
+        rollout_states = SceneStates.from_rollout(scenario, rollouts, 0)
+        assert log_states.ids == rollout_states.ids
+        from_log = extract_features(log_states, scenario.map_features)
+        from_rollout = extract_features(rollout_states, scenario.map_features)
         for metric in MetricKind:
-            for oid in from_log[metric]:
-                np.testing.assert_array_equal(
-                    from_log[metric][oid].values, from_rollout[metric][oid].values
-                )
-                np.testing.assert_array_equal(
-                    from_log[metric][oid].valid, from_rollout[metric][oid].valid
-                )
+            for logged, simulated in zip(from_log[metric], from_rollout[metric]):
+                np.testing.assert_array_equal(logged, simulated)

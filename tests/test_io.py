@@ -446,3 +446,16 @@ class TestConfigRoundTrip:
         doc["histograms"]["linear_speed"]["bins"] = 64
         cfg = config_from_dict(doc)
         assert cfg.histograms[MetricKind.LINEAR_SPEED].bins == 64
+
+    @pytest.mark.parametrize("metric", ["collision", "offroad"])
+    @pytest.mark.parametrize("field,value", [("min", -1.0), ("max", 2.0), ("bins", 4)])
+    def test_boolean_spec_must_be_unit_interval_with_two_bins(self, metric, field, value):
+        doc = config_to_dict(DEFAULT_CONFIG)
+        doc["histograms"][metric][field] = value
+        with pytest.raises(ParseError, match=metric):
+            config_from_dict(doc)
+
+    def test_boolean_spec_pseudocount_override(self):
+        doc = config_to_dict(DEFAULT_CONFIG)
+        doc["histograms"]["collision"]["pseudocount"] = 0.5
+        assert config_from_dict(doc).histograms[MetricKind.COLLISION].pseudocount == 0.5

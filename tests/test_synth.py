@@ -5,6 +5,7 @@ import pytest
 
 from simreal.features import (
     BOOLEAN_METRICS,
+    FeatureSeries,
     MetricKind,
     SceneStates,
     extract_features,
@@ -21,8 +22,17 @@ KINEMATIC = {
 
 
 def _extracted(synth):
+    """Extracted logged features, as series keyed by metric and object id."""
     states = SceneStates.from_logged_future(synth.scenario)
-    return extract_features(states, synth.scenario.map_features)
+    return {
+        metric: {
+            oid: FeatureSeries(oid, metric, values[row], valid[row])
+            for row, oid in enumerate(states.ids)
+        }
+        for metric, (values, valid) in extract_features(
+            states, synth.scenario.map_features
+        ).items()
+    }
 
 
 @pytest.mark.parametrize("template", list(Template))
