@@ -245,9 +245,8 @@ def assert_interaction_matches_all_pairs(states):
     assert dist_vals.tobytes() == vals.tobytes()
     assert dist_ok.tobytes() == ok.tobytes()
     coll_vals, coll_ok = feats[MetricKind.COLLISION]
-    want = np.where(defined, collided, False).astype(float) * np.ones(vals.shape)
-    assert coll_vals.tobytes() == want.tobytes()
-    assert coll_ok.tobytes() == (defined & np.ones(ok.shape, dtype=bool)).tobytes()
+    assert coll_vals.tobytes() == np.broadcast_to(collided, vals.shape).astype(float).tobytes()
+    assert coll_ok.tobytes() == np.broadcast_to(defined, ok.shape).tobytes()
 
 
 # Half-metre grid points with axis-aligned boxes give exact ties and touching
