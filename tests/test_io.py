@@ -25,7 +25,7 @@ from simreal.io import (
     write_scenario_dir,
     write_submission,
 )
-from simreal.policies import ConstantVelocityPolicy, LoggedOraclePolicy
+from simreal.policies import ConstantVelocityPolicy, LoggedOraclePolicy, create_policy
 from simreal.scene import (
     MapFeature,
     MapFeatureKind,
@@ -123,6 +123,14 @@ class TestScenarioRoundTrip:
 # hashed rather than the .tar.gz so the zlib build cannot change the digest.
 GOLDEN_SCENARIO_SHA256 = "0940f94f720fcca8d2d26fba2cd21bd394dd29c0e308e79370c8746cb45776bd"
 GOLDEN_SHARD_SHA256 = "847c5fe27b8b0777a28f3b665b3b0c8a6272aced6ef55298a338b05c5c7219e8"
+# Shards of k=2 submissions from the noise-drawing policies, which pin the
+# random streams keyed by (seed, step, object).  A replan interval of 200 holds
+# plans past the last step T=80, so it pins the keys of virtual plan steps too.
+GOLDEN_NOISE_SHARD_SHA256 = {
+    ("noisy-plan", 1): "096d2367e295b8a65eb2e11f396d979a5834d8b34a402a8b3b5a900bd484d116",
+    ("random", 1): "6d4fb599658ed880fe86e6b3dfca7b64323bfad745be34f356f4bdf022ae5cd3",
+    ("noisy-plan", 200): "1686d547a07a7f2b20ed32cdc259c0dc6feb3449998d730674d531313e520a1c",
+}
 
 
 def golden_scenario():
@@ -143,6 +151,21 @@ class TestBinaryFormatPinned:
         with tarfile.open(tmp_path / "a.tar.gz", "r:gz") as tar:
             shard = tar.extractfile("rollouts.0-of-1.bin").read()
         assert hashlib.sha256(shard).hexdigest() == GOLDEN_SHARD_SHA256
+
+    @pytest.mark.parametrize("policy,interval", sorted(GOLDEN_NOISE_SHARD_SHA256))
+    def test_golden_random_stream_shard_bytes(self, tmp_path, policy, interval):
+        scenario = golden_scenario()
+        rollouts = generate_submission(
+            scenario,
+            create_policy(policy, scenario, replan_interval=interval),
+            create_policy(policy, scenario, replan_interval=interval),
+            k=2,
+            base_seed=0,
+        )
+        write_submission(tmp_path / "a.tar.gz", [rollouts], {"seed": 0})
+        with tarfile.open(tmp_path / "a.tar.gz", "r:gz") as tar:
+            shard = tar.extractfile("rollouts.0-of-1.bin").read()
+        assert hashlib.sha256(shard).hexdigest() == GOLDEN_NOISE_SHARD_SHA256[policy, interval]
 
     @settings(max_examples=60, deadline=None)
     @given(
