@@ -13,9 +13,10 @@ Exit codes: 0 success, 1 validation failures (including a failed rollout
 audit, in which case ``rollout`` writes no archive), 2 I/O or parse errors
 and, in ``evaluate``, rollouts that break the submission contract (a missing
 or extra object, a wrong step count, a non-finite pose) or an archive that
-lacks some scenario of the set (no report is written), 3 policy-contract
-violations.  ``SIMREAL_CONFIG`` sets the default config path for
-``evaluate``.
+lacks a scenario of the set, holds one twice or holds one outside it (no
+report is written), and in ``rollout`` a ``--k`` below 1 or a ``--seed``
+outside [0, 2**64 - k]; 3 policy-contract violations.  ``SIMREAL_CONFIG``
+sets the default config path for ``evaluate``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import io as sio
 from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import ParseError, PolicyContractViolation, SimRealError
 from .evaluate import evaluate_dataset
-from .harness import audit_trace, generate_submission
+from .harness import SEED_LIMIT, audit_trace, generate_submission
 from .plots import component_bar_chart, replan_curve, save_svg
 from .policies import POLICY_REGISTRY, create_policy
 from .synth import SynthSpec, Template, generate
@@ -152,6 +153,10 @@ def _rollout_one(packed):
 
 
 def _cmd_rollout(args) -> int:
+    if args.k < 1 or not 0 <= args.seed <= SEED_LIMIT - args.k:
+        print(f"error: --k must be >= 1 and --seed in [0, 2**64 - k], "
+              f"got k={args.k} seed={args.seed}", file=sys.stderr)
+        return 2
     scenarios = sio.read_scenario_dir(args.scenarios)
     env_opts = _parse_opts(args.env_opt)
     av_opts = _parse_opts(args.av_opt)
@@ -217,15 +222,22 @@ def _cmd_evaluate(args) -> int:
     scenarios = sio.read_scenario_dir(args.scenarios)
     config = _load_config(args.config)
     multi = len(args.archive) > 1
-    archives = [(path, sio.read_submission(path)) for path in args.archive]
-    for archive_path, archive in archives:
-        missing = sorted(set(scenarios) - set(archive.rollouts_by_scenario()))
-        if missing:
-            raise ParseError(f"archive has no rollouts for scenarios: {', '.join(missing)}",
-                             path=str(archive_path))
+    archives = []
+    for archive_path in args.archive:
+        archive = sio.read_submission(archive_path)
+        by_scenario, problems = sio.match_scenarios(archive, scenarios)
+        if problems:
+            by_code: dict[str, list[str]] = {}
+            for v in problems:
+                by_code.setdefault(v.code, []).append(v.scenario_id)
+            raise ParseError(
+                "archive does not match the scenario set: "
+                + "; ".join(f"{code} {', '.join(sids)}" for code, sids in by_code.items()),
+                path=str(archive_path),
+            )
+        archives.append((archive_path, archive, by_scenario))
     curve_points = []
-    for idx, (archive_path, archive) in enumerate(archives):
-        by_scenario = archive.rollouts_by_scenario()
+    for idx, (archive_path, archive, by_scenario) in enumerate(archives):
         pairs = [(scenarios[sid], by_scenario[sid]) for sid in sorted(scenarios)]
         bundles, summary = evaluate_dataset(pairs, config, jobs=args.jobs)
 

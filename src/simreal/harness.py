@@ -35,6 +35,138 @@ from .scene import (
 # One hashed pose: the same bytes as struct.pack("<q4d", id, x, y, z, heading).
 _HASH_RECORD = np.dtype([("id", "<i8"), ("pose", "<f8", (4,))])
 
+# Rollout seeds key numpy's SeedSequence, which takes integers in [0, 2**64).
+SEED_LIMIT = 2**64
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) hashes 32-bit words
+# with a running multiplier: xor it in, advance it, multiply by the new value.
+# Hash i of the entropy mixing uses _ENTROPY_HASH[i] and [i + 1]; output word
+# i of generate_state uses _STATE_HASH[i] and [i + 1].
+_POOL_SIZE = 4
+_MAX_WORDS = 6  # (seed, step, id): each value is one 32-bit word or two
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _multipliers(init: int, mult: int, count: int) -> tuple[np.uint32, ...]:
+    values = [init]
+    for _ in range(count):
+        values.append(values[-1] * mult & 0xFFFFFFFF)
+    return tuple(np.uint32(v) for v in values)
+
+
+_ENTROPY_HASH = _multipliers(0x43B0D7E5, 0x931E8875, _MAX_WORDS * _POOL_SIZE)
+_STATE_HASH = _multipliers(0x8B51F9DD, 0x58F38DED, _POOL_SIZE)
+
+
+def _xorshift(value: np.ndarray) -> np.ndarray:
+    return value ^ (value >> np.uint32(16))
+
+
+def _hashmix(value: np.ndarray, call: int) -> np.ndarray:
+    return _xorshift((value ^ _ENTROPY_HASH[call]) * _ENTROPY_HASH[call + 1])
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return _xorshift(_MIX_MULT_L * x - _MIX_MULT_R * y)
+
+
+def philox_keys(entropy) -> np.ndarray:
+    """(n, 2) uint64 Philox keys of n (seed, step, id) rows of integers in [0, 2**64).
+
+    Row i is ``SeedSequence(tuple(entropy[i])).generate_state(2, np.uint64)``,
+    computed for all rows at once.  SeedSequence splits each value into
+    32-bit words (one below 2**32, else two), hashes the first four words
+    into its pool (zeros past the end), mixes the pool words with each other,
+    then mixes every further word into each pool word.
+    """
+    entropy = np.asarray(entropy, dtype=np.uint64).reshape(-1, 3)
+    n = len(entropy)
+    two = entropy >= np.uint64(2**32)
+    first = np.cumsum(1 + two, axis=1) - (1 + two)  # each value's first word
+    words = np.zeros((n, _MAX_WORDS), dtype=np.uint32)
+    rows, cols = np.nonzero(two)
+    words[rows, first[rows, cols] + 1] = entropy[rows, cols] >> np.uint64(32)
+    words[np.arange(n)[:, None], first] = entropy & np.uint64(0xFFFFFFFF)
+    length = 3 + two.sum(axis=1)
+
+    pool = [_hashmix(words[:, i], i) for i in range(_POOL_SIZE)]
+    call = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], call))
+                call += 1
+    for src in range(_POOL_SIZE, _MAX_WORDS):
+        extra = length > src
+        for dst in range(_POOL_SIZE):
+            pool[dst] = np.where(extra, _mix(pool[dst], _hashmix(words[:, src], call)), pool[dst])
+            call += 1
+
+    out = [
+        _xorshift((pool[i] ^ _STATE_HASH[i]) * _STATE_HASH[i + 1]).astype(np.uint64)
+        for i in range(_POOL_SIZE)
+    ]
+    high = np.uint64(32)
+    return np.stack([out[0] | (out[1] << high), out[2] | (out[3] << high)], axis=1)
+
+
+class _NoiseStreams:
+    """A rollout's random streams: one Philox stream per (seed, step, object).
+
+    Each stream is the one ``Generator(Philox(SeedSequence((seed, step, id))))``
+    yields.  The keys of steps 1..T are derived in one pass at the first
+    draw, so rollouts that draw nothing pay nothing; a virtual plan step past
+    T derives its keys when it draws.  Every draw resets one bit generator to
+    a stream's start: its key, a zero counter and an empty buffer.
+    """
+
+    def __init__(self, seed: int, ids: tuple[int, ...], steps: int):
+        self._seed = seed
+        self._ids = ids
+        self._steps = steps
+        self._any_negative = bool(ids) and min(ids) < 0
+        self._keys: np.ndarray | None = None  # (T, A, 2)
+
+    def _step_keys(self, steps) -> np.ndarray:
+        """(len(steps), A, 2) keys; a negative id gets a placeholder it never draws from."""
+        entropy = np.empty((len(steps), len(self._ids), 3), dtype=np.uint64)
+        entropy[..., 0] = self._seed
+        entropy[..., 1] = np.asarray(steps)[:, None]
+        entropy[..., 2] = np.maximum(self._ids, 0)
+        return philox_keys(entropy).reshape(len(steps), len(self._ids), 2)
+
+    def draw(self, step: int, rows, n: int) -> np.ndarray:
+        if self._any_negative:
+            bad = [self._ids[r] for r in rows if self._ids[r] < 0]
+            if bad:
+                raise PolicyContractViolation(
+                    f"objects {bad} have negative ids, which cannot key a random stream"
+                )
+        if self._keys is None:
+            self._keys = self._step_keys(range(1, self._steps + 1))
+            self._bitgen = np.random.Philox(0)
+            self._generator = np.random.Generator(self._bitgen)
+            # Plain lists: the state setter reads them about twice as fast as arrays.
+            self._start = {
+                "bit_generator": "Philox",
+                "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+                "buffer": [0, 0, 0, 0],
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        if 1 <= step <= self._steps:
+            keys = self._keys[step - 1, rows]
+        else:
+            keys = self._step_keys([step])[0, rows]
+        stream = self._start["state"]
+        draws = []
+        for key in keys.tolist():
+            stream["key"] = key
+            self._bitgen.state = self._start
+            draws.append(self._generator.standard_normal(n))
+        return np.array(draws).reshape(len(keys), n)
+
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     view = array.view()
@@ -79,7 +211,8 @@ class PolicyContext:
     read-only views; policies must not retain them beyond the call.
     ``motion`` is (A, 3) [speed, heading, z] of every row from the history
     window (see :meth:`history_motion`); the harness computes it once per
-    rollout, since the history never changes.
+    rollout, since the history never changes.  ``noise`` holds the
+    rollout's random streams (see :meth:`standard_normals`).
     """
 
     scenario_id: str
@@ -93,18 +226,21 @@ class PolicyContext:
     poses: np.ndarray
     valid: np.ndarray
     motion: np.ndarray
+    noise: _NoiseStreams
 
     def row_of(self, object_id: int) -> int:
         return self.ids.index(object_id)
 
-    def rng(self, object_id: int) -> np.random.Generator:
-        """Counter-based stream keyed by (seed, step, object).
+    def standard_normals(self, rows, n: int) -> np.ndarray:
+        """(len(rows), n) standard normals; row i starts the stream of ``ids[rows[i]]``.
 
-        The keying makes draws independent of call order, so plans computed
-        ahead of time and step-by-step execution see identical noise.
+        Streams are counter-based and keyed by (seed, step, object), so
+        draws do not depend on call order: plans computed ahead of time and
+        step-by-step execution see identical noise.  ``loc + scale * z``
+        gives the bits of numpy's ``normal(loc, scale)``.  A negative
+        object id cannot key a stream and is a contract violation.
         """
-        key = np.random.SeedSequence((self.seed, self.step, int(object_id)))
-        return np.random.Generator(np.random.Philox(key))
+        return self.noise.draw(self.step, rows, n)
 
     def last_valid_pose(self, rows) -> np.ndarray:
         """(n, 4) most recent valid pose of each controlled row.
@@ -234,6 +370,8 @@ def closed_loop_rollout(
     """
     if av_policy is env_policy:
         raise PolicyContractViolation("AV and environment policies must be distinct objects")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     sim_ids = tuple(sorted(simulated_object_ids(scenario)))
     av_row = sim_ids.index(scenario.av_track_id)
     all_rows = np.arange(len(sim_ids))
@@ -252,6 +390,7 @@ def closed_loop_rollout(
     record = np.zeros(n, dtype=_HASH_RECORD)
     record["id"] = sim_ids
     hasher = hashlib.sha256(scenario.scenario_id.encode("utf-8"))
+    noise = _NoiseStreams(seed, sim_ids, t_total)
     steps: list[TraceStep] = []
     for t in range(1, t_total + 1):
         context_hash = hasher.copy().hexdigest()
@@ -268,6 +407,7 @@ def closed_loop_rollout(
             poses=_read_only(poses[:, :upto]),
             valid=_read_only(valid[:, :upto]),
             motion=motion,
+            noise=noise,
         )
         env_out = env_policy.step(ctx, env_rows) if len(env_rows) else None
         av_out = av_policy.step(ctx, av_rows)

@@ -60,9 +60,7 @@ class RandomAgentPolicy(Policy):
     def step(self, context: PolicyContext, rows):
         av = context.poses[context.row_of(context.av_id), context.t0_index]
         c, s = math.cos(av[3]), math.sin(av[3])
-        d = np.array(
-            [context.rng(context.ids[r]).normal(self.mu, self.sigma, size=3) for r in rows]
-        ).reshape(len(rows), 3)
+        d = self.mu + self.sigma * context.standard_normals(rows, 3)
         _, _, z = context.history_motion(rows)
         return _pose_rows(
             av[0] + c * d[:, 0] - s * d[:, 1], av[1] + s * d[:, 0] + c * d[:, 1], z, av[3] + d[:, 2]
@@ -111,14 +109,15 @@ class NoisyPlanPolicy(Policy):
     def _velocities(self, context: PolicyContext, rows) -> np.ndarray:
         """(n, 4) per-step [vx, vy, z, heading] of each row after this plan's noise.
 
-        The draws are per object anyway, so the few scalar operations that
-        apply them share that loop.
+        Scalar math per row: at the few dozen rows of a policy call it costs
+        less than a dozen small array operations.  Zero-mean noise is applied
+        as numpy's ``normal(0.0, sigma)`` computes it, ``0.0 + sigma * z``.
         """
         out = []
-        for r, (speed, heading, z) in zip(rows, context.motion[rows].tolist()):
-            g = context.rng(context.ids[r])
-            heading = heading + g.normal(0.0, self.heading_sigma)
-            stride = max(0.0, speed + g.normal(0.0, self.speed_sigma)) * context.dt
+        noise = context.standard_normals(rows, 2).tolist()
+        for (speed, heading, z), (dh, ds) in zip(context.motion[rows].tolist(), noise):
+            heading = heading + (0.0 + self.heading_sigma * dh)
+            stride = max(0.0, speed + (0.0 + self.speed_sigma * ds)) * context.dt
             out.append((stride * math.cos(heading), stride * math.sin(heading), z, heading))
         return np.array(out).reshape(len(rows), 4)
 

@@ -253,8 +253,7 @@ class _JitteredOracle(Policy):
 
     def step(self, context, rows):
         out = np.array(self._inner.step(context, rows))
-        for i, r in enumerate(rows):
-            out[i, :2] += context.rng(context.ids[r]).normal(0.0, self._sigma, size=2)
+        out[:, :2] += 0.0 + self._sigma * context.standard_normals(rows, 2)
         return out
 
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import simreal.cli
@@ -98,6 +100,20 @@ class TestRolloutAndValidate:
         captured = capsys.readouterr()
         assert "AUDIT FAILED" in captured.out
         assert "no archive written" in captured.err
+
+    @pytest.mark.parametrize("k,seed", [(2, -1), (2, 2**64 - 1), (0, 0)])
+    def test_bad_seed_or_k_exits_two_without_archive(self, workspace, tmp_path, capsys, k, seed):
+        _, scenarios, _ = workspace
+        out = tmp_path / "bad.tar.gz"
+        capsys.readouterr()
+        assert main([
+            "rollout", "--scenarios", str(scenarios),
+            "--env-policy", "noisy-plan", "--av-policy", "noisy-plan",
+            "--k", str(k), "--seed", str(seed), "--jobs", "1", "--out", str(out),
+        ]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--seed" in err
 
     def test_missing_archive_exits_two(self, workspace, tmp_path):
         _, scenarios, _ = workspace
@@ -222,3 +238,41 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "composite(rank)" in out
         assert "logged-oracle" in out
+
+
+class TestEvaluateArchiveScenarioSet:
+    def _evaluate(self, scenarios, records, manifest, tmp_path):
+        archive = tmp_path / "odd.tar.gz"
+        write_submission(archive, records, manifest)
+        report = tmp_path / "odd.json"
+        code = main([
+            "evaluate", "--archive", str(archive), "--scenarios", str(scenarios),
+            "--out", str(report), "--jobs", "1",
+        ])
+        return code, report
+
+    def test_duplicate_scenario_exits_two_without_report(self, workspace, tmp_path, capsys):
+        _, scenarios, archives = workspace
+        archive = read_submission(archives["constant-velocity"])
+        records = [rec for _, rec in archive.entries]
+        zeroed = replace(records[0], rollouts=np.zeros_like(records[0].rollouts))
+        capsys.readouterr()
+        code, report = self._evaluate(scenarios, [zeroed] + records, archive.manifest, tmp_path)
+        assert code == 2
+        assert not report.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"DUPLICATE_SCENARIO {records[0].scenario_id}" in err
+
+    def test_unknown_scenario_exits_two_without_report(self, workspace, tmp_path, capsys):
+        _, scenarios, archives = workspace
+        archive = read_submission(archives["constant-velocity"])
+        records = [rec for _, rec in archive.entries]
+        stray = replace(records[0], scenario_id="not_in_the_set")
+        capsys.readouterr()
+        code, report = self._evaluate(scenarios, records + [stray], archive.manifest, tmp_path)
+        assert code == 2
+        assert not report.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "UNKNOWN_SCENARIO not_in_the_set" in err

@@ -5,14 +5,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simreal.errors import PolicyContractViolation
 from simreal.harness import (
     Policy,
     RolloutTrace,
+    _NoiseStreams,
     audit_trace,
     closed_loop_rollout,
     generate_submission,
+    philox_keys,
 )
 from simreal.policies import (
     ConstantVelocityPolicy,
@@ -388,3 +391,98 @@ class TestBaselines:
         assert isinstance(wrapped, ReplanWrapper)
         with pytest.raises(KeyError):
             create_policy("does-not-exist", scenario)
+
+
+def relabeled(scenario, offset):
+    """The scenario with every track id shifted by ``offset``."""
+    tracks = tuple(replace(t, object_id=t.object_id + offset) for t in scenario.tracks)
+    return replace(scenario, tracks=tracks, av_track_id=scenario.av_track_id + offset)
+
+
+def seed_sequence_stream(seed, step, object_id):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, step, object_id))))
+
+
+# Values on both sides of 2**32, where SeedSequence switches from one to two
+# 32-bit entropy words per value, and the extremes of the range.
+_WORD_VALUES = st.one_of(
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]),
+)
+
+
+class TestNoiseStreams:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_WORD_VALUES, _WORD_VALUES, _WORD_VALUES), min_size=1, max_size=6))
+    def test_keys_equal_seed_sequence_state(self, rows):
+        want = [np.random.SeedSequence(r).generate_state(2, np.uint64) for r in rows]
+        assert philox_keys(np.array(rows, dtype=np.uint64)).tobytes() == np.array(want).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=_WORD_VALUES,
+        ids=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5, unique=True),
+        step=st.integers(1, 120),
+        n=st.integers(1, 4),
+        loc=st.floats(-1e3, 1e3),
+        scale=st.floats(0.0, 1e3),
+        data=st.data(),
+    )
+    def test_draws_equal_per_object_generators(self, seed, ids, step, n, loc, scale, data):
+        # Steps past 80 are virtual plan steps, whose keys are derived on demand.
+        rows = data.draw(st.lists(st.integers(0, len(ids) - 1), min_size=1, max_size=6))
+        noise = _NoiseStreams(seed, ids, 80)
+        z = noise.draw(step, np.array(rows), n)
+        for i, r in enumerate(rows):
+            want = seed_sequence_stream(seed, step, ids[r])
+            assert z[i].tobytes() == want.standard_normal(n).tobytes()
+            # Policies shift and scale the draws instead of calling normal().
+            normal = seed_sequence_stream(seed, step, ids[r]).normal(loc, scale, size=n)
+            assert (loc + scale * z[i]).tobytes() == normal.tobytes()
+
+    def test_negative_seed_is_rejected(self):
+        scenario = straight_scenario()
+        with pytest.raises(ValueError, match="seed"):
+            closed_loop_rollout(scenario, NoisyPlanPolicy(), NoisyPlanPolicy(), seed=-1)
+        with pytest.raises(ValueError, match="seed"):
+            closed_loop_rollout(scenario, NoisyPlanPolicy(), NoisyPlanPolicy(), seed=2**64)
+
+    @pytest.mark.parametrize("factory", [NoisyPlanPolicy, RandomAgentPolicy])
+    def test_negative_ids_under_noise_are_contract_violations(self, factory):
+        scenario = relabeled(straight_scenario(), -100)
+        with pytest.raises(PolicyContractViolation, match="negative ids"):
+            closed_loop_rollout(scenario, factory(), factory(), seed=0)
+
+    def test_negative_ids_without_noise_still_roll_out(self):
+        scenario = relabeled(straight_scenario(), -100)
+        future, _ = closed_loop_rollout(
+            scenario, ConstantVelocityPolicy(), ConstantVelocityPolicy(), seed=0
+        )
+        assert np.isfinite(future).all()
+
+    def test_noise_only_needs_the_drawing_rows_non_negative(self):
+        # The AV keeps a non-negative id and draws noise; the rest hold still.
+        scenario = straight_scenario()
+        av = scenario.av_track_id
+        tracks = tuple(
+            t if t.object_id == av else replace(t, object_id=-1 - t.object_id)
+            for t in scenario.tracks
+        )
+        scenario = replace(scenario, tracks=tracks)
+        future, _ = closed_loop_rollout(scenario, NoisyPlanPolicy(), ConstantVelocityPolicy())
+        assert np.isfinite(future).all()
+
+    def test_large_ids_draw_the_seed_sequence_streams(self):
+        scenario = relabeled(straight_scenario(), 2**40)
+        seen = {}
+
+        class Recording(Policy):
+            def step(self, context, rows):
+                seen[context.step, context.ids[rows[0]]] = context.standard_normals(rows, 2)[0]
+                return context.last_valid_pose(rows)
+
+        closed_loop_rollout(scenario, Recording(), ConstantVelocityPolicy(), seed=5)
+        assert len(seen) == scenario.future_length
+        for (step, oid), z in seen.items():
+            assert z.tobytes() == seed_sequence_stream(5, step, oid).standard_normal(2).tobytes()

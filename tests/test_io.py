@@ -16,6 +16,7 @@ from simreal.evaluate import evaluate_dataset
 from simreal.features import MetricKind
 from simreal.harness import generate_submission
 from simreal.io import (
+    match_scenarios,
     read_scenario,
     read_scenario_dir,
     read_submission,
@@ -185,7 +186,7 @@ class TestBinaryFormatPinned:
         rollouts = ScenarioRollouts("rt", ids, poses)
         path = tmp_path_factory.mktemp("rt") / "sub.tar.gz"
         write_submission(path, [rollouts], {})
-        (back,) = read_submission(path).rollouts_by_scenario().values()
+        ((_, back),) = read_submission(path).entries
         assert back.ids.tobytes() == rollouts.ids.tobytes()
         assert back.rollouts.tobytes() == rollouts.rollouts.tobytes()
 
@@ -264,7 +265,8 @@ class TestSubmissionArchive:
         scenarios, all_rollouts, path = suite_and_archive
         archive = read_submission(path)
         assert archive.manifest["seed"] == 0
-        by_id = archive.rollouts_by_scenario()
+        by_id, problems = match_scenarios(archive, scenarios)
+        assert not problems
         assert set(by_id) == set(scenarios)
         want = {r.scenario_id: r for r in all_rollouts}
         for sid, rec in by_id.items():
