@@ -132,6 +132,8 @@ GOLDEN_NOISE_SHARD_SHA256 = {
     ("random", 1): "6d4fb599658ed880fe86e6b3dfca7b64323bfad745be34f356f4bdf022ae5cd3",
     ("noisy-plan", 200): "1686d547a07a7f2b20ed32cdc259c0dc6feb3449998d730674d531313e520a1c",
 }
+# The analytic fixture sidecar of the same scenario, as the synth command writes it.
+GOLDEN_FIXTURES_SHA256 = "5ebc8c2378b015a445074646b46dedf45b3bd2b2437ded92aeab699dcf79ca59"
 
 
 def golden_scenario():
@@ -152,6 +154,12 @@ class TestBinaryFormatPinned:
         with tarfile.open(tmp_path / "a.tar.gz", "r:gz") as tar:
             shard = tar.extractfile("rollouts.0-of-1.bin").read()
         assert hashlib.sha256(shard).hexdigest() == GOLDEN_SHARD_SHA256
+
+    def test_golden_fixture_sidecar_bytes(self, tmp_path):
+        synth = generate(SynthSpec(Template.FOLLOWING_PAIR, seed=3, noise_level=0.2))
+        write_scenario_dir([synth], tmp_path)
+        sidecar = tmp_path / f"{synth.scenario.scenario_id}.fixtures.json"
+        assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == GOLDEN_FIXTURES_SHA256
 
     @pytest.mark.parametrize("policy,interval", sorted(GOLDEN_NOISE_SHARD_SHA256))
     def test_golden_random_stream_shard_bytes(self, tmp_path, policy, interval):
