@@ -22,7 +22,7 @@ from .errors import (
     SimRealError,
 )
 from .evaluate import DatasetSummary, evaluate_dataset, evaluate_scenario
-from .features import FeatureParams, FeatureSeries, MetricKind, SceneStates, extract_features
+from .features import FeatureParams, MetricKind, SceneStates, extract_features
 from .harness import (
     AuditReport,
     Policy,

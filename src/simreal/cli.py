@@ -13,10 +13,12 @@ Exit codes: 0 success, 1 validation failures (including a failed rollout
 audit, in which case ``rollout`` writes no archive), 2 I/O or parse errors
 and, in ``evaluate``, rollouts that break the submission contract (a missing
 or extra object, a wrong step count, a non-finite pose) or an archive that
-lacks a scenario of the set, holds one twice or holds one outside it (no
-report is written), and in ``rollout`` a ``--k`` below 1 or a ``--seed``
-outside [0, 2**64 - k]; 3 policy-contract violations.  ``SIMREAL_CONFIG``
-sets the default config path for ``evaluate``.
+lacks a scenario of the set, holds one twice or holds one outside it, or
+whose scenarios differ in rollout count or depart from the manifest's
+``rollouts_per_scenario`` (no report is written), and in ``rollout`` a
+``--k`` below 1 or a ``--seed`` outside [0, 2**64 - k]; 3 policy-contract
+violations.  ``SIMREAL_CONFIG`` sets the default config path for
+``evaluate``.
 """
 
 from __future__ import annotations
@@ -143,13 +145,11 @@ def _rollout_one(packed):
     rollouts, traces = generate_submission(
         scenario, av_policy, env_policy, k=k, base_seed=seed, with_traces=True
     )
-    audits = [
-        audit_trace(trace, poses, rollouts.ids, replan_interval=interval)
+    ok = all(
+        audit_trace(trace, poses, rollouts.ids).ok
         for trace, poses in zip(traces, rollouts.rollouts)
-    ]
-    ok = all(a.ok for a in audits)
-    hybrid = audits[0].hybrid if audits else False
-    return rollouts, ok, hybrid
+    )
+    return rollouts, ok
 
 
 def _cmd_rollout(args) -> int:
@@ -171,10 +171,11 @@ def _cmd_rollout(args) -> int:
     else:
         results = [_rollout_one(w) for w in work]
 
+    # Plans held for more than one step make the rollouts hybrid open/closed loop.
+    tag = "hybrid" if args.replan_interval > 1 else "closed-loop"
     all_rollouts = []
     failed = []
-    for (scn_id, _), (rollouts, ok, hybrid) in zip(sorted(scenarios.items()), results):
-        tag = "hybrid" if hybrid else "closed-loop"
+    for (scn_id, _), (rollouts, ok) in zip(sorted(scenarios.items()), results):
         status = "ok" if ok else "AUDIT FAILED"
         print(f"{scn_id}: {len(rollouts.rollouts)} rollouts, audit {status}, "
               f"{tag} (replan={args.replan_interval})")
@@ -235,6 +236,14 @@ def _cmd_evaluate(args) -> int:
                 + "; ".join(f"{code} {', '.join(sids)}" for code, sids in by_code.items()),
                 path=str(archive_path),
             )
+        counts = sorted({len(rec.rollouts) for rec in by_scenario.values()})
+        declared = archive.manifest.get("rollouts_per_scenario")
+        if len(counts) > 1 or (declared is not None and counts != [declared]):
+            raise ParseError(
+                f"archive holds {' and '.join(map(str, counts))} rollouts per scenario"
+                + ("" if declared is None else f", its manifest declares {declared}"),
+                path=str(archive_path),
+            )
         archives.append((archive_path, archive, by_scenario))
     curve_points = []
     for idx, (archive_path, archive, by_scenario) in enumerate(archives):
@@ -278,10 +287,14 @@ def _cmd_compare(args) -> int:
     rows = []
     for path in args.reports:
         doc = sio.read_report(path)
-        summary = doc.get("summary")
+        summary = doc.get("summary") if isinstance(doc, dict) else None
         if not summary:
             raise ParseError("report has no summary section", path=str(path))
-        rows.append((path.stem, summary["composite"], summary["mean_ade"], summary["mean_min_ade"]))
+        try:
+            scores = [float(summary[key]) for key in ("composite", "mean_ade", "mean_min_ade")]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad report summary: {exc!r}", path=str(path)) from exc
+        rows.append((path.stem, *scores))
 
     def ranks(key, reverse):
         order = sorted(range(len(rows)), key=lambda i: rows[i][key], reverse=reverse)

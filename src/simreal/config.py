@@ -74,20 +74,26 @@ def config_to_dict(config: EvalConfig) -> dict[str, Any]:
     }
 
 
+def _object(value, what: str) -> Mapping[str, Any]:
+    if not isinstance(value, Mapping):
+        raise TypeError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def config_from_dict(data: Mapping[str, Any], path: str | None = None) -> EvalConfig:
     """Parse a config document; unknown metrics or bad shapes raise ParseError."""
     try:
+        data = _object(data, "the config")
         version = int(data.get("version", CONFIG_VERSION))
         defaults = EvalConfig()
 
         weights = defaults.weights
         if "weights" in data:
-            weights = MetricWeights(
-                {MetricKind(name): float(w) for name, w in data["weights"].items()}
-            )
+            raw = _object(data["weights"], "weights")
+            weights = MetricWeights({MetricKind(name): float(w) for name, w in raw.items()})
 
         histograms = dict(defaults.histograms)
-        for name, h in data.get("histograms", {}).items():
+        for name, h in _object(data.get("histograms", {}), "histograms").items():
             metric = MetricKind(name)
             histograms[metric] = HistogramSpec(
                 metric=metric,
@@ -99,7 +105,7 @@ def config_from_dict(data: Mapping[str, Any], path: str | None = None) -> EvalCo
 
         feats = defaults.features
         if "features" in data:
-            f = data["features"]
+            f = _object(data["features"], "features")
             feats = FeatureParams(
                 ttc_max=float(f.get("ttc_max", feats.ttc_max)),
                 ttc_heading_threshold=float(

@@ -25,10 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import box_signed_distance_batch, polyline_distance_batch
-from .scene import MapFeature, MapFeatureKind, Scenario, ScenarioRollouts
-
-TWO_PI = 2.0 * math.pi
+from .geometry import _boxes_corners, box_signed_distance_batch, polyline_distance_batch
+from .scene import TWO_PI, MapFeature, MapFeatureKind, Scenario, ScenarioRollouts
 
 
 class MetricKind(Enum):
@@ -60,30 +58,6 @@ class FeatureParams:
 
 
 DEFAULT_FEATURE_PARAMS = FeatureParams()
-
-
-@dataclass(frozen=True)
-class FeatureSeries:
-    """One metric's values for one object, aligned to future steps 1..T.
-
-    The analytic fixture record of :mod:`simreal.synth`; extraction itself
-    returns whole (A, T) arrays.
-    """
-
-    object_id: int
-    metric: MetricKind
-    values: np.ndarray
-    valid: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        ok = np.array(self.valid, dtype=bool)
-        if vals.shape != ok.shape or vals.ndim != 1:
-            raise ValueError("values and valid must be equal-length 1D arrays")
-        vals.setflags(write=False)
-        ok.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "valid", ok)
 
 
 @dataclass(frozen=True)
@@ -133,13 +107,18 @@ class SceneStates:
             dt=scenario.timestep,
         )
 
-    @property
-    def num_objects(self) -> int:
-        return len(self.ids)
 
-    @property
-    def num_steps(self) -> int:
-        return self.valid.shape[1]
+def _boxes(states: SceneStates) -> np.ndarray:
+    """(A, T, 5) [cx, cy, heading, length, width] box of every object at every step."""
+    a, t = states.valid.shape
+    return np.concatenate(
+        [
+            states.centers[:, :, :2],
+            states.headings[:, :, None],
+            np.broadcast_to(states.dims[:, None, 0:2], (a, t, 2)),
+        ],
+        axis=-1,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +241,7 @@ def _nearest_object_arrays(states: SceneStates):
     pair, step = np.nonzero(need)
     rows, cols = iu[pair], ju[pair]
 
-    boxes = np.concatenate(
-        [
-            xy,
-            states.headings[:, :, None],
-            np.broadcast_to(states.dims[:, None, 0:2], (a, t, 2)),
-        ],
-        axis=-1,
-    )
+    boxes = _boxes(states)
     pair_d = box_signed_distance_batch(boxes[rows, step], boxes[cols, step])
     dist = np.full((a, a, t), np.inf)
     dist[rows, cols, step] = pair_d
@@ -359,18 +331,11 @@ def _road_edge_arrays(states: SceneStates, map_features: Sequence[MapFeature]):
     a, t = states.valid.shape
     vals = np.zeros((a, t))
     ok = np.zeros((a, t), dtype=bool)
-    starts, ends = _road_edge_segments(map_features)
+    starts, ends = _road_edge_segments(tuple(map_features))
     if starts is None or a == 0:
         return vals, ok
 
-    c, s = np.cos(states.headings), np.sin(states.headings)
-    dx = np.stack([c, s], axis=-1) * (states.dims[:, 0] / 2.0)[:, None, None]
-    dy = np.stack([-s, c], axis=-1) * (states.dims[:, 1] / 2.0)[:, None, None]
-    ctr = states.centers[:, :, :2]
-    corners = np.stack(
-        [ctr + dx + dy, ctr + dx - dy, ctr - dx - dy, ctr - dx + dy], axis=2
-    )  # (A, T, 4, 2)
-    pts = corners.reshape(-1, 2)
+    pts = _boxes_corners(_boxes(states)).reshape(-1, 2)  # (A, T, 4, 2) corners
 
     chunk = max(1, _POLYLINE_CHUNK // max(1, len(starts)))
     signed = np.empty(len(pts))
@@ -385,7 +350,7 @@ def _road_edge_arrays(states: SceneStates, map_features: Sequence[MapFeature]):
 
 
 @lru_cache(maxsize=64)
-def _road_edge_segments_cached(map_features: tuple):
+def _road_edge_segments(map_features: tuple[MapFeature, ...]):
     starts: list[np.ndarray] = []
     ends: list[np.ndarray] = []
     for feat in map_features:
@@ -397,10 +362,6 @@ def _road_edge_segments_cached(map_features: tuple):
     if not starts:
         return None, None
     return np.concatenate(starts), np.concatenate(ends)
-
-
-def _road_edge_segments(map_features: Sequence[MapFeature]):
-    return _road_edge_segments_cached(tuple(map_features))
 
 
 # ---------------------------------------------------------------------------

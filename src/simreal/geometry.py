@@ -14,37 +14,10 @@ All interaction geometry is top-down 2D; callers gate on z separately.
 
 from __future__ import annotations
 
-import math
-from enum import Enum
-
 import numpy as np
-
-TWO_PI = 2.0 * math.pi
 
 # Absolute tolerance for degeneracy tests (touching boxes, points on a line).
 ABS_TOL = 1e-9
-
-
-def angle_diff(a: float, b: float) -> float:
-    """Minimal unsigned difference between two angles, in [0, pi]."""
-    d = abs(a - b) % TWO_PI
-    return TWO_PI - d if d > math.pi else d
-
-
-def signed_angle_step(start: float, end: float) -> float:
-    """Shortest signed rotation from ``start`` to ``end``, in (-pi, pi].
-
-    Positive for a counter-clockwise step; the magnitude always equals
-    ``angle_diff(start, end)``.
-    """
-    d = (end - start) % TWO_PI
-    return d - TWO_PI if d > math.pi else d
-
-
-class Side(Enum):
-    LEFT = 1
-    RIGHT = -1
-    ON = 0
 
 
 def _point_segment_distance(p: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -149,15 +122,3 @@ def polyline_distance_batch(
     side = np.where(cross > ABS_TOL, 1, np.where(cross < -ABS_TOL, -1, 0))
     return best, side.astype(int)
 
-
-def point_to_polyline_distance(
-    point: tuple[float, float], polyline: np.ndarray
-) -> tuple[float, Side]:
-    """Distance from one point to a polyline and the side it falls on."""
-    pts = np.asarray(polyline, dtype=float)
-    if len(pts) < 2:
-        raise ValueError("polyline needs at least 2 points")
-    dist, side = polyline_distance_batch(
-        np.asarray([point], dtype=float), pts[:-1], pts[1:]
-    )
-    return float(dist[0]), Side(int(side[0]))

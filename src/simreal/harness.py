@@ -342,8 +342,6 @@ class RolloutTrace:
 @dataclass(frozen=True)
 class AuditReport:
     ok: bool
-    hybrid: bool
-    replan_interval: int
     issues: tuple[str, ...]
 
 
@@ -458,38 +456,30 @@ def generate_submission(
 
 def audit_trace(
     trace: RolloutTrace,
-    poses: np.ndarray | None = None,
+    poses: np.ndarray,
     ids: Sequence[int] | None = None,
-    replan_interval: int = 1,
-    expected_steps: int | None = None,
 ) -> AuditReport:
-    """Best-effort mechanical check of a rollout trace.
+    """Mechanical check of a rollout trace against the finished rollout.
 
-    ``poses`` is the finished rollout as (A, T, 4) and ``ids`` the object id
-    of each row (default: the trace's queried order).  Verifies strictly
-    increasing, gap-free steps; constant queried ids that name the rollout's
-    rows in order, when a rollout is provided; and, given the rollout, the
-    per-step context-hash chain.  A declared replan interval above one step is
-    flagged as hybrid open/closed loop rather than failed.
+    ``poses`` is the rollout as (A, T, 4) and ``ids`` the object id of each
+    row (default: the trace's queried order).  Verifies steps 1..T, strictly
+    increasing and gap-free; constant queried ids that name the rollout's
+    rows in order; and the per-step context-hash chain recomputed from the
+    rollout.
     """
     issues: list[str] = []
     steps = trace.steps
-    n = expected_steps if expected_steps is not None else (
-        poses.shape[1] if poses is not None else len(steps)
-    )
+    n = poses.shape[1]
     if [s.step for s in steps] != list(range(1, n + 1)):
         issues.append(f"expected steps 1..{n} strictly increasing, got {len(steps)} records")
-    if steps:
-        queried = steps[0].ids_queried
-        row_ids = queried if ids is None else tuple(ids)
-        if len({s.ids_queried for s in steps}) != 1:
-            issues.append("queried id set changed between steps")
-        elif poses is not None and (row_ids != queried or len(queried) != poses.shape[0]):
-            issues.append("queried ids do not match the rollout's rows")
-        elif poses is not None and poses.shape[1] != len(steps):
-            issues.append(f"rollout has {poses.shape[1]} steps, trace has {len(steps)}")
+    queried = steps[0].ids_queried if steps else ()
+    row_ids = queried if ids is None else tuple(ids)
+    if len({s.ids_queried for s in steps}) > 1:
+        issues.append("queried id set changed between steps")
+    elif row_ids != queried or len(queried) != poses.shape[0]:
+        issues.append("queried ids do not match the rollout's rows")
 
-    if poses is not None and not issues:
+    if not issues:
         record = np.zeros(len(queried), dtype=_HASH_RECORD)
         record["id"] = queried
         hasher = hashlib.sha256(trace.scenario_id.encode("utf-8"))
@@ -501,11 +491,4 @@ def audit_trace(
         else:
             if hasher.hexdigest() != trace.final_hash:
                 issues.append("final hash mismatch")
-
-    hybrid = replan_interval > 1
-    return AuditReport(
-        ok=not issues,
-        hybrid=hybrid,
-        replan_interval=replan_interval,
-        issues=tuple(issues),
-    )
+    return AuditReport(ok=not issues, issues=tuple(issues))

@@ -368,15 +368,13 @@ def write_scenario_dir(items: Iterable, out_dir: str | Path, fmt: str = "json") 
         write_scenario(scenario, path, fmt)
         written.append(path)
         if fixtures is not None:
+            ids = sorted(t.object_id for t in scenario.tracks)  # fixture row order
             fx_doc = {
                 str(oid): {
-                    metric.value: {
-                        "values": [float(v) for v in series.values],
-                        "valid": [bool(b) for b in series.valid],
-                    }
-                    for metric, series in per_metric.items()
+                    metric.value: {"values": values[row].tolist(), "valid": valid[row].tolist()}
+                    for metric, (values, valid) in fixtures.items()
                 }
-                for oid, per_metric in fixtures.items()
+                for row, oid in enumerate(ids)
             }
             (out_dir / f"{scenario.scenario_id}.fixtures.json").write_text(
                 json.dumps(fx_doc, sort_keys=True)
@@ -661,7 +659,3 @@ def load_config(path: str | Path) -> EvalConfig:
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"unreadable config: {exc}", path=str(path)) from exc
     return config_from_dict(data, path=str(path))
-
-
-def save_config(config: EvalConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(config), indent=1, sort_keys=True))

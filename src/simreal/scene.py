@@ -83,9 +83,9 @@ class Track:
     valid: np.ndarray
 
     def __post_init__(self):
-        if min(self.length, self.width, self.height) <= 0.0:
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.length, self.width, self.height)):
             raise MalformedScenario(
-                f"track {self.object_id}: box extents must be strictly positive"
+                f"track {self.object_id}: box extents must be finite and strictly positive"
             )
         poses = np.array(self.poses, dtype=float)
         valid = np.array(self.valid, dtype=bool)

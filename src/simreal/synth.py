@@ -7,10 +7,11 @@ edge.  The last two put the divergence in the future window only, so a
 constant-velocity extrapolation of the history avoids the event while the
 log contains it.
 
-Every generated scenario ships with sidecar fixtures: per-object feature
-series derived from the construction's closed forms (plus a small local
-point-to-segment routine for curved road edges), never from the feature
-extraction code they exist to check.
+Every generated scenario ships with sidecar fixtures: feature series derived
+from the construction's closed forms (plus a small local point-to-segment
+routine for curved road edges), never from the feature extraction code they
+exist to check.  They take the form extraction returns: per metric, a pair of
+(objects, steps) arrays of values and validity, rows in ascending object id.
 
 Generation is deterministic in (template, seed); ``noise_level`` perturbs
 initial speeds and lane offsets within margins that preserve each template's
@@ -25,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .features import MetricKind, FeatureSeries
+from .features import MetricKind
 from .scene import (
     DEFAULT_FUTURE_LENGTH,
     DEFAULT_HISTORY_LENGTH,
@@ -91,8 +92,15 @@ class SynthSpec:
 
 @dataclass(frozen=True)
 class SynthScenario:
+    """A scenario and its fixtures: ``{metric: (values (A, T), valid (A, T))}``.
+
+    Fixture rows follow ascending object id; a metric the construction does
+    not pin down (an interaction metric of a single-object scene, or the
+    nearest-object distance of a scene that is not axis-aligned) is absent.
+    """
+
     scenario: Scenario
-    fixtures: dict[int, dict[MetricKind, FeatureSeries]]
+    fixtures: dict[MetricKind, tuple[np.ndarray, np.ndarray]]
 
 
 # ---------------------------------------------------------------------------
@@ -288,33 +296,16 @@ def _kinematic_fixtures(agent: _AgentDef, t_len: int, dt: float):
     v2 = np.zeros(t_len, dtype=bool)
     v2[2:] = True  # second-derivative features lose steps 1..2
 
-    oid = agent.object_id
     return {
-        MetricKind.LINEAR_SPEED: FeatureSeries(
-            oid, MetricKind.LINEAR_SPEED, np.where(v1, speed, 0.0), v1
-        ),
-        MetricKind.LINEAR_ACCEL: FeatureSeries(
-            oid, MetricKind.LINEAR_ACCEL, np.where(v2, accel, 0.0), v2
-        ),
-        MetricKind.ANGULAR_SPEED: FeatureSeries(
-            oid, MetricKind.ANGULAR_SPEED, np.where(v1, omega, 0.0), v1
-        ),
-        MetricKind.ANGULAR_ACCEL: FeatureSeries(
-            oid, MetricKind.ANGULAR_ACCEL, np.zeros(t_len), v2
-        ),
+        MetricKind.LINEAR_SPEED: (np.where(v1, speed, 0.0), v1),
+        MetricKind.LINEAR_ACCEL: (np.where(v2, accel, 0.0), v2),
+        MetricKind.ANGULAR_SPEED: (np.where(v1, omega, 0.0), v1),
+        MetricKind.ANGULAR_ACCEL: (np.zeros(t_len), v2),
     }
 
 
-def _constant_series(oid, metric, value, t_len, first_valid=1):
-    valid = np.zeros(t_len, dtype=bool)
-    valid[first_valid - 1 :] = True
-    return FeatureSeries(oid, metric, np.where(valid, value, 0.0), valid)
-
-
-def _bool_series(oid, metric, flag, t_len):
-    return FeatureSeries(
-        oid, metric, np.full(t_len, 1.0 if flag else 0.0), np.ones(t_len, dtype=bool)
-    )
+def _bool_series(flag, t_len):
+    return np.full(t_len, 1.0 if flag else 0.0), np.ones(t_len, dtype=bool)
 
 
 class _FixtureBuilder:
@@ -429,28 +420,26 @@ def _assemble(
     builder = _FixtureBuilder(agents, plan.road_edges, t_len, dt)
     multi = len(agents) > 1
     axis_ok = multi and builder.axis_aligned()
-    fixtures: dict[int, dict[MetricKind, FeatureSeries]] = {}
-    for agent in agents:
+    always = np.ones(t_len, dtype=bool)
+    first_step_lost = np.arange(t_len) >= 1
+    rows = []
+    for agent in sorted(agents, key=lambda a: a.object_id):
         oid = agent.object_id
         fx = _kinematic_fixtures(agent, t_len, dt)
 
         edge_vals = builder.road_edge_series(agent)
-        fx[MetricKind.DIST_TO_ROAD_EDGE] = FeatureSeries(
-            oid, MetricKind.DIST_TO_ROAD_EDGE, edge_vals, np.ones(t_len, dtype=bool)
-        )
+        fx[MetricKind.DIST_TO_ROAD_EDGE] = (edge_vals, always)
         offroad = bool((edge_vals > 0.0).any())
         if offroad != (oid in plan.offroad_ids):
             raise RuntimeError(
                 f"{template.value}: object {oid} offroad={offroad} breaks the construction"
             )
-        fx[MetricKind.OFFROAD] = _bool_series(oid, MetricKind.OFFROAD, offroad, t_len)
+        fx[MetricKind.OFFROAD] = _bool_series(offroad, t_len)
 
         if multi:
             if axis_ok:
                 nearest = builder.nearest_series(agent)
-                fx[MetricKind.DIST_TO_NEAREST_OBJECT] = FeatureSeries(
-                    oid, MetricKind.DIST_TO_NEAREST_OBJECT, nearest, np.ones(t_len, dtype=bool)
-                )
+                fx[MetricKind.DIST_TO_NEAREST_OBJECT] = (nearest, always)
                 collided = bool((nearest < 0.0).any())
             else:
                 collided = False  # certified below by the separation margin
@@ -458,20 +447,13 @@ def _assemble(
                 raise RuntimeError(
                     f"{template.value}: object {oid} collision={collided} breaks the construction"
                 )
-            fx[MetricKind.COLLISION] = _bool_series(oid, MetricKind.COLLISION, collided, t_len)
-
-            if oid in plan.ttc_overrides:
-                vals = plan.ttc_overrides[oid]
-                valid = np.zeros(t_len, dtype=bool)
-                valid[1:] = True
-                fx[MetricKind.TIME_TO_COLLISION] = FeatureSeries(
-                    oid, MetricKind.TIME_TO_COLLISION, np.where(valid, vals, 0.0), valid
-                )
-            else:
-                fx[MetricKind.TIME_TO_COLLISION] = _constant_series(
-                    oid, MetricKind.TIME_TO_COLLISION, TTC_CAP, t_len, first_valid=2
-                )
-        fixtures[oid] = fx
+            fx[MetricKind.COLLISION] = _bool_series(collided, t_len)
+            # TTC rides on the follower's speed, so it loses the first step too.
+            ttc = plan.ttc_overrides.get(oid, TTC_CAP)
+            fx[MetricKind.TIME_TO_COLLISION] = (
+                np.where(first_step_lost, ttc, 0.0), first_step_lost
+            )
+        rows.append(fx)
 
     if multi and not axis_ok:
         margin = builder.collision_free_margin()
@@ -479,6 +461,10 @@ def _assemble(
             raise RuntimeError(
                 f"{template.value} construction lost its collision-free margin ({margin:.3f} m)"
             )
+    fixtures = {
+        metric: (np.stack([fx[metric][0] for fx in rows]), np.stack([fx[metric][1] for fx in rows]))
+        for metric in rows[0]
+    }
     return SynthScenario(scenario=scenario, fixtures=fixtures)
 
 

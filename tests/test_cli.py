@@ -88,7 +88,7 @@ class TestRolloutAndValidate:
     def test_failed_audit_exits_one_without_archive(self, workspace, tmp_path, monkeypatch,
                                                     capsys):
         _, scenarios, _ = workspace
-        failing = AuditReport(ok=False, hybrid=False, replan_interval=1, issues=("forged",))
+        failing = AuditReport(ok=False, issues=("forged",))
         monkeypatch.setattr(simreal.cli, "audit_trace", lambda *args, **kwargs: failing)
         out = tmp_path / "audited.tar.gz"
         assert main([
@@ -100,6 +100,44 @@ class TestRolloutAndValidate:
         captured = capsys.readouterr()
         assert "AUDIT FAILED" in captured.out
         assert "no archive written" in captured.err
+
+    def test_replan_interval_flags_hybrid(self, workspace, tmp_path, capsys):
+        _, scenarios, _ = workspace
+        tags = {}
+        for interval in (5, 1):
+            capsys.readouterr()
+            assert main([
+                "rollout", "--scenarios", str(scenarios),
+                "--env-policy", "constant-velocity", "--av-policy", "constant-velocity",
+                "--k", "2", "--seed", "0", "--replan-interval", str(interval),
+                "--jobs", "1", "--out", str(tmp_path / f"replan{interval}.tar.gz"),
+            ]) == 0
+            tags[interval] = capsys.readouterr().out.splitlines()[:-1]  # one line per scenario
+        assert len(tags[5]) == 6
+        assert all(line.endswith("audit ok, hybrid (replan=5)") for line in tags[5])
+        assert all(line.endswith("audit ok, closed-loop (replan=1)") for line in tags[1])
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_box_extent_exits_two_without_archive(
+        self, workspace, tmp_path, capsys, value
+    ):
+        _, scenarios, _ = workspace
+        bad = tmp_path / "scenarios"
+        bad.mkdir()
+        source = sorted(scenarios.glob("*-s0000.json"))[0]
+        doc = json.loads(source.read_text())
+        doc["tracks"][0]["length"] = value
+        (bad / source.name).write_text(json.dumps(doc))
+        out = tmp_path / "bad.tar.gz"
+        capsys.readouterr()
+        assert main([
+            "rollout", "--scenarios", str(bad),
+            "--env-policy", "constant-velocity", "--av-policy", "constant-velocity",
+            "--k", "2", "--seed", "0", "--jobs", "1", "--out", str(out),
+        ]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "finite" in err
 
     @pytest.mark.parametrize("k,seed", [(2, -1), (2, 2**64 - 1), (0, 0)])
     def test_bad_seed_or_k_exits_two_without_archive(self, workspace, tmp_path, capsys, k, seed):
@@ -239,6 +277,20 @@ class TestCompare:
         assert "composite(rank)" in out
         assert "logged-oracle" in out
 
+    @pytest.mark.parametrize(
+        "doc",
+        [[1], {"summary": {"composite": 0.5, "mean_min_ade": 1.0}}, {"summary": [0.5]}],
+        ids=["list-root", "summary-without-mean-ade", "list-summary"],
+    )
+    def test_malformed_report_exits_two(self, tmp_path, capsys, doc):
+        report = tmp_path / "bad.json"
+        report.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["compare", "--reports", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and str(report) in captured.err
+        assert captured.out == ""
+
 
 class TestEvaluateArchiveScenarioSet:
     def _evaluate(self, scenarios, records, manifest, tmp_path):
@@ -276,3 +328,39 @@ class TestEvaluateArchiveScenarioSet:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "UNKNOWN_SCENARIO not_in_the_set" in err
+
+    @pytest.mark.parametrize(
+        "counts,declared",
+        [((2, 3), 32), ((2, 3), None), ((2, 2), 32)],
+        ids=["mixed-under-manifest", "mixed-without-manifest", "uniform-off-manifest"],
+    )
+    def test_rollout_count_mismatch_exits_two_without_report(
+        self, workspace, tmp_path, capsys, counts, declared
+    ):
+        _, scenarios, archives = workspace
+        archive = read_submission(archives["constant-velocity"])
+        records = sorted((rec for _, rec in archive.entries), key=lambda r: r.scenario_id)
+        # Scenarios take the counts in turn, so every count is held somewhere.
+        cut = [
+            replace(rec, rollouts=rec.rollouts[: counts[i % len(counts)]])
+            for i, rec in enumerate(records)
+        ]
+        manifest = {k: v for k, v in archive.manifest.items() if k != "rollouts_per_scenario"}
+        if declared is not None:
+            manifest["rollouts_per_scenario"] = declared
+        capsys.readouterr()
+        code, report = self._evaluate(scenarios, cut, manifest, tmp_path)
+        assert code == 2
+        assert not report.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "rollouts per scenario" in err
+
+    def test_rollout_count_matching_manifest_is_scored(self, workspace, tmp_path):
+        _, scenarios, archives = workspace
+        archive = read_submission(archives["constant-velocity"])
+        cut = [replace(rec, rollouts=rec.rollouts[:2]) for _, rec in archive.entries]
+        manifest = {**archive.manifest, "rollouts_per_scenario": 2}
+        code, report = self._evaluate(scenarios, cut, manifest, tmp_path)
+        assert code == 0
+        assert report.exists()

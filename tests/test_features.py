@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ import simreal.features
 from simreal.features import (
     DEFAULT_FEATURE_PARAMS,
     FeatureParams,
-    FeatureSeries,
     MetricKind,
     SceneStates,
     extract_features,
@@ -25,14 +25,16 @@ from simreal.synth import SynthSpec, Template, generate
 DT = 0.1
 
 
+class Series(NamedTuple):
+    values: np.ndarray
+    valid: np.ndarray
+
+
 def features(states, metric, map_features=(), params=DEFAULT_FEATURE_PARAMS):
     """One metric's series for every object, keyed by object id, through the
     full extraction."""
     values, valid = extract_features(states, map_features, params)[metric]
-    return {
-        oid: FeatureSeries(oid, metric, values[row], valid[row])
-        for row, oid in enumerate(states.ids)
-    }
+    return {oid: Series(values[row], valid[row]) for row, oid in enumerate(states.ids)}
 
 
 def track_series(metric, xs, ys=None, zs=None, headings=None, valid=None, dt=DT):
@@ -129,6 +131,24 @@ class TestAngularSpeed:
         series = track_series(MetricKind.ANGULAR_SPEED, [0] * 10, headings=headings)
         assert np.all(np.abs(series.values[series.valid]) < 1.0)
         assert np.allclose(series.values[series.valid], 0.5)
+
+    def test_signed_antisymmetry(self):
+        forward = track_series(MetricKind.ANGULAR_SPEED, [0, 0], headings=[0.0, 0.1])
+        backward = track_series(MetricKind.ANGULAR_SPEED, [0, 0], headings=[0.1, 0.0])
+        assert forward.values[1] == pytest.approx(0.1 / DT)
+        assert backward.values[1] == pytest.approx(-0.1 / DT)
+
+    def test_signed_wrap_through_zero(self):
+        # 6.2 -> 0.1 rad is a short counter-clockwise step through 2*pi.
+        series = track_series(MetricKind.ANGULAR_SPEED, [0, 0], headings=[6.2, 0.1])
+        step = series.values[1] * DT
+        assert step == pytest.approx(0.1 - 6.2 + 2 * math.pi, abs=1e-12)
+        assert step == pytest.approx(0.1831853, abs=1e-6)
+
+    def test_signed_half_turn_is_positive(self):
+        for headings in ([0.0, math.pi], [math.pi, 0.0]):
+            series = track_series(MetricKind.ANGULAR_SPEED, [0, 0], headings=headings)
+            assert series.values[1] == pytest.approx(math.pi / DT)
 
 
 class TestAngularAccel:

@@ -4,19 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from simreal.geometry import (
-    Side,
-    angle_diff,
-    box_signed_distance_batch,
-    point_to_polyline_distance,
-    signed_angle_step,
-)
+from simreal.geometry import box_signed_distance_batch, polyline_distance_batch
 
 from oracles import brute_force_signed_distance, random_box, sat_overlap, box_corners
-
-DEG = math.pi / 180.0
 
 
 def box(cx, cy, heading=0.0, length=2.0, width=2.0):
@@ -26,44 +17,6 @@ def box(cx, cy, heading=0.0, length=2.0, width=2.0):
 def pair_distance(a, b) -> float:
     """The batch kernel on a single pair of (cx, cy, heading, length, width) boxes."""
     return float(box_signed_distance_batch(np.array(a, dtype=float), np.array(b, dtype=float)))
-
-
-class TestAngles:
-    def test_identity(self):
-        assert angle_diff(0.0, 0.0) == 0.0
-
-    def test_wraparound(self):
-        assert angle_diff(350 * DEG, 10 * DEG) == pytest.approx(20 * DEG, abs=1e-9)
-        assert angle_diff(350 * DEG, 10 * DEG) == pytest.approx(0.3490659, abs=1e-6)
-
-    def test_antipodal_maximum(self):
-        assert angle_diff(math.pi, 0.0) == pytest.approx(math.pi)
-
-    def test_signed_small_ccw(self):
-        assert signed_angle_step(0.0, 0.1) == pytest.approx(0.1)
-
-    def test_signed_antisymmetry(self):
-        assert signed_angle_step(0.1, 0.0) == pytest.approx(-0.1)
-
-    def test_signed_wrap_through_zero(self):
-        assert signed_angle_step(6.2, 0.1) == pytest.approx(0.1 - 6.2 + 2 * math.pi, abs=1e-12)
-        assert signed_angle_step(6.2, 0.1) == pytest.approx(0.1831853, abs=1e-6)
-
-    def test_signed_half_turn_is_positive(self):
-        assert signed_angle_step(0.0, math.pi) == pytest.approx(math.pi)
-
-    def test_magnitude_matches_angle_diff(self):
-        rng = np.random.default_rng(3)
-        for a, b in rng.uniform(-10, 10, size=(200, 2)):
-            assert abs(signed_angle_step(a, b)) == pytest.approx(angle_diff(a, b), abs=1e-12)
-
-    @given(
-        st.floats(-20, 20, allow_nan=False),
-        st.floats(-20, 20, allow_nan=False),
-        st.floats(-20, 20, allow_nan=False),
-    )
-    def test_triangle_inequality(self, a, b, c):
-        assert angle_diff(a, c) <= angle_diff(a, b) + angle_diff(b, c) + 1e-9
 
 
 class TestBoxSignedDistance:
@@ -134,44 +87,50 @@ class TestBoxSignedDistance:
         assert np.allclose(out, out.T, atol=1e-9)
 
 
+def point_to_polyline(point, polyline) -> tuple[float, int]:
+    """Distance and side of one point against a polyline's segments, through the batch kernel."""
+    pts = np.asarray(polyline, dtype=float)
+    dist, side = polyline_distance_batch(np.array([point], dtype=float), pts[:-1], pts[1:])
+    return float(dist[0]), int(side[0])
+
+
+LEFT, ON, RIGHT = 1, 0, -1
+
+
 class TestPointToPolyline:
     def test_perpendicular_drop_left(self):
-        dist, side = point_to_polyline_distance((0.0, 1.0), [(-1.0, 0.0), (1.0, 0.0)])
+        dist, side = point_to_polyline((0.0, 1.0), [(-1.0, 0.0), (1.0, 0.0)])
         assert dist == pytest.approx(1.0)
-        assert side is Side.LEFT
+        assert side == LEFT
 
     def test_point_on_polyline(self):
-        dist, side = point_to_polyline_distance((0.0, 0.0), [(-1.0, 0.0), (1.0, 0.0)])
+        dist, side = point_to_polyline((0.0, 0.0), [(-1.0, 0.0), (1.0, 0.0)])
         assert dist == 0.0
-        assert side is Side.ON
+        assert side == ON
 
     def test_endpoint_nearest(self):
-        dist, side = point_to_polyline_distance((2.0, 1.0), [(-1.0, 0.0), (1.0, 0.0)])
+        dist, side = point_to_polyline((2.0, 1.0), [(-1.0, 0.0), (1.0, 0.0)])
         assert dist == pytest.approx(math.sqrt(2.0), abs=1e-12)
-        assert side is Side.LEFT
+        assert side == LEFT
 
     def test_right_side(self):
-        _, side = point_to_polyline_distance((0.0, -1.0), [(-1.0, 0.0), (1.0, 0.0)])
-        assert side is Side.RIGHT
+        _, side = point_to_polyline((0.0, -1.0), [(-1.0, 0.0), (1.0, 0.0)])
+        assert side == RIGHT
 
     def test_direction_flips_side(self):
-        _, side = point_to_polyline_distance((0.0, 1.0), [(1.0, 0.0), (-1.0, 0.0)])
-        assert side is Side.RIGHT
+        _, side = point_to_polyline((0.0, 1.0), [(1.0, 0.0), (-1.0, 0.0)])
+        assert side == RIGHT
 
     def test_tie_breaks_to_lowest_segment(self):
         # Equidistant from both segments of a right-angle polyline; the first
         # segment's direction decides the side.
         polyline = [(-1.0, 0.0), (0.0, 0.0), (0.0, -1.0)]
-        dist, side = point_to_polyline_distance((0.5, 0.5), polyline)
+        dist, side = point_to_polyline((0.5, 0.5), polyline)
         assert dist == pytest.approx(math.sqrt(0.5))
-        assert side is Side.LEFT
+        assert side == LEFT
 
     def test_multi_segment(self):
         polyline = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
-        dist, side = point_to_polyline_distance((1.5, 0.5), polyline)
+        dist, side = point_to_polyline((1.5, 0.5), polyline)
         assert dist == pytest.approx(0.5)
-        assert side is Side.RIGHT
-
-    def test_rejects_degenerate_polyline(self):
-        with pytest.raises(ValueError):
-            point_to_polyline_distance((0.0, 0.0), [(1.0, 1.0)])
+        assert side == RIGHT

@@ -251,15 +251,9 @@ class TestAudit:
 
     def test_harness_trace_passes(self):
         future, trace = self._run()
-        report = audit_trace(trace, future, replan_interval=1)
-        assert report.ok and not report.hybrid
+        report = audit_trace(trace, future)
+        assert report.ok
         assert report.issues == ()
-
-    def test_replan_interval_flags_hybrid(self):
-        future, trace = self._run()
-        report = audit_trace(trace, future, replan_interval=5)
-        assert report.ok and report.hybrid
-        assert report.replan_interval == 5
 
     def test_forged_trace_fails_monotonicity(self):
         future, trace = self._run()

@@ -474,6 +474,15 @@ class TestConfigRoundTrip:
         with pytest.raises(ParseError):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [[1], "weights", {"weights": [1]}, {"features": 5}, {"histograms": ["linear_speed"]}],
+        ids=["list-root", "string-root", "list-weights", "number-features", "list-histograms"],
+    )
+    def test_badly_shaped_document_is_parse_error(self, doc):
+        with pytest.raises(ParseError, match="must be a JSON object"):
+            config_from_dict(doc)
+
     def test_histogram_override(self):
         doc = config_to_dict(DEFAULT_CONFIG)
         doc["histograms"]["linear_speed"]["bins"] = 64

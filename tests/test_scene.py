@@ -106,6 +106,20 @@ class TestScenarioInvariants:
     def test_rejects_degenerate_polyline(self):
         with pytest.raises(MalformedScenario):
             MapFeature(0, MapFeatureKind.ROAD_EDGE, ((0.0, 0.0), (0.0, 0.0)))
+        with pytest.raises(MalformedScenario):
+            MapFeature(0, MapFeatureKind.ROAD_EDGE, ((1.0, 1.0),))
+
+    @pytest.mark.parametrize("field", ["length", "width", "height"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_extents(self, field, value):
+        extents = {"length": 4.6, "width": 2.0, "height": 1.8, field: value}
+        with pytest.raises(MalformedScenario, match="finite"):
+            Track(0, ObjectType.VEHICLE, poses=make_poses(91), valid=np.ones(91, bool), **extents)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, -float("inf")])
+    def test_rejects_non_positive_extents(self, value):
+        with pytest.raises(MalformedScenario, match="positive"):
+            Track(0, ObjectType.VEHICLE, value, 2.0, 1.8, make_poses(91), np.ones(91, bool))
 
     def test_accepts_128_simulated_objects(self):
         scenario = make_scenario([make_track(i) for i in range(128)])

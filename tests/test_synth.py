@@ -3,13 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from simreal.features import (
-    BOOLEAN_METRICS,
-    FeatureSeries,
-    MetricKind,
-    SceneStates,
-    extract_features,
-)
+from simreal.features import BOOLEAN_METRICS, MetricKind, SceneStates, extract_features
 from simreal.scene import simulated_object_ids, strip_late_spawns
 from simreal.synth import SynthSpec, Template, generate, make_suite
 
@@ -21,41 +15,25 @@ KINEMATIC = {
 }
 
 
-def _extracted(synth):
-    """Extracted logged features, as series keyed by metric and object id."""
-    states = SceneStates.from_logged_future(synth.scenario)
-    return {
-        metric: {
-            oid: FeatureSeries(oid, metric, values[row], valid[row])
-            for row, oid in enumerate(states.ids)
-        }
-        for metric, (values, valid) in extract_features(
-            states, synth.scenario.map_features
-        ).items()
-    }
-
-
 @pytest.mark.parametrize("template", list(Template))
 @pytest.mark.parametrize("noise", [0.0, 0.3])
 def test_features_reproduce_fixtures(template, noise):
     synth = generate(SynthSpec(template, seed=3, noise_level=noise))
-    feats = _extracted(synth)
-    checked = 0
-    for oid, per_metric in synth.fixtures.items():
-        for metric, fixture in per_metric.items():
-            got = feats[metric][oid]
-            np.testing.assert_array_equal(
-                got.valid, fixture.valid,
-                err_msg=f"{template.value} {metric.value} object {oid}: validity mask",
-            )
-            tol = 1e-9 if metric in KINEMATIC or metric in BOOLEAN_METRICS else 1e-6
-            mask = fixture.valid
-            np.testing.assert_allclose(
-                got.values[mask], fixture.values[mask], atol=tol, rtol=0.0,
-                err_msg=f"{template.value} {metric.value} object {oid}",
-            )
-            checked += 1
-    assert checked >= 6
+    states = SceneStates.from_logged_future(synth.scenario)
+    assert list(states.ids) == sorted(t.object_id for t in synth.scenario.tracks)
+    feats = extract_features(states, synth.scenario.map_features)
+    assert len(synth.fixtures) >= 6
+    for metric, (values, valid) in synth.fixtures.items():
+        got_values, got_valid = feats[metric]
+        assert values.shape == valid.shape == got_valid.shape
+        np.testing.assert_array_equal(
+            got_valid, valid, err_msg=f"{template.value} {metric.value}: validity mask"
+        )
+        tol = 1e-9 if metric in KINEMATIC or metric in BOOLEAN_METRICS else 1e-6
+        np.testing.assert_allclose(
+            got_values[valid], values[valid], atol=tol, rtol=0.0,
+            err_msg=f"{template.value} {metric.value}",
+        )
 
 
 @pytest.mark.parametrize("template", list(Template))
@@ -78,20 +56,21 @@ def test_strip_late_spawns_is_identity(template):
 
 def test_collision_course_fixture_flags_collision():
     synth = generate(SynthSpec(Template.COLLISION_COURSE, seed=0))
-    for oid in (0, 1):
-        assert synth.fixtures[oid][MetricKind.COLLISION].values[0] == 1.0
+    values, _ = synth.fixtures[MetricKind.COLLISION]  # rows are object ids 0 and 1
+    assert np.all(values[[0, 1], 0] == 1.0)
 
 
 def test_offroad_drift_fixture_flags_drifter_only():
     synth = generate(SynthSpec(Template.OFFROAD_DRIFT, seed=0))
-    assert synth.fixtures[1][MetricKind.OFFROAD].values[0] == 1.0
-    assert synth.fixtures[0][MetricKind.OFFROAD].values[0] == 0.0
+    values, _ = synth.fixtures[MetricKind.OFFROAD]  # rows are object ids 0 and 1
+    assert values[1, 0] == 1.0
+    assert values[0, 0] == 0.0
 
 
 def test_curved_road_angular_speed_fixture_value():
     synth = generate(SynthSpec(Template.CURVED_ROAD, seed=0))
-    series = synth.fixtures[0][MetricKind.ANGULAR_SPEED]
-    assert np.allclose(series.values[series.valid], 0.2)
+    values, valid = synth.fixtures[MetricKind.ANGULAR_SPEED]
+    assert np.allclose(values[0][valid[0]], 0.2)
 
 
 def test_heading_wrap_occurs_in_curved_template():
