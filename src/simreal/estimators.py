@@ -78,46 +78,58 @@ DEFAULT_HISTOGRAM_SPECS: dict[MetricKind, HistogramSpec] = {
 }
 
 
+#: Distinct rollouts are extracted in groups of ``max(1, _PAIR_BUDGET // A**2)``,
+#: so one call's (K, A, A, T) pair tensors never outgrow a 32-object scene's.
+_PAIR_BUDGET = 1024
+
+
 def rollout_features(
     scenario: Scenario,
     rollouts: ScenarioRollouts,
     params: FeatureParams = DEFAULT_FEATURE_PARAMS,
-) -> list[tuple[dict, int]]:
+) -> tuple[dict, np.ndarray]:
     """Extract each distinct rollout once, with the number of rollouts it stands for.
 
-    Returns ``(features, multiplicity)`` pairs in order of first appearance;
-    ``features`` is :func:`extract_features` output for the rollout's rows
-    (``rollouts.ids`` order).  Deterministic policies repeat the same joint
-    scene 32 times, which then costs one extraction.
+    Returns ``(features, multiplicity)``.  ``features`` is
+    :func:`extract_features` output over the E distinct rollouts in order of
+    first appearance, (E, A, T) arrays with rows in ``rollouts.ids`` order;
+    ``multiplicity`` is (E,) int64.  Deterministic policies repeat the same
+    joint scene 32 times, which then costs one extraction of one rollout.
     """
     groups: dict[bytes, list[int]] = {}
     for k, poses in enumerate(rollouts.rollouts):
         groups.setdefault(poses.tobytes(), []).append(k)
-    return [
-        (
-            extract_features(
-                SceneStates.from_rollout(scenario, rollouts, ks[0]),
-                scenario.map_features,
-                params,
-            ),
-            len(ks),
+    distinct = [ks[0] for ks in groups.values()]
+    size = max(1, _PAIR_BUDGET // max(1, len(rollouts.ids)) ** 2)
+    parts = [
+        extract_features(
+            SceneStates.from_rollout(scenario, rollouts, distinct[lo : lo + size]),
+            scenario.map_features,
+            params,
         )
-        for ks in groups.values()
+        for lo in range(0, len(distinct), size)
     ]
+    features = {
+        metric: tuple(np.concatenate(arrays) for arrays in zip(*(p[metric] for p in parts)))
+        for metric in parts[0]
+    }
+    multiplicity = np.array([len(ks) for ks in groups.values()], dtype=np.int64)
+    return features, multiplicity
 
 
 def sample_counts(
-    extractions: list[tuple[dict, int]], metric: MetricKind, spec: HistogramSpec
+    extracted: tuple[dict, np.ndarray], metric: MetricKind, spec: HistogramSpec
 ) -> np.ndarray:
     """(A, bins) int64 counts of one metric's simulated samples per object row.
 
     Scalar metrics count every valid step of every rollout; boolean metrics
-    count one any-step event per rollout.  ``extractions`` comes from
-    :func:`rollout_features`; each one's counts are multiplied by the number
-    of rollouts it stands for, which equals counting every rollout.
+    count one any-step event per rollout.  ``extracted`` is the
+    ``(features, multiplicity)`` pair of :func:`rollout_features`; each
+    extracted rollout's counts are multiplied by the number of rollouts it
+    stands for, which equals counting every rollout.
     """
-    values = np.stack([feats[metric][0] for feats, _ in extractions])  # (E, A, T)
-    valid = np.stack([feats[metric][1] for feats, _ in extractions])
+    features, multiplicity = extracted
+    values, valid = features[metric]  # (E, A, T)
     if metric in BOOLEAN_METRICS:
         values = (valid & (values > 0.5)).any(axis=2, keepdims=True).astype(float)
         valid = np.ones(values.shape, dtype=bool)
@@ -125,7 +137,6 @@ def sample_counts(
     rows = np.arange(e * a).reshape(e, a, 1)
     keys = (rows * spec.bins + spec.bin_index(values))[valid]
     per_extraction = np.bincount(keys, minlength=e * a * spec.bins).reshape(e, a, spec.bins)
-    multiplicity = np.array([n for _, n in extractions], dtype=np.int64)
     return (per_extraction * multiplicity[:, None, None]).sum(axis=0)
 
 

@@ -69,8 +69,8 @@ def evaluate_scenario(
     components: dict[MetricKind, float] = {}
     excluded: list[MetricKind] = []
     for metric in MetricKind:
-        values, valid = logged_feats[metric]
-        nll = _metric_nll(metric, values[logged_rows], valid[logged_rows], sim_feats, config)
+        values, valid = (series[0, logged_rows] for series in logged_feats[metric])
+        nll = _metric_nll(metric, values, valid, sim_feats, config)
         try:
             components[metric] = scenario_component(nll, metric, config.object_aggregation)
         except MetricUnscorable:

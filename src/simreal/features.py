@@ -11,8 +11,10 @@ Derivatives are backward differences over the future window only, so a
 k-step derivative marks its first k steps invalid and is otherwise valid at
 step t exactly when all k+1 underlying poses are valid.  The two indications
 are collapsed to a single event per object and represented as a constant
-boolean series.  Every metric is a pair of (objects, steps) arrays: values
-and validity.
+boolean series.  Every metric is a pair of (rollouts, objects, steps) arrays,
+values and validity: K joint futures of one scene are extracted in one call,
+and each rollout's rows equal what extracting that rollout alone gives, bit
+for bit.  The logged future is the case K=1.
 """
 
 from __future__ import annotations
@@ -25,7 +27,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import _boxes_corners, box_signed_distance_batch, polyline_distance_batch
+from .geometry import (
+    _boxes_corners,
+    _segment_offsets,
+    box_signed_distance_batch,
+    polyline_distance_batch,
+)
 from .scene import TWO_PI, MapFeature, MapFeatureKind, Scenario, ScenarioRollouts
 
 
@@ -62,10 +69,10 @@ DEFAULT_FEATURE_PARAMS = FeatureParams()
 
 @dataclass(frozen=True)
 class SceneStates:
-    """Array view of one scene's future window, shared by all feature ops.
+    """Array view of K joint futures of one scene, shared by all feature ops.
 
-    ``centers`` is (A, T, 3), ``headings`` and ``valid`` are (A, T), ``dims``
-    is (A, 3) as [length, width, height].  Row order follows ``ids``.
+    ``centers`` is (K, A, T, 3), ``headings`` and ``valid`` are (K, A, T),
+    ``dims`` is (A, 3) as [length, width, height].  Row order follows ``ids``.
     """
 
     ids: tuple[int, ...]
@@ -77,22 +84,25 @@ class SceneStates:
 
     @classmethod
     def from_logged_future(cls, scenario: Scenario) -> "SceneStates":
-        """All logged tracks over the future window, with logged validity."""
+        """All logged tracks over the future window, with logged validity (K=1)."""
         ids = tuple(sorted(t.object_id for t in scenario.tracks))
         poses, valid = scenario.future(ids)
-        return cls._from_poses(scenario, ids, poses, valid)
+        return cls._from_poses(scenario, ids, poses[None], valid[None])
 
     @classmethod
-    def from_rollout(cls, scenario: Scenario, rollouts: ScenarioRollouts, k: int) -> "SceneStates":
-        """Rollout ``k`` of a bundle; box extents come from the source scenario.
+    def from_rollout(
+        cls, scenario: Scenario, rollouts: ScenarioRollouts, ks: Sequence[int]
+    ) -> "SceneStates":
+        """Rollouts ``ks`` of a bundle, stacked in that order; box extents come
+        from the source scenario.
 
         The rollouts must meet the submission contract
         (:func:`simreal.scene.rollout_problems`): every row a track of the
         scenario, over its future length.
         """
         ids = tuple(int(oid) for oid in rollouts.ids)
-        poses = rollouts.rollouts[k]
-        return cls._from_poses(scenario, ids, poses, np.ones(poses.shape[:2], dtype=bool))
+        poses = rollouts.rollouts[np.asarray(ks, dtype=np.intp)]
+        return cls._from_poses(scenario, ids, poses, np.ones(poses.shape[:3], dtype=bool))
 
     @classmethod
     def _from_poses(cls, scenario, ids, poses, valid) -> "SceneStates":
@@ -100,8 +110,8 @@ class SceneStates:
         dims = np.array([(t.length, t.width, t.height) for t in tracks]).reshape(len(ids), 3)
         return cls(
             ids=ids,
-            centers=poses[:, :, :3],
-            headings=poses[:, :, 3],
+            centers=poses[..., :3],
+            headings=poses[..., 3],
             valid=valid,
             dims=dims,
             dt=scenario.timestep,
@@ -109,21 +119,22 @@ class SceneStates:
 
 
 def _boxes(states: SceneStates) -> np.ndarray:
-    """(A, T, 5) [cx, cy, heading, length, width] box of every object at every step."""
-    a, t = states.valid.shape
+    """(K, A, T, 5) [cx, cy, heading, length, width] box of every object at every step."""
+    shape = states.valid.shape
     return np.concatenate(
         [
-            states.centers[:, :, :2],
-            states.headings[:, :, None],
-            np.broadcast_to(states.dims[:, None, 0:2], (a, t, 2)),
+            states.centers[..., :2],
+            states.headings[..., None],
+            np.broadcast_to(states.dims[:, None, 0:2], shape + (2,)),
         ],
         axis=-1,
     )
 
 
 # ---------------------------------------------------------------------------
-# Array kernels.  All return (values, valid) pairs shaped (A, T); masked
-# slots hold 0 so downstream pooling can never pick up garbage.
+# Array kernels.  All return (values, valid) pairs shaped (K, A, T); masked
+# slots hold 0 so downstream pooling can never pick up garbage.  Rollouts
+# never mix: every reduction runs along the object or step axis.
 
 
 def _masked(vals: np.ndarray, ok: np.ndarray) -> np.ndarray:
@@ -134,10 +145,9 @@ def _speed_arrays(centers: np.ndarray, valid: np.ndarray, dt: float):
     """Linear speed: 3D speed from one-step position differences."""
     vals = np.zeros(valid.shape)
     ok = np.zeros(valid.shape, dtype=bool)
-    if valid.shape[1] >= 2:
-        step = np.linalg.norm(np.diff(centers, axis=1), axis=-1) / dt
-        vals[:, 1:] = step
-        ok[:, 1:] = valid[:, 1:] & valid[:, :-1]
+    if valid.shape[-1] >= 2:
+        vals[..., 1:] = np.linalg.norm(np.diff(centers, axis=-2), axis=-1) / dt
+        ok[..., 1:] = valid[..., 1:] & valid[..., :-1]
     return _masked(vals, ok), ok
 
 
@@ -146,9 +156,9 @@ def _derivative_arrays(vals: np.ndarray, ok: np.ndarray, dt: float):
     differences, angular acceleration from signed angular speed differences."""
     out = np.zeros_like(vals)
     out_ok = np.zeros_like(ok)
-    if vals.shape[1] >= 2:
-        out[:, 1:] = np.diff(vals, axis=1) / dt
-        out_ok[:, 1:] = ok[:, 1:] & ok[:, :-1]
+    if vals.shape[-1] >= 2:
+        out[..., 1:] = np.diff(vals, axis=-1) / dt
+        out_ok[..., 1:] = ok[..., 1:] & ok[..., :-1]
     return _masked(out, out_ok), out_ok
 
 
@@ -161,17 +171,20 @@ def _angular_speed_arrays(headings: np.ndarray, valid: np.ndarray, dt: float):
     """Signed heading rate using the shortest rotation between steps."""
     vals = np.zeros(valid.shape)
     ok = np.zeros(valid.shape, dtype=bool)
-    if valid.shape[1] >= 2:
-        vals[:, 1:] = _wrap_signed(np.diff(headings, axis=1)) / dt
-        ok[:, 1:] = valid[:, 1:] & valid[:, :-1]
+    if valid.shape[-1] >= 2:
+        vals[..., 1:] = _wrap_signed(np.diff(headings, axis=-1)) / dt
+        ok[..., 1:] = valid[..., 1:] & valid[..., :-1]
     return _masked(vals, ok), ok
 
 
 #: Absolute and coordinate-relative margins added to the broad-phase upper
-#: bound so that rounding in the bounds or the exact kernel never prunes a
-#: pair that could be a row's minimum.
+#: bounds (nearest object and road-edge grid) so that rounding in the bounds
+#: or the exact kernel never prunes a candidate that could be a minimum.
 _BROAD_PHASE_SLACK = 1e-6
 _BROAD_PHASE_REL_SLACK = 1e-12
+
+#: Pair-steps per box kernel call; its temporaries take about 1.6 kB each.
+_BOX_CHUNK = 4096
 
 
 def _nearest_object_arrays(states: SceneStates):
@@ -199,55 +212,62 @@ def _nearest_object_arrays(states: SceneStates):
     either row and keeps distance ``inf``; the kernel runs on every other
     valid pair-step, a superset of each row's argmin, so the result equals
     the all-pairs computation bit for bit.  ``slack`` is 1e-6 plus 1e-12 of
-    the largest coordinate, far above the rounding of both bounds.  Pairs
-    with a non-finite coordinate or heading always reach the kernel, so NaN
-    propagates as it would without pruning.
+    the rollout's largest coordinate, far above the rounding of both bounds;
+    it is taken per rollout, so stacking rollouts sends the kernel exactly
+    the pair-steps of extracting each alone.  Pairs with a non-finite
+    coordinate or heading always reach the kernel, so NaN propagates as it
+    would without pruning.
     """
-    a, t = states.valid.shape
-    vals = np.zeros((a, t))
-    ok = np.zeros((a, t), dtype=bool)
+    k, a, t = states.valid.shape
+    vals = np.zeros((k, a, t))
+    ok = np.zeros((k, a, t), dtype=bool)
     if a < 2:
         return vals, ok
 
-    both_valid = states.valid[:, None, :] & states.valid[None, :, :]
+    both_valid = states.valid[:, :, None, :] & states.valid[:, None, :, :]  # (K, A, A, T)
     diag = np.arange(a)
-    both_valid[diag, diag, :] = False  # no self pairs
+    both_valid[:, diag, diag, :] = False  # no self pairs
 
-    z = states.centers[:, :, 2]
+    z = states.centers[..., 2]
     half_heights = states.dims[:, 2] / 2.0
-    zgap = np.abs(z[:, None, :] - z[None, :, :])
+    zgap = np.abs(z[:, :, None, :] - z[:, None, :, :])
     zlim = half_heights[:, None] + half_heights[None, :]
     gated = both_valid & (zgap <= zlim[:, :, None])
-    has_gated = gated.any(axis=1)
-    has_any = both_valid.any(axis=1)
+    has_gated = gated.any(axis=2)
+    has_any = both_valid.any(axis=2)
     # Pairs with no vertical overlap fall back to the plain 2D minimum so the
     # step still scores.
-    defining = np.where(has_gated[:, None, :], gated, both_valid)
+    defining = np.where(has_gated[:, :, None, :], gated, both_valid)
 
-    xy = states.centers[:, :, :2]
+    xy = states.centers[..., :2]
     cd = np.hypot(
-        xy[:, None, :, 0] - xy[None, :, :, 0], xy[:, None, :, 1] - xy[None, :, :, 1]
-    )  # (A, A, T)
-    upper = np.where(defining, cd, np.inf).min(axis=1)  # (A, T)
+        xy[:, :, None, :, 0] - xy[:, None, :, :, 0], xy[:, :, None, :, 1] - xy[:, None, :, :, 1]
+    )  # (K, A, A, T)
+    upper = np.where(defining, cd, np.inf).min(axis=2)  # (K, A, T)
     finite = np.isfinite(xy).all(axis=-1) & np.isfinite(states.headings)
-    scale = np.abs(xy[finite]).max(initial=0.0)
-    slack = _BROAD_PHASE_SLACK + _BROAD_PHASE_REL_SLACK * scale
+    scale = np.where(finite[..., None], np.abs(xy), 0.0).reshape(k, -1).max(axis=1)
+    slack = _BROAD_PHASE_SLACK + _BROAD_PHASE_REL_SLACK * scale  # (K,)
 
     iu, ju = np.triu_indices(a, 1)
     radius = np.hypot(states.dims[:, 0], states.dims[:, 1]) / 2.0
-    lower = cd[iu, ju] - radius[iu, None] - radius[ju, None]  # (P, T)
-    reach = np.maximum(upper[iu], upper[ju]) + slack
-    need = both_valid[iu, ju] & (~(lower > reach) | ~(finite[iu] & finite[ju]))
-    pair, step = np.nonzero(need)
+    lower = cd[:, iu, ju] - radius[iu, None] - radius[ju, None]  # (K, P, T)
+    reach = np.maximum(upper[:, iu], upper[:, ju]) + slack[:, None, None]
+    need = both_valid[:, iu, ju] & (~(lower > reach) | ~(finite[:, iu] & finite[:, ju]))
+    roll, pair, step = np.nonzero(need)
     rows, cols = iu[pair], ju[pair]
 
     boxes = _boxes(states)
-    pair_d = box_signed_distance_batch(boxes[rows, step], boxes[cols, step])
-    dist = np.full((a, a, t), np.inf)
-    dist[rows, cols, step] = pair_d
-    dist[cols, rows, step] = pair_d
+    pair_d = np.empty(len(step))
+    for lo in range(0, len(step), _BOX_CHUNK):
+        at = slice(lo, lo + _BOX_CHUNK)
+        pair_d[at] = box_signed_distance_batch(
+            boxes[roll[at], rows[at], step[at]], boxes[roll[at], cols[at], step[at]]
+        )
+    dist = np.full((k, a, a, t), np.inf)
+    dist[roll, rows, cols, step] = pair_d
+    dist[roll, cols, rows, step] = pair_d
 
-    vals = np.where(defining, dist, np.inf).min(axis=1)
+    vals = np.where(defining, dist, np.inf).min(axis=2)
     return _masked(vals, has_any), has_any
 
 
@@ -257,11 +277,11 @@ def _event_series(per_step_vals, per_step_ok, predicate):
     Collision is a negative nearest-object distance (overlap with someone);
     off-road is a positive road-edge distance (some corner left the road).
     """
-    event = (predicate(per_step_vals) & per_step_ok).any(axis=1)
-    defined = per_step_ok.any(axis=1)
-    t = per_step_ok.shape[1]
-    vals = np.broadcast_to(event[:, None].astype(float), (len(event), t)).copy()
-    ok = np.broadcast_to(defined[:, None], (len(event), t)).copy()
+    event = (predicate(per_step_vals) & per_step_ok).any(axis=-1, keepdims=True)
+    defined = per_step_ok.any(axis=-1, keepdims=True)
+    shape = per_step_ok.shape
+    vals = np.broadcast_to(event.astype(float), shape).copy()
+    ok = np.broadcast_to(defined, shape).copy()
     return _masked(vals, ok), ok
 
 
@@ -273,28 +293,29 @@ def _ttc_arrays(states: SceneStates, speed_vals, speed_ok, params: FeatureParams
     within the alignment threshold.  Steps with no followed object, a
     non-closing follower, or an already-overlapping pair take the cap.
     """
-    a, t = states.valid.shape
+    k, a, t = states.valid.shape
     cap = params.ttc_max
-    vals = np.full((a, t), cap)
+    vals = np.full((k, a, t), cap)
     ok = speed_ok.copy()
     if a >= 2:
-        # Follower/leader tensors are (A, A, T); small agent counts keep this
-        # comfortably in memory.
+        # Follower/leader tensors are (K, A, A, T), indexed [rollout, follower,
+        # leader, step]; rollout_features stacks few enough rollouts that K*A*A
+        # stays at the size of one 32-object scene.
         h = states.headings
-        hx, hy = np.cos(h), np.sin(h)
-        x, y = states.centers[:, :, 0], states.centers[:, :, 1]
-        dx = x[None, :, :] - x[:, None, :]
-        dy = y[None, :, :] - y[:, None, :]
-        lon = hx[:, None, :] * dx + hy[:, None, :] * dy
-        lat = -hy[:, None, :] * dx + hx[:, None, :] * dy
-        hd = np.abs(_wrap_signed(h[None, :, :] - h[:, None, :]))
+        hx, hy = np.cos(h)[:, :, None, :], np.sin(h)[:, :, None, :]
+        x, y = states.centers[..., 0], states.centers[..., 1]
+        dx = x[:, None, :, :] - x[:, :, None, :]
+        dy = y[:, None, :, :] - y[:, :, None, :]
+        lon = hx * dx + hy * dy
+        lat = -hy * dx + hx * dy
+        hd = np.abs(_wrap_signed(h[:, None, :, :] - h[:, :, None, :]))
         half_len = states.dims[:, 0] / 2.0
         gap = lon - (half_len[:, None] + half_len[None, :])[:, :, None]
         lat_lim = np.maximum(
             params.ttc_min_lateral,
             (states.dims[:, 1][:, None] + states.dims[:, 1][None, :]) / 2.0,
         )[:, :, None]
-        leaders = (states.valid & speed_ok)[None, :, :]
+        leaders = (states.valid & speed_ok)[:, None, :, :]
         cand = (
             leaders
             & ~np.eye(a, dtype=bool)[:, :, None]
@@ -304,11 +325,10 @@ def _ttc_arrays(states: SceneStates, speed_vals, speed_ok, params: FeatureParams
             & (gap > 0.0)
         )
         gap_sel = np.where(cand, gap, np.inf)
-        lead = np.argmin(gap_sel, axis=1)  # (A, T) leader row per follower/step
-        best_gap = np.take_along_axis(gap_sel, lead[:, None, :], axis=1)[:, 0, :]
+        lead = np.argmin(gap_sel, axis=2)  # (K, A, T) leader row per follower/step
+        best_gap = np.take_along_axis(gap_sel, lead[:, :, None, :], axis=2)[:, :, 0, :]
         has_lead = np.isfinite(best_gap)
-        cols = np.arange(t)[None, :]
-        closing = speed_vals - speed_vals[lead, cols]
+        closing = speed_vals - np.take_along_axis(speed_vals, lead, axis=1)
         ttc = np.where(
             closing > params.ttc_closing_eps,
             np.minimum(cap, best_gap / np.maximum(closing, params.ttc_closing_eps)),
@@ -318,7 +338,105 @@ def _ttc_arrays(states: SceneStates, speed_vals, speed_ok, params: FeatureParams
     return _masked(vals, ok), ok
 
 
-_POLYLINE_CHUNK = 200_000  # max points*segments handled in one batch call
+_POLYLINE_CHUNK = 200_000  # max points*segments handled in one kernel call
+_GRID_MIN_SEGMENTS = 64  # maps with fewer road-edge segments scan them all
+_GRID_CELL = 3.0  # side of a road-edge grid cell, in metres
+_GRID_PAD = 20.0  # margin the grid adds around the road edges' bounding box
+_GRID_MAX_CELLS = 4096  # cells along either axis; larger maps get larger cells
+
+
+class _RoadEdges:
+    """The road-edge segments of one map, with a uniform grid of nearest-segment
+    candidates.
+
+    A cell with centre ``c`` and half-diagonal ``h`` keeps the segments ``s``
+    with ``dist(c, s) <= min_s dist(c, s) + 2h + slack``, in ascending index
+    order.  For a point ``p`` of the cell, ``|p - c| <= h``, so any segment at
+    least as near to ``p`` as ``c``'s nearest passes the test: the list holds
+    every segment that can be ``p``'s nearest, ties included.  The kernel's
+    first-minimum rule then picks the same lowest-index segment as a scan of
+    all segments, so distances and sides are equal bit for bit.  ``slack`` is
+    1e-6 plus 1e-12 of the grid's largest coordinate, far above the rounding
+    of either distance.
+
+    Cells are filled the first time a point lands in them, so a map pays only
+    for the cells its boxes visit, at most the grid's cell count.  Points
+    outside the grid, non-finite points, and every point of a map with fewer
+    than ``_GRID_MIN_SEGMENTS`` segments take all segments as candidates.
+    """
+
+    def __init__(self, starts: np.ndarray, ends: np.ndarray):
+        self.starts, self.ends = starts, ends
+        self.cells: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.size = 0.0  # no grid
+        if len(starts) < _GRID_MIN_SEGMENTS:
+            return
+        pts = np.concatenate([starts, ends])
+        lo = pts.min(axis=0) - _GRID_PAD
+        hi = pts.max(axis=0) + _GRID_PAD
+        span = (hi - lo).max()
+        if not np.isfinite(span):
+            return
+        self.size = max(_GRID_CELL, span / _GRID_MAX_CELLS)
+        self.origin = lo
+        self.shape = np.ceil((hi - lo) / self.size).astype(np.int64)
+        self.slack = _BROAD_PHASE_SLACK + _BROAD_PHASE_REL_SLACK * np.abs([lo, hi]).max()
+
+    def cell_of(self, pts: np.ndarray) -> np.ndarray:
+        """Flat grid cell of every point, -1 when it has no cell."""
+        cell = np.full(len(pts), -1, dtype=np.int64)
+        if not self.size:
+            return cell
+        f = (pts - self.origin) / self.size
+        with np.errstate(invalid="ignore"):
+            inside = ((f >= 0.0) & (f < self.shape)).all(axis=1)
+        ix, iy = f[inside].astype(np.int64).T
+        cell[inside] = iy * self.shape[0] + ix
+        return cell
+
+    def candidates(self, cell: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.cells[cell] if cell >= 0 else (self.starts, self.ends)
+
+    def fill(self, cells: np.ndarray) -> None:
+        """Compute the candidate lists of the cells not seen before."""
+        new = np.array([c for c in cells.tolist() if c >= 0 and c not in self.cells], np.int64)
+        if not len(new):
+            return
+        iy, ix = np.divmod(new, self.shape[0])
+        centres = self.origin + (np.stack([ix, iy], axis=-1) + 0.5) * self.size
+        reach = math.sqrt(2.0) * self.size + self.slack  # 2h + slack
+        chunk = max(1, _POLYLINE_CHUNK // len(self.starts))
+        for lo in range(0, len(new), chunk):
+            ex, ey = _segment_offsets(centres[lo : lo + chunk], self.starts, self.ends)[:2]
+            d = np.sqrt(ex * ex + ey * ey)
+            keep = d <= d.min(axis=1, keepdims=True) + reach
+            for cell, row in zip(new[lo : lo + chunk].tolist(), keep):
+                idx = np.flatnonzero(row)
+                self.cells[cell] = (self.starts[idx], self.ends[idx])
+
+
+def _nearest_edge(pts: np.ndarray, edges: _RoadEdges) -> tuple[np.ndarray, np.ndarray]:
+    """``polyline_distance_batch(pts, edges.starts, edges.ends)``, through the grid.
+
+    Points are sorted by grid cell, and each cell's run goes to the kernel
+    with the cell's candidates, at most ``_POLYLINE_CHUNK`` point-segment
+    pairs a call.
+    """
+    cell = edges.cell_of(pts)
+    order = np.argsort(cell, kind="stable")
+    cell, by_cell = cell[order], np.take(pts, order, axis=0)
+    first = np.flatnonzero(np.diff(cell, prepend=cell[:1] - 1))  # where each run starts
+    edges.fill(cell[first])
+    dist = np.empty(len(pts))
+    side = np.empty(len(pts), dtype=int)
+    for lo, hi in zip(first.tolist(), first[1:].tolist() + [len(cell)]):
+        starts, ends = edges.candidates(int(cell[lo]))
+        chunk = max(1, _POLYLINE_CHUNK // len(starts))
+        for at in range(lo, hi, chunk):
+            rows = slice(at, min(at + chunk, hi))
+            d, sd = polyline_distance_batch(by_cell[rows], starts, ends)
+            dist[order[rows]], side[order[rows]] = d, sd
+    return dist, side
 
 
 def _road_edge_arrays(states: SceneStates, map_features: Sequence[MapFeature]):
@@ -328,29 +446,23 @@ def _road_edge_arrays(states: SceneStates, map_features: Sequence[MapFeature]):
     negative values are inside.  A map without road edges yields all-invalid
     series.
     """
-    a, t = states.valid.shape
-    vals = np.zeros((a, t))
-    ok = np.zeros((a, t), dtype=bool)
-    starts, ends = _road_edge_segments(tuple(map_features))
-    if starts is None or a == 0:
+    vals = np.zeros(states.valid.shape)
+    ok = np.zeros(states.valid.shape, dtype=bool)
+    edges = _road_edge_segments(tuple(map_features))
+    if edges is None:
         return vals, ok
 
-    pts = _boxes_corners(_boxes(states)).reshape(-1, 2)  # (A, T, 4, 2) corners
-
-    chunk = max(1, _POLYLINE_CHUNK // max(1, len(starts)))
-    signed = np.empty(len(pts))
-    for lo in range(0, len(pts), chunk):
-        d, side = polyline_distance_batch(pts[lo : lo + chunk], starts, ends)
-        # Drivable area sits on the right of road-edge polylines, so the left
-        # side is off-road and signs positive.
-        signed[lo : lo + chunk] = d * side
-    vals = signed.reshape(a, t, 4).max(axis=2)
     ok = states.valid.copy()
-    return _masked(vals, ok), ok
+    corners = _boxes_corners(_boxes(states)[ok]).reshape(-1, 2)  # 4 per valid slot
+    d, side = _nearest_edge(corners, edges)
+    # Drivable area sits on the right of road-edge polylines, so the left
+    # side is off-road and signs positive.
+    vals[ok] = (d * side).reshape(-1, 4).max(axis=1)
+    return vals, ok
 
 
 @lru_cache(maxsize=64)
-def _road_edge_segments(map_features: tuple[MapFeature, ...]):
+def _road_edge_segments(map_features: tuple[MapFeature, ...]) -> _RoadEdges | None:
     starts: list[np.ndarray] = []
     ends: list[np.ndarray] = []
     for feat in map_features:
@@ -360,8 +472,8 @@ def _road_edge_segments(map_features: tuple[MapFeature, ...]):
         starts.append(pts[:-1])
         ends.append(pts[1:])
     if not starts:
-        return None, None
-    return np.concatenate(starts), np.concatenate(ends)
+        return None
+    return _RoadEdges(np.concatenate(starts), np.concatenate(ends))
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +485,9 @@ def extract_features(
     map_features: Sequence[MapFeature],
     params: FeatureParams = DEFAULT_FEATURE_PARAMS,
 ) -> dict[MetricKind, tuple[np.ndarray, np.ndarray]]:
-    """All nine metrics for every object in the scene.
+    """All nine metrics for every object in every rollout of ``states``.
 
-    Each metric maps to ``(values, valid)`` arrays shaped (A, T), rows in
+    Each metric maps to ``(values, valid)`` arrays shaped (K, A, T), rows in
     ``states.ids`` order; invalid slots hold 0.  Shared intermediates
     (speeds, pairwise distances) are computed once.
     """

@@ -94,6 +94,21 @@ def box_signed_distance_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
+def _segment_offsets(p: np.ndarray, s: np.ndarray, e: np.ndarray):
+    """Offsets of (P, 2) points from the nearest point of each of (S, 2) segments.
+
+    Returns ``(ex, ey, rx, ry, dx, dy)``: the (P, S) offset and the offset
+    from the segment start, then the (S,) segment direction.
+    """
+    dx = e[:, 0] - s[:, 0]
+    dy = e[:, 1] - s[:, 1]
+    l2 = np.maximum(dx * dx + dy * dy, 1e-300)
+    rx = p[:, 0:1] - s[None, :, 0]
+    ry = p[:, 1:2] - s[None, :, 1]
+    frac = np.clip((rx * dx + ry * dy) / l2, 0.0, 1.0)
+    return rx - frac * dx, ry - frac * dy, rx, ry, dx, dy
+
+
 def polyline_distance_batch(
     points: np.ndarray, seg_starts: np.ndarray, seg_ends: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -106,14 +121,7 @@ def polyline_distance_batch(
     p = np.asarray(points, dtype=float)
     s = np.asarray(seg_starts, dtype=float)
     e = np.asarray(seg_ends, dtype=float)
-    dx = e[:, 0] - s[:, 0]
-    dy = e[:, 1] - s[:, 1]
-    l2 = np.maximum(dx * dx + dy * dy, 1e-300)
-    rx = p[:, 0:1] - s[None, :, 0]
-    ry = p[:, 1:2] - s[None, :, 1]
-    frac = np.clip((rx * dx + ry * dy) / l2, 0.0, 1.0)
-    ex = rx - frac * dx
-    ey = ry - frac * dy
+    ex, ey, rx, ry, dx, dy = _segment_offsets(p, s, e)
     d2 = ex * ex + ey * ey
     k = np.argmin(d2, axis=1)  # argmin keeps the first (lowest-index) minimum
     rows = np.arange(len(p))
@@ -121,4 +129,3 @@ def polyline_distance_batch(
     cross = dx[k] * ry[rows, k] - dy[k] * rx[rows, k]
     side = np.where(cross > ABS_TOL, 1, np.where(cross < -ABS_TOL, -1, 0))
     return best, side.astype(int)
-

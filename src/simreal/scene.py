@@ -70,8 +70,8 @@ class Track:
 
     ``poses`` is (L, 4) as [x, y, z, heading] and ``valid`` is (L,).  Where
     ``valid`` is False the pose carries no meaning and consumers must ignore
-    it.  Extents are fixed for the whole window; they are taken once and
-    never vary over time.
+    it; where it is True the pose must be finite.  Extents are fixed for the
+    whole window; they are taken once and never vary over time.
     """
 
     object_id: int
@@ -93,6 +93,11 @@ class Track:
             raise MalformedScenario(
                 f"track {self.object_id}: expected (L, 4) poses and (L,) validity, "
                 f"got {poses.shape} and {valid.shape}"
+            )
+        bad = valid & ~np.isfinite(poses).all(axis=1)
+        if bad.any():
+            raise MalformedScenario(
+                f"track {self.object_id}: pose at valid index {int(np.argmax(bad))} is not finite"
             )
         poses[:, 3] = normalize_heading(poses[:, 3])
         object.__setattr__(self, "poses", _frozen(poses))
@@ -122,6 +127,10 @@ class MapFeature:
         pts = tuple((float(x), float(y)) for x, y in self.polyline)
         if len(pts) < 2:
             raise MalformedScenario(f"map feature {self.feature_id}: polyline needs >= 2 points")
+        if not all(math.isfinite(v) for pt in pts for v in pt):
+            raise MalformedScenario(
+                f"map feature {self.feature_id}: polyline points must be finite"
+            )
         for a, b in zip(pts, pts[1:]):
             if a == b:
                 raise MalformedScenario(
@@ -146,8 +155,8 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "tracks", tuple(self.tracks))
         object.__setattr__(self, "map_features", tuple(self.map_features))
-        if self.timestep <= 0.0:
-            raise MalformedScenario("timestep must be positive")
+        if not (math.isfinite(self.timestep) and self.timestep > 0.0):
+            raise MalformedScenario("timestep must be finite and positive")
         if self.history_length < 1 or self.future_length < 1:
             raise MalformedScenario("history and future lengths must be >= 1")
         expected = self.history_length + self.future_length

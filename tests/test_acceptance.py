@@ -53,8 +53,8 @@ def criterion(number: int, label: str):
 
 def _counts(samples, spec):
     """(1, bins) counts of one object whose valid steps are ``samples``."""
-    series = (np.asarray(samples, dtype=float)[None, :], np.ones((1, len(samples)), bool))
-    return sample_counts([({spec.metric: series}, 1)], spec.metric, spec)
+    series = (np.asarray(samples, dtype=float)[None, None, :], np.ones((1, 1, len(samples)), bool))
+    return sample_counts(({spec.metric: series}, np.ones(1, np.int64)), spec.metric, spec)
 
 
 def _suite_pairs(suite, policy_name, k=32, base_seed=0):

@@ -33,6 +33,20 @@ def workspace(tmp_path_factory):
     return root, scenarios, archives
 
 
+def _set_path(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+#: One non-finite number in a following_pair scenario document, by where it sits.
+NON_FINITE_EDITS = {
+    "timestep": lambda doc: _set_path(doc, ["timestep"], "nan"),
+    "road-edge-point": lambda doc: _set_path(doc, ["map_features", 0, "polyline", 0, 1], "nan"),
+    "valid-pose": lambda doc: _set_path(doc, ["tracks", 1, "states", 50, "x"], "nan"),
+}
+
+
 class TestSynth:
     def test_writes_scenarios_and_fixtures(self, workspace):
         _, scenarios, _ = workspace
@@ -234,6 +248,34 @@ class TestEvaluate:
         assert err.count("\n") == 1
         assert all(sid in err for sid in dropped)
         assert not list(tmp_path.glob("partial*.json"))
+
+    @pytest.mark.parametrize("command", ["rollout", "evaluate"])
+    @pytest.mark.parametrize("edit", sorted(NON_FINITE_EDITS))
+    def test_non_finite_scenario_number_exits_two_without_output(
+        self, workspace, tmp_path, capsys, command, edit
+    ):
+        _, scenarios, archives = workspace
+        bad = tmp_path / "scenarios"
+        bad.mkdir()
+        for path in scenarios.glob("*.json"):
+            doc = json.loads(path.read_text())
+            if path.name.startswith("following_pair-") and "tracks" in doc:
+                NON_FINITE_EDITS[edit](doc)
+            (bad / path.name).write_text(json.dumps(doc))
+        out = tmp_path / ("out.tar.gz" if command == "rollout" else "out.json")
+        argv = {
+            "rollout": [
+                "--env-policy", "constant-velocity", "--av-policy", "constant-velocity",
+                "--k", "2", "--seed", "0",
+            ],
+            "evaluate": ["--archive", str(archives["constant-velocity"])],
+        }[command]
+        capsys.readouterr()
+        code = main([command, "--scenarios", str(bad), *argv, "--jobs", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert not out.exists()
+        assert err.count("\n") == 1 and "finite" in err
 
     def test_multiple_archives_emit_replan_curve(self, workspace, tmp_path):
         root, scenarios, archives = workspace

@@ -36,22 +36,26 @@ def spec10(lo=0.0, hi=10.0, bins=10):
 BERNOULLI = DEFAULT_HISTOGRAM_SPECS[MetricKind.COLLISION]
 
 
-def extraction(metric, values, valid=None):
-    """A one-object extraction holding one metric's series."""
-    values = np.asarray(values, dtype=float).reshape(1, -1)
-    valid = np.ones(values.shape, dtype=bool) if valid is None else np.reshape(valid, (1, -1))
-    return {metric: (values, valid)}
+def extraction(metric, values, valid=None, multiplicity=1):
+    """One metric's series of one object in ``len(values)`` extracted rollouts.
+
+    ``values`` and ``valid`` are (E, T); returns the ``(features,
+    multiplicity)`` pair :func:`sample_counts` reads.
+    """
+    values = np.asarray(values, dtype=float).reshape(len(values), 1, -1)
+    valid = np.ones(values.shape, dtype=bool) if valid is None else np.reshape(valid, values.shape)
+    return {metric: (values, valid)}, np.full(len(values), multiplicity, dtype=np.int64)
 
 
 def fit(samples, spec):
     """Fitted probabilities of one object whose valid steps are ``samples``."""
-    counts = sample_counts([(extraction(spec.metric, samples), 1)], spec.metric, spec)
+    counts = sample_counts(extraction(spec.metric, [samples]), spec.metric, spec)
     return fit_metric_distribution(counts, spec)[0]
 
 
 def fit_events(events, spec=BERNOULLI):
     """Fitted probabilities of one object with one any-step event per rollout."""
-    rollouts = [(extraction(spec.metric, [float(e)] * 5), 1) for e in events]
+    rollouts = extraction(spec.metric, [[float(e)] * 5 for e in events])
     counts = sample_counts(rollouts, spec.metric, spec)
     return fit_metric_distribution(counts, spec)[0]
 
@@ -59,7 +63,8 @@ def fit_events(events, spec=BERNOULLI):
 def score(probs, values, valid=None, spec=None):
     """Mean logged NLL of one object against its fitted probabilities."""
     spec = spec10() if spec is None else spec
-    values, valid = extraction(spec.metric, values, valid)[spec.metric]
+    values = np.asarray(values, dtype=float)[None, :]
+    valid = np.ones(values.shape, dtype=bool) if valid is None else np.reshape(valid, values.shape)
     return time_series_likelihood(values, valid, probs[None, :], spec)[0]
 
 
@@ -79,8 +84,8 @@ class TestFitHistogram:
     def test_empty_samples_raise(self):
         # An object whose rollouts hold no valid step has nothing to fit.
         metric = MetricKind.LINEAR_SPEED
-        invalid = extraction(metric, [1.0, 2.0], valid=[False, False])
-        counts = sample_counts([(invalid, 3)], metric, spec10())
+        invalid = extraction(metric, [[1.0, 2.0]], valid=[[False, False]], multiplicity=3)
+        counts = sample_counts(invalid, metric, spec10())
         assert counts.sum() == 0
         with pytest.raises(EmptySampleSet):
             fit_metric_distribution(counts, spec10())
@@ -218,16 +223,14 @@ class TestPooling:
         scenario, rollouts = scenario_and_rollouts
         # Deduplicated extraction counts exactly what one extraction per rollout does.
         shared = rollout_features(scenario, rollouts)
-        assert [n for _, n in shared] == [32]
-        direct = [
-            (
-                extract_features(
-                    SceneStates.from_rollout(scenario, rollouts, k), scenario.map_features
-                ),
-                1,
-            )
-            for k in range(len(rollouts.rollouts))
-        ]
+        assert shared[1].tolist() == [32]
+        k = len(rollouts.rollouts)
+        direct = (
+            extract_features(
+                SceneStates.from_rollout(scenario, rollouts, range(k)), scenario.map_features
+            ),
+            np.ones(k, dtype=np.int64),
+        )
         for metric in MetricKind:
             spec = DEFAULT_HISTOGRAM_SPECS[metric]
             np.testing.assert_array_equal(
@@ -322,27 +325,30 @@ def count_path_cases(draw):
             ok = np.broadcast_to(ok.any(axis=1, keepdims=True), (a, t)).copy()
         return np.where(ok, vals, 0.0), ok
 
-    extractions = [({metric: series()}, draw(st.integers(1, 3))) for _ in range(distinct)]
+    drawn = [(series(), draw(st.integers(1, 3))) for _ in range(distinct)]
+    features = {metric: tuple(np.stack(arrays) for arrays in zip(*(s for s, _ in drawn)))}
+    extracted = (features, np.array([n for _, n in drawn], dtype=np.int64))
     logged = series()
-    return metric, spec, extractions, logged
+    return metric, spec, extracted, logged
 
 
 class TestCountPathMatchesPerObjectReference:
     @settings(max_examples=150, deadline=None)
     @given(count_path_cases(), st.booleans(), st.sampled_from(["log_mean", "linear_mean"]))
     def test_bit_identical_to_one_fit_per_object(self, case, per_object, aggregation):
-        metric, spec, extractions, (logged_values, logged_valid) = case
+        metric, spec, extracted, (logged_values, logged_valid) = case
         config = replace(
             DEFAULT_CONFIG,
             histograms={**DEFAULT_CONFIG.histograms, metric: spec},
             per_object_histograms=per_object,
             object_aggregation=aggregation,
         )
-        expanded = [feats[metric] for feats, n in extractions for _ in range(n)]
+        (values, valid), multiplicity = extracted[0][metric], extracted[1]
+        expanded = [(values[e], valid[e]) for e, n in enumerate(multiplicity) for _ in range(n)]
         want = reference_nll(
             metric, spec, expanded, logged_values, logged_valid, pooled=not per_object
         )
-        got = _metric_nll(metric, logged_values, logged_valid, extractions, config)
+        got = _metric_nll(metric, logged_values, logged_valid, extracted, config)
         assert got.tobytes() == want.tobytes()
         if len(want):
             per_object_values = [float(np.exp(-x)) for x in want]

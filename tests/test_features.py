@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
+from dataclasses import replace
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import simreal.estimators
 import simreal.features
+from simreal.estimators import rollout_features
 from simreal.features import (
     DEFAULT_FEATURE_PARAMS,
     FeatureParams,
@@ -19,7 +24,14 @@ from simreal.features import (
 from simreal.geometry import box_signed_distance_batch
 from simreal.harness import generate_submission
 from simreal.policies import LoggedOraclePolicy
-from simreal.scene import MapFeature, MapFeatureKind
+from simreal.scene import (
+    MapFeature,
+    MapFeatureKind,
+    ObjectType,
+    Scenario,
+    ScenarioRollouts,
+    Track,
+)
 from simreal.synth import SynthSpec, Template, generate
 
 DT = 0.1
@@ -34,7 +46,7 @@ def features(states, metric, map_features=(), params=DEFAULT_FEATURE_PARAMS):
     """One metric's series for every object, keyed by object id, through the
     full extraction."""
     values, valid = extract_features(states, map_features, params)[metric]
-    return {oid: Series(values[row], valid[row]) for row, oid in enumerate(states.ids)}
+    return {oid: Series(values[0, row], valid[0, row]) for row, oid in enumerate(states.ids)}
 
 
 def track_series(metric, xs, ys=None, zs=None, headings=None, valid=None, dt=DT):
@@ -63,7 +75,12 @@ def scene(objs, dt=DT):
             valid[i] = o["valid"]
         dims[i] = o.get("dims", (2.0, 2.0, 2.0))
     return SceneStates(
-        ids=tuple(range(n)), centers=centers, headings=headings, valid=valid, dims=dims, dt=dt
+        ids=tuple(range(n)),
+        centers=centers[None],
+        headings=headings[None],
+        valid=valid[None],
+        dims=dims,
+        dt=dt,
     )
 
 
@@ -226,15 +243,17 @@ class TestDistanceToNearest:
 
 
 def all_pairs_nearest(states):
-    """Reference for the interaction features: the box kernel on every pair,
-    then the vertical gate and the ungated fallback minimum."""
-    a, t = states.valid.shape
+    """Reference for the interaction features of a one-rollout scene: the box
+    kernel on every pair, then the vertical gate and the ungated fallback
+    minimum."""
+    centers, headings, valid = states.centers[0], states.headings[0], states.valid[0]
+    a, t = valid.shape
     if a < 2:
         return np.zeros((a, t)), np.zeros((a, t), dtype=bool)
     boxes = np.concatenate(
         [
-            states.centers[:, :, :2],
-            states.headings[:, :, None],
+            centers[:, :, :2],
+            headings[:, :, None],
             np.broadcast_to(states.dims[:, None, :2], (a, t, 2)),
         ],
         axis=-1,
@@ -244,9 +263,9 @@ def all_pairs_nearest(states):
     dist = np.full((a, a, t), np.inf)
     dist[iu, ju] = pair_d
     dist[ju, iu] = pair_d
-    both_valid = states.valid[:, None, :] & states.valid[None, :, :]
+    both_valid = valid[:, None, :] & valid[None, :, :]
     both_valid &= ~np.eye(a, dtype=bool)[:, :, None]
-    z = states.centers[:, :, 2]
+    z = centers[:, :, 2]
     zlim = (states.dims[:, 2][:, None] + states.dims[:, 2][None, :]) / 2.0
     gated = both_valid & (np.abs(z[:, None, :] - z[None, :, :]) <= zlim[:, :, None])
     gated_min = np.where(gated, dist, np.inf).min(axis=1)
@@ -257,7 +276,7 @@ def all_pairs_nearest(states):
 
 
 def assert_interaction_matches_all_pairs(states):
-    feats = extract_features(states, [])
+    feats = {m: (v[0], ok[0]) for m, (v, ok) in extract_features(states, []).items()}
     vals, ok = all_pairs_nearest(states)
     collided = ((vals < 0.0) & ok).any(axis=1, keepdims=True)
     defined = ok.any(axis=1, keepdims=True)
@@ -299,7 +318,12 @@ def box_scenes(draw):
     # Zero extents make both bounds tight, so only the slack absorbs rounding.
     dims = draw(hnp.arrays(float, (a, 3), elements=st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.5])))
     return SceneStates(
-        ids=tuple(range(a)), centers=centers, headings=headings, valid=valid, dims=dims, dt=DT
+        ids=tuple(range(a)),
+        centers=centers[None],
+        headings=headings[None],
+        valid=valid[None],
+        dims=dims,
+        dt=DT,
     )
 
 
@@ -351,7 +375,7 @@ class TestNearestObjectBroadPhase:
 
         monkeypatch.setattr(simreal.features, "box_signed_distance_batch", counting)
         assert_interaction_matches_all_pairs(states)
-        a, t = states.valid.shape
+        _, a, t = states.valid.shape
         assert 0 < sum(pair_steps) < 0.2 * (a * (a - 1) // 2) * t
 
 
@@ -546,10 +570,167 @@ class TestRoundTripIdentity:
             scenario, LoggedOraclePolicy(scenario), LoggedOraclePolicy(scenario), k=1
         )
         log_states = SceneStates.from_logged_future(scenario)
-        rollout_states = SceneStates.from_rollout(scenario, rollouts, 0)
+        rollout_states = SceneStates.from_rollout(scenario, rollouts, [0])
         assert log_states.ids == rollout_states.ids
         from_log = extract_features(log_states, scenario.map_features)
         from_rollout = extract_features(rollout_states, scenario.map_features)
         for metric in MetricKind:
             for logged, simulated in zip(from_log[metric], from_rollout[metric]):
                 np.testing.assert_array_equal(logged, simulated)
+
+
+# ---------------------------------------------------------------------------
+# Batched extraction: K stacked rollouts give, row for row, what extracting
+# each rollout alone (K=1) gives.
+
+
+def _arc(radius, segments):
+    phis = np.linspace(0.0, 1.5 * math.pi, segments + 1)
+    return tuple((radius * math.cos(p), radius * math.sin(p)) for p in phis)
+
+
+#: No map, a 2-segment straight road, and a 100-segment arc that uses the grid.
+_MAPS = {
+    "none": (),
+    "straight": (
+        MapFeature(0, MapFeatureKind.ROAD_EDGE, ((-50.0, 3.0), (50.0, 3.0))),
+        MapFeature(1, MapFeatureKind.ROAD_EDGE, ((50.0, -3.0), (-50.0, -3.0))),
+    ),
+    "arc": (MapFeature(0, MapFeatureKind.ROAD_EDGE, _arc(8.0, 100)),),
+}
+
+
+def assert_row_is_alone(batched, e, alone, label):
+    """Rollout ``e`` of a batched extraction equals its own K=1 extraction."""
+    for metric in MetricKind:
+        for got, want in zip(batched[metric], alone[metric]):
+            got = got[e : e + 1]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (
+                f"{label} {metric.value}"
+            )
+
+
+def rollout_alone(states, k):
+    return replace(
+        states,
+        centers=states.centers[k : k + 1],
+        headings=states.headings[k : k + 1],
+        valid=states.valid[k : k + 1],
+    )
+
+
+@st.composite
+def stacked_states(draw):
+    """K rollouts of one box scene, with invalid steps, NaN poses, z-stacked
+    and touching boxes, and sometimes a repeated rollout."""
+    k = draw(st.integers(1, 4))
+    a = draw(st.integers(1, 6))
+    t = draw(st.integers(1, 5))
+    z = st.sampled_from([0.0, 0.0, 0.5, 10.0])
+    centers = np.stack(
+        [
+            draw(hnp.arrays(float, (k, a, t), elements=_COORDS)),
+            draw(hnp.arrays(float, (k, a, t), elements=_COORDS)),
+            draw(hnp.arrays(float, (k, a, t), elements=z)),
+        ],
+        axis=-1,
+    )
+    headings = draw(hnp.arrays(float, (k, a, t), elements=_HEADINGS))
+    valid = draw(hnp.arrays(bool, (k, a, t)))
+    if k > 1 and draw(st.booleans()):
+        centers[-1], headings[-1], valid[-1] = centers[0], headings[0], valid[0]
+    dims = draw(hnp.arrays(float, (a, 3), elements=st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.5])))
+    return SceneStates(
+        ids=tuple(range(a)), centers=centers, headings=headings, valid=valid, dims=dims, dt=DT
+    )
+
+
+def scenario_with_rollouts(dims, poses, map_features=()):
+    """A scenario of ``len(dims)`` boxes (one history step) and its (K, A, T, 4) rollouts."""
+    _, a, t, _ = poses.shape
+    tracks = [
+        Track(i, ObjectType.VEHICLE, *dims[i], np.zeros((1 + t, 4)), np.ones(1 + t, dtype=bool))
+        for i in range(a)
+    ]
+    scenario = Scenario("batched", tracks, map_features, av_track_id=0,
+                        history_length=1, future_length=t)
+    return scenario, ScenarioRollouts("batched", np.arange(a), poses)
+
+
+def assert_rollout_features_match_each_rollout(scenario, rollouts):
+    features, multiplicity = rollout_features(scenario, rollouts)
+    first: dict[bytes, int] = {}
+    for k, poses in enumerate(rollouts.rollouts):
+        e = first.setdefault(poses.tobytes(), len(first))
+        alone = extract_features(
+            SceneStates.from_rollout(scenario, rollouts, [k]), scenario.map_features
+        )
+        assert_row_is_alone(features, e, alone, f"rollout {k}")
+    counts = Counter(poses.tobytes() for poses in rollouts.rollouts)
+    assert multiplicity.tolist() == [counts[key] for key in first]
+
+
+_FINITE = st.one_of(st.integers(-12, 12).map(lambda v: v / 2.0), st.floats(-1e3, 1e3))
+
+
+class TestBatchedExtraction:
+    @settings(max_examples=150, deadline=None)
+    @given(states=stacked_states(), road=st.sampled_from(sorted(_MAPS)))
+    @example(  # z-stacked pair and a touching pair, repeated
+        states=SceneStates(
+            ids=(0, 1, 2),
+            centers=np.array([[[0.0, 0.0, 0.0]], [[0.0, 0.0, 10.0]], [[2.0, 0.0, 0.0]]])[None]
+            .repeat(2, axis=0),
+            headings=np.zeros((2, 3, 1)),
+            valid=np.ones((2, 3, 1), dtype=bool),
+            dims=np.full((3, 3), 2.0),
+            dt=DT,
+        ),
+        road="arc",
+    )
+    def test_stack_equals_each_rollout_alone(self, states, road):
+        batched = extract_features(states, _MAPS[road])
+        for k in range(len(states.valid)):
+            alone = extract_features(rollout_alone(states, k), _MAPS[road])
+            assert_row_is_alone(batched, k, alone, f"rollout {k}")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_grouped_rollout_features_equal_each_rollout_alone(self, data):
+        a = data.draw(st.integers(1, 6), label="objects")
+        t = data.draw(st.integers(1, 4), label="steps")
+        pool = data.draw(
+            st.lists(
+                hnp.arrays(float, (a, t, 4), elements=_FINITE), min_size=1, max_size=4
+            ),
+            label="distinct",
+        )
+        order = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=10))
+        dims = data.draw(hnp.arrays(float, (a, 3), elements=st.sampled_from([0.5, 2.0, 4.5])))
+        road = data.draw(st.sampled_from(sorted(_MAPS)), label="map")
+        # A small pair budget makes the groups split after 1 to a few rollouts.
+        budget = data.draw(st.integers(1, 64), label="budget")
+        poses = np.stack([pool[i] for i in order])
+        poses[..., 2] = np.abs(poses[..., 2]) % 3.0  # some boxes stack, some overlap in z
+        scenario, rollouts = scenario_with_rollouts(dims, poses, _MAPS[road])
+        with mock.patch.object(simreal.estimators, "_PAIR_BUDGET", budget):
+            assert_rollout_features_match_each_rollout(scenario, rollouts)
+
+    def test_thirty_two_distinct_rollouts_of_six_objects_take_two_calls(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        poses = rng.uniform(-6.0, 6.0, size=(32, 6, 10, 4))
+        poses[..., 2] = 0.0
+        scenario, rollouts = scenario_with_rollouts(
+            np.tile([4.5, 2.0, 1.5], (6, 1)), poses, _MAPS["arc"]
+        )
+        stacked = []
+
+        def counting(states, map_features, params):
+            stacked.append(len(states.valid))
+            return extract_features(states, map_features, params)
+
+        monkeypatch.setattr(simreal.estimators, "extract_features", counting)
+        rollout_features(scenario, rollouts)
+        assert stacked == [28, 4]  # groups of 1024 // 6**2
+        monkeypatch.undo()
+        assert_rollout_features_match_each_rollout(scenario, rollouts)

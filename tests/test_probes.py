@@ -1,0 +1,58 @@
+"""The benchmark's span probes still find, wrap and restore every name they time.
+
+``bench/probes.py`` replaces library names by attribute, so renaming one of
+them breaks ``bench/run.py --trace 1``; this test makes it break tier-1 too.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import probes  # noqa: E402
+from spans import Tracer  # noqa: E402
+
+import simreal.estimators  # noqa: E402
+import simreal.evaluate  # noqa: E402
+import simreal.features  # noqa: E402
+from simreal.harness import generate_submission  # noqa: E402
+from simreal.policies import create_policy  # noqa: E402
+from simreal.synth import SynthSpec, Template, generate  # noqa: E402
+
+#: (owner, name) of the probed call sites evaluation goes through.
+PROBED = [
+    (simreal.evaluate, "extract_features"),
+    (simreal.estimators, "extract_features"),
+    (simreal.features, "polyline_distance_batch"),
+    (simreal.features, "box_signed_distance_batch"),
+    (simreal.features.SceneStates, "from_logged_future"),
+    (simreal.features.SceneStates, "from_rollout"),
+]
+
+
+def test_probes_wrap_evaluation_and_restore_the_originals():
+    scenario = generate(SynthSpec(Template.FOLLOWING_PAIR, seed=0)).scenario
+    rollouts = generate_submission(
+        scenario, create_policy("constant-velocity", scenario),
+        create_policy("constant-velocity", scenario), k=2, base_seed=0,
+    )
+    originals = [owner.__dict__[name] for owner, name in PROBED]
+
+    tracer = Tracer()
+    with probes.installed(tracer):
+        assert all(owner.__dict__[name] is not orig
+                   for (owner, name), orig in zip(PROBED, originals))
+        simreal.evaluate.evaluate_scenario(scenario, rollouts)
+
+    assert [owner.__dict__[name] for owner, name in PROBED] == originals
+    # The logged scene and one extraction of the two identical rollouts.
+    assert len(tracer.durations("features.extract")) == 2
+    assert len(tracer.durations("features.scene_states")) == 2
+    assert tracer.counts["estimators.extractions"] == 1
+    assert tracer.counts["estimators.rollouts_in"] == 2
+    assert tracer.durations("geometry.box_distance")
+    assert tracer.durations("geometry.polyline")

@@ -116,6 +116,31 @@ class TestScenarioInvariants:
         with pytest.raises(MalformedScenario, match="finite"):
             Track(0, ObjectType.VEHICLE, poses=make_poses(91), valid=np.ones(91, bool), **extents)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_pose_at_valid_step(self, value):
+        poses = make_poses()
+        poses[50, 0] = value
+        with pytest.raises(MalformedScenario, match="valid index 50 is not finite"):
+            Track(0, ObjectType.VEHICLE, 4.6, 2.0, 1.8, poses, np.ones(91, bool))
+
+    def test_non_finite_pose_at_invalid_step_is_unconstrained(self):
+        poses = make_poses()
+        poses[50] = (float("nan"), float("inf"), -float("inf"), float("nan"))
+        valid = np.ones(91, bool)
+        valid[50] = False
+        track = Track(0, ObjectType.VEHICLE, 4.6, 2.0, 1.8, poses, valid)
+        assert np.isnan(track.poses[50, 0]) and not track.valid[50]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_polyline_point(self, value):
+        with pytest.raises(MalformedScenario, match="finite"):
+            MapFeature(0, MapFeatureKind.ROAD_EDGE, ((0.0, 0.0), (value, 1.0), (2.0, 2.0)))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_timestep(self, value):
+        with pytest.raises(MalformedScenario, match="timestep must be finite"):
+            Scenario("test", (make_track(0),), (), av_track_id=0, timestep=value)
+
     @pytest.mark.parametrize("value", [0.0, -1.0, -float("inf")])
     def test_rejects_non_positive_extents(self, value):
         with pytest.raises(MalformedScenario, match="positive"):

@@ -24,7 +24,7 @@ def test_features_reproduce_fixtures(template, noise):
     feats = extract_features(states, synth.scenario.map_features)
     assert len(synth.fixtures) >= 6
     for metric, (values, valid) in synth.fixtures.items():
-        got_values, got_valid = feats[metric]
+        got_values, got_valid = (series[0] for series in feats[metric])
         assert values.shape == valid.shape == got_valid.shape
         np.testing.assert_array_equal(
             got_valid, valid, err_msg=f"{template.value} {metric.value}: validity mask"
