@@ -14,6 +14,7 @@ from .errors import (
     EmptySampleSet,
     IncompleteBundle,
     InconsistentRollouts,
+    InvalidOption,
     MalformedScenario,
     MetricUnscorable,
     NoValidSteps,

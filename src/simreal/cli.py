@@ -16,7 +16,9 @@ or extra object, a wrong step count, a non-finite pose) or an archive that
 lacks a scenario of the set, holds one twice or holds one outside it, or
 whose scenarios differ in rollout count or depart from the manifest's
 ``rollouts_per_scenario`` (no report is written), and in ``rollout`` a
-``--k`` below 1 or a ``--seed`` outside [0, 2**64 - k]; 3 policy-contract
+``--k`` below 1, a ``--seed`` outside [0, 2**64 - k], a ``--replan-interval``
+below 1, or a policy option that is not KEY=VALUE or whose value the policy
+cannot use (not a number, non-finite, or a negative scale); 3 policy-contract
 violations.  ``SIMREAL_CONFIG`` sets the default config path for
 ``evaluate``.
 """
@@ -32,7 +34,7 @@ from pathlib import Path
 
 from . import io as sio
 from .config import DEFAULT_CONFIG, EvalConfig
-from .errors import ParseError, PolicyContractViolation, SimRealError
+from .errors import InvalidOption, ParseError, PolicyContractViolation, SimRealError
 from .evaluate import evaluate_dataset
 from .harness import SEED_LIMIT, audit_trace, generate_submission
 from .plots import component_bar_chart, replan_curve, save_svg
@@ -42,11 +44,11 @@ from .synth import SynthSpec, Template, generate
 CONFIG_ENV_VAR = "SIMREAL_CONFIG"
 
 
-def _parse_opts(pairs: list[str] | None) -> dict:
+def _parse_opts(pairs: list[str] | None, flag: str) -> dict:
     out = {}
     for pair in pairs or []:
         if "=" not in pair:
-            raise argparse.ArgumentTypeError(f"expected key=value, got {pair!r}")
+            raise InvalidOption(f"{flag} expects KEY=VALUE, got {pair!r}")
         key, _, raw = pair.partition("=")
         try:
             out[key] = float(raw)
@@ -157,9 +159,13 @@ def _cmd_rollout(args) -> int:
         print(f"error: --k must be >= 1 and --seed in [0, 2**64 - k], "
               f"got k={args.k} seed={args.seed}", file=sys.stderr)
         return 2
+    if args.replan_interval < 1:
+        print(f"error: --replan-interval must be >= 1, got {args.replan_interval}",
+              file=sys.stderr)
+        return 2
     scenarios = sio.read_scenario_dir(args.scenarios)
-    env_opts = _parse_opts(args.env_opt)
-    av_opts = _parse_opts(args.av_opt)
+    env_opts = _parse_opts(args.env_opt, "--env-opt")
+    av_opts = _parse_opts(args.av_opt, "--av-opt")
     work = [
         (scn, args.env_policy, args.av_policy, env_opts, av_opts,
          args.k, args.replan_interval, args.seed)

@@ -35,6 +35,10 @@ class PolicyContractViolation(SimRealError):
     """A policy returned the wrong object set or unusable states."""
 
 
+class InvalidOption(SimRealError):
+    """A command-line or policy option has an unusable value."""
+
+
 class ParseError(SimRealError):
     """A scenario, archive, or config file could not be decoded.
 

@@ -110,30 +110,46 @@ def philox_keys(entropy) -> np.ndarray:
     return np.stack([out[0] | (out[1] << high), out[2] | (out[3] << high)], axis=1)
 
 
+# Keys are derived for at most this many (seed, step, id) rows at once; the
+# derivation's temporaries, not the keys, set the rollout's peak memory.
+_KEY_BLOCK_ROWS = 4096
+
+
 class _NoiseStreams:
-    """A rollout's random streams: one Philox stream per (seed, step, object).
+    """The random streams of K lockstep rollouts: one Philox stream per (seed, step, object).
 
     Each stream is the one ``Generator(Philox(SeedSequence((seed, step, id))))``
-    yields.  The keys of steps 1..T are derived in one pass at the first
-    draw, so rollouts that draw nothing pay nothing; a virtual plan step past
-    T derives its keys when it draws.  Every draw resets one bit generator to
-    a stream's start: its key, a zero counter and an empty buffer.
+    yields.  Keys are derived for blocks of consecutive steps, at most
+    ``_KEY_BLOCK_ROWS`` rows a block (or one step, if a step alone has more),
+    when a step of the block first draws, so rollouts that draw nothing pay
+    nothing.  The two blocks used last are kept: two policies planning over
+    the same steps share them.  Every draw resets one bit generator to a
+    stream's start: its key, a zero counter and an empty buffer.
     """
 
-    def __init__(self, seed: int, ids: tuple[int, ...], steps: int):
-        self._seed = seed
+    def __init__(self, seeds: tuple[int, ...], ids: tuple[int, ...]):
+        self._seeds = seeds
         self._ids = ids
-        self._steps = steps
         self._any_negative = bool(ids) and min(ids) < 0
-        self._keys: np.ndarray | None = None  # (T, A, 2)
+        self._block_steps = max(1, _KEY_BLOCK_ROWS // (len(seeds) * max(1, len(ids))))
+        self._blocks: dict[int, np.ndarray] = {}  # first step -> (steps, K, A, 2) keys
+        self._generator: np.random.Generator | None = None
 
-    def _step_keys(self, steps) -> np.ndarray:
-        """(len(steps), A, 2) keys; a negative id gets a placeholder it never draws from."""
-        entropy = np.empty((len(steps), len(self._ids), 3), dtype=np.uint64)
-        entropy[..., 0] = self._seed
-        entropy[..., 1] = np.asarray(steps)[:, None]
-        entropy[..., 2] = np.maximum(self._ids, 0)
-        return philox_keys(entropy).reshape(len(steps), len(self._ids), 2)
+    def _step_keys(self, step: int) -> np.ndarray:
+        """(K, A, 2) keys of one step; a negative id gets a placeholder it never draws from."""
+        first = (step - 1) // self._block_steps * self._block_steps + 1
+        block = self._blocks.pop(first, None)
+        if block is None:
+            shape = (self._block_steps, len(self._seeds), len(self._ids))
+            entropy = np.empty(shape + (3,), dtype=np.uint64)
+            entropy[..., 0] = np.array(self._seeds, dtype=np.uint64)[:, None]
+            entropy[..., 1] = np.arange(first, first + self._block_steps)[:, None, None]
+            entropy[..., 2] = np.maximum(self._ids, 0)
+            block = philox_keys(entropy).reshape(shape + (2,))
+            if len(self._blocks) > 1:
+                del self._blocks[next(iter(self._blocks))]
+        self._blocks[first] = block
+        return block[step - first]
 
     def draw(self, step: int, rows, n: int) -> np.ndarray:
         if self._any_negative:
@@ -142,8 +158,7 @@ class _NoiseStreams:
                 raise PolicyContractViolation(
                     f"objects {bad} have negative ids, which cannot key a random stream"
                 )
-        if self._keys is None:
-            self._keys = self._step_keys(range(1, self._steps + 1))
+        if self._generator is None:
             self._bitgen = np.random.Philox(0)
             self._generator = np.random.Generator(self._bitgen)
             # Plain lists: the state setter reads them about twice as fast as arrays.
@@ -155,17 +170,15 @@ class _NoiseStreams:
                 "has_uint32": 0,
                 "uinteger": 0,
             }
-        if 1 <= step <= self._steps:
-            keys = self._keys[step - 1, rows]
-        else:
-            keys = self._step_keys([step])[0, rows]
+        keys = self._step_keys(step)[:, rows]
+        flat = keys.reshape(-1, 2)
+        out = np.empty((len(flat), n))
         stream = self._start["state"]
-        draws = []
-        for key in keys.tolist():
+        for key, row in zip(flat.tolist(), out):
             stream["key"] = key
             self._bitgen.state = self._start
-            draws.append(self._generator.standard_normal(n))
-        return np.array(draws).reshape(len(keys), n)
+            self._generator.standard_normal(out=row)
+        return out.reshape(keys.shape[:2] + (n,))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -202,17 +215,18 @@ def _history_motion(
 
 @dataclass(frozen=True)
 class PolicyContext:
-    """Everything a policy may condition on at one simulation step.
+    """Everything a policy may condition on at one step of K lockstep rollouts.
 
-    ``poses`` is (A, L, 4) as [x, y, z, heading] and ``valid`` is (A, L),
-    where L covers the history window plus all previously simulated steps;
+    Rollout k runs on seed ``seeds[k]``.  ``poses`` is (K, A, L, 4) as
+    [x, y, z, heading] and ``valid`` is (A, L), shared by every rollout: L
+    covers the history window plus all previously simulated steps, and
     states at or after the current step are structurally absent.  Row order
     follows ``ids``, and policies address their objects by row.  Arrays are
     read-only views; policies must not retain them beyond the call.
     ``motion`` is (A, 3) [speed, heading, z] of every row from the history
-    window (see :meth:`history_motion`); the harness computes it once per
-    rollout, since the history never changes.  ``noise`` holds the
-    rollout's random streams (see :meth:`standard_normals`).
+    window (see :meth:`history_motion`), which all rollouts share; the
+    harness computes it once per scenario.  ``noise`` holds the rollouts'
+    random streams (see :meth:`standard_normals`).
     """
 
     scenario_id: str
@@ -222,7 +236,7 @@ class PolicyContext:
     step: int
     t0_index: int
     dt: float
-    seed: int
+    seeds: tuple[int, ...]
     poses: np.ndarray
     valid: np.ndarray
     motion: np.ndarray
@@ -232,23 +246,24 @@ class PolicyContext:
         return self.ids.index(object_id)
 
     def standard_normals(self, rows, n: int) -> np.ndarray:
-        """(len(rows), n) standard normals; row i starts the stream of ``ids[rows[i]]``.
+        """(K, len(rows), n) standard normals; [k, i] starts the stream of (seeds[k], ids[rows[i]]).
 
         Streams are counter-based and keyed by (seed, step, object), so
-        draws do not depend on call order: plans computed ahead of time and
-        step-by-step execution see identical noise.  ``loc + scale * z``
-        gives the bits of numpy's ``normal(loc, scale)``.  A negative
-        object id cannot key a stream and is a contract violation.
+        draws do not depend on call order or on the other rollouts: plans
+        computed ahead of time and step-by-step execution see identical
+        noise.  ``loc + scale * z`` gives the bits of numpy's
+        ``normal(loc, scale)``.  A negative object id cannot key a stream and
+        is a contract violation.
         """
         return self.noise.draw(self.step, rows, n)
 
     def last_valid_pose(self, rows) -> np.ndarray:
-        """(n, 4) most recent valid pose of each controlled row.
+        """(K, n, 4) most recent valid pose of each controlled row in every rollout.
 
         That is the context's last column: simulated objects are valid at the
         handover step, and every simulated step fills all of a policy's rows.
         """
-        return self.poses[rows, -1]
+        return self.poses[:, rows, -1]
 
     def history_motion(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(speed, heading, z) arrays of the given rows, from the logged history only.
@@ -260,29 +275,32 @@ class PolicyContext:
         return motion[:, 0], motion[:, 1], motion[:, 2]
 
 
-def _shaped_poses(out, n: int, who: str, step: int) -> np.ndarray:
-    """A policy's output as an (n, 4) float array, or a contract violation."""
+def _shaped_poses(out, k: int, n: int, who: str, step: int) -> np.ndarray:
+    """A policy's output as a (k, n, 4) float array, or a contract violation."""
     try:
         poses = np.asarray(out, dtype=float)
     except (TypeError, ValueError) as exc:
         raise PolicyContractViolation(
             f"{who} policy at step {step}: output is not a pose array ({exc})"
         ) from exc
-    if poses.shape != (n, 4):
+    if poses.shape != (k, n, 4):
         raise PolicyContractViolation(
-            f"{who} policy at step {step}: expected ({n}, 4) poses for its "
-            f"controlled objects, got shape {poses.shape}"
+            f"{who} policy at step {step}: expected ({k}, {n}, 4) poses for its "
+            f"controlled objects in each rollout, got shape {poses.shape}"
         )
     return poses
 
 
 def _finish_poses(poses: np.ndarray, ids: Sequence[int], step: int) -> None:
-    """Reject non-finite rows of ``poses`` (object ``ids[i]`` in row i) and wrap headings in place."""
+    """Reject non-finite rows of (K, n, 4) ``poses`` and wrap their headings in place.
+
+    Row i is object ``ids[i]`` in every rollout.
+    """
     finite = np.isfinite(poses)
     if not finite.all():
-        bad = [ids[i] for i in np.flatnonzero(~finite.all(axis=1))]
+        bad = [ids[i] for i in np.flatnonzero(~finite.all(axis=(0, 2)))]
         raise PolicyContractViolation(f"policy output at step {step}: objects {bad} are not finite")
-    poses[:, 3] = normalize_heading(poses[:, 3])
+    poses[..., 3] = normalize_heading(poses[..., 3])
 
 
 class Policy(ABC):
@@ -290,37 +308,43 @@ class Policy(ABC):
 
     @abstractmethod
     def step(self, context: PolicyContext, rows: np.ndarray) -> np.ndarray:
-        """Return (len(rows), 4) poses [x, y, z, heading] for context.step.
+        """Return (K, len(rows), 4) poses [x, y, z, heading] for context.step.
 
-        ``rows`` indexes the controlled objects in ``context.ids``.
+        ``rows`` indexes the controlled objects in ``context.ids``; entry
+        [k] belongs to rollout k of the context.
         """
 
     def plan(self, context: PolicyContext, rows: np.ndarray, horizon: int) -> np.ndarray:
         """Produce ``horizon`` consecutive steps without re-observing others.
 
-        Returns (horizon, len(rows), 4).  The default rolls :meth:`step`
+        Returns (horizon, K, len(rows), 4).  The default rolls :meth:`step`
         forward against virtually extended contexts in which only the
         policy's own outputs advance; other objects stay frozen at their last
         known (now stale) state.  Plan holders use this to emulate slower
         replanning.
         """
-        outputs = np.empty((horizon, len(rows), 4))
-        poses = np.array(context.poses)
-        valid = np.array(context.valid)
+        k, a, length, _ = context.poses.shape
+        outputs = np.empty((horizon, k, len(rows), 4))
+        poses = np.zeros((k, a, length + horizon - 1, 4))
+        valid = np.zeros((a, length + horizon - 1), dtype=bool)
+        poses[:, :, :length] = context.poses
+        valid[:, :length] = context.valid
         ctx = context
         own_ids = [context.ids[r] for r in rows]
         for j in range(horizon):
-            outputs[j] = _shaped_poses(self.step(ctx, rows), len(rows), "planning", ctx.step)
+            outputs[j] = _shaped_poses(self.step(ctx, rows), k, len(rows), "planning", ctx.step)
             _finish_poses(outputs[j], own_ids, ctx.step)
             if j == horizon - 1:
                 break
-            new_col_pose = np.zeros((poses.shape[0], 1, 4))
-            new_col_valid = np.zeros((poses.shape[0], 1), dtype=bool)
-            new_col_pose[rows, 0] = outputs[j]
-            new_col_valid[rows, 0] = True
-            poses = np.concatenate([poses, new_col_pose], axis=1)
-            valid = np.concatenate([valid, new_col_valid], axis=1)
-            ctx = replace(ctx, step=ctx.step + 1, poses=_read_only(poses), valid=_read_only(valid))
+            poses[:, rows, length + j] = outputs[j]
+            valid[rows, length + j] = True
+            upto = length + j + 1
+            ctx = replace(
+                ctx,
+                step=ctx.step + 1,
+                poses=_read_only(poses[:, :, :upto]),
+                valid=_read_only(valid[:, :upto]),
+            )
         return outputs
 
 
@@ -345,9 +369,16 @@ class AuditReport:
     issues: tuple[str, ...]
 
 
-def _hash_step(hasher, step: int, record: np.ndarray, poses: np.ndarray) -> None:
-    """Fold one step's poses (rows in ``record`` id order) into the hash chain."""
+def _hash_records(ids: Sequence[int], poses: np.ndarray) -> np.ndarray:
+    """Hash records of (..., A, 4) poses whose rows are the objects ``ids``."""
+    record = np.empty(poses.shape[:-1], dtype=_HASH_RECORD)
+    record["id"] = ids
     record["pose"] = poses
+    return record
+
+
+def _hash_step(hasher, step: int, record: np.ndarray) -> None:
+    """Fold one step of one rollout, as (A,) hash records, into its hash chain."""
     hasher.update(struct.pack("<i", step))
     hasher.update(record.tobytes())
 
@@ -356,42 +387,49 @@ def closed_loop_rollout(
     scenario: Scenario,
     av_policy: Policy,
     env_policy: Policy,
-    seed: int = 0,
-) -> tuple[np.ndarray, RolloutTrace]:
-    """Roll the scene forward one step at a time for the whole future window.
+    seeds: Sequence[int],
+) -> tuple[np.ndarray, tuple[RolloutTrace, ...]]:
+    """Roll K copies of the scene forward in lockstep, one step at a time, over the future window.
 
+    Rollout k runs on ``seeds[k]``; it shares only the logged history with
+    the others, so it equals the rollout of ``seeds=(seeds[k],)``.
     Controlled rows partition the simulated objects into {AV} and the rest;
-    both policies are stepped against the identical context each step and
-    their outputs merged afterwards.  Returns the simulated future as
-    (A, T, 4) poses with rows in ascending object id order (the trace's
-    ``ids_queried``), plus the trace.
+    both policies are stepped for all K rollouts against the identical
+    context each step and their outputs merged afterwards.  Returns the
+    simulated futures as (K, A, T, 4) poses with rows in ascending object id
+    order (the traces' ``ids_queried``), plus one trace per rollout.
     """
     if av_policy is env_policy:
         raise PolicyContractViolation("AV and environment policies must be distinct objects")
-    if not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ValueError("closed_loop_rollout needs at least one seed")
+    for seed in seeds:
+        if not 0 <= seed < SEED_LIMIT:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     sim_ids = tuple(sorted(simulated_object_ids(scenario)))
     av_row = sim_ids.index(scenario.av_track_id)
     all_rows = np.arange(len(sim_ids))
     av_rows = np.array([av_row])
     env_rows = all_rows[all_rows != av_row]
 
+    k = len(seeds)
     h, t_total = scenario.history_length, scenario.future_length
     n = len(sim_ids)
     tracks = [scenario.track(oid) for oid in sim_ids]
-    poses = np.zeros((n, h + t_total, 4))
+    poses = np.zeros((k, n, h + t_total, 4))
     valid = np.zeros((n, h + t_total), dtype=bool)
     valid[:, :h] = [trk.valid[:h] for trk in tracks]
-    poses[:, :h] = np.where(valid[:, :h, None], [trk.poses[:h] for trk in tracks], 0.0)
-    motion = _history_motion(poses, valid, h - 1, scenario.timestep, all_rows, sim_ids)
+    poses[:, :, :h] = np.where(valid[:, :h, None], [trk.poses[:h] for trk in tracks], 0.0)
+    motion = _history_motion(poses[0], valid, h - 1, scenario.timestep, all_rows, sim_ids)
 
-    record = np.zeros(n, dtype=_HASH_RECORD)
-    record["id"] = sim_ids
-    hasher = hashlib.sha256(scenario.scenario_id.encode("utf-8"))
-    noise = _NoiseStreams(seed, sim_ids, t_total)
-    steps: list[TraceStep] = []
+    hashers = [hashlib.sha256(scenario.scenario_id.encode("utf-8")) for _ in seeds]
+    noise = _NoiseStreams(seeds, sim_ids)
+    steps: list[list[TraceStep]] = [[] for _ in seeds]
     for t in range(1, t_total + 1):
-        context_hash = hasher.copy().hexdigest()
+        for hasher, rollout_steps in zip(hashers, steps):
+            context_hash = hasher.copy().hexdigest()
+            rollout_steps.append(TraceStep(step=t, ids_queried=sim_ids, context_hash=context_hash))
         upto = h + t - 1
         ctx = PolicyContext(
             scenario_id=scenario.scenario_id,
@@ -401,30 +439,33 @@ def closed_loop_rollout(
             step=t,
             t0_index=h - 1,
             dt=scenario.timestep,
-            seed=seed,
-            poses=_read_only(poses[:, :upto]),
+            seeds=seeds,
+            poses=_read_only(poses[:, :, :upto]),
             valid=_read_only(valid[:, :upto]),
             motion=motion,
             noise=noise,
         )
         env_out = env_policy.step(ctx, env_rows) if len(env_rows) else None
         av_out = av_policy.step(ctx, av_rows)
-        merged = poses[:, upto]
+        merged = poses[:, :, upto]
         if env_out is not None:
-            merged[env_rows] = _shaped_poses(env_out, len(env_rows), "environment", t)
-        merged[av_row] = _shaped_poses(av_out, 1, "AV", t)[0]
+            merged[:, env_rows] = _shaped_poses(env_out, k, len(env_rows), "environment", t)
+        merged[:, av_row] = _shaped_poses(av_out, k, 1, "AV", t)[:, 0]
         _finish_poses(merged, sim_ids, t)
         valid[:, upto] = True
-        _hash_step(hasher, t, record, merged)
-        steps.append(TraceStep(step=t, ids_queried=sim_ids, context_hash=context_hash))
+        for hasher, record in zip(hashers, _hash_records(sim_ids, merged)):
+            _hash_step(hasher, t, record)
 
-    trace = RolloutTrace(
-        scenario_id=scenario.scenario_id,
-        seed=seed,
-        steps=tuple(steps),
-        final_hash=hasher.hexdigest(),
+    traces = tuple(
+        RolloutTrace(
+            scenario_id=scenario.scenario_id,
+            seed=seed,
+            steps=tuple(rollout_steps),
+            final_hash=hasher.hexdigest(),
+        )
+        for seed, rollout_steps, hasher in zip(seeds, steps, hashers)
     )
-    return poses[:, h:], trace
+    return poses[:, :, h:], traces
 
 
 def generate_submission(
@@ -435,22 +476,19 @@ def generate_submission(
     base_seed: int = 0,
     with_traces: bool = False,
 ):
-    """Run ``k`` independent rollouts seeded base_seed .. base_seed+k-1."""
+    """Run ``k`` independent lockstep rollouts seeded base_seed .. base_seed+k-1."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    futures: list[np.ndarray] = []
-    traces: list[RolloutTrace] = []
-    for i in range(k):
-        future, trace = closed_loop_rollout(scenario, av_policy, env_policy, seed=base_seed + i)
-        futures.append(future)
-        traces.append(trace)
+    futures, traces = closed_loop_rollout(
+        scenario, av_policy, env_policy, seeds=range(base_seed, base_seed + k)
+    )
     rollouts = ScenarioRollouts(
         scenario_id=scenario.scenario_id,
         ids=sorted(simulated_object_ids(scenario)),
-        rollouts=np.stack(futures),
+        rollouts=futures,
     )
     if with_traces:
-        return rollouts, tuple(traces)
+        return rollouts, traces
     return rollouts
 
 
@@ -480,14 +518,13 @@ def audit_trace(
         issues.append("queried ids do not match the rollout's rows")
 
     if not issues:
-        record = np.zeros(len(queried), dtype=_HASH_RECORD)
-        record["id"] = queried
+        records = _hash_records(queried, np.swapaxes(poses, 0, 1))
         hasher = hashlib.sha256(trace.scenario_id.encode("utf-8"))
         for s in steps:
             if hasher.copy().hexdigest() != s.context_hash:
                 issues.append(f"context hash mismatch at step {s.step}")
                 break
-            _hash_step(hasher, s.step, record, poses[:, s.step - 1])
+            _hash_step(hasher, s.step, records[s.step - 1])
         else:
             if hasher.hexdigest() != trace.final_hash:
                 issues.append("final hash mismatch")

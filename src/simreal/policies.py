@@ -12,19 +12,40 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .errors import PolicyContractViolation
+from .errors import InvalidOption, PolicyContractViolation
 from .harness import Policy, PolicyContext
 from .scene import Scenario, simulated_object_ids
 
 
 def _pose_rows(x, y, z, heading) -> np.ndarray:
-    """(n, 4) [x, y, z, heading] rows from four length-n columns."""
-    out = np.empty((len(heading), 4))
-    out[:, 0] = x
-    out[:, 1] = y
-    out[:, 2] = z
-    out[:, 3] = heading
+    """(..., 4) [x, y, z, heading] poses from four broadcastable columns."""
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z), np.shape(heading))
+    out = np.empty(shape + (4,))
+    out[..., 0] = x
+    out[..., 1] = y
+    out[..., 2] = z
+    out[..., 3] = heading
     return out
+
+
+def _cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise ``math.cos`` and ``math.sin``, so the bits do not depend on numpy's build."""
+    flat = angles.ravel().tolist()
+    cos = np.fromiter(map(math.cos, flat), float, len(flat)).reshape(angles.shape)
+    sin = np.fromiter(map(math.sin, flat), float, len(flat)).reshape(angles.shape)
+    return cos, sin
+
+
+def _option(name: str, value, allow_negative: bool = False) -> float:
+    """``value`` as a float, or InvalidOption unless it is finite (and >= 0 unless allowed)."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise InvalidOption(f"policy option {name} must be a number, got {value!r}") from None
+    if not math.isfinite(number) or (number < 0.0 and not allow_negative):
+        need = "finite" if allow_negative else "finite and >= 0"
+        raise InvalidOption(f"policy option {name} must be {need}, got {value!r}")
+    return number
 
 
 class ConstantVelocityPolicy(Policy):
@@ -39,36 +60,38 @@ class ConstantVelocityPolicy(Policy):
         speed, heading, z = context.history_motion(rows)
         last = context.last_valid_pose(rows)
         stride = speed * context.dt
-        # math's cos/sin, so the bits do not depend on numpy's build
-        angles = heading.tolist()
-        cos = np.array([math.cos(a) for a in angles])
-        sin = np.array([math.sin(a) for a in angles])
-        return _pose_rows(last[:, 0] + stride * cos, last[:, 1] + stride * sin, z, heading)
+        cos, sin = _cos_sin(heading)
+        return _pose_rows(last[..., 0] + stride * cos, last[..., 1] + stride * sin, z, heading)
 
 
 class RandomAgentPolicy(Policy):
     """Draw x, y, heading independently from N(mu, sigma^2) in the AV frame.
 
     The frame is anchored at the AV's pose at the handover step.  Heights are
-    held at each object's last history value.
+    held at each object's last history value.  ``mu`` must be finite and
+    ``sigma`` finite and >= 0.
     """
 
     def __init__(self, mu: float = 1.0, sigma: float = 0.1):
-        self.mu = mu
-        self.sigma = sigma
+        self.mu = _option("mu", mu, allow_negative=True)
+        self.sigma = _option("sigma", sigma)
 
     def step(self, context: PolicyContext, rows):
-        av = context.poses[context.row_of(context.av_id), context.t0_index]
+        # All rollouts share the logged history, so rollout 0 holds the AV's handover pose.
+        av = context.poses[0, context.row_of(context.av_id), context.t0_index]
         c, s = math.cos(av[3]), math.sin(av[3])
         d = self.mu + self.sigma * context.standard_normals(rows, 3)
         _, _, z = context.history_motion(rows)
         return _pose_rows(
-            av[0] + c * d[:, 0] - s * d[:, 1], av[1] + s * d[:, 0] + c * d[:, 1], z, av[3] + d[:, 2]
+            av[0] + c * d[..., 0] - s * d[..., 1],
+            av[1] + s * d[..., 0] + c * d[..., 1],
+            z,
+            av[3] + d[..., 2],
         )
 
 
 class LoggedOraclePolicy(Policy):
-    """Replay the logged future; gaps hold the last valid pose."""
+    """Replay the logged future; gaps, and plan steps past its end, hold the last valid pose."""
 
     def __init__(self, scenario: Scenario):
         h = scenario.history_length
@@ -90,7 +113,8 @@ class LoggedOraclePolicy(Policy):
             raise PolicyContractViolation(
                 f"oracle has no logged future for object {exc.args[0]}"
             ) from None
-        return self._future[idx, context.step - 1]
+        future = self._future[idx, min(context.step, self._future.shape[1]) - 1]
+        return np.broadcast_to(future, (len(context.seeds),) + future.shape)
 
 
 class NoisyPlanPolicy(Policy):
@@ -99,41 +123,42 @@ class NoisyPlanPolicy(Policy):
     Every plan perturbs the history-derived heading and speed once, then
     extrapolates for the whole horizon.  Held for longer horizons the motion
     stays smooth; replanned every step it turns jerky, which is the behavior
-    the replan-interval ablation needs to expose.
+    the replan-interval ablation needs to expose.  Both sigmas must be
+    finite and >= 0.
     """
 
     def __init__(self, heading_sigma: float = 0.15, speed_sigma: float = 1.0):
-        self.heading_sigma = heading_sigma
-        self.speed_sigma = speed_sigma
+        self.heading_sigma = _option("heading_sigma", heading_sigma)
+        self.speed_sigma = _option("speed_sigma", speed_sigma)
 
     def _velocities(self, context: PolicyContext, rows) -> np.ndarray:
-        """(n, 4) per-step [vx, vy, z, heading] of each row after this plan's noise.
+        """(K, n, 4) per-step [vx, vy, z, heading] of each row after this plan's noise.
 
-        Scalar math per row: at the few dozen rows of a policy call it costs
-        less than a dozen small array operations.  Zero-mean noise is applied
-        as numpy's ``normal(0.0, sigma)`` computes it, ``0.0 + sigma * z``.
+        Zero-mean noise is applied as numpy's ``normal(0.0, sigma)`` computes
+        it, ``0.0 + sigma * z``.  ``np.where(s > 0.0, s, 0.0)`` clamps the
+        speed as Python's ``max(0.0, s)`` does, for NaN and -0.0 too.
         """
-        out = []
-        noise = context.standard_normals(rows, 2).tolist()
-        for (speed, heading, z), (dh, ds) in zip(context.motion[rows].tolist(), noise):
-            heading = heading + (0.0 + self.heading_sigma * dh)
-            stride = max(0.0, speed + (0.0 + self.speed_sigma * ds)) * context.dt
-            out.append((stride * math.cos(heading), stride * math.sin(heading), z, heading))
-        return np.array(out).reshape(len(rows), 4)
+        speed, heading, z = context.history_motion(rows)
+        noise = context.standard_normals(rows, 2)
+        heading = heading + (0.0 + self.heading_sigma * noise[..., 0])
+        speed = speed + (0.0 + self.speed_sigma * noise[..., 1])
+        stride = np.where(speed > 0.0, speed, 0.0) * context.dt
+        cos, sin = _cos_sin(heading)
+        return _pose_rows(stride * cos, stride * sin, z, heading)
 
     def plan(self, context: PolicyContext, rows, horizon: int):
         velocities = self._velocities(context, rows)
-        outputs = np.empty((horizon, len(rows), 4))
+        outputs = np.empty((horizon,) + velocities.shape)
         outputs[:] = velocities
-        xy, step_xy = context.last_valid_pose(rows)[:, :2], velocities[:, :2]
+        xy, step_xy = context.last_valid_pose(rows)[..., :2], velocities[..., :2]
         for j in range(horizon):
             xy = xy + step_xy
-            outputs[j, :, :2] = xy
+            outputs[j, ..., :2] = xy
         return outputs
 
     def step(self, context: PolicyContext, rows):
         out = self._velocities(context, rows)
-        out[:, :2] += context.last_valid_pose(rows)[:, :2]
+        out[..., :2] += context.last_valid_pose(rows)[..., :2]
         return out
 
 
@@ -141,23 +166,24 @@ class ReplanWrapper(Policy):
     """Hold a policy's multi-step plan and re-invoke it every ``interval`` steps.
 
     Interval 1 is fully closed-loop; larger intervals emulate the hybrid
-    open/closed-loop pattern of slower replanning.  The held plan is keyed on
-    the context's scenario and seed, so every new rollout plans afresh even
-    when one plan spans the whole future window.
+    open/closed-loop pattern of slower replanning.  The held plan covers the
+    context's K rollouts and is keyed on its scenario and seeds, so every new
+    batch of rollouts plans afresh even when one plan spans the whole future
+    window.
     """
 
     def __init__(self, inner: Policy, interval: int):
         if interval < 1:
-            raise ValueError("replan interval must be >= 1")
+            raise InvalidOption(f"replan interval must be >= 1, got {interval}")
         self.inner = inner
         self.interval = interval
-        self._plan = np.empty((0, 0, 4))
+        self._plan = np.empty((0, 0, 0, 4))
         self._plan_start = -1
         self._plan_key: tuple | None = None
 
     def step(self, context: PolicyContext, rows):
         t = context.step
-        key = (context.scenario_id, context.seed)
+        key = (context.scenario_id, context.seeds)
         stale = (
             key != self._plan_key
             or t < self._plan_start
@@ -175,12 +201,12 @@ PolicyFactory = Callable[[Scenario, Mapping[str, Any]], Policy]
 POLICY_REGISTRY: dict[str, PolicyFactory] = {
     "constant-velocity": lambda scenario, opts: ConstantVelocityPolicy(),
     "random": lambda scenario, opts: RandomAgentPolicy(
-        mu=float(opts.get("mu", 1.0)), sigma=float(opts.get("sigma", 0.1))
+        mu=opts.get("mu", 1.0), sigma=opts.get("sigma", 0.1)
     ),
     "logged-oracle": lambda scenario, opts: LoggedOraclePolicy(scenario),
     "noisy-plan": lambda scenario, opts: NoisyPlanPolicy(
-        heading_sigma=float(opts.get("heading_sigma", 0.15)),
-        speed_sigma=float(opts.get("speed_sigma", 1.0)),
+        heading_sigma=opts.get("heading_sigma", 0.15),
+        speed_sigma=opts.get("speed_sigma", 1.0),
     ),
 }
 
@@ -191,11 +217,14 @@ def create_policy(
     options: Mapping[str, Any] | None = None,
     replan_interval: int = 1,
 ) -> Policy:
-    """Instantiate a registered policy, optionally wrapped for slow replanning."""
+    """Instantiate a registered policy, wrapped for slow replanning at an interval above 1.
+
+    Bad option values and an interval below 1 raise :class:`InvalidOption`.
+    """
     if name not in POLICY_REGISTRY:
         known = ", ".join(sorted(POLICY_REGISTRY))
         raise KeyError(f"unknown policy {name!r}; registered: {known}")
     policy = POLICY_REGISTRY[name](scenario, options or {})
-    if replan_interval > 1:
+    if replan_interval != 1:
         policy = ReplanWrapper(policy, replan_interval)
     return policy

@@ -253,7 +253,7 @@ class _JitteredOracle(Policy):
 
     def step(self, context, rows):
         out = np.array(self._inner.step(context, rows))
-        out[:, :2] += 0.0 + self._sigma * context.standard_normals(rows, 2)
+        out[..., :2] += 0.0 + self._sigma * context.standard_normals(rows, 2)
         return out
 
 
@@ -266,7 +266,7 @@ class _OffsetOracle(Policy):
 
     def step(self, context, rows):
         out = np.array(self._inner.step(context, rows))
-        out[:, 1] += self._offset
+        out[..., 1] += self._offset
         return out
 
 

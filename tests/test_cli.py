@@ -167,6 +167,49 @@ class TestRolloutAndValidate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--seed" in err
 
+    @pytest.mark.parametrize(
+        "policy,flags",
+        [
+            ("constant-velocity", ["--env-opt", "foo"]),
+            ("constant-velocity", ["--av-opt", "speed_sigma"]),
+            ("random", ["--env-opt", "sigma=abc"]),
+            ("noisy-plan", ["--env-opt", "speed_sigma=nan"]),
+            ("noisy-plan", ["--av-opt", "heading_sigma=-1"]),
+            ("random", ["--env-opt", "mu=inf"]),
+        ],
+    )
+    def test_bad_policy_option_exits_two_without_archive(
+        self, workspace, tmp_path, capsys, policy, flags
+    ):
+        _, scenarios, _ = workspace
+        out = tmp_path / "bad.tar.gz"
+        capsys.readouterr()
+        assert main([
+            "rollout", "--scenarios", str(scenarios),
+            "--env-policy", policy, "--av-policy", policy, *flags,
+            "--k", "2", "--seed", "0", "--jobs", "1", "--out", str(out),
+        ]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("interval", ["0", "-3"])
+    def test_replan_interval_below_one_exits_two_without_archive(
+        self, workspace, tmp_path, capsys, interval
+    ):
+        _, scenarios, _ = workspace
+        out = tmp_path / "bad.tar.gz"
+        capsys.readouterr()
+        assert main([
+            "rollout", "--scenarios", str(scenarios),
+            "--env-policy", "noisy-plan", "--av-policy", "noisy-plan",
+            "--replan-interval", interval,
+            "--k", "2", "--seed", "0", "--jobs", "1", "--out", str(out),
+        ]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--replan-interval" in err
+
     def test_missing_archive_exits_two(self, workspace, tmp_path):
         _, scenarios, _ = workspace
         assert main([

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simreal.errors import PolicyContractViolation
+from simreal.errors import InvalidOption, PolicyContractViolation
 from simreal.harness import (
     Policy,
     RolloutTrace,
@@ -57,7 +57,7 @@ class TestClosedLoopRollout:
         scenario = straight_scenario()
         env = ConstantVelocityPolicy()
         av = ConstantVelocityPolicy()
-        future, trace = closed_loop_rollout(scenario, av, env, seed=0)
+        (future,), (trace,) = closed_loop_rollout(scenario, av, env, seeds=(0,))
         assert len(trace.steps) == 80
         assert future.shape == (len(simulated_object_ids(scenario)), 80, 4)
         xy = poses(future, scenario, 0)[:, :2]
@@ -68,7 +68,7 @@ class TestClosedLoopRollout:
         scenario = curved_scenario()
         av = LoggedOraclePolicy(scenario)
         env = LoggedOraclePolicy(scenario)
-        future, _ = closed_loop_rollout(scenario, av, env, seed=0)
+        (future,), _ = closed_loop_rollout(scenario, av, env, seeds=(0,))
         h = scenario.history_length
         for track in scenario.tracks:
             want = track.poses[h:]
@@ -76,36 +76,40 @@ class TestClosedLoopRollout:
 
     def test_seeded_random_rollouts_are_bit_identical(self):
         scenario = straight_scenario()
-        a, _ = closed_loop_rollout(
-            scenario, RandomAgentPolicy(), RandomAgentPolicy(), seed=123
+        (a,), _ = closed_loop_rollout(
+            scenario, RandomAgentPolicy(), RandomAgentPolicy(), seeds=(123,)
         )
-        b, _ = closed_loop_rollout(
-            scenario, RandomAgentPolicy(), RandomAgentPolicy(), seed=123
+        (b,), _ = closed_loop_rollout(
+            scenario, RandomAgentPolicy(), RandomAgentPolicy(), seeds=(123,)
         )
         np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self):
         scenario = straight_scenario()
-        a, _ = closed_loop_rollout(scenario, RandomAgentPolicy(), RandomAgentPolicy(), seed=1)
-        b, _ = closed_loop_rollout(scenario, RandomAgentPolicy(), RandomAgentPolicy(), seed=2)
+        (a,), _ = closed_loop_rollout(
+            scenario, RandomAgentPolicy(), RandomAgentPolicy(), seeds=(1,)
+        )
+        (b,), _ = closed_loop_rollout(
+            scenario, RandomAgentPolicy(), RandomAgentPolicy(), seeds=(2,)
+        )
         assert not np.array_equal(poses(a, scenario, 0), poses(b, scenario, 0))
 
     def test_same_policy_object_rejected(self):
         scenario = straight_scenario()
         policy = ConstantVelocityPolicy()
         with pytest.raises(PolicyContractViolation):
-            closed_loop_rollout(scenario, policy, policy, seed=0)
+            closed_loop_rollout(scenario, policy, policy, seeds=(0,))
 
 
 class _DropsOneId(Policy):
     def step(self, context, rows):
-        return ConstantVelocityPolicy().step(context, rows)[:-1]
+        return ConstantVelocityPolicy().step(context, rows)[:, :-1]
 
 
 class _AddsExtraId(Policy):
     def step(self, context, rows):
         out = ConstantVelocityPolicy().step(context, rows)
-        return np.vstack([out, np.zeros((1, 4))])
+        return np.concatenate([out, np.zeros((len(out), 1, 4))], axis=1)
 
 
 class _ReturnsInvalid(Policy):
@@ -116,7 +120,7 @@ class _ReturnsInvalid(Policy):
 class _ReturnsNaN(Policy):
     def step(self, context, rows):
         out = ConstantVelocityPolicy().step(context, rows)
-        out[-1, 0] = math.nan
+        out[:, -1, 0] = math.nan
         return out
 
 
@@ -125,7 +129,9 @@ class _OneRowAtATime(Policy):
         self.inner = inner
 
     def step(self, context, rows):
-        return np.concatenate([self.inner.step(context, rows[i : i + 1]) for i in range(len(rows))])
+        return np.concatenate(
+            [self.inner.step(context, rows[i : i + 1]) for i in range(len(rows))], axis=1
+        )
 
 
 class _Same(Policy):
@@ -143,7 +149,7 @@ class TestPolicyContract:
     def test_violations_raise(self, bad):
         scenario = straight_scenario()
         with pytest.raises(PolicyContractViolation):
-            closed_loop_rollout(scenario, ConstantVelocityPolicy(), bad(), seed=0)
+            closed_loop_rollout(scenario, ConstantVelocityPolicy(), bad(), seeds=(0,))
 
     def test_context_arrays_are_read_only(self):
         scenario = straight_scenario()
@@ -154,7 +160,7 @@ class TestPolicyContract:
                 return ConstantVelocityPolicy().step(context, rows)
 
         with pytest.raises(ValueError):
-            closed_loop_rollout(scenario, ConstantVelocityPolicy(), Mutator(), seed=0)
+            closed_loop_rollout(scenario, ConstantVelocityPolicy(), Mutator(), seeds=(0,))
 
 
 class TestNoLookahead:
@@ -178,8 +184,8 @@ class TestNoLookahead:
     def test_zeroing_future_changes_nothing(self, factory):
         scenario = straight_scenario()
         blind = self._zero_future(scenario)
-        a, _ = closed_loop_rollout(scenario, factory(scenario), factory(scenario), seed=5)
-        b, _ = closed_loop_rollout(blind, factory(blind), factory(blind), seed=5)
+        (a,), _ = closed_loop_rollout(scenario, factory(scenario), factory(scenario), seeds=(5,))
+        (b,), _ = closed_loop_rollout(blind, factory(blind), factory(blind), seeds=(5,))
         np.testing.assert_array_equal(a, b)
 
 
@@ -187,8 +193,8 @@ class TestFactorization:
     def test_env_output_at_first_step_ignores_av_policy(self):
         scenario = straight_scenario()
         env = ConstantVelocityPolicy()
-        a, _ = closed_loop_rollout(scenario, ConstantVelocityPolicy(), env, seed=3)
-        b, _ = closed_loop_rollout(scenario, RandomAgentPolicy(), env, seed=3)
+        (a,), _ = closed_loop_rollout(scenario, ConstantVelocityPolicy(), env, seeds=(3,))
+        (b,), _ = closed_loop_rollout(scenario, RandomAgentPolicy(), env, seeds=(3,))
         env_ids = sorted(simulated_object_ids(scenario) - {scenario.av_track_id})
         for oid in env_ids:
             np.testing.assert_array_equal(poses(a, scenario, oid)[0], poses(b, scenario, oid)[0])
@@ -197,10 +203,12 @@ class TestFactorization:
         # Constant velocity reads only its own past, so swapping the AV policy
         # must leave the whole environment trajectory untouched.
         scenario = straight_scenario()
-        a, _ = closed_loop_rollout(
-            scenario, ConstantVelocityPolicy(), ConstantVelocityPolicy(), seed=3
+        (a,), _ = closed_loop_rollout(
+            scenario, ConstantVelocityPolicy(), ConstantVelocityPolicy(), seeds=(3,)
         )
-        b, _ = closed_loop_rollout(scenario, RandomAgentPolicy(), ConstantVelocityPolicy(), seed=3)
+        (b,), _ = closed_loop_rollout(
+            scenario, RandomAgentPolicy(), ConstantVelocityPolicy(), seeds=(3,)
+        )
         env_ids = sorted(simulated_object_ids(scenario) - {scenario.av_track_id})
         for oid in env_ids:
             np.testing.assert_array_equal(poses(a, scenario, oid), poses(b, scenario, oid))
@@ -245,9 +253,10 @@ class TestGenerateSubmission:
 class TestAudit:
     def _run(self, seed=0):
         scenario = straight_scenario()
-        return closed_loop_rollout(
-            scenario, ConstantVelocityPolicy(), ConstantVelocityPolicy(), seed=seed
+        (future,), (trace,) = closed_loop_rollout(
+            scenario, ConstantVelocityPolicy(), ConstantVelocityPolicy(), seeds=(seed,)
         )
+        return future, trace
 
     def test_harness_trace_passes(self):
         future, trace = self._run()
@@ -291,8 +300,8 @@ class TestBaselines:
             valid[:] = True
 
         frozen_scenario = with_track_poses(scenario, freeze)
-        future, _ = closed_loop_rollout(
-            frozen_scenario, ConstantVelocityPolicy(), ConstantVelocityPolicy(), seed=0
+        (future,), _ = closed_loop_rollout(
+            frozen_scenario, ConstantVelocityPolicy(), ConstantVelocityPolicy(), seeds=(0,)
         )
         for track in frozen_scenario.tracks:
             xy = poses(future, frozen_scenario, track.object_id)[:, :2]
@@ -305,8 +314,8 @@ class TestBaselines:
             valid[: scenario.t0_index] = False
 
         sparse = with_track_poses(scenario, drop_history)
-        future, _ = closed_loop_rollout(
-            sparse, ConstantVelocityPolicy(), ConstantVelocityPolicy(), seed=0
+        (future,), _ = closed_loop_rollout(
+            sparse, ConstantVelocityPolicy(), ConstantVelocityPolicy(), seeds=(0,)
         )
         for track in sparse.tracks:
             xy = poses(future, sparse, track.object_id)[:, :2]
@@ -325,30 +334,30 @@ class TestBaselines:
 
     def test_replan_wrapper_transparent_for_constant_velocity(self):
         scenario = curved_scenario()
-        plain, _ = closed_loop_rollout(
-            scenario, ConstantVelocityPolicy(), ConstantVelocityPolicy(), seed=0
+        (plain,), _ = closed_loop_rollout(
+            scenario, ConstantVelocityPolicy(), ConstantVelocityPolicy(), seeds=(0,)
         )
-        wrapped, _ = closed_loop_rollout(
+        (wrapped,), _ = closed_loop_rollout(
             scenario,
             ReplanWrapper(ConstantVelocityPolicy(), 5),
             ReplanWrapper(ConstantVelocityPolicy(), 5),
-            seed=0,
+            seeds=(0,),
         )
         np.testing.assert_array_equal(plain, wrapped)
 
     def test_noisy_plan_policy_depends_on_replan_interval(self):
         scenario = straight_scenario()
-        fast, _ = closed_loop_rollout(
+        (fast,), _ = closed_loop_rollout(
             scenario,
             ReplanWrapper(NoisyPlanPolicy(), 1),
             ReplanWrapper(NoisyPlanPolicy(), 1),
-            seed=0,
+            seeds=(0,),
         )
-        slow, _ = closed_loop_rollout(
+        (slow,), _ = closed_loop_rollout(
             scenario,
             ReplanWrapper(NoisyPlanPolicy(), 10),
             ReplanWrapper(NoisyPlanPolicy(), 10),
-            seed=0,
+            seeds=(0,),
         )
         assert not np.array_equal(poses(fast, scenario, 0), poses(slow, scenario, 0))
 
@@ -367,15 +376,56 @@ class TestBaselines:
         distinct = {r.tobytes() for r in rollouts.rollouts}
         assert len(distinct) == 4
 
+    @pytest.mark.parametrize("interval", [7, 200])
+    def test_oracle_plans_past_the_logged_future(self, interval):
+        # A plan made near the end of the window runs past step T; the oracle
+        # holds its last pose there instead of indexing past the log.
+        scenario = curved_scenario()
+        plain = generate_submission(
+            scenario, LoggedOraclePolicy(scenario), LoggedOraclePolicy(scenario), k=2
+        )
+        held = generate_submission(
+            scenario,
+            create_policy("logged-oracle", scenario, replan_interval=interval),
+            create_policy("logged-oracle", scenario, replan_interval=interval),
+            k=2,
+        )
+        np.testing.assert_array_equal(plain.rollouts, held.rollouts)
+
     def test_vectorized_policies_match_per_object_steps(self):
         # A policy stepped for all rows at once equals the same policy stepped
         # one row at a time.
         scenario = straight_scenario()
         for policy in (ConstantVelocityPolicy(), RandomAgentPolicy(), NoisyPlanPolicy()):
-            future, _ = closed_loop_rollout(scenario, _OneRowAtATime(policy), _OneRowAtATime(
-                policy), seed=7)
-            batched, _ = closed_loop_rollout(scenario, policy, _Same(policy), seed=7)
+            (future,), _ = closed_loop_rollout(scenario, _OneRowAtATime(policy), _OneRowAtATime(
+                policy), seeds=(7,))
+            (batched,), _ = closed_loop_rollout(scenario, policy, _Same(policy), seeds=(7,))
             np.testing.assert_array_equal(future, batched)
+
+    @pytest.mark.parametrize(
+        "factory,option",
+        [
+            (NoisyPlanPolicy, "heading_sigma"),
+            (NoisyPlanPolicy, "speed_sigma"),
+            (RandomAgentPolicy, "mu"),
+            (RandomAgentPolicy, "sigma"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5, "abc"])
+    def test_unusable_policy_options_are_rejected(self, factory, option, value):
+        # A mean may be negative; a scale may not.  Python's max(0.0, nan) is
+        # 0.0, so a NaN speed sigma would otherwise freeze every object.
+        if option == "mu" and value == -0.5:
+            assert factory(**{option: value}).mu == -0.5
+            return
+        with pytest.raises(InvalidOption, match=option):
+            factory(**{option: value})
+
+    def test_replan_interval_below_one_is_rejected(self):
+        scenario = straight_scenario()
+        for interval in (0, -3):
+            with pytest.raises(InvalidOption, match="replan interval"):
+                create_policy("noisy-plan", scenario, replan_interval=interval)
 
     def test_registry_round_trip(self):
         scenario = straight_scenario()
@@ -385,6 +435,58 @@ class TestBaselines:
         assert isinstance(wrapped, ReplanWrapper)
         with pytest.raises(KeyError):
             create_policy("does-not-exist", scenario)
+
+
+class _CountingSteps(Policy):
+    """Delegates to ``inner`` and counts the harness's ``step`` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def step(self, context, rows):
+        self.calls += 1
+        return self.inner.step(context, rows)
+
+
+class TestLockstep:
+    """K lockstep rollouts equal K single rollouts, and cost one policy call per step."""
+
+    @pytest.mark.parametrize("interval", [1, 10, 80])
+    @pytest.mark.parametrize("name", ["constant-velocity", "random", "noisy-plan"])
+    def test_rollout_i_equals_the_single_rollout_of_its_seed(self, name, interval):
+        scenario = straight_scenario()
+        base = 2**40 + 7
+
+        def submission(k, base_seed):
+            return generate_submission(
+                scenario,
+                create_policy(name, scenario, replan_interval=interval),
+                create_policy(name, scenario, replan_interval=interval),
+                k=k,
+                base_seed=base_seed,
+                with_traces=True,
+            )
+
+        batch, traces = submission(32, base)
+        assert [trace.seed for trace in traces] == list(range(base, base + 32))
+        for i in range(32):
+            single, (trace,) = submission(1, base + i)
+            assert batch.rollouts[i].tobytes() == single.rollouts[0].tobytes()
+            assert traces[i] == trace
+            assert audit_trace(traces[i], batch.rollouts[i]).ok
+
+    @pytest.mark.parametrize("interval", [1, 10])
+    @pytest.mark.parametrize("k", [1, 32])
+    def test_each_policy_steps_once_per_step_whatever_k(self, k, interval):
+        scenario = straight_scenario()
+        av, env = (
+            _CountingSteps(create_policy("noisy-plan", scenario, replan_interval=interval))
+            for _ in range(2)
+        )
+        rollouts = generate_submission(scenario, av, env, k=k, base_seed=0)
+        assert rollouts.rollouts.shape[0] == k
+        assert av.calls == env.calls == scenario.future_length == 80
 
 
 def relabeled(scenario, offset):
@@ -415,43 +517,47 @@ class TestNoiseStreams:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        seed=_WORD_VALUES,
+        seeds=st.lists(_WORD_VALUES, min_size=1, max_size=3),
         ids=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5, unique=True),
-        step=st.integers(1, 120),
+        steps=st.lists(st.integers(1, 120), min_size=1, max_size=4),
         n=st.integers(1, 4),
         loc=st.floats(-1e3, 1e3),
         scale=st.floats(0.0, 1e3),
         data=st.data(),
     )
-    def test_draws_equal_per_object_generators(self, seed, ids, step, n, loc, scale, data):
-        # Steps past 80 are virtual plan steps, whose keys are derived on demand.
+    def test_draws_equal_per_object_generators(self, seeds, ids, steps, n, loc, scale, data):
+        # Steps past 80 are virtual plan steps; steps in any order, and some
+        # that share a key block, exercise the block cache.
         rows = data.draw(st.lists(st.integers(0, len(ids) - 1), min_size=1, max_size=6))
-        noise = _NoiseStreams(seed, ids, 80)
-        z = noise.draw(step, np.array(rows), n)
-        for i, r in enumerate(rows):
-            want = seed_sequence_stream(seed, step, ids[r])
-            assert z[i].tobytes() == want.standard_normal(n).tobytes()
-            # Policies shift and scale the draws instead of calling normal().
-            normal = seed_sequence_stream(seed, step, ids[r]).normal(loc, scale, size=n)
-            assert (loc + scale * z[i]).tobytes() == normal.tobytes()
+        noise = _NoiseStreams(tuple(seeds), tuple(ids))
+        for step in steps:
+            z = noise.draw(step, np.array(rows), n)
+            assert z.shape == (len(seeds), len(rows), n)
+            for k, seed in enumerate(seeds):
+                for i, r in enumerate(rows):
+                    want = seed_sequence_stream(seed, step, ids[r])
+                    assert z[k, i].tobytes() == want.standard_normal(n).tobytes()
+                    # Policies shift and scale the draws instead of calling normal().
+                    normal = seed_sequence_stream(seed, step, ids[r]).normal(loc, scale, size=n)
+                    assert (loc + scale * z[k, i]).tobytes() == normal.tobytes()
 
     def test_negative_seed_is_rejected(self):
         scenario = straight_scenario()
         with pytest.raises(ValueError, match="seed"):
-            closed_loop_rollout(scenario, NoisyPlanPolicy(), NoisyPlanPolicy(), seed=-1)
+            closed_loop_rollout(scenario, NoisyPlanPolicy(), NoisyPlanPolicy(), seeds=(-1,))
         with pytest.raises(ValueError, match="seed"):
-            closed_loop_rollout(scenario, NoisyPlanPolicy(), NoisyPlanPolicy(), seed=2**64)
+            closed_loop_rollout(scenario, NoisyPlanPolicy(), NoisyPlanPolicy(), seeds=(2**64,))
 
     @pytest.mark.parametrize("factory", [NoisyPlanPolicy, RandomAgentPolicy])
     def test_negative_ids_under_noise_are_contract_violations(self, factory):
         scenario = relabeled(straight_scenario(), -100)
         with pytest.raises(PolicyContractViolation, match="negative ids"):
-            closed_loop_rollout(scenario, factory(), factory(), seed=0)
+            closed_loop_rollout(scenario, factory(), factory(), seeds=(0,))
 
     def test_negative_ids_without_noise_still_roll_out(self):
         scenario = relabeled(straight_scenario(), -100)
-        future, _ = closed_loop_rollout(
-            scenario, ConstantVelocityPolicy(), ConstantVelocityPolicy(), seed=0
+        (future,), _ = closed_loop_rollout(
+            scenario, ConstantVelocityPolicy(), ConstantVelocityPolicy(), seeds=(0,)
         )
         assert np.isfinite(future).all()
 
@@ -464,7 +570,9 @@ class TestNoiseStreams:
             for t in scenario.tracks
         )
         scenario = replace(scenario, tracks=tracks)
-        future, _ = closed_loop_rollout(scenario, NoisyPlanPolicy(), ConstantVelocityPolicy())
+        (future,), _ = closed_loop_rollout(
+            scenario, NoisyPlanPolicy(), ConstantVelocityPolicy(), seeds=(0,)
+        )
         assert np.isfinite(future).all()
 
     def test_large_ids_draw_the_seed_sequence_streams(self):
@@ -473,10 +581,10 @@ class TestNoiseStreams:
 
         class Recording(Policy):
             def step(self, context, rows):
-                seen[context.step, context.ids[rows[0]]] = context.standard_normals(rows, 2)[0]
+                seen[context.step, context.ids[rows[0]]] = context.standard_normals(rows, 2)[0, 0]
                 return context.last_valid_pose(rows)
 
-        closed_loop_rollout(scenario, Recording(), ConstantVelocityPolicy(), seed=5)
+        closed_loop_rollout(scenario, Recording(), ConstantVelocityPolicy(), seeds=(5,))
         assert len(seen) == scenario.future_length
         for (step, oid), z in seen.items():
             assert z.tobytes() == seed_sequence_stream(5, step, oid).standard_normal(2).tobytes()
