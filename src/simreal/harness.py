@@ -122,9 +122,8 @@ class _NoiseStreams:
     yields.  Keys are derived for blocks of consecutive steps, at most
     ``_KEY_BLOCK_ROWS`` rows a block (or one step, if a step alone has more),
     when a step of the block first draws, so rollouts that draw nothing pay
-    nothing.  The two blocks used last are kept: two policies planning over
-    the same steps share them.  Every draw resets one bit generator to a
-    stream's start: its key, a zero counter and an empty buffer.
+    nothing; only the block in use is kept.  Every draw resets one bit
+    generator to a stream's start: its key, a zero counter and an empty buffer.
     """
 
     def __init__(self, seeds: tuple[int, ...], ids: tuple[int, ...]):
@@ -132,24 +131,22 @@ class _NoiseStreams:
         self._ids = ids
         self._any_negative = bool(ids) and min(ids) < 0
         self._block_steps = max(1, _KEY_BLOCK_ROWS // (len(seeds) * max(1, len(ids))))
-        self._blocks: dict[int, np.ndarray] = {}  # first step -> (steps, K, A, 2) keys
+        self._block_first: int | None = None  # first step of self._block
+        self._block = np.empty(0)  # (steps, K, A, 2) keys
         self._generator: np.random.Generator | None = None
 
     def _step_keys(self, step: int) -> np.ndarray:
         """(K, A, 2) keys of one step; a negative id gets a placeholder it never draws from."""
         first = (step - 1) // self._block_steps * self._block_steps + 1
-        block = self._blocks.pop(first, None)
-        if block is None:
+        if first != self._block_first:
             shape = (self._block_steps, len(self._seeds), len(self._ids))
             entropy = np.empty(shape + (3,), dtype=np.uint64)
             entropy[..., 0] = np.array(self._seeds, dtype=np.uint64)[:, None]
             entropy[..., 1] = np.arange(first, first + self._block_steps)[:, None, None]
             entropy[..., 2] = np.maximum(self._ids, 0)
-            block = philox_keys(entropy).reshape(shape + (2,))
-            if len(self._blocks) > 1:
-                del self._blocks[next(iter(self._blocks))]
-        self._blocks[first] = block
-        return block[step - first]
+            self._block = philox_keys(entropy).reshape(shape + (2,))
+            self._block_first = first
+        return self._block[step - first]
 
     def draw(self, step: int, rows, n: int) -> np.ndarray:
         if self._any_negative:

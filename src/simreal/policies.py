@@ -174,7 +174,7 @@ class ReplanWrapper(Policy):
 
     def __init__(self, inner: Policy, interval: int):
         if interval < 1:
-            raise InvalidOption(f"replan interval must be >= 1, got {interval}")
+            raise ValueError("replan interval must be >= 1")
         self.inner = inner
         self.interval = interval
         self._plan = np.empty((0, 0, 0, 4))
@@ -224,7 +224,9 @@ def create_policy(
     if name not in POLICY_REGISTRY:
         known = ", ".join(sorted(POLICY_REGISTRY))
         raise KeyError(f"unknown policy {name!r}; registered: {known}")
+    if replan_interval < 1:
+        raise InvalidOption(f"replan interval must be >= 1, got {replan_interval}")
     policy = POLICY_REGISTRY[name](scenario, options or {})
-    if replan_interval != 1:
+    if replan_interval > 1:
         policy = ReplanWrapper(policy, replan_interval)
     return policy
