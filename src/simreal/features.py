@@ -63,6 +63,19 @@ class FeatureParams:
     ttc_min_lateral: float = 1.0
     ttc_closing_eps: float = 1e-3
 
+    def __post_init__(self):
+        checks = (
+            ("ttc_max", "finite and > 0", math.isfinite(self.ttc_max) and self.ttc_max > 0.0),
+            ("ttc_heading_threshold", "in [0, pi]", 0.0 <= self.ttc_heading_threshold <= math.pi),
+            ("ttc_min_lateral", "finite and >= 0",
+             math.isfinite(self.ttc_min_lateral) and self.ttc_min_lateral >= 0.0),
+            ("ttc_closing_eps", "finite and > 0",
+             math.isfinite(self.ttc_closing_eps) and self.ttc_closing_eps > 0.0),
+        )
+        for name, need, ok in checks:
+            if not ok:
+                raise ValueError(f"features.{name} must be {need}, got {getattr(self, name)!r}")
+
 
 DEFAULT_FEATURE_PARAMS = FeatureParams()
 
@@ -183,7 +196,8 @@ def _angular_speed_arrays(headings: np.ndarray, valid: np.ndarray, dt: float):
 _BROAD_PHASE_SLACK = 1e-6
 _BROAD_PHASE_REL_SLACK = 1e-12
 
-#: Pair-steps per box kernel call; its temporaries take about 1.6 kB each.
+#: Pair-steps per box kernel call; its temporaries peak at about 1.7 kB per
+#: pair-step when every pair is disjoint.
 _BOX_CHUNK = 4096
 
 
@@ -292,6 +306,20 @@ def _ttc_arrays(states: SceneStates, speed_vals, speed_ok, params: FeatureParams
     positive bumper gap, laterally within the shared corridor, and heading
     within the alignment threshold.  Steps with no followed object, a
     non-closing follower, or an already-overlapping pair take the cap.
+
+    Box extents are >= 0, so a positive gap puts the leader ahead (``lon >
+    0``) and excludes the follower itself.  Only leaders inside a cut reach
+    the lateral, heading and validity tests.  Speeds are >= 0 (or NaN), so
+    the closing speed is at most the follower's speed ``s`` and a leader
+    with gap >= ``ttc_max * s`` reads the cap.  The cut keeps gaps below
+    ``ttc_max * s`` plus a slack above that product's rounding.  Leaders
+    past it are farther than any leader inside it, so the nearest leader is
+    the same unless it reads the cap anyway, and the result equals the
+    all-pairs computation bit for bit.  Non-finite followers need no
+    exception: an infinite speed keeps every leader, a NaN speed keeps none
+    and reads the cap as its NaN closing speed would, and a non-finite pose
+    with a finite speed (a NaN heading) gives NaN gaps, which no leader
+    passes in either form.
     """
     k, a, t = states.valid.shape
     cap = params.ttc_max
@@ -302,29 +330,32 @@ def _ttc_arrays(states: SceneStates, speed_vals, speed_ok, params: FeatureParams
         # leader, step]; rollout_features stacks few enough rollouts that K*A*A
         # stays at the size of one 32-object scene.
         h = states.headings
-        hx, hy = np.cos(h)[:, :, None, :], np.sin(h)[:, :, None, :]
+        hx, hy = np.cos(h), np.sin(h)
         x, y = states.centers[..., 0], states.centers[..., 1]
         dx = x[:, None, :, :] - x[:, :, None, :]
         dy = y[:, None, :, :] - y[:, :, None, :]
-        lon = hx * dx + hy * dy
-        lat = -hy * dx + hx * dy
-        hd = np.abs(_wrap_signed(h[:, None, :, :] - h[:, :, None, :]))
+        lon = hx[:, :, None, :] * dx + hy[:, :, None, :] * dy
         half_len = states.dims[:, 0] / 2.0
         gap = lon - (half_len[:, None] + half_len[None, :])[:, :, None]
+        reach = cap * speed_vals
+        cut = reach + (_BROAD_PHASE_SLACK + _BROAD_PHASE_REL_SLACK * reach)
+        near = np.flatnonzero((gap > 0.0) & (gap < cut[:, :, None, :]))
+        # Flat (K, A, T) indices of each nearby pair's follower and leader.
+        pair, step = np.divmod(near, t)  # pair = (rollout * A + follower) * A + leader
+        row, leader = np.divmod(pair, a)
+        fol = row * t + step
+        led = fol + (leader - row % a) * t
+        lat = -hy.take(fol) * dx.take(near) + hx.take(fol) * dy.take(near)
         lat_lim = np.maximum(
-            params.ttc_min_lateral,
-            (states.dims[:, 1][:, None] + states.dims[:, 1][None, :]) / 2.0,
-        )[:, :, None]
-        leaders = (states.valid & speed_ok)[:, None, :, :]
-        cand = (
-            leaders
-            & ~np.eye(a, dtype=bool)[:, :, None]
-            & (hd <= params.ttc_heading_threshold)
-            & (lon > 0.0)
-            & (np.abs(lat) <= lat_lim)
-            & (gap > 0.0)
+            params.ttc_min_lateral, (states.dims[:, 1][:, None] + states.dims[:, 1][None, :]) / 2.0
         )
-        gap_sel = np.where(cand, gap, np.inf)
+        side = np.abs(lat) <= lat_lim.take(pair % (a * a))
+        near, fol, led = near[side], fol[side], led[side]
+        cand = (states.valid & speed_ok).take(led) & (
+            np.abs(_wrap_signed(h.take(led) - h.take(fol))) <= params.ttc_heading_threshold
+        )
+        gap_sel = np.full(gap.shape, np.inf)
+        np.put(gap_sel, near[cand], gap.take(near[cand]))
         lead = np.argmin(gap_sel, axis=2)  # (K, A, T) leader row per follower/step
         best_gap = np.take_along_axis(gap_sel, lead[:, :, None, :], axis=2)[:, :, 0, :]
         has_lead = np.isfinite(best_gap)

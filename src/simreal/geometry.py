@@ -20,35 +20,70 @@ import numpy as np
 ABS_TOL = 1e-9
 
 
-def _point_segment_distance(p: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Distance from points to segments; all arguments broadcast, last axis xy."""
-    d = e - s
-    l2 = (d * d).sum(axis=-1)
-    t = ((p - s) * d).sum(axis=-1) / np.maximum(l2, 1e-300)
-    t = np.clip(t, 0.0, 1.0)
-    proj = s + t[..., None] * d
-    return np.linalg.norm(p - proj, axis=-1)
+def _corners_xy(cx, cy, c, s, half_l, half_w) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the four corners of boxes, each stacked on a new leading axis of 4.
+
+    ``c`` and ``s`` are the cosine and sine of the heading, ``half_l`` and
+    ``half_w`` half the length and width; all broadcast.  Corners go round the
+    box: front-left, front-right, back-right, back-left.
+    """
+    lx, ly = c * half_l, s * half_l  # half the length along the heading
+    wx, wy = -s * half_w, c * half_w  # half the width across it
+    fx, fy, bx, by = cx + lx, cy + ly, cx - lx, cy - ly
+    return (
+        np.stack([fx + wx, fx - wx, bx - wx, bx + wx]),
+        np.stack([fy + wy, fy - wy, by - wy, by + wy]),
+    )
 
 
 def _boxes_corners(boxes: np.ndarray) -> np.ndarray:
-    """Corner points of boxes given as (..., 5) [cx, cy, heading, length, width]."""
-    c, s = np.cos(boxes[..., 2]), np.sin(boxes[..., 2])
-    dx = np.stack([c, s], axis=-1) * (boxes[..., 3:4] / 2.0)
-    dy = np.stack([-s, c], axis=-1) * (boxes[..., 4:5] / 2.0)
-    ctr = boxes[..., 0:2]
-    return np.stack([ctr + dx + dy, ctr + dx - dy, ctr - dx - dy, ctr - dx + dy], axis=-2)
+    """(..., 4, 2) corner points of boxes given as (..., 5) [cx, cy, heading, length, width]."""
+    h = boxes[..., 2]
+    x, y = _corners_xy(
+        boxes[..., 0], boxes[..., 1], np.cos(h), np.sin(h), boxes[..., 3] / 2.0, boxes[..., 4] / 2.0
+    )
+    return np.stack([np.moveaxis(x, 0, -1), np.moveaxis(y, 0, -1)], axis=-1)
 
 
-def _disjoint_rect_distance(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Exact distance between disjoint rectangles from their corners (N, 4, 2)."""
+_NEXT_CORNER = [1, 2, 3, 0]
 
-    def corner_to_edges(points, poly):
-        p = points[:, :, None, :]
-        s = poly[:, None, :, :]
-        e = np.roll(poly, -1, axis=1)[:, None, :, :]
-        return _point_segment_distance(p, s, e).min(axis=(1, 2))
 
-    return np.minimum(corner_to_edges(pa, pb), corner_to_edges(pb, pa))
+def _disjoint_rect_distance(ax, ay, bx, by) -> np.ndarray:
+    """Exact distance between disjoint rectangles from the (4, M) x and y of their corners.
+
+    The nearest points of two disjoint convex polygons include a corner of
+    one, so the distance is the least of the 32 corner-to-edge distances.
+    The least squared distance goes through a single ``sqrt``: a correctly
+    rounded square root is monotone, so this equals the least distance.
+    """
+    m = ax.shape[-1]
+    cx, cy = np.stack([ax, bx]), np.stack([ay, by])  # (2, 4, M)
+    px, py = cx[:, :, None], cy[:, :, None]  # a's corners, then b's
+    sx, sy = cx[::-1, None], cy[::-1, None]  # b's edges, then a's
+    dx = cx[::-1][:, _NEXT_CORNER][:, None] - sx
+    dy = cy[::-1][:, _NEXT_CORNER][:, None] - sy
+    l2 = np.maximum(dx * dx + dy * dy, 1e-300)
+    t = px - sx
+    t *= dx
+    ry = py - sy
+    ry *= dy
+    t += ry
+    t /= l2
+    np.clip(t, 0.0, 1.0, out=t)
+    qx = t * dx
+    np.add(sx, qx, out=qx)
+    np.subtract(px, qx, out=qx)  # px - (sx + t * dx)
+    qy = np.multiply(t, dy, out=ry)
+    np.add(sy, qy, out=qy)
+    np.subtract(py, qy, out=qy)
+    qx *= qx
+    qy *= qy
+    qx += qy
+    # Each pair's 16 values per side are reduced as one contiguous row: the
+    # sign numpy's reduction leaves on a NaN (from an infinite centre) depends
+    # on the layout, and this is the one of the reference kernel in the tests.
+    near = np.ascontiguousarray(qx.reshape(2, 16, m).transpose(0, 2, 1)).min(axis=2)
+    return np.sqrt(np.minimum(near[0], near[1]))
 
 
 def box_signed_distance_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -57,41 +92,36 @@ def box_signed_distance_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``a`` and ``b`` are broadcastable arrays of shape (..., 5) holding
     [center_x, center_y, heading, length, width].  Overlap and penetration
     come from separating-axis projections over the 4 distinct edge normals;
-    disjoint pairs get the exact corner-to-edge minimum.
+    disjoint pairs get the exact corner-to-edge minimum.  Every quantity is
+    a separate x or y array and each box takes one cosine and one sine, so
+    every sum has two terms.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     a, b = np.broadcast_arrays(a, b)
     shape = a.shape[:-1]
-    a2 = np.ascontiguousarray(a.reshape(-1, 5))
-    b2 = np.ascontiguousarray(b.reshape(-1, 5))
+    a = a.reshape(-1, 5).T
+    b = b.reshape(-1, 5).T
+    ca, sa = np.cos(a[2]), np.sin(a[2])
+    cb, sb = np.cos(b[2]), np.sin(b[2])
+    hla, hwa, hlb, hwb = a[3] / 2.0, a[4] / 2.0, b[3] / 2.0, b[4] / 2.0
+    # The four edge normals, (4, N): a's two box axes, then b's.
+    ux = np.stack([ca, -sa, cb, -sb])
+    uy = np.stack([sa, ca, sb, cb])
 
-    def unit_axes(h):
-        c, s = np.cos(h), np.sin(h)
-        return np.stack([np.stack([c, s], -1), np.stack([-s, c], -1)], axis=1)
+    def extent(c, s, half_l, half_w):
+        """Half the shadow of a box on each normal."""
+        return np.abs(ux * c + uy * s) * half_l + np.abs(ux * -s + uy * c) * half_w
 
-    axa = unit_axes(a2[:, 2])
-    axb = unit_axes(b2[:, 2])
-    axes = np.concatenate([axa, axb], axis=1)  # (N, 4, 2)
-    half_a = a2[:, 3:5] / 2.0
-    half_b = b2[:, 3:5] / 2.0
+    proj = np.abs(ux * (b[0] - a[0]) + uy * (b[1] - a[1]))
+    gap = (proj - extent(ca, sa, hla, hwa) - extent(cb, sb, hlb, hwb)).max(axis=0)
 
-    def extents(box_axes, half):
-        dots = np.abs(np.einsum("nkc,njc->nkj", axes, box_axes))
-        return np.einsum("nkj,nj->nk", dots, half)
-
-    d = b2[:, 0:2] - a2[:, 0:2]
-    proj = np.abs(np.einsum("nkc,nc->nk", axes, d))
-    sep = proj - extents(axa, half_a) - extents(axb, half_b)
-    gap = sep.max(axis=1)
-
-    out = gap.copy()
-    disjoint = gap >= 0.0
-    if np.any(disjoint):
-        pa = _boxes_corners(a2[disjoint])
-        pb = _boxes_corners(b2[disjoint])
-        out[disjoint] = _disjoint_rect_distance(pa, pb)
-    return out.reshape(shape)
+    hit = np.flatnonzero(gap >= 0.0)
+    if len(hit):
+        ax, ay = _corners_xy(a[0, hit], a[1, hit], ca[hit], sa[hit], hla[hit], hwa[hit])
+        bx, by = _corners_xy(b[0, hit], b[1, hit], cb[hit], sb[hit], hlb[hit], hwb[hit])
+        gap[hit] = _disjoint_rect_distance(ax, ay, bx, by)
+    return gap.reshape(shape)
 
 
 def _segment_offsets(p: np.ndarray, s: np.ndarray, e: np.ndarray):

@@ -8,6 +8,7 @@ the logged future, which is exactly its job as a scoring ceiling.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -198,15 +199,23 @@ class ReplanWrapper(Policy):
 
 PolicyFactory = Callable[[Scenario, Mapping[str, Any]], Policy]
 
-POLICY_REGISTRY: dict[str, PolicyFactory] = {
-    "constant-velocity": lambda scenario, opts: ConstantVelocityPolicy(),
-    "random": lambda scenario, opts: RandomAgentPolicy(
-        mu=opts.get("mu", 1.0), sigma=opts.get("sigma", 0.1)
+
+@dataclass(frozen=True)
+class RegisteredPolicy:
+    """A registry entry: how to build a policy, and the option names it reads."""
+
+    factory: PolicyFactory
+    options: tuple[str, ...] = ()
+
+
+POLICY_REGISTRY: dict[str, RegisteredPolicy] = {
+    "constant-velocity": RegisteredPolicy(lambda scenario, opts: ConstantVelocityPolicy()),
+    "random": RegisteredPolicy(
+        lambda scenario, opts: RandomAgentPolicy(**opts), ("mu", "sigma")
     ),
-    "logged-oracle": lambda scenario, opts: LoggedOraclePolicy(scenario),
-    "noisy-plan": lambda scenario, opts: NoisyPlanPolicy(
-        heading_sigma=opts.get("heading_sigma", 0.15),
-        speed_sigma=opts.get("speed_sigma", 1.0),
+    "logged-oracle": RegisteredPolicy(lambda scenario, opts: LoggedOraclePolicy(scenario)),
+    "noisy-plan": RegisteredPolicy(
+        lambda scenario, opts: NoisyPlanPolicy(**opts), ("heading_sigma", "speed_sigma")
     ),
 }
 
@@ -219,14 +228,23 @@ def create_policy(
 ) -> Policy:
     """Instantiate a registered policy, wrapped for slow replanning at an interval above 1.
 
-    Bad option values and an interval below 1 raise :class:`InvalidOption`.
+    An option the policy does not read, a bad option value and an interval
+    below 1 raise :class:`InvalidOption`.
     """
     if name not in POLICY_REGISTRY:
         known = ", ".join(sorted(POLICY_REGISTRY))
         raise KeyError(f"unknown policy {name!r}; registered: {known}")
+    entry = POLICY_REGISTRY[name]
+    options = options or {}
+    unknown = sorted(set(options) - set(entry.options))
+    if unknown:
+        known = ", ".join(entry.options) or "none"
+        raise InvalidOption(
+            f"policy {name} has no option {', '.join(unknown)}; its options: {known}"
+        )
     if replan_interval < 1:
         raise InvalidOption(f"replan interval must be >= 1, got {replan_interval}")
-    policy = POLICY_REGISTRY[name](scenario, options or {})
+    policy = entry.factory(scenario, options)
     if replan_interval > 1:
         policy = ReplanWrapper(policy, replan_interval)
     return policy

@@ -314,7 +314,12 @@ class _FixtureBuilder:
     def __init__(self, agents, road_edges, t_len, dt):
         self.agents = agents
         self.t_len = t_len
-        self.dt = dt
+        # Future poses at steps 0..t_len, computed once: the pairwise fixtures
+        # read every agent's pose at every step once per partner.
+        self._poses = {
+            agent.object_id: [agent.motion.pose(t * dt) for t in range(t_len + 1)]
+            for agent in agents
+        }
         starts, ends = [], []
         for poly in road_edges:
             pts = np.asarray(poly)
@@ -324,7 +329,7 @@ class _FixtureBuilder:
         self.seg_ends = np.concatenate(ends)
 
     def _future_pose(self, agent, t):
-        return agent.motion.pose(t * self.dt)
+        return self._poses[agent.object_id][t]
 
     def road_edge_series(self, agent) -> np.ndarray:
         vals = np.empty(self.t_len)

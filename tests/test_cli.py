@@ -176,6 +176,8 @@ class TestRolloutAndValidate:
             ("noisy-plan", ["--env-opt", "speed_sigma=nan"]),
             ("noisy-plan", ["--av-opt", "heading_sigma=-1"]),
             ("random", ["--env-opt", "mu=inf"]),
+            ("noisy-plan", ["--env-opt", "speed_sgima=5"]),
+            ("constant-velocity", ["--av-opt", "speed_sigma=1"]),
         ],
     )
     def test_bad_policy_option_exits_two_without_archive(
@@ -257,6 +259,19 @@ class TestEvaluate:
         ]) == 0
         doc = read_report(report)
         assert doc["config"]["weights"]["collision"] == 0.5
+
+    def test_non_finite_ttc_cap_exits_two(self, workspace, tmp_path, capsys):
+        _, scenarios, archives = workspace
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"features": {"ttc_max": "nan"}}))
+        report = tmp_path / "nan_cap.json"
+        assert main([
+            "evaluate", "--archive", str(archives["constant-velocity"]),
+            "--scenarios", str(scenarios), "--config", str(config_path),
+            "--out", str(report), "--jobs", "1",
+        ]) == 2
+        assert "features.ttc_max must be finite and > 0" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_oracle_beats_constant_velocity(self, workspace, tmp_path):
         _, scenarios, archives = workspace

@@ -19,6 +19,7 @@ from simreal.features import (
     FeatureParams,
     MetricKind,
     SceneStates,
+    _wrap_signed,
     extract_features,
 )
 from simreal.geometry import box_signed_distance_batch
@@ -459,6 +460,157 @@ class TestTimeToCollision:
         series = features(scene_, MetricKind.TIME_TO_COLLISION, params=params)
         vals = series[0].values[series[0].valid]
         assert np.all(vals > 0.0) and np.all(vals <= 3.0)
+
+
+def all_pairs_ttc(states, speed_vals, speed_ok, params):
+    """Reference for the TTC kernel: every follower/leader pair through the
+    alignment, corridor and gap tests as dense (K, A, A, T) tensors, then the
+    nearest leader's closing time."""
+    k, a, t = states.valid.shape
+    cap = params.ttc_max
+    vals = np.full((k, a, t), cap)
+    ok = speed_ok.copy()
+    if a >= 2:
+        h = states.headings
+        hx, hy = np.cos(h)[:, :, None, :], np.sin(h)[:, :, None, :]
+        x, y = states.centers[..., 0], states.centers[..., 1]
+        dx = x[:, None, :, :] - x[:, :, None, :]
+        dy = y[:, None, :, :] - y[:, :, None, :]
+        lon = hx * dx + hy * dy
+        lat = -hy * dx + hx * dy
+        hd = np.abs(_wrap_signed(h[:, None, :, :] - h[:, :, None, :]))
+        half_len = states.dims[:, 0] / 2.0
+        gap = lon - (half_len[:, None] + half_len[None, :])[:, :, None]
+        lat_lim = np.maximum(
+            params.ttc_min_lateral,
+            (states.dims[:, 1][:, None] + states.dims[:, 1][None, :]) / 2.0,
+        )[:, :, None]
+        leaders = (states.valid & speed_ok)[:, None, :, :]
+        cand = (
+            leaders
+            & ~np.eye(a, dtype=bool)[:, :, None]
+            & (hd <= params.ttc_heading_threshold)
+            & (lon > 0.0)
+            & (np.abs(lat) <= lat_lim)
+            & (gap > 0.0)
+        )
+        gap_sel = np.where(cand, gap, np.inf)
+        lead = np.argmin(gap_sel, axis=2)
+        best_gap = np.take_along_axis(gap_sel, lead[:, :, None, :], axis=2)[:, :, 0, :]
+        has_lead = np.isfinite(best_gap)
+        closing = speed_vals - np.take_along_axis(speed_vals, lead, axis=1)
+        ttc = np.where(
+            closing > params.ttc_closing_eps,
+            np.minimum(cap, best_gap / np.maximum(closing, params.ttc_closing_eps)),
+            cap,
+        )
+        vals = np.where(speed_ok & has_lead, ttc, cap)
+    return np.where(ok, vals, 0.0), ok
+
+
+def lane(xs, dt=0.5, lengths=None):
+    """One rollout of boxes along the x axis, heading 0, width 2; ``xs`` is (A, T)."""
+    xs = np.asarray(xs, dtype=float)
+    a, t = xs.shape
+    centers = np.zeros((1, a, t, 3))
+    centers[0, :, :, 0] = xs
+    dims = np.tile([4.0, 2.0, 1.5], (a, 1))
+    if lengths is not None:
+        dims[:, 0] = lengths
+    return SceneStates(ids=tuple(range(a)), centers=centers, headings=np.zeros((1, a, t)),
+                       valid=np.ones((1, a, t), dtype=bool), dims=dims, dt=dt)
+
+
+_LANE_X = st.one_of(
+    st.integers(-30, 30).map(lambda v: v / 2.0),
+    st.floats(-100.0, 100.0),
+    st.sampled_from([1e6, math.nan, math.inf, -math.inf]),
+)
+_LANE_Y = st.one_of(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0, -2.0]), st.floats(-6.0, 6.0))
+_LANE_HEADINGS = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.1, math.pi / 4, math.pi, -math.pi / 2, 2 * math.pi]),
+    st.floats(-7.0, 7.0),
+    st.sampled_from([math.nan, math.inf]),
+)
+
+
+@st.composite
+def lane_scenes(draw):
+    """K rollouts of boxes near one lane, often following each other, with
+    invalid steps, non-finite poses and thresholds from tight to loose."""
+    k, a, t = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    centers = np.stack(
+        [
+            draw(hnp.arrays(float, (k, a, t), elements=_LANE_X)),
+            draw(hnp.arrays(float, (k, a, t), elements=_LANE_Y)),
+            np.zeros((k, a, t)),
+        ],
+        axis=-1,
+    )
+    sizes = st.sampled_from([0.0, 0.5, 2.0, 4.5])
+    dims = np.stack([draw(hnp.arrays(float, a, elements=sizes)) for _ in range(2)]
+                    + [np.full(a, 1.5)], axis=-1)
+    states = SceneStates(
+        ids=tuple(range(a)),
+        centers=centers,
+        headings=draw(hnp.arrays(float, (k, a, t), elements=_LANE_HEADINGS)),
+        valid=draw(hnp.arrays(bool, (k, a, t), elements=st.sampled_from([True] * 3 + [False]))),
+        dims=dims,
+        dt=draw(st.sampled_from([0.1, 0.5])),
+    )
+    params = FeatureParams(
+        ttc_max=draw(st.sampled_from([5.0, 0.5, 1e-3, 1e3])),
+        ttc_heading_threshold=draw(st.sampled_from([math.pi / 4, 0.0, math.pi])),
+        ttc_min_lateral=draw(st.sampled_from([1.0, 0.0, 10.0])),
+        ttc_closing_eps=draw(st.sampled_from([1e-3, 1e-9, 1.0])),
+    )
+    return states, params
+
+
+class TestTimeToCollisionCut:
+    @settings(max_examples=300, deadline=None)
+    @given(case=lane_scenes())
+    @example(  # equal gaps at the last step: the lower leader index (1) wins
+        case=(lane([[0, 1, 2, 3], [10, 10, 10, 10], [7, 8, 9, 10]]), DEFAULT_FEATURE_PARAMS)
+    )
+    @example(  # at step 2 the gap is exactly ttc_max * speed: 10 m at 2 m/s reads the cap
+        case=(lane([[0, 1, 2, 3], [16, 16, 16, 16]]), DEFAULT_FEATURE_PARAMS)
+    )
+    @example(  # 1 cm inside the cut: 9.99 m at 2 m/s
+        case=(lane([[0, 1, 2, 3], [15.99] * 4]), DEFAULT_FEATURE_PARAMS)
+    )
+    @example(  # the gap equals ttc_max * speed as rounded, but is below it in real numbers,
+        # so it reads 4.999999999999999: the cut's slack must keep this leader
+        case=(lane([[0.0, 0.17087189561177435], [12.714466676200491] * 2], dt=0.1),
+              DEFAULT_FEATURE_PARAMS)
+    )
+    @example(case=(lane([[0, 0, 0, 0], [8, 8, 9, 9]]), DEFAULT_FEATURE_PARAMS))  # stopped follower
+    @example(  # non-finite follower poses
+        case=(lane([[0, math.nan, 2, math.inf, 4], [9, 9, 9, 9, 9]]), DEFAULT_FEATURE_PARAMS)
+    )
+    def test_matches_all_pairs_reference_bit_for_bit(self, case):
+        states, params = case
+        with np.errstate(all="ignore"):
+            speed = simreal.features._speed_arrays(states.centers, states.valid, states.dt)
+            vals, ok = simreal.features._ttc_arrays(states, *speed, params)
+            want_vals, want_ok = all_pairs_ttc(states, *speed, params)
+        assert vals.tobytes() == want_vals.tobytes()
+        assert ok.tobytes() == want_ok.tobytes()
+
+    def test_examples_read_as_described(self):
+        speed = simreal.features._speed_arrays
+        at_cut = lane([[0, 1, 2, 3], [16, 16, 16, 16]])
+        vals, _ = simreal.features._ttc_arrays(at_cut, *speed(at_cut.centers, at_cut.valid, 0.5),
+                                               DEFAULT_FEATURE_PARAMS)
+        assert vals[0, 0].tolist() == [0.0, 5.0, 5.0, 4.5]
+        tie = lane([[0, 1, 2, 3], [10, 10, 10, 10], [7, 8, 9, 10]])
+        vals, _ = simreal.features._ttc_arrays(tie, *speed(tie.centers, tie.valid, 0.5),
+                                               DEFAULT_FEATURE_PARAMS)
+        assert vals[0, 0, 3] == 1.5  # 3 m closing at 2 m/s on leader 1; leader 2 reads the cap
+        rounded = lane([[0.0, 0.17087189561177435], [12.714466676200491] * 2], dt=0.1)
+        vals, _ = simreal.features._ttc_arrays(rounded, *speed(rounded.centers, rounded.valid, 0.1),
+                                               DEFAULT_FEATURE_PARAMS)
+        assert vals[0, 0, 1] == 4.999999999999999
 
 
 ROAD = [

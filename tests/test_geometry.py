@@ -6,6 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import simreal.features
 from simreal.features import MetricKind, SceneStates, _nearest_edge, _RoadEdges, extract_features
@@ -92,6 +93,151 @@ class TestBoxSignedDistance:
         assert out.shape == (4, 4)
         assert np.allclose(np.diag(out), out[0, 0])
         assert np.allclose(out, out.T, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The box kernel before it moved to separate x and y arrays: (N, 4, 4, 2)
+# corner/edge tensors, einsum projections and a second trigonometric pass.
+# Kept verbatim (helpers renamed) as the byte-for-byte reference.
+
+
+def _ref_point_segment_distance(p: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Distance from points to segments; all arguments broadcast, last axis xy."""
+    d = e - s
+    l2 = (d * d).sum(axis=-1)
+    t = ((p - s) * d).sum(axis=-1) / np.maximum(l2, 1e-300)
+    t = np.clip(t, 0.0, 1.0)
+    proj = s + t[..., None] * d
+    return np.linalg.norm(p - proj, axis=-1)
+
+
+def _ref_boxes_corners(boxes: np.ndarray) -> np.ndarray:
+    """Corner points of boxes given as (..., 5) [cx, cy, heading, length, width]."""
+    c, s = np.cos(boxes[..., 2]), np.sin(boxes[..., 2])
+    dx = np.stack([c, s], axis=-1) * (boxes[..., 3:4] / 2.0)
+    dy = np.stack([-s, c], axis=-1) * (boxes[..., 4:5] / 2.0)
+    ctr = boxes[..., 0:2]
+    return np.stack([ctr + dx + dy, ctr + dx - dy, ctr - dx - dy, ctr - dx + dy], axis=-2)
+
+
+def _ref_disjoint_rect_distance(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Exact distance between disjoint rectangles from their corners (N, 4, 2)."""
+
+    def corner_to_edges(points, poly):
+        p = points[:, :, None, :]
+        s = poly[:, None, :, :]
+        e = np.roll(poly, -1, axis=1)[:, None, :, :]
+        return _ref_point_segment_distance(p, s, e).min(axis=(1, 2))
+
+    return np.minimum(corner_to_edges(pa, pb), corner_to_edges(pb, pa))
+
+
+def reference_box_signed_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Vectorized signed box distance.
+
+    ``a`` and ``b`` are broadcastable arrays of shape (..., 5) holding
+    [center_x, center_y, heading, length, width].  Overlap and penetration
+    come from separating-axis projections over the 4 distinct edge normals;
+    disjoint pairs get the exact corner-to-edge minimum.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    a, b = np.broadcast_arrays(a, b)
+    shape = a.shape[:-1]
+    a2 = np.ascontiguousarray(a.reshape(-1, 5))
+    b2 = np.ascontiguousarray(b.reshape(-1, 5))
+
+    def unit_axes(h):
+        c, s = np.cos(h), np.sin(h)
+        return np.stack([np.stack([c, s], -1), np.stack([-s, c], -1)], axis=1)
+
+    axa = unit_axes(a2[:, 2])
+    axb = unit_axes(b2[:, 2])
+    axes = np.concatenate([axa, axb], axis=1)  # (N, 4, 2)
+    half_a = a2[:, 3:5] / 2.0
+    half_b = b2[:, 3:5] / 2.0
+
+    def extents(box_axes, half):
+        dots = np.abs(np.einsum("nkc,njc->nkj", axes, box_axes))
+        return np.einsum("nkj,nj->nk", dots, half)
+
+    d = b2[:, 0:2] - a2[:, 0:2]
+    proj = np.abs(np.einsum("nkc,nc->nk", axes, d))
+    sep = proj - extents(axa, half_a) - extents(axb, half_b)
+    gap = sep.max(axis=1)
+
+    out = gap.copy()
+    disjoint = gap >= 0.0
+    if np.any(disjoint):
+        pa = _ref_boxes_corners(a2[disjoint])
+        pb = _ref_boxes_corners(b2[disjoint])
+        out[disjoint] = _ref_disjoint_rect_distance(pa, pb)
+    return out.reshape(shape)
+
+
+_CENTRES = st.one_of(
+    st.integers(-12, 12).map(lambda v: v / 2.0),
+    st.floats(-50.0, 50.0),
+    st.sampled_from([1e6, -1e6, math.nan, math.inf, -math.inf]),
+)
+_ANGLES = st.one_of(
+    st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 4, 3 * math.pi]),
+    st.floats(-10.0, 10.0),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+_EXTENTS = st.one_of(
+    st.sampled_from([1.0, 2.0, 4.5, 0.0, 1e-9, 1e-300]),
+    st.floats(1e-6, 10.0),
+)
+
+
+def _boxes(draw, n):
+    columns = (_CENTRES, _CENTRES, _ANGLES, _EXTENTS, _EXTENTS)
+    return np.stack([draw(hnp.arrays(float, n, elements=col)) for col in columns], axis=-1)
+
+
+@st.composite
+def box_pairs(draw):
+    """(N, 5) boxes a and b, pair by pair independent, coincident, touching
+    (b shifted along a's heading by the half lengths) or overlapping (half that)."""
+    n = draw(st.integers(1, 40))
+    a, b = _boxes(draw, n), _boxes(draw, n)
+    mode = draw(hnp.arrays(np.int8, n, elements=st.integers(0, 3)))
+    b[mode == 1] = a[mode == 1]
+    shift = (a[:, 3] + b[:, 3]) / 2.0 * np.where(mode == 2, 1.0, 0.5)
+    with np.errstate(invalid="ignore"):  # infinite headings
+        along = np.stack([a[:, 0] + shift * np.cos(a[:, 2]), a[:, 1] + shift * np.sin(a[:, 2])], -1)
+    b[mode >= 2, :3] = np.concatenate([along, a[:, 2:3]], axis=-1)[mode >= 2]
+    swap = draw(hnp.arrays(bool, n))
+    a[swap], b[swap] = b[swap], a[swap].copy()
+    return a, b
+
+
+class TestBoxKernelMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(pair=box_pairs())
+    @example(pair=(np.array([box(0, 0)]), np.array([box(2, 0)])))  # touching faces
+    @example(pair=(np.array([box(0, 0)]), np.array([box(0, 0)])))  # coincident
+    @example(pair=(np.array([box(0, 0)]), np.array([box(1, 0.5, 0.3)])))  # overlapping
+    @example(pair=(np.array([box(0, 0)]), np.array([box(3, 3, math.pi / 4)])))  # corner first
+    @example(pair=(np.array([box(0, 0, 0.0, 1e-300, 1e-300)]), np.array([box(1e-9, 0)])))
+    @example(  # infinite centres reach the corner-to-edge pass and read NaN
+        pair=(np.array([box(math.inf, 0), box(0, -math.inf), box(math.nan, 0)] * 9),
+              np.array([box(5, 0), box(0, 5, 1.0), box(5, 0)] * 9))
+    )
+    def test_byte_for_byte(self, pair):
+        a, b = pair
+        with np.errstate(all="ignore"):
+            got = box_signed_distance_batch(a, b)
+            want = reference_box_signed_distance(a, b)
+        assert got.tobytes() == want.tobytes()
+
+    def test_broadcast_shapes_match_reference(self):
+        boxes = np.array([random_box(np.random.default_rng(s)) for s in range(6)]).reshape(2, 3, 5)
+        got = box_signed_distance_batch(boxes[:, None], boxes[None, :, :1])
+        want = reference_box_signed_distance(boxes[:, None], boxes[None, :, :1])
+        assert got.shape == (2, 2, 3)
+        assert got.tobytes() == want.tobytes()
 
 
 def point_to_polyline(point, polyline) -> tuple[float, int]:

@@ -427,6 +427,28 @@ class TestBaselines:
             with pytest.raises(InvalidOption, match="replan interval"):
                 create_policy("noisy-plan", scenario, replan_interval=interval)
 
+    @pytest.mark.parametrize(
+        "name,options,known",
+        [
+            ("noisy-plan", {"speed_sgima": 5.0}, "heading_sigma, speed_sigma"),
+            ("random", {"mu": 0.0, "heading_sigma": 0.1}, "mu, sigma"),
+            ("constant-velocity", {"speed_sigma": 1.0}, "none"),
+            ("logged-oracle", {"mu": 1.0}, "none"),
+        ],
+    )
+    def test_unknown_policy_option_is_rejected(self, name, options, known):
+        scenario = straight_scenario()
+        unknown = next(key for key in options if key not in known)
+        with pytest.raises(InvalidOption, match=f"no option {unknown}; its options: {known}$"):
+            create_policy(name, scenario, options)
+
+    def test_known_policy_options_reach_the_policy(self):
+        scenario = straight_scenario()
+        policy = create_policy("noisy-plan", scenario, {"speed_sigma": 5.0})
+        assert (policy.heading_sigma, policy.speed_sigma) == (0.15, 5.0)
+        policy = create_policy("random", scenario, {"sigma": 0.5})
+        assert (policy.mu, policy.sigma) == (1.0, 0.5)
+
     def test_registry_round_trip(self):
         scenario = straight_scenario()
         for name in ("constant-velocity", "random", "logged-oracle", "noisy-plan"):

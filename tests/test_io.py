@@ -483,6 +483,26 @@ class TestConfigRoundTrip:
         with pytest.raises(ParseError, match="must be a JSON object"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("field,value", [
+        ("ttc_max", "nan"), ("ttc_max", -1.0), ("ttc_max", 0.0), ("ttc_max", "inf"),
+        ("ttc_closing_eps", 0.0), ("ttc_closing_eps", "nan"),
+        ("ttc_heading_threshold", -0.1), ("ttc_heading_threshold", 4.0),
+        ("ttc_heading_threshold", "nan"), ("ttc_min_lateral", -1.0), ("ttc_min_lateral", "inf"),
+    ])
+    def test_bad_ttc_parameter_is_parse_error(self, field, value):
+        doc = config_to_dict(DEFAULT_CONFIG)
+        doc["features"][field] = value
+        with pytest.raises(ParseError, match=f"features.{field} must be"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("field,value", [
+        ("ttc_heading_threshold", 0.0), ("ttc_heading_threshold", math.pi), ("ttc_min_lateral", 0.0),
+    ])
+    def test_ttc_parameter_bounds_are_inclusive(self, field, value):
+        doc = config_to_dict(DEFAULT_CONFIG)
+        doc["features"][field] = value
+        assert getattr(config_from_dict(doc).features, field) == value
+
     def test_histogram_override(self):
         doc = config_to_dict(DEFAULT_CONFIG)
         doc["histograms"]["linear_speed"]["bins"] = 64
