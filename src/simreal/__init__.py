@@ -48,6 +48,7 @@ from .policies import (
     LoggedOraclePolicy,
     NoisyPlanPolicy,
     RandomAgentPolicy,
+    RegisteredPolicy,
     ReplanWrapper,
     create_policy,
 )
