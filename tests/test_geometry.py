@@ -209,7 +209,7 @@ def box_pairs(draw):
         along = np.stack([a[:, 0] + shift * np.cos(a[:, 2]), a[:, 1] + shift * np.sin(a[:, 2])], -1)
     b[mode >= 2, :3] = np.concatenate([along, a[:, 2:3]], axis=-1)[mode >= 2]
     swap = draw(hnp.arrays(bool, n))
-    a[swap], b[swap] = b[swap], a[swap].copy()
+    a[swap], b[swap] = b[swap], a[swap]
     return a, b
 
 
