@@ -18,9 +18,11 @@ whose scenarios differ in rollout count or depart from the manifest's
 ``rollouts_per_scenario`` (no report is written), and in ``rollout`` a
 ``--k`` below 1, a ``--seed`` outside [0, 2**64 - k], a ``--replan-interval``
 below 1, or a policy option that is not KEY=VALUE or whose value the policy
-cannot use (not a number, non-finite, or a negative scale); 3 policy-contract
-violations.  ``SIMREAL_CONFIG`` sets the default config path for
-``evaluate``.
+cannot use (not a number, non-finite, or a negative scale), and in ``synth``
+(which then writes no file) a ``--count`` below 1, an ``--agents`` below the
+template's minimum, a negative ``--seed`` or a NaN ``--noise``; 3
+policy-contract violations.  ``SIMREAL_CONFIG`` sets the default config path
+for ``evaluate``.
 """
 
 from __future__ import annotations
@@ -114,19 +116,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
+    if args.count < 1:
+        raise InvalidOption(f"--count must be >= 1, got {args.count}")
     if args.template == "all":
         templates = list(Template)
     else:
         templates = [Template(args.template)]
-    items = [
-        generate(SynthSpec(
-            template=templates[i % len(templates)],
-            agent_count=args.agents,
-            seed=args.seed + i,
-            noise_level=args.noise,
-        ))
-        for i in range(args.count)
-    ]
+    try:
+        specs = [
+            SynthSpec(
+                template=templates[i % len(templates)],
+                agent_count=args.agents,
+                seed=args.seed + i,
+                noise_level=args.noise,
+            )
+            for i in range(args.count)
+        ]
+    except ValueError as exc:
+        raise InvalidOption(f"synth: {exc}") from exc
+    items = [generate(spec) for spec in specs]
     written = sio.write_scenario_dir(items, args.out, fmt=args.format)
     manifest = {
         "seed": args.seed,

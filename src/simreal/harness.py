@@ -7,16 +7,20 @@ queried for the same step against that same context.  Neither can observe
 the other's current-step output, matching the required factorization of the
 world model into an AV policy and an environment policy.
 
-Each rollout also records a trace: per step, the ids queried and a running
-hash of everything the context exposed.  The audit recomputes that hash
-chain from the finished rollout, which catches any future leakage through
-the harness as well as forged or reordered traces.
+Each rollout also records a trace: one sha256 digest of the scenario id, the
+row ids and each step's poses, folded in as the step is produced.  The audit
+recomputes the digest from the finished rollout.  It catches a step that was
+rewritten after it was produced and is still rewritten when the rollout
+ends, as well as a forged digest or rows that are not the trace's objects.
+It does not catch leakage: the digest covers what policies returned, not
+what the context exposed.  Nor does it catch a policy that rewrites the
+logged history (read-only views stop accidental writes only), or a rewrite
+undone before the rollout ends.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -31,9 +35,6 @@ from .scene import (
     normalize_heading,
     simulated_object_ids,
 )
-
-# One hashed pose: the same bytes as struct.pack("<q4d", id, x, y, z, heading).
-_HASH_RECORD = np.dtype([("id", "<i8"), ("pose", "<f8", (4,))])
 
 # Rollout seeds key numpy's SeedSequence, which takes integers in [0, 2**64).
 SEED_LIMIT = 2**64
@@ -346,18 +347,13 @@ class Policy(ABC):
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    step: int
-    ids_queried: tuple[int, ...]
-    context_hash: str
-
-
-@dataclass(frozen=True)
 class RolloutTrace:
+    """sha256 of the scenario id, the row ids as ``<i8`` and the (T, A, 4) poses as ``<f8``."""
+
     scenario_id: str
     seed: int
-    steps: tuple[TraceStep, ...]
-    final_hash: str
+    ids: tuple[int, ...]
+    digest: str
 
 
 @dataclass(frozen=True)
@@ -366,18 +362,10 @@ class AuditReport:
     issues: tuple[str, ...]
 
 
-def _hash_records(ids: Sequence[int], poses: np.ndarray) -> np.ndarray:
-    """Hash records of (..., A, 4) poses whose rows are the objects ``ids``."""
-    record = np.empty(poses.shape[:-1], dtype=_HASH_RECORD)
-    record["id"] = ids
-    record["pose"] = poses
-    return record
-
-
-def _hash_step(hasher, step: int, record: np.ndarray) -> None:
-    """Fold one step of one rollout, as (A,) hash records, into its hash chain."""
-    hasher.update(struct.pack("<i", step))
-    hasher.update(record.tobytes())
+def _rollout_hasher(scenario_id: str, ids: Sequence[int]):
+    hasher = hashlib.sha256(scenario_id.encode("utf-8"))
+    hasher.update(np.asarray(ids, dtype="<i8").tobytes())
+    return hasher
 
 
 def closed_loop_rollout(
@@ -394,7 +382,7 @@ def closed_loop_rollout(
     both policies are stepped for all K rollouts against the identical
     context each step and their outputs merged afterwards.  Returns the
     simulated futures as (K, A, T, 4) poses with rows in ascending object id
-    order (the traces' ``ids_queried``), plus one trace per rollout.
+    order (the traces' ``ids``), plus one trace per rollout.
     """
     if av_policy is env_policy:
         raise PolicyContractViolation("AV and environment policies must be distinct objects")
@@ -420,13 +408,9 @@ def closed_loop_rollout(
     poses[:, :, :h] = np.where(valid[:, :h, None], [trk.poses[:h] for trk in tracks], 0.0)
     motion = _history_motion(poses[0], valid, h - 1, scenario.timestep, all_rows, sim_ids)
 
-    hashers = [hashlib.sha256(scenario.scenario_id.encode("utf-8")) for _ in seeds]
+    hashers = [_rollout_hasher(scenario.scenario_id, sim_ids) for _ in seeds]
     noise = _NoiseStreams(seeds, sim_ids)
-    steps: list[list[TraceStep]] = [[] for _ in seeds]
     for t in range(1, t_total + 1):
-        for hasher, rollout_steps in zip(hashers, steps):
-            context_hash = hasher.copy().hexdigest()
-            rollout_steps.append(TraceStep(step=t, ids_queried=sim_ids, context_hash=context_hash))
         upto = h + t - 1
         ctx = PolicyContext(
             scenario_id=scenario.scenario_id,
@@ -450,17 +434,13 @@ def closed_loop_rollout(
         merged[:, av_row] = _shaped_poses(av_out, k, 1, "AV", t)[:, 0]
         _finish_poses(merged, sim_ids, t)
         valid[:, upto] = True
-        for hasher, record in zip(hashers, _hash_records(sim_ids, merged)):
-            _hash_step(hasher, t, record)
+        # Commit the step now: a later rewrite of it no longer matches the digest.
+        for hasher, step_poses in zip(hashers, np.ascontiguousarray(merged, dtype="<f8")):
+            hasher.update(step_poses)
 
     traces = tuple(
-        RolloutTrace(
-            scenario_id=scenario.scenario_id,
-            seed=seed,
-            steps=tuple(rollout_steps),
-            final_hash=hasher.hexdigest(),
-        )
-        for seed, rollout_steps, hasher in zip(seeds, steps, hashers)
+        RolloutTrace(scenario.scenario_id, seed, sim_ids, hasher.hexdigest())
+        for seed, hasher in zip(seeds, hashers)
     )
     return poses[:, :, h:], traces
 
@@ -489,40 +469,17 @@ def generate_submission(
     return rollouts
 
 
-def audit_trace(
-    trace: RolloutTrace,
-    poses: np.ndarray,
-    ids: Sequence[int] | None = None,
-) -> AuditReport:
+def audit_trace(trace: RolloutTrace, poses: np.ndarray, ids: Sequence[int]) -> AuditReport:
     """Mechanical check of a rollout trace against the finished rollout.
 
     ``poses`` is the rollout as (A, T, 4) and ``ids`` the object id of each
-    row (default: the trace's queried order).  Verifies steps 1..T, strictly
-    increasing and gap-free; constant queried ids that name the rollout's
-    rows in order; and the per-step context-hash chain recomputed from the
-    rollout.
+    row.  Verifies that the rows are the trace's objects in its order, then
+    recomputes the digest from the rollout.
     """
-    issues: list[str] = []
-    steps = trace.steps
-    n = poses.shape[1]
-    if [s.step for s in steps] != list(range(1, n + 1)):
-        issues.append(f"expected steps 1..{n} strictly increasing, got {len(steps)} records")
-    queried = steps[0].ids_queried if steps else ()
-    row_ids = queried if ids is None else tuple(ids)
-    if len({s.ids_queried for s in steps}) > 1:
-        issues.append("queried id set changed between steps")
-    elif row_ids != queried or len(queried) != poses.shape[0]:
-        issues.append("queried ids do not match the rollout's rows")
-
-    if not issues:
-        records = _hash_records(queried, np.swapaxes(poses, 0, 1))
-        hasher = hashlib.sha256(trace.scenario_id.encode("utf-8"))
-        for s in steps:
-            if hasher.copy().hexdigest() != s.context_hash:
-                issues.append(f"context hash mismatch at step {s.step}")
-                break
-            _hash_step(hasher, s.step, records[s.step - 1])
-        else:
-            if hasher.hexdigest() != trace.final_hash:
-                issues.append("final hash mismatch")
-    return AuditReport(ok=not issues, issues=tuple(issues))
+    if tuple(ids) != trace.ids:
+        return AuditReport(ok=False, issues=("rollout rows do not match the trace's ids",))
+    hasher = _rollout_hasher(trace.scenario_id, trace.ids)
+    hasher.update(np.ascontiguousarray(np.swapaxes(poses, 0, 1), dtype="<f8"))
+    if hasher.hexdigest() != trace.digest:
+        return AuditReport(ok=False, issues=("digest mismatch",))
+    return AuditReport(ok=True, issues=())

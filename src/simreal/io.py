@@ -385,12 +385,19 @@ def write_scenario_dir(items: Iterable, out_dir: str | Path, fmt: str = "json") 
 def read_scenario_dir(dir_path: str | Path) -> dict[str, Scenario]:
     dir_path = Path(dir_path)
     out: dict[str, Scenario] = {}
+    sources: dict[str, Path] = {}
     for path in sorted(dir_path.iterdir()):
         if path.name.endswith(".fixtures.json") or path.name.endswith("manifest.json"):
             continue
         if path.suffix not in (".json", ".bin"):
             continue
         scenario = read_scenario(path)
+        first = sources.setdefault(scenario.scenario_id, path)
+        if first != path:
+            raise ParseError(
+                f"scenario {scenario.scenario_id!r} is also declared by {first.name}",
+                path=str(path),
+            )
         out[scenario.scenario_id] = scenario
     if not out:
         raise ParseError("no scenario files found", path=str(dir_path))

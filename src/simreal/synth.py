@@ -85,8 +85,13 @@ class SynthSpec:
     def __post_init__(self):
         if self.agent_count is not None and self.agent_count < _MIN_AGENTS[self.template]:
             raise ValueError(
-                f"{self.template.value} needs >= {_MIN_AGENTS[self.template]} agents"
+                f"agent count {self.agent_count}: {self.template.value} needs >= "
+                f"{_MIN_AGENTS[self.template]} agents"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} is negative")
+        if math.isnan(self.noise_level):
+            raise ValueError("noise level is NaN")
         object.__setattr__(self, "noise_level", float(min(max(self.noise_level, 0.0), 0.5)))
 
 

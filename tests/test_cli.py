@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import simreal.cli
 from simreal.cli import main
@@ -65,6 +68,46 @@ class TestSynth:
         ]) == 0
         for path in sorted(scenarios.glob("*.json")):
             assert (again / path.name).read_text() == path.read_text()
+
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--agents", "0"], "agent count 0"),
+        (["--agents", "-3"], "agent count -3"),
+        (["--template", "following_pair", "--agents", "1"], "agent count 1"),
+        (["--template", "all", "--agents", "1"], "agent count 1"),
+        (["--seed", "-1"], "seed -1"),
+        (["--count", "0"], "--count"),
+        (["--count", "-2"], "--count"),
+        (["--noise", "nan"], "noise level"),
+    ])
+    def test_bad_option_exits_two_without_files(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "scenarios"
+        assert main(["synth", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and named in err[0], err
+        assert not out.exists()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        template=st.sampled_from(["all", "straight_road", "following_pair", "offroad_drift"]),
+        count=st.integers(-2, 2),
+        agents=st.none() | st.integers(-3, 3),
+        seed=st.integers(-1, 3) | st.just(2**64),
+        noise=st.sampled_from(["0", "0.3", "-1", "9", "nan", "inf", "-inf"]),
+        fmt=st.sampled_from(["json", "binary"]),
+    )
+    @example(template="following_pair", count=1, agents=1, seed=0, noise="0", fmt="json")
+    @example(template="straight_road", count=0, agents=None, seed=0, noise="nan", fmt="json")
+    def test_never_raises(self, template, count, agents, seed, noise, fmt):
+        argv = ["synth", f"--template={template}", f"--count={count}", f"--seed={seed}",
+                f"--noise={noise}", f"--format={fmt}"]
+        if agents is not None:
+            argv.append(f"--agents={agents}")
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "scenarios"
+            code = main([*argv, f"--out={out}"])
+            assert code in (0, 2)
+            assert out.exists() == (code == 0)
 
 
 class TestRolloutAndValidate:

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from simreal.errors import InvalidOption, PolicyContractViolation
 from simreal.harness import (
     Policy,
-    RolloutTrace,
     _NoiseStreams,
     audit_trace,
     closed_loop_rollout,
@@ -58,7 +57,7 @@ class TestClosedLoopRollout:
         env = ConstantVelocityPolicy()
         av = ConstantVelocityPolicy()
         (future,), (trace,) = closed_loop_rollout(scenario, av, env, seeds=(0,))
-        assert len(trace.steps) == 80
+        assert trace.ids == tuple(sorted(simulated_object_ids(scenario)))
         assert future.shape == (len(simulated_object_ids(scenario)), 80, 4)
         xy = poses(future, scenario, 0)[:, :2]
         steps = np.diff(xy, axis=0)
@@ -250,6 +249,20 @@ class TestGenerateSubmission:
             generate_submission(scenario, ConstantVelocityPolicy(), ConstantVelocityPolicy(), k=0)
 
 
+class _RewritesStepOne(Policy):
+    """Steps like ``inner``, but at step 10 writes through the context's base buffer into step 1."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def step(self, context, rows):
+        if context.step == 10:
+            buffer = context.poses.base
+            assert buffer.flags.writeable
+            buffer[:, :, context.t0_index + 1, 0] += 1.0
+        return self.inner.step(context, rows)
+
+
 class TestAudit:
     def _run(self, seed=0):
         scenario = straight_scenario()
@@ -260,34 +273,53 @@ class TestAudit:
 
     def test_harness_trace_passes(self):
         future, trace = self._run()
-        report = audit_trace(trace, future)
+        report = audit_trace(trace, future, trace.ids)
         assert report.ok
         assert report.issues == ()
 
-    def test_forged_trace_fails_monotonicity(self):
+    def test_forged_digest_fails(self):
         future, trace = self._run()
-        steps = tuple(s for s in trace.steps if s.step != 40)
-        forged = RolloutTrace(trace.scenario_id, trace.seed, steps, trace.final_hash)
-        report = audit_trace(forged, future)
-        assert not report.ok
+        for digest in ("0" * 64, trace.digest[::-1], trace.digest.upper()):
+            forged = replace(trace, digest=digest)
+            assert audit_trace(forged, future, trace.ids).issues == ("digest mismatch",)
+        # The digest binds the scenario id and the row ids as well as the poses.
+        other = replace(trace, scenario_id=trace.scenario_id + "x")
+        assert audit_trace(other, future, trace.ids).issues == ("digest mismatch",)
+        relabelled = replace(trace, ids=tuple(i + 100 for i in trace.ids))
+        assert audit_trace(relabelled, future, relabelled.ids).issues == ("digest mismatch",)
 
-    def test_tampered_rollout_fails_hash_chain(self):
+    def test_tampered_rollout_fails_digest(self):
         future, trace = self._run()
         tampered = future.copy()
         tampered[0, 40, 0] += 0.5
-        report = audit_trace(trace, tampered)
+        report = audit_trace(trace, tampered, trace.ids)
         assert not report.ok
-        assert any("hash" in issue for issue in report.issues)
+        assert report.issues == ("digest mismatch",)
 
-    def test_rollout_rows_must_follow_queried_ids(self):
+    def test_rollout_rows_must_follow_trace_ids(self):
         future, trace = self._run()
-        ids = list(trace.steps[0].ids_queried)
+        ids = list(trace.ids)
         assert audit_trace(trace, future, ids).ok
         for bad_ids in (ids[::-1], [i + 100 for i in ids]):
             report = audit_trace(trace, future, bad_ids)
-            assert report.issues == ("queried ids do not match the rollout's rows",)
-        assert not audit_trace(trace, future[:-1]).ok
-        assert not audit_trace(trace, future[:, :79]).ok
+            assert report.issues == ("rollout rows do not match the trace's ids",)
+        assert not audit_trace(trace, future[:-1], ids).ok
+        assert not audit_trace(trace, future[:, :79], ids).ok
+
+    def test_step_rewritten_through_the_base_buffer_fails(self):
+        # The digest folds in each step as it is produced, so a policy that
+        # reaches past the read-only view and rewrites an earlier step is caught.
+        scenario = straight_scenario()
+        av = _RewritesStepOne(ConstantVelocityPolicy())
+        rollouts, traces = generate_submission(
+            scenario, av, ConstantVelocityPolicy(), k=4, base_seed=0, with_traces=True
+        )
+        honest = generate_submission(
+            scenario, ConstantVelocityPolicy(), ConstantVelocityPolicy(), k=4, base_seed=0
+        )
+        assert not np.array_equal(rollouts.rollouts[:, :, 0], honest.rollouts[:, :, 0])
+        for trace, future in zip(traces, rollouts.rollouts):
+            assert audit_trace(trace, future, rollouts.ids).issues == ("digest mismatch",)
 
 
 class TestBaselines:
@@ -496,7 +528,7 @@ class TestLockstep:
             single, (trace,) = submission(1, base + i)
             assert batch.rollouts[i].tobytes() == single.rollouts[0].tobytes()
             assert traces[i] == trace
-            assert audit_trace(traces[i], batch.rollouts[i]).ok
+            assert audit_trace(traces[i], batch.rollouts[i], batch.ids).ok
 
     @pytest.mark.parametrize("interval", [1, 10])
     @pytest.mark.parametrize("k", [1, 32])

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tarfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -413,6 +414,16 @@ class TestScenarioDir:
     def test_empty_dir_raises(self, tmp_path):
         with pytest.raises(ParseError):
             read_scenario_dir(tmp_path)
+
+    def test_duplicate_scenario_id_raises_naming_both_files(self, tmp_path):
+        spec = SynthSpec(Template.FOLLOWING_PAIR, seed=3)
+        write_scenario_dir([generate(spec)], tmp_path)
+        write_scenario_dir([generate(replace(spec, noise_level=0.4))], tmp_path, fmt="binary")
+        scenario_id = generate(spec).scenario.scenario_id
+        with pytest.raises(ParseError) as info:
+            read_scenario_dir(tmp_path)
+        message = str(info.value)
+        assert f"{scenario_id}.bin" in message and f"{scenario_id}.json" in message
 
 
 class TestReports:
