@@ -17,6 +17,7 @@ from .errors import (
     InvalidOption,
     MalformedScenario,
     MetricUnscorable,
+    NonFiniteFeature,
     NoValidSteps,
     ParseError,
     PolicyContractViolation,

@@ -12,15 +12,17 @@ Subcommands wire the pipeline end to end:
 Exit codes: 0 success, 1 validation failures (including a failed rollout
 audit, in which case ``rollout`` writes no archive), 2 I/O or parse errors
 and, in ``evaluate``, rollouts that break the submission contract (a missing
-or extra object, a wrong step count, a non-finite pose) or an archive that
-lacks a scenario of the set, holds one twice or holds one outside it, or
-whose scenarios differ in rollout count or depart from the manifest's
-``rollouts_per_scenario`` (no report is written), and in ``rollout`` a
-``--k`` below 1, a ``--seed`` outside [0, 2**64 - k], a ``--replan-interval``
-below 1, or a policy option that is not KEY=VALUE or whose value the policy
-cannot use (not a number, non-finite, or a negative scale), and in ``synth``
+or extra object, a wrong step count, a non-finite pose or a coordinate
+beyond ``scene.POSE_COORDINATE_LIMIT``) or an archive that lacks a scenario
+of the set, holds one twice or holds one outside it, or whose scenarios differ
+in rollout count or depart from the manifest's ``rollouts_per_scenario`` (no
+report is written), and in ``rollout`` a ``--k`` below 1, a ``--seed``
+outside [0, 2**64 - k], a ``--replan-interval`` below 1, or a policy option
+that is not KEY=VALUE or whose value the policy cannot use (not a number,
+non-finite, or a negative scale), and in ``synth``
 (which then writes no file) a ``--count`` below 1, an ``--agents`` below the
-template's minimum, a negative ``--seed`` or a NaN ``--noise``; 3
+template's minimum, a negative ``--seed``, a NaN ``--noise`` or an ``--out``
+directory that already holds ``.json`` or ``.bin`` files; 3
 policy-contract violations.  ``SIMREAL_CONFIG`` sets the default config path
 for ``evaluate``.
 """
@@ -118,6 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_synth(args) -> int:
     if args.count < 1:
         raise InvalidOption(f"--count must be >= 1, got {args.count}")
+    if args.out.is_dir() and any(p.suffix in (".json", ".bin") for p in args.out.iterdir()):
+        raise InvalidOption(f"--out {args.out} already holds scenario files; use a new directory")
     if args.template == "all":
         templates = list(Template)
     else:

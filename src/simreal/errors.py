@@ -27,6 +27,10 @@ class MetricUnscorable(SimRealError):
     """Every object was dropped for a metric, so no per-scenario value exists."""
 
 
+class NonFiniteFeature(SimRealError):
+    """A feature value to be binned is NaN or infinite."""
+
+
 class IncompleteBundle(SimRealError):
     """A composite was requested with component metrics missing."""
 

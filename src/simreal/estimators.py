@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySampleSet, NoValidSteps
+from .errors import EmptySampleSet, NonFiniteFeature, NoValidSteps
 from .features import (
     BOOLEAN_METRICS,
     DEFAULT_FEATURE_PARAMS,
@@ -54,8 +54,14 @@ class HistogramSpec:
             raise ValueError("pseudocount must be positive")
 
     def bin_index(self, values) -> np.ndarray:
-        """Bin of each value after clamping into the histogram range."""
-        x = np.clip(np.asarray(values, dtype=float), self.min_value, self.max_value)
+        """Bin of each value after clamping into the histogram range.
+
+        A NaN or infinite value raises :class:`NonFiniteFeature`: it has no bin.
+        """
+        x = np.asarray(values, dtype=float)
+        if not np.isfinite(x).all():
+            raise NonFiniteFeature(f"a {self.metric.value} value to bin is not finite")
+        x = np.clip(x, self.min_value, self.max_value)
         width = (self.max_value - self.min_value) / self.bins
         idx = np.floor((x - self.min_value) / width).astype(int)
         return np.clip(idx, 0, self.bins - 1)

@@ -32,6 +32,9 @@ DEFAULT_HISTORY_LENGTH = 11
 DEFAULT_FUTURE_LENGTH = 80
 DEFAULT_ROLLOUT_COUNT = 32
 MAX_SIMULATED_OBJECTS = 128
+#: Largest |x|, |y| or |z| of a submitted pose, in metres: far beyond any map,
+#: and far below the coordinates at which the kinematic features overflow.
+POSE_COORDINATE_LIMIT = 1e7
 
 
 def normalize_heading(theta) -> np.ndarray:
@@ -268,6 +271,7 @@ CONTRACT_ERRORS: Mapping[str, type[Exception]] = {
     "EXTRA_OBJECT": InconsistentRollouts,
     "BAD_STEP_COUNT": MalformedScenario,
     "NONFINITE_POSE": MalformedScenario,
+    "OUT_OF_RANGE_POSE": MalformedScenario,
 }
 
 
@@ -275,10 +279,12 @@ def rollout_problems(scenario: Scenario, rollouts: ScenarioRollouts) -> list[tup
     """Where one scenario's rollouts break the submission contract.
 
     The rollouts must cover exactly the objects valid at the handover step,
-    span the scenario's future length, and hold only finite poses.  Returns
-    ``(code, detail)`` pairs, codes as keys of :data:`CONTRACT_ERRORS`: at
-    most one per object-set or step-count problem, and one per rollout with
-    a non-finite pose.  The rollout count is not part of this contract.
+    span the scenario's future length, and hold only finite poses whose x, y
+    and z stay within :data:`POSE_COORDINATE_LIMIT`.  Returns ``(code,
+    detail)`` pairs, codes as keys of :data:`CONTRACT_ERRORS`: at most one per
+    object-set or step-count problem, and one per rollout with a non-finite
+    pose or an out-of-range coordinate.  The rollout count is not part of
+    this contract.
     """
     problems = []
     required = simulated_object_ids(scenario)
@@ -297,6 +303,17 @@ def rollout_problems(scenario: Scenario, rollouts: ScenarioRollouts) -> list[tup
     for k in np.flatnonzero(~finite.all(axis=1)):
         oid = rollouts.ids[np.argmin(finite[k])]  # first object with a bad pose
         problems.append(("NONFINITE_POSE", f"rollout {k} object {oid} has NaN/Inf"))
+    # Headings are wrapped into [0, 2*pi), so only x, y and z can pass the limit.
+    # Reductions, not np.abs, so no temporary as large as the poses is made.
+    high = rollouts.rollouts.max(axis=(2, 3)) > POSE_COORDINATE_LIMIT
+    low = rollouts.rollouts.min(axis=(2, 3)) < -POSE_COORDINATE_LIMIT
+    far = (high | low) & finite  # (K, A)
+    for k in np.flatnonzero(far.any(axis=1)):
+        oid = rollouts.ids[np.argmax(far[k])]  # first object out of range
+        problems.append((
+            "OUT_OF_RANGE_POSE",
+            f"rollout {k} object {oid} has a coordinate beyond {POSE_COORDINATE_LIMIT:g} m",
+        ))
     return problems
 
 

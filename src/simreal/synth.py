@@ -12,6 +12,10 @@ from the construction's closed forms (plus a small local point-to-segment
 routine for curved road edges), never from the feature extraction code they
 exist to check.  They take the form extraction returns: per metric, a pair of
 (objects, steps) arrays of values and validity, rows in ascending object id.
+They are array computations over one raw pose array per scene, the same
+poses the tracks hold before their headings are wrapped.  Box corners take
+``math.cos`` and ``math.sin``, and box-to-box distances ``math.hypot``,
+element by element, so the fixture bytes do not depend on numpy's build.
 
 Generation is deterministic in (template, seed); ``noise_level`` perturbs
 initial speeds and lane offsets within margins that preserve each template's
@@ -56,25 +60,6 @@ class Template(Enum):
     OFFROAD_DRIFT = "offroad_drift"
 
 
-_MIN_AGENTS = {
-    Template.STRAIGHT_ROAD: 1,
-    Template.CURVED_ROAD: 1,
-    Template.FOUR_WAY_INTERSECTION: 1,
-    Template.FOLLOWING_PAIR: 2,
-    Template.COLLISION_COURSE: 2,
-    Template.OFFROAD_DRIFT: 2,
-}
-
-_DEFAULT_AGENTS = {
-    Template.STRAIGHT_ROAD: 4,
-    Template.CURVED_ROAD: 2,
-    Template.FOUR_WAY_INTERSECTION: 4,
-    Template.FOLLOWING_PAIR: 2,
-    Template.COLLISION_COURSE: 2,
-    Template.OFFROAD_DRIFT: 2,
-}
-
-
 @dataclass(frozen=True)
 class SynthSpec:
     template: Template
@@ -83,10 +68,10 @@ class SynthSpec:
     noise_level: float = 0.0
 
     def __post_init__(self):
-        if self.agent_count is not None and self.agent_count < _MIN_AGENTS[self.template]:
+        least = _TEMPLATES[self.template][1]
+        if self.agent_count is not None and self.agent_count < least:
             raise ValueError(
-                f"agent count {self.agent_count}: {self.template.value} needs >= "
-                f"{_MIN_AGENTS[self.template]} agents"
+                f"agent count {self.agent_count}: {self.template.value} needs >= {least} agents"
             )
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} is negative")
@@ -110,6 +95,10 @@ class SynthScenario:
 
 # ---------------------------------------------------------------------------
 # Motion models with closed-form discrete features.
+#
+# ``kinematics(t, dt)`` gives (speed, acceleration, angular speed) at future
+# steps ``t`` as finite differences of the sampled poses read them; each entry
+# is an array over ``t`` or one value for every step.
 
 
 @dataclass(frozen=True)
@@ -132,14 +121,8 @@ class _LineMotion:
             self.heading,
         )
 
-    def speed_at(self, t: int, dt: float) -> float:
-        return self.v0 + self.accel * (t * dt - dt / 2.0)
-
-    def accel_at(self, t: int, dt: float) -> float:
-        return self.accel
-
-    def angular_speed_at(self, t: int, dt: float) -> float:
-        return 0.0
+    def kinematics(self, t: np.ndarray, dt: float):
+        return self.v0 + self.accel * (t * dt - dt / 2.0), self.accel, 0.0
 
 
 @dataclass(frozen=True)
@@ -163,15 +146,9 @@ class _ArcMotion:
             heading,
         )
 
-    def speed_at(self, t: int, dt: float) -> float:
+    def kinematics(self, t: np.ndarray, dt: float):
         # Chord length of one step on the circle, not the arc speed.
-        return abs(2.0 * self.radius * math.sin(self.omega * dt / 2.0) / dt)
-
-    def accel_at(self, t: int, dt: float) -> float:
-        return 0.0
-
-    def angular_speed_at(self, t: int, dt: float) -> float:
-        return self.omega
+        return abs(2.0 * self.radius * math.sin(self.omega * dt / 2.0) / dt), 0.0, self.omega
 
 
 @dataclass(frozen=True)
@@ -209,15 +186,9 @@ class _DriftMotion:
             self.heading0 + self.omega * tau,
         )
 
-    def speed_at(self, t: int, dt: float) -> float:
+    def kinematics(self, t: np.ndarray, dt: float):
         r = self.speed / abs(self.omega)
-        return abs(2.0 * r * math.sin(self.omega * dt / 2.0) / dt)
-
-    def accel_at(self, t: int, dt: float) -> float:
-        return 0.0
-
-    def angular_speed_at(self, t: int, dt: float) -> float:
-        return self.omega
+        return abs(2.0 * r * math.sin(self.omega * dt / 2.0) / dt), 0.0, self.omega
 
 
 @dataclass(frozen=True)
@@ -231,162 +202,133 @@ class _AgentDef:
 # ---------------------------------------------------------------------------
 # Generator-local geometry used only for fixtures.
 
+# Point-segment pairs per batch of the road-edge distance.  Curved roads carry
+# hundreds of edge segments, so one (corners, segments) array per scene would
+# set the peak memory of a whole synth run.
+_PAIR_BATCH = 8192
 
-def _fixture_point_to_segments(point, starts, ends):
-    """(distance, side) of one point against segments; first-minimum ties."""
-    px, py = point
+
+def _elementwise(fn, *arrays) -> np.ndarray:
+    """``fn`` from :mod:`math` element by element, so the bits do not depend on numpy's build."""
+    flat = [a.ravel().tolist() for a in arrays]
+    return np.fromiter(map(fn, *flat), float, len(flat[0])).reshape(arrays[0].shape)
+
+
+def _fixture_point_to_segments(px, py, starts, ends):
+    """(distance, side) of each point of ``(P,)`` arrays against segments; first-minimum ties."""
     d = ends - starts
-    rel = np.array([px, py]) - starts
-    seg_len2 = (d * d).sum(axis=1)
-    frac = np.clip((rel * d).sum(axis=1) / seg_len2, 0.0, 1.0)
-    foot = starts + frac[:, None] * d
-    dists = np.hypot(px - foot[:, 0], py - foot[:, 1])
-    k = int(np.argmin(dists))
-    cross = d[k, 0] * (py - starts[k, 1]) - d[k, 1] * (px - starts[k, 0])
-    if cross > 1e-9:
-        side = 1.0
-    elif cross < -1e-9:
-        side = -1.0
-    else:
-        side = 0.0
-    return float(dists[k]), side
+    seg_len2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    dist, cross = np.empty(len(px)), np.empty(len(px))
+    step = max(1, _PAIR_BATCH // len(d))
+    for lo in range(0, len(px), step):
+        qx, qy = px[lo : lo + step, None], py[lo : lo + step, None]
+        dot = (qx - starts[:, 0]) * d[:, 0] + (qy - starts[:, 1]) * d[:, 1]
+        frac = np.clip(dot / seg_len2, 0.0, 1.0)
+        dists = np.hypot(qx - (starts[:, 0] + frac * d[:, 0]), qy - (starts[:, 1] + frac * d[:, 1]))
+        k = np.argmin(dists, axis=1)
+        dist[lo : lo + step] = dists[np.arange(len(k)), k]
+        cross[lo : lo + step] = (
+            d[k, 0] * (qy[:, 0] - starts[k, 1]) - d[k, 1] * (qx[:, 0] - starts[k, 0])
+        )
+    return dist, np.where(cross > 1e-9, 1.0, np.where(cross < -1e-9, -1.0, 0.0))
 
 
 def _box_corners(x, y, heading, length, width):
-    c, s = math.cos(heading), math.sin(heading)
+    """Corner x and y, each stacked ``(4, ...)``: front-left, front-right, rear-right, rear-left."""
+    c, s = _elementwise(math.cos, heading), _elementwise(math.sin, heading)
     hx, hy = c * length / 2.0, s * length / 2.0
     wx, wy = -s * width / 2.0, c * width / 2.0
-    return [
-        (x + hx + wx, y + hy + wy),
-        (x + hx - wx, y + hy - wy),
-        (x - hx - wx, y - hy - wy),
-        (x - hx + wx, y - hy + wy),
-    ]
-
-
-def _axis_aligned_box_distance(ax, ay, aex, aey, bx, by, bex, bey):
-    """Signed distance between boxes aligned to the world axes.
-
-    ``aex``/``aey`` are full extents along x and y after accounting for each
-    box's quarter-turn heading.
-    """
-    dx = abs(bx - ax) - (aex + bex) / 2.0
-    dy = abs(by - ay) - (aey + bey) / 2.0
-    if dx > 0.0 and dy > 0.0:
-        return math.hypot(dx, dy)
-    return max(dx, dy)
-
-
-def _world_extents(heading, length, width):
-    quarter = round(heading / (math.pi / 2.0)) % 2
-    return (width, length) if quarter else (length, width)
-
-
-def _is_quarter_turn(heading) -> bool:
-    return abs(heading - round(heading / (math.pi / 2.0)) * (math.pi / 2.0)) < 1e-12
+    return (
+        np.stack([x + hx + wx, x + hx - wx, x - hx - wx, x - hx + wx]),
+        np.stack([y + hy + wy, y + hy - wy, y - hy - wy, y - hy + wy]),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Fixture assembly.
 
 
-def _kinematic_fixtures(agent: _AgentDef, t_len: int, dt: float):
+def _kinematic_fixtures(agents, t_len: int, dt: float):
     t_idx = np.arange(1, t_len + 1)
-    speed = np.array([agent.motion.speed_at(t, dt) for t in t_idx])
-    accel = np.array([agent.motion.accel_at(t, dt) for t in t_idx])
-    omega = np.array([agent.motion.angular_speed_at(t, dt) for t in t_idx])
-
-    v1 = np.zeros(t_len, dtype=bool)
-    v1[1:] = True  # first-derivative features lose step 1
-    v2 = np.zeros(t_len, dtype=bool)
-    v2[2:] = True  # second-derivative features lose steps 1..2
-
+    speed, accel, omega = (
+        np.array([np.broadcast_to(value, t_len) for value in column])
+        for column in zip(*(agent.motion.kinematics(t_idx, dt) for agent in agents))
+    )
+    steps = np.broadcast_to(np.arange(t_len), speed.shape)
+    v1 = steps >= 1  # first-derivative features lose step 1
+    v2 = steps >= 2  # second-derivative features lose steps 1..2
     return {
         MetricKind.LINEAR_SPEED: (np.where(v1, speed, 0.0), v1),
         MetricKind.LINEAR_ACCEL: (np.where(v2, accel, 0.0), v2),
         MetricKind.ANGULAR_SPEED: (np.where(v1, omega, 0.0), v1),
-        MetricKind.ANGULAR_ACCEL: (np.zeros(t_len), v2),
+        MetricKind.ANGULAR_ACCEL: (np.zeros(speed.shape), v2),
     }
 
 
-def _bool_series(flag, t_len):
-    return np.full(t_len, 1.0 if flag else 0.0), np.ones(t_len, dtype=bool)
+def _bool_series(flags, t_len):
+    values = np.repeat(np.where(flags, 1.0, 0.0)[:, None], t_len, axis=1)
+    return values, np.ones(values.shape, dtype=bool)
 
 
 class _FixtureBuilder:
-    """Derives sidecar fixtures from agent definitions and road edges."""
+    """Derives sidecar fixtures from a scene's future poses and road edges.
 
-    def __init__(self, agents, road_edges, t_len, dt):
-        self.agents = agents
-        self.t_len = t_len
-        # Future poses at steps 0..t_len, computed once: the pairwise fixtures
-        # read every agent's pose at every step once per partner.
-        self._poses = {
-            agent.object_id: [agent.motion.pose(t * dt) for t in range(t_len + 1)]
-            for agent in agents
-        }
-        starts, ends = [], []
-        for poly in road_edges:
-            pts = np.asarray(poly)
-            starts.append(pts[:-1])
-            ends.append(pts[1:])
-        self.seg_starts = np.concatenate(starts)
-        self.seg_ends = np.concatenate(ends)
+    ``poses`` is ``(A, T+1, 4)`` over steps 0..T, with the headings the motion
+    models return: cos and sin of a wrapped heading can differ in the last
+    bit.  Series cover steps 1..T.
+    """
 
-    def _future_pose(self, agent, t):
-        return self._poses[agent.object_id][t]
+    def __init__(self, agents, poses, road_edges):
+        self.x, self.y, self.heading = poses[:, 1:, 0], poses[:, 1:, 1], poses[:, :, 3]
+        self.length = np.array([[agent.dims[0]] for agent in agents])
+        self.width = np.array([[agent.dims[1]] for agent in agents])
+        self.seg_starts = np.concatenate([np.asarray(poly)[:-1] for poly in road_edges])
+        self.seg_ends = np.concatenate([np.asarray(poly)[1:] for poly in road_edges])
 
-    def road_edge_series(self, agent) -> np.ndarray:
-        vals = np.empty(self.t_len)
-        for j, t in enumerate(range(1, self.t_len + 1)):
-            x, y, _, h = self._future_pose(agent, t)
-            best = -math.inf
-            for corner in _box_corners(x, y, h, agent.dims[0], agent.dims[1]):
-                dist, side = _fixture_point_to_segments(corner, self.seg_starts, self.seg_ends)
-                best = max(best, dist * side)
-            vals[j] = best
-        return vals
+    def road_edge_series(self) -> np.ndarray:
+        """(A, T) largest signed road-edge distance over each box's corners."""
+        cx, cy = _box_corners(self.x, self.y, self.heading[:, 1:], self.length, self.width)
+        dist, side = _fixture_point_to_segments(
+            cx.ravel(), cy.ravel(), self.seg_starts, self.seg_ends
+        )
+        return (dist * side).reshape(cx.shape).max(axis=0)
 
     def axis_aligned(self) -> bool:
         """True when every agent keeps a quarter-turn heading all window long."""
-        return all(
-            _is_quarter_turn(self._future_pose(agent, t)[3])
-            for agent in self.agents
-            for t in range(0, self.t_len + 1)
-        )
+        quarter = np.rint(self.heading / (math.pi / 2.0)) * (math.pi / 2.0)
+        return bool((np.abs(self.heading - quarter) < 1e-12).all())
 
-    def nearest_series(self, agent) -> np.ndarray:
-        """Pairwise minimum box distance; only valid for axis-aligned scenes."""
-        vals = np.empty(self.t_len)
-        for j, t in enumerate(range(1, self.t_len + 1)):
-            ax, ay, _, ah = self._future_pose(agent, t)
-            aex, aey = _world_extents(ah, agent.dims[0], agent.dims[1])
-            best = math.inf
-            for other in self.agents:
-                if other.object_id == agent.object_id:
-                    continue
-                bx, by, _, bh = self._future_pose(other, t)
-                bex, bey = _world_extents(bh, other.dims[0], other.dims[1])
-                best = min(best, _axis_aligned_box_distance(ax, ay, aex, aey, bx, by, bex, bey))
-            vals[j] = best
-        return vals
+    def nearest_series(self) -> np.ndarray:
+        """(A, T) smallest box distance to any other agent; only valid for axis-aligned scenes."""
+        odd = np.rint(self.heading[:, 1:] / (math.pi / 2.0)) % 2 == 1
+        ex = np.where(odd, self.width, self.length)  # extents along the world axes
+        ey = np.where(odd, self.length, self.width)
+        nearest = np.empty(self.x.shape)
+        for i in range(len(nearest)):  # agent i against every partner, all steps at once
+            dx = np.abs(self.x - self.x[i]) - (ex[i] + ex) / 2.0
+            dy = np.abs(self.y - self.y[i]) - (ey[i] + ey) / 2.0
+            dist = np.where(dy > dx, dy, dx)
+            apart = (dx > 0.0) & (dy > 0.0)
+            dist[apart] = _elementwise(math.hypot, dx[apart], dy[apart])
+            dist[i] = math.inf
+            nearest[i] = dist.min(axis=0)
+        return nearest
 
     def collision_free_margin(self) -> float:
         """Lower bound on pairwise box distance from center separations."""
+        diag = _elementwise(math.hypot, self.length, self.width) / 2.0
         margin = math.inf
-        diag = {a.object_id: math.hypot(a.dims[0], a.dims[1]) / 2.0 for a in self.agents}
-        for i, a in enumerate(self.agents):
-            for b in self.agents[i + 1 :]:
-                for t in range(1, self.t_len + 1):
-                    xa, ya, _, _ = self._future_pose(a, t)
-                    xb, yb, _, _ = self._future_pose(b, t)
-                    gap = math.hypot(xb - xa, yb - ya) - diag[a.object_id] - diag[b.object_id]
-                    margin = min(margin, gap)
+        for i in range(len(diag) - 1):  # agent i against every later partner
+            dx, dy = self.x[i + 1 :] - self.x[i], self.y[i + 1 :] - self.y[i]
+            gaps = _elementwise(math.hypot, dx, dy) - diag[i] - diag[i + 1 :]
+            margin = min(margin, gaps.min())
         return margin
 
 
 @dataclass(frozen=True)
 class _TemplatePlan:
+    """A template's agents, in ascending object id (the fixture row order), and its map."""
+
     agents: list[_AgentDef]
     road_edges: list[list[tuple[float, float]]]
     ttc_overrides: dict[int, np.ndarray]
@@ -394,32 +336,40 @@ class _TemplatePlan:
     offroad_ids: frozenset[int] = frozenset()
 
 
-def _assemble(
-    template: Template,
-    seed: int,
-    plan: _TemplatePlan,
-    h_len=DEFAULT_HISTORY_LENGTH,
-    t_len=DEFAULT_FUTURE_LENGTH,
-    dt=DEFAULT_TIMESTEP,
-) -> SynthScenario:
-    agents = plan.agents
-    tracks = []
-    for agent in agents:
-        poses = [agent.motion.pose((i - (h_len - 1)) * dt) for i in range(h_len + t_len)]
-        tracks.append(
-            Track(
-                object_id=agent.object_id,
-                object_type=agent.object_type,
-                length=agent.dims[0],
-                width=agent.dims[1],
-                height=agent.dims[2],
-                poses=poses,
-                valid=np.ones(len(poses), dtype=bool),
+def _check_flags(template: Template, name: str, flags, agents, expected_ids):
+    """Raise unless exactly the agents of ``expected_ids`` have their flag set."""
+    for agent, flag in zip(agents, flags):
+        if bool(flag) != (agent.object_id in expected_ids):
+            raise RuntimeError(
+                f"{template.value}: object {agent.object_id} {name}={bool(flag)} "
+                "breaks the construction"
             )
+
+
+def _assemble(
+    template: Template, seed: int, plan: _TemplatePlan, t_len: int, dt: float
+) -> SynthScenario:
+    agents, h_len = plan.agents, DEFAULT_HISTORY_LENGTH
+    # (A, H+T, 4) raw poses at steps 1-H..T, computed once for tracks and fixtures.
+    poses = np.array([
+        [agent.motion.pose((i - (h_len - 1)) * dt) for i in range(h_len + t_len)]
+        for agent in agents
+    ])
+    tracks = tuple(
+        Track(
+            object_id=agent.object_id,
+            object_type=agent.object_type,
+            length=agent.dims[0],
+            width=agent.dims[1],
+            height=agent.dims[2],
+            poses=track_poses,
+            valid=np.ones(len(track_poses), dtype=bool),
         )
+        for agent, track_poses in zip(agents, poses)
+    )
     scenario = Scenario(
         scenario_id=f"{template.value}-s{seed:04d}",
-        tracks=tuple(tracks),
+        tracks=tracks,
         map_features=_edges_to_features(plan.road_edges),
         av_track_id=agents[0].object_id,
         timestep=dt,
@@ -427,54 +377,36 @@ def _assemble(
         future_length=t_len,
     )
 
-    builder = _FixtureBuilder(agents, plan.road_edges, t_len, dt)
-    multi = len(agents) > 1
-    axis_ok = multi and builder.axis_aligned()
-    always = np.ones(t_len, dtype=bool)
-    first_step_lost = np.arange(t_len) >= 1
-    rows = []
-    for agent in sorted(agents, key=lambda a: a.object_id):
-        oid = agent.object_id
-        fx = _kinematic_fixtures(agent, t_len, dt)
-
-        edge_vals = builder.road_edge_series(agent)
-        fx[MetricKind.DIST_TO_ROAD_EDGE] = (edge_vals, always)
-        offroad = bool((edge_vals > 0.0).any())
-        if offroad != (oid in plan.offroad_ids):
-            raise RuntimeError(
-                f"{template.value}: object {oid} offroad={offroad} breaks the construction"
-            )
-        fx[MetricKind.OFFROAD] = _bool_series(offroad, t_len)
-
-        if multi:
-            if axis_ok:
-                nearest = builder.nearest_series(agent)
-                fx[MetricKind.DIST_TO_NEAREST_OBJECT] = (nearest, always)
-                collided = bool((nearest < 0.0).any())
-            else:
-                collided = False  # certified below by the separation margin
-            if collided != (oid in plan.collision_ids):
+    builder = _FixtureBuilder(agents, poses[:, h_len - 1 :], plan.road_edges)
+    fixtures = _kinematic_fixtures(agents, t_len, dt)
+    always = np.ones((len(agents), t_len), dtype=bool)
+    edge = builder.road_edge_series()
+    offroad = (edge > 0.0).any(axis=1)
+    _check_flags(template, "offroad", offroad, agents, plan.offroad_ids)
+    fixtures[MetricKind.DIST_TO_ROAD_EDGE] = (edge, always)
+    fixtures[MetricKind.OFFROAD] = _bool_series(offroad, t_len)
+    if len(agents) > 1:
+        if builder.axis_aligned():
+            nearest = builder.nearest_series()
+            fixtures[MetricKind.DIST_TO_NEAREST_OBJECT] = (nearest, always)
+            collided = (nearest < 0.0).any(axis=1)
+        else:
+            margin = builder.collision_free_margin()
+            if margin <= 0.0:
                 raise RuntimeError(
-                    f"{template.value}: object {oid} collision={collided} breaks the construction"
+                    f"{template.value} construction lost its collision-free margin "
+                    f"({margin:.3f} m)"
                 )
-            fx[MetricKind.COLLISION] = _bool_series(collided, t_len)
-            # TTC rides on the follower's speed, so it loses the first step too.
-            ttc = plan.ttc_overrides.get(oid, TTC_CAP)
-            fx[MetricKind.TIME_TO_COLLISION] = (
-                np.where(first_step_lost, ttc, 0.0), first_step_lost
-            )
-        rows.append(fx)
-
-    if multi and not axis_ok:
-        margin = builder.collision_free_margin()
-        if margin <= 0.0:
-            raise RuntimeError(
-                f"{template.value} construction lost its collision-free margin ({margin:.3f} m)"
-            )
-    fixtures = {
-        metric: (np.stack([fx[metric][0] for fx in rows]), np.stack([fx[metric][1] for fx in rows]))
-        for metric in rows[0]
-    }
+            collided = np.zeros(len(agents), dtype=bool)
+        _check_flags(template, "collision", collided, agents, plan.collision_ids)
+        fixtures[MetricKind.COLLISION] = _bool_series(collided, t_len)
+        # TTC rides on the follower's speed, so it loses the first step too.
+        speed_valid = fixtures[MetricKind.LINEAR_SPEED][1]
+        ttc = np.array([
+            np.broadcast_to(plan.ttc_overrides.get(agent.object_id, TTC_CAP), t_len)
+            for agent in agents
+        ])
+        fixtures[MetricKind.TIME_TO_COLLISION] = (np.where(speed_valid, ttc, 0.0), speed_valid)
     return SynthScenario(scenario=scenario, fixtures=fixtures)
 
 
@@ -515,7 +447,7 @@ def _noise_factors(seed: int, template: Template, count: int, level: float):
     return speed, lateral
 
 
-def _build_straight_road(count, seed, level) -> _TemplatePlan:
+def _build_straight_road(count, seed, level, t_len, dt) -> _TemplatePlan:
     lane_y = (-5.25, -1.75, 1.75, 5.25)
     lane_v = (8.0, 6.0, 4.0, 9.0)
     lane_a = (0.3, -0.2, 0.0, 0.15)
@@ -542,7 +474,7 @@ def _build_straight_road(count, seed, level) -> _TemplatePlan:
     return _TemplatePlan(agents, _straight_edges(), {})
 
 
-def _build_curved_road(count, seed, level) -> _TemplatePlan:
+def _build_curved_road(count, seed, level, t_len, dt) -> _TemplatePlan:
     radius, half = 50.0, ROAD_HALF_WIDTH
     omega = 0.2
     lane_r = (radius - 3.5, radius + 3.5)
@@ -576,7 +508,7 @@ def _intersection_edges(half=ROAD_HALF_WIDTH, arm=200.0):
     return [ne, nw, sw, se]
 
 
-def _build_intersection(count, seed, level) -> _TemplatePlan:
+def _build_intersection(count, seed, level, t_len, dt) -> _TemplatePlan:
     sf, lat = _noise_factors(seed, Template.FOUR_WAY_INTERSECTION, 4, level)
     core = [
         _AgentDef(0, ObjectType.VEHICLE, VEHICLE_DIMS,
@@ -646,7 +578,7 @@ def _build_collision_course(count, seed, level, t_len, dt) -> _TemplatePlan:
     )
 
 
-def _build_offroad_drift(count, seed, level) -> _TemplatePlan:
+def _build_offroad_drift(count, seed, level, t_len, dt) -> _TemplatePlan:
     sf, lat = _noise_factors(seed, Template.OFFROAD_DRIFT, 2, level)
     av = _AgentDef(0, ObjectType.VEHICLE, VEHICLE_DIMS,
                    _LineMotion(0.0, -3.5 + lat[0], 0.0, 8.0 * sf[0]))
@@ -661,25 +593,23 @@ def _build_offroad_drift(count, seed, level) -> _TemplatePlan:
     return _TemplatePlan(agents, _straight_edges(), {}, offroad_ids=frozenset({1}))
 
 
+#: Each template's builder, least agent count and default agent count.
+_TEMPLATES = {
+    Template.STRAIGHT_ROAD: (_build_straight_road, 1, 4),
+    Template.CURVED_ROAD: (_build_curved_road, 1, 2),
+    Template.FOUR_WAY_INTERSECTION: (_build_intersection, 1, 4),
+    Template.FOLLOWING_PAIR: (_build_following_pair, 2, 2),
+    Template.COLLISION_COURSE: (_build_collision_course, 2, 2),
+    Template.OFFROAD_DRIFT: (_build_offroad_drift, 2, 2),
+}
+
+
 def generate(spec: SynthSpec) -> SynthScenario:
     """Build one synthetic scenario plus its sidecar fixtures."""
-    count = spec.agent_count or _DEFAULT_AGENTS[spec.template]
+    build, _, default_count = _TEMPLATES[spec.template]
     t_len, dt = DEFAULT_FUTURE_LENGTH, DEFAULT_TIMESTEP
-    if spec.template is Template.STRAIGHT_ROAD:
-        plan = _build_straight_road(count, spec.seed, spec.noise_level)
-    elif spec.template is Template.CURVED_ROAD:
-        plan = _build_curved_road(count, spec.seed, spec.noise_level)
-    elif spec.template is Template.FOUR_WAY_INTERSECTION:
-        plan = _build_intersection(count, spec.seed, spec.noise_level)
-    elif spec.template is Template.FOLLOWING_PAIR:
-        plan = _build_following_pair(count, spec.seed, spec.noise_level, t_len, dt)
-    elif spec.template is Template.COLLISION_COURSE:
-        plan = _build_collision_course(count, spec.seed, spec.noise_level, t_len, dt)
-    elif spec.template is Template.OFFROAD_DRIFT:
-        plan = _build_offroad_drift(count, spec.seed, spec.noise_level)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown template {spec.template}")
-    return _assemble(spec.template, spec.seed, plan, t_len=t_len, dt=dt)
+    plan = build(spec.agent_count or default_count, spec.seed, spec.noise_level, t_len, dt)
+    return _assemble(spec.template, spec.seed, plan, t_len, dt)
 
 
 def make_suite(

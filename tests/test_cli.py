@@ -13,6 +13,7 @@ import simreal.cli
 from simreal.cli import main
 from simreal.harness import AuditReport
 from simreal.io import read_report, read_scenario_dir, read_submission, write_submission
+from simreal.scene import ScenarioRollouts
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +87,25 @@ class TestSynth:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and named in err[0], err
         assert not out.exists()
+
+    def test_non_empty_out_exits_two_without_files(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        argv = ["synth", "--template", "straight_road", "--out", str(out)]
+        assert main([*argv, "--count", "2", "--seed", "0"]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert main([*argv, "--count", "1", "--seed", "5"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "already holds scenario files" in err[0], err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_existing_out_without_scenario_files_is_used(self, tmp_path):
+        out = tmp_path / "s"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        assert main(["synth", "--template", "straight_road", "--count", "1",
+                     "--out", str(out)]) == 0
+        assert len(read_scenario_dir(out)) == 1
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -349,6 +369,30 @@ class TestEvaluate:
         assert err.count("\n") == 1
         assert all(sid in err for sid in dropped)
         assert not list(tmp_path.glob("partial*.json"))
+
+    def test_out_of_range_pose_fails_validate_and_evaluate(self, workspace, tmp_path, capsys):
+        # x alternating between +-1e154 overflows the kinematic features to inf
+        # and NaN; the contract rejects it before any feature is extracted.
+        _, scenarios, archives = workspace
+        archive = read_submission(archives["constant-velocity"])
+        records = sorted((rec for _, rec in archive.entries), key=lambda r: r.scenario_id)
+        far = records[0].rollouts.copy()
+        far[..., 0] = np.where(np.arange(far.shape[2]) % 2 == 0, 1e154, -1e154)
+        records[0] = ScenarioRollouts(records[0].scenario_id, records[0].ids, far)
+        path = tmp_path / "far.tar.gz"
+        write_submission(path, records, archive.manifest)
+        capsys.readouterr()
+        assert main(["validate", "--archive", str(path), "--scenarios", str(scenarios)]) == 1
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert listed == ["[OUT_OF_RANGE_POSE]"] * len(far)
+        report = tmp_path / "far.json"
+        assert main([
+            "evaluate", "--archive", str(path), "--scenarios", str(scenarios),
+            "--out", str(report), "--jobs", "1",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "beyond 1e+07 m" in err, err
+        assert not report.exists()
 
     @pytest.mark.parametrize("command", ["rollout", "evaluate"])
     @pytest.mark.parametrize("edit", sorted(NON_FINITE_EDITS))

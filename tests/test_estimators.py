@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from simreal.aggregation import scenario_component
 from simreal.config import DEFAULT_CONFIG
-from simreal.errors import EmptySampleSet, InconsistentRollouts, NoValidSteps
+from simreal.errors import EmptySampleSet, InconsistentRollouts, NonFiniteFeature, NoValidSteps
 from simreal.estimators import (
     DEFAULT_HISTOGRAM_SPECS,
     HistogramSpec,
@@ -94,6 +94,11 @@ class TestFitHistogram:
         probs = fit([-100.0, 100.0], spec10())
         assert probs[0] == pytest.approx(1.1 / 3.0)
         assert probs[-1] == pytest.approx(1.1 / 3.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_has_no_bin(self, bad):
+        with pytest.raises(NonFiniteFeature):
+            spec10().bin_index([1.0, bad])
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(0)

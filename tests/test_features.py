@@ -26,12 +26,14 @@ from simreal.geometry import box_signed_distance_batch
 from simreal.harness import generate_submission
 from simreal.policies import LoggedOraclePolicy
 from simreal.scene import (
+    POSE_COORDINATE_LIMIT,
     MapFeature,
     MapFeatureKind,
     ObjectType,
     Scenario,
     ScenarioRollouts,
     Track,
+    rollout_problems,
 )
 from simreal.synth import SynthSpec, Template, generate
 
@@ -886,3 +888,22 @@ class TestBatchedExtraction:
         assert stacked == [28, 4]  # groups of 1024 // 6**2
         monkeypatch.undo()
         assert_rollout_features_match_each_rollout(scenario, rollouts)
+
+
+class TestPoseEnvelope:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        poses=hnp.arrays(
+            float,
+            st.tuples(st.integers(1, 2), st.integers(1, 4), st.integers(1, 6), st.just(4)),
+            elements=_FINITE | st.floats(-POSE_COORDINATE_LIMIT, POSE_COORDINATE_LIMIT),
+        ),
+        road=st.sampled_from(sorted(_MAPS)),
+    )
+    def test_poses_inside_the_envelope_give_finite_features(self, poses, road):
+        dims = np.tile([4.5, 2.0, 1.5], (poses.shape[1], 1))
+        scenario, rollouts = scenario_with_rollouts(dims, poses, _MAPS[road])
+        assert rollout_problems(scenario, rollouts) == []
+        states = SceneStates.from_rollout(scenario, rollouts, range(len(poses)))
+        for metric, (values, _) in extract_features(states, scenario.map_features).items():
+            assert np.isfinite(values).all(), metric.value

@@ -29,6 +29,7 @@ from simreal.io import (
 )
 from simreal.policies import ConstantVelocityPolicy, LoggedOraclePolicy, create_policy
 from simreal.scene import (
+    POSE_COORDINATE_LIMIT,
     MapFeature,
     MapFeatureKind,
     ObjectType,
@@ -133,8 +134,23 @@ GOLDEN_NOISE_SHARD_SHA256 = {
     ("random", 1): "6d4fb599658ed880fe86e6b3dfca7b64323bfad745be34f356f4bdf022ae5cd3",
     ("noisy-plan", 200): "1686d547a07a7f2b20ed32cdc259c0dc6feb3449998d730674d531313e520a1c",
 }
-# The analytic fixture sidecar of the same scenario, as the synth command writes it.
-GOLDEN_FIXTURES_SHA256 = "5ebc8c2378b015a445074646b46dedf45b3bd2b2437ded92aeab699dcf79ca59"
+# The analytic fixture sidecars, as the synth command writes them, keyed by
+# (template, agents, seed) at noise 0.2: every template at seed 3 (following_pair
+# is the scenario above), and a 64-agent straight road, 2,432 of whose 5,120
+# nearest-object values take the ``math.hypot`` branch of the box distance.
+GOLDEN_FIXTURES_SHA256 = {
+    ("straight_road", None, 3): "7a3aa2880585f75fa67f55ab6e9b027abc29721bb8fdb8f0fbdda9247db908f8",
+    ("curved_road", None, 3): "f342db0a48314004ae16e86f08c479c24417e98ebd28a6403fc3d950de3651b3",
+    ("four_way_intersection", None, 3): (
+        "6ebe83348d90568d7263c83cf2f1e0025eee730bd48c669543f117c0f6742164"
+    ),
+    ("following_pair", None, 3): "5ebc8c2378b015a445074646b46dedf45b3bd2b2437ded92aeab699dcf79ca59",
+    ("collision_course", None, 3): (
+        "aa05adbac27e8bf184951e0cca4c290c6a76c6f2df07820490c27e03140e0777"
+    ),
+    ("offroad_drift", None, 3): "d62e3d94bc15e16dbedb0f0275196353aacb7861ffa1e1e499c2f04daa76c049",
+    ("straight_road", 64, 0): "6834ea50c0e4a0231bb9e1a9cfeef309710ed8404600be1728417336b848127d",
+}
 
 
 def golden_scenario():
@@ -156,11 +172,14 @@ class TestBinaryFormatPinned:
             shard = tar.extractfile("rollouts.0-of-1.bin").read()
         assert hashlib.sha256(shard).hexdigest() == GOLDEN_SHARD_SHA256
 
-    def test_golden_fixture_sidecar_bytes(self, tmp_path):
-        synth = generate(SynthSpec(Template.FOLLOWING_PAIR, seed=3, noise_level=0.2))
+    @pytest.mark.parametrize("template,agents,seed", sorted(GOLDEN_FIXTURES_SHA256, key=str))
+    def test_golden_fixture_sidecar_bytes(self, tmp_path, template, agents, seed):
+        synth = generate(SynthSpec(Template(template), agents, seed, noise_level=0.2))
         write_scenario_dir([synth], tmp_path)
         sidecar = tmp_path / f"{synth.scenario.scenario_id}.fixtures.json"
-        assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == GOLDEN_FIXTURES_SHA256
+        assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == (
+            GOLDEN_FIXTURES_SHA256[template, agents, seed]
+        )
 
     @pytest.mark.parametrize("policy,interval", sorted(GOLDEN_NOISE_SHARD_SHA256))
     def test_golden_random_stream_shard_bytes(self, tmp_path, policy, interval):
@@ -345,6 +364,22 @@ class TestSubmissionArchive:
         assert details == [
             f"rollout 0 object {rec.ids[0]} has NaN/Inf",
             f"rollout 3 object {rec.ids[1]} has NaN/Inf",
+        ]
+
+    def test_out_of_range_pose_flagged(self, suite_and_archive, tmp_path):
+        scenarios, all_rollouts, _ = suite_and_archive
+        rec = all_rollouts[0]
+        poses = rec.rollouts.copy()
+        poses[1, 0, 4, 2] = -POSE_COORDINATE_LIMIT  # on the limit: allowed
+        poses[2, 1, 9, 1] = 1.0001 * POSE_COORDINATE_LIMIT
+        poses[5, 0, 3, 0] = math.inf  # non-finite, not out of range
+        broken = ScenarioRollouts(rec.scenario_id, rec.ids, poses)
+        path = tmp_path / "far.tar.gz"
+        write_submission(path, [broken], {})
+        report = validate_submission(path, {rec.scenario_id: scenarios[rec.scenario_id]})
+        assert [(v.code, v.detail) for v in report.violations] == [
+            ("NONFINITE_POSE", f"rollout 5 object {rec.ids[0]} has NaN/Inf"),
+            ("OUT_OF_RANGE_POSE", f"rollout 2 object {rec.ids[1]} has a coordinate beyond 1e+07 m"),
         ]
 
 
