@@ -19,6 +19,7 @@ from .errors import (
     MetricUnscorable,
     NonFiniteFeature,
     NoValidSteps,
+    OccupiedOutput,
     ParseError,
     PolicyContractViolation,
     SimRealError,

@@ -16,15 +16,18 @@ or extra object, a wrong step count, a non-finite pose or a coordinate
 beyond ``scene.POSE_COORDINATE_LIMIT``) or an archive that lacks a scenario
 of the set, holds one twice or holds one outside it, or whose scenarios differ
 in rollout count or depart from the manifest's ``rollouts_per_scenario`` (no
-report is written), and in ``rollout`` a ``--k`` below 1, a ``--seed``
+report is written), in ``rollout`` and ``evaluate`` a ``--jobs`` below 1,
+and in ``rollout`` a ``--k`` below 1, a ``--seed``
 outside [0, 2**64 - k], a ``--replan-interval`` below 1, or a policy option
 that is not KEY=VALUE or whose value the policy cannot use (not a number,
 non-finite, or a negative scale), and in ``synth``
 (which then writes no file) a ``--count`` below 1, an ``--agents`` below the
 template's minimum, a negative ``--seed``, a NaN ``--noise`` or an ``--out``
 directory that already holds ``.json`` or ``.bin`` files; 3
-policy-contract violations.  ``SIMREAL_CONFIG`` sets the default config path
-for ``evaluate``.
+policy-contract violations, including, in ``rollout``, a policy output that
+is not finite (an overflowing option, say) and rollouts that break the
+submission contract as ``evaluate`` reads it (``rollout`` then writes no
+archive).  ``SIMREAL_CONFIG`` sets the default config path for ``evaluate``.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from . import io as sio
 from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import InvalidOption, ParseError, PolicyContractViolation, SimRealError
@@ -43,6 +48,7 @@ from .evaluate import evaluate_dataset
 from .harness import SEED_LIMIT, audit_trace, generate_submission
 from .plots import component_bar_chart, replan_curve, save_svg
 from .policies import POLICY_REGISTRY, create_policy
+from .scene import rollout_problems
 from .synth import SynthSpec, Template, generate
 
 CONFIG_ENV_VAR = "SIMREAL_CONFIG"
@@ -120,8 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_synth(args) -> int:
     if args.count < 1:
         raise InvalidOption(f"--count must be >= 1, got {args.count}")
-    if args.out.is_dir() and any(p.suffix in (".json", ".bin") for p in args.out.iterdir()):
-        raise InvalidOption(f"--out {args.out} already holds scenario files; use a new directory")
     if args.template == "all":
         templates = list(Template)
     else:
@@ -156,9 +160,19 @@ def _rollout_one(packed):
     scenario, env_name, av_name, env_opts, av_opts, k, interval, seed = packed
     env_policy = create_policy(env_name, scenario, env_opts, replan_interval=interval)
     av_policy = create_policy(av_name, scenario, av_opts, replan_interval=interval)
-    rollouts, traces = generate_submission(
-        scenario, av_policy, env_policy, k=k, base_seed=seed, with_traces=True
-    )
+    # A large policy option may overflow; the harness's finiteness check and
+    # the contract check below reject the poses that result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rollouts, traces = generate_submission(
+            scenario, av_policy, env_policy, k=k, base_seed=seed, with_traces=True
+        )
+    problems = rollout_problems(scenario, rollouts)
+    if problems:
+        more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
+        raise PolicyContractViolation(
+            f"rollouts of {scenario.scenario_id} break the submission contract: "
+            f"[{problems[0][0]}] {problems[0][1]}{more}"
+        )
     ok = all(
         audit_trace(trace, poses, rollouts.ids).ok
         for trace, poses in zip(traces, rollouts.rollouts)
@@ -349,6 +363,8 @@ def main(argv: list[str] | None = None) -> int:
         "compare": _cmd_compare,
     }
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise InvalidOption(f"--jobs must be >= 1, got {args.jobs}")
         return handlers[args.command](args)
     except PolicyContractViolation as exc:
         print(f"policy contract violation: {exc}", file=sys.stderr)

@@ -43,6 +43,10 @@ class InvalidOption(SimRealError):
     """A command-line or policy option has an unusable value."""
 
 
+class OccupiedOutput(SimRealError):
+    """An output directory already holds scenario files of another set."""
+
+
 class ParseError(SimRealError):
     """A scenario, archive, or config file could not be decoded.
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .aggregation import MetricsBundle
 from .config import EvalConfig, config_from_dict, config_to_dict
-from .errors import ParseError
+from .errors import OccupiedOutput, ParseError
 from .evaluate import DatasetSummary
 from .features import METRIC_ORDER
 from .scene import (
@@ -352,10 +352,17 @@ def read_scenario(path: str | Path) -> Scenario:
 
 
 def write_scenario_dir(items: Iterable, out_dir: str | Path, fmt: str = "json") -> list[Path]:
-    """Write scenarios (plus fixtures, for synthetic ones) into a directory."""
+    """Write scenarios (plus fixtures, for synthetic ones) into a directory.
+
+    A directory that already holds ``.json`` or ``.bin`` files raises
+    :class:`OccupiedOutput` before anything is written, so two scenario sets
+    never mix.
+    """
     from .synth import SynthScenario  # local import to keep io importable standalone
 
     out_dir = Path(out_dir)
+    if out_dir.is_dir() and any(p.suffix in (".json", ".bin") for p in out_dir.iterdir()):
+        raise OccupiedOutput(f"{out_dir} already holds scenario files; use a new directory")
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for item in items:

@@ -30,7 +30,12 @@ def _pose_rows(x, y, z, heading) -> np.ndarray:
 
 
 def _cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise ``math.cos`` and ``math.sin``, so the bits do not depend on numpy's build."""
+    """Elementwise ``math.cos`` and ``math.sin``, so the bits do not depend on numpy's build.
+
+    A non-finite angle gives NaN, as in ``np.cos`` (``math.cos`` raises on infinity).
+    """
+    if not np.isfinite(angles).all():
+        angles = np.where(np.isinf(angles), np.nan, angles)
     flat = angles.ravel().tolist()
     cos = np.fromiter(map(math.cos, flat), float, len(flat)).reshape(angles.shape)
     sin = np.fromiter(map(math.sin, flat), float, len(flat)).reshape(angles.shape)

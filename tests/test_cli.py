@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import tempfile
 from dataclasses import replace
@@ -12,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import simreal.cli
 from simreal.cli import main
 from simreal.harness import AuditReport
+from simreal.policies import POLICY_REGISTRY
 from simreal.io import read_report, read_scenario_dir, read_submission, write_submission
 from simreal.scene import ScenarioRollouts
 
@@ -274,6 +277,46 @@ class TestRolloutAndValidate:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--replan-interval" in err
+
+    @pytest.mark.parametrize("policy,option", [
+        ("noisy-plan", "heading_sigma=1e308"),  # an infinite heading
+        ("noisy-plan", "speed_sigma=1e200"),  # finite poses past the coordinate limit
+        ("random", "mu=1e308"),
+        ("random", "sigma=1e308"),
+    ])
+    def test_overflowing_policy_option_exits_three_without_archive(
+        self, workspace, tmp_path, capsys, policy, option
+    ):
+        _, scenarios, _ = workspace
+        out = tmp_path / "bad.tar.gz"
+        capsys.readouterr()
+        assert main([
+            "rollout", "--scenarios", str(scenarios),
+            "--env-policy", policy, "--av-policy", "constant-velocity", "--env-opt", option,
+            "--k", "2", "--seed", "0", "--jobs", "1", "--out", str(out),
+        ]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("policy contract violation: ")
+
+    @pytest.mark.parametrize("command", ["rollout", "evaluate"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_two_without_output(
+        self, workspace, tmp_path, capsys, command, jobs
+    ):
+        _, scenarios, archives = workspace
+        out = tmp_path / "out"
+        argv = {
+            "rollout": ["--env-policy", "noisy-plan", "--av-policy", "noisy-plan", "--k", "2"],
+            "evaluate": ["--archive", str(archives["constant-velocity"])],
+        }[command]
+        capsys.readouterr()
+        assert main([
+            command, "--scenarios", str(scenarios), *argv, "--jobs", jobs, "--out", str(out),
+        ]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"error: --jobs must be >= 1, got {jobs}\n"
 
     def test_missing_archive_exits_two(self, workspace, tmp_path):
         _, scenarios, _ = workspace
@@ -551,3 +594,57 @@ class TestEvaluateArchiveScenarioSet:
         code, report = self._evaluate(scenarios, cut, manifest, tmp_path)
         assert code == 0
         assert report.exists()
+
+
+@pytest.fixture(scope="module")
+def two_agent_scenarios(tmp_path_factory):
+    """One 2-agent scenario: a rollout of it starts no process pool, whatever --jobs says."""
+    out = tmp_path_factory.mktemp("two_agents") / "scenarios"
+    assert main([
+        "synth", "--template", "following_pair", "--count", "1", "--agents", "2",
+        "--out", str(out),
+    ]) == 0
+    return out
+
+
+_OPTION_VALUES = st.sampled_from(["nan", "inf", "-1", "1e308", "1e200", "x", ""])
+_OPTIONS = st.lists(
+    st.tuples(st.sampled_from(["mu", "sigma", "heading_sigma", "speed_sigma"]), _OPTION_VALUES),
+    max_size=2,
+)
+
+
+class TestRolloutNeverRaises:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        env=st.sampled_from(sorted(POLICY_REGISTRY)),
+        av=st.sampled_from(sorted(POLICY_REGISTRY)),
+        k=st.integers(-1, 2),
+        seed=st.integers(-1, 2) | st.integers(2**64 - 3, 2**64),
+        interval=st.integers(-1, 3),
+        jobs=st.sampled_from([-1, 0, 1, 2]),
+        env_opts=_OPTIONS,
+        av_opts=_OPTIONS,
+    )
+    @example(env="noisy-plan", av="noisy-plan", k=2, seed=0, interval=1, jobs=1,
+             env_opts=[("heading_sigma", "1e308")], av_opts=[])
+    @example(env="random", av="noisy-plan", k=2, seed=2**64 - 2, interval=3, jobs=2,
+             env_opts=[("mu", "1e308")], av_opts=[("speed_sigma", "1e200")])
+    def test_exit_code_and_archive_agree(
+        self, two_agent_scenarios, env, av, k, seed, interval, jobs, env_opts, av_opts
+    ):
+        argv = [
+            "rollout", "--scenarios", str(two_agent_scenarios), "--env-policy", env,
+            "--av-policy", av, f"--k={k}", f"--seed={seed}", f"--replan-interval={interval}",
+            f"--jobs={jobs}",
+        ]
+        for flag, opts in (("--env-opt", env_opts), ("--av-opt", av_opts)):
+            argv += [f"{flag}={key}={value}" for key, value in opts]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "sub.tar.gz"
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([*argv, f"--out={out}"])
+            assert code in (0, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            assert out.exists() == (code == 0)

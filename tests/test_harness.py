@@ -9,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from simreal.errors import InvalidOption, PolicyContractViolation
 from simreal.harness import (
+    _ZIGGURAT_KI,
+    _ZIGGURAT_WI,
     Policy,
     _NoiseStreams,
+    _philox_first_block,
     audit_trace,
     closed_loop_rollout,
     generate_submission,
@@ -574,7 +577,7 @@ class TestNoiseStreams:
         seeds=st.lists(_WORD_VALUES, min_size=1, max_size=3),
         ids=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5, unique=True),
         steps=st.lists(st.integers(1, 120), min_size=1, max_size=4),
-        n=st.integers(1, 4),
+        n=st.integers(1, 6),
         loc=st.floats(-1e3, 1e3),
         scale=st.floats(0.0, 1e3),
         data=st.data(),
@@ -594,6 +597,83 @@ class TestNoiseStreams:
                     # Policies shift and scale the draws instead of calling normal().
                     normal = seed_sequence_stream(seed, step, ids[r]).normal(loc, scale, size=n)
                     assert (loc + scale * z[k, i]).tobytes() == normal.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_WORD_VALUES, _WORD_VALUES), min_size=1, max_size=8))
+    def test_first_philox_block_equals_random_raw(self, keys):
+        want = [np.random.Philox(key=np.array(key, dtype=np.uint64)).random_raw(4) for key in keys]
+        got = _philox_first_block(np.array(keys, dtype=np.uint64))
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_ziggurat_tables_equal_numpys(self):
+        # Write one word, plus fillers that end both slow branches at once,
+        # into Philox's buffer and see how many words standard_normal reads:
+        # one on the fast path.  rabs = 1 returns wi[layer] itself.
+        bitgen = np.random.Philox(0)
+        generator = np.random.Generator(bitgen)
+        state = bitgen.state
+
+        def draw(layer, rabs):
+            state["buffer"], state["buffer_pos"] = [layer | rabs << 9, 0, 2**64 - 1, 0], 0
+            bitgen.state = state
+            return generator.standard_normal(), bitgen.state["buffer_pos"]
+
+        wi, ki = np.empty(256), np.empty(256, dtype=np.uint64)
+        for layer in range(256):
+            wi[layer] = draw(layer, 1)[0]
+            lo, hi = 0, 2**52  # the first rabs off the fast path
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (mid + 1, hi) if draw(layer, mid)[1] == 1 else (lo, mid)
+            ki[layer] = lo
+        assert wi.tobytes() == _ZIGGURAT_WI.tobytes()
+        assert ki.tobytes() == _ZIGGURAT_KI.tobytes()
+        assert ki[1] == 0
+
+    @pytest.mark.parametrize("seed, step, oid, layer, slow_from", [
+        (5, 55, 15, 0, 1),  # layer 0 past its threshold: the tail branch
+        (0, 1, 43, 1, 1),  # layer 1, whose draws all leave the fast path
+        (0, 2, 50, None, 2),  # a fast first draw, then a slow one
+    ])
+    def test_slow_rows_keep_numpys_bits(self, seed, step, oid, layer, slow_from):
+        noise = _NoiseStreams((seed,), (oid,))
+        all_fast = noise._step_block(step)[2][0, 0]
+        assert all_fast.tolist() == [j + 1 < slow_from for j in range(4)]
+        if layer is not None:
+            word = np.random.Philox(np.random.SeedSequence((seed, step, oid))).random_raw()
+            assert word & 0xFF == layer
+        for n in range(1, 7):
+            want = seed_sequence_stream(seed, step, oid).standard_normal(n)
+            assert noise.draw(step, np.array([0]), n)[0, 0].tobytes() == want.tobytes()
+
+    def test_fallback_draws_only_the_slow_rows(self, monkeypatch):
+        class Counting(np.random.Generator):
+            rows = 0
+
+            def standard_normal(self, *args, **kwargs):
+                Counting.rows += 1
+                return super().standard_normal(*args, **kwargs)
+
+        scenario = generate(SynthSpec(Template.STRAIGHT_ROAD, agent_count=32, seed=0)).scenario
+        monkeypatch.setattr(np.random, "Generator", Counting)
+        generate_submission(scenario, NoisyPlanPolicy(), NoisyPlanPolicy(), k=32, base_seed=0)
+        monkeypatch.undo()
+
+        # A stream is slow unless its two draws read exactly two words of its first block.
+        ids = sorted(simulated_object_ids(scenario))
+        entropy = [(seed, step, oid) for seed in range(32) for step in range(1, 81) for oid in ids]
+        bitgen = np.random.Philox(0)
+        generator = np.random.Generator(bitgen)
+        start = bitgen.state
+        slow = 0
+        for key in philox_keys(entropy).tolist():
+            start["state"]["key"] = key
+            bitgen.state = start
+            generator.standard_normal(2)
+            state = bitgen.state
+            slow += state["buffer_pos"] != 2 or state["state"]["counter"][0] != 1
+        assert Counting.rows == slow
+        assert 0.01 < slow / len(entropy) < 0.06
 
     def test_negative_seed_is_rejected(self):
         scenario = straight_scenario()

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from simreal.config import DEFAULT_CONFIG, config_from_dict, config_to_dict
-from simreal.errors import ParseError, SimRealError
+from simreal.errors import OccupiedOutput, ParseError, SimRealError
 from simreal.evaluate import evaluate_dataset
 from simreal.features import MetricKind
 from simreal.harness import generate_submission
@@ -450,11 +450,20 @@ class TestScenarioDir:
         with pytest.raises(ParseError):
             read_scenario_dir(tmp_path)
 
+    @pytest.mark.parametrize("fmt", ["json", "binary"])
+    def test_writing_into_another_scenario_set_raises_and_writes_nothing(self, tmp_path, fmt):
+        write_scenario_dir([generate(SynthSpec(Template.STRAIGHT_ROAD, seed=0))], tmp_path, fmt=fmt)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        with pytest.raises(OccupiedOutput, match="already holds scenario files"):
+            write_scenario_dir([generate(SynthSpec(Template.STRAIGHT_ROAD, seed=5))], tmp_path)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     def test_duplicate_scenario_id_raises_naming_both_files(self, tmp_path):
         spec = SynthSpec(Template.FOLLOWING_PAIR, seed=3)
         write_scenario_dir([generate(spec)], tmp_path)
-        write_scenario_dir([generate(replace(spec, noise_level=0.4))], tmp_path, fmt="binary")
         scenario_id = generate(spec).scenario.scenario_id
+        other = generate(replace(spec, noise_level=0.4)).scenario
+        write_scenario(other, tmp_path / f"{scenario_id}.bin", "binary")
         with pytest.raises(ParseError) as info:
             read_scenario_dir(tmp_path)
         message = str(info.value)
