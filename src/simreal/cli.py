@@ -9,25 +9,20 @@ Subcommands wire the pipeline end to end:
     simreal evaluate  --archive sub.tar.gz --scenarios scenarios/ --out report.json
     simreal compare   --reports report_a.json report_b.json
 
-Exit codes: 0 success, 1 validation failures (including a failed rollout
-audit, in which case ``rollout`` writes no archive), 2 I/O or parse errors
-and, in ``evaluate``, rollouts that break the submission contract (a missing
-or extra object, a wrong step count, a non-finite pose or a coordinate
-beyond ``scene.POSE_COORDINATE_LIMIT``) or an archive that lacks a scenario
-of the set, holds one twice or holds one outside it, or whose scenarios differ
-in rollout count or depart from the manifest's ``rollouts_per_scenario`` (no
-report is written), in ``rollout`` and ``evaluate`` a ``--jobs`` below 1,
-and in ``rollout`` a ``--k`` below 1, a ``--seed``
-outside [0, 2**64 - k], a ``--replan-interval`` below 1, or a policy option
-that is not KEY=VALUE or whose value the policy cannot use (not a number,
-non-finite, or a negative scale), and in ``synth``
-(which then writes no file) a ``--count`` below 1, an ``--agents`` below the
-template's minimum, a negative ``--seed``, a NaN ``--noise`` or an ``--out``
-directory that already holds ``.json`` or ``.bin`` files; 3
-policy-contract violations, including, in ``rollout``, a policy output that
-is not finite (an overflowing option, say) and rollouts that break the
-submission contract as ``evaluate`` reads it (``rollout`` then writes no
-archive).  ``SIMREAL_CONFIG`` sets the default config path for ``evaluate``.
+The submission contract lives in ``io.match_scenarios`` and
+``scene.rollout_problems``.  Exit codes (0 is success; README has details):
+
+    synth     2  bad --count, --agents, --seed, --noise or an occupied --out
+    rollout   1  a failed audit;  2  bad scenarios, --k, --seed, --jobs,
+                 --replan-interval or policy option;  3  a non-finite policy
+                 output or rollouts that break the contract (no archive)
+    validate  1  contract violations, or a count other than --expected-rollouts
+              2  unreadable archive or bad scenarios
+    evaluate  2  unreadable archive or config, bad scenarios or --jobs, a
+                 contract violation, or a non-finite feature (no report)
+    compare   2  a report that is not JSON or lacks a summary score
+
+``SIMREAL_CONFIG`` sets the default config path for ``evaluate``.
 """
 
 from __future__ import annotations
@@ -36,19 +31,15 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-
-import numpy as np
 
 from . import io as sio
 from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import InvalidOption, ParseError, PolicyContractViolation, SimRealError
-from .evaluate import evaluate_dataset
+from .evaluate import evaluate_dataset, fan_out
 from .harness import SEED_LIMIT, audit_trace, generate_submission
 from .plots import component_bar_chart, replan_curve, save_svg
 from .policies import POLICY_REGISTRY, create_policy
-from .scene import rollout_problems
 from .synth import SynthSpec, Template, generate
 
 CONFIG_ENV_VAR = "SIMREAL_CONFIG"
@@ -160,19 +151,9 @@ def _rollout_one(packed):
     scenario, env_name, av_name, env_opts, av_opts, k, interval, seed = packed
     env_policy = create_policy(env_name, scenario, env_opts, replan_interval=interval)
     av_policy = create_policy(av_name, scenario, av_opts, replan_interval=interval)
-    # A large policy option may overflow; the harness's finiteness check and
-    # the contract check below reject the poses that result.
-    with np.errstate(over="ignore", invalid="ignore"):
-        rollouts, traces = generate_submission(
-            scenario, av_policy, env_policy, k=k, base_seed=seed, with_traces=True
-        )
-    problems = rollout_problems(scenario, rollouts)
-    if problems:
-        more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
-        raise PolicyContractViolation(
-            f"rollouts of {scenario.scenario_id} break the submission contract: "
-            f"[{problems[0][0]}] {problems[0][1]}{more}"
-        )
+    rollouts, traces = generate_submission(
+        scenario, av_policy, env_policy, k=k, base_seed=seed, with_traces=True
+    )
     ok = all(
         audit_trace(trace, poses, rollouts.ids).ok
         for trace, poses in zip(traces, rollouts.rollouts)
@@ -182,13 +163,10 @@ def _rollout_one(packed):
 
 def _cmd_rollout(args) -> int:
     if args.k < 1 or not 0 <= args.seed <= SEED_LIMIT - args.k:
-        print(f"error: --k must be >= 1 and --seed in [0, 2**64 - k], "
-              f"got k={args.k} seed={args.seed}", file=sys.stderr)
-        return 2
+        raise InvalidOption(f"--k must be >= 1 and --seed in [0, 2**64 - k], "
+                            f"got k={args.k} seed={args.seed}")
     if args.replan_interval < 1:
-        print(f"error: --replan-interval must be >= 1, got {args.replan_interval}",
-              file=sys.stderr)
-        return 2
+        raise InvalidOption(f"--replan-interval must be >= 1, got {args.replan_interval}")
     scenarios = sio.read_scenario_dir(args.scenarios)
     env_opts = _parse_opts(args.env_opt, "--env-opt")
     av_opts = _parse_opts(args.av_opt, "--av-opt")
@@ -197,11 +175,7 @@ def _cmd_rollout(args) -> int:
          args.k, args.replan_interval, args.seed)
         for _, scn in sorted(scenarios.items())
     ]
-    if args.jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_rollout_one, work))
-    else:
-        results = [_rollout_one(w) for w in work]
+    results = fan_out(_rollout_one, work, args.jobs)
 
     # Plans held for more than one step make the rollouts hybrid open/closed loop.
     tag = "hybrid" if args.replan_interval > 1 else "closed-loop"
@@ -260,20 +234,14 @@ def _cmd_evaluate(args) -> int:
         archive = sio.read_submission(archive_path)
         by_scenario, problems = sio.match_scenarios(archive, scenarios)
         if problems:
-            by_code: dict[str, list[str]] = {}
+            by_code: dict[str, list[sio.Violation]] = {}
             for v in problems:
-                by_code.setdefault(v.code, []).append(v.scenario_id)
+                by_code.setdefault(v.code, []).append(v)
             raise ParseError(
-                "archive does not match the scenario set: "
-                + "; ".join(f"{code} {', '.join(sids)}" for code, sids in by_code.items()),
-                path=str(archive_path),
-            )
-        counts = sorted({len(rec.rollouts) for rec in by_scenario.values()})
-        declared = archive.manifest.get("rollouts_per_scenario")
-        if len(counts) > 1 or (declared is not None and counts != [declared]):
-            raise ParseError(
-                f"archive holds {' and '.join(map(str, counts))} rollouts per scenario"
-                + ("" if declared is None else f", its manifest declares {declared}"),
+                "archive does not match the scenario set: " + "; ".join(
+                    f"{code} {', '.join(v.scenario_id for v in vs)} ({vs[0].detail})"
+                    for code, vs in by_code.items()
+                ),
                 path=str(archive_path),
             )
         archives.append((archive_path, archive, by_scenario))
@@ -297,7 +265,7 @@ def _cmd_evaluate(args) -> int:
             stem = archive_path.name.partition(".")[0]
             save_svg(chart, args.plot / f"components.{stem}.svg")
         interval = archive.manifest.get("replan_interval")
-        if interval is not None:
+        if isinstance(interval, (int, float)):  # a manifest value from outside may be anything
             curve_points.append((float(interval), summary.composite))
         print(f"{archive_path.name}: composite={summary.composite:.6f} "
               f"ade={summary.mean_ade:.3f} min_ade={summary.mean_min_ade:.3f} "
@@ -369,10 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     except PolicyContractViolation as exc:
         print(f"policy contract violation: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, FileNotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SimRealError as exc:
+    except (SimRealError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -145,6 +145,18 @@ def summarize(bundles: Sequence[MetricsBundle]) -> DatasetSummary:
     )
 
 
+def fan_out(fn: Callable[[Any], Any], items: Sequence, jobs: int) -> list:
+    """``[fn(item) for item in items]``, over ``min(jobs, len(items))`` worker processes.
+
+    ``jobs <= 1`` or one item runs in this process.  The cap matters: with the
+    ``fork`` start method every worker process starts at the first submit.
+    """
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+        return list(pool.map(fn, items))
+
+
 def _evaluate_one(args) -> MetricsBundle:
     scenario, rollouts, config = args
     return evaluate_scenario(scenario, rollouts, config)
@@ -155,14 +167,10 @@ def evaluate_dataset(
     config: EvalConfig = DEFAULT_CONFIG,
     jobs: int = 1,
 ) -> tuple[list[MetricsBundle], DatasetSummary]:
-    """Score many scenarios, optionally across worker processes."""
+    """Score many scenarios, across up to ``jobs`` worker processes (see :func:`fan_out`)."""
     pairs = list(pairs)
     if not pairs:
         raise ValueError("no scenarios to evaluate")
-    if jobs > 1 and len(pairs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            bundles = list(pool.map(_evaluate_one, [(s, r, config) for s, r in pairs]))
-    else:
-        bundles = [evaluate_scenario(s, r, config) for s, r in pairs]
+    bundles = fan_out(_evaluate_one, [(s, r, config) for s, r in pairs], jobs)
     bundles.sort(key=lambda b: b.scenario_id)
     return bundles, summarize(bundles)

@@ -154,40 +154,23 @@ def _masked(vals: np.ndarray, ok: np.ndarray) -> np.ndarray:
     return np.where(ok, vals, 0.0)
 
 
-def _speed_arrays(centers: np.ndarray, valid: np.ndarray, dt: float):
-    """Linear speed: 3D speed from one-step position differences."""
+def _backward_difference(delta: np.ndarray, valid: np.ndarray, dt: float):
+    """Rate ``delta / dt`` of a (..., T) series, valid where a step and the one before are.
+
+    ``delta`` (..., T-1) is each step's change: a position difference's norm
+    gives speed, a wrapped heading difference angular speed, a rate's difference acceleration.
+    """
     vals = np.zeros(valid.shape)
     ok = np.zeros(valid.shape, dtype=bool)
-    if valid.shape[-1] >= 2:
-        vals[..., 1:] = np.linalg.norm(np.diff(centers, axis=-2), axis=-1) / dt
-        ok[..., 1:] = valid[..., 1:] & valid[..., :-1]
+    vals[..., 1:] = delta / dt
+    ok[..., 1:] = valid[..., 1:] & valid[..., :-1]
     return _masked(vals, ok), ok
-
-
-def _derivative_arrays(vals: np.ndarray, ok: np.ndarray, dt: float):
-    """One-step difference of a series: linear acceleration from signed speed
-    differences, angular acceleration from signed angular speed differences."""
-    out = np.zeros_like(vals)
-    out_ok = np.zeros_like(ok)
-    if vals.shape[-1] >= 2:
-        out[..., 1:] = np.diff(vals, axis=-1) / dt
-        out_ok[..., 1:] = ok[..., 1:] & ok[..., :-1]
-    return _masked(out, out_ok), out_ok
 
 
 def _wrap_signed(delta: np.ndarray) -> np.ndarray:
+    """Angle differences as the signed shortest rotation, in (-pi, pi]."""
     m = delta % TWO_PI
     return np.where(m > math.pi, m - TWO_PI, m)
-
-
-def _angular_speed_arrays(headings: np.ndarray, valid: np.ndarray, dt: float):
-    """Signed heading rate using the shortest rotation between steps."""
-    vals = np.zeros(valid.shape)
-    ok = np.zeros(valid.shape, dtype=bool)
-    if valid.shape[-1] >= 2:
-        vals[..., 1:] = _wrap_signed(np.diff(headings, axis=-1)) / dt
-        ok[..., 1:] = valid[..., 1:] & valid[..., :-1]
-    return _masked(vals, ok), ok
 
 
 #: Absolute and coordinate-relative margins added to the broad-phase upper
@@ -522,16 +505,20 @@ def extract_features(
     ``states.ids`` order; invalid slots hold 0.  Shared intermediates
     (speeds, pairwise distances) are computed once.
     """
-    dt = states.dt
-    speed = _speed_arrays(states.centers, states.valid, dt)
-    angular = _angular_speed_arrays(states.headings, states.valid, dt)
+    dt, valid = states.dt, states.valid
+    # 3D speed, and the signed heading rate along the shortest rotation.
+    speed = _backward_difference(np.linalg.norm(np.diff(states.centers, axis=-2), axis=-1),
+                                 valid, dt)
+    angular = _backward_difference(_wrap_signed(np.diff(states.headings, axis=-1)), valid, dt)
     nearest = _nearest_object_arrays(states)
     road_edge = _road_edge_arrays(states, map_features)
     return {
         MetricKind.LINEAR_SPEED: speed,
-        MetricKind.LINEAR_ACCEL: _derivative_arrays(*speed, dt),
+        MetricKind.LINEAR_ACCEL: _backward_difference(np.diff(speed[0], axis=-1), speed[1], dt),
         MetricKind.ANGULAR_SPEED: angular,
-        MetricKind.ANGULAR_ACCEL: _derivative_arrays(*angular, dt),
+        MetricKind.ANGULAR_ACCEL: _backward_difference(
+            np.diff(angular[0], axis=-1), angular[1], dt
+        ),
         MetricKind.DIST_TO_NEAREST_OBJECT: nearest,
         MetricKind.COLLISION: _event_series(*nearest, lambda v: v < 0.0),
         MetricKind.TIME_TO_COLLISION: _ttc_arrays(states, *speed, params),

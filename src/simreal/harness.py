@@ -33,6 +33,7 @@ from .scene import (
     Scenario,
     ScenarioRollouts,
     normalize_heading,
+    rollout_problems,
     simulated_object_ids,
 )
 
@@ -558,33 +559,35 @@ def closed_loop_rollout(
 
     hashers = [_rollout_hasher(scenario.scenario_id, sim_ids) for _ in seeds]
     noise = _NoiseStreams(seeds, sim_ids)
-    for t in range(1, t_total + 1):
-        upto = h + t - 1
-        ctx = PolicyContext(
-            scenario_id=scenario.scenario_id,
-            map_features=scenario.map_features,
-            ids=sim_ids,
-            av_id=scenario.av_track_id,
-            step=t,
-            t0_index=h - 1,
-            dt=scenario.timestep,
-            seeds=seeds,
-            poses=_read_only(poses[:, :, :upto]),
-            valid=_read_only(valid[:, :upto]),
-            motion=motion,
-            noise=noise,
-        )
-        env_out = env_policy.step(ctx, env_rows) if len(env_rows) else None
-        av_out = av_policy.step(ctx, av_rows)
-        merged = poses[:, :, upto]
-        if env_out is not None:
-            merged[:, env_rows] = _shaped_poses(env_out, k, len(env_rows), "environment", t)
-        merged[:, av_row] = _shaped_poses(av_out, k, 1, "AV", t)[:, 0]
-        _finish_poses(merged, sim_ids, t)
-        valid[:, upto] = True
-        # Commit the step now: a later rewrite of it no longer matches the digest.
-        for hasher, step_poses in zip(hashers, np.ascontiguousarray(merged, dtype="<f8")):
-            hasher.update(step_poses)
+    # An overflowing policy option makes non-finite poses, which _finish_poses rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, t_total + 1):
+            upto = h + t - 1
+            ctx = PolicyContext(
+                scenario_id=scenario.scenario_id,
+                map_features=scenario.map_features,
+                ids=sim_ids,
+                av_id=scenario.av_track_id,
+                step=t,
+                t0_index=h - 1,
+                dt=scenario.timestep,
+                seeds=seeds,
+                poses=_read_only(poses[:, :, :upto]),
+                valid=_read_only(valid[:, :upto]),
+                motion=motion,
+                noise=noise,
+            )
+            env_out = env_policy.step(ctx, env_rows) if len(env_rows) else None
+            av_out = av_policy.step(ctx, av_rows)
+            merged = poses[:, :, upto]
+            if env_out is not None:
+                merged[:, env_rows] = _shaped_poses(env_out, k, len(env_rows), "environment", t)
+            merged[:, av_row] = _shaped_poses(av_out, k, 1, "AV", t)[:, 0]
+            _finish_poses(merged, sim_ids, t)
+            valid[:, upto] = True
+            # Commit the step now: a later rewrite of it no longer matches the digest.
+            for hasher, step_poses in zip(hashers, np.ascontiguousarray(merged, dtype="<f8")):
+                hasher.update(step_poses)
 
     traces = tuple(
         RolloutTrace(scenario.scenario_id, seed, sim_ids, hasher.hexdigest())
@@ -601,7 +604,10 @@ def generate_submission(
     base_seed: int = 0,
     with_traces: bool = False,
 ):
-    """Run ``k`` independent lockstep rollouts seeded base_seed .. base_seed+k-1."""
+    """Run ``k`` independent lockstep rollouts seeded base_seed .. base_seed+k-1.
+
+    Rollouts that break :func:`~simreal.scene.rollout_problems` raise PolicyContractViolation.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     futures, traces = closed_loop_rollout(
@@ -612,6 +618,13 @@ def generate_submission(
         ids=sorted(simulated_object_ids(scenario)),
         rollouts=futures,
     )
+    problems = rollout_problems(scenario, rollouts)
+    if problems:
+        more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
+        raise PolicyContractViolation(
+            f"rollouts of {scenario.scenario_id} break the submission contract: "
+            f"[{problems[0][0]}] {problems[0][1]}{more}"
+        )
     if with_traces:
         return rollouts, traces
     return rollouts

@@ -6,10 +6,11 @@ Two interchange forms exist for scenarios and rollout bundles:
 * A versioned binary format: an 8-byte magic ``SMRLBIN1`` followed by
   records, each ``[kind:u8][length:u64le][payload]``.  Payload scalars are
   little-endian; floats are 64-bit.  Record kinds: 1 = scenario,
-  2 = scenario rollouts.  A rollouts payload stores its (K, A, T, 4) pose
-  tensor as one contiguous block, so it decodes with a single
-  ``np.frombuffer``.  Unknown record kinds and payload bytes left over after
-  parsing are errors.
+  2 = scenario rollouts.  A scenario file holds exactly one scenario record
+  and an archive shard only rollouts records.  A rollouts payload stores its
+  (K, A, T, 4) pose tensor as one contiguous block, so it decodes with a
+  single ``np.frombuffer``.  A record of another kind and payload bytes left
+  over after parsing are errors.
 
 A submission archive is a tar compressed at gzip level 4, holding
 ``manifest.json`` plus binary shards named ``rollouts.<index>-of-<total>.bin``,
@@ -57,6 +58,7 @@ MAGIC = b"SMRLBIN1"
 FORMAT_VERSION = 1
 _KIND_SCENARIO = 1
 _KIND_ROLLOUTS = 2
+_KIND_NAMES = {_KIND_SCENARIO: "scenario", _KIND_ROLLOUTS: "rollouts"}
 
 SHARD_NAME_RE = re.compile(r"rollouts\.(\d+)-of-(\d+)\.bin$")
 _DRAIN_CHUNK = 1 << 16
@@ -296,7 +298,8 @@ def _write_records(records: Iterable[tuple[int, bytes]]) -> bytes:
     return b"".join(out)
 
 
-def _read_records(data: bytes, path: str | None) -> list[tuple[int, _Reader]]:
+def _read_records(data: bytes, path: str | None, expected: int) -> list[_Reader]:
+    """The payloads of a file's records, which must all be of kind ``expected``."""
     r = _Reader(data, path)
     if r.take(len(MAGIC)) != MAGIC:
         r.pos = 0
@@ -305,11 +308,13 @@ def _read_records(data: bytes, path: str | None) -> list[tuple[int, _Reader]]:
     while not r.exhausted:
         start = r.pos
         kind, length = r.unpack("BQ")
-        if kind not in (_KIND_SCENARIO, _KIND_ROLLOUTS):
+        if kind != expected:
             r.pos = start
-            r.fail(f"unknown record kind {kind}")
+            if kind not in _KIND_NAMES:
+                r.fail(f"unknown record kind {kind}")
+            r.fail(f"a {_KIND_NAMES[kind]} record in a file of {_KIND_NAMES[expected]} records")
         payload = r.take(length)
-        out.append((kind, _Reader(payload, path, base=r.pos - length)))
+        out.append(_Reader(payload, path, base=r.pos - length))
     return out
 
 
@@ -339,14 +344,13 @@ def write_scenario(scenario: Scenario, path: str | Path, fmt: str | None = None)
 def read_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     if path.suffix == ".bin":
-        records = _read_records(path.read_bytes(), str(path))
-        for kind, payload in records:
-            if kind == _KIND_SCENARIO:
-                return _parse_whole(payload, _scenario_from_payload)
-        raise ParseError("no scenario record in file", path=str(path))
+        records = _read_records(path.read_bytes(), str(path), _KIND_SCENARIO)
+        if len(records) != 1:
+            raise ParseError(f"{len(records)} scenario records, expected one", path=str(path))
+        return _parse_whole(records[0], _scenario_from_payload)
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise ParseError(f"bad JSON: {exc}", path=str(path)) from exc
     return scenario_from_dict(data, path=str(path))
 
@@ -490,10 +494,11 @@ def read_submission(path: str | Path) -> SubmissionArchive:
             name, blob = blobs.pop()  # release each member once it is decoded
             if name.endswith("manifest.json"):
                 manifest = json.loads(blob.decode("utf-8"))
+                if not isinstance(manifest, dict):
+                    raise ParseError(f"{name} is not a JSON object", path=str(path))
                 continue
-            for kind, payload in _read_records(blob, f"{path}:{name}"):
-                if kind == _KIND_ROLLOUTS:
-                    entries.append((name, _parse_whole(payload, _rollouts_from_payload)))
+            for payload in _read_records(blob, f"{path}:{name}", _KIND_ROLLOUTS):
+                entries.append((name, _parse_whole(payload, _rollouts_from_payload)))
     except (tarfile.TarError, OSError, EOFError, zlib.error, ValueError) as exc:
         raise ParseError(f"unreadable archive: {exc}", path=str(path)) from exc
     return SubmissionArchive(manifest=manifest, entries=tuple(entries))
@@ -534,7 +539,10 @@ def match_scenarios(
 
     A scenario held a second time (DUPLICATE_SCENARIO; the first copy is
     returned), one outside the set (UNKNOWN_SCENARIO) and one of the set
-    with no rollouts (MISSING_SCENARIO) are violations.
+    with no rollouts (MISSING_SCENARIO) are violations.  So is a returned
+    scenario whose rollout count departs from the manifest's
+    ``rollouts_per_scenario`` or, when the manifest declares none, from the
+    first returned scenario's count (ROLLOUT_COUNT_MISMATCH).
     """
     records: dict[str, ScenarioRollouts] = {}
     violations: list[Violation] = []
@@ -554,6 +562,16 @@ def match_scenarios(
     for sid in scenarios:
         if sid not in seen:
             violations.append(Violation("MISSING_SCENARIO", sid, "no rollouts in archive"))
+    want, source = archive.manifest.get("rollouts_per_scenario"), "the manifest declares"
+    if want is None and records:
+        first = next(iter(records))
+        want, source = len(records[first].rollouts), f"{first} holds"
+    for sid, rec in records.items():
+        if len(rec.rollouts) != want:
+            violations.append(Violation(
+                "ROLLOUT_COUNT_MISMATCH", sid,
+                f"holds {len(rec.rollouts)} rollouts per scenario where {source} {want!r}",
+            ))
     return records, violations
 
 
@@ -658,7 +676,7 @@ def read_report(path: str | Path) -> dict[str, Any]:
     path = Path(path)
     try:
         return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise ParseError(f"unreadable report: {exc}", path=str(path)) from exc
 
 
@@ -670,6 +688,6 @@ def load_config(path: str | Path) -> EvalConfig:
     path = Path(path)
     try:
         data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise ParseError(f"unreadable config: {exc}", path=str(path)) from exc
     return config_from_dict(data, path=str(path))

@@ -73,8 +73,9 @@ class Track:
 
     ``poses`` is (L, 4) as [x, y, z, heading] and ``valid`` is (L,).  Where
     ``valid`` is False the pose carries no meaning and consumers must ignore
-    it; where it is True the pose must be finite.  Extents are fixed for the
-    whole window; they are taken once and never vary over time.
+    it; where it is True the pose must be finite, with x, y and z within
+    :data:`POSE_COORDINATE_LIMIT` as in a submitted rollout.  Extents are
+    fixed for the whole window; they are taken once and never vary over time.
     """
 
     object_id: int
@@ -101,6 +102,12 @@ class Track:
         if bad.any():
             raise MalformedScenario(
                 f"track {self.object_id}: pose at valid index {int(np.argmax(bad))} is not finite"
+            )
+        far = valid & (np.abs(poses[:, :3]) > POSE_COORDINATE_LIMIT).any(axis=1)
+        if far.any():
+            raise MalformedScenario(
+                f"track {self.object_id}: pose at valid index {int(np.argmax(far))} has a "
+                f"coordinate beyond {POSE_COORDINATE_LIMIT:g} m"
             )
         poses[:, 3] = normalize_heading(poses[:, 3])
         object.__setattr__(self, "poses", _frozen(poses))
@@ -227,8 +234,8 @@ class ScenarioRollouts:
         ids = np.array(self.ids, dtype=np.int64)
         if poses.ndim != 4 or poses.shape[-1] != 4:
             raise MalformedScenario(f"{sid}: expected (K, A, T, 4) rollouts, got {poses.shape}")
-        if len(poses) == 0:
-            raise MalformedScenario("a rollout bundle needs at least one rollout")
+        if poses.shape[0] == 0 or poses.shape[2] == 0:
+            raise MalformedScenario(f"{sid}: a rollout bundle needs at least one rollout and step")
         if ids.shape != poses.shape[1:2]:
             raise InconsistentRollouts(
                 f"{sid}: {ids.shape} ids for {poses.shape[1]} rollout rows"
@@ -299,15 +306,16 @@ def rollout_problems(scenario: Scenario, rollouts: ScenarioRollouts) -> list[tup
             "BAD_STEP_COUNT",
             f"rollouts have {rollouts.num_steps} steps, expected {scenario.future_length}",
         ))
-    finite = np.isfinite(rollouts.rollouts).all(axis=(2, 3))  # (K, A)
+    # Reductions, not np.isfinite or np.abs, so no temporary as large as the
+    # poses is made.  max and min propagate NaN, and an infinity shows in one.
+    high = rollouts.rollouts.max(axis=(2, 3))  # (K, A)
+    low = rollouts.rollouts.min(axis=(2, 3))
+    finite = np.isfinite(high) & np.isfinite(low)
     for k in np.flatnonzero(~finite.all(axis=1)):
         oid = rollouts.ids[np.argmin(finite[k])]  # first object with a bad pose
         problems.append(("NONFINITE_POSE", f"rollout {k} object {oid} has NaN/Inf"))
     # Headings are wrapped into [0, 2*pi), so only x, y and z can pass the limit.
-    # Reductions, not np.abs, so no temporary as large as the poses is made.
-    high = rollouts.rollouts.max(axis=(2, 3)) > POSE_COORDINATE_LIMIT
-    low = rollouts.rollouts.min(axis=(2, 3)) < -POSE_COORDINATE_LIMIT
-    far = (high | low) & finite  # (K, A)
+    far = ((high > POSE_COORDINATE_LIMIT) | (low < -POSE_COORDINATE_LIMIT)) & finite
     for k in np.flatnonzero(far.any(axis=1)):
         oid = rollouts.ids[np.argmax(far[k])]  # first object out of range
         problems.append((

@@ -48,7 +48,6 @@ PEDESTRIAN_DIMS = (0.5, 0.5, 1.8)
 
 ROAD_HALF_WIDTH = 7.0
 TTC_CAP = 5.0
-TTC_LATERAL_MIN = 1.0
 
 
 class Template(Enum):

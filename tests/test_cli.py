@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import gzip
 import io
 import json
 import tempfile
@@ -12,10 +13,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import simreal.cli
+import simreal.evaluate
 from simreal.cli import main
+from simreal.config import DEFAULT_CONFIG, config_to_dict
 from simreal.harness import AuditReport
 from simreal.policies import POLICY_REGISTRY
-from simreal.io import read_report, read_scenario_dir, read_submission, write_submission
+from simreal.io import (
+    match_scenarios,
+    read_report,
+    read_scenario_dir,
+    read_submission,
+    write_submission,
+)
 from simreal.scene import ScenarioRollouts
 
 
@@ -465,6 +474,22 @@ class TestEvaluate:
         assert not out.exists()
         assert err.count("\n") == 1 and "finite" in err
 
+    @pytest.mark.parametrize("interval", ["x", [1], None])
+    def test_replan_interval_that_is_not_a_number_is_left_off_the_curve(
+        self, workspace, tmp_path, interval
+    ):
+        _, scenarios, archives = workspace
+        archive = read_submission(archives["constant-velocity"])
+        odd = tmp_path / "odd.tar.gz"
+        write_submission(odd, [rec for _, rec in archive.entries],
+                         {**archive.manifest, "replan_interval": interval})
+        report = tmp_path / "odd.json"
+        assert main([
+            "evaluate", "--archive", str(odd), "--archive", str(archives["constant-velocity"]),
+            "--scenarios", str(scenarios), "--out", str(report), "--jobs", "1",
+        ]) == 0
+        assert not (tmp_path / "odd.replan_curve.json").exists()  # one point is no curve
+
     def test_multiple_archives_emit_replan_curve(self, workspace, tmp_path):
         root, scenarios, archives = workspace
         slow = tmp_path / "slow.tar.gz"
@@ -648,3 +673,229 @@ class TestRolloutNeverRaises:
             assert code in (0, 2, 3)
             assert "Traceback" not in err.getvalue()
             assert out.exists() == (code == 0)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Worker counts of every process pool asked for; no worker process starts."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    # simreal.cli builds no pool itself; it is covered anyway, so that a pool
+    # built there again could not fork --jobs 64 processes in this test.
+    for module in (simreal.cli, simreal.evaluate):
+        monkeypatch.setattr(module, "ProcessPoolExecutor", RecordingPool, raising=False)
+    return sizes
+
+
+class TestFanOut:
+    @pytest.fixture(scope="class")
+    def two_scenarios(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("two_scenarios") / "scenarios"
+        assert main([
+            "synth", "--template", "following_pair", "--count", "2", "--agents", "2",
+            "--out", str(out),
+        ]) == 0
+        return out
+
+    def test_rollout_pool_is_capped_at_the_scenario_count(self, two_scenarios, tmp_path,
+                                                          pool_sizes):
+        out = tmp_path / "sub.tar.gz"
+        assert main([
+            "rollout", "--scenarios", str(two_scenarios), "--env-policy", "noisy-plan",
+            "--av-policy", "noisy-plan", "--k", "2", "--jobs", "64", "--out", str(out),
+        ]) == 0
+        assert pool_sizes == [2]
+        serial = tmp_path / "serial.tar.gz"
+        assert main([
+            "rollout", "--scenarios", str(two_scenarios), "--env-policy", "noisy-plan",
+            "--av-policy", "noisy-plan", "--k", "2", "--jobs", "1", "--out", str(serial),
+        ]) == 0
+        assert pool_sizes == [2]
+        assert serial.read_bytes() == out.read_bytes()
+
+    def test_evaluate_pool_is_capped_at_the_pair_count(self, two_scenarios, tmp_path, pool_sizes):
+        archive = tmp_path / "sub.tar.gz"
+        assert main([
+            "rollout", "--scenarios", str(two_scenarios), "--env-policy", "constant-velocity",
+            "--av-policy", "constant-velocity", "--k", "2", "--jobs", "1", "--out", str(archive),
+        ]) == 0
+        scenarios = read_scenario_dir(two_scenarios)
+        records, _ = match_scenarios(read_submission(archive), scenarios)
+        pairs = [(scenarios[sid], records[sid]) for sid in sorted(scenarios)]
+        bundles, summary = simreal.evaluate.evaluate_dataset(pairs, jobs=64)
+        assert pool_sizes == [2]
+        assert simreal.evaluate.evaluate_dataset(pairs[:1], jobs=64)[0] == bundles[:1]
+        assert pool_sizes == [2]  # a single pair runs in this process
+        assert simreal.evaluate.evaluate_dataset(pairs, jobs=1)[1] == summary
+
+
+class TestValidateAgreesWithEvaluate:
+    @pytest.mark.parametrize(
+        "counts,declared",
+        [((2, 2), 4), ((2, 2), 32), ((2, 3), None), ((3, 2), 2)],
+        ids=["uniform-under-manifest", "uniform-off-default", "mixed-without-manifest",
+             "mixed-first-off-manifest"],
+    )
+    def test_count_refused_by_evaluate_fails_validate(
+        self, workspace, tmp_path, capsys, counts, declared
+    ):
+        _, scenarios, archives = workspace
+        archive = read_submission(archives["constant-velocity"])
+        records = sorted((rec for _, rec in archive.entries), key=lambda r: r.scenario_id)
+        cut = [
+            replace(rec, rollouts=rec.rollouts[: counts[i % len(counts)]])
+            for i, rec in enumerate(records)
+        ]
+        manifest = {k: v for k, v in archive.manifest.items() if k != "rollouts_per_scenario"}
+        if declared is not None:
+            manifest["rollouts_per_scenario"] = declared
+        path = tmp_path / "odd.tar.gz"
+        write_submission(path, cut, manifest)
+        capsys.readouterr()
+        assert main([
+            "validate", "--archive", str(path), "--scenarios", str(scenarios),
+            "--expected-rollouts", str(counts[0]),
+        ]) == 1
+        assert "[ROLLOUT_COUNT_MISMATCH]" in capsys.readouterr().out
+        report = tmp_path / "odd.json"
+        assert main([
+            "evaluate", "--archive", str(path), "--scenarios", str(scenarios),
+            "--out", str(report), "--jobs", "1",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "ROLLOUT_COUNT_MISMATCH" in err
+        assert not report.exists()
+
+
+class TestLoggedPoseEnvelope:
+    @pytest.mark.parametrize("command", ["rollout", "validate", "evaluate"])
+    def test_logged_pose_beyond_the_limit_exits_two(self, workspace, tmp_path, capsys, command):
+        _, scenarios, archives = workspace
+        bad = tmp_path / "scenarios"
+        bad.mkdir()
+        for path in scenarios.glob("*.json"):
+            doc = json.loads(path.read_text())
+            if path.name.startswith("following_pair-") and "tracks" in doc:
+                for state in doc["tracks"][1]["states"]:
+                    state["x"] += 1e200
+            (bad / path.name).write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = {
+            "rollout": ["--env-policy", "constant-velocity", "--av-policy", "constant-velocity",
+                        "--k", "2", "--jobs", "1", "--out", str(out)],
+            "validate": ["--archive", str(archives["constant-velocity"])],
+            "evaluate": ["--archive", str(archives["constant-velocity"]), "--jobs", "1",
+                         "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert main([command, "--scenarios", str(bad), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "has a coordinate beyond 1e+07 m" in err, err
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory):
+    """Bytes of a 1-scenario, 2-agent, k=2 set: archive, scenario .bin, config and report."""
+    root = tmp_path_factory.mktemp("tiny")
+    scenarios, archive, report = root / "scenarios", root / "sub.tar.gz", root / "report.json"
+    assert main([
+        "synth", "--template", "following_pair", "--count", "1", "--agents", "2",
+        "--format", "binary", "--out", str(scenarios),
+    ]) == 0
+    assert main([
+        "rollout", "--scenarios", str(scenarios), "--env-policy", "noisy-plan",
+        "--av-policy", "noisy-plan", "--k", "2", "--jobs", "1", "--out", str(archive),
+    ]) == 0
+    assert main([
+        "evaluate", "--archive", str(archive), "--scenarios", str(scenarios),
+        "--out", str(report), "--jobs", "1",
+    ]) == 0
+    (scenario,) = scenarios.glob("*.bin")
+    return {
+        "archive": archive.read_bytes(),
+        "scenario": scenario.read_bytes(),
+        "config": json.dumps(config_to_dict(DEFAULT_CONFIG)).encode(),
+        "report": report.read_bytes(),
+    }
+
+
+def _mutated(blob: bytes, edits, truncate) -> bytes:
+    out = bytearray(blob)
+    for pos, value in edits:
+        out[pos % len(out)] = value
+    if truncate is not None:
+        out = out[: truncate % len(out)]
+    return bytes(out)
+
+
+class TestReadersNeverRaise:
+    """``main()`` ends in an exit code for ``validate``, ``evaluate`` and ``compare``
+    whatever their flags, and whatever bytes their input files hold."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        command=st.sampled_from(["validate", "evaluate", "compare"]),
+        target=st.sampled_from(["archive", "archive-tar", "scenario", "config", "report"]),
+        edits=st.lists(st.tuples(st.integers(0, 10**9), st.integers(0, 255)), max_size=4),
+        truncate=st.none() | st.integers(0, 10**9),
+        expected=st.integers(-1, 3),
+        config=st.booleans(),
+        twice=st.booleans(),
+    )
+    @example(command="evaluate", target="archive", edits=[], truncate=None, expected=2,
+             config=True, twice=True)
+    @example(command="compare", target="report", edits=[(0, 0xFF)], truncate=None, expected=2,
+             config=False, twice=False)
+    @example(command="evaluate", target="config", edits=[(1, 0xFF)], truncate=None, expected=2,
+             config=True, twice=False)
+    def test_exit_code_without_traceback(
+        self, tiny_inputs, command, target, edits, truncate, expected, config, twice
+    ):
+        blobs = dict(tiny_inputs)
+        if target == "archive-tar":  # mutate the tar inside the gzip stream
+            tar = _mutated(gzip.decompress(blobs["archive"]), edits, truncate)
+            blobs["archive"] = gzip.compress(tar, mtime=0)
+        else:
+            blobs[target] = _mutated(blobs[target], edits, truncate)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "scenarios").mkdir()
+            paths = {
+                "archive": tmp / "sub.tar.gz",
+                "scenario": tmp / "scenarios" / "scenario.bin",
+                "config": tmp / "config.json",
+                "report": tmp / "report.json",
+            }
+            for name, path in paths.items():
+                path.write_bytes(blobs[name])
+            archive, scenarios = str(paths["archive"]), str(tmp / "scenarios")
+            argv = {
+                "validate": ["validate", "--archive", archive, "--scenarios", scenarios,
+                             f"--expected-rollouts={expected}"],
+                "evaluate": ["evaluate", "--archive", archive, "--scenarios", scenarios,
+                             "--out", str(tmp / "out.json"), "--csv", str(tmp / "out.csv"),
+                             "--jobs", "1"]
+                + (["--config", str(paths["config"])] if config else [])
+                + (["--archive", archive] if twice else []),
+                "compare": ["compare", "--reports", str(paths["report"])]
+                + ([str(tmp / "out.json")] if twice else []),
+            }[command]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()

@@ -523,6 +523,12 @@ def lane(xs, dt=0.5, lengths=None):
                        valid=np.ones((1, a, t), dtype=bool), dims=dims, dt=dt)
 
 
+def lane_speed(states, dt):
+    """The (values, valid) linear speed of ``states`` at step ``dt``, as extraction computes it."""
+    delta = np.linalg.norm(np.diff(states.centers, axis=-2), axis=-1)
+    return simreal.features._backward_difference(delta, states.valid, dt)
+
+
 _LANE_X = st.one_of(
     st.integers(-30, 30).map(lambda v: v / 2.0),
     st.floats(-100.0, 100.0),
@@ -593,24 +599,23 @@ class TestTimeToCollisionCut:
     def test_matches_all_pairs_reference_bit_for_bit(self, case):
         states, params = case
         with np.errstate(all="ignore"):
-            speed = simreal.features._speed_arrays(states.centers, states.valid, states.dt)
+            speed = lane_speed(states, states.dt)
             vals, ok = simreal.features._ttc_arrays(states, *speed, params)
             want_vals, want_ok = all_pairs_ttc(states, *speed, params)
         assert vals.tobytes() == want_vals.tobytes()
         assert ok.tobytes() == want_ok.tobytes()
 
     def test_examples_read_as_described(self):
-        speed = simreal.features._speed_arrays
         at_cut = lane([[0, 1, 2, 3], [16, 16, 16, 16]])
-        vals, _ = simreal.features._ttc_arrays(at_cut, *speed(at_cut.centers, at_cut.valid, 0.5),
+        vals, _ = simreal.features._ttc_arrays(at_cut, *lane_speed(at_cut, 0.5),
                                                DEFAULT_FEATURE_PARAMS)
         assert vals[0, 0].tolist() == [0.0, 5.0, 5.0, 4.5]
         tie = lane([[0, 1, 2, 3], [10, 10, 10, 10], [7, 8, 9, 10]])
-        vals, _ = simreal.features._ttc_arrays(tie, *speed(tie.centers, tie.valid, 0.5),
+        vals, _ = simreal.features._ttc_arrays(tie, *lane_speed(tie, 0.5),
                                                DEFAULT_FEATURE_PARAMS)
         assert vals[0, 0, 3] == 1.5  # 3 m closing at 2 m/s on leader 1; leader 2 reads the cap
         rounded = lane([[0.0, 0.17087189561177435], [12.714466676200491] * 2], dt=0.1)
-        vals, _ = simreal.features._ttc_arrays(rounded, *speed(rounded.centers, rounded.valid, 0.1),
+        vals, _ = simreal.features._ttc_arrays(rounded, *lane_speed(rounded, 0.1),
                                                DEFAULT_FEATURE_PARAMS)
         assert vals[0, 0, 1] == 4.999999999999999
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +34,10 @@ from simreal.synth import SynthSpec, Template, generate
 
 def straight_scenario(seed=0):
     return generate(SynthSpec(Template.STRAIGHT_ROAD, seed=seed)).scenario
+
+
+def following_scenario():
+    return generate(SynthSpec(Template.FOLLOWING_PAIR, agent_count=2, seed=0)).scenario
 
 
 def curved_scenario(seed=0):
@@ -250,6 +255,25 @@ class TestGenerateSubmission:
         scenario = straight_scenario()
         with pytest.raises(ValueError):
             generate_submission(scenario, ConstantVelocityPolicy(), ConstantVelocityPolicy(), k=0)
+
+    @pytest.mark.parametrize("option", [{"heading_sigma": 1e308}, {"speed_sigma": 1e308}])
+    def test_overflowing_option_is_a_contract_violation_not_a_warning(self, option):
+        scenario = following_scenario()
+        env = create_policy("noisy-plan", scenario, option)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(PolicyContractViolation, match="not finite"):
+                generate_submission(scenario, ConstantVelocityPolicy(), env, k=2)
+
+    def test_rollouts_that_break_the_submission_contract_are_refused(self):
+        scenario = following_scenario()
+        env = create_policy("noisy-plan", scenario, {"speed_sigma": 1e200})
+        with pytest.raises(PolicyContractViolation, match=(
+            rf"rollouts of {scenario.scenario_id} break the submission contract: "
+            r"\[OUT_OF_RANGE_POSE\] rollout 0 object \d+ has a coordinate beyond 1e\+07 m "
+            r"\(and 1 more\)$"
+        )):
+            generate_submission(scenario, ConstantVelocityPolicy(), env, k=2)
 
 
 class _RewritesStepOne(Policy):

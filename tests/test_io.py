@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import tarfile
@@ -17,6 +18,7 @@ from simreal.evaluate import evaluate_dataset
 from simreal.features import MetricKind
 from simreal.harness import generate_submission
 from simreal.io import (
+    MAGIC,
     match_scenarios,
     read_scenario,
     read_scenario_dir,
@@ -381,6 +383,81 @@ class TestSubmissionArchive:
             ("NONFINITE_POSE", f"rollout 5 object {rec.ids[0]} has NaN/Inf"),
             ("OUT_OF_RANGE_POSE", f"rollout 2 object {rec.ids[1]} has a coordinate beyond 1e+07 m"),
         ]
+
+    def test_rollout_count_departing_from_the_manifest_flagged(self, suite_and_archive, tmp_path):
+        scenarios, all_rollouts, _ = suite_and_archive
+        cut = [replace(rec, rollouts=rec.rollouts[:2]) for rec in all_rollouts]
+        path = tmp_path / "declared4.tar.gz"
+        write_submission(path, cut, {"rollouts_per_scenario": 4})
+        report = validate_submission(path, scenarios, expected_rollouts=2)
+        assert [(v.code, v.detail) for v in report.violations] == [
+            ("ROLLOUT_COUNT_MISMATCH",
+             "holds 2 rollouts per scenario where the manifest declares 4"),
+        ] * len(cut)
+
+    def test_rollout_count_departing_from_the_first_scenario_flagged(self, suite_and_archive,
+                                                                     tmp_path):
+        scenarios, all_rollouts, _ = suite_and_archive
+        records = sorted(all_rollouts, key=lambda rec: rec.scenario_id)
+        cut = [replace(rec, rollouts=rec.rollouts[: 2 + i % 2]) for i, rec in enumerate(records)]
+        path = tmp_path / "mixed.tar.gz"
+        write_submission(path, cut, {})
+        matched, problems = match_scenarios(read_submission(path), scenarios)
+        first = min(scenarios)
+        assert len(matched[first].rollouts) == 2
+        assert [(v.code, v.scenario_id, v.detail) for v in problems] == [
+            ("ROLLOUT_COUNT_MISMATCH", rec.scenario_id,
+             f"holds 3 rollouts per scenario where {first} holds 2")
+            for rec in cut[1::2]
+        ]
+
+
+def _repack(path, members):
+    """Write ``(name, bytes)`` members as a gzipped tar, in order."""
+    with tarfile.open(path, "w:gz") as tar:
+        for name, blob in members:
+            info = tarfile.TarInfo(name)
+            info.size = len(blob)
+            tar.addfile(info, io.BytesIO(blob))
+
+
+def _members(path):
+    with tarfile.open(path, "r:gz") as tar:
+        return [(m.name, tar.extractfile(m).read()) for m in tar]
+
+
+class TestRecordKinds:
+    """A scenario file holds one scenario record; an archive shard only rollouts records."""
+
+    def test_scenario_file_holding_two_scenarios_is_rejected(self, tmp_path):
+        specs = [SynthSpec(Template.STRAIGHT_ROAD, seed=0), SynthSpec(Template.CURVED_ROAD, seed=1)]
+        write_scenario_dir([generate(spec) for spec in specs], tmp_path, fmt="binary")
+        first, second = tmp_path / "straight_road-s0000.bin", tmp_path / "curved_road-s0001.bin"
+        second.write_bytes(second.read_bytes() + first.read_bytes()[len(MAGIC):])
+        first.unlink()
+        with pytest.raises(ParseError, match="2 scenario records, expected one"):
+            read_scenario_dir(tmp_path)
+
+    def test_shard_holding_a_scenario_record_is_rejected(self, tmp_path):
+        write_submission(tmp_path / "ok.tar.gz", [
+            ScenarioRollouts("alpha", np.array([3, 7]), np.zeros((2, 2, 6, 4)))
+        ], {})
+        write_scenario(golden_scenario(), tmp_path / "scn.bin")
+        scenario_record = (tmp_path / "scn.bin").read_bytes()[len(MAGIC):]
+        (manifest, doc), (shard, blob) = _members(tmp_path / "ok.tar.gz")
+        bad = tmp_path / "bad.tar.gz"
+        _repack(bad, [(manifest, doc), (shard, blob + scenario_record)])
+        with pytest.raises(ParseError, match="a scenario record in a file of rollouts") as info:
+            read_submission(bad)
+        assert info.value.offset == len(blob)
+
+    def test_manifest_that_is_not_an_object_is_rejected(self, tmp_path):
+        _tiny_archive(tmp_path / "ok.tar.gz")
+        members = _members(tmp_path / "ok.tar.gz")
+        bad = tmp_path / "bad.tar.gz"
+        _repack(bad, [("manifest.json", b"[1]")] + members[1:])
+        with pytest.raises(ParseError, match="manifest.json is not a JSON object"):
+            read_submission(bad)
 
 
 def _tiny_archive(path):

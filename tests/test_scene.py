@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from simreal.errors import InconsistentRollouts, MalformedScenario
 from simreal.scene import (
+    POSE_COORDINATE_LIMIT,
     MapFeature,
     MapFeatureKind,
     ObjectType,
@@ -15,6 +17,7 @@ from simreal.scene import (
     ScenarioRollouts,
     Track,
     normalize_heading,
+    rollout_problems,
     simulated_object_ids,
     strip_late_spawns,
 )
@@ -131,6 +134,24 @@ class TestScenarioInvariants:
         track = Track(0, ObjectType.VEHICLE, 4.6, 2.0, 1.8, poses, valid)
         assert np.isnan(track.poses[50, 0]) and not track.valid[50]
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("value", [1e200, -2e7])
+    def test_rejects_valid_pose_beyond_the_coordinate_limit(self, axis, value):
+        poses = make_poses()
+        poses[50, axis] = value
+        with pytest.raises(MalformedScenario, match="track 3: pose at valid index 50 has a "
+                                                    r"coordinate beyond 1e\+07 m"):
+            Track(3, ObjectType.VEHICLE, 4.6, 2.0, 1.8, poses, np.ones(91, bool))
+
+    def test_coordinates_up_to_the_limit_and_at_invalid_steps_are_accepted(self):
+        poses = make_poses()
+        poses[40, :3] = POSE_COORDINATE_LIMIT
+        poses[50, :3] = -1e200
+        valid = np.ones(91, bool)
+        valid[50] = False
+        track = Track(0, ObjectType.VEHICLE, 4.6, 2.0, 1.8, poses, valid)
+        assert track.poses[40, 0] == POSE_COORDINATE_LIMIT
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_polyline_point(self, value):
         with pytest.raises(MalformedScenario, match="finite"):
@@ -237,6 +258,8 @@ class TestScenarioRollouts:
             ScenarioRollouts("test", [0, 1], np.zeros((2, 2, 80, 3)))
         with pytest.raises(MalformedScenario):
             ScenarioRollouts("test", [0, 1], np.zeros((0, 2, 80, 4)))
+        with pytest.raises(MalformedScenario, match="at least one rollout and step"):
+            ScenarioRollouts("test", [0, 1], np.zeros((2, 2, 0, 4)))
 
     def test_rows_sorted_by_id_and_headings_wrapped(self):
         poses = self._poses()
@@ -253,3 +276,36 @@ class TestScenarioRollouts:
         rollouts = ScenarioRollouts("test", [0, 1], self._poses())
         assert rollouts.object_ids == {0, 1}
         assert rollouts.num_steps == 80
+
+
+_POSE_VALUES = st.floats(-50.0, 50.0) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 2e7, -2e7, POSE_COORDINATE_LIMIT, -POSE_COORDINATE_LIMIT]
+)
+
+
+class TestRolloutProblemPoses:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        poses=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 5), st.just(4)),
+            elements=_POSE_VALUES,
+        )
+    )
+    def test_match_the_elementwise_formulas(self, poses):
+        """Finiteness from per-row max and min equals ``np.isfinite(...).all(axis=(2, 3))``."""
+        rollouts = ScenarioRollouts("test", np.arange(poses.shape[1]), poses)
+        scenario = make_scenario([make_track(i) for i in range(poses.shape[1])])
+        finite = np.isfinite(rollouts.rollouts).all(axis=(2, 3))
+        far = (np.abs(rollouts.rollouts[..., :3]) > POSE_COORDINATE_LIMIT).any(axis=(2, 3))
+        far &= finite
+        want = [
+            ("NONFINITE_POSE", f"rollout {k} object {np.argmin(finite[k])} has NaN/Inf")
+            for k in np.flatnonzero(~finite.all(axis=1))
+        ] + [
+            ("OUT_OF_RANGE_POSE",
+             f"rollout {k} object {np.argmax(far[k])} has a coordinate beyond 1e+07 m")
+            for k in np.flatnonzero(far.any(axis=1))
+        ]
+        got = rollout_problems(scenario, rollouts)
+        assert [p for p in got if p[0] in ("NONFINITE_POSE", "OUT_OF_RANGE_POSE")] == want
