@@ -60,11 +60,11 @@ from .scene import (
     ObjectType,
     Scenario,
     ScenarioRollouts,
-    Track,
+    Tracks,
     normalize_heading,
     simulated_object_ids,
     strip_late_spawns,
 )
-from .synth import SynthScenario, SynthSpec, Template, generate, make_suite
+from .synth import SynthScenario, SynthSpec, Template, generate, suite_specs
 
 __version__ = "0.1.0"

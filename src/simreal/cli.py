@@ -40,7 +40,7 @@ from .evaluate import evaluate_dataset, fan_out
 from .harness import SEED_LIMIT, audit_trace, generate_submission
 from .plots import component_bar_chart, replan_curve, save_svg
 from .policies import POLICY_REGISTRY, create_policy
-from .synth import SynthSpec, Template, generate
+from .synth import Template, generate, suite_specs
 
 CONFIG_ENV_VAR = "SIMREAL_CONFIG"
 
@@ -117,20 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_synth(args) -> int:
     if args.count < 1:
         raise InvalidOption(f"--count must be >= 1, got {args.count}")
-    if args.template == "all":
-        templates = list(Template)
-    else:
-        templates = [Template(args.template)]
+    templates = list(Template) if args.template == "all" else [Template(args.template)]
     try:
-        specs = [
-            SynthSpec(
-                template=templates[i % len(templates)],
-                agent_count=args.agents,
-                seed=args.seed + i,
-                noise_level=args.noise,
-            )
-            for i in range(args.count)
-        ]
+        specs = suite_specs(templates, args.count, args.seed, args.noise, args.agents)
     except ValueError as exc:
         raise InvalidOption(f"synth: {exc}") from exc
     items = [generate(spec) for spec in specs]
@@ -238,7 +227,7 @@ def _cmd_evaluate(args) -> int:
             for v in problems:
                 by_code.setdefault(v.code, []).append(v)
             raise ParseError(
-                "archive does not match the scenario set: " + "; ".join(
+                "archive breaks the submission contract: " + "; ".join(
                     f"{code} {', '.join(v.scenario_id for v in vs)} ({vs[0].detail})"
                     for code, vs in by_code.items()
                 ),

@@ -98,7 +98,7 @@ class SceneStates:
     @classmethod
     def from_logged_future(cls, scenario: Scenario) -> "SceneStates":
         """All logged tracks over the future window, with logged validity (K=1)."""
-        ids = tuple(sorted(t.object_id for t in scenario.tracks))
+        ids = tuple(np.sort(scenario.tracks.ids).tolist())
         poses, valid = scenario.future(ids)
         return cls._from_poses(scenario, ids, poses[None], valid[None])
 
@@ -113,20 +113,18 @@ class SceneStates:
         (:func:`simreal.scene.rollout_problems`): every row a track of the
         scenario, over its future length.
         """
-        ids = tuple(int(oid) for oid in rollouts.ids)
+        ids = tuple(rollouts.ids.tolist())
         poses = rollouts.rollouts[np.asarray(ks, dtype=np.intp)]
         return cls._from_poses(scenario, ids, poses, np.ones(poses.shape[:3], dtype=bool))
 
     @classmethod
     def _from_poses(cls, scenario, ids, poses, valid) -> "SceneStates":
-        tracks = [scenario.track(oid) for oid in ids]
-        dims = np.array([(t.length, t.width, t.height) for t in tracks]).reshape(len(ids), 3)
         return cls(
             ids=ids,
             centers=poses[..., :3],
             headings=poses[..., 3],
             valid=valid,
-            dims=dims,
+            dims=scenario.tracks.dims[scenario.tracks.rows(ids)],
             dt=scenario.timestep,
         )
 
@@ -462,7 +460,7 @@ def _road_edge_arrays(states: SceneStates, map_features: Sequence[MapFeature]):
     """
     vals = np.zeros(states.valid.shape)
     ok = np.zeros(states.valid.shape, dtype=bool)
-    edges = _road_edge_segments(tuple(map_features))
+    edges = _road_edge_segments(map_features)
     if edges is None:
         return vals, ok
 
@@ -475,19 +473,21 @@ def _road_edge_arrays(states: SceneStates, map_features: Sequence[MapFeature]):
     return vals, ok
 
 
-@lru_cache(maxsize=64)
-def _road_edge_segments(map_features: tuple[MapFeature, ...]) -> _RoadEdges | None:
-    starts: list[np.ndarray] = []
-    ends: list[np.ndarray] = []
-    for feat in map_features:
-        if feat.kind is not MapFeatureKind.ROAD_EDGE:
-            continue
-        pts = np.asarray(feat.polyline)
-        starts.append(pts[:-1])
-        ends.append(pts[1:])
-    if not starts:
+def _road_edge_segments(map_features: Sequence[MapFeature]) -> _RoadEdges | None:
+    """A map's road-edge segments and grid, or None; maps with equal road edges share one."""
+    edges = [f.polyline for f in map_features if f.kind is MapFeatureKind.ROAD_EDGE]
+    if not edges:
         return None
-    return _RoadEdges(np.concatenate(starts), np.concatenate(ends))
+    starts = np.concatenate([pts[:-1] for pts in edges])
+    ends = np.concatenate([pts[1:] for pts in edges])
+    return _road_edge_grid(np.stack([starts, ends]).tobytes())
+
+
+@lru_cache(maxsize=64)
+def _road_edge_grid(segments: bytes) -> _RoadEdges:
+    """The grid of ``(2, S, 2)`` float64 segment starts and ends given as bytes."""
+    starts, ends = np.frombuffer(segments).reshape(2, -1, 2)
+    return _RoadEdges(starts, ends)
 
 
 # ---------------------------------------------------------------------------

@@ -550,11 +550,11 @@ def closed_loop_rollout(
     k = len(seeds)
     h, t_total = scenario.history_length, scenario.future_length
     n = len(sim_ids)
-    tracks = [scenario.track(oid) for oid in sim_ids]
+    rows = scenario.tracks.rows(sim_ids)
     poses = np.zeros((k, n, h + t_total, 4))
     valid = np.zeros((n, h + t_total), dtype=bool)
-    valid[:, :h] = [trk.valid[:h] for trk in tracks]
-    poses[:, :, :h] = np.where(valid[:, :h, None], [trk.poses[:h] for trk in tracks], 0.0)
+    valid[:, :h] = scenario.tracks.valid[rows, :h]
+    poses[:, :, :h] = np.where(valid[:, :h, None], scenario.tracks.poses[rows, :h], 0.0)
     motion = _history_motion(poses[0], valid, h - 1, scenario.timestep, all_rows, sim_ids)
 
     hashers = [_rollout_hasher(scenario.scenario_id, sim_ids) for _ in seeds]

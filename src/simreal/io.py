@@ -7,10 +7,12 @@ Two interchange forms exist for scenarios and rollout bundles:
   records, each ``[kind:u8][length:u64le][payload]``.  Payload scalars are
   little-endian; floats are 64-bit.  Record kinds: 1 = scenario,
   2 = scenario rollouts.  A scenario file holds exactly one scenario record
-  and an archive shard only rollouts records.  A rollouts payload stores its
-  (K, A, T, 4) pose tensor as one contiguous block, so it decodes with a
-  single ``np.frombuffer``.  A record of another kind and payload bytes left
-  over after parsing are errors.
+  and an archive shard only rollouts records.  A scenario payload stores its
+  N tracks as one block of packed records, ``[id:i64][type:u8][dims:3 f64]
+  [poses:L x 4 f64][valid:L u8]`` (33 + 33 L bytes each), and a rollouts
+  payload its (K, A, T, 4) pose tensor as one contiguous block, so each
+  decodes with a single ``np.frombuffer``.  A record of another kind and
+  payload bytes left over after parsing are errors.
 
 A submission archive is a tar compressed at gzip level 4, holding
 ``manifest.json`` plus binary shards named ``rollouts.<index>-of-<total>.bin``,
@@ -40,17 +42,18 @@ import numpy as np
 
 from .aggregation import MetricsBundle
 from .config import EvalConfig, config_from_dict, config_to_dict
-from .errors import OccupiedOutput, ParseError
+from .errors import MalformedScenario, OccupiedOutput, ParseError
 from .evaluate import DatasetSummary
 from .features import METRIC_ORDER
 from .scene import (
     DEFAULT_ROLLOUT_COUNT,
+    OBJECT_TYPES,
     MapFeature,
     MapFeatureKind,
     ObjectType,
     Scenario,
     ScenarioRollouts,
-    Track,
+    Tracks,
     rollout_problems,
 )
 
@@ -72,6 +75,7 @@ _ARCHIVE_COMPRESSLEVEL = 4
 
 
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
+    tracks = scenario.tracks
     return {
         "format_version": FORMAT_VERSION,
         "scenario_id": scenario.scenario_id,
@@ -81,24 +85,23 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
         "av_track_id": scenario.av_track_id,
         "tracks": [
             {
-                "object_id": t.object_id,
-                "object_type": t.object_type.value,
-                "length": t.length,
-                "width": t.width,
-                "height": t.height,
+                "object_id": oid,
+                "object_type": OBJECT_TYPES[code].value,
+                "length": length,
+                "width": width,
+                "height": height,
                 "states": [
                     {"x": x, "y": y, "z": z, "heading": h, "valid": v}
-                    for (x, y, z, h), v in zip(t.poses.tolist(), t.valid.tolist())
+                    for (x, y, z, h), v in zip(poses, valid)
                 ],
             }
-            for t in scenario.tracks
+            for oid, code, (length, width, height), poses, valid in zip(
+                tracks.ids.tolist(), tracks.types.tolist(), tracks.dims.tolist(),
+                tracks.poses.tolist(), tracks.valid.tolist(),
+            )
         ],
         "map_features": [
-            {
-                "feature_id": f.feature_id,
-                "kind": f.kind.value,
-                "polyline": [list(p) for p in f.polyline],
-            }
+            {"feature_id": f.feature_id, "kind": f.kind.value, "polyline": f.polyline.tolist()}
             for f in scenario.map_features
         ],
     }
@@ -106,28 +109,35 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
 
 def scenario_from_dict(data: Mapping[str, Any], path: str | None = None) -> Scenario:
     try:
-        tracks = tuple(
-            Track(
-                object_id=int(t["object_id"]),
-                object_type=ObjectType(t["object_type"]),
-                length=float(t["length"]),
-                width=float(t["width"]),
-                height=float(t["height"]),
-                poses=np.array(
-                    [
-                        (float(s["x"]), float(s["y"]), float(s["z"]), float(s["heading"]))
-                        for s in t["states"]
-                    ]
-                ).reshape(-1, 4),
-                valid=[bool(s["valid"]) for s in t["states"]],
-            )
-            for t in data["tracks"]
+        docs = data["tracks"]
+        h = int(data.get("history_length", 11))
+        t = int(data.get("future_length", 80))
+        states = [
+            [
+                (float(s["x"]), float(s["y"]), float(s["z"]), float(s["heading"]), bool(s["valid"]))
+                for s in doc["states"]
+            ]
+            for doc in docs
+        ]
+        lengths = {len(rows) for rows in states}
+        if len(lengths) > 1:  # a table needs one length; name the first track off the window
+            oid, n = next((int(doc["object_id"]), len(rows)) for doc, rows in zip(docs, states)
+                          if len(rows) != h + t)
+            raise MalformedScenario(f"track {oid}: expected {h + t} poses, got {n}")
+        table = np.array(states, dtype=float).reshape(len(docs), max(lengths, default=0), 5)
+        tracks = Tracks(
+            ids=[int(doc["object_id"]) for doc in docs],
+            types=[OBJECT_TYPES.index(ObjectType(doc["object_type"])) for doc in docs],
+            dims=np.array([[float(doc[k]) for k in ("length", "width", "height")]
+                           for doc in docs]).reshape(-1, 3),
+            poses=table[..., :4],
+            valid=table[..., 4] != 0.0,
         )
         features = tuple(
             MapFeature(
                 feature_id=int(f["feature_id"]),
                 kind=MapFeatureKind(f["kind"]),
-                polyline=tuple((float(x), float(y)) for x, y in f["polyline"]),
+                polyline=[(float(x), float(y)) for x, y in f["polyline"]],
             )
             for f in data["map_features"]
         )
@@ -137,10 +147,10 @@ def scenario_from_dict(data: Mapping[str, Any], path: str | None = None) -> Scen
             map_features=features,
             av_track_id=int(data["av_track_id"]),
             timestep=float(data.get("timestep", 0.1)),
-            history_length=int(data.get("history_length", 11)),
-            future_length=int(data.get("future_length", 80)),
+            history_length=h,
+            future_length=t,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad scenario document: {exc}", path=path) from exc
 
 
@@ -195,74 +205,67 @@ def _read_str(r: _Reader) -> str:
         r.fail(f"string is not valid UTF-8: {exc.reason}")
 
 
+def _track_dtype(n_states: int) -> np.dtype:
+    """One packed binary track record, fields named as in :class:`Tracks`: 33 + 33 L bytes."""
+    return np.dtype([
+        ("ids", "<i8"),
+        ("types", "u1"),
+        ("dims", "<f8", (3,)),
+        ("poses", "<f8", (n_states, 4)),
+        ("valid", "u1", (n_states,)),
+    ])
+
+
+#: Map feature kinds by their code in binary scenario files.
+_MAP_KINDS = tuple(MapFeatureKind)
+
+
 def _scenario_payload(scenario: Scenario) -> bytes:
-    parts = [_pack_str(scenario.scenario_id)]
-    parts.append(
+    tracks = scenario.tracks
+    block = np.empty(len(tracks), _track_dtype(scenario.history_length + scenario.future_length))
+    for name in block.dtype.names:
+        block[name] = getattr(tracks, name)
+    parts = [
+        _pack_str(scenario.scenario_id),
         struct.pack(
-            "<dHHq",
+            "<dHHqI",
             scenario.timestep,
             scenario.history_length,
             scenario.future_length,
             scenario.av_track_id,
-        )
-    )
-    parts.append(struct.pack("<I", len(scenario.tracks)))
-    for t in scenario.tracks:
-        parts.append(
-            struct.pack("<qB3d", t.object_id, _TYPE_CODE[t.object_type], t.length, t.width, t.height)
-        )
-        parts.append(t.poses.astype("<f8").tobytes())
-        parts.append(t.valid.astype(np.uint8).tobytes())
-    parts.append(struct.pack("<I", len(scenario.map_features)))
+            len(tracks),
+        ),
+        block.tobytes(),
+        struct.pack("<I", len(scenario.map_features)),
+    ]
     for f in scenario.map_features:
-        pts = np.array(f.polyline, dtype="<f8")
-        parts.append(struct.pack("<qBI", f.feature_id, _MAP_CODE[f.kind], len(f.polyline)))
-        parts.append(pts.tobytes())
+        parts.append(struct.pack("<qBI", f.feature_id, _MAP_KINDS.index(f.kind), len(f.polyline)))
+        parts.append(f.polyline.astype("<f8").tobytes())
     return b"".join(parts)
-
-
-_TYPE_CODE = {ObjectType.VEHICLE: 0, ObjectType.PEDESTRIAN: 1, ObjectType.CYCLIST: 2}
-_TYPE_FROM_CODE = {v: k for k, v in _TYPE_CODE.items()}
-_MAP_CODE = {MapFeatureKind.ROAD_EDGE: 0, MapFeatureKind.LANE_CENTER: 1, MapFeatureKind.OTHER: 2}
-_MAP_FROM_CODE = {v: k for k, v in _MAP_CODE.items()}
 
 
 def _scenario_from_payload(r: _Reader) -> Scenario:
     scenario_id = _read_str(r)
-    timestep, h, t, av_id = r.unpack("dHHq")
-    n_states = h + t
-    (n_tracks,) = r.unpack("I")
-    tracks = []
-    for _ in range(n_tracks):
-        oid, code, length, width, height = r.unpack("qB3d")
-        if code not in _TYPE_FROM_CODE:
-            r.fail(f"unknown object type code {code}")
-        poses = r.floats(n_states, 4)
-        flags = np.frombuffer(r.take(n_states), dtype=np.uint8)
-        tracks.append(
-            Track(
-                object_id=oid,
-                object_type=_TYPE_FROM_CODE[code],
-                length=length,
-                width=width,
-                height=height,
-                poses=poses,
-                valid=flags != 0,
-            )
-        )
+    timestep, h, t, av_id, n_tracks = r.unpack("dHHqI")
+    dtype = _track_dtype(h + t)
+    start = r.pos
+    block = np.frombuffer(r.take(n_tracks * dtype.itemsize), dtype=dtype)
+    unknown = block["types"] >= len(OBJECT_TYPES)
+    if unknown.any():
+        row = int(np.argmax(unknown))
+        r.pos = start + row * dtype.itemsize + dtype.fields["poses"][1]  # after the row's header
+        r.fail(f"unknown object type code {block['types'][row]}")
+    tracks = Tracks(*(block[name] for name in dtype.names))
     (n_feats,) = r.unpack("I")
     feats = []
     for _ in range(n_feats):
         fid, code, n_pts = r.unpack("qBI")
-        if code not in _MAP_FROM_CODE:
+        if code >= len(_MAP_KINDS):
             r.fail(f"unknown map feature code {code}")
-        pts = r.floats(n_pts, 2)
-        feats.append(
-            MapFeature(feature_id=fid, kind=_MAP_FROM_CODE[code], polyline=tuple(map(tuple, pts)))
-        )
+        feats.append(MapFeature(fid, _MAP_KINDS[code], r.floats(n_pts, 2)))
     return Scenario(
         scenario_id=scenario_id,
-        tracks=tuple(tracks),
+        tracks=tracks,
         map_features=tuple(feats),
         av_track_id=av_id,
         timestep=timestep,
@@ -379,7 +382,7 @@ def write_scenario_dir(items: Iterable, out_dir: str | Path, fmt: str = "json") 
         write_scenario(scenario, path, fmt)
         written.append(path)
         if fixtures is not None:
-            ids = sorted(t.object_id for t in scenario.tracks)  # fixture row order
+            ids = sorted(scenario.tracks.ids.tolist())  # fixture row order
             fx_doc = {
                 str(oid): {
                     metric.value: {"values": values[row].tolist(), "valid": valid[row].tolist()}
@@ -533,16 +536,21 @@ class ValidationReport:
 
 
 def match_scenarios(
-    archive: SubmissionArchive, scenarios: Mapping[str, Scenario]
+    archive: SubmissionArchive,
+    scenarios: Mapping[str, Scenario],
+    expected_rollouts: int | None = None,
 ) -> tuple[dict[str, ScenarioRollouts], list[Violation]]:
-    """Each scenario's rollouts in ``archive``, and where the archive departs from the set.
+    """Each scenario's rollouts in ``archive``, and every way the archive breaks the contract.
 
-    A scenario held a second time (DUPLICATE_SCENARIO; the first copy is
-    returned), one outside the set (UNKNOWN_SCENARIO) and one of the set
-    with no rollouts (MISSING_SCENARIO) are violations.  So is a returned
-    scenario whose rollout count departs from the manifest's
-    ``rollouts_per_scenario`` or, when the manifest declares none, from the
-    first returned scenario's count (ROLLOUT_COUNT_MISMATCH).
+    Set violations come first: a scenario held a second time
+    (DUPLICATE_SCENARIO; the first copy is returned), one outside the set
+    (UNKNOWN_SCENARIO) and one of the set with no rollouts
+    (MISSING_SCENARIO).  Count violations follow: a returned scenario whose
+    rollout count departs from the manifest's ``rollouts_per_scenario`` or,
+    when the manifest declares none, from the first returned scenario's count
+    (ROLLOUT_COUNT_MISMATCH).  Then, scenario by scenario, a count other than
+    ``expected_rollouts`` when one is given (BAD_ROLLOUT_COUNT) and the
+    problems of :func:`simreal.scene.rollout_problems`.
     """
     records: dict[str, ScenarioRollouts] = {}
     violations: list[Violation] = []
@@ -572,6 +580,15 @@ def match_scenarios(
                 "ROLLOUT_COUNT_MISMATCH", sid,
                 f"holds {len(rec.rollouts)} rollouts per scenario where {source} {want!r}",
             ))
+    for sid, rec in records.items():
+        if expected_rollouts is not None and len(rec.rollouts) != expected_rollouts:
+            violations.append(Violation(
+                "BAD_ROLLOUT_COUNT", sid,
+                f"expected {expected_rollouts} rollouts, found {len(rec.rollouts)}",
+            ))
+        violations += [
+            Violation(code, sid, detail) for code, detail in rollout_problems(scenarios[sid], rec)
+        ]
     return records, violations
 
 
@@ -580,26 +597,10 @@ def validate_submission(
     scenarios: Mapping[str, Scenario],
     expected_rollouts: int = DEFAULT_ROLLOUT_COUNT,
 ) -> ValidationReport:
-    """Check an archive against the scenario set it claims to simulate.
-
-    The set-level violations of :func:`match_scenarios` come first, then
-    each matched scenario's rollout count and contract problems.
-    """
+    """Check an archive against the scenario set it claims to simulate (see match_scenarios)."""
     if not isinstance(archive, SubmissionArchive):
         archive = read_submission(archive)
-    records, violations = match_scenarios(archive, scenarios)
-    for sid, rec in records.items():
-        if len(rec.rollouts) != expected_rollouts:
-            violations.append(
-                Violation(
-                    "BAD_ROLLOUT_COUNT",
-                    sid,
-                    f"expected {expected_rollouts} rollouts, found {len(rec.rollouts)}",
-                )
-            )
-        violations += [
-            Violation(code, sid, detail) for code, detail in rollout_problems(scenarios[sid], rec)
-        ]
+    _, violations = match_scenarios(archive, scenarios, expected_rollouts)
     return ValidationReport(violations=tuple(violations), scenario_count=len(scenarios))
 
 

@@ -101,24 +101,22 @@ class LoggedOraclePolicy(Policy):
 
     def __init__(self, scenario: Scenario):
         h = scenario.history_length
-        ids = sorted(simulated_object_ids(scenario))
-        self._row = {oid: i for i, oid in enumerate(ids)}
-        futures = []
-        for oid in ids:
-            track = scenario.track(oid)
-            # Offsets from t=0, which anchors the hold: simulated objects are valid there.
-            seen = np.where(track.valid[h - 1 :], np.arange(len(track.valid) - h + 1), 0)
-            held = np.maximum.accumulate(seen)[1:] + (h - 1)
-            futures.append(track.poses[held])
-        self._future = np.array(futures).reshape(len(ids), scenario.future_length, 4)
+        self._ids = np.array(sorted(simulated_object_ids(scenario)), dtype=np.int64)
+        rows = scenario.tracks.rows(self._ids)
+        # Offsets from t=0, which anchors the hold: simulated objects are valid there.
+        valid = scenario.tracks.valid[rows, h - 1 :]
+        seen = np.where(valid, np.arange(valid.shape[1]), 0)
+        held = np.maximum.accumulate(seen, axis=1)[:, 1:] + (h - 1)
+        self._future = np.take_along_axis(scenario.tracks.poses[rows], held[..., None], axis=1)
 
     def step(self, context: PolicyContext, rows):
-        try:
-            idx = [self._row[context.ids[r]] for r in rows]
-        except KeyError as exc:
+        want = np.asarray(context.ids)[rows]
+        idx = np.minimum(np.searchsorted(self._ids, want), len(self._ids) - 1)
+        unknown = self._ids[idx] != want
+        if unknown.any():
             raise PolicyContractViolation(
-                f"oracle has no logged future for object {exc.args[0]}"
-            ) from None
+                f"oracle has no logged future for object {want[np.argmax(unknown)]}"
+            )
         future = self._future[idx, min(context.step, self._future.shape[1]) - 1]
         return np.broadcast_to(future, (len(context.seeds),) + future.shape)
 

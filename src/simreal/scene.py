@@ -3,21 +3,22 @@
 A scenario is a history/future pair sampled at a fixed rate: 11 history
 observations (1.1 s, the last of which is the handover step t=0) followed by
 80 future steps (8 s) at 10 Hz.  Time indexing is relative: history steps
--10..0 map to array indices 0..10 and future steps 1..80 map to 11..90, so a
-track's pose buffer is one contiguous sequence of length 91.
+-10..0 map to array indices 0..10 and future steps 1..80 map to 11..90, so an
+object's poses are one contiguous sequence of length 91.
 
-Poses are float64 arrays of ``[x, y, z, heading]`` everywhere: a track holds
-``(L, 4)`` poses with an ``(L,)`` validity mask, and a rollout bundle holds
-``(K, A, T, 4)`` poses for K rollouts of A objects over T future steps.
-Headings are wrapped into [0, 2*pi) wherever a pose enters one of these
-types.  All types are immutable values after construction (their arrays are
-read-only) and safe to share across threads.
+Poses are float64 arrays of ``[x, y, z, heading]`` everywhere: the logged
+objects of a scene are one :class:`Tracks` table holding ``(N, L, 4)`` poses
+with an ``(N, L)`` validity mask, and a rollout bundle holds ``(K, A, T, 4)``
+poses for K rollouts of A objects over T future steps.  Map polylines are
+``(P, 2)`` arrays.  Headings are wrapped into [0, 2*pi) wherever a pose
+enters one of these types.  All types are immutable values after
+construction (their arrays are read-only) and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Iterable, Mapping
 
@@ -67,86 +68,113 @@ class MapFeatureKind(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True, eq=False)
-class Track:
-    """An object's box extents plus its pose at every relative time index.
+#: Object types by their code in :attr:`Tracks.types` (and in binary scenario files).
+OBJECT_TYPES = tuple(ObjectType)
 
-    ``poses`` is (L, 4) as [x, y, z, heading] and ``valid`` is (L,).  Where
+
+@dataclass(frozen=True, eq=False)
+class Tracks:
+    """Every logged object of a scene, one row per object in file order.
+
+    ``ids`` is (N,) int64, ``types`` (N,) uint8 codes into
+    :data:`OBJECT_TYPES`, ``dims`` (N, 3) box extents [length, width,
+    height], fixed for the whole window, ``poses`` (N, L, 4) as [x, y, z,
+    heading] at every relative time index and ``valid`` (N, L).  Where
     ``valid`` is False the pose carries no meaning and consumers must ignore
     it; where it is True the pose must be finite, with x, y and z within
-    :data:`POSE_COORDINATE_LIMIT` as in a submitted rollout.  Extents are
-    fixed for the whole window; they are taken once and never vary over time.
+    :data:`POSE_COORDINATE_LIMIT` as in a submitted rollout.  A bad row is
+    reported by the id of the first such row.
     """
 
-    object_id: int
-    object_type: ObjectType
-    length: float
-    width: float
-    height: float
+    ids: np.ndarray
+    types: np.ndarray
+    dims: np.ndarray
     poses: np.ndarray
     valid: np.ndarray
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0.0 for v in (self.length, self.width, self.height)):
-            raise MalformedScenario(
-                f"track {self.object_id}: box extents must be finite and strictly positive"
-            )
+        ids = np.array(self.ids, dtype=np.int64)
+        types = np.array(self.types, dtype=np.uint8)
+        dims = np.array(self.dims, dtype=float)
         poses = np.array(self.poses, dtype=float)
         valid = np.array(self.valid, dtype=bool)
-        if poses.ndim != 2 or poses.shape[1] != 4 or valid.shape != poses.shape[:1]:
-            raise MalformedScenario(
-                f"track {self.object_id}: expected (L, 4) poses and (L,) validity, "
-                f"got {poses.shape} and {valid.shape}"
-            )
-        bad = valid & ~np.isfinite(poses).all(axis=1)
-        if bad.any():
-            raise MalformedScenario(
-                f"track {self.object_id}: pose at valid index {int(np.argmax(bad))} is not finite"
-            )
-        far = valid & (np.abs(poses[:, :3]) > POSE_COORDINATE_LIMIT).any(axis=1)
-        if far.any():
-            raise MalformedScenario(
-                f"track {self.object_id}: pose at valid index {int(np.argmax(far))} has a "
-                f"coordinate beyond {POSE_COORDINATE_LIMIT:g} m"
-            )
-        poses[:, 3] = normalize_heading(poses[:, 3])
-        object.__setattr__(self, "poses", _frozen(poses))
-        object.__setattr__(self, "valid", _frozen(valid))
+        n = ids.size
+        if (ids.shape != (n,) or types.shape != (n,) or dims.shape != (n, 3) or poses.ndim != 3
+                or poses.shape[::2] != (n, 4) or valid.shape != poses.shape[:2]):
+            shapes = ", ".join(str(a.shape) for a in (ids, types, dims, poses, valid))
+            raise MalformedScenario(f"expected (N,) ids and types, (N, 3) dims, (N, L, 4) "
+                                    f"poses and (N, L) validity, got {shapes}")
+        # Per row and step, in the order the checks run; a row fails on its first.
+        checks = (
+            (types[:, None] >= len(OBJECT_TYPES), "unknown object type code {code}"),
+            (~(np.isfinite(dims) & (dims > 0.0)).all(axis=1, keepdims=True),
+             "box extents must be finite and strictly positive"),
+            (valid & ~np.isfinite(poses).all(axis=2), "pose at valid index {index} is not finite"),
+            (valid & (np.abs(poses[..., :3]) > POSE_COORDINATE_LIMIT).any(axis=2),
+             f"pose at valid index {{index}} has a coordinate beyond {POSE_COORDINATE_LIMIT:g} m"),
+        )
+        failing = np.array([bad.any(axis=1) for bad, _ in checks])  # (checks, N)
+        if failing.any():
+            row = int(np.argmax(failing.any(axis=0)))
+            bad, message = checks[int(np.argmax(failing[:, row]))]
+            detail = message.format(code=types[row], index=np.argmax(bad[row]))
+            raise MalformedScenario(f"track {ids[row]}: {detail}")
+        poses[..., 3] = normalize_heading(poses[..., 3])
+        for f, array in zip(fields(self), (ids, types, dims, poses, valid)):
+            object.__setattr__(self, f.name, _frozen(array))
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
     def __eq__(self, other):
-        if not isinstance(other, Track):
+        if not isinstance(other, Tracks):
             return NotImplemented
-        head = (self.object_id, self.object_type, self.length, self.width, self.height)
-        other_head = (other.object_id, other.object_type, other.length, other.width, other.height)
-        return (
-            head == other_head
-            and np.array_equal(self.poses, other.poses)
-            and np.array_equal(self.valid, other.valid)
-        )
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
+    def rows(self, object_ids) -> np.ndarray:
+        """Row index of each of ``object_ids``; an id with no row raises KeyError."""
+        hit = np.asarray(object_ids, dtype=np.int64).reshape(-1, 1) == self.ids  # (A, N)
+        found = hit.any(axis=1)
+        if not found.all():
+            raise KeyError(int(np.asarray(object_ids).reshape(-1)[np.argmin(found)]))
+        return hit.argmax(axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MapFeature:
-    """A polyline map element (road edge, lane center, or other)."""
+    """A polyline map element (road edge, lane center, or other): ``polyline`` is (P, 2)."""
 
     feature_id: int
     kind: MapFeatureKind
-    polyline: tuple[tuple[float, float], ...]
+    polyline: np.ndarray
 
     def __post_init__(self):
-        pts = tuple((float(x), float(y)) for x, y in self.polyline)
+        pts = np.array(self.polyline, dtype=float)
+        if pts.size == 0:
+            pts = pts.reshape(0, 2)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError(
+                f"map feature {self.feature_id}: expected (P, 2) points, got {pts.shape}"
+            )
         if len(pts) < 2:
             raise MalformedScenario(f"map feature {self.feature_id}: polyline needs >= 2 points")
-        if not all(math.isfinite(v) for pt in pts for v in pt):
+        if not np.isfinite(pts).all():
             raise MalformedScenario(
                 f"map feature {self.feature_id}: polyline points must be finite"
             )
-        for a, b in zip(pts, pts[1:]):
-            if a == b:
-                raise MalformedScenario(
-                    f"map feature {self.feature_id}: consecutive polyline points must differ"
-                )
-        object.__setattr__(self, "polyline", pts)
+        if (pts[1:] == pts[:-1]).all(axis=1).any():
+            raise MalformedScenario(
+                f"map feature {self.feature_id}: consecutive polyline points must differ"
+            )
+        object.__setattr__(self, "polyline", _frozen(pts))
+
+    def __eq__(self, other):
+        if not isinstance(other, MapFeature):
+            return NotImplemented
+        return (self.feature_id, self.kind) == (other.feature_id, other.kind) and (
+            np.array_equal(self.polyline, other.polyline)
+        )
 
 
 @dataclass(frozen=True)
@@ -154,59 +182,50 @@ class Scenario:
     """A logged scene: tracks with validity over history+future, plus the map."""
 
     scenario_id: str
-    tracks: tuple[Track, ...]
+    tracks: Tracks
     map_features: tuple[MapFeature, ...]
     av_track_id: int
     timestep: float = DEFAULT_TIMESTEP
     history_length: int = DEFAULT_HISTORY_LENGTH
     future_length: int = DEFAULT_FUTURE_LENGTH
-    _by_id: Mapping[int, Track] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "tracks", tuple(self.tracks))
         object.__setattr__(self, "map_features", tuple(self.map_features))
         if not (math.isfinite(self.timestep) and self.timestep > 0.0):
             raise MalformedScenario("timestep must be finite and positive")
         if self.history_length < 1 or self.future_length < 1:
             raise MalformedScenario("history and future lengths must be >= 1")
         expected = self.history_length + self.future_length
-        by_id: dict[int, Track] = {}
-        for track in self.tracks:
-            if track.object_id in by_id:
-                raise MalformedScenario(f"duplicate object_id {track.object_id}")
-            if len(track.poses) != expected:
-                raise MalformedScenario(
-                    f"track {track.object_id}: expected {expected} poses, got {len(track.poses)}"
-                )
-            by_id[track.object_id] = track
-        if self.av_track_id not in by_id:
+        ids, valid = self.tracks.ids, self.tracks.valid
+        if len(ids) and valid.shape[1] != expected:
+            raise MalformedScenario(
+                f"track {ids[0]}: expected {expected} poses, got {valid.shape[1]}"
+            )
+        repeated = np.ones(len(ids), dtype=bool)
+        repeated[np.unique(ids, return_index=True)[1]] = False
+        if repeated.any():
+            raise MalformedScenario(f"duplicate object_id {ids[np.argmax(repeated)]}")
+        if not np.any(ids == self.av_track_id):
             raise MalformedScenario(f"AV track {self.av_track_id} not present")
-        t0 = self.history_length - 1
-        n_simulated = sum(1 for t in self.tracks if t.valid[t0])
+        n_simulated = int(np.count_nonzero(valid[:, self.history_length - 1]))
         if n_simulated > MAX_SIMULATED_OBJECTS:
             raise MalformedScenario(
                 f"{n_simulated} objects valid at t=0 exceeds the {MAX_SIMULATED_OBJECTS} limit"
             )
-        object.__setattr__(self, "_by_id", by_id)
 
     @property
     def t0_index(self) -> int:
         """Array index of the handover step t=0 (last history observation)."""
         return self.history_length - 1
 
-    def track(self, object_id: int) -> Track:
-        return self._by_id[object_id]
-
     def future(self, object_ids: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
         """Logged future window (steps 1..T) of some tracks, in the given order.
 
         Returns poses (A, T, 4) and validity (A, T).
         """
-        h, t = self.history_length, self.future_length
-        tracks = [self._by_id[oid] for oid in object_ids]
-        poses = np.array([trk.poses[h:] for trk in tracks]).reshape(len(tracks), t, 4)
-        valid = np.array([trk.valid[h:] for trk in tracks], dtype=bool).reshape(len(tracks), t)
-        return poses, valid
+        rows = self.tracks.rows(list(object_ids))
+        h = self.history_length
+        return self.tracks.poses[rows, h:], self.tracks.valid[rows, h:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +271,7 @@ class ScenarioRollouts:
 
     @property
     def object_ids(self) -> frozenset[int]:
-        return frozenset(int(i) for i in self.ids)
+        return frozenset(self.ids.tolist())
 
     @property
     def num_steps(self) -> int:
@@ -265,8 +284,8 @@ def simulated_object_ids(scenario: Scenario) -> frozenset[int]:
     The AV is always part of this set; an AV that is invalid at t=0 makes the
     scenario unusable.
     """
-    t0 = scenario.t0_index
-    ids = frozenset(t.object_id for t in scenario.tracks if t.valid[t0])
+    tracks = scenario.tracks
+    ids = frozenset(tracks.ids[tracks.valid[:, scenario.t0_index]].tolist())
     if scenario.av_track_id not in ids:
         raise MalformedScenario(f"AV track {scenario.av_track_id} is invalid at t=0")
     return ids
@@ -331,16 +350,10 @@ def strip_late_spawns(scenario: Scenario) -> Scenario:
     Applied to logged data before evaluation so that objects spawning during
     the future cannot bias the logged feature distribution.
     """
-    h = scenario.history_length
-    keep = tuple(t for t in scenario.tracks if t.valid[:h].any())
-    if len(keep) == len(scenario.tracks):
+    tracks = scenario.tracks
+    keep = tracks.valid[:, : scenario.history_length].any(axis=1)
+    if keep.all():
         return scenario
-    return Scenario(
-        scenario_id=scenario.scenario_id,
-        tracks=keep,
-        map_features=scenario.map_features,
-        av_track_id=scenario.av_track_id,
-        timestep=scenario.timestep,
-        history_length=scenario.history_length,
-        future_length=scenario.future_length,
-    )
+    kept = Tracks(tracks.ids[keep], tracks.types[keep], tracks.dims[keep], tracks.poses[keep],
+                  tracks.valid[keep])
+    return replace(scenario, tracks=kept)

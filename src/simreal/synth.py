@@ -12,8 +12,9 @@ from the construction's closed forms (plus a small local point-to-segment
 routine for curved road edges), never from the feature extraction code they
 exist to check.  They take the form extraction returns: per metric, a pair of
 (objects, steps) arrays of values and validity, rows in ascending object id.
-They are array computations over one raw pose array per scene, the same
-poses the tracks hold before their headings are wrapped.  Box corners take
+They are array computations over one raw pose array per scene, the
+``(A, H+T, 4)`` array the scene's :class:`~simreal.scene.Tracks` table is
+built from, before its headings are wrapped.  Box corners take
 ``math.cos`` and ``math.sin``, and box-to-box distances ``math.hypot``,
 element by element, so the fixture bytes do not depend on numpy's build.
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -35,11 +37,12 @@ from .scene import (
     DEFAULT_FUTURE_LENGTH,
     DEFAULT_HISTORY_LENGTH,
     DEFAULT_TIMESTEP,
+    OBJECT_TYPES,
     MapFeature,
     MapFeatureKind,
     ObjectType,
     Scenario,
-    Track,
+    Tracks,
 )
 
 VEHICLE_DIMS = (4.6, 2.0, 1.8)
@@ -349,22 +352,17 @@ def _assemble(
     template: Template, seed: int, plan: _TemplatePlan, t_len: int, dt: float
 ) -> SynthScenario:
     agents, h_len = plan.agents, DEFAULT_HISTORY_LENGTH
-    # (A, H+T, 4) raw poses at steps 1-H..T, computed once for tracks and fixtures.
+    # (A, H+T, 4) raw poses at steps 1-H..T, computed once for the tracks and fixtures.
     poses = np.array([
         [agent.motion.pose((i - (h_len - 1)) * dt) for i in range(h_len + t_len)]
         for agent in agents
     ])
-    tracks = tuple(
-        Track(
-            object_id=agent.object_id,
-            object_type=agent.object_type,
-            length=agent.dims[0],
-            width=agent.dims[1],
-            height=agent.dims[2],
-            poses=track_poses,
-            valid=np.ones(len(track_poses), dtype=bool),
-        )
-        for agent, track_poses in zip(agents, poses)
+    tracks = Tracks(
+        ids=[agent.object_id for agent in agents],
+        types=[OBJECT_TYPES.index(agent.object_type) for agent in agents],
+        dims=[agent.dims for agent in agents],
+        poses=poses,
+        valid=np.ones(poses.shape[:2], dtype=bool),
     )
     scenario = Scenario(
         scenario_id=f"{template.value}-s{seed:04d}",
@@ -422,7 +420,7 @@ def _straight_edges(x_min=-1000.0, x_max=3000.0, half=ROAD_HALF_WIDTH):
 
 def _edges_to_features(polylines) -> list[MapFeature]:
     return [
-        MapFeature(feature_id=i, kind=MapFeatureKind.ROAD_EDGE, polyline=tuple(p))
+        MapFeature(feature_id=i, kind=MapFeatureKind.ROAD_EDGE, polyline=p)
         for i, p in enumerate(polylines)
     ]
 
@@ -611,18 +609,16 @@ def generate(spec: SynthSpec) -> SynthScenario:
     return _assemble(spec.template, spec.seed, plan, t_len, dt)
 
 
-def make_suite(
-    count: int = 20, base_seed: int = 0, noise_level: float = 0.25
-) -> list[SynthScenario]:
-    """A deterministic mixed-template suite for desk-scale evaluation runs."""
-    templates = list(Template)
+def suite_specs(
+    templates: Sequence[Template], count: int, seed: int = 0, noise_level: float = 0.0,
+    agent_count: int | None = None,
+) -> list[SynthSpec]:
+    """``count`` specs taking ``templates`` in turn, spec ``i`` on seed ``seed + i``.
+
+    Every spec is built, and a bad one raises ValueError, before any
+    scenario is generated.
+    """
     return [
-        generate(
-            SynthSpec(
-                template=templates[i % len(templates)],
-                seed=base_seed + i,
-                noise_level=noise_level,
-            )
-        )
+        SynthSpec(templates[i % len(templates)], agent_count, seed + i, noise_level)
         for i in range(count)
     ]

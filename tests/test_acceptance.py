@@ -35,7 +35,7 @@ from simreal.policies import (
     create_policy,
 )
 from simreal.scene import ScenarioRollouts
-from simreal.synth import SynthSpec, Template, generate, make_suite
+from simreal.synth import SynthSpec, Template, generate, suite_specs
 
 from oracles import box_corners, brute_force_signed_distance, random_box, sat_overlap
 
@@ -57,6 +57,11 @@ def _counts(samples, spec):
     return sample_counts(({spec.metric: series}, np.ones(1, np.int64)), spec.metric, spec)
 
 
+def synth_suite(count, seed, noise):
+    """``count`` synthetic scenarios taking every template in turn."""
+    return [generate(spec) for spec in suite_specs(list(Template), count, seed, noise)]
+
+
 def _suite_pairs(suite, policy_name, k=32, base_seed=0):
     pairs = []
     for synth in suite:
@@ -70,7 +75,7 @@ def _suite_pairs(suite, policy_name, k=32, base_seed=0):
 @pytest.fixture(scope="module")
 def baseline_runs():
     """The 20-scenario, 3-baseline experiment shared by criteria 3 and 9."""
-    suite = make_suite(count=20, base_seed=0, noise_level=0.25)
+    suite = synth_suite(20, 0, 0.25)
     start = time.monotonic()
     results = {}
     for name in ("logged-oracle", "constant-velocity", "random"):
@@ -120,7 +125,7 @@ def test_criterion_3_logged_oracle_ceiling(baseline_runs):
 
 def test_criterion_4_replan_rate_trend():
     with criterion(4, "composite degrades monotonically with faster replanning"):
-        suite = make_suite(count=6, base_seed=3, noise_level=0.2)
+        suite = synth_suite(6, 3, 0.2)
         composites = {}
         for interval in (1, 5, 10):
             pairs = []
@@ -280,7 +285,7 @@ def test_criterion_9_displacement_metrics(baseline_runs):
             for bundle in results[name][1]:
                 assert bundle.min_ade <= bundle.ade + 1e-12
 
-        suite = make_suite(count=6, base_seed=21, noise_level=0.2)
+        suite = synth_suite(6, 21, 0.2)
         scored = {}
         for name, factory in (("jitter", _JitteredOracle), ("offset", _OffsetOracle)):
             pairs = []

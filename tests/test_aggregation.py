@@ -135,7 +135,7 @@ class TestDatasetComposite:
 
 def _rollout(scenario, offsets):
     """The logged future of every track, shifted by (dx, dy): (A, T, 4)."""
-    ids = sorted(t.object_id for t in scenario.tracks)
+    ids = sorted(scenario.tracks.ids.tolist())
     poses, _ = scenario.future(ids)
     poses = poses.copy()
     poses[:, :, :2] += offsets
@@ -143,7 +143,7 @@ def _rollout(scenario, offsets):
 
 
 def _bundle(scenario, futures):
-    ids = sorted(t.object_id for t in scenario.tracks)
+    ids = sorted(scenario.tracks.ids.tolist())
     return ScenarioRollouts(scenario.scenario_id, ids, np.stack(futures))
 
 

@@ -446,6 +446,27 @@ class TestEvaluate:
         assert err.count("\n") == 1 and "beyond 1e+07 m" in err, err
         assert not report.exists()
 
+    def test_contract_violation_in_a_later_archive_writes_no_report(
+        self, workspace, tmp_path, capsys
+    ):
+        _, scenarios, archives = workspace
+        archive = read_submission(archives["constant-velocity"])
+        records = sorted((rec for _, rec in archive.entries), key=lambda r: r.scenario_id)
+        far = records[-1].rollouts.copy()
+        far[0, 0, 0, 0] = 1e154
+        records[-1] = ScenarioRollouts(records[-1].scenario_id, records[-1].ids, far)
+        path = tmp_path / "far.tar.gz"
+        write_submission(path, records, archive.manifest)
+        capsys.readouterr()
+        assert main([
+            "evaluate", "--archive", str(archives["constant-velocity"]), "--archive", str(path),
+            "--scenarios", str(scenarios), "--out", str(tmp_path / "multi.json"), "--jobs", "1",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"OUT_OF_RANGE_POSE {records[-1].scenario_id}" in err
+        assert str(path) in err
+        assert not list(tmp_path.glob("multi*"))
+
     @pytest.mark.parametrize("command", ["rollout", "evaluate"])
     @pytest.mark.parametrize("edit", sorted(NON_FINITE_EDITS))
     def test_non_finite_scenario_number_exits_two_without_output(

@@ -13,7 +13,7 @@ from simreal.evaluate import evaluate_dataset, evaluate_scenario
 from simreal.features import MetricKind
 from simreal.harness import generate_submission
 from simreal.policies import ConstantVelocityPolicy, LoggedOraclePolicy, RandomAgentPolicy
-from simreal.scene import ScenarioRollouts
+from simreal.scene import ScenarioRollouts, Tracks
 from simreal.synth import SynthSpec, Template, generate
 
 
@@ -82,10 +82,14 @@ class TestEvaluateScenario:
         ghost_poses = np.zeros((h + t, 4))
         ghost_poses[:, 0] = 1000.0 + np.arange(h + t)
         ghost_poses[:, 1] = 500.0
-        ghost = replace(
-            scenario.tracks[0], object_id=77, poses=ghost_poses, valid=np.arange(h + t) >= h + 5
-        )
-        spawned = replace(scenario, tracks=scenario.tracks + (ghost,))
+        tracks = scenario.tracks
+        spawned = replace(scenario, tracks=Tracks(
+            ids=np.append(tracks.ids, 77),
+            types=np.append(tracks.types, tracks.types[0]),
+            dims=np.vstack([tracks.dims, tracks.dims[:1]]),
+            poses=np.concatenate([tracks.poses, ghost_poses[None]]),
+            valid=np.vstack([tracks.valid, np.arange(h + t) >= h + 5]),
+        ))
         bundle = evaluate_scenario(spawned, rollouts)
         reference = evaluate_scenario(scenario, rollouts)
         for m in MetricKind:

@@ -29,10 +29,9 @@ from simreal.scene import (
     POSE_COORDINATE_LIMIT,
     MapFeature,
     MapFeatureKind,
-    ObjectType,
     Scenario,
     ScenarioRollouts,
-    Track,
+    Tracks,
     rollout_problems,
 )
 from simreal.synth import SynthSpec, Template, generate
@@ -807,10 +806,9 @@ def stacked_states(draw):
 def scenario_with_rollouts(dims, poses, map_features=()):
     """A scenario of ``len(dims)`` boxes (one history step) and its (K, A, T, 4) rollouts."""
     _, a, t, _ = poses.shape
-    tracks = [
-        Track(i, ObjectType.VEHICLE, *dims[i], np.zeros((1 + t, 4)), np.ones(1 + t, dtype=bool))
-        for i in range(a)
-    ]
+    tracks = Tracks(
+        np.arange(a), np.zeros(a), dims, np.zeros((a, 1 + t, 4)), np.ones((a, 1 + t), dtype=bool)
+    )
     scenario = Scenario("batched", tracks, map_features, av_track_id=0,
                         history_length=1, future_length=t)
     return scenario, ScenarioRollouts("batched", np.arange(a), poses)

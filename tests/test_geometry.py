@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -363,7 +364,7 @@ class TestRoadEdgeGrid:
             create_policy("noisy-plan", scenario), k=8, base_seed=0,
         )
         states = SceneStates.from_rollout(scenario, rollouts, range(8))
-        simreal.features._road_edge_segments.cache_clear()
+        simreal.features._road_edge_grid.cache_clear()
         edges = simreal.features._road_edge_segments(scenario.map_features)
         pairs = []
 
@@ -378,3 +379,16 @@ class TestRoadEdgeGrid:
         want = (dist * side).reshape(states.valid.shape + (4,)).max(axis=-1)
         assert got.tobytes() == want.tobytes()
         assert 0 < sum(pairs) < 0.1 * len(corners) * len(edges.starts)
+
+    def test_maps_with_equal_road_edges_share_one_grid(self):
+        def road_edges():
+            scenario = generate(SynthSpec(Template.CURVED_ROAD, seed=0)).scenario
+            return [replace(f, polyline=f.polyline.copy()) for f in scenario.map_features]
+
+        first, second = road_edges(), road_edges()
+        assert first[0].polyline is not second[0].polyline
+        edges = simreal.features._road_edge_segments(first)
+        assert simreal.features._road_edge_segments(second) is edges
+        moved = [replace(first[0], polyline=first[0].polyline + 1.0)] + first[1:]
+        assert simreal.features._road_edge_segments(moved) is not edges
+        assert simreal.features._road_edge_segments(first[1:]) is not edges

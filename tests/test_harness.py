@@ -51,12 +51,10 @@ def poses(future, scenario, oid):
 
 def with_track_poses(scenario, edit):
     """The scenario with ``edit(poses, valid)`` applied to copies of every track."""
-    tracks = []
-    for t in scenario.tracks:
-        p, v = t.poses.copy(), t.valid.copy()
+    poses, valid = scenario.tracks.poses.copy(), scenario.tracks.valid.copy()
+    for p, v in zip(poses, valid):
         edit(p, v)
-        tracks.append(replace(t, poses=p, valid=v))
-    return replace(scenario, tracks=tuple(tracks))
+    return replace(scenario, tracks=replace(scenario.tracks, poses=poses, valid=valid))
 
 
 class TestClosedLoopRollout:
@@ -77,9 +75,8 @@ class TestClosedLoopRollout:
         env = LoggedOraclePolicy(scenario)
         (future,), _ = closed_loop_rollout(scenario, av, env, seeds=(0,))
         h = scenario.history_length
-        for track in scenario.tracks:
-            want = track.poses[h:]
-            np.testing.assert_allclose(poses(future, scenario, track.object_id), want, atol=0.0)
+        for oid, logged in zip(scenario.tracks.ids.tolist(), scenario.tracks.poses):
+            np.testing.assert_allclose(poses(future, scenario, oid), logged[h:], atol=0.0)
 
     def test_seeded_random_rollouts_are_bit_identical(self):
         scenario = straight_scenario()
@@ -362,8 +359,8 @@ class TestBaselines:
         (future,), _ = closed_loop_rollout(
             frozen_scenario, ConstantVelocityPolicy(), ConstantVelocityPolicy(), seeds=(0,)
         )
-        for track in frozen_scenario.tracks:
-            xy = poses(future, frozen_scenario, track.object_id)[:, :2]
+        for oid in frozen_scenario.tracks.ids.tolist():
+            xy = poses(future, frozen_scenario, oid)[:, :2]
             assert np.allclose(xy, xy[0], atol=1e-12)
 
     def test_constant_velocity_single_valid_observation_means_zero_speed(self):
@@ -376,8 +373,8 @@ class TestBaselines:
         (future,), _ = closed_loop_rollout(
             sparse, ConstantVelocityPolicy(), ConstantVelocityPolicy(), seeds=(0,)
         )
-        for track in sparse.tracks:
-            xy = poses(future, sparse, track.object_id)[:, :2]
+        for oid in sparse.tracks.ids.tolist():
+            xy = poses(future, sparse, oid)[:, :2]
             assert np.allclose(xy, xy[0], atol=1e-12)
 
     def test_random_agent_centers_on_av_frame(self):
@@ -385,7 +382,8 @@ class TestBaselines:
         rollouts = generate_submission(
             scenario, RandomAgentPolicy(), RandomAgentPolicy(), k=8, base_seed=0
         )
-        av = scenario.track(scenario.av_track_id).poses[scenario.t0_index]
+        av = scenario.tracks.poses[scenario.tracks.rows([scenario.av_track_id])[0],
+                                   scenario.t0_index]
         mean = rollouts.rollouts[..., :2].reshape(-1, 2).mean(axis=0)
         # mu = (1, 1) in the AV frame; AV heading is 0 in this template.
         assert mean[0] == pytest.approx(av[0] + 1.0, abs=0.05)
@@ -572,7 +570,7 @@ class TestLockstep:
 
 def relabeled(scenario, offset):
     """The scenario with every track id shifted by ``offset``."""
-    tracks = tuple(replace(t, object_id=t.object_id + offset) for t in scenario.tracks)
+    tracks = replace(scenario.tracks, ids=scenario.tracks.ids + offset)
     return replace(scenario, tracks=tracks, av_track_id=scenario.av_track_id + offset)
 
 
@@ -723,10 +721,8 @@ class TestNoiseStreams:
         # The AV keeps a non-negative id and draws noise; the rest hold still.
         scenario = straight_scenario()
         av = scenario.av_track_id
-        tracks = tuple(
-            t if t.object_id == av else replace(t, object_id=-1 - t.object_id)
-            for t in scenario.tracks
-        )
+        ids = scenario.tracks.ids
+        tracks = replace(scenario.tracks, ids=np.where(ids == av, ids, -1 - ids))
         scenario = replace(scenario, tracks=tracks)
         (future,), _ = closed_loop_rollout(
             scenario, NoisyPlanPolicy(), ConstantVelocityPolicy(), seeds=(0,)

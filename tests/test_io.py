@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from simreal.config import DEFAULT_CONFIG, config_from_dict, config_to_dict
-from simreal.errors import OccupiedOutput, ParseError, SimRealError
+from simreal.errors import MalformedScenario, OccupiedOutput, ParseError, SimRealError
 from simreal.evaluate import evaluate_dataset
 from simreal.features import MetricKind
 from simreal.harness import generate_submission
@@ -31,15 +31,16 @@ from simreal.io import (
 )
 from simreal.policies import ConstantVelocityPolicy, LoggedOraclePolicy, create_policy
 from simreal.scene import (
+    OBJECT_TYPES,
     POSE_COORDINATE_LIMIT,
     MapFeature,
     MapFeatureKind,
     ObjectType,
     Scenario,
     ScenarioRollouts,
-    Track,
+    Tracks,
 )
-from simreal.synth import SynthSpec, Template, generate, make_suite
+from simreal.synth import SynthSpec, Template, generate, suite_specs
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,13 +55,19 @@ def small_scenario(rng=None):
         hs = rng.uniform(-10.0, 10.0, n)
         valid = rng.uniform(size=n) > 0.2
         valid[10] = True  # keep simulation set stable
-        poses = np.stack([xs, ys, np.full(n, 0.5), hs], axis=1)
-        return Track(oid, ObjectType.CYCLIST if oid % 2 else ObjectType.VEHICLE,
-                     1.9 + oid, 0.7, 1.6, poses, valid)
+        return np.stack([xs, ys, np.full(n, 0.5), hs], axis=1), valid
 
+    poses, valid = zip(*(track(oid) for oid in range(3)))
     return Scenario(
         scenario_id="roundtrip-1",
-        tracks=(track(0), track(1), track(2)),
+        tracks=Tracks(
+            ids=[0, 1, 2],
+            types=[OBJECT_TYPES.index(ObjectType.CYCLIST if oid % 2 else ObjectType.VEHICLE)
+                   for oid in range(3)],
+            dims=[(1.9 + oid, 0.7, 1.6) for oid in range(3)],
+            poses=poses,
+            valid=valid,
+        ),
         map_features=(
             MapFeature(0, MapFeatureKind.ROAD_EDGE, ((-50.0, 7.0), (50.0, 7.0))),
             MapFeature(1, MapFeatureKind.LANE_CENTER, ((0.0, 0.0), (1.0, 1.0), (2.0, 1.0))),
@@ -68,6 +75,11 @@ def small_scenario(rng=None):
         ),
         av_track_id=0,
     )
+
+
+def suite(count, seed, noise):
+    """``count`` synthetic scenarios taking every template in turn."""
+    return [generate(spec) for spec in suite_specs(list(Template), count, seed, noise)]
 
 
 class TestScenarioRoundTrip:
@@ -87,7 +99,26 @@ class TestScenarioRoundTrip:
         doc["tracks"][0]["states"][0]["heading"] = 7.0
         path.write_text(json.dumps(doc))
         back = read_scenario(path)
-        assert back.tracks[0].poses[0, 3] == pytest.approx(7.0 - TWO_PI)
+        assert back.tracks.poses[0, 0, 3] == pytest.approx(7.0 - TWO_PI)
+
+    @pytest.mark.parametrize("edit,error,message", [
+        (lambda doc: doc["tracks"][1]["states"].pop(), MalformedScenario,
+         "track 1: expected 91 poses, got 90"),
+        (lambda doc: doc["tracks"][2].update(length=0.0), MalformedScenario,
+         "track 2: box extents must be finite and strictly positive"),
+        (lambda doc: doc["tracks"][1]["states"][4].update(x=10**400), ParseError,
+         "bad scenario document: int too large to convert to float"),
+        (lambda doc: doc["map_features"][0]["polyline"][0].append(1.0), ParseError,
+         "bad scenario document"),
+    ], ids=["short-track", "zero-length", "huge-int", "three-coordinate-point"])
+    def test_bad_document_names_its_fault(self, tmp_path, edit, error, message):
+        path = tmp_path / "scn.json"
+        write_scenario(small_scenario(), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error, match=message):
+            read_scenario(path)
 
     def test_truncated_binary_reports_offset(self, tmp_path):
         scenario = small_scenario()
@@ -123,10 +154,41 @@ class TestScenarioRoundTrip:
             assert read_scenario(path) == scenario
 
 
-# sha256 of a fixed synthetic scenario in the binary format, and of the
-# uncompressed shard of its k=2 constant-velocity submission.  The shard is
-# hashed rather than the .tar.gz so the zlib build cannot change the digest.
-GOLDEN_SCENARIO_SHA256 = "0940f94f720fcca8d2d26fba2cd21bd394dd29c0e308e79370c8746cb45776bd"
+# sha256 of synthetic scenario files in both formats, keyed by (template,
+# agents, seed) at noise 0.2 as for the fixtures below, and of the
+# uncompressed shard of the following_pair scenario's k=2 constant-velocity
+# submission.  The shard is hashed rather than the .tar.gz so the zlib build
+# cannot change the digest.
+GOLDEN_SCENARIO_SHA256 = {
+    ("straight_road", None, 3): (
+        "9b3a7fd11b1913d74a3f2b31a527181656bda0a267b1266987ed20dd5bf45858",
+        "fe63227692022f03dfba4da1ea5f1ba2cff7b65dab54d4d6694ab5b040e8db53",
+    ),
+    ("curved_road", None, 3): (
+        "7ee14f8994d9cee5498e45ea047d6a5d2991562257f480fe5907a187c30bdc31",
+        "4663cfa6ae2d968d1743db1204d04e03998eb3e70dec04bbadb38e460dfb4360",
+    ),
+    ("four_way_intersection", None, 3): (
+        "55ab48f50f3a01e7f2908b048d142a682d4d4dd07bfa3a332a42bcdcce2238d9",
+        "21f86ae335337627cb6ba28674adff9d3b597cab782a318bc4da19669d4e25ae",
+    ),
+    ("following_pair", None, 3): (
+        "56eaea903fc4ce8edd8bab6df69a82e4d8fa615896d6854358fae32b0ef7778a",
+        "0940f94f720fcca8d2d26fba2cd21bd394dd29c0e308e79370c8746cb45776bd",
+    ),
+    ("collision_course", None, 3): (
+        "75622d2178e9854990f45b9e19aa2ded9cc564d4843183c6db714ab5d7870511",
+        "56eba2e8e096254fcc19fccefd29912d037ec1bb21d688ed2d137f4ad72890d4",
+    ),
+    ("offroad_drift", None, 3): (
+        "2ec6a74f32eb5e41de7a17934ea2fbc648939227027ce5ee4e002b7e70d20718",
+        "800696cbc76b7278b89221934cae1012aec9b415441d4669e04d0685ac9f2c1b",
+    ),
+    ("straight_road", 64, 0): (
+        "00f721713e24cca47024b7320970806bbc74279ee0e4cf8da0f4e16c1ef783ed",
+        "d49c085ff8fa754ca6b3848b9b1391eee58498909ec53bae502fc661b9fcbdc2",
+    ),
+}
 GOLDEN_SHARD_SHA256 = "847c5fe27b8b0777a28f3b665b3b0c8a6272aced6ef55298a338b05c5c7219e8"
 # Shards of k=2 submissions from the noise-drawing policies, which pin the
 # random streams keyed by (seed, step, object).  A replan interval of 200 holds
@@ -160,12 +222,18 @@ def golden_scenario():
 
 
 class TestBinaryFormatPinned:
-    def test_golden_scenario_and_shard_bytes(self, tmp_path):
+    @pytest.mark.parametrize("template,agents,seed", sorted(GOLDEN_SCENARIO_SHA256, key=str))
+    def test_golden_scenario_bytes(self, tmp_path, template, agents, seed):
+        scenario = generate(SynthSpec(Template(template), agents, seed, noise_level=0.2)).scenario
+        digests = []
+        for suffix in (".json", ".bin"):
+            write_scenario(scenario, tmp_path / f"s{suffix}")
+            digests.append(hashlib.sha256((tmp_path / f"s{suffix}").read_bytes()).hexdigest())
+            assert read_scenario(tmp_path / f"s{suffix}") == scenario
+        assert tuple(digests) == GOLDEN_SCENARIO_SHA256[template, agents, seed]
+
+    def test_golden_shard_bytes(self, tmp_path):
         scenario = golden_scenario()
-        write_scenario(scenario, tmp_path / "s.bin")
-        assert hashlib.sha256((tmp_path / "s.bin").read_bytes()).hexdigest() == (
-            GOLDEN_SCENARIO_SHA256
-        )
         rollouts = generate_submission(
             scenario, ConstantVelocityPolicy(), ConstantVelocityPolicy(), k=2, base_seed=0
         )
@@ -235,6 +303,17 @@ class TestMalformedBinary:
             read_scenario(path)
         assert err.value.offset == 19
 
+    def test_unknown_object_type_code_names_its_offset(self, tmp_path):
+        path, blob = self._blob(tmp_path)
+        # magic, record header, id "following_pair-s0003", scenario header, then
+        # 33 + 33 * 91 bytes a track: [id:8][type:1][dims:24][poses][flags].
+        block = 8 + 9 + 2 + 20 + 24
+        blob[block + 3036 + 8] = 7  # track 1's type code
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match="unknown object type code 7") as err:
+            read_scenario(path)
+        assert err.value.offset == block + 3036 + 33
+
     def test_unknown_record_kind_is_rejected(self, tmp_path):
         path, blob = self._blob(tmp_path)
         path.write_bytes(bytes(blob) + bytes([9]) + (0).to_bytes(8, "little"))
@@ -272,10 +351,10 @@ class TestMalformedBinary:
 @pytest.fixture(scope="module")
 def suite_and_archive(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("archive")
-    suite = make_suite(count=4, base_seed=0, noise_level=0.1)
-    scenarios = {s.scenario.scenario_id: s.scenario for s in suite}
+    synths = suite(4, 0, 0.1)
+    scenarios = {s.scenario.scenario_id: s.scenario for s in synths}
     all_rollouts = []
-    for synth in suite:
+    for synth in synths:
         scenario = synth.scenario
         rollouts = generate_submission(
             scenario,
@@ -516,10 +595,10 @@ class TestArchiveIntegrity:
 
 class TestScenarioDir:
     def test_synth_dir_round_trip(self, tmp_path):
-        suite = make_suite(count=3, base_seed=5, noise_level=0.0)
-        write_scenario_dir(suite, tmp_path)
+        synths = suite(3, 5, 0.0)
+        write_scenario_dir(synths, tmp_path)
         back = read_scenario_dir(tmp_path)
-        assert set(back) == {s.scenario.scenario_id for s in suite}
+        assert set(back) == {s.scenario.scenario_id for s in synths}
         fixture_files = list(tmp_path.glob("*.fixtures.json"))
         assert len(fixture_files) == 3
 
@@ -549,9 +628,8 @@ class TestScenarioDir:
 
 class TestReports:
     def _bundles(self):
-        suite = make_suite(count=2, base_seed=1, noise_level=0.1)
         pairs = []
-        for synth in suite:
+        for synth in suite(2, 1, 0.1):
             scenario = synth.scenario
             oracle = LoggedOraclePolicy(scenario)
             env = LoggedOraclePolicy(scenario)

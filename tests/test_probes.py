@@ -1,12 +1,14 @@
-"""The benchmark's span probes still find, wrap and restore every name they time.
+"""The benchmark still finds every library name it uses.
 
-``bench/probes.py`` replaces library names by attribute, so renaming one of
-them breaks ``bench/run.py --trace 1``; this test makes it break tier-1 too.
+``bench/probes.py`` replaces library names by attribute, and ``bench/run.py``
+reads the synthesized scenario set through the library, so renaming one of
+those names breaks the benchmark; these tests make it break tier-1 too.
 """
 
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -14,6 +16,7 @@ if str(BENCH) not in sys.path:
     sys.path.insert(0, str(BENCH))
 
 import probes  # noqa: E402
+import run  # noqa: E402
 from spans import Tracer  # noqa: E402
 
 import simreal.estimators  # noqa: E402
@@ -56,3 +59,14 @@ def test_probes_wrap_evaluation_and_restore_the_originals():
     assert tracer.counts["estimators.rollouts_in"] == 2
     assert tracer.durations("geometry.box_distance")
     assert tracer.durations("geometry.polyline")
+
+
+def test_bench_pipeline_reads_the_scenario_set_it_synthesizes(tmp_path):
+    workload = replace(run.WORKLOADS["dense_noisy"], agents=2)
+    outcome = run.Outcome()
+    pipe = run.Pipeline(workload, 0, tmp_path, outcome)
+    pipe.synth(Tracer())
+    assert outcome.correct, outcome.problems
+    inputs = pipe.inputs()
+    assert (inputs["scenarios"], inputs["agents"], inputs["simulated_objects"]) == (1, 2, 2)
+    assert inputs["scored_object_steps"] == 2 * 80 * workload.k

@@ -5,7 +5,7 @@ import pytest
 
 from simreal.features import BOOLEAN_METRICS, MetricKind, SceneStates, extract_features
 from simreal.scene import simulated_object_ids, strip_late_spawns
-from simreal.synth import SynthSpec, Template, generate, make_suite
+from simreal.synth import SynthSpec, Template, generate, suite_specs
 
 KINEMATIC = {
     MetricKind.LINEAR_SPEED,
@@ -20,7 +20,7 @@ KINEMATIC = {
 def test_features_reproduce_fixtures(template, noise):
     synth = generate(SynthSpec(template, seed=3, noise_level=noise))
     states = SceneStates.from_logged_future(synth.scenario)
-    assert list(states.ids) == sorted(t.object_id for t in synth.scenario.tracks)
+    assert list(states.ids) == sorted(synth.scenario.tracks.ids.tolist())
     feats = extract_features(states, synth.scenario.map_features)
     assert len(synth.fixtures) >= 6
     for metric, (values, valid) in synth.fixtures.items():
@@ -42,9 +42,7 @@ def test_deterministic_in_template_and_seed(template):
     b = generate(SynthSpec(template, seed=9, noise_level=0.4))
     assert a.scenario == b.scenario
     c = generate(SynthSpec(template, seed=10, noise_level=0.4))
-    tracks_a = [t.poses[:, :2].tolist() for t in a.scenario.tracks]
-    tracks_c = [t.poses[:, :2].tolist() for t in c.scenario.tracks]
-    assert tracks_a != tracks_c
+    assert not np.array_equal(a.scenario.tracks.poses[..., :2], c.scenario.tracks.poses[..., :2])
 
 
 @pytest.mark.parametrize("template", list(Template))
@@ -75,7 +73,7 @@ def test_curved_road_angular_speed_fixture_value():
 
 def test_heading_wrap_occurs_in_curved_template():
     scenario = generate(SynthSpec(Template.CURVED_ROAD, seed=0)).scenario
-    headings = scenario.tracks[0].poses[:, 3].tolist()
+    headings = scenario.tracks.poses[0, :, 3].tolist()
     jumps = np.abs(np.diff(headings))
     assert jumps.max() > 5.0  # raw stored headings wrap through 2*pi
 
@@ -90,8 +88,16 @@ def test_agent_count_minimum_enforced():
         SynthSpec(Template.COLLISION_COURSE, agent_count=1)
 
 
-def test_make_suite_covers_all_templates():
-    suite = make_suite(count=12, base_seed=0, noise_level=0.2)
-    assert len(suite) == 12
+def test_suite_specs_cover_all_templates():
+    specs = suite_specs(list(Template), 12, seed=0, noise_level=0.2)
+    assert len(specs) == 12
+    assert [spec.template for spec in specs] == list(Template) * 2
+    assert [spec.seed for spec in specs] == list(range(12))
+    suite = [generate(spec) for spec in specs]
     templates = {s.scenario.scenario_id.split("-s")[0] for s in suite}
     assert templates == {t.value for t in Template}
+
+
+def test_suite_specs_check_every_spec_first():
+    with pytest.raises(ValueError, match="agent count 1: following_pair needs >= 2 agents"):
+        suite_specs([Template.STRAIGHT_ROAD, Template.FOLLOWING_PAIR], 3, agent_count=1)
