@@ -84,13 +84,12 @@ DEFAULT_FEATURE_PARAMS = FeatureParams()
 class SceneStates:
     """Array view of K joint futures of one scene, shared by all feature ops.
 
-    ``centers`` is (K, A, T, 3), ``headings`` and ``valid`` are (K, A, T),
-    ``dims`` is (A, 3) as [length, width, height].  Row order follows ``ids``.
+    ``poses`` is (K, A, T, 4) as [x, y, z, heading], ``valid`` is (K, A, T)
+    and ``dims`` is (A, 3) as [length, width, height].  Row order follows ``ids``.
     """
 
     ids: tuple[int, ...]
-    centers: np.ndarray
-    headings: np.ndarray
+    poses: np.ndarray
     valid: np.ndarray
     dims: np.ndarray
     dt: float
@@ -119,27 +118,26 @@ class SceneStates:
 
     @classmethod
     def _from_poses(cls, scenario, ids, poses, valid) -> "SceneStates":
-        return cls(
-            ids=ids,
-            centers=poses[..., :3],
-            headings=poses[..., 3],
-            valid=valid,
-            dims=scenario.tracks.dims[scenario.tracks.rows(ids)],
-            dt=scenario.timestep,
-        )
+        dims = scenario.tracks.dims[scenario.tracks.rows(ids)]
+        return cls(ids, poses, valid, dims, scenario.timestep)
 
 
 def _boxes(states: SceneStates) -> np.ndarray:
     """(K, A, T, 5) [cx, cy, heading, length, width] box of every object at every step."""
-    shape = states.valid.shape
     return np.concatenate(
         [
-            states.centers[..., :2],
-            states.headings[..., None],
-            np.broadcast_to(states.dims[:, None, 0:2], shape + (2,)),
+            states.poses[..., :2],
+            states.poses[..., 3:],
+            np.broadcast_to(states.dims[:, None, 0:2], states.valid.shape + (2,)),
         ],
         axis=-1,
     )
+
+
+def _pair_offsets(states: SceneStates) -> tuple[np.ndarray, np.ndarray]:
+    """(K, A, A, T) x and y offsets, ``[k, i, j, t]`` from object i's centre to object j's."""
+    x, y = states.poses[..., 0], states.poses[..., 1]
+    return x[:, None, :, :] - x[:, :, None, :], y[:, None, :, :] - y[:, :, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +180,10 @@ _BROAD_PHASE_REL_SLACK = 1e-12
 _BOX_CHUNK = 4096
 
 
-def _nearest_object_arrays(states: SceneStates):
+def _nearest_object_arrays(states: SceneStates, boxes, dx, dy):
     """Signed box distance to the nearest other object, per object per step.
+
+    ``boxes`` is :func:`_boxes` and ``dx``, ``dy`` are :func:`_pair_offsets` of ``states``.
 
     Pairs are gated on vertical overlap of the two boxes; when no other
     object overlaps vertically the plain 2D minimum is used instead.  A scene
@@ -223,24 +223,20 @@ def _nearest_object_arrays(states: SceneStates):
     diag = np.arange(a)
     both_valid[:, diag, diag, :] = False  # no self pairs
 
-    z = states.centers[..., 2]
+    z = states.poses[..., 2]
     half_heights = states.dims[:, 2] / 2.0
-    zgap = np.abs(z[:, :, None, :] - z[:, None, :, :])
     zlim = half_heights[:, None] + half_heights[None, :]
-    gated = both_valid & (zgap <= zlim[:, :, None])
+    gated = both_valid & (np.abs(z[:, :, None, :] - z[:, None, :, :]) <= zlim[:, :, None])
     has_gated = gated.any(axis=2)
     has_any = both_valid.any(axis=2)
     # Pairs with no vertical overlap fall back to the plain 2D minimum so the
     # step still scores.
     defining = np.where(has_gated[:, :, None, :], gated, both_valid)
 
-    xy = states.centers[..., :2]
-    cd = np.hypot(
-        xy[:, :, None, :, 0] - xy[:, None, :, :, 0], xy[:, :, None, :, 1] - xy[:, None, :, :, 1]
-    )  # (K, A, A, T)
+    cd = np.hypot(dx, dy)  # (K, A, A, T)
     upper = np.where(defining, cd, np.inf).min(axis=2)  # (K, A, T)
-    finite = np.isfinite(xy).all(axis=-1) & np.isfinite(states.headings)
-    scale = np.where(finite[..., None], np.abs(xy), 0.0).reshape(k, -1).max(axis=1)
+    finite = np.isfinite(boxes[..., :3]).all(axis=-1)  # x, y and heading
+    scale = np.where(finite[..., None], np.abs(boxes[..., :2]), 0.0).reshape(k, -1).max(axis=1)
     slack = _BROAD_PHASE_SLACK + _BROAD_PHASE_REL_SLACK * scale  # (K,)
 
     iu, ju = np.triu_indices(a, 1)
@@ -250,8 +246,10 @@ def _nearest_object_arrays(states: SceneStates):
     need = both_valid[:, iu, ju] & (~(lower > reach) | ~(finite[:, iu] & finite[:, ju]))
     roll, pair, step = np.nonzero(need)
     rows, cols = iu[pair], ju[pair]
+    # The caller holds the (K, A, A, T) offsets for the TTC kernel, so free the
+    # bounds before ``dist`` to keep this kernel's peak below that one's.
+    del cd, lower, reach
 
-    boxes = _boxes(states)
     pair_d = np.empty(len(step))
     for lo in range(0, len(step), _BOX_CHUNK):
         at = slice(lo, lo + _BOX_CHUNK)
@@ -261,8 +259,8 @@ def _nearest_object_arrays(states: SceneStates):
     dist = np.full((k, a, a, t), np.inf)
     dist[roll, rows, cols, step] = pair_d
     dist[roll, cols, rows, step] = pair_d
-
-    vals = np.where(defining, dist, np.inf).min(axis=2)
+    np.copyto(dist, np.inf, where=~defining)
+    vals = dist.min(axis=2)
     return _masked(vals, has_any), has_any
 
 
@@ -280,8 +278,11 @@ def _event_series(per_step_vals, per_step_ok, predicate):
     return _masked(vals, ok), ok
 
 
-def _ttc_arrays(states: SceneStates, speed_vals, speed_ok, params: FeatureParams):
+def _ttc_arrays(states: SceneStates, dx, dy, speed_vals, speed_ok, params: FeatureParams):
     """Constant-speed time to reach the followed object, capped at ttc_max.
+
+    ``dx``, ``dy`` are :func:`_pair_offsets` of ``states``, indexed [rollout,
+    follower, leader, step].
 
     An object follows a leader when the leader is longitudinally ahead with a
     positive bumper gap, laterally within the shared corridor, and heading
@@ -310,11 +311,8 @@ def _ttc_arrays(states: SceneStates, speed_vals, speed_ok, params: FeatureParams
         # Follower/leader tensors are (K, A, A, T), indexed [rollout, follower,
         # leader, step]; rollout_features stacks few enough rollouts that K*A*A
         # stays at the size of one 32-object scene.
-        h = states.headings
+        h = states.poses[..., 3]
         hx, hy = np.cos(h), np.sin(h)
-        x, y = states.centers[..., 0], states.centers[..., 1]
-        dx = x[:, None, :, :] - x[:, :, None, :]
-        dy = y[:, None, :, :] - y[:, :, None, :]
         lon = hx[:, :, None, :] * dx + hy[:, :, None, :] * dy
         half_len = states.dims[:, 0] / 2.0
         gap = lon - (half_len[:, None] + half_len[None, :])[:, :, None]
@@ -451,12 +449,12 @@ def _nearest_edge(pts: np.ndarray, edges: _RoadEdges) -> tuple[np.ndarray, np.nd
     return dist, side
 
 
-def _road_edge_arrays(states: SceneStates, map_features: Sequence[MapFeature]):
+def _road_edge_arrays(states: SceneStates, boxes, map_features: Sequence[MapFeature]):
     """Signed distance from the most off-road box corner to the nearest road edge.
 
-    Positive values are off the drivable area (left of the edge direction),
-    negative values are inside.  A map without road edges yields all-invalid
-    series.
+    ``boxes`` is :func:`_boxes` of ``states``.  Positive values are off the
+    drivable area (left of the edge direction), negative values are inside.
+    A map without road edges yields all-invalid series.
     """
     vals = np.zeros(states.valid.shape)
     ok = np.zeros(states.valid.shape, dtype=bool)
@@ -465,7 +463,7 @@ def _road_edge_arrays(states: SceneStates, map_features: Sequence[MapFeature]):
         return vals, ok
 
     ok = states.valid.copy()
-    corners = _boxes_corners(_boxes(states)[ok]).reshape(-1, 2)  # 4 per valid slot
+    corners = _boxes_corners(boxes[ok]).reshape(-1, 2)  # 4 per valid slot
     d, side = _nearest_edge(corners, edges)
     # Drivable area sits on the right of road-edge polylines, so the left
     # side is off-road and signs positive.
@@ -503,15 +501,19 @@ def extract_features(
 
     Each metric maps to ``(values, valid)`` arrays shaped (K, A, T), rows in
     ``states.ids`` order; invalid slots hold 0.  Shared intermediates
-    (speeds, pairwise distances) are computed once.
+    (speeds, boxes, pairwise offsets) are computed once.
     """
-    dt, valid = states.dt, states.valid
+    dt, valid, poses = states.dt, states.valid, states.poses
     # 3D speed, and the signed heading rate along the shortest rotation.
-    speed = _backward_difference(np.linalg.norm(np.diff(states.centers, axis=-2), axis=-1),
+    speed = _backward_difference(np.linalg.norm(np.diff(poses[..., :3], axis=-2), axis=-1),
                                  valid, dt)
-    angular = _backward_difference(_wrap_signed(np.diff(states.headings, axis=-1)), valid, dt)
-    nearest = _nearest_object_arrays(states)
-    road_edge = _road_edge_arrays(states, map_features)
+    angular = _backward_difference(_wrap_signed(np.diff(poses[..., 3], axis=-1)), valid, dt)
+    boxes = _boxes(states)
+    offsets = _pair_offsets(states)
+    nearest = _nearest_object_arrays(states, boxes, *offsets)
+    ttc = _ttc_arrays(states, *offsets, *speed, params)
+    del offsets  # (K, A, A, T) each: released before the road-edge kernel runs
+    road_edge = _road_edge_arrays(states, boxes, map_features)
     return {
         MetricKind.LINEAR_SPEED: speed,
         MetricKind.LINEAR_ACCEL: _backward_difference(np.diff(speed[0], axis=-1), speed[1], dt),
@@ -521,7 +523,7 @@ def extract_features(
         ),
         MetricKind.DIST_TO_NEAREST_OBJECT: nearest,
         MetricKind.COLLISION: _event_series(*nearest, lambda v: v < 0.0),
-        MetricKind.TIME_TO_COLLISION: _ttc_arrays(states, *speed, params),
+        MetricKind.TIME_TO_COLLISION: ttc,
         MetricKind.DIST_TO_ROAD_EDGE: road_edge,
         MetricKind.OFFROAD: _event_series(*road_edge, lambda v: v > 0.0),
     }

@@ -422,32 +422,36 @@ class PolicyContext:
         return motion[:, 0], motion[:, 1], motion[:, 2]
 
 
-def _shaped_poses(out, k: int, n: int, who: str, step: int) -> np.ndarray:
-    """A policy's output as a (k, n, 4) float array, or a contract violation."""
-    try:
-        poses = np.asarray(out, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise PolicyContractViolation(
-            f"{who} policy at step {step}: output is not a pose array ({exc})"
-        ) from exc
-    if poses.shape != (k, n, 4):
-        raise PolicyContractViolation(
-            f"{who} policy at step {step}: expected ({k}, {n}, 4) poses for its "
-            f"controlled objects in each rollout, got shape {poses.shape}"
-        )
-    return poses
+def _step_policies(ctx: PolicyContext, queries, out: np.ndarray) -> None:
+    """Step every ``(policy, rows, who)`` of ``queries`` at ``ctx.step`` into ``out[:, rows]``.
 
-
-def _finish_poses(poses: np.ndarray, ids: Sequence[int], step: int) -> None:
-    """Reject non-finite rows of (K, n, 4) ``poses`` and wrap their headings in place.
-
-    Row i is object ``ids[i]`` in every rollout.
+    ``out`` is the step's (K, A, 4) poses, rows in ``ctx.ids`` order.  Every
+    policy is queried against the same context before any output is looked
+    at.  Each output must then be a (K, len(rows), 4) float array, every row
+    of ``out`` must be finite, and each heading is wrapped in place.
     """
-    finite = np.isfinite(poses)
+    outputs = [policy.step(ctx, rows) for policy, rows, _ in queries]
+    k = len(ctx.seeds)
+    for (_, rows, who), output in zip(queries, outputs):
+        try:
+            poses = np.asarray(output, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise PolicyContractViolation(
+                f"{who} policy at step {ctx.step}: output is not a pose array ({exc})"
+            ) from exc
+        if poses.shape != (k, len(rows), 4):
+            raise PolicyContractViolation(
+                f"{who} policy at step {ctx.step}: expected ({k}, {len(rows)}, 4) poses for its "
+                f"controlled objects in each rollout, got shape {poses.shape}"
+            )
+        out[:, rows] = poses
+    finite = np.isfinite(out)
     if not finite.all():
-        bad = [ids[i] for i in np.flatnonzero(~finite.all(axis=(0, 2)))]
-        raise PolicyContractViolation(f"policy output at step {step}: objects {bad} are not finite")
-    poses[..., 3] = normalize_heading(poses[..., 3])
+        bad = [ctx.ids[i] for i in np.flatnonzero(~finite.all(axis=(0, 2)))]
+        raise PolicyContractViolation(
+            f"policy output at step {ctx.step}: objects {bad} are not finite"
+        )
+    out[..., 3] = normalize_heading(out[..., 3])
 
 
 class Policy(ABC):
@@ -465,34 +469,28 @@ class Policy(ABC):
         """Produce ``horizon`` consecutive steps without re-observing others.
 
         Returns (horizon, K, len(rows), 4).  The default rolls :meth:`step`
-        forward against virtually extended contexts in which only the
-        policy's own outputs advance; other objects stay frozen at their last
-        known (now stale) state.  Plan holders use this to emulate slower
-        replanning.
+        forward, with the checks the rollout applies to every step, against
+        virtually extended contexts in which only the policy's own outputs
+        advance; other objects stay frozen at their last known (now stale)
+        state.  Plan holders use this to emulate slower replanning.
         """
         k, a, length, _ = context.poses.shape
-        outputs = np.empty((horizon, k, len(rows), 4))
-        poses = np.zeros((k, a, length + horizon - 1, 4))
-        valid = np.zeros((a, length + horizon - 1), dtype=bool)
+        poses = np.zeros((k, a, length + horizon, 4))
+        valid = np.zeros((a, length + horizon), dtype=bool)
         poses[:, :, :length] = context.poses
         valid[:, :length] = context.valid
         ctx = context
-        own_ids = [context.ids[r] for r in rows]
         for j in range(horizon):
-            outputs[j] = _shaped_poses(self.step(ctx, rows), k, len(rows), "planning", ctx.step)
-            _finish_poses(outputs[j], own_ids, ctx.step)
-            if j == horizon - 1:
-                break
-            poses[:, rows, length + j] = outputs[j]
+            if j:
+                ctx = replace(
+                    ctx,
+                    step=context.step + j,
+                    poses=_read_only(poses[:, :, : length + j]),
+                    valid=_read_only(valid[:, : length + j]),
+                )
+            _step_policies(ctx, [(self, rows, "planning")], poses[:, :, length + j])
             valid[rows, length + j] = True
-            upto = length + j + 1
-            ctx = replace(
-                ctx,
-                step=ctx.step + 1,
-                poses=_read_only(poses[:, :, :upto]),
-                valid=_read_only(valid[:, :upto]),
-            )
-        return outputs
+        return np.moveaxis(poses[:, rows, length:], 2, 0)
 
 
 @dataclass(frozen=True)
@@ -544,8 +542,9 @@ def closed_loop_rollout(
     sim_ids = tuple(sorted(simulated_object_ids(scenario)))
     av_row = sim_ids.index(scenario.av_track_id)
     all_rows = np.arange(len(sim_ids))
-    av_rows = np.array([av_row])
     env_rows = all_rows[all_rows != av_row]
+    queries = [(env_policy, env_rows, "environment")] if len(env_rows) else []
+    queries.append((av_policy, np.array([av_row]), "AV"))
 
     k = len(seeds)
     h, t_total = scenario.history_length, scenario.future_length
@@ -559,7 +558,7 @@ def closed_loop_rollout(
 
     hashers = [_rollout_hasher(scenario.scenario_id, sim_ids) for _ in seeds]
     noise = _NoiseStreams(seeds, sim_ids)
-    # An overflowing policy option makes non-finite poses, which _finish_poses rejects.
+    # An overflowing policy option makes non-finite poses, which _step_policies rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, t_total + 1):
             upto = h + t - 1
@@ -577,13 +576,8 @@ def closed_loop_rollout(
                 motion=motion,
                 noise=noise,
             )
-            env_out = env_policy.step(ctx, env_rows) if len(env_rows) else None
-            av_out = av_policy.step(ctx, av_rows)
             merged = poses[:, :, upto]
-            if env_out is not None:
-                merged[:, env_rows] = _shaped_poses(env_out, k, len(env_rows), "environment", t)
-            merged[:, av_row] = _shaped_poses(av_out, k, 1, "AV", t)[:, 0]
-            _finish_poses(merged, sim_ids, t)
+            _step_policies(ctx, queries, merged)
             valid[:, upto] = True
             # Commit the step now: a later rewrite of it no longer matches the digest.
             for hasher, step_poses in zip(hashers, np.ascontiguousarray(merged, dtype="<f8")):

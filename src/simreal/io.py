@@ -437,14 +437,11 @@ def write_submission(
     path: str | Path,
     rollouts: Sequence[ScenarioRollouts],
     manifest: Mapping[str, Any] | None = None,
-    shard_count: int | None = None,
 ) -> None:
-    """Package rollout bundles into a deterministic .tar.gz archive."""
+    """Package rollout bundles into a deterministic .tar.gz archive, at most 150 records a shard."""
     path = Path(path)
     records = sorted(rollouts, key=lambda r: r.scenario_id)
-    if shard_count is None:
-        shard_count = max(1, math.ceil(len(records) / 150))
-    shard_count = min(shard_count, max(1, len(records)))
+    shard_count = max(1, math.ceil(len(records) / 150))
     shards: list[list[ScenarioRollouts]] = [[] for _ in range(shard_count)]
     for i, rec in enumerate(records):
         shards[i % shard_count].append(rec)

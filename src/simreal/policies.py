@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidOption, PolicyContractViolation
 from .harness import Policy, PolicyContext
-from .scene import Scenario, simulated_object_ids
+from .scene import Scenario, elementwise, simulated_object_ids
 
 
 def _pose_rows(x, y, z, heading) -> np.ndarray:
@@ -36,10 +36,7 @@ def _cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if not np.isfinite(angles).all():
         angles = np.where(np.isinf(angles), np.nan, angles)
-    flat = angles.ravel().tolist()
-    cos = np.fromiter(map(math.cos, flat), float, len(flat)).reshape(angles.shape)
-    sin = np.fromiter(map(math.sin, flat), float, len(flat)).reshape(angles.shape)
-    return cos, sin
+    return elementwise(math.cos, angles), elementwise(math.sin, angles)
 
 
 def _option(name: str, value, allow_negative: bool = False) -> float:
@@ -161,9 +158,7 @@ class NoisyPlanPolicy(Policy):
         return outputs
 
     def step(self, context: PolicyContext, rows):
-        out = self._velocities(context, rows)
-        out[..., :2] += context.last_valid_pose(rows)[..., :2]
-        return out
+        return self.plan(context, rows, 1)[0]
 
 
 class ReplanWrapper(Policy):

@@ -10,7 +10,7 @@ Poses are float64 arrays of ``[x, y, z, heading]`` everywhere: the logged
 objects of a scene are one :class:`Tracks` table holding ``(N, L, 4)`` poses
 with an ``(N, L)`` validity mask, and a rollout bundle holds ``(K, A, T, 4)``
 poses for K rollouts of A objects over T future steps.  Map polylines are
-``(P, 2)`` arrays.  Headings are wrapped into [0, 2*pi) wherever a pose
+``(P, 2)`` arrays.  Each heading is wrapped into [0, 2*pi) wherever a pose
 enters one of these types.  All types are immutable values after
 construction (their arrays are read-only) and safe to share across threads.
 """
@@ -45,10 +45,22 @@ def normalize_heading(theta) -> np.ndarray:
     including ``-0.0`` (which maps to ``0.0``).
     """
     wrapped = np.array(theta, dtype=float)
+    if ((wrapped >= 0.0) & (wrapped < TWO_PI)).all():  # x % TWO_PI is x, or 0.0 for -0.0
+        wrapped += 0.0
+        return wrapped
     np.remainder(wrapped, TWO_PI, out=wrapped, where=np.isfinite(wrapped))
     # theta % TWO_PI can round up to TWO_PI itself
     np.subtract(wrapped, TWO_PI, out=wrapped, where=wrapped >= TWO_PI)
     return wrapped
+
+
+def elementwise(fn, *arrays) -> np.ndarray:
+    """``fn`` from :mod:`math` element by element, so the bits do not depend on numpy's build.
+
+    The arrays share one shape, which the result takes.
+    """
+    flat = [a.ravel().tolist() for a in arrays]
+    return np.fromiter(map(fn, *flat), float, len(flat[0])).reshape(arrays[0].shape)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -333,7 +345,7 @@ def rollout_problems(scenario: Scenario, rollouts: ScenarioRollouts) -> list[tup
     for k in np.flatnonzero(~finite.all(axis=1)):
         oid = rollouts.ids[np.argmin(finite[k])]  # first object with a bad pose
         problems.append(("NONFINITE_POSE", f"rollout {k} object {oid} has NaN/Inf"))
-    # Headings are wrapped into [0, 2*pi), so only x, y and z can pass the limit.
+    # Every heading is wrapped into [0, 2*pi), so only x, y and z can pass the limit.
     far = ((high > POSE_COORDINATE_LIMIT) | (low < -POSE_COORDINATE_LIMIT)) & finite
     for k in np.flatnonzero(far.any(axis=1)):
         oid = rollouts.ids[np.argmax(far[k])]  # first object out of range

@@ -14,7 +14,7 @@ exist to check.  They take the form extraction returns: per metric, a pair of
 (objects, steps) arrays of values and validity, rows in ascending object id.
 They are array computations over one raw pose array per scene, the
 ``(A, H+T, 4)`` array the scene's :class:`~simreal.scene.Tracks` table is
-built from, before its headings are wrapped.  Box corners take
+built from, before each heading is wrapped.  Box corners take
 ``math.cos`` and ``math.sin``, and box-to-box distances ``math.hypot``,
 element by element, so the fixture bytes do not depend on numpy's build.
 
@@ -43,6 +43,7 @@ from .scene import (
     ObjectType,
     Scenario,
     Tracks,
+    elementwise,
 )
 
 VEHICLE_DIMS = (4.6, 2.0, 1.8)
@@ -210,12 +211,6 @@ class _AgentDef:
 _PAIR_BATCH = 8192
 
 
-def _elementwise(fn, *arrays) -> np.ndarray:
-    """``fn`` from :mod:`math` element by element, so the bits do not depend on numpy's build."""
-    flat = [a.ravel().tolist() for a in arrays]
-    return np.fromiter(map(fn, *flat), float, len(flat[0])).reshape(arrays[0].shape)
-
-
 def _fixture_point_to_segments(px, py, starts, ends):
     """(distance, side) of each point of ``(P,)`` arrays against segments; first-minimum ties."""
     d = ends - starts
@@ -237,7 +232,7 @@ def _fixture_point_to_segments(px, py, starts, ends):
 
 def _box_corners(x, y, heading, length, width):
     """Corner x and y, each stacked ``(4, ...)``: front-left, front-right, rear-right, rear-left."""
-    c, s = _elementwise(math.cos, heading), _elementwise(math.sin, heading)
+    c, s = elementwise(math.cos, heading), elementwise(math.sin, heading)
     hx, hy = c * length / 2.0, s * length / 2.0
     wx, wy = -s * width / 2.0, c * width / 2.0
     return (
@@ -275,8 +270,8 @@ def _bool_series(flags, t_len):
 class _FixtureBuilder:
     """Derives sidecar fixtures from a scene's future poses and road edges.
 
-    ``poses`` is ``(A, T+1, 4)`` over steps 0..T, with the headings the motion
-    models return: cos and sin of a wrapped heading can differ in the last
+    ``poses`` is ``(A, T+1, 4)`` over steps 0..T, each heading as the motion
+    models return it: cos and sin of a wrapped heading can differ in the last
     bit.  Series cover steps 1..T.
     """
 
@@ -311,18 +306,18 @@ class _FixtureBuilder:
             dy = np.abs(self.y - self.y[i]) - (ey[i] + ey) / 2.0
             dist = np.where(dy > dx, dy, dx)
             apart = (dx > 0.0) & (dy > 0.0)
-            dist[apart] = _elementwise(math.hypot, dx[apart], dy[apart])
+            dist[apart] = elementwise(math.hypot, dx[apart], dy[apart])
             dist[i] = math.inf
             nearest[i] = dist.min(axis=0)
         return nearest
 
     def collision_free_margin(self) -> float:
         """Lower bound on pairwise box distance from center separations."""
-        diag = _elementwise(math.hypot, self.length, self.width) / 2.0
+        diag = elementwise(math.hypot, self.length, self.width) / 2.0
         margin = math.inf
         for i in range(len(diag) - 1):  # agent i against every later partner
             dx, dy = self.x[i + 1 :] - self.x[i], self.y[i + 1 :] - self.y[i]
-            gaps = _elementwise(math.hypot, dx, dy) - diag[i] - diag[i + 1 :]
+            gaps = elementwise(math.hypot, dx, dy) - diag[i] - diag[i + 1 :]
             margin = min(margin, gaps.min())
         return margin
 

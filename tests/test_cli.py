@@ -4,6 +4,7 @@ import contextlib
 import gzip
 import io
 import json
+import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -378,7 +379,7 @@ class TestEvaluate:
     def test_non_finite_ttc_cap_exits_two(self, workspace, tmp_path, capsys):
         _, scenarios, archives = workspace
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"features": {"ttc_max": "nan"}}))
+        config_path.write_text(json.dumps({"features": {"ttc_max": math.nan}}))  # NaN literal
         report = tmp_path / "nan_cap.json"
         assert main([
             "evaluate", "--archive", str(archives["constant-velocity"]),
@@ -387,6 +388,48 @@ class TestEvaluate:
         ]) == 2
         assert "features.ttc_max must be finite and > 0" in capsys.readouterr().err
         assert not report.exists()
+
+    @pytest.mark.parametrize("doc,detail", [
+        ({"features": {"ttc_maxx": 4.0}}, "features has unknown key(s) 'ttc_maxx'"),
+        ({"per_object_histograms": "false"}, "per_object_histograms must be true or false"),
+        ({"histograms": {"linear_speed": {"min": 0.0, "max": 30.0, "bins": 64.9}}},
+         "histograms.linear_speed.bins must be an integer"),
+        ({"version": 7}, "version must be 1, got 7"),
+        ({"weights": {"linear_speed": 0.5, "collision": 0.5}},
+         "weights has no value for linear_accel, angular_speed"),
+    ], ids=["unknown-key", "string-for-boolean", "fraction-for-integer", "other-version",
+            "partial-weights"])
+    def test_bad_config_exits_two_without_report(
+        self, workspace, tmp_path, capsys, doc, detail
+    ):
+        _, scenarios, archives = workspace
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        report = tmp_path / "report.json"
+        assert main([
+            "evaluate", "--archive", str(archives["constant-velocity"]),
+            "--scenarios", str(scenarios), "--config", str(config_path),
+            "--out", str(report), "--jobs", "1",
+        ]) == 2
+        assert f"bad evaluation config: {detail}" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_config_env_var_is_the_default_config(self, workspace, tmp_path, monkeypatch):
+        _, scenarios, archives = workspace
+        weights = {m: 0.0625 for m in config_to_dict(DEFAULT_CONFIG)["weights"]}
+        weights["collision"] = 0.5
+        env_config = tmp_path / "env.json"
+        env_config.write_text(json.dumps({"weights": weights}))
+        monkeypatch.setenv(simreal.cli.CONFIG_ENV_VAR, str(env_config))
+        argv = ["evaluate", "--archive", str(archives["constant-velocity"]),
+                "--scenarios", str(scenarios), "--jobs", "1", "--out"]
+        assert main(argv + [str(tmp_path / "env_report.json")]) == 0
+        assert read_report(tmp_path / "env_report.json")["config"]["weights"]["collision"] == 0.5
+        # --config wins over the variable.
+        flag_config = tmp_path / "flag.json"
+        flag_config.write_text(json.dumps(config_to_dict(DEFAULT_CONFIG)))
+        assert main(argv + [str(tmp_path / "flag_report.json"), "--config", str(flag_config)]) == 0
+        assert read_report(tmp_path / "flag_report.json")["config"] == config_to_dict(DEFAULT_CONFIG)
 
     def test_oracle_beats_constant_velocity(self, workspace, tmp_path):
         _, scenarios, archives = workspace
@@ -531,10 +574,14 @@ class TestEvaluate:
         assert main([
             "evaluate", "--archive", str(fast), "--archive", str(slow),
             "--scenarios", str(scenarios), "--out", str(report), "--jobs", "1",
-            "--csv", str(tmp_path / "multi.csv"),
+            "--csv", str(tmp_path / "multi.csv"), "--plot", str(tmp_path / "plots"),
         ]) == 0
         curve = json.loads((tmp_path / "multi.replan_curve.json").read_text())
-        assert len(curve["points"]) == 2
+        assert [p["replan_interval"] for p in curve["points"]] == [1.0, 10.0]
+        svg = (tmp_path / "plots" / "replan_curve.svg").read_text()
+        assert svg.startswith("<svg") and svg.count("<circle") == 2
+        for point in curve["points"]:  # each point is labelled with its composite
+            assert f">{point['composite']:.3f}</text>" in svg
 
 
 class TestCompare:
@@ -552,6 +599,25 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "composite(rank)" in out
         assert "logged-oracle" in out
+
+    @pytest.mark.parametrize("b_scores,notes", [
+        ((0.8, 2.5, 1.5), []),
+        ((0.8, 1.0, 1.5), ["ADE"]),
+        ((0.8, 2.5, 0.5), ["minADE"]),
+        ((0.8, 1.0, 0.5), ["ADE", "minADE"]),
+    ], ids=["agree", "ade-disagrees", "min-ade-disagrees", "both-disagree"])
+    def test_ranking_disagreement_notes(self, tmp_path, capsys, b_scores, notes):
+        reports = []
+        for name, scores in (("a", (0.9, 2.0, 1.0)), ("b", b_scores)):
+            path = tmp_path / f"{name}.json"
+            keys = ("composite", "mean_ade", "mean_min_ade")
+            path.write_text(json.dumps({"summary": dict(zip(keys, scores))}))
+            reports.append(str(path))
+        assert main(["compare", "--reports"] + reports) == 0
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("note:")] == [
+            f"note: ranking by composite disagrees with ranking by {what}" for what in notes
+        ]
 
     @pytest.mark.parametrize(
         "doc",

@@ -106,14 +106,14 @@ class TestFitHistogram:
         assert abs(probs.sum() - 1.0) <= 1e-12
 
     def test_exhaustive_small_cases_match_exact_rationals(self):
-        # Every sample multiset of size <= 6 drawn from bin centers of a
+        # Every sample multiset of size <= 6 drawn from bin midpoints of a
         # <= 4-bin histogram, checked against a Fraction-exact recomputation.
         for bins in (2, 3, 4):
             spec = HistogramSpec(MetricKind.LINEAR_SPEED, 0.0, float(bins), bins)
-            centers = [i + 0.5 for i in range(bins)]
+            mids = [i + 0.5 for i in range(bins)]
             for n in range(1, 7):
                 for combo in combinations_with_replacement(range(bins), n):
-                    probs = fit([centers[i] for i in combo], spec)
+                    probs = fit([mids[i] for i in combo], spec)
                     for b in range(bins):
                         exact = (combo.count(b) + Fraction(1, 10)) / (n + bins * Fraction(1, 10))
                         assert probs[b] == pytest.approx(float(exact), abs=1e-15)

@@ -19,6 +19,7 @@ from simreal.features import (
     FeatureParams,
     MetricKind,
     SceneStates,
+    _pair_offsets,
     _wrap_signed,
     extract_features,
 )
@@ -51,10 +52,10 @@ def features(states, metric, map_features=(), params=DEFAULT_FEATURE_PARAMS):
     return {oid: Series(values[0, row], valid[0, row]) for row, oid in enumerate(states.ids)}
 
 
-def track_series(metric, xs, ys=None, zs=None, headings=None, valid=None, dt=DT):
+def track_series(metric, xs, ys=None, zs=None, heading=None, valid=None, dt=DT):
     """One metric's series for a single object given by coordinate sequences."""
     obj = {"x": xs}
-    for key, value in (("y", ys), ("z", zs), ("heading", headings), ("valid", valid)):
+    for key, value in (("y", ys), ("z", zs), ("heading", heading), ("valid", valid)):
         if value is not None:
             obj[key] = value
     return features(scene([obj], dt), metric)[0]
@@ -64,26 +65,16 @@ def scene(objs, dt=DT):
     """objs: list of dicts with keys x, y (arrays), optional z/heading/dims."""
     n = len(objs)
     t = len(objs[0]["x"])
-    centers = np.zeros((n, t, 3))
-    headings = np.zeros((n, t))
+    poses = np.zeros((n, t, 4))
     valid = np.ones((n, t), dtype=bool)
     dims = np.zeros((n, 3))
     for i, o in enumerate(objs):
-        centers[i, :, 0] = o["x"]
-        centers[i, :, 1] = o.get("y", np.zeros(t))
-        centers[i, :, 2] = o.get("z", np.zeros(t))
-        headings[i] = o.get("heading", np.zeros(t))
+        for axis, key in enumerate(("x", "y", "z", "heading")):
+            poses[i, :, axis] = o.get(key, np.zeros(t))
         if "valid" in o:
             valid[i] = o["valid"]
         dims[i] = o.get("dims", (2.0, 2.0, 2.0))
-    return SceneStates(
-        ids=tuple(range(n)),
-        centers=centers[None],
-        headings=headings[None],
-        valid=valid[None],
-        dims=dims,
-        dt=dt,
-    )
+    return SceneStates(ids=tuple(range(n)), poses=poses[None], valid=valid[None], dims=dims, dt=dt)
 
 
 class TestLinearSpeed:
@@ -137,49 +128,49 @@ class TestLinearAccel:
 
 class TestAngularSpeed:
     def test_constant_heading(self):
-        series = track_series(MetricKind.ANGULAR_SPEED, [0] * 8, headings=[1.0] * 8)
+        series = track_series(MetricKind.ANGULAR_SPEED, [0] * 8, heading=[1.0] * 8)
         assert np.all(series.values[series.valid] == 0.0)
 
     def test_constant_rate(self):
-        headings = [0.05 * i for i in range(10)]
-        series = track_series(MetricKind.ANGULAR_SPEED, [0] * 10, headings=headings)
+        heading = [0.05 * i for i in range(10)]
+        series = track_series(MetricKind.ANGULAR_SPEED, [0] * 10, heading=heading)
         assert np.allclose(series.values[series.valid], 0.5)
 
     def test_wrap_has_no_spike(self):
-        headings = [(6.2 + 0.05 * i) % (2 * math.pi) for i in range(10)]
-        series = track_series(MetricKind.ANGULAR_SPEED, [0] * 10, headings=headings)
+        heading = [(6.2 + 0.05 * i) % (2 * math.pi) for i in range(10)]
+        series = track_series(MetricKind.ANGULAR_SPEED, [0] * 10, heading=heading)
         assert np.all(np.abs(series.values[series.valid]) < 1.0)
         assert np.allclose(series.values[series.valid], 0.5)
 
     def test_signed_antisymmetry(self):
-        forward = track_series(MetricKind.ANGULAR_SPEED, [0, 0], headings=[0.0, 0.1])
-        backward = track_series(MetricKind.ANGULAR_SPEED, [0, 0], headings=[0.1, 0.0])
+        forward = track_series(MetricKind.ANGULAR_SPEED, [0, 0], heading=[0.0, 0.1])
+        backward = track_series(MetricKind.ANGULAR_SPEED, [0, 0], heading=[0.1, 0.0])
         assert forward.values[1] == pytest.approx(0.1 / DT)
         assert backward.values[1] == pytest.approx(-0.1 / DT)
 
     def test_signed_wrap_through_zero(self):
         # 6.2 -> 0.1 rad is a short counter-clockwise step through 2*pi.
-        series = track_series(MetricKind.ANGULAR_SPEED, [0, 0], headings=[6.2, 0.1])
+        series = track_series(MetricKind.ANGULAR_SPEED, [0, 0], heading=[6.2, 0.1])
         step = series.values[1] * DT
         assert step == pytest.approx(0.1 - 6.2 + 2 * math.pi, abs=1e-12)
         assert step == pytest.approx(0.1831853, abs=1e-6)
 
     def test_signed_half_turn_is_positive(self):
-        for headings in ([0.0, math.pi], [math.pi, 0.0]):
-            series = track_series(MetricKind.ANGULAR_SPEED, [0, 0], headings=headings)
+        for heading in ([0.0, math.pi], [math.pi, 0.0]):
+            series = track_series(MetricKind.ANGULAR_SPEED, [0, 0], heading=heading)
             assert series.values[1] == pytest.approx(math.pi / DT)
 
 
 class TestAngularAccel:
     def test_constant_turn_rate(self):
-        headings = [0.05 * i for i in range(10)]
-        series = track_series(MetricKind.ANGULAR_ACCEL, [0] * 10, headings=headings)
+        heading = [0.05 * i for i in range(10)]
+        series = track_series(MetricKind.ANGULAR_ACCEL, [0] * 10, heading=heading)
         assert np.allclose(series.values[series.valid], 0.0)
 
     def test_omega_ramp(self):
         # Angular speeds 0, 0.1, 0.2 rad/s -> 1.0 rad/s^2.
-        headings = np.concatenate([[0.0], np.cumsum([0.0, 0.01, 0.02, 0.03])])
-        series = track_series(MetricKind.ANGULAR_ACCEL, [0] * 5, headings=headings)
+        heading = np.concatenate([[0.0], np.cumsum([0.0, 0.01, 0.02, 0.03])])
+        series = track_series(MetricKind.ANGULAR_ACCEL, [0] * 5, heading=heading)
         assert np.allclose(series.values[series.valid], 1.0)
 
     def test_sinusoid_matches_analytic_to_first_order(self):
@@ -187,8 +178,8 @@ class TestAngularAccel:
         n = 2000
         taus = np.arange(n) * dt
         amp, freq = 0.5, 1.0
-        headings = amp * np.sin(2 * math.pi * freq * taus)
-        series = track_series(MetricKind.ANGULAR_ACCEL, [0] * n, headings=headings, dt=dt)
+        heading = amp * np.sin(2 * math.pi * freq * taus)
+        series = track_series(MetricKind.ANGULAR_ACCEL, [0] * n, heading=heading, dt=dt)
         # Backward second difference approximates the second derivative at
         # tau - dt with O(dt) error.
         analytic = -amp * (2 * math.pi * freq) ** 2 * np.sin(2 * math.pi * freq * (taus - dt))
@@ -248,14 +239,14 @@ def all_pairs_nearest(states):
     """Reference for the interaction features of a one-rollout scene: the box
     kernel on every pair, then the vertical gate and the ungated fallback
     minimum."""
-    centers, headings, valid = states.centers[0], states.headings[0], states.valid[0]
+    poses, valid = states.poses[0], states.valid[0]
     a, t = valid.shape
     if a < 2:
         return np.zeros((a, t)), np.zeros((a, t), dtype=bool)
     boxes = np.concatenate(
         [
-            centers[:, :, :2],
-            headings[:, :, None],
+            poses[:, :, :2],
+            poses[:, :, 3:],
             np.broadcast_to(states.dims[:, None, :2], (a, t, 2)),
         ],
         axis=-1,
@@ -267,7 +258,7 @@ def all_pairs_nearest(states):
     dist[ju, iu] = pair_d
     both_valid = valid[:, None, :] & valid[None, :, :]
     both_valid &= ~np.eye(a, dtype=bool)[:, :, None]
-    z = centers[:, :, 2]
+    z = poses[:, :, 2]
     zlim = (states.dims[:, 2][:, None] + states.dims[:, 2][None, :]) / 2.0
     gated = both_valid & (np.abs(z[:, None, :] - z[None, :, :]) <= zlim[:, :, None])
     gated_min = np.where(gated, dist, np.inf).min(axis=1)
@@ -297,7 +288,7 @@ _COORDS = st.one_of(
     st.floats(-1e3, 1e3, allow_nan=False),
     st.sampled_from([-1e6, 1e6, math.nan]),
 )
-_HEADINGS = st.one_of(
+_HEADING = st.one_of(
     st.sampled_from([0.0, math.pi / 2, math.pi, math.pi / 4, math.nan]),
     st.floats(-10.0, 10.0, allow_nan=False),
 )
@@ -307,26 +298,19 @@ _HEADINGS = st.one_of(
 def box_scenes(draw):
     a = draw(st.integers(1, 6))
     t = draw(st.integers(1, 5))
-    centers = np.stack(
+    poses = np.stack(
         [
             draw(hnp.arrays(float, (a, t), elements=_COORDS)),
             draw(hnp.arrays(float, (a, t), elements=_COORDS)),
             draw(hnp.arrays(float, (a, t), elements=st.sampled_from([0.0, 0.0, 0.5, 10.0]))),
+            draw(hnp.arrays(float, (a, t), elements=_HEADING)),
         ],
         axis=-1,
     )
-    headings = draw(hnp.arrays(float, (a, t), elements=_HEADINGS))
     valid = draw(hnp.arrays(bool, (a, t)))
     # Zero extents make both bounds tight, so only the slack absorbs rounding.
     dims = draw(hnp.arrays(float, (a, 3), elements=st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.5])))
-    return SceneStates(
-        ids=tuple(range(a)),
-        centers=centers[None],
-        headings=headings[None],
-        valid=valid[None],
-        dims=dims,
-        dt=DT,
-    )
+    return SceneStates(ids=tuple(range(a)), poses=poses[None], valid=valid[None], dims=dims, dt=DT)
 
 
 class TestNearestObjectBroadPhase:
@@ -472,9 +456,9 @@ def all_pairs_ttc(states, speed_vals, speed_ok, params):
     vals = np.full((k, a, t), cap)
     ok = speed_ok.copy()
     if a >= 2:
-        h = states.headings
+        h = states.poses[..., 3]
         hx, hy = np.cos(h)[:, :, None, :], np.sin(h)[:, :, None, :]
-        x, y = states.centers[..., 0], states.centers[..., 1]
+        x, y = states.poses[..., 0], states.poses[..., 1]
         dx = x[:, None, :, :] - x[:, :, None, :]
         dy = y[:, None, :, :] - y[:, :, None, :]
         lon = hx * dx + hy * dy
@@ -513,19 +497,25 @@ def lane(xs, dt=0.5, lengths=None):
     """One rollout of boxes along the x axis, heading 0, width 2; ``xs`` is (A, T)."""
     xs = np.asarray(xs, dtype=float)
     a, t = xs.shape
-    centers = np.zeros((1, a, t, 3))
-    centers[0, :, :, 0] = xs
+    poses = np.zeros((1, a, t, 4))
+    poses[0, :, :, 0] = xs
     dims = np.tile([4.0, 2.0, 1.5], (a, 1))
     if lengths is not None:
         dims[:, 0] = lengths
-    return SceneStates(ids=tuple(range(a)), centers=centers, headings=np.zeros((1, a, t)),
-                       valid=np.ones((1, a, t), dtype=bool), dims=dims, dt=dt)
+    return SceneStates(ids=tuple(range(a)), poses=poses, valid=np.ones((1, a, t), dtype=bool),
+                       dims=dims, dt=dt)
 
 
 def lane_speed(states, dt):
     """The (values, valid) linear speed of ``states`` at step ``dt``, as extraction computes it."""
-    delta = np.linalg.norm(np.diff(states.centers, axis=-2), axis=-1)
+    delta = np.linalg.norm(np.diff(states.poses[..., :3], axis=-2), axis=-1)
     return simreal.features._backward_difference(delta, states.valid, dt)
+
+
+def lane_ttc(states, dt, params=DEFAULT_FEATURE_PARAMS):
+    """The TTC kernel on ``states``, with the pair offsets and speeds extraction passes it."""
+    return simreal.features._ttc_arrays(states, *_pair_offsets(states), *lane_speed(states, dt),
+                                        params)
 
 
 _LANE_X = st.one_of(
@@ -534,7 +524,7 @@ _LANE_X = st.one_of(
     st.sampled_from([1e6, math.nan, math.inf, -math.inf]),
 )
 _LANE_Y = st.one_of(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0, -2.0]), st.floats(-6.0, 6.0))
-_LANE_HEADINGS = st.one_of(
+_LANE_HEADING = st.one_of(
     st.sampled_from([0.0, 0.0, 0.1, math.pi / 4, math.pi, -math.pi / 2, 2 * math.pi]),
     st.floats(-7.0, 7.0),
     st.sampled_from([math.nan, math.inf]),
@@ -546,11 +536,12 @@ def lane_scenes(draw):
     """K rollouts of boxes near one lane, often following each other, with
     invalid steps, non-finite poses and thresholds from tight to loose."""
     k, a, t = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    centers = np.stack(
+    poses = np.stack(
         [
             draw(hnp.arrays(float, (k, a, t), elements=_LANE_X)),
             draw(hnp.arrays(float, (k, a, t), elements=_LANE_Y)),
             np.zeros((k, a, t)),
+            draw(hnp.arrays(float, (k, a, t), elements=_LANE_HEADING)),
         ],
         axis=-1,
     )
@@ -559,8 +550,7 @@ def lane_scenes(draw):
                     + [np.full(a, 1.5)], axis=-1)
     states = SceneStates(
         ids=tuple(range(a)),
-        centers=centers,
-        headings=draw(hnp.arrays(float, (k, a, t), elements=_LANE_HEADINGS)),
+        poses=poses,
         valid=draw(hnp.arrays(bool, (k, a, t), elements=st.sampled_from([True] * 3 + [False]))),
         dims=dims,
         dt=draw(st.sampled_from([0.1, 0.5])),
@@ -598,24 +588,20 @@ class TestTimeToCollisionCut:
     def test_matches_all_pairs_reference_bit_for_bit(self, case):
         states, params = case
         with np.errstate(all="ignore"):
-            speed = lane_speed(states, states.dt)
-            vals, ok = simreal.features._ttc_arrays(states, *speed, params)
-            want_vals, want_ok = all_pairs_ttc(states, *speed, params)
+            vals, ok = lane_ttc(states, states.dt, params)
+            want_vals, want_ok = all_pairs_ttc(states, *lane_speed(states, states.dt), params)
         assert vals.tobytes() == want_vals.tobytes()
         assert ok.tobytes() == want_ok.tobytes()
 
     def test_examples_read_as_described(self):
         at_cut = lane([[0, 1, 2, 3], [16, 16, 16, 16]])
-        vals, _ = simreal.features._ttc_arrays(at_cut, *lane_speed(at_cut, 0.5),
-                                               DEFAULT_FEATURE_PARAMS)
+        vals, _ = lane_ttc(at_cut, 0.5)
         assert vals[0, 0].tolist() == [0.0, 5.0, 5.0, 4.5]
         tie = lane([[0, 1, 2, 3], [10, 10, 10, 10], [7, 8, 9, 10]])
-        vals, _ = simreal.features._ttc_arrays(tie, *lane_speed(tie, 0.5),
-                                               DEFAULT_FEATURE_PARAMS)
+        vals, _ = lane_ttc(tie, 0.5)
         assert vals[0, 0, 3] == 1.5  # 3 m closing at 2 m/s on leader 1; leader 2 reads the cap
         rounded = lane([[0.0, 0.17087189561177435], [12.714466676200491] * 2], dt=0.1)
-        vals, _ = simreal.features._ttc_arrays(rounded, *lane_speed(rounded, 0.1),
-                                               DEFAULT_FEATURE_PARAMS)
+        vals, _ = lane_ttc(rounded, 0.1)
         assert vals[0, 0, 1] == 4.999999999999999
 
 
@@ -712,9 +698,9 @@ class TestInvariances:
             )
 
     def test_angular_features_invariant_to_heading_offset(self):
-        headings = [0.3 * math.sin(0.2 * i) for i in range(15)]
-        base = track_series(MetricKind.ANGULAR_SPEED, [0] * 15, headings=headings)
-        off = track_series(MetricKind.ANGULAR_SPEED, [0] * 15, headings=[h + 2.0 for h in headings])
+        heading = [0.3 * math.sin(0.2 * i) for i in range(15)]
+        base = track_series(MetricKind.ANGULAR_SPEED, [0] * 15, heading=heading)
+        off = track_series(MetricKind.ANGULAR_SPEED, [0] * 15, heading=[h + 2.0 for h in heading])
         np.testing.assert_allclose(off.values, base.values, atol=1e-12)
 
 
@@ -769,12 +755,7 @@ def assert_row_is_alone(batched, e, alone, label):
 
 
 def rollout_alone(states, k):
-    return replace(
-        states,
-        centers=states.centers[k : k + 1],
-        headings=states.headings[k : k + 1],
-        valid=states.valid[k : k + 1],
-    )
+    return replace(states, poses=states.poses[k : k + 1], valid=states.valid[k : k + 1])
 
 
 @st.composite
@@ -785,22 +766,20 @@ def stacked_states(draw):
     a = draw(st.integers(1, 6))
     t = draw(st.integers(1, 5))
     z = st.sampled_from([0.0, 0.0, 0.5, 10.0])
-    centers = np.stack(
+    poses = np.stack(
         [
             draw(hnp.arrays(float, (k, a, t), elements=_COORDS)),
             draw(hnp.arrays(float, (k, a, t), elements=_COORDS)),
             draw(hnp.arrays(float, (k, a, t), elements=z)),
+            draw(hnp.arrays(float, (k, a, t), elements=_HEADING)),
         ],
         axis=-1,
     )
-    headings = draw(hnp.arrays(float, (k, a, t), elements=_HEADINGS))
     valid = draw(hnp.arrays(bool, (k, a, t)))
     if k > 1 and draw(st.booleans()):
-        centers[-1], headings[-1], valid[-1] = centers[0], headings[0], valid[0]
+        poses[-1], valid[-1] = poses[0], valid[0]
     dims = draw(hnp.arrays(float, (a, 3), elements=st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.5])))
-    return SceneStates(
-        ids=tuple(range(a)), centers=centers, headings=headings, valid=valid, dims=dims, dt=DT
-    )
+    return SceneStates(ids=tuple(range(a)), poses=poses, valid=valid, dims=dims, dt=DT)
 
 
 def scenario_with_rollouts(dims, poses, map_features=()):
@@ -836,9 +815,8 @@ class TestBatchedExtraction:
     @example(  # z-stacked pair and a touching pair, repeated
         states=SceneStates(
             ids=(0, 1, 2),
-            centers=np.array([[[0.0, 0.0, 0.0]], [[0.0, 0.0, 10.0]], [[2.0, 0.0, 0.0]]])[None]
-            .repeat(2, axis=0),
-            headings=np.zeros((2, 3, 1)),
+            poses=np.array([[[0.0, 0.0, 0.0, 0.0]], [[0.0, 0.0, 10.0, 0.0]],
+                            [[2.0, 0.0, 0.0, 0.0]]])[None].repeat(2, axis=0),
             valid=np.ones((2, 3, 1), dtype=bool),
             dims=np.full((3, 3), 2.0),
             dt=DT,

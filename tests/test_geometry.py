@@ -206,7 +206,7 @@ def box_pairs(draw):
     mode = draw(hnp.arrays(np.int8, n, elements=st.integers(0, 3)))
     b[mode == 1] = a[mode == 1]
     shift = (a[:, 3] + b[:, 3]) / 2.0 * np.where(mode == 2, 1.0, 0.5)
-    with np.errstate(invalid="ignore"):  # infinite headings
+    with np.errstate(invalid="ignore"):  # infinite heading values
         along = np.stack([a[:, 0] + shift * np.cos(a[:, 2]), a[:, 1] + shift * np.sin(a[:, 2])], -1)
     b[mode >= 2, :3] = np.concatenate([along, a[:, 2:3]], axis=-1)[mode >= 2]
     swap = draw(hnp.arrays(bool, n))

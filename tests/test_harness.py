@@ -377,7 +377,7 @@ class TestBaselines:
             xy = poses(future, sparse, oid)[:, :2]
             assert np.allclose(xy, xy[0], atol=1e-12)
 
-    def test_random_agent_centers_on_av_frame(self):
+    def test_random_agent_is_centred_on_av_frame(self):
         scenario = straight_scenario()
         rollouts = generate_submission(
             scenario, RandomAgentPolicy(), RandomAgentPolicy(), k=8, base_seed=0
@@ -389,18 +389,26 @@ class TestBaselines:
         assert mean[0] == pytest.approx(av[0] + 1.0, abs=0.05)
         assert mean[1] == pytest.approx(av[1] + 1.0, abs=0.05)
 
-    def test_replan_wrapper_transparent_for_constant_velocity(self):
+    @pytest.mark.parametrize("interval", [3, 5, 7, 80])
+    @pytest.mark.parametrize("make", [
+        lambda scenario: ConstantVelocityPolicy(),
+        lambda scenario: RandomAgentPolicy(),
+        LoggedOraclePolicy,
+    ], ids=["constant-velocity", "random", "logged-oracle"])
+    def test_replan_wrapper_transparent_for_memoryless_policy(self, make, interval):
+        # These policies read no other object's simulated pose, and the
+        # default plan advances the policy's own outputs, so a held plan must
+        # give the closed-loop rollout bit for bit.  Random draws its noise,
+        # and the oracle its logged pose, by each virtual step of the plan.
         scenario = curved_scenario()
-        (plain,), _ = closed_loop_rollout(
-            scenario, ConstantVelocityPolicy(), ConstantVelocityPolicy(), seeds=(0,)
-        )
-        (wrapped,), _ = closed_loop_rollout(
+        plain, _ = closed_loop_rollout(scenario, make(scenario), make(scenario), seeds=(0, 1))
+        wrapped, _ = closed_loop_rollout(
             scenario,
-            ReplanWrapper(ConstantVelocityPolicy(), 5),
-            ReplanWrapper(ConstantVelocityPolicy(), 5),
-            seeds=(0,),
+            ReplanWrapper(make(scenario), interval),
+            ReplanWrapper(make(scenario), interval),
+            seeds=(0, 1),
         )
-        np.testing.assert_array_equal(plain, wrapped)
+        assert plain.tobytes() == wrapped.tobytes()
 
     def test_noisy_plan_policy_depends_on_replan_interval(self):
         scenario = straight_scenario()

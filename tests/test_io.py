@@ -418,7 +418,7 @@ class TestSubmissionArchive:
         scenarios, all_rollouts, _ = suite_and_archive
         rec = all_rollouts[0]
         path = tmp_path / "dup.tar.gz"
-        write_submission(path, [rec, rec], {}, shard_count=2)
+        write_submission(path, [rec, rec], {})
         report = validate_submission(path, {rec.scenario_id: scenarios[rec.scenario_id]})
         codes = {v.code for v in report.violations}
         assert "DUPLICATE_SCENARIO" in codes
@@ -694,10 +694,11 @@ class TestConfigRoundTrip:
             config_from_dict(doc)
 
     @pytest.mark.parametrize("field,value", [
-        ("ttc_max", "nan"), ("ttc_max", -1.0), ("ttc_max", 0.0), ("ttc_max", "inf"),
-        ("ttc_closing_eps", 0.0), ("ttc_closing_eps", "nan"),
+        ("ttc_max", math.nan), ("ttc_max", -1.0), ("ttc_max", 0.0), ("ttc_max", math.inf),
+        ("ttc_closing_eps", 0.0), ("ttc_closing_eps", math.nan),
         ("ttc_heading_threshold", -0.1), ("ttc_heading_threshold", 4.0),
-        ("ttc_heading_threshold", "nan"), ("ttc_min_lateral", -1.0), ("ttc_min_lateral", "inf"),
+        ("ttc_heading_threshold", math.nan), ("ttc_min_lateral", -1.0),
+        ("ttc_min_lateral", math.inf),
     ])
     def test_bad_ttc_parameter_is_parse_error(self, field, value):
         doc = config_to_dict(DEFAULT_CONFIG)
@@ -726,6 +727,53 @@ class TestConfigRoundTrip:
         doc["histograms"][metric][field] = value
         with pytest.raises(ParseError, match=metric):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("where", ["", "features", "histograms.linear_speed"])
+    def test_unknown_key_is_parse_error(self, where):
+        doc = config_to_dict(DEFAULT_CONFIG)
+        target = doc
+        for key in filter(None, where.split(".")):
+            target = target[key]
+        target["ttc_maxx"] = 5.0
+        with pytest.raises(ParseError, match="unknown key.*'ttc_maxx'"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("path,value,need", [
+        (("per_object_histograms",), "false", "true or false"),
+        (("per_object_histograms",), 0, "true or false"),
+        (("histograms", "linear_speed", "bins"), 64.9, "an integer"),
+        (("histograms", "linear_speed", "bins"), True, "an integer"),
+        (("histograms", "linear_speed", "min"), "0", "a number"),
+        (("features", "ttc_max"), "5.0", "a number"),
+        (("features", "ttc_max"), True, "a number"),
+        (("weights", "collision"), "0.1", "a number"),
+        (("object_aggregation",), 1, "a string"),
+        (("version",), "1", "an integer"),
+    ], ids=["string-boolean", "number-boolean", "fraction-bins", "boolean-bins", "string-min",
+            "string-ttc-max", "boolean-ttc-max", "string-weight", "number-aggregation",
+            "string-version"])
+    def test_value_of_the_wrong_json_type_is_parse_error(self, path, value, need):
+        doc = config_to_dict(DEFAULT_CONFIG)
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ParseError, match=f"{path[-1]} must be {need}, got"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("version", [0, 2, 7])
+    def test_other_version_is_parse_error(self, version):
+        doc = dict(config_to_dict(DEFAULT_CONFIG), version=version)
+        with pytest.raises(ParseError, match=f"version must be 1, got {version}"):
+            config_from_dict(doc)
+
+    def test_integer_json_numbers_are_read_as_floats(self):
+        doc = config_to_dict(DEFAULT_CONFIG)
+        doc["features"]["ttc_max"] = 4
+        doc["histograms"]["linear_speed"]["min"] = -30
+        cfg = config_from_dict(doc)
+        assert cfg.features.ttc_max == 4.0 and type(cfg.features.ttc_max) is float
+        assert type(cfg.histograms[MetricKind.LINEAR_SPEED].min_value) is float
 
     def test_boolean_spec_pseudocount_override(self):
         doc = config_to_dict(DEFAULT_CONFIG)

@@ -94,6 +94,24 @@ class TestHeadingNormalization:
         want = np.array([scalar_normalize_heading(float(t)) for t in values])
         assert got.tobytes() == want.tobytes()
 
+    @given(
+        hnp.arrays(
+            float,
+            hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+            elements=st.floats(0.0, TWO_PI, exclude_max=True, allow_subnormal=True),
+        ),
+        st.booleans(),
+    )
+    def test_in_range_input_is_bit_identical_to_scalar_wrap(self, values, negative_zero):
+        # Every value already in [0, 2*pi), so the wrap has nothing to reduce;
+        # -0.0 must still come back as 0.0.
+        if negative_zero and values.size:
+            values.flat[0] = -0.0
+        got = normalize_heading(values)
+        want = np.array([scalar_normalize_heading(float(t)) for t in values.flat])
+        assert got.shape == values.shape
+        assert got.tobytes() == want.tobytes()
+
 
 class TestScenarioInvariants:
     def test_rejects_bad_extent(self):
@@ -356,7 +374,7 @@ class TestScenarioRollouts:
         with pytest.raises(MalformedScenario, match="at least one rollout and step"):
             ScenarioRollouts("test", [0, 1], np.zeros((2, 2, 0, 4)))
 
-    def test_rows_sorted_by_id_and_headings_wrapped(self):
+    def test_rows_sorted_by_id_and_heading_wrapped(self):
         poses = self._poses()
         poses[:, 0, :, 1] = 7.0  # object 5
         poses[:, 1, :, 3] = -0.5  # object 2

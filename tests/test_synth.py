@@ -73,9 +73,9 @@ def test_curved_road_angular_speed_fixture_value():
 
 def test_heading_wrap_occurs_in_curved_template():
     scenario = generate(SynthSpec(Template.CURVED_ROAD, seed=0)).scenario
-    headings = scenario.tracks.poses[0, :, 3].tolist()
-    jumps = np.abs(np.diff(headings))
-    assert jumps.max() > 5.0  # raw stored headings wrap through 2*pi
+    heading = scenario.tracks.poses[0, :, 3].tolist()
+    jumps = np.abs(np.diff(heading))
+    assert jumps.max() > 5.0  # stored heading values wrap through 2*pi
 
 
 def test_extra_agents_appended():
