@@ -119,8 +119,8 @@ def dataset_composite(bundles: Sequence[MetricsBundle]) -> float:
     return float(np.mean([b.composite for b in bundles]))
 
 
-def _displacements_per_rollout(rollouts: ScenarioRollouts, scenario: Scenario) -> np.ndarray:
-    """Mean 2D displacement of each rollout against the valid logged future."""
+def displacements_per_rollout(rollouts: ScenarioRollouts, scenario: Scenario) -> np.ndarray:
+    """(K,) mean 2D displacement of each rollout against the valid logged future."""
     ids = sorted(simulated_object_ids(scenario) & rollouts.object_ids)
     logged, logged_ok = scenario.future(ids)
     if not logged_ok.any():
@@ -135,9 +135,9 @@ def _displacements_per_rollout(rollouts: ScenarioRollouts, scenario: Scenario) -
 
 def ade(rollouts: ScenarioRollouts, scenario: Scenario) -> float:
     """Average 2D displacement over rollouts, objects, and valid logged steps."""
-    return float(_displacements_per_rollout(rollouts, scenario).mean())
+    return float(displacements_per_rollout(rollouts, scenario).mean())
 
 
 def min_ade(rollouts: ScenarioRollouts, scenario: Scenario) -> float:
     """Displacement of the best rollout (minimum per-rollout mean)."""
-    return float(_displacements_per_rollout(rollouts, scenario).min())
+    return float(displacements_per_rollout(rollouts, scenario).min())

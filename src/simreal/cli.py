@@ -36,10 +36,11 @@ from pathlib import Path
 from . import io as sio
 from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import InvalidOption, ParseError, PolicyContractViolation, SimRealError
-from .evaluate import evaluate_dataset, fan_out
-from .harness import SEED_LIMIT, audit_trace, generate_submission
+from .evaluate import contiguous_chunks, evaluate_dataset, fan_out
+from .harness import SEED_LIMIT, audit_trace, generate_submission, rollout_batches
 from .plots import component_bar_chart, replan_curve, save_svg
 from .policies import POLICY_REGISTRY, create_policy
+from .scene import simulated_object_ids
 from .synth import Template, generate, suite_specs
 
 CONFIG_ENV_VAR = "SIMREAL_CONFIG"
@@ -136,18 +137,23 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _rollout_one(packed):
-    scenario, env_name, av_name, env_opts, av_opts, k, interval, seed = packed
-    env_policy = create_policy(env_name, scenario, env_opts, replan_interval=interval)
-    av_policy = create_policy(av_name, scenario, av_opts, replan_interval=interval)
-    rollouts, traces = generate_submission(
-        scenario, av_policy, env_policy, k=k, base_seed=seed, with_traces=True
-    )
-    ok = all(
-        audit_trace(trace, poses, rollouts.ids).ok
-        for trace, poses in zip(traces, rollouts.rollouts)
-    )
-    return rollouts, ok
+def _rollout_chunk(packed):
+    """(rollouts, audit ok) of each scenario of one worker's chunk, rolled out batch by batch."""
+    chunk, env_name, av_name, env_opts, av_opts, k, interval, seed = packed
+    results = []
+    for batch in rollout_batches(chunk):
+        env_policy = create_policy(env_name, batch, env_opts, replan_interval=interval)
+        av_policy = create_policy(av_name, batch, av_opts, replan_interval=interval)
+        bundles, traces = generate_submission(
+            batch, av_policy, env_policy, k=k, base_seed=seed, with_traces=True
+        )
+        for rollouts, mine in zip(bundles, traces):
+            ok = all(
+                audit_trace(trace, poses, rollouts.ids).ok
+                for trace, poses in zip(mine, rollouts.rollouts)
+            )
+            results.append((rollouts, ok))
+    return results
 
 
 def _cmd_rollout(args) -> int:
@@ -159,12 +165,14 @@ def _cmd_rollout(args) -> int:
     scenarios = sio.read_scenario_dir(args.scenarios)
     env_opts = _parse_opts(args.env_opt, "--env-opt")
     av_opts = _parse_opts(args.av_opt, "--av-opt")
+    ordered = [scn for _, scn in sorted(scenarios.items())]
+    rows = [len(simulated_object_ids(scn)) for scn in ordered]
     work = [
-        (scn, args.env_policy, args.av_policy, env_opts, av_opts,
+        (chunk, args.env_policy, args.av_policy, env_opts, av_opts,
          args.k, args.replan_interval, args.seed)
-        for _, scn in sorted(scenarios.items())
+        for chunk in contiguous_chunks(ordered, rows, args.jobs)
     ]
-    results = fan_out(_rollout_one, work, args.jobs)
+    results = [result for chunk in fan_out(_rollout_chunk, work, args.jobs) for result in chunk]
 
     # Plans held for more than one step make the rollouts hybrid open/closed loop.
     tag = "hybrid" if args.replan_interval > 1 else "closed-loop"

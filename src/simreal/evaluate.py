@@ -17,12 +17,13 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .aggregation import (
+from .aggregation import (  # ade and min_ade stay importable here: bench/probes.py wraps them
     MetricsBundle,
-    ade,
+    ade,  # noqa: F401
     composite,
     dataset_composite,
-    min_ade,
+    displacements_per_rollout,
+    min_ade,  # noqa: F401
     scenario_component,
 )
 from .config import DEFAULT_CONFIG, EvalConfig
@@ -52,7 +53,10 @@ def evaluate_scenario(
 
     Rollouts that break the submission contract raise the matching typed
     error (:data:`simreal.scene.CONTRACT_ERRORS`) before any feature is
-    extracted.
+    extracted.  The check is :func:`~simreal.scene.rollout_problems`; it
+    reads the poses through the bundle's kept ``pose_extremes``, so a bundle
+    ``io.match_scenarios`` has checked on the ``evaluate`` path (in this
+    process or before it was sent to a worker) is not scanned again.
     """
     problems = rollout_problems(scenario, rollouts)
     if problems:
@@ -80,12 +84,13 @@ def evaluate_scenario(
     if excluded:
         weights = weights.renormalized(components.keys())
     score = composite(components, weights)
+    displacements = displacements_per_rollout(rollouts, logged)
     return MetricsBundle(
         scenario_id=scenario.scenario_id,
         components=components,
         composite=score,
-        ade=ade(rollouts, logged),
-        min_ade=min_ade(rollouts, logged),
+        ade=float(displacements.mean()),
+        min_ade=float(displacements.min()),
         excluded=tuple(excluded),
     )
 
@@ -150,11 +155,30 @@ def fan_out(fn: Callable[[Any], Any], items: Sequence, jobs: int) -> list:
 
     ``jobs <= 1`` or one item runs in this process.  The cap matters: with the
     ``fork`` start method every worker process starts at the first submit.
+    ``evaluate`` hands out one scenario per item; ``rollout`` hands out one
+    :func:`contiguous_chunks` run of scenarios per worker, which it rolls out
+    in batches.
     """
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))
+
+
+def contiguous_chunks(items: Sequence, weights: Sequence[float], parts: int) -> list[list]:
+    """``items`` cut into ``min(parts, len(items))`` contiguous non-empty runs of near-equal weight.
+
+    Each cut falls where the running weight comes nearest its share of the total.
+    """
+    parts = min(parts, len(items))
+    running = np.concatenate([[0.0], np.cumsum(weights, dtype=float)])
+    cuts = [0]
+    for i in range(1, parts):
+        lo, hi = cuts[-1] + 1, len(items) - parts + i  # leave each later run an item
+        share = running[-1] * i / parts
+        cuts.append(lo + int(np.argmin(np.abs(running[lo : hi + 1] - share))))
+    cuts.append(len(items))
+    return [list(items[a:b]) for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
 def _evaluate_one(args) -> MetricsBundle:

@@ -5,7 +5,9 @@ policies receive a context holding only the map and the poses produced
 strictly before that step, then the environment policy and the AV policy are
 queried for the same step against that same context.  Neither can observe
 the other's current-step output, matching the required factorization of the
-world model into an AV policy and an environment policy.
+world model into an AV policy and an environment policy.  One call steps a
+batch of scenarios, K rollouts each, in one pose buffer, so the per-step
+cost of a policy call is paid once per batch rather than once per scenario.
 
 Each rollout also records a trace: one sha256 digest of the scenario id, the
 row ids and each step's poses, folded in as the step is produced.  The audit
@@ -29,6 +31,7 @@ import numpy as np
 
 from .errors import PolicyContractViolation
 from .scene import (
+    MAX_SIMULATED_OBJECTS,
     MapFeature,
     Scenario,
     ScenarioRollouts,
@@ -281,7 +284,7 @@ class _NoiseStreams:
     def __init__(self, seeds: tuple[int, ...], ids: tuple[int, ...]):
         self._seeds = seeds
         self._ids = ids
-        self._any_negative = bool(ids) and min(ids) < 0
+        self.has_negative_ids = bool(ids) and min(ids) < 0
         self._block_steps = max(1, _KEY_BLOCK_ROWS // (len(seeds) * max(1, len(ids))))
         self._block_first: int | None = None  # first step of self._block
         # (steps, K, A, 2) keys, (steps, K, A, 4) fast-path normals and "draws 0..j all fast"
@@ -292,7 +295,7 @@ class _NoiseStreams:
                        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def _step_block(self, step: int) -> list[np.ndarray]:
-        """One step's (K, A) rows of the block; a negative id gets a key it never draws from."""
+        """One step's (K, A) rows of the block; a negative id gets a key no draw reads."""
         first = (step - 1) // self._block_steps * self._block_steps + 1
         if first != self._block_first:
             shape = (self._block_steps, len(self._seeds), len(self._ids))
@@ -307,12 +310,6 @@ class _NoiseStreams:
         return [a[step - first] for a in self._block]
 
     def draw(self, step: int, rows, n: int) -> np.ndarray:
-        if self._any_negative:
-            bad = [self._ids[r] for r in rows if self._ids[r] < 0]
-            if bad:
-                raise PolicyContractViolation(
-                    f"objects {bad} have negative ids, which cannot key a random stream"
-                )
         keys, normals, all_fast = (a[:, rows] for a in self._step_block(step))
         if n > 4:  # past the first Philox block: every row redraws
             shape = keys.shape[:2] + (n,)
@@ -334,74 +331,89 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return view
 
 
-def _history_motion(
-    poses: np.ndarray, valid: np.ndarray, t0_index: int, dt: float, rows, ids
-) -> np.ndarray:
-    """(n, 3) [speed, heading, z] of the given rows from the history window only.
+def _history_motion(poses: np.ndarray, valid: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """(n, 3) [speed, heading, z] of each row from its (n, H, 4) history poses.
 
-    Speed comes from the two most recent valid history observations; objects
-    with a single valid observation get zero speed.
+    Speed comes from the two most recent valid history observations, over
+    each row's timestep ``dt``; rows with a single valid observation get zero
+    speed.  Every row is valid at the handover step, the last column.
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    hist = valid[rows, : t0_index + 1]
-    if not hist.any(axis=1).all():
-        missing = [ids[r] for r in rows[~hist.any(axis=1)]]
-        raise PolicyContractViolation(f"objects {missing} have no valid history")
-    n = hist.shape[1]
-    last = n - 1 - np.argmax(hist[:, ::-1], axis=1)
-    earlier = hist.copy()
-    earlier[np.arange(len(rows)), last] = False
+    n = valid.shape[1]
+    last = n - 1 - np.argmax(valid[:, ::-1], axis=1)
+    earlier = valid.copy()
+    earlier[np.arange(len(valid)), last] = False
     prev = n - 1 - np.argmax(earlier[:, ::-1], axis=1)
+    rows = np.arange(len(valid))
     last_pose = poses[rows, last]
     prev_pose = poses[rows, prev]
     gap = np.hypot(last_pose[:, 0] - prev_pose[:, 0], last_pose[:, 1] - prev_pose[:, 1])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # An overflowing speed makes non-finite poses, which _step_policies rejects.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         speed = np.where(earlier.any(axis=1), gap / ((last - prev) * dt), 0.0)
     return np.stack([speed, last_pose[:, 3], last_pose[:, 2]], axis=1)
 
 
 @dataclass(frozen=True)
 class PolicyContext:
-    """Everything a policy may condition on at one step of K lockstep rollouts.
+    """Everything a policy may condition on at one step of a batch of scenarios, K rollouts each.
 
-    Rollout k runs on seed ``seeds[k]``.  ``poses`` is (K, A, L, 4) as
-    [x, y, z, heading] and ``valid`` is (A, L), shared by every rollout: L
+    The batch stacks its scenarios' simulated objects on one row axis, each
+    scenario's rows in ascending id order and the scenarios in batch order.
+    ``scenario_of`` is the (R,) index into ``scenario_ids`` of every row,
+    ``av_rows`` the (S,) row of each scenario's AV, ``dt`` the (R,) timestep
+    of every row's scenario and ``map_features`` each scenario's map.  Ids
+    are unique within a scenario only.  Every scenario of a batch shares one
+    history length, so ``t0_index`` and ``step`` hold for all rows.
+
+    Rollout k runs on seed ``seeds[k]``.  ``poses`` is (K, R, L, 4) as
+    [x, y, z, heading] and ``valid`` is (R, L), shared by every rollout: L
     covers the history window plus all previously simulated steps, and
-    states at or after the current step are structurally absent.  Row order
-    follows ``ids``, and policies address their objects by row.  Arrays are
-    read-only views; policies must not retain them beyond the call.
-    ``motion`` is (A, 3) [speed, heading, z] of every row from the history
-    window (see :meth:`history_motion`), which all rollouts share; the
-    harness computes it once per scenario.  ``noise`` holds the rollouts'
-    random streams (see :meth:`standard_normals`).
+    states at or after the current step are structurally absent.  Policies
+    address their objects by row.  Arrays are read-only views; policies must
+    not retain them beyond the call.  ``motion`` is (R, 3) [speed, heading,
+    z] of every row from the history window (see :meth:`history_motion`),
+    which all rollouts share; the harness computes it once per batch.
+    ``noise`` holds the rollouts' random streams (see :meth:`standard_normals`).
     """
 
-    scenario_id: str
-    map_features: tuple[MapFeature, ...]
+    scenario_ids: tuple[str, ...]
+    map_features: tuple[tuple[MapFeature, ...], ...]
     ids: tuple[int, ...]
-    av_id: int
+    scenario_of: np.ndarray
+    av_rows: np.ndarray
     step: int
     t0_index: int
-    dt: float
+    dt: np.ndarray
     seeds: tuple[int, ...]
     poses: np.ndarray
     valid: np.ndarray
     motion: np.ndarray
     noise: _NoiseStreams
 
-    def row_of(self, object_id: int) -> int:
-        return self.ids.index(object_id)
+    def describe_rows(self, rows) -> str:
+        """``"<scenario id> objects [ids]"`` of those ``rows`` in the first scenario they touch."""
+        rows = np.asarray(rows, dtype=np.intp)
+        first = self.scenario_of[rows].min()
+        mine = rows[self.scenario_of[rows] == first]
+        return f"{self.scenario_ids[first]} objects {[self.ids[r] for r in mine.tolist()]}"
 
     def standard_normals(self, rows, n: int) -> np.ndarray:
         """(K, len(rows), n) standard normals; [k, i] starts the stream of (seeds[k], ids[rows[i]]).
 
         Streams are counter-based and keyed by (seed, step, object), so
-        draws do not depend on call order or on the other rollouts: plans
-        computed ahead of time and step-by-step execution see identical
-        noise.  ``loc + scale * z`` gives the bits of numpy's
-        ``normal(loc, scale)``.  A negative object id cannot key a stream and
-        is a contract violation.
+        draws do not depend on call order, on the other rollouts or on the
+        other scenarios of the batch: plans computed ahead of time and
+        step-by-step execution see identical noise.  ``loc + scale * z``
+        gives the bits of numpy's ``normal(loc, scale)``.  A negative object
+        id cannot key a stream and is a contract violation.
         """
+        if self.noise.has_negative_ids:
+            negative = [r for r in np.asarray(rows).tolist() if self.ids[r] < 0]
+            if negative:
+                raise PolicyContractViolation(
+                    f"{self.describe_rows(negative)} have negative ids, "
+                    "which cannot key a random stream"
+                )
         return self.noise.draw(self.step, rows, n)
 
     def last_valid_pose(self, rows) -> np.ndarray:
@@ -425,7 +437,7 @@ class PolicyContext:
 def _step_policies(ctx: PolicyContext, queries, out: np.ndarray) -> None:
     """Step every ``(policy, rows, who)`` of ``queries`` at ``ctx.step`` into ``out[:, rows]``.
 
-    ``out`` is the step's (K, A, 4) poses, rows in ``ctx.ids`` order.  Every
+    ``out`` is the step's (K, R, 4) poses, rows in ``ctx.ids`` order.  Every
     policy is queried against the same context before any output is looked
     at.  Each output must then be a (K, len(rows), 4) float array, every row
     of ``out`` must be finite, and each heading is wrapped in place.
@@ -447,9 +459,9 @@ def _step_policies(ctx: PolicyContext, queries, out: np.ndarray) -> None:
         out[:, rows] = poses
     finite = np.isfinite(out)
     if not finite.all():
-        bad = [ctx.ids[i] for i in np.flatnonzero(~finite.all(axis=(0, 2)))]
+        bad = np.flatnonzero(~finite.all(axis=(0, 2)))
         raise PolicyContractViolation(
-            f"policy output at step {ctx.step}: objects {bad} are not finite"
+            f"policy output at step {ctx.step}: {ctx.describe_rows(bad)} are not finite"
         )
     out[..., 3] = normalize_heading(out[..., 3])
 
@@ -515,61 +527,132 @@ def _rollout_hasher(scenario_id: str, ids: Sequence[int]):
     return hasher
 
 
+def _lengths(scenario: Scenario) -> tuple[int, int]:
+    return scenario.history_length, scenario.future_length
+
+
+def as_batch(scenarios: Scenario | Sequence[Scenario]) -> tuple[Scenario, ...]:
+    """A rollout batch: one scenario (a batch of one), or several sharing their history
+    and future lengths."""
+    batch = (scenarios,) if isinstance(scenarios, Scenario) else tuple(scenarios)
+    if not batch:
+        raise ValueError("a rollout batch needs at least one scenario")
+    for scenario in batch[1:]:
+        if _lengths(scenario) != _lengths(batch[0]):
+            raise ValueError(
+                f"{scenario.scenario_id}: history and future lengths {_lengths(scenario)} "
+                f"differ from the batch's {_lengths(batch[0])}"
+            )
+    return batch
+
+
+#: Simulated rows of one rollout batch at most: those of the largest scene, so a
+#: batch needs no more memory than one scene at the object limit does.
+MAX_BATCH_ROWS = MAX_SIMULATED_OBJECTS
+
+
+def rollout_batches(scenarios: Sequence[Scenario]) -> list[tuple[Scenario, ...]]:
+    """``scenarios`` cut, in order, into batches of at most :data:`MAX_BATCH_ROWS` simulated rows.
+
+    A new batch also starts wherever the history or future length changes.
+    """
+    batches: list[list[Scenario]] = []
+    rows = 0
+    for scenario in scenarios:
+        n = len(simulated_object_ids(scenario))
+        fits = batches and rows + n <= MAX_BATCH_ROWS
+        if fits and _lengths(batches[-1][0]) == _lengths(scenario):
+            batches[-1].append(scenario)
+            rows += n
+        else:
+            batches.append([scenario])
+            rows = n
+    return [tuple(batch) for batch in batches]
+
+
 def closed_loop_rollout(
-    scenario: Scenario,
+    scenarios: Scenario | Sequence[Scenario],
     av_policy: Policy,
     env_policy: Policy,
     seeds: Sequence[int],
 ) -> tuple[np.ndarray, tuple[RolloutTrace, ...]]:
-    """Roll K copies of the scene forward in lockstep, one step at a time, over the future window.
+    """Roll a batch of scenarios forward in lockstep, K rollouts each, one step at a time.
 
-    Rollout k runs on ``seeds[k]``; it shares only the logged history with
-    the others, so it equals the rollout of ``seeds=(seeds[k],)``.
-    Controlled rows partition the simulated objects into {AV} and the rest;
-    both policies are stepped for all K rollouts against the identical
-    context each step and their outputs merged afterwards.  Returns the
-    simulated futures as (K, A, T, 4) poses with rows in ascending object id
-    order (the traces' ``ids``), plus one trace per rollout.
+    The batch (see :func:`as_batch`; one scenario is a batch of one) lives in
+    one (K, R, H+T, 4) pose buffer whose R rows are its scenarios' simulated
+    objects, laid out as :class:`PolicyContext` describes.  Rollout k of
+    every scenario runs on ``seeds[k]``; it shares only its scenario's
+    logged history with the others, so it equals the rollout of that
+    scenario alone with ``seeds=(seeds[k],)``, trace included.  Each
+    scenario's controlled rows partition into {AV} and the rest: each step
+    calls the environment policy once for every non-AV row of the batch and
+    the AV policy once for every AV row, for all K rollouts, against the
+    identical context, and merges the outputs afterwards.
+
+    Returns the simulated futures as (K, R, T, 4) poses, plus one trace per
+    (scenario, rollout), scenario by scenario, whose ``ids`` are that
+    scenario's rows.
     """
     if av_policy is env_policy:
         raise PolicyContractViolation("AV and environment policies must be distinct objects")
+    batch = as_batch(scenarios)
     seeds = tuple(seeds)
     if not seeds:
         raise ValueError("closed_loop_rollout needs at least one seed")
     for seed in seeds:
         if not 0 <= seed < SEED_LIMIT:
             raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    sim_ids = tuple(sorted(simulated_object_ids(scenario)))
-    av_row = sim_ids.index(scenario.av_track_id)
-    all_rows = np.arange(len(sim_ids))
-    env_rows = all_rows[all_rows != av_row]
+    batch_ids = [tuple(sorted(simulated_object_ids(scenario))) for scenario in batch]
+    counts = [len(object_ids) for object_ids in batch_ids]
+    bounds = np.cumsum([0] + counts)
+    ids = tuple(oid for object_ids in batch_ids for oid in object_ids)
+    scenario_of = np.repeat(np.arange(len(batch)), counts)
+    av_rows = np.array([
+        start + object_ids.index(scenario.av_track_id)
+        for scenario, object_ids, start in zip(batch, batch_ids, bounds)
+    ])
+    env_rows = np.setdiff1d(np.arange(len(ids)), av_rows)
     queries = [(env_policy, env_rows, "environment")] if len(env_rows) else []
-    queries.append((av_policy, np.array([av_row]), "AV"))
+    queries.append((av_policy, av_rows, "AV"))
 
     k = len(seeds)
-    h, t_total = scenario.history_length, scenario.future_length
-    n = len(sim_ids)
-    rows = scenario.tracks.rows(sim_ids)
-    poses = np.zeros((k, n, h + t_total, 4))
-    valid = np.zeros((n, h + t_total), dtype=bool)
-    valid[:, :h] = scenario.tracks.valid[rows, :h]
-    poses[:, :, :h] = np.where(valid[:, :h, None], scenario.tracks.poses[rows, :h], 0.0)
-    motion = _history_motion(poses[0], valid, h - 1, scenario.timestep, all_rows, sim_ids)
+    h, t_total = batch[0].history_length, batch[0].future_length
+    poses = np.zeros((k, len(ids), h + t_total, 4))
+    valid = np.zeros((len(ids), h + t_total), dtype=bool)
+    for scenario, object_ids, lo, hi in zip(batch, batch_ids, bounds, bounds[1:]):
+        rows = scenario.tracks.rows(object_ids)
+        valid[lo:hi, :h] = scenario.tracks.valid[rows, :h]
+        poses[:, lo:hi, :h] = np.where(valid[lo:hi, :h, None], scenario.tracks.poses[rows, :h], 0.0)
+    dt = np.repeat([scenario.timestep for scenario in batch], counts)
+    motion = _history_motion(poses[0, :, :h], valid[:, :h], dt)
 
-    hashers = [_rollout_hasher(scenario.scenario_id, sim_ids) for _ in seeds]
-    noise = _NoiseStreams(seeds, sim_ids)
+    hashers = [
+        [_rollout_hasher(scenario.scenario_id, object_ids) for _ in seeds]
+        for scenario, object_ids in zip(batch, batch_ids)
+    ]
+    # Each step is copied here as it is produced and hashed per (scenario, rollout).
+    record = np.empty((k, len(ids), 4), dtype="<f8")
+    feeds = [
+        (hasher.update, record[j, lo:hi])
+        for scenario_hashers, lo, hi in zip(hashers, bounds, bounds[1:])
+        for j, hasher in enumerate(scenario_hashers)
+    ]
+    noise = _NoiseStreams(seeds, ids)
+    scenario_ids = tuple(scenario.scenario_id for scenario in batch)
+    map_features = tuple(scenario.map_features for scenario in batch)
     # An overflowing policy option makes non-finite poses, which _step_policies rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, t_total + 1):
             upto = h + t - 1
             ctx = PolicyContext(
-                scenario_id=scenario.scenario_id,
-                map_features=scenario.map_features,
-                ids=sim_ids,
-                av_id=scenario.av_track_id,
+                scenario_ids=scenario_ids,
+                map_features=map_features,
+                ids=ids,
+                scenario_of=scenario_of,
+                av_rows=av_rows,
                 step=t,
                 t0_index=h - 1,
-                dt=scenario.timestep,
+                dt=dt,
                 seeds=seeds,
                 poses=_read_only(poses[:, :, :upto]),
                 valid=_read_only(valid[:, :upto]),
@@ -580,48 +663,61 @@ def closed_loop_rollout(
             _step_policies(ctx, queries, merged)
             valid[:, upto] = True
             # Commit the step now: a later rewrite of it no longer matches the digest.
-            for hasher, step_poses in zip(hashers, np.ascontiguousarray(merged, dtype="<f8")):
-                hasher.update(step_poses)
+            record[...] = merged
+            for update, step_rows in feeds:
+                update(step_rows)
 
     traces = tuple(
-        RolloutTrace(scenario.scenario_id, seed, sim_ids, hasher.hexdigest())
-        for seed, hasher in zip(seeds, hashers)
+        RolloutTrace(scenario.scenario_id, seed, object_ids, hasher.hexdigest())
+        for scenario, object_ids, scenario_hashers in zip(batch, batch_ids, hashers)
+        for seed, hasher in zip(seeds, scenario_hashers)
     )
     return poses[:, :, h:], traces
 
 
 def generate_submission(
-    scenario: Scenario,
+    scenarios: Scenario | Sequence[Scenario],
     av_policy: Policy,
     env_policy: Policy,
     k: int = 32,
     base_seed: int = 0,
     with_traces: bool = False,
 ):
-    """Run ``k`` independent lockstep rollouts seeded base_seed .. base_seed+k-1.
+    """Run ``k`` independent lockstep rollouts seeded base_seed .. base_seed+k-1 per scenario.
 
-    Rollouts that break :func:`~simreal.scene.rollout_problems` raise PolicyContractViolation.
+    ``scenarios`` is rolled out as one batch (see :func:`closed_loop_rollout`).
+    For one scenario this returns its :class:`ScenarioRollouts`, and with
+    ``with_traces`` also its K traces; for a sequence, a list of each in
+    batch order.  Rollouts that break :func:`~simreal.scene.rollout_problems`
+    raise PolicyContractViolation naming their scenario.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    batch = as_batch(scenarios)
     futures, traces = closed_loop_rollout(
-        scenario, av_policy, env_policy, seeds=range(base_seed, base_seed + k)
+        batch, av_policy, env_policy, seeds=range(base_seed, base_seed + k)
     )
-    rollouts = ScenarioRollouts(
-        scenario_id=scenario.scenario_id,
-        ids=sorted(simulated_object_ids(scenario)),
-        rollouts=futures,
-    )
-    problems = rollout_problems(scenario, rollouts)
-    if problems:
-        more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
-        raise PolicyContractViolation(
-            f"rollouts of {scenario.scenario_id} break the submission contract: "
-            f"[{problems[0][0]}] {problems[0][1]}{more}"
-        )
+    bundles, bundle_traces = [], []
+    lo = 0
+    for i, scenario in enumerate(batch):
+        mine = traces[i * k : (i + 1) * k]
+        hi = lo + len(mine[0].ids)
+        rollouts = ScenarioRollouts(scenario.scenario_id, mine[0].ids, futures[:, lo:hi])
+        lo = hi
+        problems = rollout_problems(scenario, rollouts)
+        if problems:
+            more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
+            raise PolicyContractViolation(
+                f"rollouts of {scenario.scenario_id} break the submission contract: "
+                f"[{problems[0][0]}] {problems[0][1]}{more}"
+            )
+        bundles.append(rollouts)
+        bundle_traces.append(mine)
+    if isinstance(scenarios, Scenario):
+        bundles, bundle_traces = bundles[0], bundle_traces[0]
     if with_traces:
-        return rollouts, traces
-    return rollouts
+        return bundles, bundle_traces
+    return bundles
 
 
 def audit_trace(trace: RolloutTrace, poses: np.ndarray, ids: Sequence[int]) -> AuditReport:

@@ -1,21 +1,22 @@
 """Reproducible baseline policies and the plugin registry.
 
 All baselines read only the policy context.  The logged-oracle is the one
-deliberate exception: it is constructed with the scenario so it can replay
-the logged future, which is exactly its job as a scoring ceiling.
+deliberate exception: it is constructed with the batch of scenarios it will
+roll out so it can replay their logged futures, which is exactly its job as
+a scoring ceiling.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InvalidOption, PolicyContractViolation
-from .harness import Policy, PolicyContext
-from .scene import Scenario, elementwise, simulated_object_ids
+from .harness import Policy, PolicyContext, as_batch
+from .scene import Scenario, elementwise_each, simulated_object_ids
 
 
 def _pose_rows(x, y, z, heading) -> np.ndarray:
@@ -36,7 +37,7 @@ def _cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if not np.isfinite(angles).all():
         angles = np.where(np.isinf(angles), np.nan, angles)
-    return elementwise(math.cos, angles), elementwise(math.sin, angles)
+    return elementwise_each((math.cos, math.sin), angles)
 
 
 def _option(name: str, value, allow_negative: bool = False) -> float:
@@ -62,7 +63,7 @@ class ConstantVelocityPolicy(Policy):
     def step(self, context: PolicyContext, rows):
         speed, heading, z = context.history_motion(rows)
         last = context.last_valid_pose(rows)
-        stride = speed * context.dt
+        stride = speed * context.dt[rows]
         cos, sin = _cos_sin(heading)
         return _pose_rows(last[..., 0] + stride * cos, last[..., 1] + stride * sin, z, heading)
 
@@ -70,9 +71,9 @@ class ConstantVelocityPolicy(Policy):
 class RandomAgentPolicy(Policy):
     """Draw x, y, heading independently from N(mu, sigma^2) in the AV frame.
 
-    The frame is anchored at the AV's pose at the handover step.  Heights are
-    held at each object's last history value.  ``mu`` must be finite and
-    ``sigma`` finite and >= 0.
+    Each row's frame is anchored at its own scenario's AV pose at the
+    handover step.  Heights are held at each object's last history value.
+    ``mu`` must be finite and ``sigma`` finite and >= 0.
     """
 
     def __init__(self, mu: float = 1.0, sigma: float = 0.1):
@@ -80,41 +81,52 @@ class RandomAgentPolicy(Policy):
         self.sigma = _option("sigma", sigma)
 
     def step(self, context: PolicyContext, rows):
-        # All rollouts share the logged history, so rollout 0 holds the AV's handover pose.
-        av = context.poses[0, context.row_of(context.av_id), context.t0_index]
-        c, s = math.cos(av[3]), math.sin(av[3])
+        # All rollouts share the logged history, so rollout 0 holds each AV's handover pose.
+        avs = context.poses[0, context.av_rows, context.t0_index]
+        cos, sin = _cos_sin(avs[:, 3])
+        mine = context.scenario_of[rows]
+        av, c, s = avs[mine], cos[mine], sin[mine]
         d = self.mu + self.sigma * context.standard_normals(rows, 3)
         _, _, z = context.history_motion(rows)
         return _pose_rows(
-            av[0] + c * d[..., 0] - s * d[..., 1],
-            av[1] + s * d[..., 0] + c * d[..., 1],
+            av[:, 0] + c * d[..., 0] - s * d[..., 1],
+            av[:, 1] + s * d[..., 0] + c * d[..., 1],
             z,
-            av[3] + d[..., 2],
+            av[:, 3] + d[..., 2],
         )
 
 
 class LoggedOraclePolicy(Policy):
-    """Replay the logged future; gaps, and plan steps past its end, hold the last valid pose."""
+    """Replay the logged future; gaps, and plan steps past its end, hold the last valid pose.
 
-    def __init__(self, scenario: Scenario):
-        h = scenario.history_length
-        self._ids = np.array(sorted(simulated_object_ids(scenario)), dtype=np.int64)
-        rows = scenario.tracks.rows(self._ids)
-        # Offsets from t=0, which anchors the hold: simulated objects are valid there.
-        valid = scenario.tracks.valid[rows, h - 1 :]
-        seen = np.where(valid, np.arange(valid.shape[1]), 0)
-        held = np.maximum.accumulate(seen, axis=1)[:, 1:] + (h - 1)
-        self._future = np.take_along_axis(scenario.tracks.poses[rows], held[..., None], axis=1)
+    Built for a batch of scenarios (see :func:`~simreal.harness.as_batch`),
+    it replays contexts of exactly that batch: its future has one row per
+    row of the batch's pose buffer.
+    """
+
+    def __init__(self, scenarios: Scenario | Sequence[Scenario]):
+        batch = as_batch(scenarios)
+        futures, ids = [], []
+        for scenario in batch:
+            h = scenario.history_length
+            object_ids = sorted(simulated_object_ids(scenario))
+            rows = scenario.tracks.rows(object_ids)
+            # Offsets from t=0, which anchors the hold: simulated objects are valid there.
+            valid = scenario.tracks.valid[rows, h - 1 :]
+            seen = np.where(valid, np.arange(valid.shape[1]), 0)
+            held = np.maximum.accumulate(seen, axis=1)[:, 1:] + (h - 1)
+            futures.append(np.take_along_axis(scenario.tracks.poses[rows], held[..., None], axis=1))
+            ids += object_ids
+        self._batch = (tuple(scenario.scenario_id for scenario in batch), tuple(ids))
+        self._future = np.concatenate(futures)
 
     def step(self, context: PolicyContext, rows):
-        want = np.asarray(context.ids)[rows]
-        idx = np.minimum(np.searchsorted(self._ids, want), len(self._ids) - 1)
-        unknown = self._ids[idx] != want
-        if unknown.any():
+        if (context.scenario_ids, context.ids) != self._batch:
             raise PolicyContractViolation(
-                f"oracle has no logged future for object {want[np.argmax(unknown)]}"
+                f"the oracle replays scenarios {list(self._batch[0])}, "
+                f"not the objects of {list(context.scenario_ids)}"
             )
-        future = self._future[idx, min(context.step, self._future.shape[1]) - 1]
+        future = self._future[rows, min(context.step, self._future.shape[1]) - 1]
         return np.broadcast_to(future, (len(context.seeds),) + future.shape)
 
 
@@ -143,7 +155,7 @@ class NoisyPlanPolicy(Policy):
         noise = context.standard_normals(rows, 2)
         heading = heading + (0.0 + self.heading_sigma * noise[..., 0])
         speed = speed + (0.0 + self.speed_sigma * noise[..., 1])
-        stride = np.where(speed > 0.0, speed, 0.0) * context.dt
+        stride = np.where(speed > 0.0, speed, 0.0) * context.dt[rows]
         cos, sin = _cos_sin(heading)
         return _pose_rows(stride * cos, stride * sin, z, heading)
 
@@ -166,9 +178,9 @@ class ReplanWrapper(Policy):
 
     Interval 1 is fully closed-loop; larger intervals emulate the hybrid
     open/closed-loop pattern of slower replanning.  The held plan covers the
-    context's K rollouts and is keyed on its scenario and seeds, so every new
-    batch of rollouts plans afresh even when one plan spans the whole future
-    window.
+    context's batch of scenarios and K rollouts and is keyed on the batch's
+    scenario ids and seeds, so every new batch plans afresh even when one plan
+    spans the whole future window.
     """
 
     def __init__(self, inner: Policy, interval: int):
@@ -182,7 +194,7 @@ class ReplanWrapper(Policy):
 
     def step(self, context: PolicyContext, rows):
         t = context.step
-        key = (context.scenario_id, context.seeds)
+        key = (context.scenario_ids, context.seeds)
         stale = (
             key != self._plan_key
             or t < self._plan_start
@@ -195,7 +207,8 @@ class ReplanWrapper(Policy):
         return self._plan[t - self._plan_start]
 
 
-PolicyFactory = Callable[[Scenario, Mapping[str, Any]], Policy]
+#: Builds a policy for a batch of scenarios (one scenario is a batch of one) from its options.
+PolicyFactory = Callable[[Scenario | Sequence[Scenario], Mapping[str, Any]], Policy]
 
 
 @dataclass(frozen=True)
@@ -207,27 +220,30 @@ class RegisteredPolicy:
 
 
 POLICY_REGISTRY: dict[str, RegisteredPolicy] = {
-    "constant-velocity": RegisteredPolicy(lambda scenario, opts: ConstantVelocityPolicy()),
+    "constant-velocity": RegisteredPolicy(lambda scenarios, opts: ConstantVelocityPolicy()),
     "random": RegisteredPolicy(
-        lambda scenario, opts: RandomAgentPolicy(**opts), ("mu", "sigma")
+        lambda scenarios, opts: RandomAgentPolicy(**opts), ("mu", "sigma")
     ),
-    "logged-oracle": RegisteredPolicy(lambda scenario, opts: LoggedOraclePolicy(scenario)),
+    "logged-oracle": RegisteredPolicy(lambda scenarios, opts: LoggedOraclePolicy(scenarios)),
     "noisy-plan": RegisteredPolicy(
-        lambda scenario, opts: NoisyPlanPolicy(**opts), ("heading_sigma", "speed_sigma")
+        lambda scenarios, opts: NoisyPlanPolicy(**opts), ("heading_sigma", "speed_sigma")
     ),
 }
 
 
 def create_policy(
     name: str,
-    scenario: Scenario,
+    scenarios: Scenario | Sequence[Scenario],
     options: Mapping[str, Any] | None = None,
     replan_interval: int = 1,
 ) -> Policy:
     """Instantiate a registered policy, wrapped for slow replanning at an interval above 1.
 
-    An option the policy does not read, a bad option value and an interval
-    below 1 raise :class:`InvalidOption`.
+    ``scenarios`` is the batch the policy will roll out, as it will be passed
+    to :func:`~simreal.harness.closed_loop_rollout`; one scenario is a batch
+    of one.  Build a fresh pair of policies for each batch.  An option the
+    policy does not read, a bad option value and an interval below 1 raise
+    :class:`InvalidOption`.
     """
     if name not in POLICY_REGISTRY:
         known = ", ".join(sorted(POLICY_REGISTRY))
@@ -242,7 +258,7 @@ def create_policy(
         )
     if replan_interval < 1:
         raise InvalidOption(f"replan interval must be >= 1, got {replan_interval}")
-    policy = entry.factory(scenario, options)
+    policy = entry.factory(scenarios, options)
     if replan_interval > 1:
         policy = ReplanWrapper(policy, replan_interval)
     return policy

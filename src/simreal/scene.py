@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from enum import Enum
 from typing import Iterable, Mapping
 
@@ -61,6 +62,12 @@ def elementwise(fn, *arrays) -> np.ndarray:
     """
     flat = [a.ravel().tolist() for a in arrays]
     return np.fromiter(map(fn, *flat), float, len(flat[0])).reshape(arrays[0].shape)
+
+
+def elementwise_each(fns, array: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each of several :mod:`math` functions element by element over one array, flattened once."""
+    flat = array.ravel().tolist()
+    return tuple(np.fromiter(map(fn, flat), float, len(flat)).reshape(array.shape) for fn in fns)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -289,6 +296,16 @@ class ScenarioRollouts:
     def num_steps(self) -> int:
         return self.rollouts.shape[2]
 
+    @cached_property
+    def pose_extremes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(K, A) largest and smallest value of each rollout row over its steps and components.
+
+        Computed on first use and kept: the poses are read-only.  Reductions,
+        not ``np.isfinite`` or ``np.abs``, so no temporary as large as the
+        poses is made.
+        """
+        return _frozen(self.rollouts.max(axis=(2, 3))), _frozen(self.rollouts.min(axis=(2, 3)))
+
 
 def simulated_object_ids(scenario: Scenario) -> frozenset[int]:
     """Objects that must be simulated: everything valid at the handover step.
@@ -322,7 +339,10 @@ def rollout_problems(scenario: Scenario, rollouts: ScenarioRollouts) -> list[tup
     detail)`` pairs, codes as keys of :data:`CONTRACT_ERRORS`: at most one per
     object-set or step-count problem, and one per rollout with a non-finite
     pose or an out-of-range coordinate.  The rollout count is not part of
-    this contract.
+    this contract.  The poses are read through the bundle's
+    :attr:`~ScenarioRollouts.pose_extremes`, so a bundle checked again (as
+    ``evaluate_scenario`` checks after ``io.match_scenarios``) is not scanned
+    again.
     """
     problems = []
     required = simulated_object_ids(scenario)
@@ -337,10 +357,8 @@ def rollout_problems(scenario: Scenario, rollouts: ScenarioRollouts) -> list[tup
             "BAD_STEP_COUNT",
             f"rollouts have {rollouts.num_steps} steps, expected {scenario.future_length}",
         ))
-    # Reductions, not np.isfinite or np.abs, so no temporary as large as the
-    # poses is made.  max and min propagate NaN, and an infinity shows in one.
-    high = rollouts.rollouts.max(axis=(2, 3))  # (K, A)
-    low = rollouts.rollouts.min(axis=(2, 3))
+    # max and min propagate NaN, and an infinity shows in one.
+    high, low = rollouts.pose_extremes
     finite = np.isfinite(high) & np.isfinite(low)
     for k in np.flatnonzero(~finite.all(axis=1)):
         oid = rollouts.ids[np.argmin(finite[k])]  # first object with a bad pose

@@ -44,6 +44,7 @@ from .scene import (
     Scenario,
     Tracks,
     elementwise,
+    elementwise_each,
 )
 
 VEHICLE_DIMS = (4.6, 2.0, 1.8)
@@ -232,7 +233,7 @@ def _fixture_point_to_segments(px, py, starts, ends):
 
 def _box_corners(x, y, heading, length, width):
     """Corner x and y, each stacked ``(4, ...)``: front-left, front-right, rear-right, rear-left."""
-    c, s = elementwise(math.cos, heading), elementwise(math.sin, heading)
+    c, s = elementwise_each((math.cos, math.sin), heading)
     hx, hy = c * length / 2.0, s * length / 2.0
     wx, wy = -s * width / 2.0, c * width / 2.0
     return (

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import gzip
+import hashlib
 import io
 import json
 import math
@@ -986,3 +987,74 @@ class TestReadersNeverRaise:
                 code = main(argv)
         assert code in (0, 1, 2, 3), err.getvalue()
         assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def small_suite(tmp_path_factory):
+    """Six scenes over all templates: small enough to roll out three times."""
+    out = tmp_path_factory.mktemp("small_suite") / "scenarios"
+    assert main([
+        "synth", "--template", "all", "--count", "6", "--seed", "3", "--noise", "0.2",
+        "--out", str(out),
+    ]) == 0
+    return out
+
+
+def _edited_suite(suite: Path, out: Path, edit) -> str:
+    """A copy of ``suite`` whose second scenario (in id order) is ``edit(doc)``; its id."""
+    out.mkdir()
+    paths = sorted(suite.glob("*.json"))
+    docs = [json.loads(p.read_text()) for p in paths]
+    target = sorted(doc["scenario_id"] for doc in docs if "tracks" in doc)[1]
+    for path, doc in zip(paths, docs):
+        if doc.get("scenario_id") == target and "tracks" in doc:
+            edit(doc)
+        (out / path.name).write_text(json.dumps(doc))
+    return target
+
+
+class TestBatchedRollout:
+    @pytest.mark.parametrize("interval", [1, 3])
+    def test_archive_bytes_do_not_depend_on_jobs(self, small_suite, tmp_path, interval):
+        digests = set()
+        for jobs in (1, 2, 3):
+            out = tmp_path / f"jobs{jobs}.tar.gz"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([
+                    "rollout", "--scenarios", str(small_suite), "--env-policy", "noisy-plan",
+                    "--av-policy", "random", "--k", "3", "--seed", "5",
+                    f"--replan-interval={interval}", f"--jobs={jobs}", "--out", str(out),
+                ]) == 0
+            digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert len(digests) == 1
+
+    def _rollout(self, scenarios, policy, tmp_path, capsys):
+        out = tmp_path / "sub.tar.gz"
+        capsys.readouterr()
+        code = main([
+            "rollout", "--scenarios", str(scenarios), "--env-policy", policy,
+            "--av-policy", policy, "--k", "2", "--jobs", "1", "--out", str(out),
+        ])
+        return code, capsys.readouterr().err, out
+
+    def test_negative_ids_in_one_scenario_exit_three(self, small_suite, tmp_path, capsys):
+        def negate(doc):
+            for track in doc["tracks"]:
+                track["object_id"] = -1 - track["object_id"]
+            doc["av_track_id"] = -1 - doc["av_track_id"]
+
+        bad = _edited_suite(small_suite, tmp_path / "scenarios", negate)
+        code, err, out = self._rollout(tmp_path / "scenarios", "noisy-plan", tmp_path, capsys)
+        assert code == 3 and not out.exists()
+        assert f"{bad} objects [-" in err and "negative ids" in err
+        assert err.count("\n") == 1
+
+    def test_non_finite_output_in_one_scenario_exits_three(self, small_suite, tmp_path, capsys):
+        # A tiny timestep turns any history motion into an infinite speed.
+        bad = _edited_suite(small_suite, tmp_path / "scenarios",
+                            lambda doc: doc.update(timestep=1e-310))
+        code, err, out = self._rollout(tmp_path / "scenarios", "constant-velocity", tmp_path,
+                                       capsys)
+        assert code == 3 and not out.exists()
+        assert f"{bad} objects [" in err and "are not finite" in err
+        assert err.count("\n") == 1

@@ -1,19 +1,24 @@
 from __future__ import annotations
 
+import functools
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import simreal.evaluate
+import simreal.scene
+from simreal.aggregation import ade, min_ade
 from simreal.config import DEFAULT_CONFIG
 from simreal.errors import InconsistentRollouts, MalformedScenario
-from simreal.evaluate import evaluate_dataset, evaluate_scenario
+from simreal.evaluate import contiguous_chunks, evaluate_dataset, evaluate_scenario
 from simreal.features import MetricKind
 from simreal.harness import generate_submission
 from simreal.policies import ConstantVelocityPolicy, LoggedOraclePolicy, RandomAgentPolicy
-from simreal.scene import ScenarioRollouts, Tracks
+from simreal.scene import ScenarioRollouts, Tracks, rollout_problems
 from simreal.synth import SynthSpec, Template, generate
 
 
@@ -215,3 +220,63 @@ class TestEvaluateDataset:
         assert summary.composite == pytest.approx(bundles[0].composite)
         for m, v in summary.component_means.items():
             assert v == pytest.approx(bundles[0].components[m])
+
+
+class TestOneCheckOneDisplacement:
+    def test_a_bundle_checked_once_is_not_scanned_again(self, oracle_run, monkeypatch):
+        scenario, rollouts = oracle_run
+        scans = []
+        scan = ScenarioRollouts.pose_extremes.func
+        counted = functools.cached_property(lambda bundle: scans.append(bundle) or scan(bundle))
+        counted.__set_name__(ScenarioRollouts, "pose_extremes")
+        monkeypatch.setattr(ScenarioRollouts, "pose_extremes", counted)
+        fresh = replace(rollouts, rollouts=rollouts.rollouts)  # a bundle no one has checked
+        assert rollout_problems(scenario, fresh) == []  # as io.match_scenarios checks it
+        evaluate_scenario(scenario, fresh)
+        # A pool worker receives a pickled copy, which keeps what was scanned.
+        evaluate_scenario(*pickle.loads(pickle.dumps((scenario, fresh))))
+        assert scans == [fresh]
+        evaluate_scenario(scenario, replace(fresh))  # another bundle is scanned afresh
+        assert len(scans) == 2
+
+    def test_a_bad_bundle_is_rejected_again_and_again(self, oracle_run):
+        scenario, rollouts = oracle_run
+        poses = rollouts.rollouts.copy()
+        poses[0, 0, 5, 0] = math.nan
+        nan = replace(rollouts, rollouts=poses)
+        for _ in range(2):
+            with pytest.raises(MalformedScenario, match="NaN/Inf"):
+                evaluate_scenario(scenario, nan)
+
+    def test_displacements_are_computed_once_per_scenario(self, monkeypatch):
+        scenario = generate(SynthSpec(Template.CURVED_ROAD, seed=1, noise_level=0.2)).scenario
+        rollouts = generate_submission(scenario, RandomAgentPolicy(), RandomAgentPolicy(), k=4)
+        calls = []
+        real = simreal.evaluate.displacements_per_rollout
+        monkeypatch.setattr(simreal.evaluate, "displacements_per_rollout",
+                            lambda *args: calls.append(args) or real(*args))
+        bundle = evaluate_scenario(scenario, rollouts)
+        assert len(calls) == 1
+        assert bundle.ade == ade(rollouts, scenario)
+        assert bundle.min_ade == min_ade(rollouts, scenario)
+        assert bundle.min_ade < bundle.ade
+
+
+class TestContiguousChunks:
+    @settings(max_examples=200, deadline=None)
+    @given(weights=st.lists(st.integers(1, 128), min_size=1, max_size=40),
+           parts=st.integers(1, 8))
+    def test_chunks_cover_the_items_in_order_and_balance_the_weight(self, weights, parts):
+        items = list(range(len(weights)))
+        chunks = contiguous_chunks(items, weights, parts)
+        assert [i for chunk in chunks for i in chunk] == items
+        assert len(chunks) == min(parts, len(items))
+        assert all(chunks)
+        total = sum(weights)
+        for chunk in chunks:
+            assert sum(weights[i] for i in chunk) <= total / len(chunks) + max(weights)
+
+    def test_equal_weights_split_evenly(self):
+        assert contiguous_chunks("abcdef", [1] * 6, 3) == [["a", "b"], ["c", "d"], ["e", "f"]]
+        assert contiguous_chunks("abc", [5, 1, 1], 2) == [["a"], ["b", "c"]]
+        assert contiguous_chunks("ab", [1, 1], 5) == [["a"], ["b"]]

@@ -12,6 +12,7 @@ from simreal.errors import InvalidOption, PolicyContractViolation
 from simreal.harness import (
     _ZIGGURAT_KI,
     _ZIGGURAT_WI,
+    MAX_BATCH_ROWS,
     Policy,
     _NoiseStreams,
     _philox_first_block,
@@ -19,8 +20,10 @@ from simreal.harness import (
     closed_loop_rollout,
     generate_submission,
     philox_keys,
+    rollout_batches,
 )
 from simreal.policies import (
+    POLICY_REGISTRY,
     ConstantVelocityPolicy,
     LoggedOraclePolicy,
     NoisyPlanPolicy,
@@ -750,3 +753,146 @@ class TestNoiseStreams:
         assert len(seen) == scenario.future_length
         for (step, oid), z in seen.items():
             assert z.tobytes() == seed_sequence_stream(5, step, oid).standard_normal(2).tobytes()
+
+
+def _scene_pool():
+    """Scenes of every template, two seeds each, with ids that repeat across scenes.
+
+    One copy runs at another timestep, so a batch mixes per-row timesteps.
+    """
+    scenes = [
+        generate(SynthSpec(template, seed=seed)).scenario
+        for template in Template
+        for seed in (0, 1)
+    ]
+    slow = replace(scenes[0], scenario_id=scenes[0].scenario_id + "-dt", timestep=0.25)
+    return scenes + [slow]
+
+
+_POOL = _scene_pool()
+
+
+def _nan_in(scenario_id):
+    """A constant-velocity policy whose rows of ``scenario_id`` turn NaN at step 5."""
+
+    class NaNIn(Policy):
+        def step(self, context, rows):
+            out = ConstantVelocityPolicy().step(context, rows)
+            if context.step == 5:
+                mine = np.asarray(context.scenario_ids)[context.scenario_of[rows]] == scenario_id
+                out[:, mine, 0] = math.nan
+            return out
+
+    return NaNIn()
+
+
+class TestScenarioBatches:
+    """A batch of scenarios rolls out each of them exactly as it rolls out alone."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        picks=st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=4, unique=True),
+        env=st.sampled_from(sorted(POLICY_REGISTRY)),
+        av=st.sampled_from(sorted(POLICY_REGISTRY)),
+        interval=st.sampled_from([1, 3]),
+        k=st.integers(1, 4),
+        base=st.integers(0, 2**40),
+    )
+    def test_batched_futures_and_digests_equal_the_solo_rollouts(
+        self, picks, env, av, interval, k, base
+    ):
+        batch = [_POOL[i] for i in picks]
+        seeds = range(base, base + k)
+        futures, traces = closed_loop_rollout(
+            batch,
+            create_policy(av, batch, replan_interval=interval),
+            create_policy(env, batch, replan_interval=interval),
+            seeds,
+        )
+        assert [trace.scenario_id for trace in traces] == [
+            scenario.scenario_id for scenario in batch for _ in seeds
+        ]
+        lo = 0
+        for i, scenario in enumerate(batch):
+            solo, solo_traces = closed_loop_rollout(
+                scenario,
+                create_policy(av, scenario, replan_interval=interval),
+                create_policy(env, scenario, replan_interval=interval),
+                seeds,
+            )
+            hi = lo + solo.shape[1]
+            assert futures[:, lo:hi].tobytes() == solo.tobytes()
+            assert traces[i * k : (i + 1) * k] == solo_traces
+            lo = hi
+        assert lo == futures.shape[1]
+
+    def test_generate_submission_returns_one_bundle_per_scenario(self):
+        batch = _POOL[:3]
+        bundles, traces = generate_submission(
+            batch, NoisyPlanPolicy(), NoisyPlanPolicy(), k=2, base_seed=4, with_traces=True
+        )
+        assert [b.scenario_id for b in bundles] == [s.scenario_id for s in batch]
+        for scenario, bundle, mine in zip(batch, bundles, traces):
+            solo = generate_submission(scenario, NoisyPlanPolicy(), NoisyPlanPolicy(), k=2,
+                                       base_seed=4)
+            assert bundle.rollouts.tobytes() == solo.rollouts.tobytes()
+            assert all(audit_trace(t, p, bundle.ids).ok for t, p in zip(mine, bundle.rollouts))
+
+    def test_non_finite_output_names_its_scenario(self):
+        batch = _POOL[2:5]
+        bad = batch[1].scenario_id
+        with pytest.raises(PolicyContractViolation, match=rf"step 5: {bad} objects .* not finite"):
+            closed_loop_rollout(batch, ConstantVelocityPolicy(), _nan_in(bad), seeds=(0,))
+
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_negative_id_names_its_scenario(self, position):
+        batch = list(_POOL[4:6])
+        batch.insert(position, relabeled(_POOL[0], -100))
+        bad = batch[position].scenario_id
+        with pytest.raises(PolicyContractViolation, match=rf"{bad} objects \[-\d+.*negative ids"):
+            closed_loop_rollout(batch, NoisyPlanPolicy(), NoisyPlanPolicy(), seeds=(0,))
+
+    def test_each_policy_steps_once_per_step_for_the_whole_batch(self):
+        av, env = (_CountingSteps(NoisyPlanPolicy()) for _ in range(2))
+        generate_submission(_POOL[:5], av, env, k=3, base_seed=0)
+        assert av.calls == env.calls == 80
+
+    def test_a_batch_shares_one_history_and_future_length(self):
+        short = replace(_POOL[1], tracks=replace(
+            _POOL[1].tracks, poses=_POOL[1].tracks.poses[:, :-1],
+            valid=_POOL[1].tracks.valid[:, :-1]), future_length=79)
+        with pytest.raises(ValueError, match="differ from the batch's"):
+            closed_loop_rollout([_POOL[0], short], NoisyPlanPolicy(), NoisyPlanPolicy(), (0,))
+        batches = rollout_batches([_POOL[0], _POOL[2], short, _POOL[3]])
+        assert [len(b) for b in batches] == [2, 1, 1]
+        with pytest.raises(ValueError, match="at least one scenario"):
+            closed_loop_rollout([], NoisyPlanPolicy(), NoisyPlanPolicy(), (0,))
+
+    def test_batches_hold_at_most_the_row_cap(self):
+        big = generate(SynthSpec(Template.STRAIGHT_ROAD, agent_count=100, seed=0)).scenario
+        scenes = [big, *_POOL[2:8], big, *_POOL[:2]]
+        batches = rollout_batches(scenes)
+        assert [s for batch in batches for s in batch] == scenes
+        sizes = [sum(len(simulated_object_ids(s)) for s in batch) for batch in batches]
+        assert max(sizes) <= MAX_BATCH_ROWS
+        # A batch ends only where its next scene would not fit.
+        for size, following in zip(sizes, batches[1:]):
+            assert size + len(simulated_object_ids(following[0])) > MAX_BATCH_ROWS
+
+    def test_a_held_plan_does_not_leak_into_the_next_batch(self):
+        # One plan spans the whole window; the next batch, on the same seeds, plans afresh.
+        av, env = (create_policy("noisy-plan", _POOL[:2], replan_interval=200) for _ in range(2))
+        for batch in (_POOL[:2], _POOL[2:4]):
+            held, _ = closed_loop_rollout(batch, av, env, seeds=(0, 1))
+            fresh, _ = closed_loop_rollout(
+                batch,
+                create_policy("noisy-plan", batch, replan_interval=200),
+                create_policy("noisy-plan", batch, replan_interval=200),
+                seeds=(0, 1),
+            )
+            assert held.tobytes() == fresh.tobytes()
+
+    def test_oracle_refuses_a_batch_it_was_not_built_for(self):
+        oracle = LoggedOraclePolicy(_POOL[:2])
+        with pytest.raises(PolicyContractViolation, match="oracle replays"):
+            closed_loop_rollout(_POOL[1:3], ConstantVelocityPolicy(), oracle, seeds=(0,))

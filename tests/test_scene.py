@@ -15,6 +15,8 @@ from simreal.scene import (
     Scenario,
     ScenarioRollouts,
     Tracks,
+    elementwise,
+    elementwise_each,
     normalize_heading,
     rollout_problems,
     simulated_object_ids,
@@ -422,3 +424,15 @@ class TestRolloutProblemPoses:
         ]
         got = rollout_problems(scenario, rollouts)
         assert [p for p in got if p[0] in ("NONFINITE_POSE", "OUT_OF_RANGE_POSE")] == want
+
+
+class TestElementwiseEach:
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=3, max_side=5),
+                      elements=st.floats(allow_infinity=False)))
+    def test_equals_one_elementwise_call_per_function(self, angles):
+        cos, sin, atan = elementwise_each((math.cos, math.sin, math.atan), angles)
+        assert cos.shape == sin.shape == atan.shape == angles.shape
+        assert cos.tobytes() == elementwise(math.cos, angles).tobytes()
+        assert sin.tobytes() == elementwise(math.sin, angles).tobytes()
+        assert atan.tobytes() == elementwise(math.atan, angles).tobytes()
