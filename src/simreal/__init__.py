@@ -36,6 +36,7 @@ from .harness import (
     generate_submission,
 )
 from .io import (
+    encode_rollouts,
     read_scenario,
     read_scenario_dir,
     read_submission,

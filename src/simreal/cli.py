@@ -138,7 +138,11 @@ def _cmd_synth(args) -> int:
 
 
 def _rollout_chunk(packed):
-    """(rollouts, audit ok) of each scenario of one worker's chunk, rolled out batch by batch."""
+    """(record, audit ok) of each scenario of one worker's chunk, rolled out batch by batch.
+
+    Each record is encoded and compressed here, in the worker
+    (``io.encode_rollouts``), so only archive bytes travel back to the parent.
+    """
     chunk, env_name, av_name, env_opts, av_opts, k, interval, seed = packed
     results = []
     for batch in rollout_batches(chunk):
@@ -152,7 +156,7 @@ def _rollout_chunk(packed):
                 audit_trace(trace, poses, rollouts.ids).ok
                 for trace, poses in zip(mine, rollouts.rollouts)
             )
-            results.append((rollouts, ok))
+            results.append((sio.encode_rollouts(rollouts), ok))
     return results
 
 
@@ -176,13 +180,11 @@ def _cmd_rollout(args) -> int:
 
     # Plans held for more than one step make the rollouts hybrid open/closed loop.
     tag = "hybrid" if args.replan_interval > 1 else "closed-loop"
-    all_rollouts = []
     failed = []
-    for (scn_id, _), (rollouts, ok) in zip(sorted(scenarios.items()), results):
+    for (scn_id, _), (_, ok) in zip(sorted(scenarios.items()), results):
         status = "ok" if ok else "AUDIT FAILED"
-        print(f"{scn_id}: {len(rollouts.rollouts)} rollouts, audit {status}, "
+        print(f"{scn_id}: {args.k} rollouts, audit {status}, "
               f"{tag} (replan={args.replan_interval})")
-        all_rollouts.append(rollouts)
         if not ok:
             failed.append(scn_id)
     if failed:
@@ -199,7 +201,7 @@ def _cmd_rollout(args) -> int:
         "replan_interval": args.replan_interval,
         "seed": args.seed,
     }
-    sio.write_submission(args.out, all_rollouts, manifest)
+    sio.write_submission(args.out, [record for record, _ in results], manifest)
     print(f"archive written to {args.out} [seed={args.seed}]")
     return 0
 

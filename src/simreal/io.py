@@ -14,20 +14,28 @@ Two interchange forms exist for scenarios and rollout bundles:
   decodes with a single ``np.frombuffer``.  A record of another kind and
   payload bytes left over after parsing are errors.
 
-A submission archive is a tar compressed at gzip level 4, holding
-``manifest.json`` plus binary shards named ``rollouts.<index>-of-<total>.bin``,
-each shard holding many rollout records.  Archives are written
-deterministically (fixed timestamps, sorted members) so identical inputs
-produce identical bytes.
+A submission archive is a standard ``.tar.gz`` holding ``manifest.json``
+plus binary shards named ``rollouts.<index>-of-<total>.bin``, each shard
+holding many rollout records.  The gzip file is a run of members at level 4,
+one per rollouts record (:func:`encode_rollouts`), so records compress where
+they are rolled out; small members between them hold the manifest, the tar
+headers, each shard's magic and the end-of-archive blocks.  gzip and tar
+readers see one stream, and its tar bytes are those a single-stream writer
+makes, so ``FORMAT_VERSION`` stays 1.  Archives are written
+deterministically (fixed timestamps, records sorted by scenario id, one
+member per record) so identical inputs produce identical bytes, however the
+records were grouped when they were encoded.
 Reading drains the gzip stream to its end, so a corrupt CRC32 or length
-trailer is a ``ParseError`` like any other damage.
+trailer is a ``ParseError`` like any other damage.  A cut at a member
+boundary passes those checks; reading compares the records and shards
+found with the counts the manifest declares, so the cut is a ``ParseError``
+too.
 """
 
 from __future__ import annotations
 
 import csv
 import gzip
-import io as _io
 import json
 import math
 import re
@@ -65,8 +73,10 @@ _KIND_NAMES = {_KIND_SCENARIO: "scenario", _KIND_ROLLOUTS: "rollouts"}
 
 SHARD_NAME_RE = re.compile(r"rollouts\.(\d+)-of-(\d+)\.bin$")
 _DRAIN_CHUNK = 1 << 16
-# Archives compress at gzip level 4: about 7x faster to write than level 9,
-# and within 1% of its size on rollout shards.  Readers are level-agnostic.
+# Archive members compress at gzip level 4: about 7x faster to write than
+# level 9, and within 1% of its size on rollout shards.  Readers are
+# level-agnostic.  Each rollouts record is its own member, so the archive
+# bytes do not depend on which process encoded which record.
 _ARCHIVE_COMPRESSLEVEL = 4
 
 
@@ -293,12 +303,9 @@ def _rollouts_from_payload(r: _Reader) -> ScenarioRollouts:
     return ScenarioRollouts(scenario_id, ids, r.floats(k, n_ids, n_steps, 4))
 
 
-def _write_records(records: Iterable[tuple[int, bytes]]) -> bytes:
-    out = [MAGIC]
-    for kind, payload in records:
-        out.append(struct.pack("<BQ", kind, len(payload)))
-        out.append(payload)
-    return b"".join(out)
+def _frame(kind: int, payload: bytes) -> bytes:
+    """One record: ``[kind:u8][length:u64le][payload]``."""
+    return struct.pack("<BQ", kind, len(payload)) + payload
 
 
 def _read_records(data: bytes, path: str | None, expected: int) -> list[_Reader]:
@@ -339,7 +346,7 @@ def write_scenario(scenario: Scenario, path: str | Path, fmt: str | None = None)
     if fmt == "json":
         path.write_text(json.dumps(scenario_to_dict(scenario), indent=1, sort_keys=True))
     elif fmt == "binary":
-        path.write_bytes(_write_records([(_KIND_SCENARIO, _scenario_payload(scenario))]))
+        path.write_bytes(MAGIC + _frame(_KIND_SCENARIO, _scenario_payload(scenario)))
     else:
         raise ValueError(f"unknown scenario format {fmt!r}")
 
@@ -433,41 +440,77 @@ class SubmissionArchive:
     entries: tuple[tuple[str, ScenarioRollouts], ...]
 
 
+@dataclass(frozen=True)
+class EncodedRollouts:
+    """One scenario's rollouts as an archive record, made by :func:`encode_rollouts`.
+
+    ``member`` is one gzip member holding the record's ``size`` bytes: its
+    ``[kind][length]`` frame and payload.
+    """
+
+    scenario_id: str
+    size: int
+    member: bytes
+
+
+def _gzip_member(data: bytes) -> bytes:
+    return gzip.compress(data, compresslevel=_ARCHIVE_COMPRESSLEVEL, mtime=0)
+
+
+def encode_rollouts(rollouts: ScenarioRollouts) -> EncodedRollouts:
+    """Encode and compress one rollouts record for :func:`write_submission`."""
+    record = _frame(_KIND_ROLLOUTS, _rollouts_payload(rollouts))
+    return EncodedRollouts(rollouts.scenario_id, len(record), _gzip_member(record))
+
+
+def _tar_header(name: str, size: int) -> bytes:
+    """The header block(s) ``tarfile`` writes for a regular file ``name`` of ``size`` bytes."""
+    info = tarfile.TarInfo(name)
+    info.size = size
+    info.mtime = 0
+    return info.tobuf()
+
+
+def _tar_padding(offset: int, unit: int = tarfile.BLOCKSIZE) -> bytes:
+    return bytes(-offset % unit)
+
+
 def write_submission(
     path: str | Path,
-    rollouts: Sequence[ScenarioRollouts],
+    records: Iterable[EncodedRollouts],
     manifest: Mapping[str, Any] | None = None,
 ) -> None:
-    """Package rollout bundles into a deterministic .tar.gz archive, at most 150 records a shard."""
-    path = Path(path)
-    records = sorted(rollouts, key=lambda r: r.scenario_id)
+    """Write encoded rollout records as a deterministic .tar.gz archive, at most 150 records a shard.
+
+    Records are sorted by scenario id and dealt round-robin to the shards.
+    The tar stream is the one ``tarfile`` writes for these members; the file
+    is a run of gzip members: per shard, one holding the tar header(s) and
+    ``MAGIC``, then the shard's record members; last, one holding the tar
+    padding and end-of-archive blocks.
+    """
+    records = sorted(records, key=lambda r: r.scenario_id)
     shard_count = max(1, math.ceil(len(records) / 150))
-    shards: list[list[ScenarioRollouts]] = [[] for _ in range(shard_count)]
-    for i, rec in enumerate(records):
-        shards[i % shard_count].append(rec)
+    shards = [records[i::shard_count] for i in range(shard_count)]
 
     doc = dict(manifest or {})
     doc.setdefault("format_version", FORMAT_VERSION)
     doc["scenario_count"] = len(records)
     doc["shard_count"] = shard_count
+    blob = json.dumps(doc, indent=1, sort_keys=True).encode("utf-8")
 
-    members: list[tuple[str, bytes]] = [
-        ("manifest.json", json.dumps(doc, indent=1, sort_keys=True).encode("utf-8"))
-    ]
-    for i, group in enumerate(shards):
-        blob = _write_records((_KIND_ROLLOUTS, _rollouts_payload(r)) for r in group)
-        members.append((f"rollouts.{i}-of-{shard_count}.bin", blob))
-
-    with open(path, "wb") as raw:
-        with gzip.GzipFile(
-            filename="", mode="wb", fileobj=raw, mtime=0, compresslevel=_ARCHIVE_COMPRESSLEVEL
-        ) as gz:
-            with tarfile.open(fileobj=gz, mode="w") as tar:
-                for name, blob in members:
-                    info = tarfile.TarInfo(name=name)
-                    info.size = len(blob)
-                    info.mtime = 0
-                    tar.addfile(info, _io.BytesIO(blob))
+    pending = _tar_header("manifest.json", len(blob)) + blob + _tar_padding(len(blob))
+    offset = 0  # tar bytes before ``pending``
+    with open(path, "wb") as out:
+        for i, group in enumerate(shards):
+            size = len(MAGIC) + sum(r.size for r in group)
+            head = pending + _tar_header(f"rollouts.{i}-of-{shard_count}.bin", size) + MAGIC
+            out.write(_gzip_member(head))
+            out.writelines(rec.member for rec in group)
+            offset += len(head) - len(MAGIC) + size
+            pending = _tar_padding(size)
+        end = bytes(2 * tarfile.BLOCKSIZE)
+        offset += len(pending) + len(end)
+        out.write(_gzip_member(pending + end + _tar_padding(offset, tarfile.RECORDSIZE)))
 
 
 def read_submission(path: str | Path) -> SubmissionArchive:
@@ -489,6 +532,7 @@ def read_submission(path: str | Path) -> SubmissionArchive:
             # a corrupt archive rather than as whatever the bad bytes decode to.
             while gz.read(_DRAIN_CHUNK):
                 pass
+        shard_count = sum(not name.endswith("manifest.json") for name, _ in blobs)
         blobs.reverse()
         while blobs:
             name, blob = blobs.pop()  # release each member once it is decoded
@@ -501,6 +545,15 @@ def read_submission(path: str | Path) -> SubmissionArchive:
                 entries.append((name, _parse_whole(payload, _rollouts_from_payload)))
     except (tarfile.TarError, OSError, EOFError, zlib.error, ValueError) as exc:
         raise ParseError(f"unreadable archive: {exc}", path=str(path)) from exc
+    # A cut between gzip members leaves a shorter archive that passes the
+    # gzip checks; the manifest's counts are what reveal it.
+    for key, found in (("shard_count", shard_count), ("scenario_count", len(entries))):
+        if key in manifest and manifest[key] != found:
+            raise ParseError(
+                f"archive does not match its manifest: {key} is {manifest[key]!r}, "
+                f"the archive holds {found}",
+                path=str(path),
+            )
     return SubmissionArchive(manifest=manifest, entries=tuple(entries))
 
 

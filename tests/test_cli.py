@@ -21,6 +21,7 @@ from simreal.config import DEFAULT_CONFIG, config_to_dict
 from simreal.harness import AuditReport
 from simreal.policies import POLICY_REGISTRY
 from simreal.io import (
+    encode_rollouts,
     match_scenarios,
     read_report,
     read_scenario_dir,
@@ -453,7 +454,7 @@ class TestEvaluate:
         dropped = [records[0].scenario_id, records[3].scenario_id]
         partial = tmp_path / "partial.tar.gz"
         kept = [rec for rec in records if rec.scenario_id not in dropped]
-        write_submission(partial, kept, archive.manifest)
+        write_submission(partial, map(encode_rollouts, kept), archive.manifest)
         report = tmp_path / "partial.json"
         capsys.readouterr()
         assert main([
@@ -476,7 +477,7 @@ class TestEvaluate:
         far[..., 0] = np.where(np.arange(far.shape[2]) % 2 == 0, 1e154, -1e154)
         records[0] = ScenarioRollouts(records[0].scenario_id, records[0].ids, far)
         path = tmp_path / "far.tar.gz"
-        write_submission(path, records, archive.manifest)
+        write_submission(path, map(encode_rollouts, records), archive.manifest)
         capsys.readouterr()
         assert main(["validate", "--archive", str(path), "--scenarios", str(scenarios)]) == 1
         listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
@@ -500,7 +501,7 @@ class TestEvaluate:
         far[0, 0, 0, 0] = 1e154
         records[-1] = ScenarioRollouts(records[-1].scenario_id, records[-1].ids, far)
         path = tmp_path / "far.tar.gz"
-        write_submission(path, records, archive.manifest)
+        write_submission(path, map(encode_rollouts, records), archive.manifest)
         capsys.readouterr()
         assert main([
             "evaluate", "--archive", str(archives["constant-velocity"]), "--archive", str(path),
@@ -546,7 +547,7 @@ class TestEvaluate:
         _, scenarios, archives = workspace
         archive = read_submission(archives["constant-velocity"])
         odd = tmp_path / "odd.tar.gz"
-        write_submission(odd, [rec for _, rec in archive.entries],
+        write_submission(odd, (encode_rollouts(rec) for _, rec in archive.entries),
                          {**archive.manifest, "replan_interval": interval})
         report = tmp_path / "odd.json"
         assert main([
@@ -638,7 +639,7 @@ class TestCompare:
 class TestEvaluateArchiveScenarioSet:
     def _evaluate(self, scenarios, records, manifest, tmp_path):
         archive = tmp_path / "odd.tar.gz"
-        write_submission(archive, records, manifest)
+        write_submission(archive, map(encode_rollouts, records), manifest)
         report = tmp_path / "odd.json"
         code = main([
             "evaluate", "--archive", str(archive), "--scenarios", str(scenarios),
@@ -851,7 +852,7 @@ class TestValidateAgreesWithEvaluate:
         if declared is not None:
             manifest["rollouts_per_scenario"] = declared
         path = tmp_path / "odd.tar.gz"
-        write_submission(path, cut, manifest)
+        write_submission(path, map(encode_rollouts, cut), manifest)
         capsys.readouterr()
         assert main([
             "validate", "--archive", str(path), "--scenarios", str(scenarios),

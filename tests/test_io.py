@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import gzip
 import hashlib
 import io
 import json
 import math
 import tarfile
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -12,12 +15,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from simreal.cli import main
 from simreal.config import DEFAULT_CONFIG, config_from_dict, config_to_dict
 from simreal.errors import MalformedScenario, OccupiedOutput, ParseError, SimRealError
 from simreal.evaluate import evaluate_dataset
 from simreal.features import MetricKind
 from simreal.harness import generate_submission
 from simreal.io import (
+    encode_rollouts,
     MAGIC,
     match_scenarios,
     read_scenario,
@@ -237,7 +242,7 @@ class TestBinaryFormatPinned:
         rollouts = generate_submission(
             scenario, ConstantVelocityPolicy(), ConstantVelocityPolicy(), k=2, base_seed=0
         )
-        write_submission(tmp_path / "a.tar.gz", [rollouts], {"seed": 0})
+        write_submission(tmp_path / "a.tar.gz", [encode_rollouts(rollouts)], {"seed": 0})
         with tarfile.open(tmp_path / "a.tar.gz", "r:gz") as tar:
             shard = tar.extractfile("rollouts.0-of-1.bin").read()
         assert hashlib.sha256(shard).hexdigest() == GOLDEN_SHARD_SHA256
@@ -261,7 +266,7 @@ class TestBinaryFormatPinned:
             k=2,
             base_seed=0,
         )
-        write_submission(tmp_path / "a.tar.gz", [rollouts], {"seed": 0})
+        write_submission(tmp_path / "a.tar.gz", [encode_rollouts(rollouts)], {"seed": 0})
         with tarfile.open(tmp_path / "a.tar.gz", "r:gz") as tar:
             shard = tar.extractfile("rollouts.0-of-1.bin").read()
         assert hashlib.sha256(shard).hexdigest() == GOLDEN_NOISE_SHARD_SHA256[policy, interval]
@@ -283,7 +288,7 @@ class TestBinaryFormatPinned:
         ids = rng.choice(np.arange(-(2**40), 2**40, 2**30), size=poses.shape[1], replace=False)
         rollouts = ScenarioRollouts("rt", ids, poses)
         path = tmp_path_factory.mktemp("rt") / "sub.tar.gz"
-        write_submission(path, [rollouts], {})
+        write_submission(path, [encode_rollouts(rollouts)], {})
         ((_, back),) = read_submission(path).entries
         assert back.ids.tobytes() == rollouts.ids.tobytes()
         assert back.rollouts.tobytes() == rollouts.rollouts.tobytes()
@@ -365,7 +370,8 @@ def suite_and_archive(tmp_path_factory):
         )
         all_rollouts.append(rollouts)
     path = tmp / "sub.tar.gz"
-    write_submission(path, all_rollouts, {"seed": 0, "env_policy": "constant-velocity"})
+    write_submission(path, map(encode_rollouts, all_rollouts),
+                     {"seed": 0, "env_policy": "constant-velocity"})
     return scenarios, all_rollouts, path
 
 
@@ -386,7 +392,8 @@ class TestSubmissionArchive:
     def test_deterministic_bytes(self, suite_and_archive, tmp_path):
         scenarios, all_rollouts, path = suite_and_archive
         again = tmp_path / "again.tar.gz"
-        write_submission(again, all_rollouts, {"seed": 0, "env_policy": "constant-velocity"})
+        write_submission(again, map(encode_rollouts, all_rollouts),
+                         {"seed": 0, "env_policy": "constant-velocity"})
         assert again.read_bytes() == path.read_bytes()
 
     def test_harness_archive_validates_clean(self, suite_and_archive):
@@ -399,7 +406,7 @@ class TestSubmissionArchive:
         rec = all_rollouts[0]
         dropped = ScenarioRollouts(rec.scenario_id, rec.ids[:-1], rec.rollouts[:, :-1])
         path = tmp_path / "broken.tar.gz"
-        write_submission(path, [dropped], {})
+        write_submission(path, [encode_rollouts(dropped)], {})
         report = validate_submission(path, {rec.scenario_id: scenarios[rec.scenario_id]})
         codes = {v.code for v in report.violations}
         assert "MISSING_OBJECT" in codes
@@ -409,7 +416,7 @@ class TestSubmissionArchive:
         rec = all_rollouts[0]
         short = ScenarioRollouts(rec.scenario_id, rec.ids, rec.rollouts[:31])
         path = tmp_path / "short.tar.gz"
-        write_submission(path, [short], {})
+        write_submission(path, [encode_rollouts(short)], {})
         report = validate_submission(path, {rec.scenario_id: scenarios[rec.scenario_id]})
         codes = {v.code for v in report.violations}
         assert "BAD_ROLLOUT_COUNT" in codes
@@ -418,7 +425,7 @@ class TestSubmissionArchive:
         scenarios, all_rollouts, _ = suite_and_archive
         rec = all_rollouts[0]
         path = tmp_path / "dup.tar.gz"
-        write_submission(path, [rec, rec], {})
+        write_submission(path, [encode_rollouts(rec)] * 2, {})
         report = validate_submission(path, {rec.scenario_id: scenarios[rec.scenario_id]})
         codes = {v.code for v in report.violations}
         assert "DUPLICATE_SCENARIO" in codes
@@ -426,7 +433,7 @@ class TestSubmissionArchive:
     def test_missing_scenario_flagged(self, suite_and_archive, tmp_path):
         scenarios, all_rollouts, _ = suite_and_archive
         path = tmp_path / "partial.tar.gz"
-        write_submission(path, all_rollouts[:2], {})
+        write_submission(path, map(encode_rollouts, all_rollouts[:2]), {})
         report = validate_submission(path, scenarios)
         codes = {v.code for v in report.violations}
         assert "MISSING_SCENARIO" in codes
@@ -439,7 +446,7 @@ class TestSubmissionArchive:
         poses[3, 1, 7, 3] = math.nan
         broken = ScenarioRollouts(rec.scenario_id, rec.ids, poses)
         path = tmp_path / "nan.tar.gz"
-        write_submission(path, [broken], {})
+        write_submission(path, [encode_rollouts(broken)], {})
         report = validate_submission(path, {rec.scenario_id: scenarios[rec.scenario_id]})
         details = [v.detail for v in report.violations if v.code == "NONFINITE_POSE"]
         assert details == [
@@ -456,7 +463,7 @@ class TestSubmissionArchive:
         poses[5, 0, 3, 0] = math.inf  # non-finite, not out of range
         broken = ScenarioRollouts(rec.scenario_id, rec.ids, poses)
         path = tmp_path / "far.tar.gz"
-        write_submission(path, [broken], {})
+        write_submission(path, [encode_rollouts(broken)], {})
         report = validate_submission(path, {rec.scenario_id: scenarios[rec.scenario_id]})
         assert [(v.code, v.detail) for v in report.violations] == [
             ("NONFINITE_POSE", f"rollout 5 object {rec.ids[0]} has NaN/Inf"),
@@ -467,7 +474,7 @@ class TestSubmissionArchive:
         scenarios, all_rollouts, _ = suite_and_archive
         cut = [replace(rec, rollouts=rec.rollouts[:2]) for rec in all_rollouts]
         path = tmp_path / "declared4.tar.gz"
-        write_submission(path, cut, {"rollouts_per_scenario": 4})
+        write_submission(path, map(encode_rollouts, cut), {"rollouts_per_scenario": 4})
         report = validate_submission(path, scenarios, expected_rollouts=2)
         assert [(v.code, v.detail) for v in report.violations] == [
             ("ROLLOUT_COUNT_MISMATCH",
@@ -480,7 +487,7 @@ class TestSubmissionArchive:
         records = sorted(all_rollouts, key=lambda rec: rec.scenario_id)
         cut = [replace(rec, rollouts=rec.rollouts[: 2 + i % 2]) for i, rec in enumerate(records)]
         path = tmp_path / "mixed.tar.gz"
-        write_submission(path, cut, {})
+        write_submission(path, map(encode_rollouts, cut), {})
         matched, problems = match_scenarios(read_submission(path), scenarios)
         first = min(scenarios)
         assert len(matched[first].rollouts) == 2
@@ -519,7 +526,7 @@ class TestRecordKinds:
 
     def test_shard_holding_a_scenario_record_is_rejected(self, tmp_path):
         write_submission(tmp_path / "ok.tar.gz", [
-            ScenarioRollouts("alpha", np.array([3, 7]), np.zeros((2, 2, 6, 4)))
+            encode_rollouts(ScenarioRollouts("alpha", np.array([3, 7]), np.zeros((2, 2, 6, 4))))
         ], {})
         write_scenario(golden_scenario(), tmp_path / "scn.bin")
         scenario_record = (tmp_path / "scn.bin").read_bytes()[len(MAGIC):]
@@ -546,7 +553,7 @@ def _tiny_archive(path):
         ScenarioRollouts(sid, np.array([3, 7]), rng.normal(size=(2, 2, 6, 4)))
         for sid in ("alpha", "beta")
     ]
-    write_submission(path, bundles, {"seed": 0})
+    write_submission(path, map(encode_rollouts, bundles), {"seed": 0})
     return path.read_bytes()
 
 
@@ -591,6 +598,115 @@ class TestArchiveIntegrity:
         except ParseError:
             return
         assert _archive_bytes(got) == want
+
+
+def _reference_write_submission(path, records, manifest):
+    """A single-stream writer, one ``GzipFile`` around ``tarfile``, as older versions of this
+    package and other tools write archives: ``write_submission`` must reproduce its tar stream."""
+    records = sorted(records, key=lambda r: r.scenario_id)
+    shard_count = max(1, math.ceil(len(records) / 150))
+    shards = [[] for _ in range(shard_count)]
+    for i, rec in enumerate(records):
+        shards[i % shard_count].append(rec)
+    doc = dict(manifest)
+    doc.setdefault("format_version", 1)
+    doc["scenario_count"] = len(records)
+    doc["shard_count"] = shard_count
+    members = [("manifest.json", json.dumps(doc, indent=1, sort_keys=True).encode("utf-8"))]
+    for i, group in enumerate(shards):
+        blob = MAGIC + b"".join(gzip.decompress(rec.member) for rec in group)
+        members.append((f"rollouts.{i}-of-{shard_count}.bin", blob))
+    with open(path, "wb") as raw:
+        with gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0, compresslevel=4) as gz:
+            with tarfile.open(fileobj=gz, mode="w") as tar:
+                for name, blob in members:
+                    info = tarfile.TarInfo(name=name)
+                    info.size = len(blob)
+                    info.mtime = 0
+                    tar.addfile(info, io.BytesIO(blob))
+
+
+def _bundles(count, first_id_pad=0):
+    rng = np.random.default_rng(count)
+    return [
+        ScenarioRollouts(f"s{i:04d}" + "_" * (first_id_pad if i == 0 else 0), np.array([3, 7]),
+                         rng.normal(size=(2, 2, 6, 4)))
+        for i in range(count)
+    ]
+
+
+def _member_ends(blob):
+    """The offset at which each gzip member of ``blob`` ends."""
+    ends = [0]
+    while ends[-1] < len(blob):
+        member = zlib.decompressobj(31)
+        member.decompress(blob[ends[-1]:])
+        ends.append(len(blob) - len(member.unused_data))
+    return ends[1:]
+
+
+class TestMemberArchive:
+    """One gzip member per record; the tar stream is the single-stream writer's, byte for byte."""
+
+    @pytest.mark.parametrize("count", [1, 24, 151])
+    def test_tar_stream_equals_the_single_stream_writer(self, tmp_path, count):
+        records = [encode_rollouts(b) for b in reversed(_bundles(count))]
+        manifest = {"seed": 0, "env_policy": "constant-velocity"}
+        write_submission(tmp_path / "new.tar.gz", records, manifest)
+        _reference_write_submission(tmp_path / "ref.tar.gz", records, manifest)
+        new, ref = (tmp_path / "new.tar.gz").read_bytes(), (tmp_path / "ref.tar.gz").read_bytes()
+        assert gzip.decompress(new) == gzip.decompress(ref)
+        shards = math.ceil(count / 150)
+        assert len(_member_ends(new)) == shards + count + 1
+
+    def test_single_stream_archive_reads_to_equal_entries(self, tmp_path):
+        records = [encode_rollouts(b) for b in _bundles(151)]
+        write_submission(tmp_path / "new.tar.gz", records, {"seed": 0})
+        _reference_write_submission(tmp_path / "ref.tar.gz", records, {"seed": 0})
+        assert len(_member_ends((tmp_path / "ref.tar.gz").read_bytes())) == 1
+        assert _archive_bytes(read_submission(tmp_path / "ref.tar.gz")) == _archive_bytes(
+            read_submission(tmp_path / "new.tar.gz")
+        )
+
+    def test_cut_at_every_member_boundary_is_parse_error(self, tmp_path):
+        # Shard 0's first id is padded so the shard ends on a tar block: tarfile
+        # then sees a clean end where shard 1 is cut away, and only the manifest's
+        # counts reveal the loss.  Shard 1 does not end on a block, so a cut before
+        # the closing member is a tar-level error.
+        sizes = [encode_rollouts(b).size for b in _bundles(151)]
+        pad = -(len(MAGIC) + sum(sizes[0::2])) % tarfile.BLOCKSIZE
+        assert (len(MAGIC) + sum(sizes[1::2])) % tarfile.BLOCKSIZE
+        records = [encode_rollouts(b) for b in _bundles(151, first_id_pad=pad)]
+        assert (len(MAGIC) + sum(r.size for r in records[0::2])) % tarfile.BLOCKSIZE == 0
+        path = tmp_path / "whole.tar.gz"
+        write_submission(path, records, {"seed": 0})
+        blob = path.read_bytes()
+        ends = _member_ends(blob)
+        assert len(ends) == 2 + 151 + 1
+        scenarios = tmp_path / "scenarios"
+        write_scenario_dir([generate(SynthSpec(Template.FOLLOWING_PAIR, seed=3))], scenarios)
+        cut = tmp_path / "cut.tar.gz"
+        for end in [0] + ends[:-1]:
+            cut.write_bytes(blob[:end])
+            with pytest.raises(ParseError) as info:
+                read_submission(cut)
+            if end == ends[76]:  # after shard 0's last record
+                assert "shard_count is 2, the archive holds 1" in str(info.value)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["validate", "--archive", str(cut), "--scenarios", str(scenarios)])
+            assert code == 2 and err.getvalue().count("\n") == 1, err.getvalue()
+            assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("key,value", [("scenario_count", 3), ("shard_count", 2)])
+    def test_manifest_count_other_than_the_archive_holds_is_parse_error(self, tmp_path, key,
+                                                                         value):
+        _tiny_archive(tmp_path / "ok.tar.gz")
+        (manifest, doc), *shards = _members(tmp_path / "ok.tar.gz")
+        doc = json.dumps(dict(json.loads(doc), **{key: value})).encode()
+        _repack(tmp_path / "bad.tar.gz", [(manifest, doc), *shards])
+        with pytest.raises(ParseError, match=f"{key} is {value}, the archive holds"):
+            read_submission(tmp_path / "bad.tar.gz")
 
 
 class TestScenarioDir:
