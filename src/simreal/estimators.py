@@ -85,7 +85,9 @@ DEFAULT_HISTOGRAM_SPECS: dict[MetricKind, HistogramSpec] = {
 
 
 #: Distinct rollouts are extracted in groups of ``max(1, _PAIR_BUDGET // A**2)``,
-#: so one call's (K, A, A, T) pair tensors never outgrow a 32-object scene's.
+#: so one call's (K, A, A, T) pair tensors stay at a 32-object scene's size
+#: up to A = 32.  Above that a group is one rollout, and the tensors grow as
+#: A**2 (4 times at A = 64).
 _PAIR_BUDGET = 1024
 
 

@@ -32,6 +32,7 @@ from .geometry import (
     _segment_offsets,
     box_signed_distance_batch,
     polyline_distance_batch,
+    separating_gap,
 )
 from .scene import TWO_PI, MapFeature, MapFeatureKind, Scenario, ScenarioRollouts
 
@@ -180,38 +181,57 @@ _BROAD_PHASE_REL_SLACK = 1e-12
 _BOX_CHUNK = 4096
 
 
+def _pair_kernel(kernel, boxes, first, second, *extra) -> np.ndarray:
+    """``kernel(boxes[first], boxes[second], *extra)`` in chunks of ``_BOX_CHUNK`` pairs."""
+    out = np.empty(len(first))
+    for lo in range(0, len(first), _BOX_CHUNK):
+        at = slice(lo, lo + _BOX_CHUNK)
+        out[at] = kernel(boxes[first[at]], boxes[second[at]], *(e[at] for e in extra))
+    return out
+
+
 def _nearest_object_arrays(states: SceneStates, boxes, dx, dy):
     """Signed box distance to the nearest other object, per object per step.
 
     ``boxes`` is :func:`_boxes` and ``dx``, ``dy`` are :func:`_pair_offsets` of ``states``.
 
     Pairs are gated on vertical overlap of the two boxes; when no other
-    object overlaps vertically the plain 2D minimum is used instead.  A scene
-    with a single object yields an all-invalid series.
+    object overlaps vertically the plain 2D minimum is used instead.  A row
+    is one object at one step; its minimum runs over the partners that
+    define it: the gated ones when there are any, otherwise every valid
+    one.  A scene with a single object yields an all-invalid series.
 
-    An exact broad-phase limits the box kernel to pairs that can be a row's
-    minimum.  With ``cd`` the 2D centre distance and ``r = hypot(length,
-    width) / 2`` the circumradius:
+    The minimum is exact, and the box kernel runs only where it can be.
+    With ``cd`` the 2D centre distance, ``r = hypot(length, width) / 2``
+    the circumradius and ``a = min(length, width) / 2`` the inscribed
+    radius:
 
-    * Upper bound: a box contains its centre, so the signed distance of a
-      pair is at most ``cd`` (overlap reads negative).  Row i's minimum is
-      therefore at most ``U(i,t)``, the smallest ``cd`` over the partners
-      that define it: the gated partners when there are any, otherwise every
-      valid partner.
-    * Lower bound: the signed distance is at least ``L = cd - r_i - r_j``.
-      Disjoint boxes lie inside their circumscribed discs; overlapping boxes
-      are separated by a shift of ``r_i + r_j - cd`` along the centre line,
-      so their penetration depth is no larger than that shift.
+    * Candidates.  A box contains its inscribed disc, so the signed
+      distance of a pair is at most ``cd - a_i - a_j`` (overlapping discs
+      need at least that shift to part, and so do the boxes around them).
+      Row i's minimum is at most ``U(i,t)``, the least of these over its
+      defining partners.  The signed distance is at least ``L = cd - r_i -
+      r_j``, since the boxes lie inside their circumscribed discs.  A pair
+      with ``L > max(U_i, U_j) + slack`` is dropped.
+    * Phase A.  Every candidate's separating-axis gap
+      (:func:`~simreal.geometry.separating_gap`).  A negative gap is the
+      signed distance; a gap >= 0 is a lower bound of the distance.
+    * Phase B.  Each row's least-gap candidates (ties included) get their
+      corner-to-edge distances (:func:`~simreal.geometry.box_signed_distance_batch`
+      on the gaps), so each row has an attained value ``V_i``, the least of
+      its pair values known so far.  The corner distances then run only on
+      the other disjoint candidates with ``gap <= max(V_i, V_j) + slack``:
+      the rest are farther than a value both rows already have.
+    * Each row's minimum comes straight from the pair values.
 
-    A pair-step with ``L > max(U_i, U_j) + slack`` cannot be the minimum of
-    either row and keeps distance ``inf``; the kernel runs on every other
-    valid pair-step, a superset of each row's argmin, so the result equals
-    the all-pairs computation bit for bit.  ``slack`` is 1e-6 plus 1e-12 of
-    the rollout's largest coordinate, far above the rounding of both bounds;
-    it is taken per rollout, so stacking rollouts sends the kernel exactly
-    the pair-steps of extracting each alone.  Pairs with a non-finite
-    coordinate or heading always reach the kernel, so NaN propagates as it
-    would without pruning.
+    No pair's gap or corner distances are computed twice.  Every row's
+    argmin is a candidate and gets its value in phase A or B, so the result
+    equals the all-pairs computation bit for bit.  ``slack`` is 1e-6 plus
+    1e-12 of the rollout's largest coordinate, far above the rounding of the
+    bounds, the gap and the kernel; it is taken per rollout, so stacking
+    rollouts sends the kernel exactly the pair-steps of extracting each
+    alone.  Pairs with a non-finite coordinate or heading always get their
+    kernel value, so NaN propagates as it would without pruning.
     """
     k, a, t = states.valid.shape
     vals = np.zeros((k, a, t))
@@ -226,42 +246,79 @@ def _nearest_object_arrays(states: SceneStates, boxes, dx, dy):
     z = states.poses[..., 2]
     half_heights = states.dims[:, 2] / 2.0
     zlim = half_heights[:, None] + half_heights[None, :]
-    gated = both_valid & (np.abs(z[:, :, None, :] - z[:, None, :, :]) <= zlim[:, :, None])
+    work = z[:, :, None, :] - z[:, None, :, :]  # (K, A, A, T), reused for ``cd``
+    gated = np.abs(work, out=work) <= zlim[:, :, None]
+    gated &= both_valid
     has_gated = gated.any(axis=2)
     has_any = both_valid.any(axis=2)
     # Pairs with no vertical overlap fall back to the plain 2D minimum so the
     # step still scores.
-    defining = np.where(has_gated[:, :, None, :], gated, both_valid)
+    defining = both_valid & ~has_gated[:, :, None, :]
+    defining |= gated
 
-    cd = np.hypot(dx, dy)  # (K, A, A, T)
-    upper = np.where(defining, cd, np.inf).min(axis=2)  # (K, A, T)
+    # The centre distance only bounds, so it may round differently from
+    # ``hypot``; entries that overflow take ``hypot``.
+    with np.errstate(over="ignore"):
+        cd = np.multiply(dx, dx, out=work)
+        upper = np.multiply(dy, dy)
+        cd += upper
+    np.sqrt(cd, out=cd)
+    far = np.isinf(cd)
+    cd[far] = np.hypot(dx[far], dy[far])
+    inner = np.minimum(states.dims[:, 0], states.dims[:, 1]) / 2.0
+    np.subtract(cd, (inner[:, None] + inner[None, :])[:, :, None], out=upper)
+    np.copyto(upper, np.inf, where=~defining)
+    upper = upper.min(axis=2)  # (K, A, T)
     finite = np.isfinite(boxes[..., :3]).all(axis=-1)  # x, y and heading
     scale = np.where(finite[..., None], np.abs(boxes[..., :2]), 0.0).reshape(k, -1).max(axis=1)
     slack = _BROAD_PHASE_SLACK + _BROAD_PHASE_REL_SLACK * scale  # (K,)
 
     iu, ju = np.triu_indices(a, 1)
     radius = np.hypot(states.dims[:, 0], states.dims[:, 1]) / 2.0
-    lower = cd[:, iu, ju] - radius[iu, None] - radius[ju, None]  # (K, P, T)
-    reach = np.maximum(upper[:, iu], upper[:, ju]) + slack[:, None, None]
-    need = both_valid[:, iu, ju] & (~(lower > reach) | ~(finite[:, iu] & finite[:, ju]))
-    roll, pair, step = np.nonzero(need)
-    rows, cols = iu[pair], ju[pair]
-    # The caller holds the (K, A, A, T) offsets for the TTC kernel, so free the
-    # bounds before ``dist`` to keep this kernel's peak below that one's.
-    del cd, lower, reach
+    lower = cd[:, iu, ju]  # (K, P, T)
+    lower -= radius[iu, None]
+    lower -= radius[ju, None]
+    reach = np.maximum(upper[:, iu], upper[:, ju])
+    reach += slack[:, None, None]
+    odd = ~(finite[:, iu] & finite[:, ju])
+    for_i, for_j = defining[:, iu, ju], defining[:, ju, iu]
+    roll, pair, step = np.nonzero((for_i | for_j) & (~(lower > reach) | odd))
+    for_i, for_j, odd = for_i[roll, pair, step], for_j[roll, pair, step], odd[roll, pair, step]
+    # The caller holds the (K, A, A, T) offsets for the TTC kernel, so free
+    # the bound tensors before the pair arrays to keep this kernel's peak below that one's.
+    del work, cd, upper, lower, reach, defining
+    # Flat (K, A, T) rows of each candidate's two objects.
+    row_i = (roll * a + iu[pair]) * t + step
+    row_j = (roll * a + ju[pair]) * t + step
+    flat = boxes.reshape(-1, 5)
 
-    pair_d = np.empty(len(step))
-    for lo in range(0, len(step), _BOX_CHUNK):
-        at = slice(lo, lo + _BOX_CHUNK)
-        pair_d[at] = box_signed_distance_batch(
-            boxes[roll[at], rows[at], step[at]], boxes[roll[at], cols[at], step[at]]
+    gap = _pair_kernel(separating_gap, flat, row_i, row_j)  # phase A
+    disjoint = gap >= 0.0
+    dist = gap.copy()  # final where the boxes overlap, or the gap is NaN
+    # (row, pair) entries: each pair counts towards the rows it defines.
+    entry_row = np.concatenate([row_i[for_i], row_j[for_j]])
+    entry_pair = np.concatenate([np.flatnonzero(for_i), np.flatnonzero(for_j)])
+    best = np.full(k * a * t, np.inf)  # each row's least value so far
+
+    def settle(pairs):
+        """Corner distances of the disjoint ``pairs``; fold ``pairs`` into their rows."""
+        corner = pairs & disjoint
+        dist[corner] = _pair_kernel(
+            box_signed_distance_batch, flat, row_i[corner], row_j[corner], gap[corner]
         )
-    dist = np.full((k, a, a, t), np.inf)
-    dist[roll, rows, cols, step] = pair_d
-    dist[roll, cols, rows, step] = pair_d
-    np.copyto(dist, np.inf, where=~defining)
-    vals = dist.min(axis=2)
-    return _masked(vals, has_any), has_any
+        taken = pairs[entry_pair]
+        np.minimum.at(best, entry_row[taken], dist[entry_pair[taken]])
+
+    with np.errstate(invalid="ignore"):  # NaN from non-finite poses
+        entry_gap = gap[entry_pair]
+        least = np.full(k * a * t, np.inf)
+        np.fmin.at(least, entry_row, entry_gap)
+        first = ~disjoint  # overlaps (and NaN gaps) are final from phase A
+        first[entry_pair[entry_gap == least[entry_row]]] = True  # ties included
+        settle(first)
+        reach = np.fmax(best[row_i], best[row_j]) + slack[roll]
+        settle(~first & (~(gap > reach) | odd))
+    return _masked(best.reshape(k, a, t), has_any), has_any
 
 
 def _event_series(per_step_vals, per_step_ok, predicate):
@@ -310,7 +367,8 @@ def _ttc_arrays(states: SceneStates, dx, dy, speed_vals, speed_ok, params: Featu
     if a >= 2:
         # Follower/leader tensors are (K, A, A, T), indexed [rollout, follower,
         # leader, step]; rollout_features stacks few enough rollouts that K*A*A
-        # stays at the size of one 32-object scene.
+        # stays at the size of one 32-object scene up to A = 32, and above
+        # that K = 1 and the tensors grow as A**2.
         h = states.poses[..., 3]
         hx, hy = np.cos(h), np.sin(h)
         lon = hx[:, :, None, :] * dx + hy[:, :, None, :] * dy

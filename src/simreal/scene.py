@@ -210,6 +210,10 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "map_features", tuple(self.map_features))
+        try:  # JSON's "\ud800" escape gives a str that no file or digest can hold
+            self.scenario_id.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedScenario("scenario_id is not valid Unicode text") from None
         if not (math.isfinite(self.timestep) and self.timestep > 0.0):
             raise MalformedScenario("timestep must be finite and positive")
         if self.history_length < 1 or self.future_length < 1:

@@ -25,7 +25,7 @@ from simreal.estimators import (
 )
 from simreal.evaluate import evaluate_dataset, evaluate_scenario
 from simreal.features import BOOLEAN_METRICS, MetricKind
-from simreal.geometry import box_signed_distance_batch
+from simreal.geometry import box_signed_distance_batch, separating_gap
 from simreal.harness import Policy, generate_submission
 from simreal.io import read_report
 from simreal.policies import (
@@ -145,9 +145,8 @@ def test_criterion_5_geometry_oracle():
     with criterion(5, "signed box distance matches brute force on 1000 pairs"):
         rng = np.random.default_rng(99)
         pairs = [(random_box(rng), random_box(rng)) for _ in range(1000)]
-        got = box_signed_distance_batch(
-            np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
-        )
+        boxes_a, boxes_b = np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
+        got = box_signed_distance_batch(boxes_a, boxes_b, separating_gap(boxes_a, boxes_b))
         for d, (ba, bb) in zip(got, pairs):
             want = brute_force_signed_distance(ba, bb)
             assert d == pytest.approx(want, abs=1e-6)

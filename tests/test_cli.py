@@ -991,6 +991,144 @@ class TestReadersNeverRaise:
 
 
 @pytest.fixture(scope="module")
+def tiny_json_inputs(tmp_path_factory):
+    """A 1-scenario, 2-agent JSON scenario (file name and text) and a k=2 archive of it."""
+    root = tmp_path_factory.mktemp("tiny_json")
+    scenarios, archive = root / "scenarios", root / "sub.tar.gz"
+    assert main([
+        "synth", "--template", "following_pair", "--count", "1", "--agents", "2",
+        "--out", str(scenarios),
+    ]) == 0
+    assert main([
+        "rollout", "--scenarios", str(scenarios), "--env-policy", "noisy-plan",
+        "--av-policy", "noisy-plan", "--k", "2", "--jobs", "1", "--out", str(archive),
+    ]) == 0
+    (scenario,) = (p for p in scenarios.glob("*.json") if "tracks" in json.loads(p.read_text()))
+    return {"archive": archive.read_bytes(), "name": scenario.name, "text": scenario.read_text()}
+
+
+def _json_paths(doc, path=()):
+    """Every path into a JSON document, the document's own first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, path + (key,))
+
+
+def _json_edited(text: str, edits) -> str:
+    """``text`` with each ``(pick, in_states, op, value)`` edit applied in turn.
+
+    ``pick`` chooses a path among the pose-state paths (``in_states``) or all
+    the others; ``op`` replaces the value there, deletes it, or cuts a list to
+    ``value`` items.
+    """
+    doc = json.loads(text)
+    for pick, in_states, op, value in edits:
+        paths = [p for p in _json_paths(doc) if p and ("states" in p[:3] and len(p) > 3) == in_states]
+        if not paths:
+            continue
+        path = paths[pick % len(paths)]
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if op == "replace":
+            parent[path[-1]] = value
+        elif op == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent[path[-1]], list) and isinstance(value, int):
+            del parent[path[-1]][value % (len(parent[path[-1]]) + 1):]
+    return json.dumps(doc)
+
+
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**20), 10**20),
+    st.sampled_from([0, 1, 2, 11, 80, 91, 10**400]),
+    st.floats(),  # NaN and infinities too, written as JSON's NaN and Infinity
+    st.text(max_size=3),
+    st.sampled_from(["\ud800", "a\udcff", "vehicle", "pedestrian", "road_edge", "lane", ""]),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.lists(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2), max_size=3),
+    st.just({}),
+)
+
+
+class TestJsonScenarioNeverRaises:
+    """``main()`` ends in an exit code for ``validate``, ``evaluate`` and ``rollout``
+    whatever a JSON scenario file holds: edited JSON values or bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        command=st.sampled_from(["validate", "evaluate", "rollout"]),
+        edits=st.lists(
+            st.tuples(st.integers(0, 10**6), st.booleans(),
+                      st.sampled_from(["replace", "delete", "cut"]), _JSON_VALUES),
+            max_size=3,
+        ),
+        byte_edits=st.lists(st.tuples(st.integers(0, 10**9), st.integers(0, 255)), max_size=2),
+        truncate=st.none() | st.integers(0, 10**9),
+    )
+    @example(command="rollout", edits=[(0, False, "replace", "\ud800")], byte_edits=[],
+             truncate=None)  # a lone surrogate in the first top-level value
+    @example(command="evaluate", edits=[(10**6, True, "replace", math.nan)], byte_edits=[],
+             truncate=None)
+    def test_exit_code_without_traceback(
+        self, tiny_json_inputs, command, edits, byte_edits, truncate
+    ):
+        text = _json_edited(tiny_json_inputs["text"], edits)
+        blob = _mutated(text.encode("utf-8", "surrogatepass"), byte_edits, truncate)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            scenarios, archive = tmp / "scenarios", tmp / "sub.tar.gz"
+            scenarios.mkdir()
+            (scenarios / tiny_json_inputs["name"]).write_bytes(blob)
+            archive.write_bytes(tiny_json_inputs["archive"])
+            common = ["--scenarios", str(scenarios)]
+            argv = {
+                "validate": ["validate", "--archive", str(archive), *common,
+                             "--expected-rollouts=2"],
+                "evaluate": ["evaluate", "--archive", str(archive), *common,
+                             "--out", str(tmp / "out.json"), "--csv", str(tmp / "out.csv"),
+                             "--jobs", "1"],
+                "rollout": ["rollout", *common, "--env-policy", "noisy-plan",
+                            "--av-policy", "noisy-plan", "--k", "2", "--jobs", "1",
+                            "--out", str(tmp / "out.tar.gz")],
+            }[command]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("command", ["rollout", "evaluate", "validate"])
+    def test_scenario_id_with_a_lone_surrogate_is_malformed(
+        self, tiny_json_inputs, tmp_path, command
+    ):
+        # JSON's "\ud800" escape decodes to a str that UTF-8 cannot encode:
+        # rollout raised UnicodeEncodeError writing the archive record.
+        doc = json.loads(tiny_json_inputs["text"])
+        doc["scenario_id"] = "\ud800"
+        scenarios = tmp_path / "scenarios"
+        scenarios.mkdir()
+        (scenarios / tiny_json_inputs["name"]).write_text(json.dumps(doc))
+        archive = tmp_path / "sub.tar.gz"
+        archive.write_bytes(tiny_json_inputs["archive"])
+        argv = {
+            "rollout": ["rollout", "--env-policy", "noisy-plan", "--av-policy", "noisy-plan",
+                        "--k", "2", "--jobs", "1", "--out", str(tmp_path / "o.tar.gz")],
+            "evaluate": ["evaluate", "--archive", str(archive), "--jobs", "1",
+                         "--out", str(tmp_path / "o.json")],
+            "validate": ["validate", "--archive", str(archive)],
+        }[command]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--scenarios", str(scenarios)])
+        assert code == 2, err.getvalue()
+        assert "scenario_id" in err.getvalue()
+
+
+@pytest.fixture(scope="module")
 def small_suite(tmp_path_factory):
     """Six scenes over all templates: small enough to roll out three times."""
     out = tmp_path_factory.mktemp("small_suite") / "scenarios"

@@ -23,7 +23,7 @@ from simreal.features import (
     _wrap_signed,
     extract_features,
 )
-from simreal.geometry import box_signed_distance_batch
+from simreal.geometry import box_signed_distance_batch, separating_gap
 from simreal.harness import generate_submission
 from simreal.policies import LoggedOraclePolicy
 from simreal.scene import (
@@ -252,7 +252,8 @@ def all_pairs_nearest(states):
         axis=-1,
     )
     iu, ju = np.triu_indices(a, 1)
-    pair_d = box_signed_distance_batch(boxes[iu], boxes[ju])
+    first, second = boxes[iu], boxes[ju]
+    pair_d = box_signed_distance_batch(first, second, separating_gap(first, second))
     dist = np.full((a, a, t), np.inf)
     dist[iu, ju] = pair_d
     dist[ju, iu] = pair_d
@@ -345,6 +346,32 @@ class TestNearestObjectBroadPhase:
             {"x": [500.0, 500.0, 500.0], "y": [500.0] * 3},
         ])
     )
+    @example(  # row 0's least-gap partner (corner to corner: gap 1, distance sqrt(2)) is
+        # not its nearest box (a long one, face to face at 1.2)
+        states=scene([
+            {"x": [0.0] * 2},
+            {"x": [3.0] * 2, "y": [-3.0] * 2},
+            {"x": [2.5] * 2, "y": [2.45] * 2, "dims": (6.0, 0.5, 2.0)},
+            {"x": [2.5] * 2, "y": [4.2] * 2},  # row 2's least-gap partner
+        ])
+    )
+    @example(  # boxes touching at gap exactly 0.0, a third one gap 1 away
+        states=scene([{"x": [0.0] * 2}, {"x": [2.0] * 2}, {"x": [5.0] * 2}])
+    )
+    @example(  # the nearest partner of rows 0 and 2 has a NaN heading at step 0
+        states=scene([
+            {"x": [0.0] * 2},
+            {"x": [2.5] * 2, "heading": [math.nan, 0.0]},
+            {"x": [5.0] * 2},
+        ])
+    )
+    @example(  # every partner of row 0 overlaps it; rows 1 and 2 are disjoint
+        states=scene([
+            {"x": [0.0] * 2, "dims": (4.0, 4.0, 2.0)},
+            {"x": [1.5] * 2, "heading": [0.3, 0.0]},
+            {"x": [-1.5] * 2},
+        ])
+    )
     def test_matches_all_pairs_reference_bit_for_bit(self, states):
         assert_interaction_matches_all_pairs(states)
 
@@ -354,15 +381,16 @@ class TestNearestObjectBroadPhase:
         states = SceneStates.from_logged_future(scenario)
         pair_steps = []
 
-        def counting(a, b):
-            out = box_signed_distance_batch(a, b)
+        def counting(a, b, gap):
+            out = box_signed_distance_batch(a, b, gap)
             pair_steps.append(out.size)
             return out
 
         monkeypatch.setattr(simreal.features, "box_signed_distance_batch", counting)
         assert_interaction_matches_all_pairs(states)
         _, a, t = states.valid.shape
-        assert 0 < sum(pair_steps) < 0.2 * (a * (a - 1) // 2) * t
+        # Corner-to-edge distances run on under 3% of the 161,280 pair-steps.
+        assert 0 < sum(pair_steps) < 0.03 * (a * (a - 1) // 2) * t
 
 
 class TestCollisionIndication:

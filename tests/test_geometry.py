@@ -11,7 +11,12 @@ from hypothesis.extra import numpy as hnp
 
 import simreal.features
 from simreal.features import MetricKind, SceneStates, _nearest_edge, _RoadEdges, extract_features
-from simreal.geometry import _boxes_corners, box_signed_distance_batch, polyline_distance_batch
+from simreal.geometry import (
+    _boxes_corners,
+    box_signed_distance_batch,
+    polyline_distance_batch,
+    separating_gap,
+)
 from simreal.harness import generate_submission
 from simreal.policies import create_policy
 from simreal.synth import SynthSpec, Template, generate
@@ -23,9 +28,14 @@ def box(cx, cy, heading=0.0, length=2.0, width=2.0):
     return (cx, cy, heading, length, width)
 
 
+def signed_distance(a, b) -> np.ndarray:
+    """Signed distance of broadcastable (..., 5) boxes: the separating gap, then the kernel."""
+    return box_signed_distance_batch(a, b, separating_gap(a, b))
+
+
 def pair_distance(a, b) -> float:
     """The batch kernel on a single pair of (cx, cy, heading, length, width) boxes."""
-    return float(box_signed_distance_batch(np.array(a, dtype=float), np.array(b, dtype=float)))
+    return float(signed_distance(np.array(a, dtype=float), np.array(b, dtype=float)))
 
 
 class TestBoxSignedDistance:
@@ -82,7 +92,7 @@ class TestBoxSignedDistance:
         rng = np.random.default_rng(7)
         boxes_a = np.array([random_box(rng) for _ in range(300)])
         boxes_b = np.array([random_box(rng) for _ in range(300)])
-        batch = box_signed_distance_batch(boxes_a, boxes_b)
+        batch = signed_distance(boxes_a, boxes_b)
         for i in range(300):
             scalar = brute_force_signed_distance(tuple(boxes_a[i]), tuple(boxes_b[i]))
             assert batch[i] == pytest.approx(scalar, abs=1e-6)
@@ -90,7 +100,7 @@ class TestBoxSignedDistance:
 
     def test_batch_broadcasting(self):
         a = np.array([random_box(np.random.default_rng(1)) for _ in range(4)])
-        out = box_signed_distance_batch(a[:, None, :], a[None, :, :])
+        out = signed_distance(a[:, None, :], a[None, :, :])
         assert out.shape == (4, 4)
         assert np.allclose(np.diag(out), out[0, 0])
         assert np.allclose(out, out.T, atol=1e-9)
@@ -229,16 +239,56 @@ class TestBoxKernelMatchesReference:
     def test_byte_for_byte(self, pair):
         a, b = pair
         with np.errstate(all="ignore"):
-            got = box_signed_distance_batch(a, b)
+            got = signed_distance(a, b)
             want = reference_box_signed_distance(a, b)
         assert got.tobytes() == want.tobytes()
 
     def test_broadcast_shapes_match_reference(self):
         boxes = np.array([random_box(np.random.default_rng(s)) for s in range(6)]).reshape(2, 3, 5)
-        got = box_signed_distance_batch(boxes[:, None], boxes[None, :, :1])
+        got = signed_distance(boxes[:, None], boxes[None, :, :1])
         want = reference_box_signed_distance(boxes[:, None], boxes[None, :, :1])
         assert got.shape == (2, 2, 3)
         assert got.tobytes() == want.tobytes()
+
+
+def _finite_pairs(a, b):
+    """The pairs of ``box_pairs`` whose centres and headings are finite, and the
+    broad-phase slack of each (1e-6 plus 1e-12 of its largest coordinate)."""
+    keep = np.isfinite(a[:, :3]).all(axis=1) & np.isfinite(b[:, :3]).all(axis=1)
+    a, b = a[keep], b[keep]
+    scale = np.abs(np.concatenate([a[:, :2], b[:, :2]], axis=1)).max(axis=1, initial=0.0)
+    slack = simreal.features._BROAD_PHASE_SLACK + simreal.features._BROAD_PHASE_REL_SLACK * scale
+    return a, b, slack
+
+
+class TestNearestObjectPruningBounds:
+    """The two facts the nearest-object broad phase rests on."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=box_pairs())
+    @example(pair=(np.array([box(0, 0)]), np.array([box(3, 3)])))  # gap 1, distance sqrt(2)
+    @example(pair=(np.array([box(0, 0)]), np.array([box(2, 0)])))  # touching: gap 0.0
+    @example(pair=(np.array([box(0, 0)]), np.array([box(1, 0.5, 0.3)])))  # overlapping
+    @example(pair=(np.array([box(1e6, 0, 0.4)]), np.array([box(1e6 + 3, 1, 1.2, 4.5, 1.0)])))
+    def test_separating_gap_is_at_most_the_distance(self, pair):
+        a, b, slack = _finite_pairs(*pair)
+        gap = separating_gap(a, b)
+        dist = box_signed_distance_batch(a, b, gap)
+        assert (gap <= dist + slack).all()
+        overlap = gap < 0.0
+        assert dist[overlap].tobytes() == gap[overlap].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=box_pairs())
+    @example(pair=(np.array([box(0, 0)]), np.array([box(0, 0)])))  # coincident
+    @example(pair=(np.array([box(0, 0, 0.0, 4.0, 1.0)]), np.array([box(0, 1.5, 0.0, 4.0, 1.0)])))
+    @example(pair=(np.array([box(0, 0, 0.0, 0.0, 0.0)]), np.array([box(1e-9, 0)])))
+    def test_signed_distance_is_at_most_the_inscribed_disc_bound(self, pair):
+        a, b, slack = _finite_pairs(*pair)
+        dist = signed_distance(a, b)
+        cd = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])
+        inner_a, inner_b = np.minimum(a[:, 3], a[:, 4]) / 2.0, np.minimum(b[:, 3], b[:, 4]) / 2.0
+        assert (dist <= cd - inner_a - inner_b + slack).all()
 
 
 def point_to_polyline(point, polyline) -> tuple[float, int]:
