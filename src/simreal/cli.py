@@ -128,7 +128,7 @@ def _cmd_synth(args) -> int:
     manifest = {
         "seed": args.seed,
         "count": args.count,
-        "noise": args.noise,
+        "noise": specs[0].noise_level,  # as clamped into [0, 0.5]
         "template": args.template,
         "scenario_ids": [item.scenario.scenario_id for item in items],
     }

@@ -29,7 +29,7 @@ import numpy as np
 
 from .geometry import (
     _boxes_corners,
-    _segment_offsets,
+    _segment_squared_distances,
     box_signed_distance_batch,
     polyline_distance_batch,
     separating_gap,
@@ -475,8 +475,8 @@ class _RoadEdges:
         reach = math.sqrt(2.0) * self.size + self.slack  # 2h + slack
         chunk = max(1, _POLYLINE_CHUNK // len(self.starts))
         for lo in range(0, len(new), chunk):
-            ex, ey = _segment_offsets(centres[lo : lo + chunk], self.starts, self.ends)[:2]
-            d = np.sqrt(ex * ex + ey * ey)
+            d2 = _segment_squared_distances(centres[lo : lo + chunk], self.starts, self.ends)
+            d = np.sqrt(d2)
             keep = d <= d.min(axis=1, keepdims=True) + reach
             for cell, row in zip(new[lo : lo + chunk].tolist(), keep):
                 idx = np.flatnonzero(row)
@@ -488,7 +488,11 @@ def _nearest_edge(pts: np.ndarray, edges: _RoadEdges) -> tuple[np.ndarray, np.nd
 
     Points are sorted by grid cell, and each cell's run goes to the kernel
     with the cell's candidates, at most ``_POLYLINE_CHUNK`` point-segment
-    pairs a call.
+    pairs a call.  The kernel picks its loop order from the call's shape: on
+    a map without a grid every point is in one run against all segments, and
+    a call of ``geometry._SEGMENT_LOOP_MIN_POINTS`` points or more walks the
+    segments one at a time; the grid's per-cell runs are shorter and take one
+    (points, segments) block.  Both orders give the same bits.
     """
     cell = edges.cell_of(pts)
     order = np.argsort(cell, kind="stable")

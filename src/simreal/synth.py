@@ -37,6 +37,7 @@ from .scene import (
     DEFAULT_FUTURE_LENGTH,
     DEFAULT_HISTORY_LENGTH,
     DEFAULT_TIMESTEP,
+    MAX_SIMULATED_OBJECTS,
     OBJECT_TYPES,
     MapFeature,
     MapFeatureKind,
@@ -72,10 +73,14 @@ class SynthSpec:
     noise_level: float = 0.0
 
     def __post_init__(self):
-        least = _TEMPLATES[self.template][1]
+        _, least, _, most = _TEMPLATES[self.template]
         if self.agent_count is not None and self.agent_count < least:
             raise ValueError(
                 f"agent count {self.agent_count}: {self.template.value} needs >= {least} agents"
+            )
+        if self.agent_count is not None and self.agent_count > most:
+            raise ValueError(
+                f"agent count {self.agent_count}: {self.template.value} holds at most {most} agents"
             )
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} is negative")
@@ -586,20 +591,24 @@ def _build_offroad_drift(count, seed, level, t_len, dt) -> _TemplatePlan:
     return _TemplatePlan(agents, _straight_edges(), {}, offroad_ids=frozenset({1}))
 
 
-#: Each template's builder, least agent count and default agent count.
+#: Curved-road lane slots sit 0.3 rad apart on a circle, so a lane's 22nd slot
+#: (0.3 * 21 = 6.3 rad) comes round onto its first: 21 slots a lane, 2 lanes.
+_CURVED_ROAD_MOST = 42
+
+#: Each template's builder, least, default and most agent count.
 _TEMPLATES = {
-    Template.STRAIGHT_ROAD: (_build_straight_road, 1, 4),
-    Template.CURVED_ROAD: (_build_curved_road, 1, 2),
-    Template.FOUR_WAY_INTERSECTION: (_build_intersection, 1, 4),
-    Template.FOLLOWING_PAIR: (_build_following_pair, 2, 2),
-    Template.COLLISION_COURSE: (_build_collision_course, 2, 2),
-    Template.OFFROAD_DRIFT: (_build_offroad_drift, 2, 2),
+    Template.STRAIGHT_ROAD: (_build_straight_road, 1, 4, MAX_SIMULATED_OBJECTS),
+    Template.CURVED_ROAD: (_build_curved_road, 1, 2, _CURVED_ROAD_MOST),
+    Template.FOUR_WAY_INTERSECTION: (_build_intersection, 1, 4, MAX_SIMULATED_OBJECTS),
+    Template.FOLLOWING_PAIR: (_build_following_pair, 2, 2, MAX_SIMULATED_OBJECTS),
+    Template.COLLISION_COURSE: (_build_collision_course, 2, 2, MAX_SIMULATED_OBJECTS),
+    Template.OFFROAD_DRIFT: (_build_offroad_drift, 2, 2, MAX_SIMULATED_OBJECTS),
 }
 
 
 def generate(spec: SynthSpec) -> SynthScenario:
     """Build one synthetic scenario plus its sidecar fixtures."""
-    build, _, default_count = _TEMPLATES[spec.template]
+    build, _, default_count, _ = _TEMPLATES[spec.template]
     t_len, dt = DEFAULT_FUTURE_LENGTH, DEFAULT_TIMESTEP
     plan = build(spec.agent_count or default_count, spec.seed, spec.noise_level, t_len, dt)
     return _assemble(spec.template, spec.seed, plan, t_len, dt)

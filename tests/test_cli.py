@@ -29,6 +29,7 @@ from simreal.io import (
     write_submission,
 )
 from simreal.scene import ScenarioRollouts
+from simreal.synth import Template
 
 
 @pytest.fixture(scope="module")
@@ -122,17 +123,46 @@ class TestSynth:
                      "--out", str(out)]) == 0
         assert len(read_scenario_dir(out)) == 1
 
+    @pytest.mark.parametrize("template", ["curved_road", "all"])
+    def test_more_agents_than_the_template_holds_exits_two_without_files(
+        self, tmp_path, capsys, template
+    ):
+        # Curved-road lane slots sit 0.3 rad apart, so a lane's 22nd slot comes
+        # round onto its first: 43 agents used to raise RuntimeError.
+        out = tmp_path / "scenarios"
+        argv = ["synth", "--template", template, "--agents", "43", "--noise", "0.2"]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "agent count 43" in err[0], err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("noise, applied", [
+        ("inf", 0.5), ("9", 0.5), ("-1", 0.0), ("-inf", 0.0), ("0.3", 0.3),
+    ])
+    def test_manifest_records_the_applied_noise_as_strict_json(self, tmp_path, noise, applied):
+        out = tmp_path / "scenarios"
+        assert main(["synth", "--template", "following_pair", "--count", "1",
+                     f"--noise={noise}", "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        text = (out / "synth_manifest.json").read_text()
+        assert json.loads(text, parse_constant=reject)["noise"] == applied
+
     @settings(max_examples=25, deadline=None)
     @given(
-        template=st.sampled_from(["all", "straight_road", "following_pair", "offroad_drift"]),
+        template=st.sampled_from(["all"] + [t.value for t in Template]),
         count=st.integers(-2, 2),
-        agents=st.none() | st.integers(-3, 3),
+        agents=st.none() | st.integers(-3, 129),
         seed=st.integers(-1, 3) | st.just(2**64),
         noise=st.sampled_from(["0", "0.3", "-1", "9", "nan", "inf", "-inf"]),
         fmt=st.sampled_from(["json", "binary"]),
     )
     @example(template="following_pair", count=1, agents=1, seed=0, noise="0", fmt="json")
     @example(template="straight_road", count=0, agents=None, seed=0, noise="nan", fmt="json")
+    @example(template="curved_road", count=1, agents=43, seed=0, noise="0.2", fmt="json")
+    @example(template="straight_road", count=1, agents=129, seed=0, noise="0", fmt="binary")
     def test_never_raises(self, template, count, agents, seed, noise, fmt):
         argv = ["synth", f"--template={template}", f"--count={count}", f"--seed={seed}",
                 f"--noise={noise}", f"--format={fmt}"]

@@ -10,9 +10,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import simreal.features
+import simreal.geometry
 from simreal.features import MetricKind, SceneStates, _nearest_edge, _RoadEdges, extract_features
 from simreal.geometry import (
+    _SEGMENT_LOOP_LIMIT,
+    _SEGMENT_LOOP_MIN_POINTS,
     _boxes_corners,
+    _nearest_segment_block,
+    _nearest_segment_loop,
     box_signed_distance_batch,
     polyline_distance_batch,
     separating_gap,
@@ -442,3 +447,71 @@ class TestRoadEdgeGrid:
         moved = [replace(first[0], polyline=first[0].polyline + 1.0)] + first[1:]
         assert simreal.features._road_edge_segments(moved) is not edges
         assert simreal.features._road_edge_segments(first[1:]) is not edges
+
+
+# ---------------------------------------------------------------------------
+# Segment loop: walking the segments one at a time gives the (P, S) block's
+# bits wherever every coordinate lies inside the loop's bound.
+
+
+@st.composite
+def inside_the_loop_bound(draw):
+    """``segments_and_points`` with every non-finite coordinate moved to +-1e7."""
+    starts, ends, pts = draw(segments_and_points())
+    edge = np.copysign(_SEGMENT_LOOP_LIMIT, pts)
+    return starts, ends, np.where(np.isfinite(pts), pts, edge)
+
+
+class TestSegmentLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(case=inside_the_loop_bound())
+    @example(  # equidistant from a left-hand and a right-hand segment, and on both
+        case=(np.array([[0.0, 0.0], [0.0, 2.0]]), np.array([[10.0, 0.0], [10.0, 2.0]]),
+              np.array([[5.0, 1.0], [0.0, 1.0], [-3.0, 1.0], [5.0, 0.0], [10.0, 2.0]])),
+    )
+    @example(  # at the bound itself, every corner of it
+        case=(np.array([[-1e7, -1e7], [1e7, 0.0]]), np.array([[1e7, 1e7], [-1e7, 0.5]]),
+              np.array([[1e7, -1e7], [-1e7, 1e7], [1e7, 1e7], [-1e7, -1e7], [0.0, 0.25]])),
+    )
+    def test_matches_the_block_bit_for_bit(self, case):
+        starts, ends, pts = case
+        assert (np.abs(pts) <= _SEGMENT_LOOP_LIMIT).all()
+        d2, k = _nearest_segment_loop(pts, starts, ends)
+        want_d2, want_k = _nearest_segment_block(pts, starts, ends)
+        assert d2.tobytes() == want_d2.tobytes()
+        assert k.tobytes() == want_k.tobytes()
+
+    def tall_batch(self, starts, ends):
+        """More points than the crossover: the segment ends, their midpoints and a lattice."""
+        lattice = np.stack(np.meshgrid(np.arange(-30.0, 30.5, 0.5),
+                                       np.arange(-20.0, 20.5, 0.5)), axis=-1).reshape(-1, 2)
+        pts = np.concatenate([starts, ends, (starts + ends) / 2.0, lattice])
+        assert len(pts) > _SEGMENT_LOOP_MIN_POINTS
+        return pts
+
+    def test_nearest_edge_on_a_map_without_grid_takes_the_loop(self):
+        scenario = generate(SynthSpec(Template.FOUR_WAY_INTERSECTION, seed=0)).scenario
+        edges = simreal.features._road_edge_segments(scenario.map_features)
+        assert edges.size == 0 and len(edges.starts) == 8
+        pts = self.tall_batch(edges.starts, edges.ends)
+        with mock.patch.object(simreal.geometry, "_nearest_segment_loop",
+                               wraps=_nearest_segment_loop) as loop:
+            dist, side = _nearest_edge(pts, edges)
+        assert loop.call_count == 1
+        with mock.patch.object(simreal.geometry, "_SEGMENT_LOOP_MIN_POINTS", math.inf):
+            want_dist, want_side = polyline_distance_batch(pts, edges.starts, edges.ends)
+        assert dist.tobytes() == want_dist.tobytes()
+        assert side.tobytes() == want_side.tobytes()
+        assert set(side.tolist()) == {-1, 0, 1}
+
+    @pytest.mark.parametrize("odd", [math.nan, math.inf, _SEGMENT_LOOP_LIMIT * 1.5])
+    def test_a_point_outside_the_bound_keeps_the_block(self, odd):
+        starts = np.array([[-10.0, 0.0], [10.0, 0.0]])
+        ends = np.array([[10.0, 0.0], [10.0, 10.0]])
+        pts = self.tall_batch(starts, ends)
+        pts[7] = (odd, 1.0)
+        with mock.patch.object(simreal.geometry, "_nearest_segment_loop") as loop, \
+                np.errstate(invalid="ignore"):
+            dist, side = polyline_distance_batch(pts, starts, ends)
+        loop.assert_not_called()
+        assert np.isfinite(np.delete(dist, 7)).all()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from simreal.features import BOOLEAN_METRICS, MetricKind, SceneStates, extract_features
-from simreal.scene import simulated_object_ids, strip_late_spawns
+from simreal.scene import MAX_SIMULATED_OBJECTS, simulated_object_ids, strip_late_spawns
 from simreal.synth import SynthSpec, Template, generate, suite_specs
 
 KINEMATIC = {
@@ -86,6 +86,19 @@ def test_extra_agents_appended():
 def test_agent_count_minimum_enforced():
     with pytest.raises(ValueError):
         SynthSpec(Template.COLLISION_COURSE, agent_count=1)
+
+
+@pytest.mark.parametrize("template, most", [
+    (Template.CURVED_ROAD, 42),
+    *((t, MAX_SIMULATED_OBJECTS) for t in Template if t is not Template.CURVED_ROAD),
+])
+def test_agent_count_maximum_enforced(template, most):
+    # The largest count keeps every construction guarantee at the noise extremes.
+    for noise in (0.0, 0.5):
+        synth = generate(SynthSpec(template, most, seed=1, noise_level=noise))
+        assert len(synth.scenario.tracks) == most
+    with pytest.raises(ValueError, match=f"agent count {most + 1}: {template.value} holds at most"):
+        SynthSpec(template, most + 1)
 
 
 def test_suite_specs_cover_all_templates():
