@@ -17,7 +17,8 @@ The submission contract lives in ``io.match_scenarios`` and
                  --replan-interval or policy option;  3  a non-finite policy
                  output or rollouts that break the contract (no archive)
     validate  1  contract violations, or a count other than --expected-rollouts
-              2  unreadable archive or bad scenarios
+              2  unreadable archive, bad scenarios or an --expected-rollouts
+                 below 1
     evaluate  2  unreadable archive or config, bad scenarios or --jobs, a
                  contract violation, or a non-finite feature (no report)
     compare   2  a report that is not JSON or lacks a summary score
@@ -207,6 +208,8 @@ def _cmd_rollout(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.expected_rollouts < 1:
+        raise InvalidOption(f"--expected-rollouts must be >= 1, got {args.expected_rollouts}")
     scenarios = sio.read_scenario_dir(args.scenarios)
     report = sio.validate_submission(args.archive, scenarios, args.expected_rollouts)
     for line in report.summary_lines():

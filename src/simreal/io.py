@@ -6,25 +6,38 @@ Two interchange forms exist for scenarios and rollout bundles:
 * A versioned binary format: an 8-byte magic ``SMRLBIN1`` followed by
   records, each ``[kind:u8][length:u64le][payload]``.  Payload scalars are
   little-endian; floats are 64-bit.  Record kinds: 1 = scenario,
-  2 = scenario rollouts.  A scenario file holds exactly one scenario record
+  3 = scenario rollouts.  A scenario file holds exactly one scenario record
   and an archive shard only rollouts records.  A scenario payload stores its
   N tracks as one block of packed records, ``[id:i64][type:u8][dims:3 f64]
-  [poses:L x 4 f64][valid:L u8]`` (33 + 33 L bytes each), and a rollouts
-  payload its (K, A, T, 4) pose tensor as one contiguous block, so each
-  decodes with a single ``np.frombuffer``.  A record of another kind and
-  payload bytes left over after parsing are errors.
+  [poses:L x 4 f64][valid:L u8]`` (33 + 33 L bytes each), decoded with a
+  single ``np.frombuffer``.  A rollouts payload holds the scenario id, the
+  counts ``K, A, T`` and the A object ids, then the (K, A, T, 4) pose tensor
+  channel-major as (4, K, A, T), split into 32 byte planes: for channel c
+  (x, y, z, heading) and byte b of the little-endian float64, plane 8c + b
+  holds that byte of every channel-c value in (K, A, T) order.  This is the
+  shuffle filter of HDF5 and Blosc: sign, exponent and high mantissa bytes
+  repeat from value to value and deflate well, while the low mantissa bytes
+  of a noisy coordinate barely compress.  Kind 2, the interleaved (K, A, T,
+  4) layout of archive format 1, is refused with a ``ParseError`` that names
+  it.  A record of another kind and payload bytes left over after parsing
+  are errors.
 
 A submission archive is a standard ``.tar.gz`` holding ``manifest.json``
 plus binary shards named ``rollouts.<index>-of-<total>.bin``, each shard
-holding many rollout records.  The gzip file is a run of members at level 4,
-one per rollouts record (:func:`encode_rollouts`), so records compress where
-they are rolled out; small members between them hold the manifest, the tar
-headers, each shard's magic and the end-of-archive blocks.  gzip and tar
-readers see one stream, and its tar bytes are those a single-stream writer
-makes, so ``FORMAT_VERSION`` stays 1.  Archives are written
-deterministically (fixed timestamps, records sorted by scenario id, one
-member per record) so identical inputs produce identical bytes, however the
-records were grouped when they were encoded.
+holding many rollout records.  The manifest declares ``format_version`` 2
+(``ARCHIVE_FORMAT_VERSION``); scenario files and reports stay at
+``FORMAT_VERSION`` 1.  The gzip file is a run of members.  Each rollouts
+record is one or more of them (:func:`encode_rollouts`), compressed where
+the record is rolled out: each byte plane is either stored (level 0) or
+deflated (level 1), and adjacent planes with the same choice, the first
+with the record's header in front, share one member.  Small members
+between records hold the manifest, the tar headers, each shard's magic and
+the end-of-archive blocks.  gzip and tar readers see one stream, and its
+tar bytes are those a single-stream writer makes.  Archives are written
+deterministically (fixed timestamps, records sorted by scenario id, each
+record's members a function of that record alone) so identical inputs
+produce identical bytes, however the records were grouped when they were
+encoded.
 Reading drains the gzip stream to its end, so a corrupt CRC32 or length
 trailer is a ``ParseError`` like any other damage.  A cut at a member
 boundary passes those checks; reading compares the records and shards
@@ -36,6 +49,7 @@ from __future__ import annotations
 
 import csv
 import gzip
+import itertools
 import json
 import math
 import re
@@ -66,18 +80,41 @@ from .scene import (
 )
 
 MAGIC = b"SMRLBIN1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 1  # scenario documents and reports
+ARCHIVE_FORMAT_VERSION = 2  # submission manifests: rollouts records in byte planes
 _KIND_SCENARIO = 1
-_KIND_ROLLOUTS = 2
+_KIND_ROLLOUTS = 3
 _KIND_NAMES = {_KIND_SCENARIO: "scenario", _KIND_ROLLOUTS: "rollouts"}
+_KIND_INTERLEAVED_ROLLOUTS = 2  # archive format 1; refused
 
 SHARD_NAME_RE = re.compile(r"rollouts\.(\d+)-of-(\d+)\.bin$")
 _DRAIN_CHUNK = 1 << 16
-# Archive members compress at gzip level 4: about 7x faster to write than
-# level 9, and within 1% of its size on rollout shards.  Readers are
-# level-agnostic.  Each rollouts record is its own member, so the archive
-# bytes do not depend on which process encoded which record.
-_ARCHIVE_COMPRESSLEVEL = 4
+# Deflated archive members use gzip level 1.  Encoding the seed-0 benchmark
+# records takes 1.15-1.6x less time with it than at level 4 (medians of 15
+# alternating runs: the 32-agent noisy-plan record 12 against 17 ms, the
+# 64-agent constant-velocity record 18 against 28 ms, the 24 mixed-suite
+# records 81 against 93 ms) for 1-9% more bytes (1.63 against 1.61 MB, 85
+# against 79 KB, 3.31 against 3.28 MB); the interleaved layout at level 4
+# took 1.92 MB, 0.90 MB and 3.82 MB.  Readers are level-agnostic.  Each
+# record's members depend on that record alone, so the archive bytes do not
+# depend on which process encoded which record.
+_ARCHIVE_COMPRESSLEVEL = 1
+# Store-or-deflate rule for one byte plane.  A plane of at most
+# _ALWAYS_DEFLATE_BYTES is always deflated, so each record of 2-4 agents at
+# k=32 (5-10 KiB planes, the whole mixed suite) stays one member and pays no
+# probe.  A larger plane is deflated only if level 1 shrinks its first
+# _PROBE_BYTES by at least _PROBE_MIN_SAVING, and stored (level 0)
+# otherwise.  Measured on the seed-0 benchmark rollouts: the low six bytes
+# of noisy x, y and heading probe at 100% (incompressible), every other
+# plane at 70% or less, so a 10% margin parts them with room to spare.  A
+# 4 KiB probe costs about 50 us, 1/30 of deflating an incompressible 80 KiB
+# plane (1.7 ms).  A 1 KiB probe is too short: it reads 92-100% on the
+# constant-velocity x planes, which deflate to 4-5% whole, and storing them
+# grows that record from 85 KB to 1.0 MB.
+_ALWAYS_DEFLATE_BYTES = 16 * 1024
+_PROBE_BYTES = 4 * 1024
+_PROBE_MIN_SAVING = 0.1
+_PLANES = 32  # 4 channels x 8 bytes of a float64
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +206,14 @@ def scenario_from_dict(data: Mapping[str, Any], path: str | None = None) -> Scen
 
 
 class _Reader:
-    """A cursor over ``data``, which starts ``base`` bytes into the file."""
+    """A cursor over ``data``, which starts ``base`` bytes into the file.
 
-    def __init__(self, data: bytes, path: str | None, base: int = 0):
-        self.data = data
+    It reads through a ``memoryview``, so a record's payload and the arrays
+    decoded from it are views of the file's bytes, not copies.
+    """
+
+    def __init__(self, data: bytes | memoryview, path: str | None, base: int = 0):
+        self.data = memoryview(data)
         self.path = path
         self.base = base
         self.pos = 0
@@ -180,7 +221,7 @@ class _Reader:
     def fail(self, message: str):
         raise ParseError(message, path=self.path, offset=self.base + self.pos)
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             self.fail(f"truncated: needed {n} bytes, {len(self.data) - self.pos} left")
         out = self.data[self.pos : self.pos + n]
@@ -209,7 +250,7 @@ def _read_str(r: _Reader) -> str:
     (n,) = r.unpack("H")
     start = r.pos
     try:
-        return r.take(n).decode("utf-8")
+        return str(r.take(n), "utf-8")
     except UnicodeDecodeError as exc:
         r.pos = start + exc.start
         r.fail(f"string is not valid UTF-8: {exc.reason}")
@@ -284,28 +325,20 @@ def _scenario_from_payload(r: _Reader) -> Scenario:
     )
 
 
-def _rollouts_payload(rollouts: ScenarioRollouts) -> bytes:
-    k, n_ids, n_steps, _ = rollouts.rollouts.shape
-    return b"".join(
-        [
-            _pack_str(rollouts.scenario_id),
-            struct.pack("<IIH", k, n_ids, n_steps),
-            rollouts.ids.astype("<i8").tobytes(),
-            rollouts.rollouts.astype("<f8").tobytes(),
-        ]
-    )
-
-
 def _rollouts_from_payload(r: _Reader) -> ScenarioRollouts:
     scenario_id = _read_str(r)
     k, n_ids, n_steps = r.unpack("IIH")
     ids = np.frombuffer(r.take(8 * n_ids), dtype="<i8")
-    return ScenarioRollouts(scenario_id, ids, r.floats(k, n_ids, n_steps, 4))
+    n = k * n_ids * n_steps
+    planes = np.frombuffer(r.take(_PLANES * n), dtype=np.uint8).reshape(4, 8, n)
+    channels = np.ascontiguousarray(planes.transpose(0, 2, 1)).view("<f8")
+    poses = np.moveaxis(channels.reshape(4, k, n_ids, n_steps), 0, -1)  # copied by the bundle
+    return ScenarioRollouts(scenario_id, ids, poses)
 
 
-def _frame(kind: int, payload: bytes) -> bytes:
-    """One record: ``[kind:u8][length:u64le][payload]``."""
-    return struct.pack("<BQ", kind, len(payload)) + payload
+def _frame(kind: int, length: int) -> bytes:
+    """The ``[kind:u8][length:u64le]`` head of a record whose payload is ``length`` bytes."""
+    return struct.pack("<BQ", kind, length)
 
 
 def _read_records(data: bytes, path: str | None, expected: int) -> list[_Reader]:
@@ -320,6 +353,10 @@ def _read_records(data: bytes, path: str | None, expected: int) -> list[_Reader]
         kind, length = r.unpack("BQ")
         if kind != expected:
             r.pos = start
+            if kind == _KIND_INTERLEAVED_ROLLOUTS:
+                r.fail("a kind-2 rollouts record: the interleaved pose layout of archive "
+                       "format 1, which this version no longer reads; roll the submission "
+                       "out again")
             if kind not in _KIND_NAMES:
                 r.fail(f"unknown record kind {kind}")
             r.fail(f"a {_KIND_NAMES[kind]} record in a file of {_KIND_NAMES[expected]} records")
@@ -346,7 +383,8 @@ def write_scenario(scenario: Scenario, path: str | Path, fmt: str | None = None)
     if fmt == "json":
         path.write_text(json.dumps(scenario_to_dict(scenario), indent=1, sort_keys=True))
     elif fmt == "binary":
-        path.write_bytes(MAGIC + _frame(_KIND_SCENARIO, _scenario_payload(scenario)))
+        payload = _scenario_payload(scenario)
+        path.write_bytes(MAGIC + _frame(_KIND_SCENARIO, len(payload)) + payload)
     else:
         raise ValueError(f"unknown scenario format {fmt!r}")
 
@@ -444,23 +482,58 @@ class SubmissionArchive:
 class EncodedRollouts:
     """One scenario's rollouts as an archive record, made by :func:`encode_rollouts`.
 
-    ``member`` is one gzip member holding the record's ``size`` bytes: its
-    ``[kind][length]`` frame and payload.
+    ``members`` is one or more gzip members that together hold the record's
+    ``size`` bytes: its ``[kind][length]`` frame and payload.
     """
 
     scenario_id: str
     size: int
-    member: bytes
+    members: bytes
 
 
-def _gzip_member(data: bytes) -> bytes:
-    return gzip.compress(data, compresslevel=_ARCHIVE_COMPRESSLEVEL, mtime=0)
+def _gzip_member(data, level: int = _ARCHIVE_COMPRESSLEVEL) -> bytes:
+    """One gzip member (``mtime`` 0) holding ``data``, any contiguous bytes-like object."""
+    return zlib.compress(data, level, 31)
+
+
+def _deflates(plane: np.ndarray) -> bool:
+    """The store-or-deflate rule for one byte plane (see ``_ALWAYS_DEFLATE_BYTES``)."""
+    if len(plane) <= _ALWAYS_DEFLATE_BYTES:
+        return True
+    probe = zlib.compress(plane[:_PROBE_BYTES], _ARCHIVE_COMPRESSLEVEL, -15)
+    return len(probe) <= (1.0 - _PROBE_MIN_SAVING) * _PROBE_BYTES
 
 
 def encode_rollouts(rollouts: ScenarioRollouts) -> EncodedRollouts:
-    """Encode and compress one rollouts record for :func:`write_submission`."""
-    record = _frame(_KIND_ROLLOUTS, _rollouts_payload(rollouts))
-    return EncodedRollouts(rollouts.scenario_id, len(record), _gzip_member(record))
+    """Encode and compress one rollouts record for :func:`write_submission`.
+
+    The record is assembled in one buffer: frame, id, counts and ids, then
+    the 32 byte planes of the poses (see the module doc).  Each run of
+    adjacent planes with the same store-or-deflate choice becomes one gzip
+    member, the first run with everything before it.
+    """
+    poses = rollouts.rollouts
+    k, n_ids, n_steps, _ = poses.shape
+    n = k * n_ids * n_steps
+    head = b"".join([
+        _pack_str(rollouts.scenario_id),
+        struct.pack("<IIH", k, n_ids, n_steps),
+        rollouts.ids.astype("<i8").tobytes(),
+    ])
+    head = _frame(_KIND_ROLLOUTS, len(head) + _PLANES * n) + head
+    record = np.empty(len(head) + _PLANES * n, dtype=np.uint8)
+    record[:len(head)] = np.frombuffer(head, dtype=np.uint8)
+    planes = record[len(head):].reshape(_PLANES, n)
+    channels = np.ascontiguousarray(poses.reshape(n, 4).T, dtype="<f8").view(np.uint8)
+    planes.reshape(4, 8, n)[...] = channels.reshape(4, n, 8).transpose(0, 2, 1)
+    del channels  # before the members are compressed
+    members, start, planes_done = [], 0, 0
+    for deflate, run in itertools.groupby(map(_deflates, planes)):
+        planes_done += sum(1 for _ in run)
+        stop = len(head) + planes_done * n
+        members.append(_gzip_member(record[start:stop], _ARCHIVE_COMPRESSLEVEL if deflate else 0))
+        start = stop
+    return EncodedRollouts(rollouts.scenario_id, len(record), b"".join(members))
 
 
 def _tar_header(name: str, size: int) -> bytes:
@@ -493,7 +566,7 @@ def write_submission(
     shards = [records[i::shard_count] for i in range(shard_count)]
 
     doc = dict(manifest or {})
-    doc.setdefault("format_version", FORMAT_VERSION)
+    doc["format_version"] = ARCHIVE_FORMAT_VERSION
     doc["scenario_count"] = len(records)
     doc["shard_count"] = shard_count
     blob = json.dumps(doc, indent=1, sort_keys=True).encode("utf-8")
@@ -505,7 +578,7 @@ def write_submission(
             size = len(MAGIC) + sum(r.size for r in group)
             head = pending + _tar_header(f"rollouts.{i}-of-{shard_count}.bin", size) + MAGIC
             out.write(_gzip_member(head))
-            out.writelines(rec.member for rec in group)
+            out.writelines(rec.members for rec in group)
             offset += len(head) - len(MAGIC) + size
             pending = _tar_padding(size)
         end = bytes(2 * tarfile.BLOCKSIZE)

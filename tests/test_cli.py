@@ -207,6 +207,20 @@ class TestRolloutAndValidate:
             "--scenarios", str(scenarios), "--expected-rollouts", "31",
         ]) == 1
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_expected_rollouts_below_one_is_refused(self, workspace, capsys, count):
+        # No archive can hold fewer than one rollout per scenario, so the option
+        # is refused (exit 2), not reported as one BAD_ROLLOUT_COUNT a scenario.
+        _, scenarios, archives = workspace
+        capsys.readouterr()
+        assert main([
+            "validate", "--archive", str(archives["constant-velocity"]),
+            "--scenarios", str(scenarios), f"--expected-rollouts={count}",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --expected-rollouts must be >= 1, got {count}\n"
+
     def test_failed_audit_exits_one_without_archive(self, workspace, tmp_path, monkeypatch,
                                                     capsys):
         _, scenarios, _ = workspace

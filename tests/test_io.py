@@ -6,13 +6,14 @@ import hashlib
 import io
 import json
 import math
+import struct
 import tarfile
 import zlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from simreal.cli import main
@@ -160,10 +161,14 @@ class TestScenarioRoundTrip:
 
 
 # sha256 of synthetic scenario files in both formats, keyed by (template,
-# agents, seed) at noise 0.2 as for the fixtures below, and of the
-# uncompressed shard of the following_pair scenario's k=2 constant-velocity
-# submission.  The shard is hashed rather than the .tar.gz so the zlib build
-# cannot change the digest.
+# agents, seed) at noise 0.2 as for the fixtures below, and of shards of the
+# following_pair scenario's k=2 submissions.  Shards are hashed rather than
+# the .tar.gz so the zlib build cannot change the digest.  The shard pins
+# other than GOLDEN_PLANAR_SHARD_SHA256 hash format-1 shard bytes (kind-2
+# records, poses interleaved), rebuilt by ``_format1_shard`` from what
+# ``read_submission`` decodes out of a current archive.  They are the digests
+# the format-1 writer produced, so they pin the decoded poses, and through
+# them the rollouts and noise streams, bit for bit across the format change.
 GOLDEN_SCENARIO_SHA256 = {
     ("straight_road", None, 3): (
         "9b3a7fd11b1913d74a3f2b31a527181656bda0a267b1266987ed20dd5bf45858",
@@ -195,6 +200,8 @@ GOLDEN_SCENARIO_SHA256 = {
     ),
 }
 GOLDEN_SHARD_SHA256 = "847c5fe27b8b0777a28f3b665b3b0c8a6272aced6ef55298a338b05c5c7219e8"
+# The same submission's shard as written: kind-3 records in byte planes.
+GOLDEN_PLANAR_SHARD_SHA256 = "a0fdfa7ae310d90fdea3c9e588e2e9b7c6ba257308c469d782d1698af57ecad3"
 # Shards of k=2 submissions from the noise-drawing policies, which pin the
 # random streams keyed by (seed, step, object).  A replan interval of 200 holds
 # plans past the last step T=80, so it pins the keys of virtual plan steps too.
@@ -226,6 +233,22 @@ def golden_scenario():
     return generate(SynthSpec(Template.FOLLOWING_PAIR, seed=3, noise_level=0.2)).scenario
 
 
+def _format1_record(rollouts):
+    """A rollouts record as archive format 1 wrote it: kind 2, poses interleaved (K, A, T, 4)."""
+    k, n_ids, n_steps, _ = rollouts.rollouts.shape
+    sid = rollouts.scenario_id.encode("utf-8")
+    payload = b"".join([
+        struct.pack("<H", len(sid)), sid, struct.pack("<IIH", k, n_ids, n_steps),
+        rollouts.ids.astype("<i8").tobytes(), rollouts.rollouts.astype("<f8").tobytes(),
+    ])
+    return struct.pack("<BQ", 2, len(payload)) + payload
+
+
+def _format1_shard(path):
+    """The format-1 bytes of a one-shard archive's shard, rebuilt from its decoded records."""
+    return MAGIC + b"".join(_format1_record(rec) for _, rec in read_submission(path).entries)
+
+
 class TestBinaryFormatPinned:
     @pytest.mark.parametrize("template,agents,seed", sorted(GOLDEN_SCENARIO_SHA256, key=str))
     def test_golden_scenario_bytes(self, tmp_path, template, agents, seed):
@@ -243,9 +266,11 @@ class TestBinaryFormatPinned:
             scenario, ConstantVelocityPolicy(), ConstantVelocityPolicy(), k=2, base_seed=0
         )
         write_submission(tmp_path / "a.tar.gz", [encode_rollouts(rollouts)], {"seed": 0})
-        with tarfile.open(tmp_path / "a.tar.gz", "r:gz") as tar:
-            shard = tar.extractfile("rollouts.0-of-1.bin").read()
+        shard = _format1_shard(tmp_path / "a.tar.gz")
         assert hashlib.sha256(shard).hexdigest() == GOLDEN_SHARD_SHA256
+        with tarfile.open(tmp_path / "a.tar.gz", "r:gz") as tar:
+            planar = tar.extractfile("rollouts.0-of-1.bin").read()
+        assert hashlib.sha256(planar).hexdigest() == GOLDEN_PLANAR_SHARD_SHA256
 
     @pytest.mark.parametrize("template,agents,seed", sorted(GOLDEN_FIXTURES_SHA256, key=str))
     def test_golden_fixture_sidecar_bytes(self, tmp_path, template, agents, seed):
@@ -267,8 +292,7 @@ class TestBinaryFormatPinned:
             base_seed=0,
         )
         write_submission(tmp_path / "a.tar.gz", [encode_rollouts(rollouts)], {"seed": 0})
-        with tarfile.open(tmp_path / "a.tar.gz", "r:gz") as tar:
-            shard = tar.extractfile("rollouts.0-of-1.bin").read()
+        shard = _format1_shard(tmp_path / "a.tar.gz")
         assert hashlib.sha256(shard).hexdigest() == GOLDEN_NOISE_SHARD_SHA256[policy, interval]
 
     @settings(max_examples=60, deadline=None)
@@ -292,6 +316,79 @@ class TestBinaryFormatPinned:
         ((_, back),) = read_submission(path).entries
         assert back.ids.tobytes() == rollouts.ids.tobytes()
         assert back.rollouts.tobytes() == rollouts.rollouts.tobytes()
+
+
+# Bit patterns a pose codec must carry unchanged: signed zero, subnormals, the
+# infinities, and quiet and signalling NaNs with payloads and either sign.
+_SPECIAL_POSE_BITS = (
+    0x8000000000000000, 0x0000000000000001, 0x800FFFFFFFFFFFFF, 0x7FF0000000000000,
+    0xFFF0000000000000, 0x7FF8000000000000, 0x7FF8DEADBEEF0001, 0xFFF0000000000123,
+)
+
+
+def _pose_tensor(shape, seed, styles, specials):
+    """A (K, A, T, 4) pose tensor whose channels are noise, smooth tracks or constants."""
+    rng = np.random.default_rng(seed)
+    channels = []
+    for style in styles:
+        if style == "noise":  # low mantissa bytes near random: stored planes
+            channels.append(rng.normal(0.0, 50.0, shape))
+        elif style == "smooth":  # slowly varying values: every plane deflates
+            channels.append(np.cumsum(rng.uniform(0.0, 0.01, shape), axis=-1) + 1000.0)
+        else:
+            channels.append(np.full(shape, 1.5))
+    poses = np.stack(channels, axis=-1)
+    flat = poses.reshape(-1).view("<u8")
+    for pos, bits in specials if flat.size else ():
+        flat[pos % flat.size] = bits
+    return poses
+
+
+class TestPlanarRecords:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(0, 24), st.integers(1, 300)),
+        seed=st.integers(0, 2**32 - 1),
+        styles=st.tuples(*[st.sampled_from(["noise", "smooth", "constant"])] * 4),
+        specials=st.lists(st.tuples(st.integers(0, 10**9), st.sampled_from(_SPECIAL_POSE_BITS)),
+                          max_size=8),
+    )
+    # Planes of K*A*T bytes either side of the 4 KiB probe and of the 16 KiB
+    # always-deflate size.
+    @example(shape=(1, 1, 4095), seed=0, styles=("noise",) * 4, specials=[])
+    @example(shape=(1, 1, 4097), seed=1, styles=("noise", "smooth", "noise", "constant"),
+             specials=[(7, _SPECIAL_POSE_BITS[6])])
+    @example(shape=(4, 4, 1024), seed=2, styles=("noise",) * 4, specials=[])
+    @example(shape=(1, 1, 16385), seed=3, styles=("noise", "smooth", "constant", "noise"),
+             specials=[(5, bits) for bits in _SPECIAL_POSE_BITS])
+    @example(shape=(3, 24, 300), seed=4, styles=("smooth", "noise", "noise", "smooth"),
+             specials=[(10**9, _SPECIAL_POSE_BITS[7])])
+    def test_round_trip_is_bit_exact_and_independent_of_other_records(
+        self, tmp_path_factory, shape, seed, styles, specials
+    ):
+        bundle = ScenarioRollouts("rt", np.arange(shape[1]) * 7 - 40,
+                                  _pose_tensor(shape, seed, styles, specials))
+        others = [ScenarioRollouts(sid, np.array([1, 2]), _pose_tensor((2, 2, 9), seed, styles, []))
+                  for sid in ("a", "z")]
+        alone = encode_rollouts(bundle)
+        assert alone.size == len(gzip.decompress(alone.members))
+        path = tmp_path_factory.mktemp("planar") / "sub.tar.gz"
+        write_submission(path, [encode_rollouts(others[0]), encode_rollouts(bundle),
+                                encode_rollouts(others[1])], {})
+        assert alone.members in path.read_bytes()
+        back = {rec.scenario_id: rec for _, rec in read_submission(path).entries}["rt"]
+        assert back.ids.view("<u8").tobytes() == bundle.ids.view("<u8").tobytes()
+        assert np.array_equal(back.rollouts.view("<u8"), bundle.rollouts.view("<u8"))
+
+    def test_noise_planes_above_16_kib_are_stored(self):
+        # At 16 KiB every plane is deflated, in one member; above it the six
+        # low bytes of each noisy channel probe incompressible and are stored.
+        def members(steps):
+            poses = _pose_tensor((1, 1, steps), 0, ("noise",) * 4, [])
+            return _split_members(encode_rollouts(ScenarioRollouts("n", [1], poses)).members)
+
+        assert len(members(16384)) == 1
+        assert [_stored(m) for m in members(16385)] == [True, False] * 4
 
 
 class TestMalformedBinary:
@@ -546,6 +643,42 @@ class TestRecordKinds:
             read_submission(bad)
 
 
+class TestFormat1Archives:
+    """Archives of format 1 hold kind-2 records, poses interleaved; they are refused."""
+
+    @pytest.fixture
+    def format1(self, tmp_path):
+        synth = generate(SynthSpec(Template.FOLLOWING_PAIR, seed=3, noise_level=0.2))
+        write_scenario_dir([synth], tmp_path / "scenarios")
+        rollouts = generate_submission(synth.scenario, ConstantVelocityPolicy(),
+                                       ConstantVelocityPolicy(), k=2, base_seed=0)
+        archive = tmp_path / "format1.tar.gz"
+        _reference_write_submission(archive, [(rollouts.scenario_id, _format1_record(rollouts))],
+                                    {"rollouts_per_scenario": 2}, format_version=1)
+        return archive, tmp_path / "scenarios"
+
+    def test_kind_2_record_is_parse_error_naming_the_old_layout(self, format1):
+        archive, _ = format1
+        with pytest.raises(ParseError, match="kind-2 rollouts record: the interleaved") as info:
+            read_submission(archive)
+        assert info.value.offset == len(MAGIC)
+
+    @pytest.mark.parametrize("command", ["validate", "evaluate"])
+    def test_cli_exits_two_with_one_line(self, format1, tmp_path, command):
+        archive, scenarios = format1
+        argv = [command, "--archive", str(archive), "--scenarios", str(scenarios)]
+        argv += (["--expected-rollouts", "2"] if command == "validate"
+                 else ["--out", str(tmp_path / "report.json"), "--jobs", "1"])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+        assert "kind-2 rollouts record" in err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert not (tmp_path / "report.json").exists()
+
+
 def _tiny_archive(path):
     """A two-scenario archive small enough to mutate many times per test."""
     rng = np.random.default_rng(11)
@@ -600,21 +733,25 @@ class TestArchiveIntegrity:
         assert _archive_bytes(got) == want
 
 
-def _reference_write_submission(path, records, manifest):
+def _reference_write_submission(path, records, manifest, format_version=2):
     """A single-stream writer, one ``GzipFile`` around ``tarfile``, as older versions of this
-    package and other tools write archives: ``write_submission`` must reproduce its tar stream."""
-    records = sorted(records, key=lambda r: r.scenario_id)
+    package and other tools write archives: ``write_submission`` must reproduce its tar stream.
+
+    ``records`` are ``(scenario id, record bytes)`` pairs: :func:`_decoded` turns encoded
+    records into them, and :func:`_format1_record` makes the kind-2 records of format 1.
+    """
+    records = sorted(records)
     shard_count = max(1, math.ceil(len(records) / 150))
     shards = [[] for _ in range(shard_count)]
     for i, rec in enumerate(records):
         shards[i % shard_count].append(rec)
     doc = dict(manifest)
-    doc.setdefault("format_version", 1)
+    doc["format_version"] = format_version
     doc["scenario_count"] = len(records)
     doc["shard_count"] = shard_count
     members = [("manifest.json", json.dumps(doc, indent=1, sort_keys=True).encode("utf-8"))]
     for i, group in enumerate(shards):
-        blob = MAGIC + b"".join(gzip.decompress(rec.member) for rec in group)
+        blob = MAGIC + b"".join(record for _, record in group)
         members.append((f"rollouts.{i}-of-{shard_count}.bin", blob))
     with open(path, "wb") as raw:
         with gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0, compresslevel=4) as gz:
@@ -626,11 +763,19 @@ def _reference_write_submission(path, records, manifest):
                     tar.addfile(info, io.BytesIO(blob))
 
 
-def _bundles(count, first_id_pad=0):
+def _decoded(records):
+    """``(scenario id, record bytes)`` of encoded records."""
+    return [(rec.scenario_id, gzip.decompress(rec.members)) for rec in records]
+
+
+def _bundles(count, first_id_pad=0, large=None):
+    """``count`` two-object bundles; bundle ``large`` holds 16 x 80 x 80 noisy poses, whose
+    byte planes alternate between stored and deflated members."""
     rng = np.random.default_rng(count)
     return [
-        ScenarioRollouts(f"s{i:04d}" + "_" * (first_id_pad if i == 0 else 0), np.array([3, 7]),
-                         rng.normal(size=(2, 2, 6, 4)))
+        ScenarioRollouts(f"s{i:04d}" + "_" * (first_id_pad if i == 0 else 0), np.arange(80) * 4
+                         if i == large else np.array([3, 7]),
+                         rng.normal(size=(16, 80, 80, 4) if i == large else (2, 2, 6, 4)))
         for i in range(count)
     ]
 
@@ -645,24 +790,36 @@ def _member_ends(blob):
     return ends[1:]
 
 
+def _split_members(blob):
+    ends = _member_ends(blob)
+    return [blob[start:end] for start, end in zip([0] + ends[:-1], ends)]
+
+
+def _stored(member):
+    """Whether a gzip member (a 10-byte header, as zlib writes it) opens with a stored block."""
+    return (member[10] >> 1) & 3 == 0
+
+
 class TestMemberArchive:
-    """One gzip member per record; the tar stream is the single-stream writer's, byte for byte."""
+    """One or more gzip members per record; the tar stream is the single-stream writer's."""
 
     @pytest.mark.parametrize("count", [1, 24, 151])
     def test_tar_stream_equals_the_single_stream_writer(self, tmp_path, count):
-        records = [encode_rollouts(b) for b in reversed(_bundles(count))]
+        records = [encode_rollouts(b) for b in reversed(_bundles(count, large=count // 2))]
         manifest = {"seed": 0, "env_policy": "constant-velocity"}
         write_submission(tmp_path / "new.tar.gz", records, manifest)
-        _reference_write_submission(tmp_path / "ref.tar.gz", records, manifest)
+        _reference_write_submission(tmp_path / "ref.tar.gz", _decoded(records), manifest)
         new, ref = (tmp_path / "new.tar.gz").read_bytes(), (tmp_path / "ref.tar.gz").read_bytes()
         assert gzip.decompress(new) == gzip.decompress(ref)
         shards = math.ceil(count / 150)
-        assert len(_member_ends(new)) == shards + count + 1
+        per_record = [len(_member_ends(rec.members)) for rec in records]
+        assert sorted(per_record)[-1] > 1
+        assert len(_member_ends(new)) == shards + sum(per_record) + 1
 
     def test_single_stream_archive_reads_to_equal_entries(self, tmp_path):
-        records = [encode_rollouts(b) for b in _bundles(151)]
+        records = [encode_rollouts(b) for b in _bundles(151, large=5)]
         write_submission(tmp_path / "new.tar.gz", records, {"seed": 0})
-        _reference_write_submission(tmp_path / "ref.tar.gz", records, {"seed": 0})
+        _reference_write_submission(tmp_path / "ref.tar.gz", _decoded(records), {"seed": 0})
         assert len(_member_ends((tmp_path / "ref.tar.gz").read_bytes())) == 1
         assert _archive_bytes(read_submission(tmp_path / "ref.tar.gz")) == _archive_bytes(
             read_submission(tmp_path / "new.tar.gz")
@@ -672,25 +829,31 @@ class TestMemberArchive:
         # Shard 0's first id is padded so the shard ends on a tar block: tarfile
         # then sees a clean end where shard 1 is cut away, and only the manifest's
         # counts reveal the loss.  Shard 1 does not end on a block, so a cut before
-        # the closing member is a tar-level error.
-        sizes = [encode_rollouts(b).size for b in _bundles(151)]
+        # the closing member is a tar-level error.  Record 3, in shard 1, is large
+        # enough to span several stored and deflated members, so cuts fall inside it.
+        sizes = [encode_rollouts(b).size for b in _bundles(151, large=3)]
         pad = -(len(MAGIC) + sum(sizes[0::2])) % tarfile.BLOCKSIZE
         assert (len(MAGIC) + sum(sizes[1::2])) % tarfile.BLOCKSIZE
-        records = [encode_rollouts(b) for b in _bundles(151, first_id_pad=pad)]
+        records = [encode_rollouts(b) for b in _bundles(151, first_id_pad=pad, large=3)]
         assert (len(MAGIC) + sum(r.size for r in records[0::2])) % tarfile.BLOCKSIZE == 0
+        # Per channel: low six bytes stored (the header rides in the first), top two deflated.
+        assert [_stored(m) for m in _split_members(records[3].members)] == [True, False] * 4
+        per_record = [len(_member_ends(rec.members)) for rec in records]
+        assert set(per_record[:3] + per_record[4:]) == {1}
         path = tmp_path / "whole.tar.gz"
         write_submission(path, records, {"seed": 0})
         blob = path.read_bytes()
         ends = _member_ends(blob)
-        assert len(ends) == 2 + 151 + 1
+        assert len(ends) == 2 + sum(per_record) + 1
         scenarios = tmp_path / "scenarios"
         write_scenario_dir([generate(SynthSpec(Template.FOLLOWING_PAIR, seed=3))], scenarios)
         cut = tmp_path / "cut.tar.gz"
+        shard0_end = ends[76]  # shard 0: its header member, then 76 one-member records
         for end in [0] + ends[:-1]:
             cut.write_bytes(blob[:end])
             with pytest.raises(ParseError) as info:
                 read_submission(cut)
-            if end == ends[76]:  # after shard 0's last record
+            if end == shard0_end:
                 assert "shard_count is 2, the archive holds 1" in str(info.value)
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
