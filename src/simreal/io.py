@@ -38,11 +38,12 @@ deterministically (fixed timestamps, records sorted by scenario id, each
 record's members a function of that record alone) so identical inputs
 produce identical bytes, however the records were grouped when they were
 encoded.
-Reading drains the gzip stream to its end, so a corrupt CRC32 or length
-trailer is a ``ParseError`` like any other damage.  A cut at a member
-boundary passes those checks; reading compares the records and shards
-found with the counts the manifest declares, so the cut is a ``ParseError``
-too.
+Reading decodes each shard's records as the archive is decompressed (see
+:func:`read_submission`) and drains the gzip stream to its end, so a
+corrupt CRC32 or length trailer is a ``ParseError`` like any other damage.
+A cut at a member boundary passes those checks; reading compares the
+records and shards found with the counts the manifest declares, so the cut
+is a ``ParseError`` too.
 """
 
 from __future__ import annotations
@@ -58,13 +59,13 @@ import tarfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .aggregation import MetricsBundle
 from .config import EvalConfig, config_from_dict, config_to_dict
-from .errors import MalformedScenario, OccupiedOutput, ParseError
+from .errors import MalformedScenario, OccupiedOutput, ParseError, SimRealError
 from .evaluate import DatasetSummary
 from .features import METRIC_ORDER
 from .scene import (
@@ -89,6 +90,12 @@ _KIND_INTERLEAVED_ROLLOUTS = 2  # archive format 1; refused
 
 SHARD_NAME_RE = re.compile(r"rollouts\.(\d+)-of-(\d+)\.bin$")
 _DRAIN_CHUNK = 1 << 16
+# Archive shards are read in pieces of at most this size.  Pieces this small
+# come from memory the allocator already holds, while a whole shard read at
+# once, and each copy of it the gzip and tar readers make, is a fresh
+# multi-megabyte block whose page faults some processes pay on every read
+# and others never, so the read's time would depend on the process.
+_STREAM_CHUNK = 1 << 16
 # Deflated archive members use gzip level 1.  Encoding the seed-0 benchmark
 # records takes 1.15-1.6x less time with it than at level 4 (medians of 15
 # alternating runs: the 32-agent noisy-plan record 12 against 17 ms, the
@@ -205,7 +212,39 @@ def scenario_from_dict(data: Mapping[str, Any], path: str | None = None) -> Scen
 # Binary record framing.
 
 
-class _Reader:
+class _Cursor:
+    """``size`` bytes of a file read front to back, starting ``base`` bytes into it."""
+
+    def __init__(self, size: int, path: str | None, base: int):
+        self.size = size
+        self.path = path
+        self.base = base
+        self.pos = 0
+
+    def fail(self, message: str):
+        raise ParseError(message, path=self.path, offset=self.base + self.pos)
+
+    @property
+    def left(self) -> int:
+        return self.size - self.pos
+
+    @property
+    def exhausted(self) -> bool:
+        return self.pos >= self.size
+
+    def _advance(self, n: int) -> int:
+        """Move past the next ``n`` bytes, which must be there; returns where they start."""
+        if n > self.left:
+            self.fail(f"truncated: needed {n} bytes, {self.left} left")
+        start = self.pos
+        self.pos += n
+        return start
+
+    def unpack(self, fmt: str):
+        return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
+
+
+class _Reader(_Cursor):
     """A cursor over ``data``, which starts ``base`` bytes into the file.
 
     It reads through a ``memoryview``, so a record's payload and the arrays
@@ -214,31 +253,51 @@ class _Reader:
 
     def __init__(self, data: bytes | memoryview, path: str | None, base: int = 0):
         self.data = memoryview(data)
-        self.path = path
-        self.base = base
-        self.pos = 0
-
-    def fail(self, message: str):
-        raise ParseError(message, path=self.path, offset=self.base + self.pos)
+        super().__init__(len(self.data), path, base)
 
     def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.data):
-            self.fail(f"truncated: needed {n} bytes, {len(self.data) - self.pos} left")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        start = self._advance(n)
+        return self.data[start : start + n]
 
-    def unpack(self, fmt: str):
-        return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
+    def payload(self, n: int) -> _Reader:
+        """A reader over the next ``n`` bytes, at their offset in the file."""
+        start = self.pos
+        return _Reader(self.take(n), self.path, base=self.base + start)
 
     def floats(self, *shape: int) -> np.ndarray:
         """A read-only float64 view of the next ``prod(shape)`` values."""
         raw = self.take(8 * math.prod(shape))
         return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
-    @property
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.data)
+
+class _StreamReader(_Cursor):
+    """A cursor over the next ``size`` bytes of ``stream``, which start ``base`` bytes into the file.
+
+    It reads only what it is asked for, at most ``_STREAM_CHUNK`` bytes at a
+    time, so an archive shard is decoded as it is decompressed and never
+    held whole (see :func:`read_submission`).
+    """
+
+    def __init__(self, stream, size: int, path: str | None, base: int = 0):
+        super().__init__(size, path, base)
+        self.stream = stream
+
+    def take(self, n: int) -> bytes:
+        self._advance(n)
+        data = self.stream.read(n)
+        if len(data) != n:
+            raise EOFError(f"stream ended {n - len(data)} bytes early")
+        return data
+
+    def payload(self, n: int) -> _StreamReader:
+        """A reader over the next ``n`` bytes; they must be read through it before this one reads on."""
+        start = self._advance(n)
+        return _StreamReader(self.stream, n, self.path, base=self.base + start)
+
+    def chunks(self, n: int) -> Iterator[bytes]:
+        """The next ``n`` bytes, in pieces of at most ``_STREAM_CHUNK``."""
+        for start in range(0, n, _STREAM_CHUNK):
+            yield self.take(min(_STREAM_CHUNK, n - start))
 
 
 def _pack_str(text: str) -> bytes:
@@ -325,15 +384,29 @@ def _scenario_from_payload(r: _Reader) -> Scenario:
     )
 
 
-def _rollouts_from_payload(r: _Reader) -> ScenarioRollouts:
+def _rollouts_from_payload(r: _StreamReader) -> ScenarioRollouts:
+    """Decode a rollouts payload, its byte planes streamed straight into the bundle's poses."""
     scenario_id = _read_str(r)
     k, n_ids, n_steps = r.unpack("IIH")
     ids = np.frombuffer(r.take(8 * n_ids), dtype="<i8")
     n = k * n_ids * n_steps
-    planes = np.frombuffer(r.take(_PLANES * n), dtype=np.uint8).reshape(4, 8, n)
-    channels = np.ascontiguousarray(planes.transpose(0, 2, 1)).view("<f8")
-    poses = np.moveaxis(channels.reshape(4, k, n_ids, n_steps), 0, -1)  # copied by the bundle
-    return ScenarioRollouts(scenario_id, ids, poses)
+    if _PLANES * n > r.left:  # before the poses are allocated
+        r.fail(f"truncated: needed {_PLANES * n} bytes, {r.left} left")
+    # The poses are kept channel-major, as stored: plane 8c + b is byte b of
+    # each value in channel c's contiguous (K, A, T) block, so the planes of
+    # one channel fill one block, and the bundle sees a (K, A, T, 4) view.
+    channels = np.empty((4, k, n_ids, n_steps), dtype="<f8")
+    planes = channels.reshape(4, n).view(np.uint8).reshape(4, n, 8).transpose(0, 2, 1)
+    done = 0
+    for piece in r.chunks(_PLANES * n):
+        data = np.frombuffer(piece, dtype=np.uint8)
+        while len(data):
+            plane, col = divmod(done, n)
+            m = min(n - col, len(data))
+            planes[plane // 8, plane % 8, col : col + m] = data[:m]
+            data = data[m:]
+            done += m
+    return ScenarioRollouts(scenario_id, ids, np.moveaxis(channels, 0, -1), copy=False)
 
 
 def _frame(kind: int, length: int) -> bytes:
@@ -341,13 +414,15 @@ def _frame(kind: int, length: int) -> bytes:
     return struct.pack("<BQ", kind, length)
 
 
-def _read_records(data: bytes, path: str | None, expected: int) -> list[_Reader]:
-    """The payloads of a file's records, which must all be of kind ``expected``."""
-    r = _Reader(data, path)
+def _read_records(r: _Reader | _StreamReader, expected: int) -> Iterator[_Reader | _StreamReader]:
+    """The payloads of a file's records, which must all be of kind ``expected``.
+
+    Each payload is yielded before the next record's frame is read, so a
+    stream's payload must be parsed before the iteration goes on.
+    """
     if r.take(len(MAGIC)) != MAGIC:
         r.pos = 0
         r.fail("bad magic; not a binary scenario/rollout file")
-    out = []
     while not r.exhausted:
         start = r.pos
         kind, length = r.unpack("BQ")
@@ -360,16 +435,14 @@ def _read_records(data: bytes, path: str | None, expected: int) -> list[_Reader]
             if kind not in _KIND_NAMES:
                 r.fail(f"unknown record kind {kind}")
             r.fail(f"a {_KIND_NAMES[kind]} record in a file of {_KIND_NAMES[expected]} records")
-        payload = r.take(length)
-        out.append(_Reader(payload, path, base=r.pos - length))
-    return out
+        yield r.payload(length)
 
 
-def _parse_whole(r: _Reader, parse):
+def _parse_whole(r: _Reader | _StreamReader, parse):
     """Parse one record payload, which must be consumed exactly."""
     value = parse(r)
     if not r.exhausted:
-        r.fail(f"{len(r.data) - r.pos} unparsed bytes at the end of the record")
+        r.fail(f"{r.left} unparsed bytes at the end of the record")
     return value
 
 
@@ -392,7 +465,7 @@ def write_scenario(scenario: Scenario, path: str | Path, fmt: str | None = None)
 def read_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     if path.suffix == ".bin":
-        records = _read_records(path.read_bytes(), str(path), _KIND_SCENARIO)
+        records = list(_read_records(_Reader(path.read_bytes(), str(path)), _KIND_SCENARIO))
         if len(records) != 1:
             raise ParseError(f"{len(records)} scenario records, expected one", path=str(path))
         return _parse_whole(records[0], _scenario_from_payload)
@@ -586,36 +659,52 @@ def write_submission(
         out.write(_gzip_member(pending + end + _tar_padding(offset, tarfile.RECORDSIZE)))
 
 
+def _drain(stream) -> None:
+    while stream.read(_DRAIN_CHUNK):
+        pass
+
+
 def read_submission(path: str | Path) -> SubmissionArchive:
+    """Read a submission archive, decoding each shard's records as the archive is decompressed.
+
+    A shard is read in pieces of at most ``_STREAM_CHUNK`` bytes and each
+    record's byte planes go straight into its bundle's poses, so no shard
+    is held whole.  tarfile stops at the end-of-archive marker; only
+    reading the gzip stream to its end checks the CRC32 and length trailer,
+    so it is drained before the manifest is parsed, and also before a
+    record's decoding error is raised: damage is reported as a corrupt
+    archive rather than as whatever the bad bytes decoded to.
+    """
     path = Path(path)
     manifest: dict[str, Any] = {}
+    manifests: list[tuple[str, bytes]] = []
     entries: list[tuple[str, ScenarioRollouts]] = []
-    blobs: list[tuple[str, bytes]] = []
+    shard_count = 0
     try:
         with gzip.GzipFile(path, "rb") as gz:
-            with tarfile.open(fileobj=gz, mode="r:") as tar:
-                for member in tar:
-                    if member.isfile() and (
-                        member.name.endswith("manifest.json") or SHARD_NAME_RE.search(member.name)
-                    ):
-                        blobs.append((member.name, tar.extractfile(member).read()))
-            # tarfile stops at the end-of-archive marker; only reading the
-            # gzip stream to its end checks the CRC32 and length trailer.
-            # Members are decoded after that check, so damage is reported as
-            # a corrupt archive rather than as whatever the bad bytes decode to.
-            while gz.read(_DRAIN_CHUNK):
-                pass
-        shard_count = sum(not name.endswith("manifest.json") for name, _ in blobs)
-        blobs.reverse()
-        while blobs:
-            name, blob = blobs.pop()  # release each member once it is decoded
-            if name.endswith("manifest.json"):
-                manifest = json.loads(blob.decode("utf-8"))
-                if not isinstance(manifest, dict):
-                    raise ParseError(f"{name} is not a JSON object", path=str(path))
-                continue
-            for payload in _read_records(blob, f"{path}:{name}", _KIND_ROLLOUTS):
-                entries.append((name, _parse_whole(payload, _rollouts_from_payload)))
+            try:
+                with tarfile.open(fileobj=gz, mode="r:") as tar:
+                    for member in tar:
+                        if not member.isfile():
+                            continue
+                        if member.name.endswith("manifest.json"):
+                            manifests.append((member.name, tar.extractfile(member).read()))
+                        elif SHARD_NAME_RE.search(member.name):
+                            shard_count += 1
+                            shard = _StreamReader(tar.extractfile(member), member.size,
+                                                  f"{path}:{member.name}")
+                            for payload in _read_records(shard, _KIND_ROLLOUTS):
+                                entries.append(
+                                    (member.name, _parse_whole(payload, _rollouts_from_payload))
+                                )
+            except SimRealError:
+                _drain(gz)
+                raise
+            _drain(gz)
+        for name, blob in manifests:
+            manifest = json.loads(blob.decode("utf-8"))
+            if not isinstance(manifest, dict):
+                raise ParseError(f"{name} is not a JSON object", path=str(path))
     except (tarfile.TarError, OSError, EOFError, zlib.error, ValueError) as exc:
         raise ParseError(f"unreadable archive: {exc}", path=str(path)) from exc
     # A cut between gzip members leaves a shorter archive that passes the

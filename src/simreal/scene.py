@@ -18,7 +18,7 @@ construction (their arrays are read-only) and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import InitVar, dataclass, fields, replace
 from functools import cached_property
 from enum import Enum
 from typing import Iterable, Mapping
@@ -259,16 +259,22 @@ class ScenarioRollouts:
     rollout is object ``ids[a]``, so all rollouts cover one object set by
     construction.  Simulators always produce poses, so there is no validity
     mask.  Rows are sorted by object id on construction.
+
+    The bundle keeps a copy of ``rollouts`` unless ``copy`` is false.  Then
+    a float64 array is kept as given: its headings are wrapped in place and
+    it is made read-only, so pass ``copy=False`` only with an array nothing
+    else uses, such as one a decoder has just filled.
     """
 
     scenario_id: str
     ids: np.ndarray
     rollouts: np.ndarray
+    copy: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool):
         sid = self.scenario_id
         try:
-            poses = np.array(self.rollouts, dtype=float)
+            poses = np.array(self.rollouts, dtype=float, copy=True if copy else None)
         except ValueError as exc:  # ragged input
             raise InconsistentRollouts(
                 f"{sid}: rollouts differ in object count or step count ({exc})"

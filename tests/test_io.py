@@ -707,6 +707,30 @@ class TestArchiveIntegrity:
         with pytest.raises(ParseError, match="unreadable archive"):
             read_submission(path)
 
+    def test_damage_that_breaks_decoding_reads_as_a_corrupt_archive(self, tmp_path):
+        # Records are decoded as the archive is decompressed, ahead of the
+        # gzip checks: a count changed inside a stored member makes the record
+        # undecodable, yet the error must name the failed CRC32, not the count.
+        (record,) = [encode_rollouts(b) for b in _bundles(1, large=0)]
+        first = _split_members(record.members)[0]
+        assert _stored(first)
+        counts = 10 + 5 + 9 + 2 + len("s0000")  # gzip header, stored-block header, frame, id
+        assert first[counts : counts + 4] == struct.pack("<I", 16)
+        path = tmp_path / "ok.tar.gz"
+        write_submission(path, [record], {})
+        blob = path.read_bytes()
+        at = blob.index(first) + counts
+        bad = tmp_path / "bad.tar.gz"
+        bad.write_bytes(blob[:at] + struct.pack("<I", 17) + blob[at + 4 :])
+        with pytest.raises(ParseError, match="unreadable archive.*CRC"):
+            read_submission(bad)
+        # The same bytes behind valid checksums decode to a truncated record.
+        raw = bytearray(gzip.decompress(record.members))
+        raw[counts - 15 : counts - 11] = struct.pack("<I", 17)
+        _reference_write_submission(tmp_path / "same.tar.gz", [("s0000", bytes(raw))], {})
+        with pytest.raises(ParseError, match="truncated"):
+            read_submission(tmp_path / "same.tar.gz")
+
     @settings(max_examples=200, deadline=None)
     @given(
         edits=st.lists(st.tuples(st.integers(0, 10**9), st.integers(1, 255)), min_size=1,

@@ -387,6 +387,27 @@ class TestScenarioRollouts:
         with pytest.raises(ValueError):
             rollouts.rollouts[0, 0, 0, 0] = 1.0  # read-only
 
+    def test_copy_false_keeps_the_array_and_wraps_it_in_place(self):
+        poses = self._poses()
+        poses[..., 3] = -0.5
+        kept = ScenarioRollouts("test", [0, 1], poses, copy=False)
+        assert np.shares_memory(kept.rollouts, poses)
+        assert np.all(poses[..., 3] == TWO_PI - 0.5) and not poses.flags.writeable
+        copied_from = self._poses()
+        copied_from[..., 3] = -0.5
+        copied = ScenarioRollouts("test", [0, 1], copied_from)
+        assert not np.shares_memory(copied.rollouts, copied_from)
+        assert np.all(copied_from[..., 3] == -0.5) and copied_from.flags.writeable
+        assert copied.rollouts.tobytes() == kept.rollouts.tobytes()
+
+    def test_copy_false_still_sorts_rows_into_a_new_array(self):
+        poses = self._poses()
+        poses[:, 0, :, 1] = 7.0
+        rollouts = ScenarioRollouts("test", [5, 2], poses, copy=False)
+        assert rollouts.ids.tolist() == [2, 5]
+        assert np.all(rollouts.rollouts[:, 1, :, 1] == 7.0)
+        assert np.all(poses[:, 0, :, 1] == 7.0)  # the given rows are not reordered
+
     def test_object_ids(self):
         rollouts = ScenarioRollouts("test", [0, 1], self._poses())
         assert rollouts.object_ids == {0, 1}
