@@ -120,17 +120,22 @@ def dataset_composite(bundles: Sequence[MetricsBundle]) -> float:
 
 
 def displacements_per_rollout(rollouts: ScenarioRollouts, scenario: Scenario) -> np.ndarray:
-    """(K,) mean 2D displacement of each rollout against the valid logged future."""
+    """(K,) mean 2D displacement of each rollout against the valid logged future.
+
+    Each distinct rollout (:attr:`~simreal.scene.ScenarioRollouts.distinct`)
+    is measured once, and its value repeated for its copies.
+    """
     ids = sorted(simulated_object_ids(scenario) & rollouts.object_ids)
     logged, logged_ok = scenario.future(ids)
     if not logged_ok.any():
         return np.zeros(len(rollouts.rollouts))
+    first, inverse = rollouts.distinct
     rows = np.searchsorted(rollouts.ids, ids)
-    sim_xy = rollouts.rollouts[:, rows, :, :2]  # (K, A, T, 2)
+    sim_xy = rollouts.rollouts[np.ix_(first, rows)][..., :2]  # (E, A, T, 2)
     disp = np.linalg.norm(sim_xy - logged[None, :, :, :2], axis=-1)
     # C order keeps each rollout's mean a reduction over one contiguous row,
     # which sums in the same order as a per-rollout mean.
-    return np.ascontiguousarray(disp[:, logged_ok]).mean(axis=1)
+    return np.ascontiguousarray(disp[:, logged_ok]).mean(axis=1)[inverse]
 
 
 def ade(rollouts: ScenarioRollouts, scenario: Scenario) -> float:

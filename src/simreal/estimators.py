@@ -85,9 +85,10 @@ DEFAULT_HISTOGRAM_SPECS: dict[MetricKind, HistogramSpec] = {
 
 
 #: Distinct rollouts are extracted in groups of ``max(1, _PAIR_BUDGET // A**2)``,
-#: so one call's (K, A, A, T) pair tensors stay at a 32-object scene's size
-#: up to A = 32.  Above that a group is one rollout, and the tensors grow as
-#: A**2 (4 times at A = 64).
+#: so one call's (K, A, A, T) pair offsets, which only the time-to-collision
+#: kernel builds, stay at a 32-object scene's size up to A = 32.  Above that
+#: a group is one rollout, and the offsets grow as A**2 (4 times at A = 64).
+#: The nearest-object sweep's arrays grow with the pairs it visits instead.
 _PAIR_BUDGET = 1024
 
 
@@ -99,15 +100,13 @@ def rollout_features(
     """Extract each distinct rollout once, with the number of rollouts it stands for.
 
     Returns ``(features, multiplicity)``.  ``features`` is
-    :func:`extract_features` output over the E distinct rollouts in order of
-    first appearance, (E, A, T) arrays with rows in ``rollouts.ids`` order;
-    ``multiplicity`` is (E,) int64.  Deterministic policies repeat the same
-    joint scene 32 times, which then costs one extraction of one rollout.
+    :func:`extract_features` output over the E distinct rollouts of
+    :attr:`~simreal.scene.ScenarioRollouts.distinct`, (E, A, T) arrays with
+    rows in ``rollouts.ids`` order; ``multiplicity`` is (E,) int64.
+    Deterministic policies repeat the same joint scene 32 times, which then
+    costs one extraction of one rollout.
     """
-    groups: dict[bytes, list[int]] = {}
-    for k, poses in enumerate(rollouts.rollouts):
-        groups.setdefault(poses.tobytes(), []).append(k)
-    distinct = [ks[0] for ks in groups.values()]
+    distinct, inverse = rollouts.distinct
     size = max(1, _PAIR_BUDGET // max(1, len(rollouts.ids)) ** 2)
     parts = [
         extract_features(
@@ -121,7 +120,7 @@ def rollout_features(
         metric: tuple(np.concatenate(arrays) for arrays in zip(*(p[metric] for p in parts)))
         for metric in parts[0]
     }
-    multiplicity = np.array([len(ks) for ks in groups.values()], dtype=np.int64)
+    multiplicity = np.bincount(inverse, minlength=len(distinct)).astype(np.int64)
     return features, multiplicity
 
 

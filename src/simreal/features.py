@@ -190,10 +190,158 @@ def _pair_kernel(kernel, boxes, first, second, *extra) -> np.ndarray:
     return out
 
 
-def _nearest_object_arrays(states: SceneStates, boxes, dx, dy):
+def _pair_bounds(lo, hi):
+    """Centre distance, vertical gate and inscribed-disc bound of pairs of sweep rows.
+
+    ``lo`` and ``hi`` hold the x, y, z, half height and inscribed radius of
+    each pair's two boxes.  The float operations are those of the all-pairs
+    bound, in an order that does not depend on which box comes first, so
+    every value has the bits the all-pairs bound gives it.
+    """
+    dx = hi[0] - lo[0]
+    dy = hi[1] - lo[1]
+    # The centre distance only bounds, so it may round differently from
+    # ``hypot``; entries that overflow take ``hypot``.
+    cd = dx * dx
+    cd += dy * dy
+    np.sqrt(cd, out=cd)
+    far = np.isinf(cd)
+    cd[far] = np.hypot(dx[far], dy[far])
+    gated = np.abs(lo[2] - hi[2]) <= lo[3] + hi[3]
+    return cd, gated, cd - (lo[4] + hi[4])
+
+
+def _kept_pairs(cd, gated, lo, hi, real):
+    """The visited pairs that the nearest-object bound keeps, as (row_i, row_j, for_i, for_j).
+
+    ``cd`` and ``gated`` are :func:`_pair_bounds` of the pairs; ``lo`` and
+    ``hi`` hold each pair's two rows' flat (K, A, T) row, gate flag, bound
+    ``U``, circumradius, slack and finiteness; ``real`` masks the pairs to
+    take.  Row i is the pair's lower object index.
+    """
+    src_lo, has_lo, u_lo, r_lo, slack, fin_lo = lo
+    src_hi, has_hi, u_hi, r_hi, _, fin_hi = hi
+    for_lo = gated | ~has_lo
+    for_hi = gated | ~has_hi
+    swap = src_hi < src_lo  # rows of one (rollout, step) are in object order
+    lower = cd - np.where(swap, r_hi, r_lo)
+    lower -= np.where(swap, r_lo, r_hi)
+    reach = np.maximum(u_lo, u_hi)
+    reach += slack
+    keep = (for_lo | for_hi) & (~(lower > reach) | ~(fin_lo & fin_hi))
+    keep = np.flatnonzero(keep & real)
+    swap, src_lo, src_hi, for_lo, for_hi = (v[keep] for v in (swap, src_lo, src_hi, for_lo, for_hi))
+    return (np.where(swap, src_hi, src_lo), np.where(swap, src_lo, src_hi),
+            np.where(swap, for_hi, for_lo), np.where(swap, for_lo, for_hi))
+
+
+def _nearest_candidates(states: SceneStates, finite: np.ndarray, slack: np.ndarray):
+    """Candidate pairs of :func:`_nearest_object_arrays`, from a sweep of each step in x order.
+
+    ``finite`` is (K, A, T), true where a box's x, y and heading are finite;
+    ``slack`` is each rollout's (K,) broad-phase slack.  Returns the flat
+    (K, A, T) rows ``row_i`` and ``row_j`` of each candidate's two objects
+    (i < j) and whether the pair defines row i's and row j's minimum, in
+    (rollout, i, j, step) order.
+
+    A column is one step of one rollout, its valid rows sorted by x.  The
+    sweep walks partner offsets d = 1, 2, ... in that order, pairing each
+    row with the row d places on, and keeps each row's least bound ``U``
+    over its gated partners and over all of them.  A partner farther along
+    the column is at least as far in x, so its pair's lower bound ``L = cd
+    - r_i - r_j`` is at least that x-distance minus ``r_i + r_max``.  Once
+    this exceeds the row's gated ``U`` by twice the slack (the filter's, and
+    one for the rounding of this bound), no farther partner can lower the
+    row's ``U`` or pass the filter on the row's side, and the row stops
+    there.  A pair is visited until both of its rows have stopped.  A row
+    with no gated partner yet never stops, since a farther gated partner
+    would change the partners that define its minimum, and neither does any
+    row of a column with a non-finite pose, since a NaN centre turns its
+    partners' ``U`` to NaN, which keeps every pair of theirs.  Rows that
+    never stop visit every partner: when no box of a column overlaps
+    another vertically, the sweep visits all of its pairs.  The stop test
+    only tightens as d grows, so a pair is visited only if a pair of offset
+    d - 1 sharing one of its rows was.
+
+    The visited pairs then get the filter of the all-pairs bound, with the
+    same float operations: a pair is kept if it defines the minimum of one
+    of its rows and ``(cd - r_i) - r_j`` is not above ``max(U_i, U_j) +
+    slack``, or if either box is non-finite.  Every pair that filter would
+    keep is visited, so these are exactly its candidates.
+    """
+    k, a, t = states.valid.shape
+    n = k * t * a
+    # Sorted row s is place s % A of column s // A: valid rows first, in x
+    # order, with a NaN x sorted as +inf.
+    key = np.where(states.valid, np.fmin(states.poses[..., 0], np.inf), np.nan)
+    obj = np.argsort(key.transpose(0, 2, 1), axis=-1)
+    src = (obj * t + (np.arange(k)[:, None, None] * (a * t) + np.arange(t)[:, None])).reshape(-1)
+    obj = obj.reshape(-1)
+    end = np.repeat(np.arange(0, n, a) + states.valid.sum(axis=1).reshape(-1), a)
+    dims = states.dims
+    radius = np.hypot(dims[:, 0], dims[:, 1]) / 2.0
+    poses = states.poses.reshape(-1, 4)
+    # x, y, z, half height and inscribed radius of every sorted row
+    rows = [poses[:, 0][src], poses[:, 1][src], poses[:, 2][src],
+            (dims[:, 2] / 2.0)[obj], (np.minimum(dims[:, 0], dims[:, 1]) / 2.0)[obj]]
+    rad = radius[obj]
+    row_slack = np.repeat(slack, t * a)
+    stop = rad + (radius.max() + 2.0 * row_slack)  # the stop test's margin over U
+    stop[np.repeat((states.valid & ~finite).any(axis=1).reshape(-1), a)] = np.nan
+    all_u, gated_u = np.empty(n), np.empty(n)
+    has_gated = np.zeros(n, dtype=bool)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Offset 1 pairs every valid row with the next one of its column.
+        cd1, gated1, upper = _pair_bounds([v[:-1] for v in rows], [v[1:] for v in rows])
+        real = np.arange(1, n) < end[:-1]
+        gated1 &= real
+        for u, pairs in ((all_u, real), (gated_u, gated1)):
+            bound = np.where(pairs, upper, np.inf)
+            u[:-1] = bound
+            u[-1] = np.inf
+            np.minimum(u[1:], bound, out=u[1:])
+        has_gated[:-1] = gated1
+        has_gated[1:] |= gated1
+        lo = np.flatnonzero(real)
+        visited = []
+        for d in range(2, a):
+            mark = np.zeros(n + 1, dtype=bool)
+            mark[lo] = True
+            mark[lo - 1] = True  # -1 marks the spare last slot
+            lo = np.flatnonzero(mark[:n])
+            lo = lo[lo + d < end[lo]]
+            dx = rows[0][lo + d] - rows[0][lo]
+            lim = gated_u + stop
+            lo = lo[~((dx > lim[lo]) & (dx > lim[lo + d]))]  # a NaN limit never stops
+            if not len(lo):
+                break
+            hi = lo + d
+            cd, gated, upper = _pair_bounds([v[lo] for v in rows], [v[hi] for v in rows])
+            all_u[lo] = np.minimum(all_u[lo], upper)  # a row is lo and hi at most once each
+            all_u[hi] = np.minimum(all_u[hi], upper)
+            upper = np.where(gated, upper, np.inf)
+            gated_u[lo] = np.minimum(gated_u[lo], upper)
+            gated_u[hi] = np.minimum(gated_u[hi], upper)
+            has_gated[lo[gated]] = True
+            has_gated[hi[gated]] = True
+            visited.append((lo, hi, cd, gated))
+
+        attrs = (src, has_gated, np.where(has_gated, gated_u, all_u), rad, row_slack,
+                 finite.reshape(-1)[src])
+        kept = [_kept_pairs(cd1, gated1, [v[:-1] for v in attrs], [v[1:] for v in attrs], real)]
+        if visited:
+            lo, hi, cd, gated = (np.concatenate(parts) for parts in zip(*visited))
+            kept.append(_kept_pairs(cd, gated, [v[lo] for v in attrs], [v[hi] for v in attrs], True))
+    row_i, row_j, for_i, for_j = (np.concatenate(parts) for parts in zip(*kept))
+    order = np.argsort(row_i // t * (a * t) + row_j % (a * t))  # (rollout, i, j, step)
+    return row_i[order], row_j[order], for_i[order], for_j[order]
+
+
+def _nearest_object_arrays(states: SceneStates, boxes):
     """Signed box distance to the nearest other object, per object per step.
 
-    ``boxes`` is :func:`_boxes` and ``dx``, ``dy`` are :func:`_pair_offsets` of ``states``.
+    ``boxes`` is :func:`_boxes` of ``states``.
 
     Pairs are gated on vertical overlap of the two boxes; when no other
     object overlaps vertically the plain 2D minimum is used instead.  A row
@@ -212,7 +360,12 @@ def _nearest_object_arrays(states: SceneStates, boxes, dx, dy):
       Row i's minimum is at most ``U(i,t)``, the least of these over its
       defining partners.  The signed distance is at least ``L = cd - r_i -
       r_j``, since the boxes lie inside their circumscribed discs.  A pair
-      with ``L > max(U_i, U_j) + slack`` is dropped.
+      with ``L > max(U_i, U_j) + slack`` is dropped.  The pairs this filter
+      keeps come from a sweep of each step's boxes in x order
+      (:func:`_nearest_candidates`), which visits a row's partners only
+      while the x-distance leaves room for a candidate, and builds no
+      (K, A, A, T) array.  Its worst case, a step where no two boxes overlap
+      vertically, visits every pair.
     * Phase A.  Every candidate's separating-axis gap
       (:func:`~simreal.geometry.separating_gap`).  A negative gap is the
       signed distance; a gap >= 0 is a lower bound of the distance.
@@ -239,57 +392,14 @@ def _nearest_object_arrays(states: SceneStates, boxes, dx, dy):
     if a < 2:
         return vals, ok
 
-    both_valid = states.valid[:, :, None, :] & states.valid[:, None, :, :]  # (K, A, A, T)
-    diag = np.arange(a)
-    both_valid[:, diag, diag, :] = False  # no self pairs
-
-    z = states.poses[..., 2]
-    half_heights = states.dims[:, 2] / 2.0
-    zlim = half_heights[:, None] + half_heights[None, :]
-    work = z[:, :, None, :] - z[:, None, :, :]  # (K, A, A, T), reused for ``cd``
-    gated = np.abs(work, out=work) <= zlim[:, :, None]
-    gated &= both_valid
-    has_gated = gated.any(axis=2)
-    has_any = both_valid.any(axis=2)
-    # Pairs with no vertical overlap fall back to the plain 2D minimum so the
-    # step still scores.
-    defining = both_valid & ~has_gated[:, :, None, :]
-    defining |= gated
-
-    # The centre distance only bounds, so it may round differently from
-    # ``hypot``; entries that overflow take ``hypot``.
-    with np.errstate(over="ignore"):
-        cd = np.multiply(dx, dx, out=work)
-        upper = np.multiply(dy, dy)
-        cd += upper
-    np.sqrt(cd, out=cd)
-    far = np.isinf(cd)
-    cd[far] = np.hypot(dx[far], dy[far])
-    inner = np.minimum(states.dims[:, 0], states.dims[:, 1]) / 2.0
-    np.subtract(cd, (inner[:, None] + inner[None, :])[:, :, None], out=upper)
-    np.copyto(upper, np.inf, where=~defining)
-    upper = upper.min(axis=2)  # (K, A, T)
-    finite = np.isfinite(boxes[..., :3]).all(axis=-1)  # x, y and heading
-    scale = np.where(finite[..., None], np.abs(boxes[..., :2]), 0.0).reshape(k, -1).max(axis=1)
+    x, y, h = (states.poses[..., i] for i in (0, 1, 3))
+    finite = np.isfinite(x) & np.isfinite(y) & np.isfinite(h)
+    scale = np.where(finite, np.maximum(np.abs(x), np.abs(y)), 0.0).reshape(k, -1).max(axis=1)
     slack = _BROAD_PHASE_SLACK + _BROAD_PHASE_REL_SLACK * scale  # (K,)
-
-    iu, ju = np.triu_indices(a, 1)
-    radius = np.hypot(states.dims[:, 0], states.dims[:, 1]) / 2.0
-    lower = cd[:, iu, ju]  # (K, P, T)
-    lower -= radius[iu, None]
-    lower -= radius[ju, None]
-    reach = np.maximum(upper[:, iu], upper[:, ju])
-    reach += slack[:, None, None]
-    odd = ~(finite[:, iu] & finite[:, ju])
-    for_i, for_j = defining[:, iu, ju], defining[:, ju, iu]
-    roll, pair, step = np.nonzero((for_i | for_j) & (~(lower > reach) | odd))
-    for_i, for_j, odd = for_i[roll, pair, step], for_j[roll, pair, step], odd[roll, pair, step]
-    # The caller holds the (K, A, A, T) offsets for the TTC kernel, so free
-    # the bound tensors before the pair arrays to keep this kernel's peak below that one's.
-    del work, cd, upper, lower, reach, defining
-    # Flat (K, A, T) rows of each candidate's two objects.
-    row_i = (roll * a + iu[pair]) * t + step
-    row_j = (roll * a + ju[pair]) * t + step
+    row_i, row_j, for_i, for_j = _nearest_candidates(states, finite, slack)
+    odd = ~(finite.reshape(-1)[row_i] & finite.reshape(-1)[row_j])
+    roll = row_i // (a * t)
+    has_any = states.valid & (states.valid.sum(axis=1, keepdims=True) >= 2)
     flat = boxes.reshape(-1, 5)
 
     gap = _pair_kernel(separating_gap, flat, row_i, row_j)  # phase A
@@ -359,13 +469,20 @@ def _ttc_arrays(states: SceneStates, dx, dy, speed_vals, speed_ok, params: Featu
     and reads the cap as its NaN closing speed would, and a non-finite pose
     with a finite speed (a NaN heading) gives NaN gaps, which no leader
     passes in either form.
+
+    Each follower's leader is a per-follower minimum over the leaders that
+    pass every test: the least gap (``np.minimum.at``), then the lowest
+    leader index among the leaders at that gap, the one ``argmin`` over the
+    leader axis would pick.  A follower with no leader reads the cap; its
+    closing speed is taken against object 0, as ``argmin`` over an all-inf
+    row would give.
     """
     k, a, t = states.valid.shape
     cap = params.ttc_max
     vals = np.full((k, a, t), cap)
     ok = speed_ok.copy()
     if a >= 2:
-        # Follower/leader tensors are (K, A, A, T), indexed [rollout, follower,
+        # The offsets and gaps are (K, A, A, T), indexed [rollout, follower,
         # leader, step]; rollout_features stacks few enough rollouts that K*A*A
         # stays at the size of one 32-object scene up to A = 32, and above
         # that K = 1 and the tensors grow as A**2.
@@ -391,12 +508,17 @@ def _ttc_arrays(states: SceneStates, dx, dy, speed_vals, speed_ok, params: Featu
         cand = (states.valid & speed_ok).take(led) & (
             np.abs(_wrap_signed(h.take(led) - h.take(fol))) <= params.ttc_heading_threshold
         )
-        gap_sel = np.full(gap.shape, np.inf)
-        np.put(gap_sel, near[cand], gap.take(near[cand]))
-        lead = np.argmin(gap_sel, axis=2)  # (K, A, T) leader row per follower/step
-        best_gap = np.take_along_axis(gap_sel, lead[:, :, None, :], axis=2)[:, :, 0, :]
+        near, fol, led = near[cand], fol[cand], led[cand]
+        pair_gap = gap.take(near)
+        best_gap = np.full(k * a * t, np.inf)
+        np.minimum.at(best_gap, fol, pair_gap)
+        nearest = pair_gap == best_gap[fol]
+        lead = np.full(k * a * t, a)
+        np.minimum.at(lead, fol[nearest], led[nearest] // t % a)
+        lead %= a  # object 0 stands in where there is no leader
+        best_gap = best_gap.reshape(k, a, t)
         has_lead = np.isfinite(best_gap)
-        closing = speed_vals - np.take_along_axis(speed_vals, lead, axis=1)
+        closing = speed_vals - np.take_along_axis(speed_vals, lead.reshape(k, a, t), axis=1)
         ttc = np.where(
             closing > params.ttc_closing_eps,
             np.minimum(cap, best_gap / np.maximum(closing, params.ttc_closing_eps)),
@@ -563,7 +685,7 @@ def extract_features(
 
     Each metric maps to ``(values, valid)`` arrays shaped (K, A, T), rows in
     ``states.ids`` order; invalid slots hold 0.  Shared intermediates
-    (speeds, boxes, pairwise offsets) are computed once.
+    (speeds, boxes) are computed once.
     """
     dt, valid, poses = states.dt, states.valid, states.poses
     # 3D speed, and the signed heading rate along the shortest rotation.
@@ -571,10 +693,9 @@ def extract_features(
                                  valid, dt)
     angular = _backward_difference(_wrap_signed(np.diff(poses[..., 3], axis=-1)), valid, dt)
     boxes = _boxes(states)
-    offsets = _pair_offsets(states)
-    nearest = _nearest_object_arrays(states, boxes, *offsets)
-    ttc = _ttc_arrays(states, *offsets, *speed, params)
-    del offsets  # (K, A, A, T) each: released before the road-edge kernel runs
+    nearest = _nearest_object_arrays(states, boxes)
+    # The (K, A, A, T) offsets live only as long as the TTC kernel.
+    ttc = _ttc_arrays(states, *_pair_offsets(states), *speed, params)
     road_edge = _road_edge_arrays(states, boxes, map_features)
     return {
         MetricKind.LINEAR_SPEED: speed,

@@ -316,6 +316,22 @@ class ScenarioRollouts:
         """
         return _frozen(self.rollouts.max(axis=(2, 3))), _frozen(self.rollouts.min(axis=(2, 3)))
 
+    @cached_property
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rollouts with equal poses grouped, as ``(first, inverse)``.
+
+        ``first`` (E,) is the index of each distinct rollout, in order of first
+        appearance, and ``inverse`` (K,) the group of every rollout, so
+        ``rollouts[first][inverse]`` equals ``rollouts``.  A deterministic
+        policy repeats one joint future K times, which is then extracted and
+        measured once.  Computed on first use and kept: the poses are read-only.
+        """
+        groups: dict[bytes, int] = {}
+        inverse = np.array([groups.setdefault(p.tobytes(), len(groups)) for p in self.rollouts],
+                           dtype=np.intp)
+        first = np.unique(inverse, return_index=True)[1]
+        return _frozen(first), _frozen(inverse)
+
 
 def simulated_object_ids(scenario: Scenario) -> frozenset[int]:
     """Objects that must be simulated: everything valid at the handover step.

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from typing import NamedTuple
@@ -393,6 +394,128 @@ class TestNearestObjectBroadPhase:
         assert 0 < sum(pair_steps) < 0.03 * (a * (a - 1) // 2) * t
 
 
+def reference_nearest_candidates(states, finite, slack):
+    """The nearest-object candidate filter on dense (K, A, A, T) bounds, as the
+    kernel ran it before the sweep: (row_i, row_j, for_i, for_j) of every pair
+    whose lower bound is within reach of either row's bound, in (rollout, i, j,
+    step) order."""
+    k, a, t = states.valid.shape
+    x, y = states.poses[..., 0], states.poses[..., 1]
+    dx = x[:, None, :, :] - x[:, :, None, :]
+    dy = y[:, None, :, :] - y[:, :, None, :]
+    both_valid = states.valid[:, :, None, :] & states.valid[:, None, :, :]
+    both_valid[:, np.arange(a), np.arange(a), :] = False
+    z = states.poses[..., 2]
+    half_heights = states.dims[:, 2] / 2.0
+    zlim = half_heights[:, None] + half_heights[None, :]
+    gated = both_valid & (np.abs(z[:, :, None, :] - z[:, None, :, :]) <= zlim[:, :, None])
+    defining = gated | (both_valid & ~gated.any(axis=2)[:, :, None, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        cd = np.sqrt(dx * dx + dy * dy)
+        far = np.isinf(cd)
+        cd[far] = np.hypot(dx[far], dy[far])
+        inner = np.minimum(states.dims[:, 0], states.dims[:, 1]) / 2.0
+        upper = cd - (inner[:, None] + inner[None, :])[:, :, None]
+        upper = np.where(defining, upper, np.inf).min(axis=2)
+        iu, ju = np.triu_indices(a, 1)
+        radius = np.hypot(states.dims[:, 0], states.dims[:, 1]) / 2.0
+        lower = cd[:, iu, ju] - radius[iu, None] - radius[ju, None]
+        reach = np.maximum(upper[:, iu], upper[:, ju]) + slack[:, None, None]
+        odd = ~(finite[:, iu] & finite[:, ju])
+        for_i, for_j = defining[:, iu, ju], defining[:, ju, iu]
+        roll, pair, step = np.nonzero((for_i | for_j) & (~(lower > reach) | odd))
+    return ((roll * a + iu[pair]) * t + step, (roll * a + ju[pair]) * t + step,
+            for_i[roll, pair, step], for_j[roll, pair, step])
+
+
+def assert_sweep_matches_dense_filter(states):
+    """The sweep's candidates are the dense filter's, in its order."""
+    k = len(states.valid)
+    boxes = simreal.features._boxes(states)
+    finite = np.isfinite(boxes[..., :3]).all(axis=-1)
+    scale = np.where(finite[..., None], np.abs(boxes[..., :2]), 0.0).reshape(k, -1).max(axis=1)
+    slack = 1e-6 + 1e-12 * scale
+    with np.errstate(all="ignore"):
+        want = reference_nearest_candidates(states, finite, slack)
+    got = simreal.features._nearest_candidates(states, finite, slack)
+    for g, w, name in zip(got, want, ("row_i", "row_j", "for_i", "for_j")):
+        assert g.dtype.kind == w.dtype.kind and g.tolist() == w.tolist(), name
+
+
+@st.composite
+def lane_clusters(draw):
+    """K rollouts of 8 to 40 boxes in clusters along a lane: z-stacked boxes,
+    steps with one valid box, and now and then a NaN or infinite coordinate."""
+    k, a, t = draw(st.integers(1, 3)), draw(st.integers(8, 40)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centres = rng.choice([-300.0, -40.0, 0.0, 12.5, 60.0, 1e4], size=draw(st.integers(1, 5)))
+    spread = draw(st.sampled_from([0.5, 3.0, 15.0]))
+    cluster = rng.integers(0, len(centres), a)
+    x = centres[cluster][None, :, None] + rng.normal(0.0, spread, (k, a, t))
+    if draw(st.booleans()):  # half-metre grid: exact ties, touching boxes
+        x = np.round(x * 2.0) / 2.0
+    y = rng.choice([0.0, 0.0, 3.5, -3.5], (1, a, 1)) + rng.choice([0.0, 0.3], (k, a, t))
+    z = np.zeros((k, a, t))
+    stacked = draw(st.sampled_from(["none", "some", "all"]))
+    if stacked == "some":
+        z[:, rng.random(a) < 0.2] = 10.0
+    elif stacked == "all":  # no box has a gated partner
+        z += 10.0 * np.arange(a)[None, :, None]
+    heading = rng.choice([0.0, math.pi, math.pi / 2, 0.3], (k, a, t))
+    poses = np.stack([x, y, z, heading], axis=-1)
+    valid = rng.random((k, a, t)) < draw(st.sampled_from([1.0, 0.9, 0.5]))
+    for _ in range(draw(st.integers(0, 3))):  # a step where one box is valid
+        kk, tt = rng.integers(k), rng.integers(t)
+        valid[kk, :, tt] = False
+        valid[kk, rng.integers(a), tt] = True
+    for _ in range(draw(st.integers(0, 2))):
+        poses[rng.integers(k), rng.integers(a), rng.integers(t), rng.choice([0, 1, 3])] = (
+            draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        )
+    dims = np.stack([rng.choice([4.5, 2.0, 0.5, 0.0], a), rng.choice([2.0, 0.5, 1.0], a),
+                     rng.choice([1.5, 2.0, 0.0], a)], axis=-1)
+    return SceneStates(ids=tuple(range(a)), poses=poses, valid=valid, dims=dims, dt=DT)
+
+
+class TestNearestObjectSweep:
+    @settings(max_examples=150, deadline=None)
+    @given(states=lane_clusters())
+    def test_candidates_and_distances_match_all_pairs(self, states):
+        assert_sweep_matches_dense_filter(states)
+        with np.errstate(all="ignore"):
+            values, valid = extract_features(states, [])[MetricKind.DIST_TO_NEAREST_OBJECT]
+            for k in range(len(states.valid)):
+                want_vals, want_ok = all_pairs_nearest(rollout_alone(states, k))
+                assert values[k].tobytes() == want_vals.tobytes()
+                assert valid[k].tobytes() == want_ok.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(states=box_scenes())
+    def test_small_scenes_give_the_dense_candidates(self, states):
+        assert_sweep_matches_dense_filter(states)
+
+    def test_logged_scenes_give_the_dense_candidates(self):
+        for agents in (2, 32, 64):
+            scenario = generate(SynthSpec(Template.STRAIGHT_ROAD, agent_count=agents, seed=1,
+                                          noise_level=0.25)).scenario
+            assert_sweep_matches_dense_filter(SceneStates.from_logged_future(scenario))
+
+    def test_peak_memory_at_128_agents_stays_below_one_pair_tensor(self):
+        scenario = generate(SynthSpec(Template.STRAIGHT_ROAD, agent_count=128, seed=0,
+                                      noise_level=0.2)).scenario
+        states = SceneStates.from_logged_future(scenario)
+        boxes = simreal.features._boxes(states)
+        _, a, t = states.valid.shape
+        assert a == 128
+        tracemalloc.start()
+        try:
+            simreal.features._nearest_object_arrays(states, boxes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a * a * t * 8  # one (A, A, T) float64 array: 10.5 MB
+
+
 class TestCollisionIndication:
     def test_never_overlapping_is_false(self):
         s = scene([{"x": [0.0] * 5}, {"x": [10.0] * 5}])
@@ -534,6 +657,12 @@ def lane(xs, dt=0.5, lengths=None):
                        dims=dims, dt=dt)
 
 
+def stacked(*rollouts):
+    """One-rollout lane scenes of the same objects stacked as K rollouts."""
+    return replace(rollouts[0], poses=np.concatenate([r.poses for r in rollouts]),
+                   valid=np.concatenate([r.valid for r in rollouts]))
+
+
 def lane_speed(states, dt):
     """The (values, valid) linear speed of ``states`` at step ``dt``, as extraction computes it."""
     delta = np.linalg.norm(np.diff(states.poses[..., :3], axis=-2), axis=-1)
@@ -563,7 +692,7 @@ _LANE_HEADING = st.one_of(
 def lane_scenes(draw):
     """K rollouts of boxes near one lane, often following each other, with
     invalid steps, non-finite poses and thresholds from tight to loose."""
-    k, a, t = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    k, a, t = draw(st.integers(1, 3)), draw(st.integers(1, 12)), draw(st.integers(1, 6))
     poses = np.stack(
         [
             draw(hnp.arrays(float, (k, a, t), elements=_LANE_X)),
@@ -598,6 +727,12 @@ class TestTimeToCollisionCut:
     @example(  # equal gaps at the last step: the lower leader index (1) wins
         case=(lane([[0, 1, 2, 3], [10, 10, 10, 10], [7, 8, 9, 10]]), DEFAULT_FEATURE_PARAMS)
     )
+    @example(  # the same tie in two rollouts, the stopped leader first in one and last
+        # in the other: each rollout takes leader 1
+        case=(stacked(lane([[0, 1, 2, 3], [10, 10, 10, 10], [7, 8, 9, 10]]),
+                      lane([[0, 1, 2, 3], [7, 8, 9, 10], [10, 10, 10, 10]])),
+              DEFAULT_FEATURE_PARAMS)
+    )
     @example(  # at step 2 the gap is exactly ttc_max * speed: 10 m at 2 m/s reads the cap
         case=(lane([[0, 1, 2, 3], [16, 16, 16, 16]]), DEFAULT_FEATURE_PARAMS)
     )
@@ -628,6 +763,9 @@ class TestTimeToCollisionCut:
         tie = lane([[0, 1, 2, 3], [10, 10, 10, 10], [7, 8, 9, 10]])
         vals, _ = lane_ttc(tie, 0.5)
         assert vals[0, 0, 3] == 1.5  # 3 m closing at 2 m/s on leader 1; leader 2 reads the cap
+        swapped = lane([[0, 1, 2, 3], [7, 8, 9, 10], [10, 10, 10, 10]])
+        vals, _ = lane_ttc(stacked(tie, swapped), 0.5)
+        assert vals[:, 0, 3].tolist() == [1.5, 5.0]  # leader 1 keeps pace in rollout 1
         rounded = lane([[0.0, 0.17087189561177435], [12.714466676200491] * 2], dt=0.1)
         vals, _ = lane_ttc(rounded, 0.1)
         assert vals[0, 0, 1] == 4.999999999999999
