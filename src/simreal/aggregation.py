@@ -131,7 +131,7 @@ def displacements_per_rollout(rollouts: ScenarioRollouts, scenario: Scenario) ->
         return np.zeros(len(rollouts.rollouts))
     first, inverse = rollouts.distinct
     rows = np.searchsorted(rollouts.ids, ids)
-    sim_xy = rollouts.rollouts[np.ix_(first, rows)][..., :2]  # (E, A, T, 2)
+    sim_xy = rollouts.rollouts[..., :2][np.ix_(first, rows)]  # (E, A, T, 2)
     disp = np.linalg.norm(sim_xy - logged[None, :, :, :2], axis=-1)
     # C order keeps each rollout's mean a reduction over one contiguous row,
     # which sums in the same order as a per-rollout mean.
