@@ -63,8 +63,6 @@ def evaluate_scenario(
         code, detail = problems[0]
         raise CONTRACT_ERRORS[code](f"{scenario.scenario_id}: {detail}")
     logged = strip_late_spawns(scenario)
-    # Before the features, so its temporaries do not stack on the feature arrays.
-    displacements = displacements_per_rollout(rollouts, logged)
 
     logged_states = SceneStates.from_logged_future(logged)
     logged_feats = extract_features(logged_states, logged.map_features, config.features)
@@ -86,6 +84,7 @@ def evaluate_scenario(
     if excluded:
         weights = weights.renormalized(components.keys())
     score = composite(components, weights)
+    displacements = displacements_per_rollout(rollouts, logged)
     return MetricsBundle(
         scenario_id=scenario.scenario_id,
         components=components,

@@ -693,9 +693,10 @@ def extract_features(
                                  valid, dt)
     angular = _backward_difference(_wrap_signed(np.diff(poses[..., 3], axis=-1)), valid, dt)
     boxes = _boxes(states)
+    offsets = _pair_offsets(states)
     nearest = _nearest_object_arrays(states, boxes)
-    # The (K, A, A, T) offsets live only as long as the TTC kernel.
-    ttc = _ttc_arrays(states, *_pair_offsets(states), *speed, params)
+    ttc = _ttc_arrays(states, *offsets, *speed, params)
+    del offsets  # (K, A, A, T) each: released before the road-edge kernel runs
     road_edge = _road_edge_arrays(states, boxes, map_features)
     return {
         MetricKind.LINEAR_SPEED: speed,
