@@ -305,6 +305,7 @@ def _nearest_candidates(states: SceneStates, finite: np.ndarray, slack: np.ndarr
         has_gated[1:] |= gated1
         lo = np.flatnonzero(real)
         visited = []
+        # Later offsets try the pairs beside a pair visited at offset d - 1.
         for d in range(2, a):
             mark = np.zeros(n + 1, dtype=bool)
             mark[lo] = True

@@ -12,6 +12,7 @@ from simreal.aggregation import (
     ade,
     composite,
     dataset_composite,
+    displacements_per_rollout,
     min_ade,
     scenario_component,
 )
@@ -174,3 +175,14 @@ class TestDisplacement:
         futures = [_rollout(scenario, tuple(rng.uniform(-2, 2, 2))) for _ in range(8)]
         rollouts = _bundle(scenario, futures)
         assert min_ade(rollouts, scenario) <= ade(rollouts, scenario)
+
+    def test_repeated_rollouts_are_measured_once_with_each_rollouts_bits(self):
+        scenario = generate(SynthSpec(Template.CURVED_ROAD, seed=1)).scenario
+        rng = np.random.default_rng(3)
+        pool = [_rollout(scenario, tuple(rng.uniform(-2, 2, 2))) for _ in range(3)]
+        futures = [pool[i] for i in (0, 1, 0, 2, 1, 0)]
+        rollouts = _bundle(scenario, futures)
+        first, inverse = rollouts.distinct
+        assert first.tolist() == [0, 1, 3] and inverse.tolist() == [0, 1, 0, 2, 1, 0]
+        alone = [displacements_per_rollout(_bundle(scenario, [f]), scenario)[0] for f in futures]
+        assert displacements_per_rollout(rollouts, scenario).tobytes() == np.array(alone).tobytes()
