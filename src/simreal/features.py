@@ -28,7 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
-    _boxes_corners,
+    BoxTable,
+    _corners_xy,
     _segment_squared_distances,
     box_signed_distance_batch,
     polyline_distance_batch,
@@ -123,16 +124,11 @@ class SceneStates:
         return cls(ids, poses, valid, dims, scenario.timestep)
 
 
-def _boxes(states: SceneStates) -> np.ndarray:
-    """(K, A, T, 5) [cx, cy, heading, length, width] box of every object at every step."""
-    return np.concatenate(
-        [
-            states.poses[..., :2],
-            states.poses[..., 3:],
-            np.broadcast_to(states.dims[:, None, 0:2], states.valid.shape + (2,)),
-        ],
-        axis=-1,
-    )
+def _box_table(states: SceneStates) -> BoxTable:
+    """The box of every object at every step, over the flat (K, A, T) boxes."""
+    dims = states.dims[:, None, :2]
+    return BoxTable.of(states.poses[..., 0], states.poses[..., 1], states.poses[..., 3],
+                       dims[..., 0], dims[..., 1])
 
 
 def _pair_offsets(states: SceneStates) -> tuple[np.ndarray, np.ndarray]:
@@ -176,17 +172,19 @@ def _wrap_signed(delta: np.ndarray) -> np.ndarray:
 _BROAD_PHASE_SLACK = 1e-6
 _BROAD_PHASE_REL_SLACK = 1e-12
 
-#: Pair-steps per box kernel call; its temporaries peak at about 1.7 kB per
-#: pair-step when every pair is disjoint.
+#: Pair-steps per box kernel call.  The corner-to-edge call peaks at about
+#: 0.55 kB per pair-step when every pair is disjoint, its gathered table
+#: columns and output included (tracemalloc, 4,096 pairs); the gap call at
+#: about 0.36 kB.
 _BOX_CHUNK = 4096
 
 
-def _pair_kernel(kernel, boxes, first, second, *extra) -> np.ndarray:
-    """``kernel(boxes[first], boxes[second], *extra)`` in chunks of ``_BOX_CHUNK`` pairs."""
+def _pair_kernel(kernel, table: BoxTable, first, second, *extra) -> np.ndarray:
+    """``kernel`` on the table's boxes ``first`` and ``second``, ``_BOX_CHUNK`` pairs a call."""
     out = np.empty(len(first))
     for lo in range(0, len(first), _BOX_CHUNK):
         at = slice(lo, lo + _BOX_CHUNK)
-        out[at] = kernel(boxes[first[at]], boxes[second[at]], *(e[at] for e in extra))
+        out[at] = kernel(table.take(first[at]), table.take(second[at]), *(e[at] for e in extra))
     return out
 
 
@@ -339,10 +337,12 @@ def _nearest_candidates(states: SceneStates, finite: np.ndarray, slack: np.ndarr
     return row_i[order], row_j[order], for_i[order], for_j[order]
 
 
-def _nearest_object_arrays(states: SceneStates, boxes):
+def _nearest_object_arrays(states: SceneStates, table: BoxTable):
     """Signed box distance to the nearest other object, per object per step.
 
-    ``boxes`` is :func:`_boxes` of ``states``.
+    ``table`` is :func:`_box_table` of ``states``.  Both box kernels read
+    their pairs' columns from it, so no pair computes the cosine and sine of
+    a heading.
 
     Pairs are gated on vertical overlap of the two boxes; when no other
     object overlaps vertically the plain 2D minimum is used instead.  A row
@@ -368,11 +368,12 @@ def _nearest_object_arrays(states: SceneStates, boxes):
       (K, A, A, T) array.  Its worst case, a step where no two boxes overlap
       vertically, visits every pair.
     * Phase A.  Every candidate's separating-axis gap
-      (:func:`~simreal.geometry.separating_gap`).  A negative gap is the
-      signed distance; a gap >= 0 is a lower bound of the distance.
+      (:func:`~simreal.geometry.separating_gap`, ``_BOX_CHUNK`` pairs a
+      call).  A negative gap is the signed distance; a gap >= 0 is a lower
+      bound of the distance.
     * Phase B.  Each row's least-gap candidates (ties included) get their
       corner-to-edge distances (:func:`~simreal.geometry.box_signed_distance_batch`
-      on the gaps), so each row has an attained value ``V_i``, the least of
+      on the gaps, one output per pair), so each row has an attained value ``V_i``, the least of
       its pair values known so far.  The corner distances then run only on
       the other disjoint candidates with ``gap <= max(V_i, V_j) + slack``:
       the rest are farther than a value both rows already have.
@@ -401,9 +402,8 @@ def _nearest_object_arrays(states: SceneStates, boxes):
     odd = ~(finite.reshape(-1)[row_i] & finite.reshape(-1)[row_j])
     roll = row_i // (a * t)
     has_any = states.valid & (states.valid.sum(axis=1, keepdims=True) >= 2)
-    flat = boxes.reshape(-1, 5)
 
-    gap = _pair_kernel(separating_gap, flat, row_i, row_j)  # phase A
+    gap = _pair_kernel(separating_gap, table, row_i, row_j)  # phase A
     disjoint = gap >= 0.0
     dist = gap.copy()  # final where the boxes overlap, or the gap is NaN
     # (row, pair) entries: each pair counts towards the rows it defines.
@@ -415,7 +415,7 @@ def _nearest_object_arrays(states: SceneStates, boxes):
         """Corner distances of the disjoint ``pairs``; fold ``pairs`` into their rows."""
         corner = pairs & disjoint
         dist[corner] = _pair_kernel(
-            box_signed_distance_batch, flat, row_i[corner], row_j[corner], gap[corner]
+            box_signed_distance_batch, table, row_i[corner], row_j[corner], gap[corner]
         )
         taken = pairs[entry_pair]
         np.minimum.at(best, entry_row[taken], dist[entry_pair[taken]])
@@ -446,11 +446,12 @@ def _event_series(per_step_vals, per_step_ok, predicate):
     return _masked(vals, ok), ok
 
 
-def _ttc_arrays(states: SceneStates, dx, dy, speed_vals, speed_ok, params: FeatureParams):
+def _ttc_arrays(states: SceneStates, table: BoxTable, dx, dy, speed_vals, speed_ok,
+                params: FeatureParams):
     """Constant-speed time to reach the followed object, capped at ttc_max.
 
-    ``dx``, ``dy`` are :func:`_pair_offsets` of ``states``, indexed [rollout,
-    follower, leader, step].
+    ``table`` is :func:`_box_table` of ``states``, and ``dx``, ``dy`` are
+    :func:`_pair_offsets` of ``states``, indexed [rollout, follower, leader, step].
 
     An object follows a leader when the leader is longitudinally ahead with a
     positive bumper gap, laterally within the shared corridor, and heading
@@ -488,7 +489,7 @@ def _ttc_arrays(states: SceneStates, dx, dy, speed_vals, speed_ok, params: Featu
         # stays at the size of one 32-object scene up to A = 32, and above
         # that K = 1 and the tensors grow as A**2.
         h = states.poses[..., 3]
-        hx, hy = np.cos(h), np.sin(h)
+        hx, hy = table.cols[2].reshape(k, a, t), table.cols[3].reshape(k, a, t)
         lon = hx[:, :, None, :] * dx + hy[:, :, None, :] * dy
         half_len = states.dims[:, 0] / 2.0
         gap = lon - (half_len[:, None] + half_len[None, :])[:, :, None]
@@ -634,10 +635,10 @@ def _nearest_edge(pts: np.ndarray, edges: _RoadEdges) -> tuple[np.ndarray, np.nd
     return dist, side
 
 
-def _road_edge_arrays(states: SceneStates, boxes, map_features: Sequence[MapFeature]):
+def _road_edge_arrays(states: SceneStates, table: BoxTable, map_features: Sequence[MapFeature]):
     """Signed distance from the most off-road box corner to the nearest road edge.
 
-    ``boxes`` is :func:`_boxes` of ``states``.  Positive values are off the
+    ``table`` is :func:`_box_table` of ``states``.  Positive values are off the
     drivable area (left of the edge direction), negative values are inside.
     A map without road edges yields all-invalid series.
     """
@@ -648,7 +649,8 @@ def _road_edge_arrays(states: SceneStates, boxes, map_features: Sequence[MapFeat
         return vals, ok
 
     ok = states.valid.copy()
-    corners = _boxes_corners(boxes[ok]).reshape(-1, 2)  # 4 per valid slot
+    x, y = _corners_xy(*table.cols[:, ok.reshape(-1)])
+    corners = np.stack([x.T, y.T], axis=-1).reshape(-1, 2)  # 4 per valid slot
     d, side = _nearest_edge(corners, edges)
     # Drivable area sits on the right of road-edge polylines, so the left
     # side is off-road and signs positive.
@@ -686,19 +688,19 @@ def extract_features(
 
     Each metric maps to ``(values, valid)`` arrays shaped (K, A, T), rows in
     ``states.ids`` order; invalid slots hold 0.  Shared intermediates
-    (speeds, boxes) are computed once.
+    (speeds, the box table) are computed once.
     """
     dt, valid, poses = states.dt, states.valid, states.poses
     # 3D speed, and the signed heading rate along the shortest rotation.
     speed = _backward_difference(np.linalg.norm(np.diff(poses[..., :3], axis=-2), axis=-1),
                                  valid, dt)
     angular = _backward_difference(_wrap_signed(np.diff(poses[..., 3], axis=-1)), valid, dt)
-    boxes = _boxes(states)
+    table = _box_table(states)
     offsets = _pair_offsets(states)
-    nearest = _nearest_object_arrays(states, boxes)
-    ttc = _ttc_arrays(states, *offsets, *speed, params)
+    nearest = _nearest_object_arrays(states, table)
+    ttc = _ttc_arrays(states, table, *offsets, *speed, params)
     del offsets  # (K, A, A, T) each: released before the road-edge kernel runs
-    road_edge = _road_edge_arrays(states, boxes, map_features)
+    road_edge = _road_edge_arrays(states, table, map_features)
     return {
         MetricKind.LINEAR_SPEED: speed,
         MetricKind.LINEAR_ACCEL: _backward_difference(np.diff(speed[0], axis=-1), speed[1], dt),

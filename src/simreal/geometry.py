@@ -4,8 +4,10 @@ Sign conventions used throughout:
 
 * Box-to-box distance is positive separation, zero at contact, and the
   negative penetration depth (minimum translation to separate) when the box
-  polygons overlap.  Boxes are arrays of [center_x, center_y, heading,
-  length, width].
+  polygons overlap.  The kernels read boxes from a :class:`BoxTable`, six
+  contiguous columns per box: centre x and y, cosine and sine of the heading,
+  half length and half width.  The public entry points also take arrays of
+  [center_x, center_y, heading, length, width] boxes and convert them.
 * Polyline queries report which side of the nearest segment a point falls on,
   taken from the cross product with the segment direction: left is positive.
 
@@ -20,12 +22,43 @@ import numpy as np
 ABS_TOL = 1e-9
 
 
+class BoxTable:
+    """N boxes as the rows of one (6, N) array ``cols``: centre x, centre y,
+    cosine and sine of the heading, half length and half width.
+
+    The trigonometry and halving are done once per box, so the pair kernels
+    read every quantity from a contiguous row and compute none of them per pair.
+    """
+
+    __slots__ = ("cols",)
+
+    def __init__(self, cols: np.ndarray):
+        self.cols = cols
+
+    @classmethod
+    def of(cls, cx, cy, heading, length, width) -> "BoxTable":
+        """The table of boxes given as broadcastable arrays, flattened in C order."""
+        shape = np.broadcast_shapes(*(np.shape(v) for v in (cx, cy, heading, length, width)))
+        cols = np.empty((6, *shape))
+        cols[0], cols[1] = cx, cy
+        np.cos(heading, out=cols[2, ...])  # ``...`` keeps a 0-d row an array
+        np.sin(heading, out=cols[3, ...])
+        np.divide(length, 2.0, out=cols[4, ...])
+        np.divide(width, 2.0, out=cols[5, ...])
+        return cls(cols.reshape(6, -1))
+
+    def take(self, rows) -> "BoxTable":
+        """The boxes at ``rows``, in that order."""
+        return BoxTable(np.take(self.cols, rows, axis=1))
+
+
 def _corners_xy(cx, cy, c, s, half_l, half_w) -> tuple[np.ndarray, np.ndarray]:
     """x and y of the four corners of boxes, each stacked on a new leading axis of 4.
 
     ``c`` and ``s`` are the cosine and sine of the heading, ``half_l`` and
-    ``half_w`` half the length and width; all broadcast.  Corners go round the
-    box: front-left, front-right, back-right, back-left.
+    ``half_w`` half the length and width; all broadcast, so ``_corners_xy(*table.cols)``
+    gives the corners of a :class:`BoxTable`.  Corners go round the box:
+    front-left, front-right, back-right, back-left.
     """
     lx, ly = c * half_l, s * half_l  # half the length along the heading
     wx, wy = -s * half_w, c * half_w  # half the width across it
@@ -38,16 +71,62 @@ def _corners_xy(cx, cy, c, s, half_l, half_w) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _boxes_corners(boxes: np.ndarray) -> np.ndarray:
-    """(..., 4, 2) corner points of boxes given as (..., 5) [cx, cy, heading, length, width]."""
-    h = boxes[..., 2]
-    x, y = _corners_xy(
-        boxes[..., 0], boxes[..., 1], np.cos(h), np.sin(h), boxes[..., 3] / 2.0, boxes[..., 4] / 2.0
-    )
-    return np.stack([np.moveaxis(x, 0, -1), np.moveaxis(y, 0, -1)], axis=-1)
-
-
 _NEXT_CORNER = np.array([1, 2, 3, 0])
+
+
+def _corner_squares(px, py, sx, sy):
+    """For each of the 4 corners ``px[i]``, ``py[i]``, the (4, M) squared
+    distances to the 4 edges of the polygon with corners ``sx``, ``sy``; all (4, M).
+
+    Every yielded array is new; the other temporaries are reused (4, M) buffers.
+    """
+    m = px.shape[-1]
+    dx = sx[_NEXT_CORNER] - sx
+    dy = sy[_NEXT_CORNER] - sy
+    l2 = dx * dx
+    l2 += dy * dy
+    np.maximum(l2, 1e-300, out=l2)
+    t, ry, qx = np.empty((3, 4, m))
+    for cx, cy in zip(px, py):
+        np.subtract(cx, sx, out=t)
+        t *= dx
+        np.subtract(cy, sy, out=ry)
+        ry *= dy
+        t += ry
+        t /= l2
+        np.clip(t, 0.0, 1.0, out=t)
+        np.multiply(t, dx, out=qx)
+        np.add(sx, qx, out=qx)
+        np.subtract(cx, qx, out=qx)  # px - (sx + t * dx)
+        qy = np.multiply(t, dy, out=ry)
+        np.add(sy, qy, out=qy)
+        np.subtract(cy, qy, out=qy)
+        qx *= qx
+        qy *= qy
+        yield qx + qy
+
+
+def _nearest_corner_squares(px, py, sx, sy) -> np.ndarray:
+    """Least of :func:`_corner_squares`: each pair's least squared corner-to-edge distance.
+
+    A running minimum over the corners gives every value but NaN its bits,
+    since a minimum is one of its inputs.  The rows that read NaN (from an
+    infinite centre) are reduced again as one contiguous row of 16 values:
+    the NaN numpy's reduction leaves depends on the layout, and this is the
+    one of the reference kernel in the tests.
+    """
+    squares = _corner_squares(px, py, sx, sy)
+    near = next(squares)
+    for q in squares:
+        np.minimum(near, q, out=near)
+    near = near.min(axis=0)
+    odd = np.flatnonzero(np.isnan(near))
+    if len(odd):
+        rows = np.empty((len(odd), 16))
+        for i, q in enumerate(_corner_squares(px[:, odd], py[:, odd], sx[:, odd], sy[:, odd])):
+            rows[:, 4 * i : 4 * i + 4] = q.T
+        near[odd] = rows.min(axis=1)
+    return near
 
 
 def _disjoint_rect_distance(ax, ay, bx, by) -> np.ndarray:
@@ -58,56 +137,38 @@ def _disjoint_rect_distance(ax, ay, bx, by) -> np.ndarray:
     The least squared distance goes through a single ``sqrt``: a correctly
     rounded square root is monotone, so this equals the least distance.
     """
-    m = ax.shape[-1]
-    cx, cy = np.array([ax, bx]), np.array([ay, by])  # (2, 4, M)
-    px, py = cx[:, :, None], cy[:, :, None]  # a's corners, then b's
-    sx, sy = cx[::-1, None], cy[::-1, None]  # b's edges, then a's
-    dx = cx[::-1][:, _NEXT_CORNER][:, None] - sx
-    dy = cy[::-1][:, _NEXT_CORNER][:, None] - sy
-    l2 = np.maximum(dx * dx + dy * dy, 1e-300)
-    t = px - sx
-    t *= dx
-    ry = py - sy
-    ry *= dy
-    t += ry
-    t /= l2
-    np.clip(t, 0.0, 1.0, out=t)
-    qx = t * dx
-    np.add(sx, qx, out=qx)
-    np.subtract(px, qx, out=qx)  # px - (sx + t * dx)
-    qy = np.multiply(t, dy, out=ry)
-    np.add(sy, qy, out=qy)
-    np.subtract(py, qy, out=qy)
-    qx *= qx
-    qy *= qy
-    qx += qy
-    # Each pair's 16 values per side are reduced as one contiguous row: the
-    # sign numpy's reduction leaves on a NaN (from an infinite centre) depends
-    # on the layout, and this is the one of the reference kernel in the tests.
-    near = np.ascontiguousarray(qx.reshape(2, 16, m).transpose(0, 2, 1)).min(axis=2)
-    return np.sqrt(np.minimum(near[0], near[1]))
+    return np.sqrt(np.minimum(_nearest_corner_squares(ax, ay, bx, by),
+                              _nearest_corner_squares(bx, by, ax, ay)))
 
 
-def _pair_columns(a, b) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Broadcast (..., 5) boxes ``a`` and ``b`` to (5, N) columns, with the shape of ``...``."""
+def _pair_tables(a, b) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The (6, N) table columns of pairs of boxes, and the shape of the result.
+
+    ``a`` and ``b`` are two :class:`BoxTable` of N boxes, or broadcastable
+    (..., 5) arrays of [center_x, center_y, heading, length, width], whose
+    result takes the shape of ``...``.
+    """
+    if isinstance(a, BoxTable):
+        return a.cols, b.cols, a.cols.shape[1:]
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    return a.reshape(-1, 5).T, b.reshape(-1, 5).T, a.shape[:-1]
+    ta, tb = (BoxTable.of(*np.moveaxis(v, -1, 0)) for v in (a, b))
+    return ta.cols, tb.cols, a.shape[:-1]
 
 
-def separating_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def separating_gap(a, b) -> np.ndarray:
     """Largest separating-axis gap of boxes over their 4 distinct edge normals.
 
-    ``a`` and ``b`` are broadcastable arrays of shape (..., 5) holding
-    [center_x, center_y, heading, length, width].  Where the gap is negative
-    it is the signed distance: the boxes overlap, and it is minus the least
-    shift that parts them.  Elsewhere it is a lower bound of the distance,
-    the gap between the boxes' shadows on one axis, which no pair of their
-    points can beat.  Every quantity is a separate x or y array, so every
-    sum has two terms.
+    ``a`` and ``b`` are two :class:`BoxTable` of N boxes, or broadcastable
+    arrays of shape (..., 5) holding [center_x, center_y, heading, length,
+    width].  Where the gap is negative it is the signed distance: the boxes
+    overlap, and it is minus the least shift that parts them.  Elsewhere it
+    is a lower bound of the distance, the gap between the boxes' shadows on
+    one axis, which no pair of their points can beat.  Every quantity is a
+    separate x or y array, so every sum has two terms.
     """
-    a, b, shape = _pair_columns(a, b)
-    ca, sa = np.cos(a[2]), np.sin(a[2])
-    cb, sb = np.cos(b[2]), np.sin(b[2])
+    a, b, shape = _pair_tables(a, b)
+    ca, sa = a[2], a[3]
+    cb, sb = b[2], b[3]
     # The four edge normals, (4, N): a's two box axes, then b's.
     ux = np.array([ca, -sa, cb, -sb])
     uy = np.array([sa, ca, sb, cb])
@@ -117,11 +178,11 @@ def separating_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.abs(ux * c + uy * s) * half_l + np.abs(ux * -s + uy * c) * half_w
 
     proj = np.abs(ux * (b[0] - a[0]) + uy * (b[1] - a[1]))
-    gap = proj - extent(ca, sa, a[3] / 2.0, a[4] / 2.0) - extent(cb, sb, b[3] / 2.0, b[4] / 2.0)
+    gap = proj - extent(ca, sa, a[4], a[5]) - extent(cb, sb, b[4], b[5])
     return gap.max(axis=0).reshape(shape)
 
 
-def box_signed_distance_batch(a: np.ndarray, b: np.ndarray, gap: np.ndarray) -> np.ndarray:
+def box_signed_distance_batch(a, b, gap: np.ndarray) -> np.ndarray:
     """Vectorized signed box distance from the pairs' :func:`separating_gap`.
 
     ``a`` and ``b`` are as for :func:`separating_gap` and ``gap`` is its
@@ -130,15 +191,13 @@ def box_signed_distance_batch(a: np.ndarray, b: np.ndarray, gap: np.ndarray) -> 
     distance of boxes is ``box_signed_distance_batch(a, b, separating_gap(a, b))``,
     and a caller that needs the gaps first computes them once.
     """
-    a, b, shape = _pair_columns(a, b)
+    a, b, shape = _pair_tables(a, b)
     dist = np.array(gap, dtype=float).reshape(-1)
     hit = np.flatnonzero(dist >= 0.0)
     if len(hit):
         if len(hit) < len(dist):
             a, b = a[:, hit], b[:, hit]
-        ax, ay = _corners_xy(a[0], a[1], np.cos(a[2]), np.sin(a[2]), a[3] / 2.0, a[4] / 2.0)
-        bx, by = _corners_xy(b[0], b[1], np.cos(b[2]), np.sin(b[2]), b[3] / 2.0, b[4] / 2.0)
-        dist[hit] = _disjoint_rect_distance(ax, ay, bx, by)
+        dist[hit] = _disjoint_rect_distance(*_corners_xy(*a), *_corners_xy(*b))
     return dist.reshape(shape)
 
 

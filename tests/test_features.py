@@ -393,6 +393,27 @@ class TestNearestObjectBroadPhase:
         # Corner-to-edge distances run on under 3% of the 161,280 pair-steps.
         assert 0 < sum(pair_steps) < 0.03 * (a * (a - 1) // 2) * t
 
+    def test_small_odd_chunks_keep_every_bit(self, monkeypatch):
+        # Chunks of 7 pairs: the table gathers and the corner loop cross many chunk edges.
+        scenario = generate(SynthSpec(Template.STRAIGHT_ROAD, agent_count=32, seed=0,
+                                      noise_level=0.25)).scenario
+        states = SceneStates.from_logged_future(scenario)
+        chunks = []
+
+        def counting(a, b, gap):
+            chunks.append(len(gap))
+            return box_signed_distance_batch(a, b, gap)
+
+        monkeypatch.setattr(simreal.features, "_BOX_CHUNK", 7)
+        monkeypatch.setattr(simreal.features, "box_signed_distance_batch", counting)
+        vals, ok = simreal.features._nearest_object_arrays(
+            states, simreal.features._box_table(states)
+        )
+        want_vals, want_ok = all_pairs_nearest(states)
+        assert vals[0].tobytes() == want_vals.tobytes()
+        assert ok[0].tobytes() == want_ok.tobytes()
+        assert max(chunks) == 7 and len(chunks) > 100
+
 
 def reference_nearest_candidates(states, finite, slack):
     """The nearest-object candidate filter on dense (K, A, A, T) bounds, as the
@@ -431,9 +452,9 @@ def reference_nearest_candidates(states, finite, slack):
 def assert_sweep_matches_dense_filter(states):
     """The sweep's candidates are the dense filter's, in its order."""
     k = len(states.valid)
-    boxes = simreal.features._boxes(states)
-    finite = np.isfinite(boxes[..., :3]).all(axis=-1)
-    scale = np.where(finite[..., None], np.abs(boxes[..., :2]), 0.0).reshape(k, -1).max(axis=1)
+    finite = np.isfinite(states.poses[..., [0, 1, 3]]).all(axis=-1)
+    scale = np.where(finite[..., None], np.abs(states.poses[..., :2]), 0.0)
+    scale = scale.reshape(k, -1).max(axis=1)
     slack = 1e-6 + 1e-12 * scale
     with np.errstate(all="ignore"):
         want = reference_nearest_candidates(states, finite, slack)
@@ -504,12 +525,12 @@ class TestNearestObjectSweep:
         scenario = generate(SynthSpec(Template.STRAIGHT_ROAD, agent_count=128, seed=0,
                                       noise_level=0.2)).scenario
         states = SceneStates.from_logged_future(scenario)
-        boxes = simreal.features._boxes(states)
+        table = simreal.features._box_table(states)
         _, a, t = states.valid.shape
         assert a == 128
         tracemalloc.start()
         try:
-            simreal.features._nearest_object_arrays(states, boxes)
+            simreal.features._nearest_object_arrays(states, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -670,9 +691,10 @@ def lane_speed(states, dt):
 
 
 def lane_ttc(states, dt, params=DEFAULT_FEATURE_PARAMS):
-    """The TTC kernel on ``states``, with the pair offsets and speeds extraction passes it."""
-    return simreal.features._ttc_arrays(states, *_pair_offsets(states), *lane_speed(states, dt),
-                                        params)
+    """The TTC kernel on ``states``, with the box table, pair offsets and speeds
+    extraction passes it."""
+    return simreal.features._ttc_arrays(states, simreal.features._box_table(states),
+                                        *_pair_offsets(states), *lane_speed(states, dt), params)
 
 
 _LANE_X = st.one_of(

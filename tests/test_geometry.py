@@ -15,7 +15,7 @@ from simreal.features import MetricKind, SceneStates, _nearest_edge, _RoadEdges,
 from simreal.geometry import (
     _SEGMENT_LOOP_LIMIT,
     _SEGMENT_LOOP_MIN_POINTS,
-    _boxes_corners,
+    _corners_xy,
     _nearest_segment_block,
     _nearest_segment_loop,
     box_signed_distance_batch,
@@ -241,6 +241,15 @@ class TestBoxKernelMatchesReference:
         pair=(np.array([box(math.inf, 0), box(0, -math.inf), box(math.nan, 0)] * 9),
               np.array([box(5, 0), box(0, 5, 1.0), box(5, 0)] * 9))
     )
+    @example(  # the reference reads a positive NaN (0x7ff8...) for the second pair
+        pair=(np.array([box(0, 0, math.pi / 2, 1, 1)] * 2),
+              np.array([box(0, 1, math.pi / 2, 1, 1), box(0, math.inf, math.pi / 2, 1, 1)]))
+    )
+    @example(  # several NaN pairs in one call, around a finite one
+        pair=(np.array([box(0, 0, math.pi / 2, 1, 1)] * 3),
+              np.array([box(0, math.inf, math.pi / 2, 1, 1), box(0, 1, math.pi / 2, 1, 1),
+                        box(0, -math.inf, math.pi / 2, 1, 1)]))
+    )
     def test_byte_for_byte(self, pair):
         a, b = pair
         with np.errstate(all="ignore"):
@@ -429,7 +438,8 @@ class TestRoadEdgeGrid:
 
         monkeypatch.setattr(simreal.features, "polyline_distance_batch", counting)
         got = extract_features(states, scenario.map_features)[MetricKind.DIST_TO_ROAD_EDGE][0]
-        corners = _boxes_corners(simreal.features._boxes(states)).reshape(-1, 2)
+        x, y = _corners_xy(*simreal.features._box_table(states).cols)
+        corners = np.stack([x.T, y.T], axis=-1).reshape(-1, 2)
         dist, side = polyline_distance_batch(corners, edges.starts, edges.ends)
         want = (dist * side).reshape(states.valid.shape + (4,)).max(axis=-1)
         assert got.tobytes() == want.tobytes()
