@@ -373,10 +373,11 @@ def _nearest_object_arrays(states: SceneStates, table: BoxTable):
       bound of the distance.
     * Phase B.  Each row's least-gap candidates (ties included) get their
       corner-to-edge distances (:func:`~simreal.geometry.box_signed_distance_batch`
-      on the gaps, one output per pair), so each row has an attained value ``V_i``, the least of
-      its pair values known so far.  The corner distances then run only on
-      the other disjoint candidates with ``gap <= max(V_i, V_j) + slack``:
-      the rest are farther than a value both rows already have.
+      on the gaps, one output per pair), so each row has an attained value
+      ``V_i``, the least of its pair values known so far.  The corner
+      distances then run only on the other disjoint candidates with ``gap
+      <= max(V_i, V_j) + slack``: the rest are farther than a value both
+      rows already have.
     * Each row's minimum comes straight from the pair values.
 
     No pair's gap or corner distances are computed twice.  Every row's
