@@ -85,10 +85,12 @@ DEFAULT_HISTOGRAM_SPECS: dict[MetricKind, HistogramSpec] = {
 
 
 #: Distinct rollouts are extracted in groups of ``max(1, _PAIR_BUDGET // A**2)``,
-#: so one call's (K, A, A, T) pair offsets, which only the time-to-collision
-#: kernel builds, stay at a 32-object scene's size up to A = 32.  Above that
-#: a group is one rollout, and the offsets grow as A**2 (4 times at A = 64).
-#: The nearest-object sweep's arrays grow with the pairs it visits instead.
+#: so one call's (K, A, A, T) pair arrays, which only the time-to-collision
+#: kernel builds (at most four float arrays live at once: the x and y offsets,
+#: the lateral offset and a product), stay at a 32-object scene's size up to
+#: A = 32.  Above that a group is one rollout, and the arrays grow as A**2
+#: (4 times at A = 64).  The nearest-object sweep's arrays grow with the pairs
+#: it visits instead.
 _PAIR_BUDGET = 1024
 
 

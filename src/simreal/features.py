@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
+    _SEGMENT_LOOP_MIN_POINTS,
     BoxTable,
     _corners_xy,
     _segment_squared_distances,
@@ -129,12 +130,6 @@ def _box_table(states: SceneStates) -> BoxTable:
     dims = states.dims[:, None, :2]
     return BoxTable.of(states.poses[..., 0], states.poses[..., 1], states.poses[..., 3],
                        dims[..., 0], dims[..., 1])
-
-
-def _pair_offsets(states: SceneStates) -> tuple[np.ndarray, np.ndarray]:
-    """(K, A, A, T) x and y offsets, ``[k, i, j, t]`` from object i's centre to object j's."""
-    x, y = states.poses[..., 0], states.poses[..., 1]
-    return x[:, None, :, :] - x[:, :, None, :], y[:, None, :, :] - y[:, :, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +442,12 @@ def _event_series(per_step_vals, per_step_ok, predicate):
     return _masked(vals, ok), ok
 
 
-def _ttc_arrays(states: SceneStates, table: BoxTable, dx, dy, speed_vals, speed_ok,
+def _ttc_arrays(states: SceneStates, table: BoxTable, speed_vals, speed_ok,
                 params: FeatureParams):
     """Constant-speed time to reach the followed object, capped at ttc_max.
 
-    ``table`` is :func:`_box_table` of ``states``, and ``dx``, ``dy`` are
-    :func:`_pair_offsets` of ``states``, indexed [rollout, follower, leader, step].
+    ``table`` is :func:`_box_table` of ``states``.  The pair arrays are
+    (K, A, A, T), indexed [rollout, follower, leader, step], and built here.
 
     An object follows a leader when the leader is longitudinally ahead with a
     positive bumper gap, laterally within the shared corridor, and heading
@@ -460,18 +455,18 @@ def _ttc_arrays(states: SceneStates, table: BoxTable, dx, dy, speed_vals, speed_
     non-closing follower, or an already-overlapping pair take the cap.
 
     Box extents are >= 0, so a positive gap puts the leader ahead (``lon >
-    0``) and excludes the follower itself.  Only leaders inside a cut reach
-    the lateral, heading and validity tests.  Speeds are >= 0 (or NaN), so
-    the closing speed is at most the follower's speed ``s`` and a leader
-    with gap >= ``ttc_max * s`` reads the cap.  The cut keeps gaps below
-    ``ttc_max * s`` plus a slack above that product's rounding.  Leaders
-    past it are farther than any leader inside it, so the nearest leader is
-    the same unless it reads the cap anyway, and the result equals the
-    all-pairs computation bit for bit.  Non-finite followers need no
-    exception: an infinite speed keeps every leader, a NaN speed keeps none
-    and reads the cap as its NaN closing speed would, and a non-finite pose
-    with a finite speed (a NaN heading) gives NaN gaps, which no leader
-    passes in either form.
+    0``) and excludes the follower itself.  The corridor test and a cut on
+    the gap make one dense mask, and only the pairs inside it reach the
+    heading and validity tests.  Speeds are >= 0 (or NaN), so the closing
+    speed is at most the follower's speed ``s`` and a leader with gap >=
+    ``ttc_max * s`` reads the cap.  The cut keeps gaps below ``ttc_max * s``
+    plus a slack above that product's rounding.  Leaders past it are farther
+    than any leader inside it, so the nearest leader is the same unless it
+    reads the cap anyway, and the result equals the all-pairs computation
+    bit for bit.  Non-finite followers need no exception: an infinite speed
+    keeps every leader, a NaN speed keeps none and reads the cap as its NaN
+    closing speed would, and a non-finite pose with a finite speed (a NaN
+    heading) gives NaN gaps, which no leader passes in either form.
 
     Each follower's leader is a per-follower minimum over the leaders that
     pass every test: the least gap (``np.minimum.at``), then the lowest
@@ -485,34 +480,42 @@ def _ttc_arrays(states: SceneStates, table: BoxTable, dx, dy, speed_vals, speed_
     vals = np.full((k, a, t), cap)
     ok = speed_ok.copy()
     if a >= 2:
-        # The offsets and gaps are (K, A, A, T), indexed [rollout, follower,
-        # leader, step]; rollout_features stacks few enough rollouts that K*A*A
-        # stays at the size of one 32-object scene up to A = 32, and above
-        # that K = 1 and the tensors grow as A**2.
+        # rollout_features stacks few enough rollouts that K*A*A stays at the
+        # size of one 32-object scene up to A = 32; above that K = 1 and the
+        # pair arrays grow as A**2.  At most four are live at once.
         h = states.poses[..., 3]
-        hx, hy = table.cols[2].reshape(k, a, t), table.cols[3].reshape(k, a, t)
-        lon = hx[:, :, None, :] * dx + hy[:, :, None, :] * dy
+        x, y = states.poses[..., 0], states.poses[..., 1]
+        dx = x[:, None, :, :] - x[:, :, None, :]  # from the follower's centre to the leader's
+        dy = y[:, None, :, :] - y[:, :, None, :]
+        hx, hy = table.cols[2].reshape(k, a, 1, t), table.cols[3].reshape(k, a, 1, t)
+        lat = hx * dy
+        lat -= hy * dx
+        lat_lim = np.maximum(
+            params.ttc_min_lateral, (states.dims[:, 1][:, None] + states.dims[:, 1][None, :]) / 2.0
+        )
+        keep = np.abs(lat, out=lat) <= lat_lim[:, :, None]
+        del lat
+        gap = np.multiply(hx, dx, out=dx)
+        gap += np.multiply(hy, dy, out=dy)  # the longitudinal offset
+        del dy
         half_len = states.dims[:, 0] / 2.0
-        gap = lon - (half_len[:, None] + half_len[None, :])[:, :, None]
+        gap -= (half_len[:, None] + half_len[None, :])[:, :, None]
         reach = cap * speed_vals
         cut = reach + (_BROAD_PHASE_SLACK + _BROAD_PHASE_REL_SLACK * reach)
-        near = np.flatnonzero((gap > 0.0) & (gap < cut[:, :, None, :]))
-        # Flat (K, A, T) indices of each nearby pair's follower and leader.
+        keep &= gap > 0.0
+        keep &= gap < cut[:, :, None, :]
+        near = np.flatnonzero(keep)
+        pair_gap = gap.take(near)
+        del keep, gap
+        # Flat (K, A, T) indices of each kept pair's follower and leader.
         pair, step = np.divmod(near, t)  # pair = (rollout * A + follower) * A + leader
         row, leader = np.divmod(pair, a)
         fol = row * t + step
         led = fol + (leader - row % a) * t
-        lat = -hy.take(fol) * dx.take(near) + hx.take(fol) * dy.take(near)
-        lat_lim = np.maximum(
-            params.ttc_min_lateral, (states.dims[:, 1][:, None] + states.dims[:, 1][None, :]) / 2.0
-        )
-        side = np.abs(lat) <= lat_lim.take(pair % (a * a))
-        near, fol, led = near[side], fol[side], led[side]
         cand = (states.valid & speed_ok).take(led) & (
             np.abs(_wrap_signed(h.take(led) - h.take(fol))) <= params.ttc_heading_threshold
         )
-        near, fol, led = near[cand], fol[cand], led[cand]
-        pair_gap = gap.take(near)
+        fol, led, pair_gap = fol[cand], led[cand], pair_gap[cand]
         best_gap = np.full(k * a * t, np.inf)
         np.minimum.at(best_gap, fol, pair_gap)
         nearest = pair_gap == best_gap[fol]
@@ -611,14 +614,22 @@ class _RoadEdges:
 def _nearest_edge(pts: np.ndarray, edges: _RoadEdges) -> tuple[np.ndarray, np.ndarray]:
     """``polyline_distance_batch(pts, edges.starts, edges.ends)``, through the grid.
 
-    Points are sorted by grid cell, and each cell's run goes to the kernel
-    with the cell's candidates, at most ``_POLYLINE_CHUNK`` point-segment
-    pairs a call.  The kernel picks its loop order from the call's shape: on
-    a map without a grid every point is in one run against all segments, and
-    a call of ``geometry._SEGMENT_LOOP_MIN_POINTS`` points or more walks the
-    segments one at a time; the grid's per-cell runs are shorter and take one
-    (points, segments) block.  Both orders give the same bits.
+    On a map without a grid every point takes all segments, so the points go
+    to the kernel in their own order, with no sort, ``_SEGMENT_LOOP_MIN_POINTS``
+    or ``_POLYLINE_CHUNK // segments`` of them a call, whichever is more; a
+    call of ``geometry._SEGMENT_LOOP_MIN_POINTS`` points or more walks the
+    segments one at a time.  On a grid map points are sorted by grid cell, and
+    each cell's run goes to the kernel with the cell's candidates, at most
+    ``_POLYLINE_CHUNK`` point-segment pairs a call; these runs are shorter and
+    take one (points, segments) block.  Both orders give the same bits.
     """
+    if not edges.size:
+        chunk = max(_SEGMENT_LOOP_MIN_POINTS, _POLYLINE_CHUNK // len(edges.starts))
+        if len(pts) <= chunk:
+            return polyline_distance_batch(pts, edges.starts, edges.ends)
+        parts = [polyline_distance_batch(pts[lo : lo + chunk], edges.starts, edges.ends)
+                 for lo in range(0, len(pts), chunk)]
+        return np.concatenate([d for d, _ in parts]), np.concatenate([sd for _, sd in parts])
     cell = edges.cell_of(pts)
     order = np.argsort(cell, kind="stable")
     cell, by_cell = cell[order], np.take(pts, order, axis=0)
@@ -642,6 +653,12 @@ def _road_edge_arrays(states: SceneStates, table: BoxTable, map_features: Sequen
     ``table`` is :func:`_box_table` of ``states``.  Positive values are off the
     drivable area (left of the edge direction), negative values are inside.
     A map without road edges yields all-invalid series.
+
+    The corners of the N valid slots are written once, corner-major, into a
+    (2, 4, N) buffer whose (4N, 2) transpose the kernel reads without a copy.
+    The most off-road corner is then a maximum over 4 contiguous rows of N.
+    Slots that read NaN are reduced again as rows of 4, whose NaN bytes are
+    the ones a reduction over each slot's 4 corners leaves.
     """
     vals = np.zeros(states.valid.shape)
     ok = np.zeros(states.valid.shape, dtype=bool)
@@ -650,12 +667,17 @@ def _road_edge_arrays(states: SceneStates, table: BoxTable, map_features: Sequen
         return vals, ok
 
     ok = states.valid.copy()
-    x, y = _corners_xy(*table.cols[:, ok.reshape(-1)])
-    corners = np.stack([x.T, y.T], axis=-1).reshape(-1, 2)  # 4 per valid slot
-    d, side = _nearest_edge(corners, edges)
+    corners = np.array(_corners_xy(*table.cols[:, ok.reshape(-1)]))  # (2, 4, N)
+    d, side = _nearest_edge(corners.reshape(2, -1).T, edges)
     # Drivable area sits on the right of road-edge polylines, so the left
     # side is off-road and signs positive.
-    vals[ok] = (d * side).reshape(-1, 4).max(axis=1)
+    d *= side
+    d = d.reshape(4, -1)
+    worst = np.maximum(np.maximum(d[0], d[1]), np.maximum(d[2], d[3]))
+    odd = np.flatnonzero(np.isnan(worst))
+    if len(odd):
+        worst[odd] = np.ascontiguousarray(d[:, odd].T).max(axis=1)
+    vals[ok] = worst
     return vals, ok
 
 
@@ -697,10 +719,8 @@ def extract_features(
                                  valid, dt)
     angular = _backward_difference(_wrap_signed(np.diff(poses[..., 3], axis=-1)), valid, dt)
     table = _box_table(states)
-    offsets = _pair_offsets(states)
     nearest = _nearest_object_arrays(states, table)
-    ttc = _ttc_arrays(states, table, *offsets, *speed, params)
-    del offsets  # (K, A, A, T) each: released before the road-edge kernel runs
+    ttc = _ttc_arrays(states, table, *speed, params)
     road_edge = _road_edge_arrays(states, table, map_features)
     return {
         MetricKind.LINEAR_SPEED: speed,

@@ -249,7 +249,8 @@ def _nearest_segment_loop(p, s, e) -> tuple[np.ndarray, np.ndarray]:
     A strict ``<`` keeps the running minimum, so a later equal segment never
     displaces an earlier one: the lowest-index minimum stays, as ``argmin``
     keeps it.  The two agree wherever no squared distance is NaN and no row
-    is all infinite, which :data:`_SEGMENT_LOOP_LIMIT` ensures.
+    is all infinite, which :data:`_SEGMENT_LOOP_LIMIT` ensures.  The point
+    columns are copied only when ``p`` is not the transpose of a C-ordered (2, P) array.
     """
     px, py = np.ascontiguousarray(p.T)
     best = np.full(len(p), np.inf)
@@ -294,7 +295,8 @@ def polyline_distance_batch(
     equidistant segments resolve to the lowest segment index.  Tall batches
     (:data:`_SEGMENT_LOOP_MIN_POINTS`) inside :data:`_SEGMENT_LOOP_LIMIT` walk
     the segments one at a time, others take one (P, S) block; both give the
-    same bits.
+    same bits.  ``points`` may be any (P, 2) float array; the transpose of a
+    (2, P) array, whose two columns are contiguous, is read without a copy.
     """
     p = np.asarray(points, dtype=float)
     s = np.asarray(seg_starts, dtype=float)

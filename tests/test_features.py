@@ -14,17 +14,22 @@ from hypothesis.extra import numpy as hnp
 
 import simreal.estimators
 import simreal.features
+import simreal.geometry
 from simreal.estimators import rollout_features
 from simreal.features import (
     DEFAULT_FEATURE_PARAMS,
     FeatureParams,
     MetricKind,
     SceneStates,
-    _pair_offsets,
     _wrap_signed,
     extract_features,
 )
-from simreal.geometry import box_signed_distance_batch, separating_gap
+from simreal.geometry import (
+    _corners_xy,
+    box_signed_distance_batch,
+    polyline_distance_batch,
+    separating_gap,
+)
 from simreal.harness import generate_submission
 from simreal.policies import LoggedOraclePolicy
 from simreal.scene import (
@@ -665,12 +670,15 @@ def all_pairs_ttc(states, speed_vals, speed_ok, params):
     return np.where(ok, vals, 0.0), ok
 
 
-def lane(xs, dt=0.5, lengths=None):
-    """One rollout of boxes along the x axis, heading 0, width 2; ``xs`` is (A, T)."""
+def lane(xs, dt=0.5, lengths=None, ys=0.0, headings=0.0):
+    """One rollout of boxes along the x axis, heading 0, width 2; ``xs`` is (A, T),
+    and ``ys`` and ``headings`` broadcast to it."""
     xs = np.asarray(xs, dtype=float)
     a, t = xs.shape
     poses = np.zeros((1, a, t, 4))
     poses[0, :, :, 0] = xs
+    poses[0, :, :, 1] = ys
+    poses[0, :, :, 3] = headings
     dims = np.tile([4.0, 2.0, 1.5], (a, 1))
     if lengths is not None:
         dims[:, 0] = lengths
@@ -691,10 +699,9 @@ def lane_speed(states, dt):
 
 
 def lane_ttc(states, dt, params=DEFAULT_FEATURE_PARAMS):
-    """The TTC kernel on ``states``, with the box table, pair offsets and speeds
-    extraction passes it."""
+    """The TTC kernel on ``states``, with the box table and speeds extraction passes it."""
     return simreal.features._ttc_arrays(states, simreal.features._box_table(states),
-                                        *_pair_offsets(states), *lane_speed(states, dt), params)
+                                        *lane_speed(states, dt), params)
 
 
 _LANE_X = st.one_of(
@@ -766,6 +773,25 @@ class TestTimeToCollisionCut:
         case=(lane([[0.0, 0.17087189561177435], [12.714466676200491] * 2], dt=0.1),
               DEFAULT_FEATURE_PARAMS)
     )
+    @example(  # leader 1 exactly at the corridor's edge, |lat| == 2.0 == lat_lim; the
+        # nearer leader 2 one ulp outside it
+        case=(lane([[0, 1, 2, 3], [10] * 4, [9] * 4],
+                   ys=[[0.0], [2.0], [np.nextafter(2.0, 3.0)]]), DEFAULT_FEATURE_PARAMS)
+    )
+    @example(  # the same with the corridor's edge on the right, |lat| == lat_lim from -2.0
+        case=(lane([[0, 1, 2, 3], [10] * 4, [9] * 4],
+                   ys=[[0.0], [-2.0], [np.nextafter(-2.0, -3.0)]]), DEFAULT_FEATURE_PARAMS)
+    )
+    @example(  # bumper gaps 2, 1, 0, -1: a gap of exactly 0 has no leader
+        case=(lane([[0, 1, 2, 3], [6] * 4]), DEFAULT_FEATURE_PARAMS)
+    )
+    @example(  # at step 2 the gap is exactly ttc_max * speed and |lat| exactly lat_lim
+        case=(lane([[0, 1, 2, 3], [16] * 4], ys=[[0.0], [2.0]]), DEFAULT_FEATURE_PARAMS)
+    )
+    @example(  # a NaN heading on the leader only, at step 1: no leader there
+        case=(lane([[0, 1, 2, 3], [10] * 4], headings=[[0.0] * 4, [0.0, math.nan, 0.0, 0.0]]),
+              DEFAULT_FEATURE_PARAMS)
+    )
     @example(case=(lane([[0, 0, 0, 0], [8, 8, 9, 9]]), DEFAULT_FEATURE_PARAMS))  # stopped follower
     @example(  # non-finite follower poses
         case=(lane([[0, math.nan, 2, math.inf, 4], [9, 9, 9, 9, 9]]), DEFAULT_FEATURE_PARAMS)
@@ -791,6 +817,16 @@ class TestTimeToCollisionCut:
         rounded = lane([[0.0, 0.17087189561177435], [12.714466676200491] * 2], dt=0.1)
         vals, _ = lane_ttc(rounded, 0.1)
         assert vals[0, 0, 1] == 4.999999999999999
+        edge = lane([[0, 1, 2, 3], [10] * 4, [9] * 4], ys=[[0.0], [2.0], [np.nextafter(2.0, 3.0)]])
+        vals, _ = lane_ttc(edge, 0.5)
+        assert vals[0, 0].tolist() == [0.0, 2.5, 2.0, 1.5]  # leader 1, inside by equality
+        vals, _ = lane_ttc(lane([[0, 1, 2, 3], [6] * 4]), 0.5)
+        assert vals[0, 0].tolist() == [0.0, 0.5, 5.0, 5.0]  # gap 0 at step 2, overlap at 3
+        vals, _ = lane_ttc(lane([[0, 1, 2, 3], [16] * 4], ys=[[0.0], [2.0]]), 0.5)
+        assert vals[0, 0].tolist() == [0.0, 5.0, 5.0, 4.5]
+        heading = lane([[0, 1, 2, 3], [10] * 4], headings=[[0.0] * 4, [0.0, math.nan, 0.0, 0.0]])
+        vals, _ = lane_ttc(heading, 0.5)
+        assert vals[0, 0].tolist() == [0.0, 5.0, 2.0, 1.5]
 
 
 ROAD = [
@@ -1057,6 +1093,98 @@ class TestBatchedExtraction:
         assert stacked == [28, 4]  # groups of 1024 // 6**2
         monkeypatch.undo()
         assert_rollout_features_match_each_rollout(scenario, rollouts)
+
+
+def reference_road_edge(states, map_features):
+    """Road-edge series as a row-major (P, 2) corner array gives them: each valid
+    slot's 4 corners in a row, every corner against all segments, then the
+    most off-road corner of each row of 4."""
+    vals = np.zeros(states.valid.shape)
+    ok = states.valid.copy()
+    edges = simreal.features._road_edge_segments(map_features)
+    x, y = _corners_xy(*simreal.features._box_table(states).cols[:, ok.reshape(-1)])
+    corners = np.stack([x.T, y.T], axis=-1).reshape(-1, 2)
+    # Short batches take the (points, segments) block, which holds every bit
+    # of the segment loop (tests/test_geometry.py) at a bounded size.
+    parts = [polyline_distance_batch(corners[lo : lo + 1024], edges.starts, edges.ends)
+             for lo in range(0, max(len(corners), 1), 1024)]
+    d, side = (np.concatenate(v) for v in zip(*parts))
+    vals[ok] = (d * side).reshape(-1, 4).max(axis=1)
+    return vals, ok
+
+
+_EDGE_POSE = st.one_of(
+    st.floats(-60.0, 60.0),
+    st.integers(-24, 24).map(lambda v: v / 4.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e7, -1e7]),
+)
+
+
+@st.composite
+def road_edge_scenes(draw):
+    """K rollouts of boxes near a road, some with non-finite or 1e7 poses, and
+    some tiled along the steps past the segment loop's point count."""
+    k, a, t = draw(st.integers(1, 2)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    poses = draw(hnp.arrays(float, (k, a, t, 4), elements=_EDGE_POSE))
+    valid = draw(hnp.arrays(bool, (k, a, t), elements=st.sampled_from([True] * 3 + [False])))
+    if draw(st.booleans()):  # 4 corners per slot: at least 4,400 corners when all valid
+        reps = -(-1100 // (k * a * t))
+        poses, valid = np.tile(poses, (1, 1, reps, 1)), np.tile(valid, (1, 1, reps))
+    dims = draw(hnp.arrays(float, (a, 3), elements=st.sampled_from([0.0, 0.5, 2.0, 4.5])))
+    return SceneStates(ids=tuple(range(a)), poses=poses, valid=valid, dims=dims, dt=DT)
+
+
+def tiled_lane(map_name, offset, steps=1200):
+    """``steps`` steps of two boxes on a lane, all inside the segment loop's bound."""
+    x = np.linspace(-40.0, 40.0, steps)
+    poses = np.zeros((1, 2, steps, 4))
+    poses[0, :, :, 0] = x, x[::-1]
+    poses[0, :, :, 1] = [[offset], [-offset]]
+    poses[0, :, :, 3] = [[0.3], [-2.0]]
+    return SceneStates(ids=(0, 1), poses=poses, valid=np.ones((1, 2, steps), dtype=bool),
+                       dims=np.tile([4.5, 2.0, 1.5], (2, 1)), dt=DT), map_name
+
+
+class TestRoadEdgeMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.tuples(road_edge_scenes(), st.sampled_from(["straight", "arc"])))
+    @example(case=tiled_lane("straight", 1.0))  # no grid, one call that walks the segments
+    @example(case=tiled_lane("arc", 6.0))  # the grid's per-cell runs
+    @example(case=tiled_lane("straight", 2.5, steps=13_000))  # no grid, two calls
+    @example(  # one slot with a NaN, an infinite and a 1e7 centre each, and a finite one
+        case=(SceneStates(ids=(0,), poses=np.array([[[[math.nan, 0.0, 0.0, 0.0],
+                                                      [math.inf, 1.0, 0.0, 0.0],
+                                                      [1e7, -1e7, 0.0, 1.0],
+                                                      [0.0, 2.0, 0.0, math.nan]]]]),
+                          valid=np.ones((1, 1, 4), dtype=bool), dims=np.array([[4.5, 2.0, 1.5]]),
+                          dt=DT), "straight"),
+    )
+    def test_byte_for_byte(self, case):
+        states, road = case
+        with np.errstate(all="ignore"):
+            table = simreal.features._box_table(states)
+            vals, ok = simreal.features._road_edge_arrays(states, table, _MAPS[road])
+            want_vals, want_ok = reference_road_edge(states, _MAPS[road])
+        assert ok.tobytes() == want_ok.tobytes()
+        assert vals.tobytes() == want_vals.tobytes()
+
+    @pytest.mark.parametrize("road, steps, loops, calls", [
+        ("straight", 1200, 1, 1),  # 9,600 corners in one call
+        ("straight", 13_000, 1, 2),  # 104,000 corners, at most 100,000 a call on 2
+        # segments: the last 4,000 take the block
+        ("arc", 1200, 0, None),  # the grid: one short call per cell
+    ])
+    def test_tall_examples_take_the_segment_loop_or_the_grid(self, road, steps, loops, calls):
+        states, _ = tiled_lane(road, 1.0, steps)
+        assert (simreal.features._road_edge_segments(_MAPS[road]).size > 0) == (calls is None)
+        with mock.patch.object(simreal.geometry, "_nearest_segment_loop",
+                               wraps=simreal.geometry._nearest_segment_loop) as loop, \
+                mock.patch.object(simreal.features, "polyline_distance_batch",
+                                  wraps=polyline_distance_batch) as kernel:
+            simreal.features._road_edge_arrays(states, simreal.features._box_table(states),
+                                               _MAPS[road])
+        assert loop.call_count == loops
+        assert calls is None or kernel.call_count == calls
 
 
 class TestPoseEnvelope:

@@ -59,6 +59,13 @@ def test_probes_wrap_evaluation_and_restore_the_originals():
     assert tracer.counts["estimators.rollouts_in"] == 2
     assert tracer.durations("geometry.box_distance")
     assert tracer.durations("geometry.polyline")
+    # The map has no road-edge grid, so every corner of every valid slot is
+    # counted against every segment: the no-grid path still goes through the probe.
+    edges = simreal.features._road_edge_segments(scenario.map_features)
+    assert edges.size == 0
+    slots = (simreal.features.SceneStates.from_logged_future(scenario).valid.sum()
+             + rollouts.rollouts[0, ..., 0].size)
+    assert tracer.counts["geometry.polyline_point_segments"] == 4 * slots * len(edges.starts)
 
 
 def test_bench_pipeline_reads_the_scenario_set_it_synthesizes(tmp_path):
