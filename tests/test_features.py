@@ -671,8 +671,8 @@ def all_pairs_ttc(states, speed_vals, speed_ok, params):
 
 
 def lane(xs, dt=0.5, lengths=None, ys=0.0, headings=0.0):
-    """One rollout of boxes along the x axis, heading 0, width 2; ``xs`` is (A, T),
-    and ``ys`` and ``headings`` broadcast to it."""
+    """One rollout of boxes of width 2 along the x axis; ``xs`` is (A, T), and
+    ``ys`` and ``headings`` (0 by default) broadcast to it."""
     xs = np.asarray(xs, dtype=float)
     a, t = xs.shape
     poses = np.zeros((1, a, t, 4))
@@ -1151,7 +1151,7 @@ class TestRoadEdgeMatchesReference:
     @example(case=tiled_lane("straight", 1.0))  # no grid, one call that walks the segments
     @example(case=tiled_lane("arc", 6.0))  # the grid's per-cell runs
     @example(case=tiled_lane("straight", 2.5, steps=13_000))  # no grid, two calls
-    @example(  # one slot with a NaN, an infinite and a 1e7 centre each, and a finite one
+    @example(  # four steps: a NaN centre, an infinite one, one at 1e7 and a NaN heading
         case=(SceneStates(ids=(0,), poses=np.array([[[[math.nan, 0.0, 0.0, 0.0],
                                                       [math.inf, 1.0, 0.0, 0.0],
                                                       [1e7, -1e7, 0.0, 1.0],
