@@ -133,7 +133,7 @@ def _cmd_synth(args) -> int:
         "template": args.template,
         "scenario_ids": [item.scenario.scenario_id for item in items],
     }
-    (args.out / "synth_manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    (args.out / sio.SYNTH_MANIFEST).write_text(json.dumps(manifest, indent=1, sort_keys=True))
     print(f"wrote {len(written)} scenarios (+fixtures) to {args.out} [seed={args.seed}]")
     return 0
 

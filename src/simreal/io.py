@@ -1,6 +1,7 @@
 """Serialization: scenario files, submission archives, configs, and reports.
 
-Two interchange forms exist for scenarios and rollout bundles:
+Two interchange forms exist for scenarios and rollout bundles; a scenario
+file's suffix names its form, ``.bin`` binary and any other JSON:
 
 * JSON, the readable reference format.
 * A versioned binary format: an 8-byte magic ``SMRLBIN1`` followed by
@@ -22,7 +23,7 @@ Two interchange forms exist for scenarios and rollout bundles:
   it.  A record of another kind and payload bytes left over after parsing
   are errors.
 
-A submission archive is a standard ``.tar.gz`` holding ``manifest.json``
+A submission archive is a standard ``.tar.gz`` holding one ``manifest.json``
 plus binary shards named ``rollouts.<index>-of-<total>.bin``, each shard
 holding many rollout records.  The manifest declares ``format_version`` 2
 (``ARCHIVE_FORMAT_VERSION``); scenario files and reports stay at
@@ -38,9 +39,11 @@ deterministically (fixed timestamps, records sorted by scenario id, each
 record's members a function of that record alone) so identical inputs
 produce identical bytes, however the records were grouped when they were
 encoded.
-Reading decodes each shard's records as the archive is decompressed (see
-:func:`read_submission`) and drains the gzip stream to its end, so a
-corrupt CRC32 or length trailer is a ``ParseError`` like any other damage.
+Binary scenario files and archive shards are read by one stream reader,
+front to back, never held whole: each shard's records are decoded as the
+archive is decompressed (see :func:`read_submission`), and the gzip stream
+is drained to its end, so a corrupt CRC32 or length trailer is a
+``ParseError`` like any other damage.
 A cut at a member boundary passes those checks; reading compares the
 records and shards found with the counts the manifest declares, so the cut
 is a ``ParseError`` too.
@@ -53,6 +56,7 @@ import gzip
 import itertools
 import json
 import math
+import os
 import re
 import struct
 import tarfile
@@ -89,8 +93,10 @@ _KIND_NAMES = {_KIND_SCENARIO: "scenario", _KIND_ROLLOUTS: "rollouts"}
 _KIND_INTERLEAVED_ROLLOUTS = 2  # archive format 1; refused
 
 SHARD_NAME_RE = re.compile(r"rollouts\.(\d+)-of-(\d+)\.bin$")
-_DRAIN_CHUNK = 1 << 16
-# Archive shards are read in pieces of at most this size.  Pieces this small
+#: The manifest ``synth`` writes beside its scenario files, which scenario readers skip.
+SYNTH_MANIFEST = "synth_manifest.json"
+_SCENARIO_SUFFIXES = {"json": ".json", "binary": ".bin"}
+# Archive shards are read, and drained, in pieces of at most this size.  These
 # come from memory the allocator already holds, while a whole shard read at
 # once, and each copy of it the gzip and tar readers make, is a fresh
 # multi-megabyte block whose page faults some processes pay on every read
@@ -106,19 +112,16 @@ _STREAM_CHUNK = 1 << 16
 # record's members depend on that record alone, so the archive bytes do not
 # depend on which process encoded which record.
 _ARCHIVE_COMPRESSLEVEL = 1
-# Store-or-deflate rule for one byte plane.  A plane of at most
-# _ALWAYS_DEFLATE_BYTES is always deflated, so each record of 2-4 agents at
-# k=32 (5-10 KiB planes, the whole mixed suite) stays one member and pays no
-# probe.  A larger plane is deflated only if level 1 shrinks its first
-# _PROBE_BYTES by at least _PROBE_MIN_SAVING, and stored (level 0)
-# otherwise.  Measured on the seed-0 benchmark rollouts: the low six bytes
-# of noisy x, y and heading probe at 100% (incompressible), every other
-# plane at 70% or less, so a 10% margin parts them with room to spare.  A
-# 4 KiB probe costs about 50 us, 1/30 of deflating an incompressible 80 KiB
-# plane (1.7 ms).  A 1 KiB probe is too short: it reads 92-100% on the
-# constant-velocity x planes, which deflate to 4-5% whole, and storing them
-# grows that record from 85 KB to 1.0 MB.
-_ALWAYS_DEFLATE_BYTES = 16 * 1024
+# Store-or-deflate rule for one byte plane.  A plane of at most _PROBE_BYTES
+# is deflated: probing it would deflate all of it.  A larger plane is
+# deflated only if level 1 shrinks its first _PROBE_BYTES by at least
+# _PROBE_MIN_SAVING, and stored (level 0) otherwise.  Measured on the seed-0
+# benchmark rollouts: the low six bytes of noisy x, y and heading probe at
+# 100% (incompressible), every other plane at 70% or less, so a 10% margin
+# parts them with room to spare.  A 4 KiB probe costs about 50 us, 1/30 of
+# deflating an incompressible 80 KiB plane (1.7 ms).  A 1 KiB probe is too
+# short: it reads 92-100% on the constant-velocity x planes, which deflate to
+# 4-5% whole, and storing them grows that record from 85 KB to 1.0 MB.
 _PROBE_BYTES = 4 * 1024
 _PROBE_MIN_SAVING = 0.1
 _PLANES = 32  # 4 channels x 8 bytes of a float64
@@ -212,10 +215,16 @@ def scenario_from_dict(data: Mapping[str, Any], path: str | None = None) -> Scen
 # Binary record framing.
 
 
-class _Cursor:
-    """``size`` bytes of a file read front to back, starting ``base`` bytes into it."""
+class _Reader:
+    """A cursor over the next ``size`` bytes of ``stream``, which start ``base`` bytes into the file.
 
-    def __init__(self, size: int, path: str | None, base: int):
+    It reads only what it is asked for, so a scenario file is parsed as it is
+    read and an archive shard as it is decompressed, never held whole (see
+    :func:`read_submission`).
+    """
+
+    def __init__(self, stream, size: int, path: str | None, base: int = 0):
+        self.stream = stream
         self.size = size
         self.path = path
         self.base = base
@@ -228,10 +237,6 @@ class _Cursor:
     def left(self) -> int:
         return self.size - self.pos
 
-    @property
-    def exhausted(self) -> bool:
-        return self.pos >= self.size
-
     def _advance(self, n: int) -> int:
         """Move past the next ``n`` bytes, which must be there; returns where they start."""
         if n > self.left:
@@ -240,59 +245,21 @@ class _Cursor:
         self.pos += n
         return start
 
+    def take(self, n: int) -> bytes:
+        start = self._advance(n)
+        data = self.stream.read(n)
+        if len(data) != n:  # the stream is shorter than the size it declared
+            self.pos = start
+            self.fail(f"truncated: needed {n} bytes, {len(data)} left")
+        return data
+
     def unpack(self, fmt: str):
         return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
 
-
-class _Reader(_Cursor):
-    """A cursor over ``data``, which starts ``base`` bytes into the file.
-
-    It reads through a ``memoryview``, so a record's payload and the arrays
-    decoded from it are views of the file's bytes, not copies.
-    """
-
-    def __init__(self, data: bytes | memoryview, path: str | None, base: int = 0):
-        self.data = memoryview(data)
-        super().__init__(len(self.data), path, base)
-
-    def take(self, n: int) -> memoryview:
-        start = self._advance(n)
-        return self.data[start : start + n]
-
     def payload(self, n: int) -> _Reader:
-        """A reader over the next ``n`` bytes, at their offset in the file."""
-        start = self.pos
-        return _Reader(self.take(n), self.path, base=self.base + start)
-
-    def floats(self, *shape: int) -> np.ndarray:
-        """A read-only float64 view of the next ``prod(shape)`` values."""
-        raw = self.take(8 * math.prod(shape))
-        return np.frombuffer(raw, dtype="<f8").reshape(shape)
-
-
-class _StreamReader(_Cursor):
-    """A cursor over the next ``size`` bytes of ``stream``, which start ``base`` bytes into the file.
-
-    It reads only what it is asked for, at most ``_STREAM_CHUNK`` bytes at a
-    time, so an archive shard is decoded as it is decompressed and never
-    held whole (see :func:`read_submission`).
-    """
-
-    def __init__(self, stream, size: int, path: str | None, base: int = 0):
-        super().__init__(size, path, base)
-        self.stream = stream
-
-    def take(self, n: int) -> bytes:
-        self._advance(n)
-        data = self.stream.read(n)
-        if len(data) != n:
-            raise EOFError(f"stream ended {n - len(data)} bytes early")
-        return data
-
-    def payload(self, n: int) -> _StreamReader:
         """A reader over the next ``n`` bytes; they must be read through it before this one reads on."""
         start = self._advance(n)
-        return _StreamReader(self.stream, n, self.path, base=self.base + start)
+        return _Reader(self.stream, n, self.path, base=self.base + start)
 
     def chunks(self, n: int) -> Iterator[bytes]:
         """The next ``n`` bytes, in pieces of at most ``_STREAM_CHUNK``."""
@@ -372,7 +339,8 @@ def _scenario_from_payload(r: _Reader) -> Scenario:
         fid, code, n_pts = r.unpack("qBI")
         if code >= len(_MAP_KINDS):
             r.fail(f"unknown map feature code {code}")
-        feats.append(MapFeature(fid, _MAP_KINDS[code], r.floats(n_pts, 2)))
+        polyline = np.frombuffer(r.take(16 * n_pts), dtype="<f8").reshape(n_pts, 2)
+        feats.append(MapFeature(fid, _MAP_KINDS[code], polyline))
     return Scenario(
         scenario_id=scenario_id,
         tracks=tracks,
@@ -384,7 +352,7 @@ def _scenario_from_payload(r: _Reader) -> Scenario:
     )
 
 
-def _rollouts_from_payload(r: _StreamReader) -> ScenarioRollouts:
+def _rollouts_from_payload(r: _Reader) -> ScenarioRollouts:
     """Decode a rollouts payload, its byte planes streamed straight into the bundle's poses."""
     scenario_id = _read_str(r)
     k, n_ids, n_steps = r.unpack("IIH")
@@ -414,16 +382,16 @@ def _frame(kind: int, length: int) -> bytes:
     return struct.pack("<BQ", kind, length)
 
 
-def _read_records(r: _Reader | _StreamReader, expected: int) -> Iterator[_Reader | _StreamReader]:
+def _read_records(r: _Reader, expected: int) -> Iterator[_Reader]:
     """The payloads of a file's records, which must all be of kind ``expected``.
 
-    Each payload is yielded before the next record's frame is read, so a
-    stream's payload must be parsed before the iteration goes on.
+    Each payload is yielded before the next record's frame is read, so it
+    must be parsed before the iteration goes on.
     """
     if r.take(len(MAGIC)) != MAGIC:
         r.pos = 0
         r.fail("bad magic; not a binary scenario/rollout file")
-    while not r.exhausted:
+    while r.left:
         start = r.pos
         kind, length = r.unpack("BQ")
         if kind != expected:
@@ -438,10 +406,10 @@ def _read_records(r: _Reader | _StreamReader, expected: int) -> Iterator[_Reader
         yield r.payload(length)
 
 
-def _parse_whole(r: _Reader | _StreamReader, parse):
+def _parse_whole(r: _Reader, parse):
     """Parse one record payload, which must be consumed exactly."""
     value = parse(r)
-    if not r.exhausted:
+    if r.left:
         r.fail(f"{r.left} unparsed bytes at the end of the record")
     return value
 
@@ -450,25 +418,27 @@ def _parse_whole(r: _Reader | _StreamReader, parse):
 # Scenario file round trip.
 
 
-def write_scenario(scenario: Scenario, path: str | Path, fmt: str | None = None) -> None:
+def write_scenario(scenario: Scenario, path: str | Path) -> None:
+    """Write ``scenario`` to ``path``: binary if it ends in ``.bin``, JSON otherwise."""
     path = Path(path)
-    fmt = fmt or ("binary" if path.suffix == ".bin" else "json")
-    if fmt == "json":
-        path.write_text(json.dumps(scenario_to_dict(scenario), indent=1, sort_keys=True))
-    elif fmt == "binary":
+    if path.suffix == ".bin":
         payload = _scenario_payload(scenario)
         path.write_bytes(MAGIC + _frame(_KIND_SCENARIO, len(payload)) + payload)
     else:
-        raise ValueError(f"unknown scenario format {fmt!r}")
+        path.write_text(json.dumps(scenario_to_dict(scenario), indent=1, sort_keys=True))
 
 
 def read_scenario(path: str | Path) -> Scenario:
+    """Read the scenario at ``path``: binary if it ends in ``.bin``, JSON otherwise."""
     path = Path(path)
     if path.suffix == ".bin":
-        records = list(_read_records(_Reader(path.read_bytes(), str(path)), _KIND_SCENARIO))
-        if len(records) != 1:
-            raise ParseError(f"{len(records)} scenario records, expected one", path=str(path))
-        return _parse_whole(records[0], _scenario_from_payload)
+        with open(path, "rb") as stream:
+            r = _Reader(stream, os.fstat(stream.fileno()).st_size, str(path))
+            scenarios = [_parse_whole(payload, _scenario_from_payload)
+                         for payload in _read_records(r, _KIND_SCENARIO)]
+        if len(scenarios) != 1:
+            raise ParseError(f"{len(scenarios)} scenario records, expected one", path=str(path))
+        return scenarios[0]
     try:
         data = json.loads(path.read_text())
     except ValueError as exc:  # bad JSON or bad UTF-8
@@ -479,14 +449,17 @@ def read_scenario(path: str | Path) -> Scenario:
 def write_scenario_dir(items: Iterable, out_dir: str | Path, fmt: str = "json") -> list[Path]:
     """Write scenarios (plus fixtures, for synthetic ones) into a directory.
 
-    A directory that already holds ``.json`` or ``.bin`` files raises
-    :class:`OccupiedOutput` before anything is written, so two scenario sets
-    never mix.
+    ``fmt`` ("json" or "binary") only picks the files' suffix.  A directory
+    that already holds ``.json`` or ``.bin`` files raises
+    :class:`OccupiedOutput` before anything is written, so two sets never mix.
     """
     from .synth import SynthScenario  # local import to keep io importable standalone
 
+    if fmt not in _SCENARIO_SUFFIXES:
+        raise ValueError(f"unknown scenario format {fmt!r}")
     out_dir = Path(out_dir)
-    if out_dir.is_dir() and any(p.suffix in (".json", ".bin") for p in out_dir.iterdir()):
+    if out_dir.is_dir() and any(p.suffix in _SCENARIO_SUFFIXES.values()
+                                for p in out_dir.iterdir()):
         raise OccupiedOutput(f"{out_dir} already holds scenario files; use a new directory")
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -495,9 +468,8 @@ def write_scenario_dir(items: Iterable, out_dir: str | Path, fmt: str = "json") 
         scenario = item
         if isinstance(item, SynthScenario):
             scenario, fixtures = item.scenario, item.fixtures
-        suffix = ".bin" if fmt == "binary" else ".json"
-        path = out_dir / f"{scenario.scenario_id}{suffix}"
-        write_scenario(scenario, path, fmt)
+        path = out_dir / f"{scenario.scenario_id}{_SCENARIO_SUFFIXES[fmt]}"
+        write_scenario(scenario, path)
         written.append(path)
         if fixtures is not None:
             ids = sorted(scenario.tracks.ids.tolist())  # fixture row order
@@ -515,13 +487,13 @@ def write_scenario_dir(items: Iterable, out_dir: str | Path, fmt: str = "json") 
 
 
 def read_scenario_dir(dir_path: str | Path) -> dict[str, Scenario]:
+    """Each scenario file in a directory by id; ``synth``'s manifest and fixtures are skipped."""
     dir_path = Path(dir_path)
     out: dict[str, Scenario] = {}
     sources: dict[str, Path] = {}
     for path in sorted(dir_path.iterdir()):
-        if path.name.endswith(".fixtures.json") or path.name.endswith("manifest.json"):
-            continue
-        if path.suffix not in (".json", ".bin"):
+        skip = path.name == SYNTH_MANIFEST or path.name.endswith(".fixtures.json")
+        if skip or path.suffix not in _SCENARIO_SUFFIXES.values():
             continue
         scenario = read_scenario(path)
         first = sources.setdefault(scenario.scenario_id, path)
@@ -570,8 +542,8 @@ def _gzip_member(data, level: int = _ARCHIVE_COMPRESSLEVEL) -> bytes:
 
 
 def _deflates(plane: np.ndarray) -> bool:
-    """The store-or-deflate rule for one byte plane (see ``_ALWAYS_DEFLATE_BYTES``)."""
-    if len(plane) <= _ALWAYS_DEFLATE_BYTES:
+    """The store-or-deflate rule for one byte plane (see ``_PROBE_BYTES``)."""
+    if len(plane) <= _PROBE_BYTES:
         return True
     probe = zlib.compress(plane[:_PROBE_BYTES], _ARCHIVE_COMPRESSLEVEL, -15)
     return len(probe) <= (1.0 - _PROBE_MIN_SAVING) * _PROBE_BYTES
@@ -660,7 +632,7 @@ def write_submission(
 
 
 def _drain(stream) -> None:
-    while stream.read(_DRAIN_CHUNK):
+    while stream.read(_STREAM_CHUNK):
         pass
 
 
@@ -673,7 +645,9 @@ def read_submission(path: str | Path) -> SubmissionArchive:
     reading the gzip stream to its end checks the CRC32 and length trailer,
     so it is drained before the manifest is parsed, and also before a
     record's decoding error is raised: damage is reported as a corrupt
-    archive rather than as whatever the bad bytes decoded to.
+    archive rather than as whatever the bad bytes decoded to.  The manifest
+    is the one member whose base name is ``manifest.json``; a second one is
+    an error.
     """
     path = Path(path)
     manifest: dict[str, Any] = {}
@@ -687,12 +661,12 @@ def read_submission(path: str | Path) -> SubmissionArchive:
                     for member in tar:
                         if not member.isfile():
                             continue
-                        if member.name.endswith("manifest.json"):
+                        if member.name.rsplit("/", 1)[-1] == "manifest.json":
                             manifests.append((member.name, tar.extractfile(member).read()))
                         elif SHARD_NAME_RE.search(member.name):
                             shard_count += 1
-                            shard = _StreamReader(tar.extractfile(member), member.size,
-                                                  f"{path}:{member.name}")
+                            shard = _Reader(tar.extractfile(member), member.size,
+                                            f"{path}:{member.name}")
                             for payload in _read_records(shard, _KIND_ROLLOUTS):
                                 entries.append(
                                     (member.name, _parse_whole(payload, _rollouts_from_payload))
@@ -701,6 +675,9 @@ def read_submission(path: str | Path) -> SubmissionArchive:
                 _drain(gz)
                 raise
             _drain(gz)
+        if len(manifests) > 1:
+            raise ParseError(f"two manifests: {manifests[0][0]} and {manifests[1][0]}",
+                             path=str(path))
         for name, blob in manifests:
             manifest = json.loads(blob.decode("utf-8"))
             if not isinstance(manifest, dict):
@@ -805,14 +782,12 @@ def match_scenarios(
 
 
 def validate_submission(
-    archive: SubmissionArchive | str | Path,
+    path: str | Path,
     scenarios: Mapping[str, Scenario],
     expected_rollouts: int = DEFAULT_ROLLOUT_COUNT,
 ) -> ValidationReport:
-    """Check an archive against the scenario set it claims to simulate (see match_scenarios)."""
-    if not isinstance(archive, SubmissionArchive):
-        archive = read_submission(archive)
-    _, violations = match_scenarios(archive, scenarios, expected_rollouts)
+    """Check the archive at ``path`` against the scenario set it simulates (see match_scenarios)."""
+    _, violations = match_scenarios(read_submission(path), scenarios, expected_rollouts)
     return ValidationReport(violations=tuple(violations), scenario_count=len(scenarios))
 
 

@@ -23,6 +23,8 @@ from simreal.evaluate import evaluate_dataset
 from simreal.features import MetricKind
 from simreal.harness import generate_submission
 from simreal.io import (
+    SYNTH_MANIFEST,
+    _Reader,
     encode_rollouts,
     MAGIC,
     match_scenarios,
@@ -89,11 +91,11 @@ def suite(count, seed, noise):
 
 
 class TestScenarioRoundTrip:
-    @pytest.mark.parametrize("fmt,suffix", [("json", ".json"), ("binary", ".bin")])
-    def test_lossless(self, tmp_path, fmt, suffix):
+    @pytest.mark.parametrize("suffix", [".json", ".bin"])
+    def test_lossless(self, tmp_path, suffix):
         scenario = small_scenario()
         path = tmp_path / f"scn{suffix}"
-        write_scenario(scenario, path, fmt)
+        write_scenario(scenario, path)
         back = read_scenario(path)
         assert back == scenario
 
@@ -129,7 +131,7 @@ class TestScenarioRoundTrip:
     def test_truncated_binary_reports_offset(self, tmp_path):
         scenario = small_scenario()
         path = tmp_path / "scn.bin"
-        write_scenario(scenario, path, "binary")
+        write_scenario(scenario, path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(ParseError) as err:
@@ -154,9 +156,9 @@ class TestScenarioRoundTrip:
     def test_randomized_round_trip_both_formats(self, tmp_path_factory, seed):
         tmp = tmp_path_factory.mktemp("rt")
         scenario = small_scenario(np.random.default_rng(seed))
-        for fmt, suffix in (("json", ".json"), ("binary", ".bin")):
+        for suffix in (".json", ".bin"):
             path = tmp / f"s{suffix}"
-            write_scenario(scenario, path, fmt)
+            write_scenario(scenario, path)
             assert read_scenario(path) == scenario
 
 
@@ -353,8 +355,8 @@ class TestPlanarRecords:
         specials=st.lists(st.tuples(st.integers(0, 10**9), st.sampled_from(_SPECIAL_POSE_BITS)),
                           max_size=8),
     )
-    # Planes of K*A*T bytes either side of the 4 KiB probe and of the 16 KiB
-    # always-deflate size.
+    # Planes of K*A*T bytes either side of the 4 KiB probe, up to which every
+    # plane is deflated, and well above it.
     @example(shape=(1, 1, 4095), seed=0, styles=("noise",) * 4, specials=[])
     @example(shape=(1, 1, 4097), seed=1, styles=("noise", "smooth", "noise", "constant"),
              specials=[(7, _SPECIAL_POSE_BITS[6])])
@@ -380,15 +382,22 @@ class TestPlanarRecords:
         assert back.ids.view("<u8").tobytes() == bundle.ids.view("<u8").tobytes()
         assert np.array_equal(back.rollouts.view("<u8"), bundle.rollouts.view("<u8"))
 
-    def test_noise_planes_above_16_kib_are_stored(self):
-        # At 16 KiB every plane is deflated, in one member; above it the six
+    def test_noise_planes_above_4_kib_are_stored(self):
+        # At 4 KiB every plane is deflated, in one member; above it the six
         # low bytes of each noisy channel probe incompressible and are stored.
         def members(steps):
             poses = _pose_tensor((1, 1, steps), 0, ("noise",) * 4, [])
             return _split_members(encode_rollouts(ScenarioRollouts("n", [1], poses)).members)
 
-        assert len(members(16384)) == 1
-        assert [_stored(m) for m in members(16385)] == [True, False] * 4
+        assert len(members(4096)) == 1
+        assert [_stored(m) for m in members(4097)] == [True, False] * 4
+
+
+# Where the golden scenario's track block starts: after the magic, the record
+# frame, the id "following_pair-s0003" with its length, and the scenario
+# header.  Each of its 2 tracks is 33 + 33 * 91 = 3036 bytes:
+# [id:8][type:1][dims:24][poses][flags].
+_TRACK_BLOCK = 8 + 9 + 2 + 20 + 24
 
 
 class TestMalformedBinary:
@@ -397,38 +406,45 @@ class TestMalformedBinary:
         write_scenario(golden_scenario(), path)
         return path, bytearray(path.read_bytes())
 
-    def test_invalid_utf8_id_is_parse_error(self, tmp_path):
-        path, blob = self._blob(tmp_path)
-        blob[19] = 0xFF  # first byte of the scenario id, after magic, header and length
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ParseError) as err:
-            read_scenario(path)
-        assert err.value.offset == 19
-
-    def test_unknown_object_type_code_names_its_offset(self, tmp_path):
-        path, blob = self._blob(tmp_path)
-        # magic, record header, id "following_pair-s0003", scenario header, then
-        # 33 + 33 * 91 bytes a track: [id:8][type:1][dims:24][poses][flags].
-        block = 8 + 9 + 2 + 20 + 24
-        blob[block + 3036 + 8] = 7  # track 1's type code
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ParseError, match="unknown object type code 7") as err:
-            read_scenario(path)
-        assert err.value.offset == block + 3036 + 33
-
     def test_unknown_record_kind_is_rejected(self, tmp_path):
         path, blob = self._blob(tmp_path)
         path.write_bytes(bytes(blob) + bytes([9]) + (0).to_bytes(8, "little"))
         with pytest.raises(ParseError, match="unknown record kind 9"):
             read_scenario(path)
 
-    def test_trailing_payload_bytes_are_rejected(self, tmp_path):
+    @pytest.mark.parametrize("damage,message,offset", [
+        # The frame declares more payload than the cut file holds.
+        (lambda blob: blob[:_TRACK_BLOCK + 3136], "truncated: needed 6212 bytes, 3182 left", 17),
+        # The frame is cut to match, so the track block runs past its record.
+        (lambda blob: blob[:9] + (3182).to_bytes(8, "little") + blob[17:_TRACK_BLOCK + 3136],
+         "truncated: needed 6072 bytes, 3136 left", _TRACK_BLOCK),
+        # Track 1's type code; the offset is after that track's header.
+        (lambda blob: blob[:_TRACK_BLOCK + 3044] + b"\x07" + blob[_TRACK_BLOCK + 3045:],
+         "unknown object type code 7", _TRACK_BLOCK + 3036 + 33),
+        # Feature 1's code, after the track block, the feature count, feature 0
+        # ([id:8][code:1][points:4] and two points) and feature 1's id.
+        (lambda blob: blob[:6192] + b"\x09" + blob[6193:], "unknown map feature code 9", 6197),
+        # The first byte of the scenario id, after the magic, frame and length.
+        (lambda blob: blob[:19] + b"\xff" + blob[20:],
+         "string is not valid UTF-8: invalid start byte", 19),
+        (lambda blob: blob[:9] + (6215).to_bytes(8, "little") + blob[17:] + bytes(3),
+         "3 unparsed bytes at the end of the record", 6229),
+    ], ids=["cut-file", "cut-record", "object-type", "map-feature", "utf8-id", "trailing"])
+    def test_damage_is_parse_error_at_its_path_and_offset(self, tmp_path, damage, message,
+                                                          offset):
         path, blob = self._blob(tmp_path)
-        length = int.from_bytes(blob[9:17], "little")
-        blob[9:17] = (length + 3).to_bytes(8, "little")
-        path.write_bytes(bytes(blob) + b"\x00\x00\x00")
-        with pytest.raises(ParseError, match="3 unparsed bytes"):
+        assert (len(blob), int.from_bytes(blob[9:17], "little")) == (6229, 6212)
+        path.write_bytes(damage(bytes(blob)))
+        with pytest.raises(ParseError, match=message) as err:
             read_scenario(path)
+        assert (err.value.path, err.value.offset) == (str(path), offset)
+
+    def test_stream_shorter_than_its_declared_size_is_parse_error(self):
+        r = _Reader(io.BytesIO(b"abc"), 10, "short.bin", base=5)
+        assert r.take(1) == b"a"
+        with pytest.raises(ParseError, match="truncated: needed 4 bytes, 2 left") as err:
+            r.take(4)
+        assert (err.value.path, err.value.offset) == ("short.bin", 6)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -633,6 +649,27 @@ class TestRecordKinds:
         with pytest.raises(ParseError, match="a scenario record in a file of rollouts") as info:
             read_submission(bad)
         assert info.value.offset == len(blob)
+
+    def test_second_manifest_is_parse_error_naming_both(self, tmp_path):
+        _tiny_archive(tmp_path / "ok.tar.gz")
+        extra = ("extra/manifest.json", json.dumps({"rollouts_per_scenario": 9}).encode())
+        bad = tmp_path / "bad.tar.gz"
+        _repack(bad, _members(tmp_path / "ok.tar.gz") + [extra])
+        with pytest.raises(ParseError, match="two manifests: manifest.json and extra/manifest"):
+            read_submission(bad)
+        # The stream is drained first: damage behind the second manifest reads as damage.
+        blob = bytearray(bad.read_bytes())
+        blob[-8] ^= 0x01
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match="unreadable archive"):
+            read_submission(bad)
+
+    def test_member_whose_base_name_is_not_manifest_json_is_not_the_manifest(self, tmp_path):
+        _tiny_archive(tmp_path / "ok.tar.gz")
+        members = _members(tmp_path / "ok.tar.gz")
+        other = ("synth_manifest.json", json.dumps({"rollouts_per_scenario": 9}).encode())
+        _repack(tmp_path / "more.tar.gz", members + [other])
+        assert read_submission(tmp_path / "more.tar.gz").manifest == json.loads(members[0][1])
 
     def test_manifest_that_is_not_an_object_is_rejected(self, tmp_path):
         _tiny_archive(tmp_path / "ok.tar.gz")
@@ -905,6 +942,16 @@ class TestScenarioDir:
         fixture_files = list(tmp_path.glob("*.fixtures.json"))
         assert len(fixture_files) == 3
 
+    def test_only_the_synth_manifest_and_fixtures_are_skipped(self, tmp_path):
+        synth = generate(SynthSpec(Template.FOLLOWING_PAIR, seed=0))
+        write_scenario_dir([synth], tmp_path)
+        (tmp_path / SYNTH_MANIFEST).write_text("{}")
+        lane = replace(synth.scenario, scenario_id="lane_manifest")
+        write_scenario(lane, tmp_path / "lane_manifest.json")
+        back = read_scenario_dir(tmp_path)
+        assert sorted(back) == ["following_pair-s0000", "lane_manifest"]
+        assert back["lane_manifest"] == lane
+
     def test_empty_dir_raises(self, tmp_path):
         with pytest.raises(ParseError):
             read_scenario_dir(tmp_path)
@@ -922,7 +969,7 @@ class TestScenarioDir:
         write_scenario_dir([generate(spec)], tmp_path)
         scenario_id = generate(spec).scenario.scenario_id
         other = generate(replace(spec, noise_level=0.4)).scenario
-        write_scenario(other, tmp_path / f"{scenario_id}.bin", "binary")
+        write_scenario(other, tmp_path / f"{scenario_id}.bin")
         with pytest.raises(ParseError) as info:
             read_scenario_dir(tmp_path)
         message = str(info.value)
