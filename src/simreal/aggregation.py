@@ -9,6 +9,7 @@ are computed alongside as reference points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -27,7 +28,7 @@ OBJECT_AGGREGATIONS = ("log_mean", "linear_mean")
 
 @dataclass(frozen=True)
 class MetricWeights:
-    """Per-metric convex weights; must be positive and sum to one."""
+    """Per-metric convex weights; must be finite, positive and sum to one."""
 
     values: Mapping[MetricKind, float]
 
@@ -35,8 +36,8 @@ class MetricWeights:
         vals = dict(self.values)
         if not vals:
             raise ValueError("weights cannot be empty")
-        if any(w <= 0.0 for w in vals.values()):
-            raise ValueError("weights must be strictly positive")
+        if not all(0.0 < w < math.inf for w in vals.values()):  # False on NaN
+            raise ValueError("weights must be finite and strictly positive")
         if abs(sum(vals.values()) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError("weights must sum to 1")
         object.__setattr__(self, "values", vals)

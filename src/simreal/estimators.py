@@ -13,6 +13,7 @@ serves them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import EmptySampleSet, NonFiniteFeature, NoValidSteps
 from .features import (
     BOOLEAN_METRICS,
     DEFAULT_FEATURE_PARAMS,
+    LOGGED_FUTURE,
     FeatureParams,
     MetricKind,
     SceneStates,
@@ -36,7 +38,9 @@ class HistogramSpec:
     """Uniform binning of one metric's value range.
 
     Values outside [min_value, max_value] clamp into the boundary bins rather
-    than erroring, so heavy tails cannot abort an evaluation.
+    than erroring, so heavy tails cannot abort an evaluation.  The range and
+    the pseudocount must be finite: an infinite bound leaves no bin width,
+    and an infinite pseudocount no probability.
     """
 
     metric: MetricKind
@@ -48,10 +52,12 @@ class HistogramSpec:
     def __post_init__(self):
         if not self.max_value > self.min_value:
             raise ValueError("max_value must exceed min_value")
+        if not math.isfinite(self.max_value - self.min_value):
+            raise ValueError("max_value - min_value must be finite")
         if self.bins < 2:
             raise ValueError("need at least 2 bins")
-        if not self.pseudocount > 0.0:
-            raise ValueError("pseudocount must be positive")
+        if not 0.0 < self.pseudocount < math.inf:
+            raise ValueError("pseudocount must be positive and finite")
 
     def bin_index(self, values) -> np.ndarray:
         """Bin of each value after clamping into the histogram range.
@@ -84,13 +90,15 @@ DEFAULT_HISTOGRAM_SPECS: dict[MetricKind, HistogramSpec] = {
 }
 
 
-#: Distinct rollouts are extracted in groups of ``max(1, _PAIR_BUDGET // A**2)``,
-#: so one call's (K, A, A, T) pair arrays, which only the time-to-collision
-#: kernel builds (at most four float arrays live at once: the x and y offsets,
-#: the lateral offset and a product), stay at a 32-object scene's size up to
-#: A = 32.  Above that a group is one rollout, and the arrays grow as A**2
-#: (4 times at A = 64).  The nearest-object sweep's arrays grow with the pairs
-#: it visits instead.
+#: The logged future and the distinct rollouts are extracted in groups of
+#: ``max(1, _PAIR_BUDGET // A**2)``, A the scene's track count, so one call's
+#: (K, A, A, T) pair arrays, which only the time-to-collision kernel builds
+#: (at most four float arrays live at once: the x and y offsets, the lateral
+#: offset and a product), stay at a 32-object scene's size up to A = 32.  A
+#: scene of up to 5 objects then takes one call for the logged future and 32
+#: distinct rollouts.  From A = 23 a group is one member, and from A = 32 the
+#: arrays grow as A**2 (4 times at A = 64).  The nearest-object sweep's arrays
+#: grow with the pairs it visits instead.
 _PAIR_BUDGET = 1024
 
 
@@ -98,32 +106,38 @@ def rollout_features(
     scenario: Scenario,
     rollouts: ScenarioRollouts,
     params: FeatureParams = DEFAULT_FEATURE_PARAMS,
-) -> tuple[dict, np.ndarray]:
-    """Extract each distinct rollout once, with the number of rollouts it stands for.
+) -> tuple[dict, tuple[dict, np.ndarray]]:
+    """Extract the logged future and each distinct rollout once, in one stack.
 
-    Returns ``(features, multiplicity)``.  ``features`` is
-    :func:`extract_features` output over the E distinct rollouts of
-    :attr:`~simreal.scene.ScenarioRollouts.distinct`, (E, A, T) arrays with
-    rows in ``rollouts.ids`` order; ``multiplicity`` is (E,) int64.
-    Deterministic policies repeat the same joint scene 32 times, which then
-    costs one extraction of one rollout.
+    Returns ``(logged, (features, multiplicity))``, all :func:`extract_features`
+    series with rows in the order of ``scenario``'s sorted track ids
+    (:meth:`~simreal.features.SceneStates.from_rollout`).  ``logged`` holds the
+    (A, T) series of the logged future, the stack's first member.
+    ``features`` holds (E, A, T) series over the E distinct rollouts of
+    :attr:`~simreal.scene.ScenarioRollouts.distinct`, and ``multiplicity``
+    (E,) int64 the number of rollouts each stands for.  Deterministic policies
+    repeat the same joint scene 32 times, which then costs one extraction of
+    one rollout.
     """
     distinct, inverse = rollouts.distinct
-    size = max(1, _PAIR_BUDGET // max(1, len(rollouts.ids)) ** 2)
+    members = np.concatenate([[LOGGED_FUTURE], distinct])
+    size = max(1, _PAIR_BUDGET // max(1, len(scenario.tracks)) ** 2)
     parts = [
         extract_features(
-            SceneStates.from_rollout(scenario, rollouts, distinct[lo : lo + size]),
+            SceneStates.from_rollout(scenario, rollouts, members[lo : lo + size]),
             scenario.map_features,
             params,
         )
-        for lo in range(0, len(distinct), size)
+        for lo in range(0, len(members), size)
     ]
-    features = {
+    stacked = {
         metric: tuple(np.concatenate(arrays) for arrays in zip(*(p[metric] for p in parts)))
         for metric in parts[0]
     }
+    logged = {metric: (values[0], valid[0]) for metric, (values, valid) in stacked.items()}
+    features = {metric: (values[1:], valid[1:]) for metric, (values, valid) in stacked.items()}
     multiplicity = np.bincount(inverse, minlength=len(distinct)).astype(np.int64)
-    return features, multiplicity
+    return logged, (features, multiplicity)
 
 
 def sample_counts(
@@ -133,7 +147,7 @@ def sample_counts(
 
     Scalar metrics count every valid step of every rollout; boolean metrics
     count one any-step event per rollout.  ``extracted`` is the
-    ``(features, multiplicity)`` pair of :func:`rollout_features`; each
+    ``(features, multiplicity)`` pair :func:`rollout_features` returns; each
     extracted rollout's counts are multiplied by the number of rollouts it
     stands for, which equals counting every rollout.
     """

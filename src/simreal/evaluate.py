@@ -1,9 +1,12 @@
 """End-to-end scoring: logged scenario + 32 rollouts -> metrics bundle.
 
 Rollouts are checked against the submission contract first.  The logged
-side is stripped of late-spawning objects, then every simulated object is
-scored per metric against the distribution fitted to its own pooled rollout
-samples, all objects of a metric at once.  Metrics that cannot be scored for
+side is stripped of late-spawning objects.  Its future and the distinct
+rollouts are then extracted together, the logged future as the first member
+of the stacks :func:`~simreal.estimators.rollout_features` makes, so a small
+scene costs one feature extraction.  Every simulated object is scored per
+metric against the distribution fitted to its own pooled rollout samples,
+all objects of a metric at once.  Metrics that cannot be scored for
 any object (for example road-edge distance on a map without road edges) are
 excluded and the remaining weights renormalized; exclusions are recorded on
 the bundle so reports can surface them.
@@ -34,7 +37,7 @@ from .estimators import (
     sample_counts,
     time_series_likelihood,
 )
-from .features import MetricKind, SceneStates, extract_features
+from .features import MetricKind, extract_features  # noqa: F401  (bench/probes.py wraps it)
 from .scene import (
     CONTRACT_ERRORS,
     Scenario,
@@ -63,18 +66,16 @@ def evaluate_scenario(
         code, detail = problems[0]
         raise CONTRACT_ERRORS[code](f"{scenario.scenario_id}: {detail}")
     logged = strip_late_spawns(scenario)
-
-    logged_states = SceneStates.from_logged_future(logged)
-    logged_feats = extract_features(logged_states, logged.map_features, config.features)
-    sim_feats = rollout_features(logged, rollouts, config.features)
-    # Logged rows of the simulated objects, in rollout row order.
-    logged_rows = np.searchsorted(logged_states.ids, rollouts.ids)
+    logged_feats, sim_feats = rollout_features(logged, rollouts, config.features)
+    # Rows of the simulated objects among the logged tracks, in rollout row order.
+    rows = np.searchsorted(np.sort(logged.tracks.ids), rollouts.ids)
 
     components: dict[MetricKind, float] = {}
     excluded: list[MetricKind] = []
     for metric in MetricKind:
-        values, valid = (series[0, logged_rows] for series in logged_feats[metric])
-        nll = _metric_nll(metric, values, valid, sim_feats, config)
+        values, valid = (series[rows] for series in logged_feats[metric])
+        counts = sample_counts(sim_feats, metric, config.histograms[metric])[rows]
+        nll = _metric_nll(metric, values, valid, counts, config)
         try:
             components[metric] = scenario_component(nll, metric, config.object_aggregation)
         except MetricUnscorable:
@@ -99,17 +100,17 @@ def _metric_nll(
     metric: MetricKind,
     values: np.ndarray,
     valid: np.ndarray,
-    sim_feats,
+    counts: np.ndarray,
     config: EvalConfig,
 ) -> np.ndarray:
     """Mean logged NLL of every scorable object for one metric, in row order.
 
-    An object is scorable when its logged series has a valid step and its
-    distribution has samples: its own rollout samples, or in pooled mode
-    those of every object.
+    ``counts`` are the objects' (A, bins) rollout sample counts.  An object is
+    scorable when its logged series has a valid step and its distribution
+    has samples: its own rollout samples, or in pooled mode those of every
+    object.
     """
     spec = config.histograms[metric]
-    counts = sample_counts(sim_feats, metric, spec)
     scored = valid.any(axis=1)
     if config.per_object_histograms:
         scored &= counts.sum(axis=1) > 0

@@ -14,7 +14,8 @@ are collapsed to a single event per object and represented as a constant
 boolean series.  Every metric is a pair of (rollouts, objects, steps) arrays,
 values and validity: K joint futures of one scene are extracted in one call,
 and each rollout's rows equal what extracting that rollout alone gives, bit
-for bit.  The logged future is the case K=1.
+for bit.  The logged future extracted alone is the case K=1; scoring stacks
+it with the rollouts (:meth:`SceneStates.from_rollout`).
 """
 
 from __future__ import annotations
@@ -82,6 +83,9 @@ class FeatureParams:
 
 DEFAULT_FEATURE_PARAMS = FeatureParams()
 
+#: The member of a :meth:`SceneStates.from_rollout` stack that is the logged future.
+LOGGED_FUTURE = -1
+
 
 @dataclass(frozen=True)
 class SceneStates:
@@ -99,30 +103,40 @@ class SceneStates:
 
     @classmethod
     def from_logged_future(cls, scenario: Scenario) -> "SceneStates":
-        """All logged tracks over the future window, with logged validity (K=1)."""
-        ids = tuple(np.sort(scenario.tracks.ids).tolist())
-        poses, valid = scenario.future(ids)
-        return cls._from_poses(scenario, ids, poses[None], valid[None])
+        """All logged tracks over the future window, in id order, with logged validity (K=1)."""
+        tracks, h = scenario.tracks, scenario.history_length
+        order = np.argsort(tracks.ids)
+        return cls(tuple(tracks.ids[order].tolist()), tracks.poses[None, order, h:],
+                   tracks.valid[None, order, h:], tracks.dims[order], scenario.timestep)
 
     @classmethod
     def from_rollout(
         cls, scenario: Scenario, rollouts: ScenarioRollouts, ks: Sequence[int]
     ) -> "SceneStates":
-        """Rollouts ``ks`` of a bundle, stacked in that order; box extents come
-        from the source scenario.
+        """Rollouts ``ks`` of a bundle, stacked in that order, over the rows of
+        :meth:`from_logged_future`; a ``k`` of :data:`LOGGED_FUTURE` stands for
+        the logged future.  Box extents come from the scenario.
 
-        The rollouts must meet the submission contract
+        A rollout's rows of tracks it does not simulate (valid in the history
+        but not at the handover step) are invalid, with zero poses.  Every
+        kernel reads a slot only through its validity, so the simulated rows
+        get the bits a stack over the rollout's own ids gives them.  The
+        rollouts must meet the submission contract
         (:func:`simreal.scene.rollout_problems`): every row a track of the
         scenario, over its future length.
         """
-        ids = tuple(rollouts.ids.tolist())
-        poses = rollouts.rollouts[np.asarray(ks, dtype=np.intp)]
-        return cls._from_poses(scenario, ids, poses, np.ones(poses.shape[:3], dtype=bool))
-
-    @classmethod
-    def _from_poses(cls, scenario, ids, poses, valid) -> "SceneStates":
-        dims = scenario.tracks.dims[scenario.tracks.rows(ids)]
-        return cls(ids, poses, valid, dims, scenario.timestep)
+        tracks, h = scenario.tracks, scenario.history_length
+        order = np.argsort(tracks.ids)
+        ks = np.asarray(ks, dtype=np.intp)
+        logged = ks == LOGGED_FUTURE
+        poses = np.zeros((len(ks), len(order), *rollouts.rollouts.shape[2:]))
+        valid = np.zeros(poses.shape[:3], dtype=bool)
+        rows = np.searchsorted(tracks.ids[order], rollouts.ids)
+        poses[:, rows] = rollouts.rollouts[ks]  # the logged future's members are replaced below
+        valid[:, rows] = True
+        poses[logged], valid[logged] = tracks.poses[order, h:], tracks.valid[order, h:]
+        return cls(tuple(tracks.ids[order].tolist()), poses, valid, tracks.dims[order],
+                   scenario.timestep)
 
 
 def _box_table(states: SceneStates) -> BoxTable:
@@ -480,7 +494,7 @@ def _ttc_arrays(states: SceneStates, table: BoxTable, speed_vals, speed_ok,
     vals = np.full((k, a, t), cap)
     ok = speed_ok.copy()
     if a >= 2:
-        # rollout_features stacks few enough rollouts that K*A*A stays at the
+        # rollout_features stacks few enough members that K*A*A stays at the
         # size of one 32-object scene up to A = 32; above that K = 1 and the
         # pair arrays grow as A**2.  At most four are live at once.
         h = states.poses[..., 3]
@@ -621,7 +635,12 @@ def _nearest_edge(pts: np.ndarray, edges: _RoadEdges) -> tuple[np.ndarray, np.nd
     segments one at a time.  On a grid map points are sorted by grid cell, and
     each cell's run goes to the kernel with the cell's candidates, at most
     ``_POLYLINE_CHUNK`` point-segment pairs a call; these runs are shorter and
-    take one (points, segments) block.  Both orders give the same bits.
+    take one (points, segments) block.  Both orders give the same bits.  The
+    sorted points are gathered once into a (2, P) array whose column slices
+    the kernel reads without a copy; each run's results go into slices of
+    sorted-order arrays, which one scatter puts back in point order.  Every
+    call goes through ``polyline_distance_batch``, which computes its
+    segments' terms once for both the distance and the side.
     """
     if not edges.size:
         chunk = max(_SEGMENT_LOOP_MIN_POINTS, _POLYLINE_CHUNK // len(edges.starts))
@@ -632,18 +651,22 @@ def _nearest_edge(pts: np.ndarray, edges: _RoadEdges) -> tuple[np.ndarray, np.nd
         return np.concatenate([d for d, _ in parts]), np.concatenate([sd for _, sd in parts])
     cell = edges.cell_of(pts)
     order = np.argsort(cell, kind="stable")
-    cell, by_cell = cell[order], np.take(pts, order, axis=0)
+    cell, by_cell = cell[order], np.take(pts.T, order, axis=1)  # (2, P), sorted by cell
     first = np.flatnonzero(np.diff(cell, prepend=cell[:1] - 1))  # where each run starts
     edges.fill(cell[first])
-    dist = np.empty(len(pts))
-    side = np.empty(len(pts), dtype=int)
+    sorted_dist = np.empty(len(pts))
+    sorted_side = np.empty(len(pts), dtype=int)
     for lo, hi in zip(first.tolist(), first[1:].tolist() + [len(cell)]):
         starts, ends = edges.candidates(int(cell[lo]))
         chunk = max(1, _POLYLINE_CHUNK // len(starts))
         for at in range(lo, hi, chunk):
             rows = slice(at, min(at + chunk, hi))
-            d, sd = polyline_distance_batch(by_cell[rows], starts, ends)
-            dist[order[rows]], side[order[rows]] = d, sd
+            sorted_dist[rows], sorted_side[rows] = polyline_distance_batch(
+                by_cell[:, rows].T, starts, ends
+            )
+    dist = np.empty(len(pts))
+    side = np.empty(len(pts), dtype=int)
+    dist[order], side[order] = sorted_dist, sorted_side
     return dist, side
 
 

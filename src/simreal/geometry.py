@@ -236,14 +236,17 @@ def _segment_squared_distances(p: np.ndarray, s: np.ndarray, e: np.ndarray) -> n
     return _squared_distance(p[:, 0:1], p[:, 1:2], *_segment_terms(s, e))
 
 
-def _nearest_segment_block(p, s, e) -> tuple[np.ndarray, np.ndarray]:
-    """Least squared distance of each point and its segment, from one (P, S) block."""
-    d2 = _segment_squared_distances(p, s, e)
+def _nearest_segment_block(p, terms) -> tuple[np.ndarray, np.ndarray]:
+    """Least squared distance of each point and its segment, from one (P, S) block.
+
+    ``terms`` are the segments' :func:`_segment_terms`.
+    """
+    d2 = _squared_distance(p[:, 0:1], p[:, 1:2], *terms)
     k = np.argmin(d2, axis=1)  # argmin keeps the first (lowest-index) minimum
     return d2[np.arange(len(p)), k], k
 
 
-def _nearest_segment_loop(p, s, e) -> tuple[np.ndarray, np.ndarray]:
+def _nearest_segment_loop(p, terms) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_nearest_segment_block`, one segment at a time with (P,) temporaries.
 
     A strict ``<`` keeps the running minimum, so a later equal segment never
@@ -256,7 +259,7 @@ def _nearest_segment_loop(p, s, e) -> tuple[np.ndarray, np.ndarray]:
     best = np.full(len(p), np.inf)
     k = np.zeros(len(p), dtype=np.intp)
     nearer = np.empty(len(p), dtype=bool)
-    for j, seg in enumerate(zip(*(a.tolist() for a in _segment_terms(s, e)))):
+    for j, seg in enumerate(zip(*(a.tolist() for a in terms))):
         d2 = _squared_distance(px, py, *seg)
         np.less(d2, best, out=nearer)
         np.minimum(best, d2, out=best)
@@ -305,8 +308,10 @@ def polyline_distance_batch(
     tall = len(p) >= _SEGMENT_LOOP_MIN_POINTS and len(s) > 0 and all(
         -limit <= a.min() and a.max() <= limit for a in (p, s, e)  # False on NaN
     )
-    d2, k = (_nearest_segment_loop if tall else _nearest_segment_block)(p, s, e)
-    sx, sy, dx, dy, _ = _segment_terms(s, e)
+    terms = _segment_terms(s, e)
+    d2, k = (_nearest_segment_loop if tall else _nearest_segment_block)(p, terms)
+    sx, sy, dx, dy, _ = terms
     cross = dx[k] * (p[:, 1] - sy[k]) - dy[k] * (p[:, 0] - sx[k])
-    side = np.where(cross > ABS_TOL, 1, np.where(cross < -ABS_TOL, -1, 0))
-    return np.sqrt(d2), side.astype(int)
+    side = (cross > ABS_TOL).astype(int)
+    side -= cross < -ABS_TOL
+    return np.sqrt(d2), side

@@ -443,8 +443,21 @@ class TestEvaluate:
         ({"version": 7}, "version must be 1, got 7"),
         ({"weights": {"linear_speed": 0.5, "collision": 0.5}},
          "weights has no value for linear_accel, angular_speed"),
+        # JSON's Infinity and NaN literals parse; before they were refused, each
+        # of these four scored (the last two to a NaN composite).
+        ({"histograms": {"linear_speed": {"min": -math.inf, "max": 30.0, "bins": 128}}},
+         "max_value - min_value must be finite"),
+        ({"histograms": {"linear_speed": {"min": 0.0, "max": math.inf, "bins": 128}}},
+         "max_value - min_value must be finite"),
+        ({"histograms": {"linear_speed": {"min": 0.0, "max": 30.0, "bins": 128,
+                                          "pseudocount": math.inf}}},
+         "pseudocount must be positive and finite"),
+        ({"weights": {**{m: 1.0 / 9.0 for m in config_to_dict(DEFAULT_CONFIG)["weights"]},
+                      "linear_speed": math.nan}},
+         "weights must be finite and strictly positive"),
     ], ids=["unknown-key", "string-for-boolean", "fraction-for-integer", "other-version",
-            "partial-weights"])
+            "partial-weights", "infinite-min", "infinite-max", "infinite-pseudocount",
+            "nan-weight"])
     def test_bad_config_exits_two_without_report(
         self, workspace, tmp_path, capsys, doc, detail
     ):

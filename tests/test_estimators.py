@@ -201,15 +201,14 @@ class TestPooling:
     def test_scalar_pool_counts_valid_steps(self, scenario_and_rollouts):
         scenario, rollouts = scenario_and_rollouts
         metric = MetricKind.LINEAR_SPEED
-        counts = sample_counts(
-            rollout_features(scenario, rollouts), metric, DEFAULT_HISTOGRAM_SPECS[metric]
-        )
+        _, extracted = rollout_features(scenario, rollouts)
+        counts = sample_counts(extracted, metric, DEFAULT_HISTOGRAM_SPECS[metric])
         assert counts.shape == (len(rollouts.ids), 128)
         assert counts[list(rollouts.ids).index(0)].sum() == 32 * 79
 
     def test_boolean_pool_is_one_event_per_rollout(self, scenario_and_rollouts):
         scenario, rollouts = scenario_and_rollouts
-        extractions = rollout_features(scenario, rollouts)
+        _, extractions = rollout_features(scenario, rollouts)
         counts = sample_counts(extractions, MetricKind.COLLISION, BERNOULLI)
         assert counts.dtype == np.int64
         assert counts.shape == (len(rollouts.ids), 2)
@@ -227,7 +226,7 @@ class TestPooling:
     def test_precomputed_features_shortcut_matches(self, scenario_and_rollouts):
         scenario, rollouts = scenario_and_rollouts
         # Deduplicated extraction counts exactly what one extraction per rollout does.
-        shared = rollout_features(scenario, rollouts)
+        _, shared = rollout_features(scenario, rollouts)
         assert shared[1].tolist() == [32]
         k = len(rollouts.rollouts)
         direct = (
@@ -353,7 +352,8 @@ class TestCountPathMatchesPerObjectReference:
         want = reference_nll(
             metric, spec, expanded, logged_values, logged_valid, pooled=not per_object
         )
-        got = _metric_nll(metric, logged_values, logged_valid, extracted, config)
+        counts = sample_counts(extracted, metric, spec)
+        got = _metric_nll(metric, logged_values, logged_valid, counts, config)
         assert got.tobytes() == want.tobytes()
         if len(want):
             per_object_values = [float(np.exp(-x)) for x in want]

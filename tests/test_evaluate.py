@@ -7,18 +7,34 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import simreal.evaluate
 import simreal.scene
-from simreal.aggregation import ade, min_ade
+from simreal.aggregation import (
+    ade,
+    composite,
+    displacements_per_rollout,
+    min_ade,
+    scenario_component,
+)
 from simreal.config import DEFAULT_CONFIG
-from simreal.errors import InconsistentRollouts, MalformedScenario
-from simreal.evaluate import contiguous_chunks, evaluate_dataset, evaluate_scenario
-from simreal.features import MetricKind
+from simreal.errors import InconsistentRollouts, MalformedScenario, MetricUnscorable
+from simreal.estimators import sample_counts
+from simreal.evaluate import _metric_nll, contiguous_chunks, evaluate_dataset, evaluate_scenario
+from simreal.features import MetricKind, SceneStates, extract_features
 from simreal.harness import generate_submission
 from simreal.policies import ConstantVelocityPolicy, LoggedOraclePolicy, RandomAgentPolicy
-from simreal.scene import ScenarioRollouts, Tracks, rollout_problems
+from simreal.scene import (
+    MapFeature,
+    MapFeatureKind,
+    Scenario,
+    ScenarioRollouts,
+    Tracks,
+    rollout_problems,
+    simulated_object_ids,
+    strip_late_spawns,
+)
 from simreal.synth import SynthSpec, Template, generate
 
 
@@ -112,6 +128,120 @@ class TestEvaluateScenario:
         bundle = evaluate_scenario(scenario, rollouts, config)
         assert 0.0 < bundle.composite <= 1.0
 
+
+
+def two_call_bundle(scenario, rollouts, config):
+    """The bundle of :func:`evaluate_scenario` from two extractions: the logged
+    future alone, then each distinct rollout alone over its own ids."""
+    logged = strip_late_spawns(scenario)
+    states = SceneStates.from_logged_future(logged)
+    logged_feats = extract_features(states, logged.map_features, config.features)
+    a, t = rollouts.rollouts.shape[1:3]
+    dims = logged.tracks.dims[logged.tracks.rows(rollouts.ids)]
+    distinct, inverse = rollouts.distinct
+    alone = [
+        extract_features(
+            SceneStates(tuple(rollouts.ids.tolist()), rollouts.rollouts[[k]],
+                        np.ones((1, a, t), dtype=bool), dims, logged.timestep),
+            logged.map_features, config.features,
+        )
+        for k in distinct
+    ]
+    sim = {m: tuple(np.concatenate(s) for s in zip(*(f[m] for f in alone))) for m in MetricKind}
+    multiplicity = np.bincount(inverse)
+    rows = np.searchsorted(states.ids, rollouts.ids)
+    components, excluded = {}, []
+    for metric in MetricKind:
+        values, valid = (series[0, rows] for series in logged_feats[metric])
+        counts = sample_counts((sim, multiplicity), metric, config.histograms[metric])
+        nll = _metric_nll(metric, values, valid, counts, config)
+        try:
+            components[metric] = scenario_component(nll, metric, config.object_aggregation)
+        except MetricUnscorable:
+            excluded.append(metric)
+    weights = config.weights.renormalized(components) if excluded else config.weights
+    displacements = displacements_per_rollout(rollouts, logged)
+    return (components, composite(components, weights), float(displacements.mean()),
+            float(displacements.min()), tuple(excluded))
+
+
+def hex_bundle(components, score, ade_, min_ade_, excluded):
+    return ({m.value: v.hex() for m, v in components.items()}, score.hex(), ade_.hex(),
+            min_ade_.hex(), excluded)
+
+
+def _arc(radius, segments):
+    phis = np.linspace(0.0, 1.5 * math.pi, segments + 1)
+    return np.stack([radius * np.cos(phis), radius * np.sin(phis)], axis=-1)
+
+
+#: No road edges, a straight two-edge road, and a 100-segment arc that has a grid.
+_EVAL_MAPS = {
+    "none": (),
+    "straight": (MapFeature(0, MapFeatureKind.ROAD_EDGE, ((-50.0, 3.0), (50.0, 3.0))),
+                 MapFeature(1, MapFeatureKind.ROAD_EDGE, ((50.0, -3.0), (-50.0, -3.0)))),
+    "arc": (MapFeature(0, MapFeatureKind.ROAD_EDGE, _arc(8.0, 100)),),
+}
+
+
+@st.composite
+def scored_scenes(draw):
+    """A scene of A tracks over 2 history and T future steps, with K rollouts.
+
+    Track 0, the AV, is valid throughout.  Of the others, ``logged_only`` are
+    valid at the first history step but not at the handover, and valid again
+    at one future step or more; the rest are valid at the handover.  Logged
+    future steps are invalid at random, and rollouts repeat at random.
+    """
+    a = draw(st.one_of(st.integers(1, 6), st.integers(32, 34)), label="objects")
+    t = draw(st.integers(2, 5), label="steps")
+    logged_only = draw(st.integers(0, min(2, a - 1)), label="logged_only")
+    pool = draw(st.integers(1, 3), label="distinct")
+    order = draw(st.lists(st.integers(0, pool - 1), min_size=1, max_size=6), label="rollouts")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    span = 4.0 * math.sqrt(a)  # about one object per 16 m^2: some boxes touch, some overlap
+
+    def poses(*shape):
+        out = np.empty((*shape, 4))
+        out[..., :2] = rng.uniform(-span, span, size=(*shape, 2))
+        out[..., 2] = rng.choice([0.0, 0.0, 3.0], size=shape)
+        out[..., 3] = rng.uniform(-math.pi, math.pi, size=shape)
+        return out
+
+    valid = rng.random((a, 2 + t)) < 0.8
+    valid[:, 1] = True
+    valid[0] = True
+    hidden = np.arange(1, 1 + logged_only)
+    valid[hidden, 0], valid[hidden, 1] = True, False
+    valid[hidden, 2 + rng.integers(0, t, size=logged_only)] = True  # each reappears
+    dims = rng.choice([1.0, 2.0, 4.5], size=(a, 3))
+    tracks = Tracks(np.arange(a) * 3 + 5, np.zeros(a), dims, poses(a, 2 + t), valid)
+    road = draw(st.sampled_from(sorted(_EVAL_MAPS)), label="map")
+    scenario = Scenario("scored", tracks, _EVAL_MAPS[road], av_track_id=5, history_length=2,
+                        future_length=t)
+    ids = np.array(sorted(simulated_object_ids(scenario)))
+    distinct = poses(pool, len(ids), t)
+    return scenario, ScenarioRollouts("scored", ids, distinct[order])
+
+
+class TestOneExtractionMatchesTwoCalls:
+    """The logged future stacked with the rollouts scores as its own extraction does."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(scene=scored_scenes(), per_object=st.booleans())
+    @example(  # the following pair, all tracks simulated, its one rollout repeated
+        scene=(lambda s: (s, generate_submission(s, LoggedOraclePolicy(s),
+                                                 ConstantVelocityPolicy(), k=3)))(
+            generate(SynthSpec(Template.FOLLOWING_PAIR, seed=2)).scenario),
+        per_object=True,
+    )
+    def test_bundle_equals_the_two_call_reference(self, scene, per_object):
+        scenario, rollouts = scene
+        config = replace(DEFAULT_CONFIG, per_object_histograms=per_object)
+        bundle = evaluate_scenario(scenario, rollouts, config)
+        got = hex_bundle(bundle.components, bundle.composite, bundle.ade, bundle.min_ade,
+                         bundle.excluded)
+        assert got == hex_bundle(*two_call_bundle(scenario, rollouts, config))
 
 @pytest.fixture(scope="module")
 def collision_run():

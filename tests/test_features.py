@@ -1018,7 +1018,7 @@ def scenario_with_rollouts(dims, poses, map_features=()):
 
 
 def assert_rollout_features_match_each_rollout(scenario, rollouts):
-    features, multiplicity = rollout_features(scenario, rollouts)
+    _, (features, multiplicity) = rollout_features(scenario, rollouts)
     first: dict[bytes, int] = {}
     for k, poses in enumerate(rollouts.rollouts):
         e = first.setdefault(poses.tobytes(), len(first))
@@ -1090,7 +1090,8 @@ class TestBatchedExtraction:
 
         monkeypatch.setattr(simreal.estimators, "extract_features", counting)
         rollout_features(scenario, rollouts)
-        assert stacked == [28, 4]  # groups of 1024 // 6**2
+        # The logged future and 32 rollouts, in groups of 1024 // 6**2.
+        assert stacked == [28, 5]
         monkeypatch.undo()
         assert_rollout_features_match_each_rollout(scenario, rollouts)
 
@@ -1145,11 +1146,25 @@ def tiled_lane(map_name, offset, steps=1200):
                        dims=np.tile([4.5, 2.0, 1.5], (2, 1)), dt=DT), map_name
 
 
+def parked(centres, size, steps=1):
+    """Square boxes of side ``size`` standing at ``centres`` for ``steps`` steps."""
+    a = len(centres)
+    poses = np.zeros((1, a, steps, 4))
+    poses[0, :, :, :2] = np.asarray(centres, dtype=float)[:, None]
+    return SceneStates(ids=tuple(range(a)), poses=poses, valid=np.ones((1, a, steps), dtype=bool),
+                       dims=np.full((a, 3), size), dt=DT)
+
+
 class TestRoadEdgeMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(case=st.tuples(road_edge_scenes(), st.sampled_from(["straight", "arc"])))
     @example(case=tiled_lane("straight", 1.0))  # no grid, one call that walks the segments
     @example(case=tiled_lane("arc", 6.0))  # the grid's per-cell runs
+    # 2,400 corners in the arc's centre cell, whose candidates are all 100
+    # segments: the run splits after _POLYLINE_CHUNK // 100 = 2,000 of them.
+    @example(case=(parked([(0.5, 0.5)], 0.5, steps=600), "arc"))
+    # One call with points in a grid cell, outside the grid and NaN.
+    @example(case=(parked([(8.5, 0.5), (100.0, 0.0), (math.nan, 1.0)], 2.0, steps=2), "arc"))
     @example(case=tiled_lane("straight", 2.5, steps=13_000))  # no grid, two calls
     @example(  # four steps: a NaN centre, an infinite one, one at 1e7 and a NaN heading
         case=(SceneStates(ids=(0,), poses=np.array([[[[math.nan, 0.0, 0.0, 0.0],

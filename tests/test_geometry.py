@@ -18,6 +18,7 @@ from simreal.geometry import (
     _corners_xy,
     _nearest_segment_block,
     _nearest_segment_loop,
+    _segment_terms,
     box_signed_distance_batch,
     polyline_distance_batch,
     separating_gap,
@@ -486,8 +487,9 @@ class TestSegmentLoop:
     def test_matches_the_block_bit_for_bit(self, case):
         starts, ends, pts = case
         assert (np.abs(pts) <= _SEGMENT_LOOP_LIMIT).all()
-        d2, k = _nearest_segment_loop(pts, starts, ends)
-        want_d2, want_k = _nearest_segment_block(pts, starts, ends)
+        terms = _segment_terms(starts, ends)
+        d2, k = _nearest_segment_loop(pts, terms)
+        want_d2, want_k = _nearest_segment_block(pts, terms)
         assert d2.tobytes() == want_d2.tobytes()
         assert k.tobytes() == want_k.tobytes()
 

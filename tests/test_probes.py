@@ -52,9 +52,9 @@ def test_probes_wrap_evaluation_and_restore_the_originals():
         simreal.evaluate.evaluate_scenario(scenario, rollouts)
 
     assert [owner.__dict__[name] for owner, name in PROBED] == originals
-    # The logged scene and one extraction of the two identical rollouts.
-    assert len(tracer.durations("features.extract")) == 2
-    assert len(tracer.durations("features.scene_states")) == 2
+    # One extraction: the logged scene stacked with the one distinct rollout.
+    assert len(tracer.durations("features.extract")) == 1
+    assert len(tracer.durations("features.scene_states")) == 1
     assert tracer.counts["estimators.extractions"] == 1
     assert tracer.counts["estimators.rollouts_in"] == 2
     assert tracer.durations("geometry.box_distance")
