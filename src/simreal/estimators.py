@@ -130,12 +130,12 @@ def rollout_features(
         )
         for lo in range(0, len(members), size)
     ]
-    stacked = {
-        metric: tuple(np.concatenate(arrays) for arrays in zip(*(p[metric] for p in parts)))
+    logged = {metric: (values[0], valid[0]) for metric, (values, valid) in parts[0].items()}
+    features = {
+        metric: tuple(np.concatenate([first[1:], *later])
+                      for first, *later in zip(*(p[metric] for p in parts)))
         for metric in parts[0]
     }
-    logged = {metric: (values[0], valid[0]) for metric, (values, valid) in stacked.items()}
-    features = {metric: (values[1:], valid[1:]) for metric, (values, valid) in stacked.items()}
     multiplicity = np.bincount(inverse, minlength=len(distinct)).astype(np.int64)
     return logged, (features, multiplicity)
 

@@ -129,7 +129,9 @@ class SceneStates:
         order = np.argsort(tracks.ids)
         ks = np.asarray(ks, dtype=np.intp)
         logged = ks == LOGGED_FUTURE
-        poses = np.zeros((len(ks), len(order), *rollouts.rollouts.shape[2:]))
+        # Channel-major, as decoded rollouts are: each coordinate's (K, A, T) plane
+        # is contiguous for the kernels that read one coordinate at a time.
+        poses = np.zeros((4, len(ks), len(order), rollouts.num_steps)).transpose(1, 2, 3, 0)
         valid = np.zeros(poses.shape[:3], dtype=bool)
         rows = np.searchsorted(tracks.ids[order], rollouts.ids)
         poses[:, rows] = rollouts.rollouts[ks]  # the logged future's members are replaced below
