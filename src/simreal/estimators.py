@@ -147,7 +147,7 @@ def sample_counts(
 
     Scalar metrics count every valid step of every rollout; boolean metrics
     count one any-step event per rollout.  ``extracted`` is the
-    ``(features, multiplicity)`` pair :func:`rollout_features` returns; each
+    ``(features, multiplicity)`` pair in :func:`rollout_features`' result; each
     extracted rollout's counts are multiplied by the number of rollouts it
     stands for, which equals counting every rollout.
     """
