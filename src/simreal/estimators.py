@@ -91,14 +91,16 @@ DEFAULT_HISTOGRAM_SPECS: dict[MetricKind, HistogramSpec] = {
 
 
 #: The logged future and the distinct rollouts are extracted in groups of
-#: ``max(1, _PAIR_BUDGET // A**2)``, A the scene's track count, so one call's
+#: ``max(1, _PAIR_BUDGET // A**2)`` members, A the group's rows, so one call's
 #: (K, A, A, T) pair arrays, which only the time-to-collision kernel builds
 #: (at most four float arrays live at once: the x and y offsets, the lateral
-#: offset and a product), stay at a 32-object scene's size up to A = 32.  A
-#: scene of up to 5 objects then takes one call for the logged future and 32
-#: distinct rollouts.  From A = 23 a group is one member, and from A = 32 the
-#: arrays grow as A**2 (4 times at A = 64).  The nearest-object sweep's arrays
-#: grow with the pairs it visits instead.
+#: offset and a product), stay at a 32-object scene's size up to A = 32.  The
+#: first group holds the logged future and has a row for every logged track;
+#: the others have one per simulated object.  A scene of up to 5 objects then
+#: takes one call for the logged future and 32 distinct rollouts.  From A = 23
+#: a group is one member, and from A = 32 the arrays grow as A**2 (4 times at
+#: A = 64).  The nearest-object sweep's arrays grow with the pairs it visits
+#: instead.
 _PAIR_BUDGET = 1024
 
 
@@ -107,12 +109,11 @@ def rollout_features(
     rollouts: ScenarioRollouts,
     params: FeatureParams = DEFAULT_FEATURE_PARAMS,
 ) -> tuple[dict, tuple[dict, np.ndarray]]:
-    """Extract the logged future and each distinct rollout once, in one stack.
+    """Extract the logged future and each distinct rollout once, in stacks.
 
     Returns ``(logged, (features, multiplicity))``, all :func:`extract_features`
-    series with rows in the order of ``scenario``'s sorted track ids
-    (:meth:`~simreal.features.SceneStates.from_rollout`).  ``logged`` holds the
-    (A, T) series of the logged future, the stack's first member.
+    series with rows in ``rollouts.ids`` order.  ``logged`` holds the (A, T)
+    series of the logged future, the first stack's first member.
     ``features`` holds (E, A, T) series over the E distinct rollouts of
     :attr:`~simreal.scene.ScenarioRollouts.distinct`, and ``multiplicity``
     (E,) int64 the number of rollouts each stands for.  Deterministic policies
@@ -120,21 +121,23 @@ def rollout_features(
     one rollout.
     """
     distinct, inverse = rollouts.distinct
-    members = np.concatenate([[LOGGED_FUTURE], distinct])
-    size = max(1, _PAIR_BUDGET // max(1, len(scenario.tracks)) ** 2)
-    parts = [
+    head = max(1, _PAIR_BUDGET // len(scenario.tracks) ** 2) - 1
+    size = max(1, _PAIR_BUDGET // max(1, len(rollouts.ids)) ** 2)
+    groups = [np.concatenate([[LOGGED_FUTURE], distinct[:head]])]
+    groups += [distinct[lo : lo + size] for lo in range(head, len(distinct), size)]
+    first, *later = (
         extract_features(
-            SceneStates.from_rollout(scenario, rollouts, members[lo : lo + size]),
-            scenario.map_features,
-            params,
+            SceneStates.from_rollout(scenario, rollouts, ks), scenario.map_features, params
         )
-        for lo in range(0, len(members), size)
-    ]
-    logged = {metric: (values[0], valid[0]) for metric, (values, valid) in parts[0].items()}
+        for ks in groups
+    )
+    # The simulated objects' rows among the first group's logged tracks.
+    rows = np.searchsorted(np.sort(scenario.tracks.ids), rollouts.ids)
+    logged = {metric: (values[0, rows], valid[0, rows]) for metric, (values, valid) in first.items()}
     features = {
-        metric: tuple(np.concatenate([first[1:], *later])
-                      for first, *later in zip(*(p[metric] for p in parts)))
-        for metric in parts[0]
+        metric: tuple(np.concatenate([stacked[1:, rows], *rest])
+                      for stacked, *rest in zip(first[metric], *(p[metric] for p in later)))
+        for metric in first
     }
     multiplicity = np.bincount(inverse, minlength=len(distinct)).astype(np.int64)
     return logged, (features, multiplicity)

@@ -3,8 +3,8 @@
 Rollouts are checked against the submission contract first.  The logged
 side is stripped of late-spawning objects.  Its future and the distinct
 rollouts are then extracted together, the logged future as the first member
-of the stacks :func:`~simreal.estimators.rollout_features` makes, so a small
-scene costs one feature extraction.  Every simulated object is scored per
+of the first stack :func:`~simreal.estimators.rollout_features` makes, so a
+small scene costs one feature extraction.  Every simulated object is scored per
 metric against the distribution fitted to its own pooled rollout samples,
 all objects of a metric at once.  Metrics that cannot be scored for
 any object (for example road-edge distance on a map without road edges) are
@@ -67,15 +67,12 @@ def evaluate_scenario(
         raise CONTRACT_ERRORS[code](f"{scenario.scenario_id}: {detail}")
     logged = strip_late_spawns(scenario)
     logged_feats, sim_feats = rollout_features(logged, rollouts, config.features)
-    # Rows of the simulated objects among the logged tracks, in rollout row order.
-    rows = np.searchsorted(np.sort(logged.tracks.ids), rollouts.ids)
 
     components: dict[MetricKind, float] = {}
     excluded: list[MetricKind] = []
     for metric in MetricKind:
-        values, valid = (series[rows] for series in logged_feats[metric])
-        counts = sample_counts(sim_feats, metric, config.histograms[metric])[rows]
-        nll = _metric_nll(metric, values, valid, counts, config)
+        values, valid = logged_feats[metric]
+        nll = _metric_nll(metric, values, valid, sim_feats, config)
         try:
             components[metric] = scenario_component(nll, metric, config.object_aggregation)
         except MetricUnscorable:
@@ -100,17 +97,17 @@ def _metric_nll(
     metric: MetricKind,
     values: np.ndarray,
     valid: np.ndarray,
-    counts: np.ndarray,
+    sim_feats,
     config: EvalConfig,
 ) -> np.ndarray:
     """Mean logged NLL of every scorable object for one metric, in row order.
 
-    ``counts`` are the objects' (A, bins) rollout sample counts.  An object is
-    scorable when its logged series has a valid step and its distribution
-    has samples: its own rollout samples, or in pooled mode those of every
-    object.
+    An object is scorable when its logged series has a valid step and its
+    distribution has samples: its own rollout samples, or in pooled mode
+    those of every object.
     """
     spec = config.histograms[metric]
+    counts = sample_counts(sim_feats, metric, spec)
     scored = valid.any(axis=1)
     if config.per_object_histograms:
         scored &= counts.sum(axis=1) > 0

@@ -103,42 +103,47 @@ class SceneStates:
 
     @classmethod
     def from_logged_future(cls, scenario: Scenario) -> "SceneStates":
-        """All logged tracks over the future window, in id order, with logged validity (K=1)."""
-        tracks, h = scenario.tracks, scenario.history_length
-        order = np.argsort(tracks.ids)
-        return cls(tuple(tracks.ids[order].tolist()), tracks.poses[None, order, h:],
-                   tracks.valid[None, order, h:], tracks.dims[order], scenario.timestep)
+        """All logged tracks over the future window, with logged validity (K=1)."""
+        ids = tuple(np.sort(scenario.tracks.ids).tolist())
+        poses, valid = scenario.future(ids)
+        return cls._from_poses(scenario, ids, poses[None], valid[None])
 
     @classmethod
     def from_rollout(
         cls, scenario: Scenario, rollouts: ScenarioRollouts, ks: Sequence[int]
     ) -> "SceneStates":
-        """Rollouts ``ks`` of a bundle, stacked in that order, over the rows of
-        :meth:`from_logged_future`; a ``k`` of :data:`LOGGED_FUTURE` stands for
-        the logged future.  Box extents come from the scenario.
+        """Rollouts ``ks`` of a bundle, stacked in that order; a ``k`` of
+        :data:`LOGGED_FUTURE` stands for the logged future.  Box extents come
+        from the scenario.
 
-        A rollout's rows of tracks it does not simulate (valid in the history
-        but not at the handover step) are invalid, with zero poses.  Every
-        kernel reads a slot only through its validity, so the simulated rows
-        get the bits a stack over the rollout's own ids gives them.  The
-        rollouts must meet the submission contract
-        (:func:`simreal.scene.rollout_problems`): every row a track of the
-        scenario, over its future length.
+        The rows are the tracks of the members: every logged track in id order
+        when the logged future is one, else ``rollouts.ids``.  A rollout's rows
+        of tracks it does not simulate (valid in the history but not at the
+        handover step) are invalid, with zero poses.  Every kernel reads a slot
+        only through its validity, so the simulated rows get the bits a stack
+        over the rollout's own ids gives them.  The rollouts must meet the
+        submission contract (:func:`simreal.scene.rollout_problems`): every
+        row a track of the scenario, over its future length.
         """
-        tracks, h = scenario.tracks, scenario.history_length
-        order = np.argsort(tracks.ids)
         ks = np.asarray(ks, dtype=np.intp)
-        logged = ks == LOGGED_FUTURE
+        logged = np.flatnonzero(ks == LOGGED_FUTURE)
+        ids = np.sort(scenario.tracks.ids) if len(logged) else rollouts.ids
         # Channel-major, as decoded rollouts are: each coordinate's (K, A, T) plane
         # is contiguous for the kernels that read one coordinate at a time.
-        poses = np.zeros((4, len(ks), len(order), rollouts.num_steps)).transpose(1, 2, 3, 0)
+        poses = np.zeros((4, len(ks), len(ids), rollouts.num_steps)).transpose(1, 2, 3, 0)
         valid = np.zeros(poses.shape[:3], dtype=bool)
-        rows = np.searchsorted(tracks.ids[order], rollouts.ids)
+        rows = np.searchsorted(ids, rollouts.ids)
         poses[:, rows] = rollouts.rollouts[ks]  # the logged future's members are replaced below
         valid[:, rows] = True
-        poses[logged], valid[logged] = tracks.poses[order, h:], tracks.valid[order, h:]
-        return cls(tuple(tracks.ids[order].tolist()), poses, valid, tracks.dims[order],
-                   scenario.timestep)
+        ids = tuple(ids.tolist())
+        for k in logged:
+            poses[k], valid[k] = scenario.future(ids)
+        return cls._from_poses(scenario, ids, poses, valid)
+
+    @classmethod
+    def _from_poses(cls, scenario, ids, poses, valid) -> "SceneStates":
+        dims = scenario.tracks.dims[scenario.tracks.rows(ids)]
+        return cls(ids, poses, valid, dims, scenario.timestep)
 
 
 def _box_table(states: SceneStates) -> BoxTable:

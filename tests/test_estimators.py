@@ -25,7 +25,7 @@ from simreal.evaluate import _metric_nll, evaluate_scenario
 from simreal.features import BOOLEAN_METRICS, MetricKind, SceneStates, extract_features
 from simreal.harness import generate_submission
 from simreal.policies import ConstantVelocityPolicy, LoggedOraclePolicy
-from simreal.scene import ScenarioRollouts
+from simreal.scene import ScenarioRollouts, Tracks
 from simreal.synth import SynthSpec, Template, generate
 
 
@@ -214,6 +214,27 @@ class TestPooling:
         assert counts.shape == (len(rollouts.ids), 2)
         assert np.all(counts.sum(axis=1) == 32)
 
+    def test_tracks_no_rollout_simulates_get_no_samples(self, scenario_and_rollouts):
+        scenario, rollouts = scenario_and_rollouts
+        # A copy of track 1 beside the road, seen in the history but not at the
+        # handover step, and again in the future: a logged track no rollout has.
+        tracks = scenario.tracks
+        rows = np.append(np.arange(len(tracks)), tracks.rows([1]))
+        poses, valid = tracks.poses[rows], tracks.valid[rows]
+        poses[-1, :, 1] += 20.0
+        valid[-1, scenario.t0_index] = False
+        extra = Tracks(np.append(tracks.ids, 99), tracks.types[rows], tracks.dims[rows], poses,
+                       valid)
+        logged, extracted = rollout_features(replace(scenario, tracks=extra), rollouts)
+        _, (want, _) = rollout_features(scenario, rollouts)
+        for metric in MetricKind:
+            assert logged[metric][0].shape == (len(rollouts.ids), rollouts.num_steps)
+            for got, expected in zip(extracted[0][metric], want[metric]):
+                assert got.tobytes() == expected.tobytes()
+        counts = sample_counts(extracted, MetricKind.COLLISION, BERNOULLI)
+        assert counts.shape == (len(rollouts.ids), 2)
+        assert np.all(counts.sum(axis=1) == 32)
+
     def test_missing_object_raises(self, scenario_and_rollouts):
         scenario, rollouts = scenario_and_rollouts
         keep = rollouts.ids != 1
@@ -352,8 +373,7 @@ class TestCountPathMatchesPerObjectReference:
         want = reference_nll(
             metric, spec, expanded, logged_values, logged_valid, pooled=not per_object
         )
-        counts = sample_counts(extracted, metric, spec)
-        got = _metric_nll(metric, logged_values, logged_valid, counts, config)
+        got = _metric_nll(metric, logged_values, logged_valid, extracted, config)
         assert got.tobytes() == want.tobytes()
         if len(want):
             per_object_values = [float(np.exp(-x)) for x in want]

@@ -20,7 +20,6 @@ from simreal.aggregation import (
 )
 from simreal.config import DEFAULT_CONFIG
 from simreal.errors import InconsistentRollouts, MalformedScenario, MetricUnscorable
-from simreal.estimators import sample_counts
 from simreal.evaluate import _metric_nll, contiguous_chunks, evaluate_dataset, evaluate_scenario
 from simreal.features import MetricKind, SceneStates, extract_features
 from simreal.harness import generate_submission
@@ -153,8 +152,7 @@ def two_call_bundle(scenario, rollouts, config):
     components, excluded = {}, []
     for metric in MetricKind:
         values, valid = (series[0, rows] for series in logged_feats[metric])
-        counts = sample_counts((sim, multiplicity), metric, config.histograms[metric])
-        nll = _metric_nll(metric, values, valid, counts, config)
+        nll = _metric_nll(metric, values, valid, (sim, multiplicity), config)
         try:
             components[metric] = scenario_component(nll, metric, config.object_aggregation)
         except MetricUnscorable:

@@ -1095,6 +1095,37 @@ class TestBatchedExtraction:
         monkeypatch.undo()
         assert_rollout_features_match_each_rollout(scenario, rollouts)
 
+    def test_only_the_logged_group_has_rows_for_logged_only_tracks(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        poses = rng.uniform(-6.0, 6.0, size=(32, 5, 10, 4))
+        poses[..., 2] = 0.0
+        # Track 5 is seen before the handover step but not at it: no rollout has it.
+        track_poses = np.zeros((6, 12, 4))
+        track_poses[:, :, 0] = 6.0 * np.arange(6)[:, None]
+        valid = np.ones((6, 12), dtype=bool)
+        valid[5, 1] = False
+        tracks = Tracks(np.arange(6), np.zeros(6), np.tile([4.5, 2.0, 1.5], (6, 1)),
+                        track_poses, valid)
+        scenario = Scenario("logged-only", tracks, _MAPS["arc"], av_track_id=0,
+                            history_length=2, future_length=10)
+        rollouts = ScenarioRollouts("logged-only", np.arange(5), poses)
+        stacked = []
+
+        def counting(states, map_features, params):
+            stacked.append(states.valid.shape[:2])
+            return extract_features(states, map_features, params)
+
+        monkeypatch.setattr(simreal.estimators, "extract_features", counting)
+        logged, _ = rollout_features(scenario, rollouts)
+        # 1024 // 6**2 members over the 6 logged tracks, then 1024 // 5**2 over 5.
+        assert stacked == [(28, 6), (5, 5)]
+        monkeypatch.undo()
+        alone = extract_features(SceneStates.from_logged_future(scenario), _MAPS["arc"])
+        for metric, series in alone.items():
+            for got, want in zip(logged[metric], series):
+                assert got.tobytes() == want[0, :5].tobytes()
+        assert_rollout_features_match_each_rollout(scenario, rollouts)
+
 
 def reference_road_edge(states, map_features):
     """Road-edge series as a row-major (P, 2) corner array gives them: each valid
