@@ -21,7 +21,8 @@ The submission contract lives in ``io.match_scenarios`` and
                  below 1
     evaluate  2  unreadable archive or config, bad scenarios or --jobs, a
                  contract violation, or a non-finite feature (no report)
-    compare   2  a report that is not JSON or lacks a summary score
+    compare   2  a report that is not JSON, or whose composite is not a number
+                 in [0, 1] or whose ADE or minADE is not a finite number >= 0
 
 ``SIMREAL_CONFIG`` sets the default config path for ``evaluate``.
 """
@@ -285,18 +286,34 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+# The summary scores compare ranks: each must be a JSON number in [0, high].
+# A float bound excludes NaN, the infinities and integers too large for a float.
+_SCORE_BOUNDS = {
+    "composite": (1.0, "in [0, 1]"),
+    "mean_ade": (sys.float_info.max, ">= 0"),
+    "mean_min_ade": (sys.float_info.max, ">= 0"),
+}
+
+
+def _summary_score(summary: dict, key: str, path: Path) -> float:
+    value = summary.get(key)
+    high, what = _SCORE_BOUNDS[key]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and 0.0 <= value <= high):
+        raise ParseError(
+            f"summary {key} must be a finite number {what}, got {value!r}", path=str(path)
+        )
+    return float(value)
+
+
 def _cmd_compare(args) -> int:
     rows = []
     for path in args.reports:
         doc = sio.read_report(path)
         summary = doc.get("summary") if isinstance(doc, dict) else None
-        if not summary:
+        if not isinstance(summary, dict):
             raise ParseError("report has no summary section", path=str(path))
-        try:
-            scores = [float(summary[key]) for key in ("composite", "mean_ade", "mean_min_ade")]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad report summary: {exc!r}", path=str(path)) from exc
-        rows.append((path.stem, *scores))
+        rows.append((path.stem, *(_summary_score(summary, key, path) for key in _SCORE_BOUNDS)))
 
     def ranks(key, reverse):
         order = sorted(range(len(rows)), key=lambda i: rows[i][key], reverse=reverse)

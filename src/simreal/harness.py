@@ -10,8 +10,10 @@ batch of scenarios, K rollouts each, in one pose buffer, so the per-step
 cost of a policy call is paid once per batch rather than once per scenario.
 
 Each rollout also records a trace: one sha256 digest of the scenario id, the
-row ids and each step's poses, folded in as the step is produced.  The audit
-recomputes the digest from the finished rollout.  It catches a step that was
+row ids and each step's poses.  Each step is copied into a record no policy
+can reach as soon as it is produced, and the digests are taken from that
+record once the rollout ends.  The audit recomputes the digest from the
+finished rollout through the same function.  It catches a step that was
 rewritten after it was produced and is still rewritten when the rollout
 ends, as well as a forged digest or rows that are not the trace's objects.
 It does not catch leakage: the digest covers what policies returned, not
@@ -507,7 +509,8 @@ class Policy(ABC):
 
 @dataclass(frozen=True)
 class RolloutTrace:
-    """sha256 of the scenario id, the row ids as ``<i8`` and the (T, A, 4) poses as ``<f8``."""
+    """sha256 of the scenario id, the row ids as ``<i8`` and the (T, A, 4) poses as ``<f8``,
+    taken from the harness's private record of the steps once the rollout ends."""
 
     scenario_id: str
     seed: int
@@ -521,10 +524,12 @@ class AuditReport:
     issues: tuple[str, ...]
 
 
-def _rollout_hasher(scenario_id: str, ids: Sequence[int]):
+def _digest(scenario_id: str, ids: Sequence[int], steps: np.ndarray) -> str:
+    """The hex digest of a :class:`RolloutTrace` whose poses are the (T, A, 4) ``steps``."""
     hasher = hashlib.sha256(scenario_id.encode("utf-8"))
     hasher.update(np.asarray(ids, dtype="<i8").tobytes())
-    return hasher
+    hasher.update(np.ascontiguousarray(steps, dtype="<f8"))
+    return hasher.hexdigest()
 
 
 def _lengths(scenario: Scenario) -> tuple[int, int]:
@@ -624,53 +629,39 @@ def closed_loop_rollout(
         valid[lo:hi, :h] = scenario.tracks.valid[rows, :h]
         poses[:, lo:hi, :h] = np.where(valid[lo:hi, :h, None], scenario.tracks.poses[rows, :h], 0.0)
     dt = np.repeat([scenario.timestep for scenario in batch], counts)
-    motion = _history_motion(poses[0, :, :h], valid[:, :h], dt)
 
-    hashers = [
-        [_rollout_hasher(scenario.scenario_id, object_ids) for _ in seeds]
-        for scenario, object_ids in zip(batch, batch_ids)
-    ]
-    # Each step is copied here as it is produced and hashed per (scenario, rollout).
-    record = np.empty((k, len(ids), 4), dtype="<f8")
-    feeds = [
-        (hasher.update, record[j, lo:hi])
-        for scenario_hashers, lo, hi in zip(hashers, bounds, bounds[1:])
-        for j, hasher in enumerate(scenario_hashers)
-    ]
-    noise = _NoiseStreams(seeds, ids)
-    scenario_ids = tuple(scenario.scenario_id for scenario in batch)
-    map_features = tuple(scenario.map_features for scenario in batch)
+    # Each checked step is copied into this record, which no policy can reach, and digested
+    # once the rollout ends: a later rewrite of a step no longer matches its digest.
+    record = np.empty((t_total, k, len(ids), 4))
+    ctx = PolicyContext(
+        scenario_ids=tuple(scenario.scenario_id for scenario in batch),
+        map_features=tuple(scenario.map_features for scenario in batch),
+        ids=ids,
+        scenario_of=scenario_of,
+        av_rows=av_rows,
+        step=1,
+        t0_index=h - 1,
+        dt=dt,
+        seeds=seeds,
+        poses=_read_only(poses[:, :, :h]),
+        valid=_read_only(valid[:, :h]),
+        motion=_history_motion(poses[0, :, :h], valid[:, :h], dt),
+        noise=_NoiseStreams(seeds, ids),
+    )
     # An overflowing policy option makes non-finite poses, which _step_policies rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, t_total + 1):
             upto = h + t - 1
-            ctx = PolicyContext(
-                scenario_ids=scenario_ids,
-                map_features=map_features,
-                ids=ids,
-                scenario_of=scenario_of,
-                av_rows=av_rows,
-                step=t,
-                t0_index=h - 1,
-                dt=dt,
-                seeds=seeds,
-                poses=_read_only(poses[:, :, :upto]),
-                valid=_read_only(valid[:, :upto]),
-                motion=motion,
-                noise=noise,
-            )
-            merged = poses[:, :, upto]
-            _step_policies(ctx, queries, merged)
+            ctx = replace(ctx, step=t, poses=_read_only(poses[:, :, :upto]),
+                          valid=_read_only(valid[:, :upto]))
+            _step_policies(ctx, queries, poses[:, :, upto])
             valid[:, upto] = True
-            # Commit the step now: a later rewrite of it no longer matches the digest.
-            record[...] = merged
-            for update, step_rows in feeds:
-                update(step_rows)
+            record[t - 1] = poses[:, :, upto]
 
     traces = tuple(
-        RolloutTrace(scenario.scenario_id, seed, object_ids, hasher.hexdigest())
-        for scenario, object_ids, scenario_hashers in zip(batch, batch_ids, hashers)
-        for seed, hasher in zip(seeds, scenario_hashers)
+        RolloutTrace(name, seed, object_ids, _digest(name, object_ids, record[:, j, lo:hi]))
+        for name, object_ids, lo, hi in zip(ctx.scenario_ids, batch_ids, bounds, bounds[1:])
+        for j, seed in enumerate(seeds)
     )
     return poses[:, :, h:], traces
 
@@ -729,8 +720,6 @@ def audit_trace(trace: RolloutTrace, poses: np.ndarray, ids: Sequence[int]) -> A
     """
     if tuple(ids) != trace.ids:
         return AuditReport(ok=False, issues=("rollout rows do not match the trace's ids",))
-    hasher = _rollout_hasher(trace.scenario_id, trace.ids)
-    hasher.update(np.ascontiguousarray(np.swapaxes(poses, 0, 1), dtype="<f8"))
-    if hasher.hexdigest() != trace.digest:
+    if _digest(trace.scenario_id, trace.ids, np.swapaxes(poses, 0, 1)) != trace.digest:
         return AuditReport(ok=False, issues=("digest mismatch",))
     return AuditReport(ok=True, issues=())

@@ -680,8 +680,19 @@ class TestCompare:
 
     @pytest.mark.parametrize(
         "doc",
-        [[1], {"summary": {"composite": 0.5, "mean_min_ade": 1.0}}, {"summary": [0.5]}],
-        ids=["list-root", "summary-without-mean-ade", "list-summary"],
+        [
+            [1],
+            {"summary": {"composite": 0.5, "mean_min_ade": 1.0}},
+            {"summary": [0.5]},
+            {"summary": {"composite": math.nan, "mean_ade": 1.0, "mean_min_ade": 1.0}},
+            {"summary": {"composite": 1.5, "mean_ade": 1.0, "mean_min_ade": 1.0}},
+            {"summary": {"composite": math.inf, "mean_ade": -1.0, "mean_min_ade": 1.0}},
+            {"summary": {"composite": "0.9", "mean_ade": 1.0, "mean_min_ade": 1.0}},
+            {"summary": {"composite": 0.5, "mean_ade": True, "mean_min_ade": 1.0}},
+        ],
+        ids=["list-root", "summary-without-mean-ade", "list-summary", "nan-composite",
+             "composite-above-one", "infinite-composite-negative-ade", "string-composite",
+             "bool-mean-ade"],
     )
     def test_malformed_report_exits_two(self, tmp_path, capsys, doc):
         report = tmp_path / "bad.json"

@@ -333,9 +333,20 @@ class TestAudit:
         assert not audit_trace(trace, future[:-1], ids).ok
         assert not audit_trace(trace, future[:, :79], ids).ok
 
+    def test_digests_are_pinned(self):
+        # The trace format is the README's: a change to the digest input fails here.
+        _, traces = closed_loop_rollout(
+            following_scenario(), NoisyPlanPolicy(), NoisyPlanPolicy(), seeds=(0, 1)
+        )
+        assert [trace.digest for trace in traces] == [
+            "17c12bdd55cef4cf19911716193c7a95368857fffa20fd82649035fbbff383a1",
+            "b0884fa6c47e40b260bf460a83d83da3bc9ff7192520419dc50f5c1f8be3a9fc",
+        ]
+
     def test_step_rewritten_through_the_base_buffer_fails(self):
-        # The digest folds in each step as it is produced, so a policy that
-        # reaches past the read-only view and rewrites an earlier step is caught.
+        # Each step is copied into a record no policy can reach as it is produced,
+        # so a policy that reaches past the read-only view and rewrites an earlier
+        # step is caught.
         scenario = straight_scenario()
         av = _RewritesStepOne(ConstantVelocityPolicy())
         rollouts, traces = generate_submission(
