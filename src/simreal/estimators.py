@@ -91,17 +91,21 @@ DEFAULT_HISTOGRAM_SPECS: dict[MetricKind, HistogramSpec] = {
 
 
 #: The logged future and the distinct rollouts are extracted in groups of
-#: ``max(1, _PAIR_BUDGET // A**2)`` members, A the group's rows, so one call's
-#: (K, A, A, T) pair arrays, which only the time-to-collision kernel builds
-#: (at most four float arrays live at once: the x and y offsets, the lateral
-#: offset and a product), stay at a 32-object scene's size up to A = 32.  The
-#: first group holds the logged future and has a row for every logged track;
-#: the others have one per simulated object.  A scene of up to 5 objects then
-#: takes one call for the logged future and 32 distinct rollouts.  From A = 23
-#: a group is one member, and from A = 32 the arrays grow as A**2 (4 times at
-#: A = 64).  The nearest-object sweep's arrays grow with the pairs it visits
-#: instead.
-_PAIR_BUDGET = 1024
+#: ``max(1, _ROW_BUDGET // (A * T))`` members, A the group's rows and T the
+#: steps, so one call holds at most 12,288 (member, object, step) rows when a
+#: member fits.  The first group holds the logged future and has a row for
+#: every logged track; the others have one per simulated object.  Every
+#: kernel's arrays then grow with the rows, time-to-collision's included
+#: (its pair workspace is fixed, ``features._TTC_PAIR_STEPS``).  At T = 80 a
+#: scene of up to 4 objects, every default-size synth scene, takes one call
+#: for the logged future and 32 distinct rollouts; a 32-object scene takes
+#: 4 members a call, and from 77 objects a call is one member.  On
+#: dense_noisy's 32-object scene (in-process evaluate CPU, medians of 8),
+#: 8,192, 12,288 and 16,384 rows a call took the same time within 2%; 5,120
+#: took 14% more and 2,560 (one member a call) 37% more.  A call of 4 members
+#: of 32 objects (10,240 rows) peaks at 4.5 MB of tracemalloc, and one member
+#: of 128 objects at 4.9 MB.
+_ROW_BUDGET = 12_288
 
 
 def rollout_features(
@@ -121,8 +125,9 @@ def rollout_features(
     one rollout.
     """
     distinct, inverse = rollouts.distinct
-    head = max(1, _PAIR_BUDGET // len(scenario.tracks) ** 2) - 1
-    size = max(1, _PAIR_BUDGET // max(1, len(rollouts.ids)) ** 2)
+    steps = rollouts.num_steps  # >= 1, as the scenario's future length
+    head = max(1, _ROW_BUDGET // (len(scenario.tracks) * steps)) - 1
+    size = max(1, _ROW_BUDGET // (max(1, len(rollouts.ids)) * steps))
     groups = [np.concatenate([[LOGGED_FUTURE], distinct[:head]])]
     groups += [distinct[lo : lo + size] for lo in range(head, len(distinct), size)]
     first, *later = (

@@ -463,12 +463,40 @@ def _event_series(per_step_vals, per_step_ok, predicate):
     return _masked(vals, ok), ok
 
 
+#: Pair-steps (follower, leader, step) in one time-to-collision span.  Four
+#: float and two bool buffers of this length, 2.2 MB together, are the
+#: kernel's whole workspace at any object count.  On the seed-0 128-object
+#: straight_road logged scene the kernel's tracemalloc peak is 4.1 MB, against
+#: 42 MB with (K, A, A, T) arrays.  Spans of 16,384 to 131,072 pair-steps gave
+#: the same evaluate CPU time, within the host's noise of about 5%, on the
+#: 32-, 64- and 128-object straight_road scenes; 262,144 read 2% slower on the
+#: 32-object one and added 3 MB to its extraction peak (2-core Xeon host,
+#: 2 MB of L2 cache per core).
+_TTC_PAIR_STEPS = 65_536
+
+
+def _ttc_spans(k: int, a: int, t: int):
+    """The (k0, k1, i0, i1) spans of :func:`_ttc_arrays`: rollouts ``k0:k1``,
+    followers ``i0:i1``, at most ``_TTC_PAIR_STEPS`` pair-steps each when one
+    follower's A*T fit.  Spans are whole rollouts when one rollout's A*A*T
+    pair-steps fit, and runs of followers within one rollout when they do not.
+    """
+    per_rollout = a * a * t
+    if per_rollout <= _TTC_PAIR_STEPS:
+        step = _TTC_PAIR_STEPS // per_rollout
+        return [(lo, min(lo + step, k), 0, a) for lo in range(0, k, step)]
+    step = max(1, _TTC_PAIR_STEPS // (a * t))
+    return [(r, r + 1, lo, min(lo + step, a)) for r in range(k) for lo in range(0, a, step)]
+
+
 def _ttc_arrays(states: SceneStates, table: BoxTable, speed_vals, speed_ok,
                 params: FeatureParams):
     """Constant-speed time to reach the followed object, capped at ttc_max.
 
-    ``table`` is :func:`_box_table` of ``states``.  The pair arrays are
-    (K, A, A, T), indexed [rollout, follower, leader, step], and built here.
+    ``table`` is :func:`_box_table` of ``states``.  Pairs are indexed
+    [rollout, follower, leader, step] and taken in spans (:func:`_ttc_spans`)
+    through buffers allocated once per call, so no (K, A, A, T) array is
+    built and the workspace does not grow with the object count.
 
     An object follows a leader when the leader is longitudinally ahead with a
     positive bumper gap, laterally within the shared corridor, and heading
@@ -477,8 +505,12 @@ def _ttc_arrays(states: SceneStates, table: BoxTable, speed_vals, speed_ok,
 
     Box extents are >= 0, so a positive gap puts the leader ahead (``lon >
     0``) and excludes the follower itself.  The corridor test and a cut on
-    the gap make one dense mask, and only the pairs inside it reach the
-    heading and validity tests.  Speeds are >= 0 (or NaN), so the closing
+    the gap make one mask per span, and only the pairs inside it reach the
+    heading and validity tests.  Every span runs the same float operations on
+    the same operands, so each gap and mask entry has the bits a dense pass
+    over all pairs gives it, and the spans' kept pairs, in span order, are
+    that pass's kept pairs in its (rollout, follower, leader, step) order.
+    Speeds are >= 0 (or NaN), so the closing
     speed is at most the follower's speed ``s`` and a leader with gap >=
     ``ttc_max * s`` reads the cap.  The cut keeps gaps below ``ttc_max * s``
     plus a slack above that product's rounding.  Leaders past it are farther
@@ -490,44 +522,54 @@ def _ttc_arrays(states: SceneStates, table: BoxTable, speed_vals, speed_ok,
     heading) gives NaN gaps, which no leader passes in either form.
 
     Each follower's leader is a per-follower minimum over the leaders that
-    pass every test: the least gap (``np.minimum.at``), then the lowest
-    leader index among the leaders at that gap, the one ``argmin`` over the
-    leader axis would pick.  A follower with no leader reads the cap; its
-    closing speed is taken against object 0, as ``argmin`` over an all-inf
-    row would give.
+    pass every test, taken once over the candidates of all spans: the least
+    gap (``np.minimum.at``), then the lowest leader index among the leaders
+    at that gap, the one ``argmin`` over the leader axis would pick.  A
+    follower with no leader reads the cap; its closing speed is taken against
+    object 0, as ``argmin`` over an all-inf row would give.
     """
     k, a, t = states.valid.shape
     cap = params.ttc_max
     vals = np.full((k, a, t), cap)
     ok = speed_ok.copy()
     if a >= 2:
-        # rollout_features stacks few enough members that K*A*A stays at the
-        # size of one 32-object scene up to A = 32; above that K = 1 and the
-        # pair arrays grow as A**2.  At most four are live at once.
         h = states.poses[..., 3]
         x, y = states.poses[..., 0], states.poses[..., 1]
-        dx = x[:, None, :, :] - x[:, :, None, :]  # from the follower's centre to the leader's
-        dy = y[:, None, :, :] - y[:, :, None, :]
         hx, hy = table.cols[2].reshape(k, a, 1, t), table.cols[3].reshape(k, a, 1, t)
-        lat = hx * dy
-        lat -= hy * dx
         lat_lim = np.maximum(
             params.ttc_min_lateral, (states.dims[:, 1][:, None] + states.dims[:, 1][None, :]) / 2.0
-        )
-        keep = np.abs(lat, out=lat) <= lat_lim[:, :, None]
-        del lat
-        gap = np.multiply(hx, dx, out=dx)
-        gap += np.multiply(hy, dy, out=dy)  # the longitudinal offset
-        del dy
+        )[:, :, None]
         half_len = states.dims[:, 0] / 2.0
-        gap -= (half_len[:, None] + half_len[None, :])[:, :, None]
+        lengths = (half_len[:, None] + half_len[None, :])[:, :, None]
         reach = cap * speed_vals
-        cut = reach + (_BROAD_PHASE_SLACK + _BROAD_PHASE_REL_SLACK * reach)
-        keep &= gap > 0.0
-        keep &= gap < cut[:, :, None, :]
-        near = np.flatnonzero(keep)
-        pair_gap = gap.take(near)
-        del keep, gap
+        cut = (reach + (_BROAD_PHASE_SLACK + _BROAD_PHASE_REL_SLACK * reach))[:, :, None, :]
+        spans = _ttc_spans(k, a, t)
+        size = max((k1 - k0) * (i1 - i0) for k0, k1, i0, i1 in spans) * a * t
+        floats, flags = np.empty((4, size)), np.empty((2, size), dtype=bool)
+        near, pair_gap = [], []
+        for k0, k1, i0, i1 in spans:
+            shape = (k1 - k0, i1 - i0, a, t)
+            n = math.prod(shape)
+            dx, dy, lat, prod = (buf[:n].reshape(shape) for buf in floats)
+            keep, test = (buf[:n].reshape(shape) for buf in flags)
+            fx, fy = hx[k0:k1, i0:i1], hy[k0:k1, i0:i1]
+            # From the follower's centre to the leader's.
+            np.subtract(x[k0:k1, None], x[k0:k1, i0:i1, None], out=dx)
+            np.subtract(y[k0:k1, None], y[k0:k1, i0:i1, None], out=dy)
+            np.multiply(fx, dy, out=lat)
+            lat -= np.multiply(fy, dx, out=prod)
+            np.less_equal(np.abs(lat, out=lat), lat_lim[i0:i1], out=keep)
+            gap = np.multiply(fx, dx, out=dx)
+            gap += np.multiply(fy, dy, out=dy)  # the longitudinal offset
+            gap -= lengths[i0:i1]
+            keep &= np.greater(gap, 0.0, out=test)
+            keep &= np.less(gap, cut[k0:k1, i0:i1], out=test)
+            # Either the span is whole rollouts or it lies in one, so its
+            # first (rollout, follower) row offsets its flat pair indices.
+            at = np.flatnonzero(keep)
+            pair_gap.append(gap.take(at))
+            near.append(at + (k0 * a + i0) * a * t)
+        near, pair_gap = np.concatenate(near), np.concatenate(pair_gap)
         # Flat (K, A, T) indices of each kept pair's follower and leader.
         pair, step = np.divmod(near, t)  # pair = (rollout * A + follower) * A + leader
         row, leader = np.divmod(pair, a)

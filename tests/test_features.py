@@ -670,6 +670,10 @@ def all_pairs_ttc(states, speed_vals, speed_ok, params):
     return np.where(ok, vals, 0.0), ok
 
 
+#: The span budget the kernel runs at by default.
+SPAN = simreal.features._TTC_PAIR_STEPS
+
+
 def lane(xs, dt=0.5, lengths=None, ys=0.0, headings=0.0):
     """One rollout of boxes of width 2 along the x axis; ``xs`` is (A, T), and
     ``ys`` and ``headings`` (0 by default) broadcast to it."""
@@ -720,7 +724,8 @@ _LANE_HEADING = st.one_of(
 @st.composite
 def lane_scenes(draw):
     """K rollouts of boxes near one lane, often following each other, with
-    invalid steps, non-finite poses and thresholds from tight to loose."""
+    invalid steps, non-finite poses, thresholds from tight to loose, and a
+    span budget for the kernel (``features._TTC_PAIR_STEPS``)."""
     k, a, t = draw(st.integers(1, 3)), draw(st.integers(1, 12)), draw(st.integers(1, 6))
     poses = np.stack(
         [
@@ -747,59 +752,69 @@ def lane_scenes(draw):
         ttc_min_lateral=draw(st.sampled_from([1.0, 0.0, 10.0])),
         ttc_closing_eps=draw(st.sampled_from([1e-3, 1e-9, 1.0])),
     )
-    return states, params
+    # The kernel's span budget, from one pair-step (one follower a span) to
+    # past the whole stack (one span).
+    return states, params, draw(st.integers(1, (k + 1) * a * a * t), label="pair_steps")
 
 
 class TestTimeToCollisionCut:
     @settings(max_examples=300, deadline=None)
     @given(case=lane_scenes())
+    @example(  # the same tie with one follower a span: spans split each rollout
+        case=(stacked(lane([[0, 1, 2, 3], [10, 10, 10, 10], [7, 8, 9, 10]]),
+                      lane([[0, 1, 2, 3], [7, 8, 9, 10], [10, 10, 10, 10]])),
+              DEFAULT_FEATURE_PARAMS, 1)
+    )
     @example(  # equal gaps at the last step: the lower leader index (1) wins
-        case=(lane([[0, 1, 2, 3], [10, 10, 10, 10], [7, 8, 9, 10]]), DEFAULT_FEATURE_PARAMS)
+        case=(lane([[0, 1, 2, 3], [10, 10, 10, 10], [7, 8, 9, 10]]), DEFAULT_FEATURE_PARAMS, SPAN)
     )
     @example(  # the same tie in two rollouts, the stopped leader first in one and last
         # in the other: each rollout takes leader 1
         case=(stacked(lane([[0, 1, 2, 3], [10, 10, 10, 10], [7, 8, 9, 10]]),
                       lane([[0, 1, 2, 3], [7, 8, 9, 10], [10, 10, 10, 10]])),
-              DEFAULT_FEATURE_PARAMS)
+              DEFAULT_FEATURE_PARAMS, SPAN)
     )
     @example(  # at step 2 the gap is exactly ttc_max * speed: 10 m at 2 m/s reads the cap
-        case=(lane([[0, 1, 2, 3], [16, 16, 16, 16]]), DEFAULT_FEATURE_PARAMS)
+        case=(lane([[0, 1, 2, 3], [16, 16, 16, 16]]), DEFAULT_FEATURE_PARAMS, SPAN)
     )
     @example(  # 1 cm inside the cut: 9.99 m at 2 m/s
-        case=(lane([[0, 1, 2, 3], [15.99] * 4]), DEFAULT_FEATURE_PARAMS)
+        case=(lane([[0, 1, 2, 3], [15.99] * 4]), DEFAULT_FEATURE_PARAMS, SPAN)
     )
     @example(  # the gap equals ttc_max * speed as rounded, but is below it in real numbers,
         # so it reads 4.999999999999999: the cut's slack must keep this leader
         case=(lane([[0.0, 0.17087189561177435], [12.714466676200491] * 2], dt=0.1),
-              DEFAULT_FEATURE_PARAMS)
+              DEFAULT_FEATURE_PARAMS, SPAN)
     )
     @example(  # leader 1 exactly at the corridor's edge, |lat| == 2.0 == lat_lim; the
         # nearer leader 2 one ulp outside it
         case=(lane([[0, 1, 2, 3], [10] * 4, [9] * 4],
-                   ys=[[0.0], [2.0], [np.nextafter(2.0, 3.0)]]), DEFAULT_FEATURE_PARAMS)
+                   ys=[[0.0], [2.0], [np.nextafter(2.0, 3.0)]]), DEFAULT_FEATURE_PARAMS, SPAN)
     )
     @example(  # the same with the corridor's edge on the right, |lat| == lat_lim from -2.0
         case=(lane([[0, 1, 2, 3], [10] * 4, [9] * 4],
-                   ys=[[0.0], [-2.0], [np.nextafter(-2.0, -3.0)]]), DEFAULT_FEATURE_PARAMS)
+                   ys=[[0.0], [-2.0], [np.nextafter(-2.0, -3.0)]]), DEFAULT_FEATURE_PARAMS, SPAN)
     )
     @example(  # bumper gaps 2, 1, 0, -1: a gap of exactly 0 has no leader
-        case=(lane([[0, 1, 2, 3], [6] * 4]), DEFAULT_FEATURE_PARAMS)
+        case=(lane([[0, 1, 2, 3], [6] * 4]), DEFAULT_FEATURE_PARAMS, SPAN)
     )
     @example(  # at step 2 the gap is exactly ttc_max * speed and |lat| exactly lat_lim
-        case=(lane([[0, 1, 2, 3], [16] * 4], ys=[[0.0], [2.0]]), DEFAULT_FEATURE_PARAMS)
+        case=(lane([[0, 1, 2, 3], [16] * 4], ys=[[0.0], [2.0]]), DEFAULT_FEATURE_PARAMS, SPAN)
     )
     @example(  # a NaN heading on the leader only, at step 1: no leader there
         case=(lane([[0, 1, 2, 3], [10] * 4], headings=[[0.0] * 4, [0.0, math.nan, 0.0, 0.0]]),
-              DEFAULT_FEATURE_PARAMS)
+              DEFAULT_FEATURE_PARAMS, SPAN)
     )
-    @example(case=(lane([[0, 0, 0, 0], [8, 8, 9, 9]]), DEFAULT_FEATURE_PARAMS))  # stopped follower
+    @example(  # stopped follower
+        case=(lane([[0, 0, 0, 0], [8, 8, 9, 9]]), DEFAULT_FEATURE_PARAMS, SPAN)
+    )
     @example(  # non-finite follower poses
-        case=(lane([[0, math.nan, 2, math.inf, 4], [9, 9, 9, 9, 9]]), DEFAULT_FEATURE_PARAMS)
+        case=(lane([[0, math.nan, 2, math.inf, 4], [9, 9, 9, 9, 9]]), DEFAULT_FEATURE_PARAMS, SPAN)
     )
     def test_matches_all_pairs_reference_bit_for_bit(self, case):
-        states, params = case
+        states, params, pair_steps = case
         with np.errstate(all="ignore"):
-            vals, ok = lane_ttc(states, states.dt, params)
+            with mock.patch.object(simreal.features, "_TTC_PAIR_STEPS", pair_steps):
+                vals, ok = lane_ttc(states, states.dt, params)
             want_vals, want_ok = all_pairs_ttc(states, *lane_speed(states, states.dt), params)
         assert vals.tobytes() == want_vals.tobytes()
         assert ok.tobytes() == want_ok.tobytes()
@@ -827,6 +842,38 @@ class TestTimeToCollisionCut:
         heading = lane([[0, 1, 2, 3], [10] * 4], headings=[[0.0] * 4, [0.0, math.nan, 0.0, 0.0]])
         vals, _ = lane_ttc(heading, 0.5)
         assert vals[0, 0].tolist() == [0.0, 5.0, 2.0, 1.5]
+
+    @pytest.mark.parametrize("pair_steps, spans", [
+        (240, [(0, 3, 0, 4)]),  # the whole stack: 3 rollouts of 4 * 4 * 5 pair-steps
+        (160, [(0, 2, 0, 4), (2, 3, 0, 4)]),
+        (80, [(0, 1, 0, 4), (1, 2, 0, 4), (2, 3, 0, 4)]),
+        # 3 followers of 4 * 5 pair-steps a span, then the rollout's last one
+        (79, [(k, k + 1, lo, hi) for k in range(3) for lo, hi in ((0, 3), (3, 4))]),
+        (1, [(k, k + 1, i, i + 1) for k in range(3) for i in range(4)]),
+    ])
+    def test_spans_split_rollouts_then_followers(self, pair_steps, spans):
+        with mock.patch.object(simreal.features, "_TTC_PAIR_STEPS", pair_steps):
+            assert simreal.features._ttc_spans(3, 4, 5) == spans
+
+    def test_peak_memory_at_128_agents_is_the_workspace_not_the_pairs(self):
+        scenario = generate(SynthSpec(Template.STRAIGHT_ROAD, agent_count=128, seed=0,
+                                      noise_level=0.2)).scenario
+        states = SceneStates.from_logged_future(scenario)
+        k, a, t = states.valid.shape
+        assert (k, a) == (1, 128)
+        speed = lane_speed(states, states.dt)
+        table = simreal.features._box_table(states)
+        tracemalloc.start()
+        try:
+            simreal.features._ttc_arrays(states, table, *speed, DEFAULT_FEATURE_PARAMS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Four float and two bool span buffers, twice over, plus 32 float arrays
+        # per (rollout, object, step) row: 7.1 MB.  One (K, A, A, T) float array
+        # is 10.5 MB, and the kernel that built them peaked at 42 MB.
+        workspace = simreal.features._TTC_PAIR_STEPS * (4 * 8 + 2)
+        assert peak < 2 * workspace + 32 * 8 * k * a * t
 
 
 ROAD = [
@@ -1067,12 +1114,12 @@ class TestBatchedExtraction:
         order = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=10))
         dims = data.draw(hnp.arrays(float, (a, 3), elements=st.sampled_from([0.5, 2.0, 4.5])))
         road = data.draw(st.sampled_from(sorted(_MAPS)), label="map")
-        # A small pair budget makes the groups split after 1 to a few rollouts.
-        budget = data.draw(st.integers(1, 64), label="budget")
+        # A small row budget makes the groups split after 1 to a few rollouts.
+        budget = data.draw(st.integers(1, 4 * a * t), label="budget")
         poses = np.stack([pool[i] for i in order])
         poses[..., 2] = np.abs(poses[..., 2]) % 3.0  # some boxes stack, some overlap in z
         scenario, rollouts = scenario_with_rollouts(dims, poses, _MAPS[road])
-        with mock.patch.object(simreal.estimators, "_PAIR_BUDGET", budget):
+        with mock.patch.object(simreal.estimators, "_ROW_BUDGET", budget):
             assert_rollout_features_match_each_rollout(scenario, rollouts)
 
     def test_thirty_two_distinct_rollouts_of_six_objects_take_two_calls(self, monkeypatch):
@@ -1090,7 +1137,11 @@ class TestBatchedExtraction:
 
         monkeypatch.setattr(simreal.estimators, "extract_features", counting)
         rollout_features(scenario, rollouts)
-        # The logged future and 32 rollouts, in groups of 1024 // 6**2.
+        assert stacked == [33]  # 33 members of 6 * 10 rows fit the default row budget
+        # The logged future and 32 rollouts, in groups of 28 members of 6 * 10 rows.
+        stacked.clear()
+        monkeypatch.setattr(simreal.estimators, "_ROW_BUDGET", 28 * 6 * 10)
+        rollout_features(scenario, rollouts)
         assert stacked == [28, 5]
         monkeypatch.undo()
         assert_rollout_features_match_each_rollout(scenario, rollouts)
@@ -1116,8 +1167,9 @@ class TestBatchedExtraction:
             return extract_features(states, map_features, params)
 
         monkeypatch.setattr(simreal.estimators, "extract_features", counting)
+        monkeypatch.setattr(simreal.estimators, "_ROW_BUDGET", 28 * 6 * 10)
         logged, _ = rollout_features(scenario, rollouts)
-        # 1024 // 6**2 members over the 6 logged tracks, then 1024 // 5**2 over 5.
+        # 28 members over the 6 logged tracks, then up to 1680 // (5 * 10) over 5.
         assert stacked == [(28, 6), (5, 5)]
         monkeypatch.undo()
         alone = extract_features(SceneStates.from_logged_future(scenario), _MAPS["arc"])
