@@ -52,7 +52,6 @@ from .policies import (
     NoisyPlanPolicy,
     RandomAgentPolicy,
     RegisteredPolicy,
-    ReplanWrapper,
     create_policy,
 )
 from .scene import (

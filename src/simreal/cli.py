@@ -148,10 +148,11 @@ def _rollout_chunk(packed):
     chunk, env_name, av_name, env_opts, av_opts, k, interval, seed = packed
     results = []
     for batch in rollout_batches(chunk):
-        env_policy = create_policy(env_name, batch, env_opts, replan_interval=interval)
-        av_policy = create_policy(av_name, batch, av_opts, replan_interval=interval)
+        env_policy = create_policy(env_name, batch, env_opts)
+        av_policy = create_policy(av_name, batch, av_opts)
         bundles, traces = generate_submission(
-            batch, av_policy, env_policy, k=k, base_seed=seed, with_traces=True
+            batch, av_policy, env_policy, k=k, base_seed=seed, with_traces=True,
+            replan_interval=interval,
         )
         for rollouts, mine in zip(bundles, traces):
             ok = all(

@@ -436,29 +436,37 @@ class PolicyContext:
         return motion[:, 0], motion[:, 1], motion[:, 2]
 
 
-def _step_policies(ctx: PolicyContext, queries, out: np.ndarray) -> None:
+def _as_poses(output, shape: tuple[int, ...], source: str, step: int) -> np.ndarray:
+    """``output`` as a float array of ``shape``, or PolicyContractViolation naming ``source``."""
+    try:
+        poses = np.asarray(output, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise PolicyContractViolation(
+            f"{source} at step {step}: output is not a pose array ({exc})"
+        ) from exc
+    if poses.shape != shape:
+        raise PolicyContractViolation(
+            f"{source} at step {step}: expected {shape} poses for its controlled objects "
+            f"in each rollout, got shape {poses.shape}"
+        )
+    return poses
+
+
+def _step_policies(ctx: PolicyContext, queries, out: np.ndarray, outputs=None) -> None:
     """Step every ``(policy, rows, who)`` of ``queries`` at ``ctx.step`` into ``out[:, rows]``.
 
-    ``out`` is the step's (K, R, 4) poses, rows in ``ctx.ids`` order.  Every
-    policy is queried against the same context before any output is looked
-    at.  Each output must then be a (K, len(rows), 4) float array, every row
-    of ``out`` must be finite, and each heading is wrapped in place.
+    ``out`` is the step's (K, R, 4) poses, rows in ``ctx.ids`` order.
+    ``outputs`` holds each query's poses for this step from a held plan; by
+    default every policy is stepped against the same context before any
+    output is looked at.  Each output must then be a (K, len(rows), 4) float
+    array, every row of ``out`` must be finite, and each heading is wrapped
+    in place.
     """
-    outputs = [policy.step(ctx, rows) for policy, rows, _ in queries]
+    if outputs is None:
+        outputs = [policy.step(ctx, rows) for policy, rows, _ in queries]
     k = len(ctx.seeds)
     for (_, rows, who), output in zip(queries, outputs):
-        try:
-            poses = np.asarray(output, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise PolicyContractViolation(
-                f"{who} policy at step {ctx.step}: output is not a pose array ({exc})"
-            ) from exc
-        if poses.shape != (k, len(rows), 4):
-            raise PolicyContractViolation(
-                f"{who} policy at step {ctx.step}: expected ({k}, {len(rows)}, 4) poses for its "
-                f"controlled objects in each rollout, got shape {poses.shape}"
-            )
-        out[:, rows] = poses
+        out[:, rows] = _as_poses(output, (k, len(rows), 4), f"{who} policy", ctx.step)
     finite = np.isfinite(out)
     if not finite.all():
         bad = np.flatnonzero(~finite.all(axis=(0, 2)))
@@ -486,7 +494,8 @@ class Policy(ABC):
         forward, with the checks the rollout applies to every step, against
         virtually extended contexts in which only the policy's own outputs
         advance; other objects stay frozen at their last known (now stale)
-        state.  Plan holders use this to emulate slower replanning.
+        state.  The rollout loop holds plans to emulate slower replanning
+        (see :func:`closed_loop_rollout`).
         """
         k, a, length, _ = context.poses.shape
         poses = np.zeros((k, a, length + horizon, 4))
@@ -580,6 +589,7 @@ def closed_loop_rollout(
     av_policy: Policy,
     env_policy: Policy,
     seeds: Sequence[int],
+    replan_interval: int = 1,
 ) -> tuple[np.ndarray, tuple[RolloutTrace, ...]]:
     """Roll a batch of scenarios forward in lockstep, K rollouts each, one step at a time.
 
@@ -594,6 +604,12 @@ def closed_loop_rollout(
     the AV policy once for every AV row, for all K rollouts, against the
     identical context, and merges the outputs afterwards.
 
+    A ``replan_interval`` n above 1 emulates slower replanning, which makes
+    the rollouts hybrid open/closed loop: at steps 1, n+1, 2n+1, ... each
+    policy makes an n-step :meth:`Policy.plan` against the same context, and
+    the steps in between replay it.  Fresh or held, every step's outputs pass
+    the same checks.  A plan lives only within this call.
+
     Returns the simulated futures as (K, R, T, 4) poses, plus one trace per
     (scenario, rollout), scenario by scenario, whose ``ids`` are that
     scenario's rows.
@@ -604,6 +620,8 @@ def closed_loop_rollout(
     seeds = tuple(seeds)
     if not seeds:
         raise ValueError("closed_loop_rollout needs at least one seed")
+    if replan_interval < 1:
+        raise ValueError(f"replan interval must be >= 1, got {replan_interval}")
     for seed in seeds:
         if not 0 <= seed < SEED_LIMIT:
             raise ValueError(f"seed must be in [0, 2**64), got {seed}")
@@ -654,7 +672,16 @@ def closed_loop_rollout(
             upto = h + t - 1
             ctx = replace(ctx, step=t, poses=_read_only(poses[:, :, :upto]),
                           valid=_read_only(valid[:, :upto]))
-            _step_policies(ctx, queries, poses[:, :, upto])
+            outputs = None
+            if replan_interval > 1:
+                held = (t - 1) % replan_interval
+                if held == 0:  # every policy plans against this context before any plan is read
+                    plans = [policy.plan(ctx, rows, replan_interval) for policy, rows, _ in queries]
+                    plans = [_as_poses(plan, (replan_interval, k, len(rows), 4),
+                                       f"{who} policy's plan", t)
+                             for plan, (_, rows, who) in zip(plans, queries)]
+                outputs = [plan[held] for plan in plans]
+            _step_policies(ctx, queries, poses[:, :, upto], outputs)
             valid[:, upto] = True
             record[t - 1] = poses[:, :, upto]
 
@@ -673,10 +700,12 @@ def generate_submission(
     k: int = 32,
     base_seed: int = 0,
     with_traces: bool = False,
+    replan_interval: int = 1,
 ):
     """Run ``k`` independent lockstep rollouts seeded base_seed .. base_seed+k-1 per scenario.
 
-    ``scenarios`` is rolled out as one batch (see :func:`closed_loop_rollout`).
+    ``scenarios`` is rolled out as one batch, with plans held for
+    ``replan_interval`` steps (see :func:`closed_loop_rollout`).
     For one scenario this returns its :class:`ScenarioRollouts`, and with
     ``with_traces`` also its K traces; for a sequence, a list of each in
     batch order.  Rollouts that break :func:`~simreal.scene.rollout_problems`
@@ -686,7 +715,7 @@ def generate_submission(
         raise ValueError("k must be >= 1")
     batch = as_batch(scenarios)
     futures, traces = closed_loop_rollout(
-        batch, av_policy, env_policy, seeds=range(base_seed, base_seed + k)
+        batch, av_policy, env_policy, range(base_seed, base_seed + k), replan_interval
     )
     bundles, bundle_traces = [], []
     lo = 0

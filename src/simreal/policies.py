@@ -57,7 +57,7 @@ class ConstantVelocityPolicy(Policy):
 
     Speed is the displacement rate between the two most recent valid history
     observations; an object with a single valid observation holds still.
-    Memoryless, so plan-holding wrappers reproduce it exactly.
+    Memoryless, so held plans reproduce it exactly.
     """
 
     def step(self, context: PolicyContext, rows):
@@ -173,40 +173,6 @@ class NoisyPlanPolicy(Policy):
         return self.plan(context, rows, 1)[0]
 
 
-class ReplanWrapper(Policy):
-    """Hold a policy's multi-step plan and re-invoke it every ``interval`` steps.
-
-    Interval 1 is fully closed-loop; larger intervals emulate the hybrid
-    open/closed-loop pattern of slower replanning.  The held plan covers the
-    context's batch of scenarios and K rollouts and is keyed on the batch's
-    scenario ids and seeds, so every new batch plans afresh even when one plan
-    spans the whole future window.
-    """
-
-    def __init__(self, inner: Policy, interval: int):
-        if interval < 1:
-            raise ValueError("replan interval must be >= 1")
-        self.inner = inner
-        self.interval = interval
-        self._plan = np.empty((0, 0, 0, 4))
-        self._plan_start = -1
-        self._plan_key: tuple | None = None
-
-    def step(self, context: PolicyContext, rows):
-        t = context.step
-        key = (context.scenario_ids, context.seeds)
-        stale = (
-            key != self._plan_key
-            or t < self._plan_start
-            or t >= self._plan_start + len(self._plan)
-        )
-        if stale:
-            self._plan = self.inner.plan(context, rows, self.interval)
-            self._plan_start = t
-            self._plan_key = key
-        return self._plan[t - self._plan_start]
-
-
 #: Builds a policy for a batch of scenarios (one scenario is a batch of one) from its options.
 PolicyFactory = Callable[[Scenario | Sequence[Scenario], Mapping[str, Any]], Policy]
 
@@ -235,15 +201,15 @@ def create_policy(
     name: str,
     scenarios: Scenario | Sequence[Scenario],
     options: Mapping[str, Any] | None = None,
-    replan_interval: int = 1,
 ) -> Policy:
-    """Instantiate a registered policy, wrapped for slow replanning at an interval above 1.
+    """Instantiate a registered policy.
 
     ``scenarios`` is the batch the policy will roll out, as it will be passed
     to :func:`~simreal.harness.closed_loop_rollout`; one scenario is a batch
     of one.  Build a fresh pair of policies for each batch.  An option the
-    policy does not read, a bad option value and an interval below 1 raise
-    :class:`InvalidOption`.
+    policy does not read and a bad option value raise :class:`InvalidOption`.
+    The rollout, not the policy, holds plans for slower replanning (its
+    ``replan_interval``).
     """
     if name not in POLICY_REGISTRY:
         known = ", ".join(sorted(POLICY_REGISTRY))
@@ -256,9 +222,4 @@ def create_policy(
         raise InvalidOption(
             f"policy {name} has no option {', '.join(unknown)}; its options: {known}"
         )
-    if replan_interval < 1:
-        raise InvalidOption(f"replan interval must be >= 1, got {replan_interval}")
-    policy = entry.factory(scenarios, options)
-    if replan_interval > 1:
-        policy = ReplanWrapper(policy, replan_interval)
-    return policy
+    return entry.factory(scenarios, options)

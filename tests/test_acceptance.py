@@ -28,12 +28,7 @@ from simreal.features import BOOLEAN_METRICS, MetricKind
 from simreal.geometry import box_signed_distance_batch, separating_gap
 from simreal.harness import Policy, generate_submission
 from simreal.io import read_report
-from simreal.policies import (
-    LoggedOraclePolicy,
-    NoisyPlanPolicy,
-    ReplanWrapper,
-    create_policy,
-)
+from simreal.policies import LoggedOraclePolicy, NoisyPlanPolicy, create_policy
 from simreal.scene import ScenarioRollouts
 from simreal.synth import SynthSpec, Template, generate, suite_specs
 
@@ -131,9 +126,10 @@ def test_criterion_4_replan_rate_trend():
             pairs = []
             for synth in suite:
                 scn = synth.scenario
-                env = ReplanWrapper(NoisyPlanPolicy(), interval)
-                av = ReplanWrapper(NoisyPlanPolicy(), interval)
-                pairs.append((scn, generate_submission(scn, av, env, k=32, base_seed=0)))
+                pairs.append((scn, generate_submission(
+                    scn, NoisyPlanPolicy(), NoisyPlanPolicy(), k=32, base_seed=0,
+                    replan_interval=interval,
+                )))
             _, summary = evaluate_dataset(pairs, DEFAULT_CONFIG)
             composites[interval] = summary.composite
         # Holding plans longer (slower replanning) keeps this plan-noise agent

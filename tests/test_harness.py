@@ -28,7 +28,6 @@ from simreal.policies import (
     LoggedOraclePolicy,
     NoisyPlanPolicy,
     RandomAgentPolicy,
-    ReplanWrapper,
     create_policy,
 )
 from simreal.scene import simulated_object_ids
@@ -151,12 +150,35 @@ class _Same(Policy):
         return self.inner.step(context, rows)
 
 
+class _PlansOneStep(ConstantVelocityPolicy):
+    def plan(self, context, rows, horizon):
+        return super().plan(context, rows, 1)
+
+
+class _PlansNothing(ConstantVelocityPolicy):
+    def plan(self, context, rows, horizon):
+        return None
+
+
 class TestPolicyContract:
     @pytest.mark.parametrize("bad", [_DropsOneId, _AddsExtraId, _ReturnsInvalid, _ReturnsNaN])
     def test_violations_raise(self, bad):
         scenario = straight_scenario()
         with pytest.raises(PolicyContractViolation):
             closed_loop_rollout(scenario, ConstantVelocityPolicy(), bad(), seeds=(0,))
+
+    @pytest.mark.parametrize("bad,got", [(_PlansOneStep, r"\(1, 2, \d+, 4\)"),
+                                         (_PlansNothing, r"\(\)")])
+    @pytest.mark.parametrize("who", ["AV", "environment"])
+    def test_a_plan_of_the_wrong_shape_is_refused(self, bad, got, who):
+        # A plan must cover the whole interval: a short one is not replanned early.
+        scenario = straight_scenario()
+        rows = 1 if who == "AV" else len(simulated_object_ids(scenario)) - 1
+        av, env = (bad(), ConstantVelocityPolicy()) if who == "AV" else (
+            ConstantVelocityPolicy(), bad())
+        expected = rf"^{who} policy's plan at step 1: expected \(5, 2, {rows}, 4\) poses .* {got}$"
+        with pytest.raises(PolicyContractViolation, match=expected):
+            closed_loop_rollout(scenario, av, env, seeds=(0, 1), replan_interval=5)
 
     def test_context_arrays_are_read_only(self):
         scenario = straight_scenario()
@@ -417,26 +439,17 @@ class TestBaselines:
         scenario = curved_scenario()
         plain, _ = closed_loop_rollout(scenario, make(scenario), make(scenario), seeds=(0, 1))
         wrapped, _ = closed_loop_rollout(
-            scenario,
-            ReplanWrapper(make(scenario), interval),
-            ReplanWrapper(make(scenario), interval),
-            seeds=(0, 1),
+            scenario, make(scenario), make(scenario), seeds=(0, 1), replan_interval=interval
         )
         assert plain.tobytes() == wrapped.tobytes()
 
     def test_noisy_plan_policy_depends_on_replan_interval(self):
         scenario = straight_scenario()
         (fast,), _ = closed_loop_rollout(
-            scenario,
-            ReplanWrapper(NoisyPlanPolicy(), 1),
-            ReplanWrapper(NoisyPlanPolicy(), 1),
-            seeds=(0,),
+            scenario, NoisyPlanPolicy(), NoisyPlanPolicy(), seeds=(0,), replan_interval=1
         )
         (slow,), _ = closed_loop_rollout(
-            scenario,
-            ReplanWrapper(NoisyPlanPolicy(), 10),
-            ReplanWrapper(NoisyPlanPolicy(), 10),
-            seeds=(0,),
+            scenario, NoisyPlanPolicy(), NoisyPlanPolicy(), seeds=(0,), replan_interval=10
         )
         assert not np.array_equal(poses(fast, scenario, 0), poses(slow, scenario, 0))
 
@@ -447,10 +460,11 @@ class TestBaselines:
         scenario = straight_scenario()
         rollouts = generate_submission(
             scenario,
-            create_policy("noisy-plan", scenario, replan_interval=interval),
-            create_policy("noisy-plan", scenario, replan_interval=interval),
+            create_policy("noisy-plan", scenario),
+            create_policy("noisy-plan", scenario),
             k=4,
             base_seed=0,
+            replan_interval=interval,
         )
         distinct = {r.tobytes() for r in rollouts.rollouts}
         assert len(distinct) == 4
@@ -465,9 +479,10 @@ class TestBaselines:
         )
         held = generate_submission(
             scenario,
-            create_policy("logged-oracle", scenario, replan_interval=interval),
-            create_policy("logged-oracle", scenario, replan_interval=interval),
+            create_policy("logged-oracle", scenario),
+            create_policy("logged-oracle", scenario),
             k=2,
+            replan_interval=interval,
         )
         np.testing.assert_array_equal(plain.rollouts, held.rollouts)
 
@@ -503,8 +518,9 @@ class TestBaselines:
     def test_replan_interval_below_one_is_rejected(self):
         scenario = straight_scenario()
         for interval in (0, -3):
-            with pytest.raises(InvalidOption, match="replan interval"):
-                create_policy("noisy-plan", scenario, replan_interval=interval)
+            with pytest.raises(ValueError, match="replan interval"):
+                closed_loop_rollout(scenario, NoisyPlanPolicy(), NoisyPlanPolicy(), (0,),
+                                    replan_interval=interval)
 
     @pytest.mark.parametrize(
         "name,options,known",
@@ -532,8 +548,6 @@ class TestBaselines:
         scenario = straight_scenario()
         for name in ("constant-velocity", "random", "logged-oracle", "noisy-plan"):
             assert isinstance(create_policy(name, scenario), Policy)
-        wrapped = create_policy("constant-velocity", scenario, replan_interval=4)
-        assert isinstance(wrapped, ReplanWrapper)
         with pytest.raises(KeyError):
             create_policy("does-not-exist", scenario)
 
@@ -562,11 +576,12 @@ class TestLockstep:
         def submission(k, base_seed):
             return generate_submission(
                 scenario,
-                create_policy(name, scenario, replan_interval=interval),
-                create_policy(name, scenario, replan_interval=interval),
+                create_policy(name, scenario),
+                create_policy(name, scenario),
                 k=k,
                 base_seed=base_seed,
                 with_traces=True,
+                replan_interval=interval,
             )
 
         batch, traces = submission(32, base)
@@ -581,11 +596,9 @@ class TestLockstep:
     @pytest.mark.parametrize("k", [1, 32])
     def test_each_policy_steps_once_per_step_whatever_k(self, k, interval):
         scenario = straight_scenario()
-        av, env = (
-            _CountingSteps(create_policy("noisy-plan", scenario, replan_interval=interval))
-            for _ in range(2)
-        )
-        rollouts = generate_submission(scenario, av, env, k=k, base_seed=0)
+        av, env = (_CountingSteps(create_policy("noisy-plan", scenario)) for _ in range(2))
+        rollouts = generate_submission(scenario, av, env, k=k, base_seed=0,
+                                       replan_interval=interval)
         assert rollouts.rollouts.shape[0] == k
         assert av.calls == env.calls == scenario.future_length == 80
 
@@ -815,10 +828,7 @@ class TestScenarioBatches:
         batch = [_POOL[i] for i in picks]
         seeds = range(base, base + k)
         futures, traces = closed_loop_rollout(
-            batch,
-            create_policy(av, batch, replan_interval=interval),
-            create_policy(env, batch, replan_interval=interval),
-            seeds,
+            batch, create_policy(av, batch), create_policy(env, batch), seeds, interval
         )
         assert [trace.scenario_id for trace in traces] == [
             scenario.scenario_id for scenario in batch for _ in seeds
@@ -826,10 +836,7 @@ class TestScenarioBatches:
         lo = 0
         for i, scenario in enumerate(batch):
             solo, solo_traces = closed_loop_rollout(
-                scenario,
-                create_policy(av, scenario, replan_interval=interval),
-                create_policy(env, scenario, replan_interval=interval),
-                seeds,
+                scenario, create_policy(av, scenario), create_policy(env, scenario), seeds, interval
             )
             hi = lo + solo.shape[1]
             assert futures[:, lo:hi].tobytes() == solo.tobytes()
@@ -891,15 +898,21 @@ class TestScenarioBatches:
             assert size + len(simulated_object_ids(following[0])) > MAX_BATCH_ROWS
 
     def test_a_held_plan_does_not_leak_into_the_next_batch(self):
-        # One plan spans the whole window; the next batch, on the same seeds, plans afresh.
-        av, env = (create_policy("noisy-plan", _POOL[:2], replan_interval=200) for _ in range(2))
-        for batch in (_POOL[:2], _POOL[2:4]):
-            held, _ = closed_loop_rollout(batch, av, env, seeds=(0, 1))
+        # One plan spans the whole window; the next batch, on the same seeds, plans afresh,
+        # even when it is the same scenes (same ids) with every pose moved 50 m in y.
+        def move(poses, valid):
+            poses[:, 1] += 50.0
+
+        moved = [with_track_poses(scenario, move) for scenario in _POOL[:2]]
+        av, env = (create_policy("noisy-plan", _POOL[:2]) for _ in range(2))
+        for batch in (_POOL[:2], moved, _POOL[2:4]):
+            held, _ = closed_loop_rollout(batch, av, env, seeds=(0, 1), replan_interval=200)
             fresh, _ = closed_loop_rollout(
                 batch,
-                create_policy("noisy-plan", batch, replan_interval=200),
-                create_policy("noisy-plan", batch, replan_interval=200),
+                create_policy("noisy-plan", batch),
+                create_policy("noisy-plan", batch),
                 seeds=(0, 1),
+                replan_interval=200,
             )
             assert held.tobytes() == fresh.tobytes()
 

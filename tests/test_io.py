@@ -288,10 +288,11 @@ class TestBinaryFormatPinned:
         scenario = golden_scenario()
         rollouts = generate_submission(
             scenario,
-            create_policy(policy, scenario, replan_interval=interval),
-            create_policy(policy, scenario, replan_interval=interval),
+            create_policy(policy, scenario),
+            create_policy(policy, scenario),
             k=2,
             base_seed=0,
+            replan_interval=interval,
         )
         write_submission(tmp_path / "a.tar.gz", [encode_rollouts(rollouts)], {"seed": 0})
         shard = _format1_shard(tmp_path / "a.tar.gz")

@@ -15,15 +15,18 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 if str(BENCH) not in sys.path:
     sys.path.insert(0, str(BENCH))
 
+import pytest  # noqa: E402
+
 import probes  # noqa: E402
 import run  # noqa: E402
 from spans import Tracer  # noqa: E402
 
+import simreal.cli  # noqa: E402
 import simreal.estimators  # noqa: E402
 import simreal.evaluate  # noqa: E402
 import simreal.features  # noqa: E402
 from simreal.harness import generate_submission  # noqa: E402
-from simreal.policies import create_policy  # noqa: E402
+from simreal.policies import POLICY_REGISTRY, create_policy  # noqa: E402
 from simreal.synth import SynthSpec, Template, generate  # noqa: E402
 
 #: (owner, name) of the probed call sites evaluation goes through.
@@ -66,6 +69,24 @@ def test_probes_wrap_evaluation_and_restore_the_originals():
     slots = (simreal.features.SceneStates.from_logged_future(scenario).valid.sum()
              + rollouts.rollouts[0, ..., 0].size)
     assert tracer.counts["geometry.polyline_point_segments"] == 4 * slots * len(edges.starts)
+
+
+@pytest.mark.parametrize("name", sorted(POLICY_REGISTRY))
+def test_probed_policies_hold_plans_as_the_policies_do(name):
+    # Above interval 1 the rollout loop calls ``plan`` on the benchmark's policy proxy.
+    scenario = generate(SynthSpec(Template.FOLLOWING_PAIR, seed=0)).scenario
+
+    def submission():
+        return simreal.cli.generate_submission(
+            scenario, simreal.cli.create_policy(name, scenario),
+            simreal.cli.create_policy(name, scenario), k=2, base_seed=0, replan_interval=3,
+        ).rollouts.tobytes()
+
+    plain = submission()
+    tracer = Tracer()
+    with probes.installed(tracer):
+        assert submission() == plain
+    assert len(tracer.durations("harness.generate_submission")) == 1
 
 
 def test_bench_pipeline_reads_the_scenario_set_it_synthesizes(tmp_path):
