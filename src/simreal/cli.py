@@ -269,7 +269,9 @@ def _cmd_evaluate(args) -> int:
             stem = archive_path.name.partition(".")[0]
             save_svg(chart, args.plot / f"components.{stem}.svg")
         interval = archive.manifest.get("replan_interval")
-        if isinstance(interval, (int, float)):  # a manifest value from outside may be anything
+        # A manifest from outside may hold anything: only an interval as rollout writes it,
+        # a JSON integer >= 1, goes on the curve (a bool is an int in Python).
+        if type(interval) is int and interval >= 1:
             curve_points.append((float(interval), summary.composite))
         print(f"{archive_path.name}: composite={summary.composite:.6f} "
               f"ade={summary.mean_ade:.3f} min_ade={summary.mean_min_ade:.3f} "

@@ -452,18 +452,18 @@ def _as_poses(output, shape: tuple[int, ...], source: str, step: int) -> np.ndar
     return poses
 
 
-def _step_policies(ctx: PolicyContext, queries, out: np.ndarray, outputs=None) -> None:
+def _step_policies(ctx: PolicyContext, queries, out: np.ndarray, held) -> None:
     """Step every ``(policy, rows, who)`` of ``queries`` at ``ctx.step`` into ``out[:, rows]``.
 
     ``out`` is the step's (K, R, 4) poses, rows in ``ctx.ids`` order.
-    ``outputs`` holds each query's poses for this step from a held plan; by
-    default every policy is stepped against the same context before any
-    output is looked at.  Each output must then be a (K, len(rows), 4) float
-    array, every row of ``out`` must be finite, and each heading is wrapped
-    in place.
+    ``held`` holds, for each query, its poses for this step from a held plan,
+    or None for a query whose policy is stepped.  Every policy without a held
+    plan is stepped against the same context before any output is looked at.
+    Each output must then be a (K, len(rows), 4) float array, every row of
+    ``out`` must be finite, and each heading is wrapped in place.
     """
-    if outputs is None:
-        outputs = [policy.step(ctx, rows) for policy, rows, _ in queries]
+    outputs = [policy.step(ctx, rows) if plan is None else plan
+               for (policy, rows, _), plan in zip(queries, held)]
     k = len(ctx.seeds)
     for (_, rows, who), output in zip(queries, outputs):
         out[:, rows] = _as_poses(output, (k, len(rows), 4), f"{who} policy", ctx.step)
@@ -487,33 +487,17 @@ class Policy(ABC):
         [k] belongs to rollout k of the context.
         """
 
-    def plan(self, context: PolicyContext, rows: np.ndarray, horizon: int) -> np.ndarray:
-        """Produce ``horizon`` consecutive steps without re-observing others.
+    def plan(self, context: PolicyContext, rows: np.ndarray, horizon: int) -> np.ndarray | None:
+        """Produce ``horizon`` consecutive steps without re-observing others, or None.
 
-        Returns (horizon, K, len(rows), 4).  The default rolls :meth:`step`
-        forward, with the checks the rollout applies to every step, against
-        virtually extended contexts in which only the policy's own outputs
-        advance; other objects stay frozen at their last known (now stale)
-        state.  The rollout loop holds plans to emulate slower replanning
-        (see :func:`closed_loop_rollout`).
+        A plan is (horizon, K, len(rows), 4); the rollout loop holds it to
+        emulate slower replanning (see :func:`closed_loop_rollout`).  The
+        default returns None, "no plan of my own": the loop then steps the
+        policy at every step, so it keeps observing the others.  A policy
+        that reads other objects' poses and should act on stale ones between
+        replans defines ``plan`` to hold one.
         """
-        k, a, length, _ = context.poses.shape
-        poses = np.zeros((k, a, length + horizon, 4))
-        valid = np.zeros((a, length + horizon), dtype=bool)
-        poses[:, :, :length] = context.poses
-        valid[:, :length] = context.valid
-        ctx = context
-        for j in range(horizon):
-            if j:
-                ctx = replace(
-                    ctx,
-                    step=context.step + j,
-                    poses=_read_only(poses[:, :, : length + j]),
-                    valid=_read_only(valid[:, : length + j]),
-                )
-            _step_policies(ctx, [(self, rows, "planning")], poses[:, :, length + j])
-            valid[rows, length + j] = True
-        return np.moveaxis(poses[:, rows, length:], 2, 0)
+        return None
 
 
 @dataclass(frozen=True)
@@ -606,9 +590,11 @@ def closed_loop_rollout(
 
     A ``replan_interval`` n above 1 emulates slower replanning, which makes
     the rollouts hybrid open/closed loop: at steps 1, n+1, 2n+1, ... each
-    policy makes an n-step :meth:`Policy.plan` against the same context, and
-    the steps in between replay it.  Fresh or held, every step's outputs pass
-    the same checks.  A plan lives only within this call.
+    policy is asked for an n-step :meth:`Policy.plan` against the same
+    context, and the steps in between replay the plans it returned.  A policy
+    that returns None is stepped at every step, as at interval 1.  Fresh or
+    held, every step's outputs pass the same checks.  A plan lives only
+    within this call.
 
     Returns the simulated futures as (K, R, T, 4) poses, plus one trace per
     (scenario, rollout), scenario by scenario, whose ``ids`` are that
@@ -666,22 +652,22 @@ def closed_loop_rollout(
         motion=_history_motion(poses[0, :, :h], valid[:, :h], dt),
         noise=_NoiseStreams(seeds, ids),
     )
+    plans = [None] * len(queries)  # None: the policy is stepped, as every one is at interval 1
     # An overflowing policy option makes non-finite poses, which _step_policies rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, t_total + 1):
             upto = h + t - 1
             ctx = replace(ctx, step=t, poses=_read_only(poses[:, :, :upto]),
                           valid=_read_only(valid[:, :upto]))
-            outputs = None
-            if replan_interval > 1:
-                held = (t - 1) % replan_interval
-                if held == 0:  # every policy plans against this context before any plan is read
-                    plans = [policy.plan(ctx, rows, replan_interval) for policy, rows, _ in queries]
-                    plans = [_as_poses(plan, (replan_interval, k, len(rows), 4),
-                                       f"{who} policy's plan", t)
-                             for plan, (_, rows, who) in zip(plans, queries)]
-                outputs = [plan[held] for plan in plans]
-            _step_policies(ctx, queries, poses[:, :, upto], outputs)
+            j = (t - 1) % replan_interval
+            if j == 0 and replan_interval > 1:  # all plan against this context before any is read
+                plans = [policy.plan(ctx, rows, replan_interval) for policy, rows, _ in queries]
+                plans = [plan if plan is None
+                         else _as_poses(plan, (replan_interval, k, len(rows), 4),
+                                        f"{who} policy's plan", t)
+                         for plan, (_, rows, who) in zip(plans, queries)]
+            held = [plan if plan is None else plan[j] for plan in plans]
+            _step_policies(ctx, queries, poses[:, :, upto], held)
             valid[:, upto] = True
             record[t - 1] = poses[:, :, upto]
 

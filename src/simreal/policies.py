@@ -57,7 +57,6 @@ class ConstantVelocityPolicy(Policy):
 
     Speed is the displacement rate between the two most recent valid history
     observations; an object with a single valid observation holds still.
-    Memoryless, so held plans reproduce it exactly.
     """
 
     def step(self, context: PolicyContext, rows):
@@ -97,11 +96,12 @@ class RandomAgentPolicy(Policy):
 
 
 class LoggedOraclePolicy(Policy):
-    """Replay the logged future; gaps, and plan steps past its end, hold the last valid pose.
+    """Replay the logged future; gaps hold the last valid pose.
 
     Built for a batch of scenarios (see :func:`~simreal.harness.as_batch`),
     it replays contexts of exactly that batch: its future has one row per
-    row of the batch's pose buffer.
+    row of the batch's pose buffer.  It makes no plan, so the rollout steps
+    it at every step of the logged future and never past it.
     """
 
     def __init__(self, scenarios: Scenario | Sequence[Scenario]):
@@ -126,7 +126,7 @@ class LoggedOraclePolicy(Policy):
                 f"the oracle replays scenarios {list(self._batch[0])}, "
                 f"not the objects of {list(context.scenario_ids)}"
             )
-        future = self._future[rows, min(context.step, self._future.shape[1]) - 1]
+        future = self._future[rows, context.step - 1]
         return np.broadcast_to(future, (len(context.seeds),) + future.shape)
 
 

@@ -613,6 +613,38 @@ class TestEvaluate:
         ]) == 0
         assert not (tmp_path / "odd.replan_curve.json").exists()  # one point is no curve
 
+    def test_only_replan_intervals_rollout_writes_go_on_the_curve(self, tmp_path):
+        # A manifest from outside may hold any JSON number.  Only an integer >= 1
+        # that is not a bool is an interval: NaN must not reach the curve's JSON
+        # or SVG, and a bool, a float or an interval below 1 is no point either.
+        scenarios = tmp_path / "scenarios"
+        assert main(["synth", "--template", "following_pair", "--count", "1", "--seed", "0",
+                     "--out", str(scenarios)]) == 0
+        base = tmp_path / "base.tar.gz"
+        assert main([
+            "rollout", "--scenarios", str(scenarios), "--env-policy", "constant-velocity",
+            "--av-policy", "constant-velocity", "--k", "2", "--seed", "0", "--jobs", "1",
+            "--out", str(base),
+        ]) == 0
+        archive = read_submission(base)
+        argv = []
+        for i, interval in enumerate([1, 3, math.nan, True, -5, 0, 2.0]):
+            path = tmp_path / f"a{i}.tar.gz"
+            write_submission(path, (encode_rollouts(rec) for _, rec in archive.entries),
+                             {**archive.manifest, "replan_interval": interval})
+            argv += ["--archive", str(path)]
+        report = tmp_path / "r.json"
+        assert main(["evaluate", *argv, "--scenarios", str(scenarios), "--out", str(report),
+                     "--jobs", "1", "--plot", str(tmp_path / "plots")]) == 0
+
+        def refuse(name):
+            raise AssertionError(f"{name} in the replan curve")
+
+        curve = json.loads((tmp_path / "r.replan_curve.json").read_text(), parse_constant=refuse)
+        assert [p["replan_interval"] for p in curve["points"]] == [1.0, 3.0]
+        svg = (tmp_path / "plots" / "replan_curve.svg").read_text()
+        assert svg.count("<circle") == 2 and "nan" not in svg
+
     def test_multiple_archives_emit_replan_curve(self, workspace, tmp_path):
         root, scenarios, archives = workspace
         slow = tmp_path / "slow.tar.gz"

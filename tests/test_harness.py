@@ -152,12 +152,14 @@ class _Same(Policy):
 
 class _PlansOneStep(ConstantVelocityPolicy):
     def plan(self, context, rows, horizon):
-        return super().plan(context, rows, 1)
+        return self.step(context, rows)[None]
 
 
 class _PlansNothing(ConstantVelocityPolicy):
+    """Returns a scalar where a plan belongs (None would mean "no plan of my own")."""
+
     def plan(self, context, rows, horizon):
-        return None
+        return 0.0
 
 
 class TestPolicyContract:
@@ -218,6 +220,18 @@ class TestNoLookahead:
         np.testing.assert_array_equal(a, b)
 
 
+class _SeesTheAV(ConstantVelocityPolicy):
+    """Constant velocity with no plan of its own, recording the AV column each step sees last."""
+
+    def __init__(self):
+        self.seen = []
+
+    def step(self, context, rows):
+        last = context.poses[:, context.av_rows, -1], context.valid[context.av_rows, -1]
+        self.seen.append(tuple(a.copy() for a in last))
+        return super().step(context, rows)
+
+
 class TestFactorization:
     def test_env_output_at_first_step_ignores_av_policy(self):
         scenario = straight_scenario()
@@ -241,6 +255,21 @@ class TestFactorization:
         env_ids = sorted(simulated_object_ids(scenario) - {scenario.av_track_id})
         for oid in env_ids:
             np.testing.assert_array_equal(poses(a, scenario, oid), poses(b, scenario, oid))
+
+    def test_env_policy_without_a_plan_sees_the_held_av_output(self):
+        # The AV holds 5-step plans; an environment policy that makes no plan is
+        # stepped at every step against the true context, so it sees the AV's
+        # held output of the step before, never a stale or empty row.
+        scenario = straight_scenario()
+        env = _SeesTheAV()
+        future, _ = closed_loop_rollout(
+            scenario, NoisyPlanPolicy(), env, seeds=(0, 1), replan_interval=5
+        )
+        av = sorted(simulated_object_ids(scenario)).index(scenario.av_track_id)
+        assert len(env.seen) == future.shape[2]
+        for t, (av_poses, av_valid) in enumerate(env.seen[1:], start=1):
+            assert av_valid.all()
+            np.testing.assert_array_equal(av_poses[:, 0], future[:, av, t - 1])
 
 
 class TestGenerateSubmission:
@@ -432,10 +461,9 @@ class TestBaselines:
         LoggedOraclePolicy,
     ], ids=["constant-velocity", "random", "logged-oracle"])
     def test_replan_wrapper_transparent_for_memoryless_policy(self, make, interval):
-        # These policies read no other object's simulated pose, and the
-        # default plan advances the policy's own outputs, so a held plan must
-        # give the closed-loop rollout bit for bit.  Random draws its noise,
-        # and the oracle its logged pose, by each virtual step of the plan.
+        # These policies make no plan of their own, so the rollout steps them
+        # at every step whatever the interval: the result must be the
+        # closed-loop rollout bit for bit.
         scenario = curved_scenario()
         plain, _ = closed_loop_rollout(scenario, make(scenario), make(scenario), seeds=(0, 1))
         wrapped, _ = closed_loop_rollout(
@@ -471,8 +499,8 @@ class TestBaselines:
 
     @pytest.mark.parametrize("interval", [7, 200])
     def test_oracle_plans_past_the_logged_future(self, interval):
-        # A plan made near the end of the window runs past step T; the oracle
-        # holds its last pose there instead of indexing past the log.
+        # The oracle makes no plan, so a held rollout steps it at every step
+        # of the logged future, never past step T, and replays the log.
         scenario = curved_scenario()
         plain = generate_submission(
             scenario, LoggedOraclePolicy(scenario), LoggedOraclePolicy(scenario), k=2
@@ -640,8 +668,8 @@ class TestNoiseStreams:
         data=st.data(),
     )
     def test_draws_equal_per_object_generators(self, seeds, ids, steps, n, loc, scale, data):
-        # Steps past 80 are virtual plan steps; steps in any order, and some
-        # that share a key block, exercise the block cache.
+        # Steps in any order, past 80 too, and some that share a key block,
+        # exercise the block cache.
         rows = data.draw(st.lists(st.integers(0, len(ids) - 1), min_size=1, max_size=6))
         noise = _NoiseStreams(tuple(seeds), tuple(ids))
         for step in steps:

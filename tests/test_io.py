@@ -205,8 +205,9 @@ GOLDEN_SHARD_SHA256 = "847c5fe27b8b0777a28f3b665b3b0c8a6272aced6ef55298a338b05c5
 # The same submission's shard as written: kind-3 records in byte planes.
 GOLDEN_PLANAR_SHARD_SHA256 = "a0fdfa7ae310d90fdea3c9e588e2e9b7c6ba257308c469d782d1698af57ecad3"
 # Shards of k=2 submissions from the noise-drawing policies, which pin the
-# random streams keyed by (seed, step, object).  A replan interval of 200 holds
-# plans past the last step T=80, so it pins the keys of virtual plan steps too.
+# random streams keyed by (seed, step, object).  At a replan interval of 200
+# noisy-plan makes one plan, longer than the T=80 window, and draws noise only
+# at step 1, where that plan starts.
 GOLDEN_NOISE_SHARD_SHA256 = {
     ("noisy-plan", 1): "096d2367e295b8a65eb2e11f396d979a5834d8b34a402a8b3b5a900bd484d116",
     ("random", 1): "6d4fb599658ed880fe86e6b3dfca7b64323bfad745be34f356f4bdf022ae5cd3",

@@ -87,6 +87,9 @@ def test_probed_policies_hold_plans_as_the_policies_do(name):
     with probes.installed(tracer):
         assert submission() == plain
     assert len(tracer.durations("harness.generate_submission")) == 1
+    if name != "noisy-plan":  # the probe times ``step`` only, and noisy-plan holds plans
+        # A policy with no plan is stepped at every step: two policies, 80 steps.
+        assert tracer.counts["policies.step_calls"] == 160
 
 
 def test_bench_pipeline_reads_the_scenario_set_it_synthesizes(tmp_path):
