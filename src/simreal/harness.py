@@ -25,6 +25,7 @@ undone before the rollout ends.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -77,36 +78,31 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _xorshift(_MIX_MULT_L * x - _MIX_MULT_R * y)
 
 
-def philox_keys(entropy) -> np.ndarray:
-    """(n, 2) uint64 Philox keys of n (seed, step, id) rows of integers in [0, 2**64).
+def _width_groups(values: np.ndarray) -> list[np.ndarray]:
+    """Indices of the ``values`` below 2**32, then of the rest; an empty group is left out."""
+    wide = values >= 2**32
+    return [group for group in (np.flatnonzero(~wide), np.flatnonzero(wide)) if len(group)]
 
-    Row i is ``SeedSequence(tuple(entropy[i])).generate_state(2, np.uint64)``,
-    computed for all rows at once.  SeedSequence splits each value into
-    32-bit words (one below 2**32, else two), hashes the first four words
-    into its pool (zeros past the end), mixes the pool words with each other,
-    then mixes every further word into each pool word.
-    """
-    entropy = np.asarray(entropy, dtype=np.uint64).reshape(-1, 3)
-    n = len(entropy)
-    two = entropy >= np.uint64(2**32)
-    first = np.cumsum(1 + two, axis=1) - (1 + two)  # each value's first word
-    words = np.zeros((n, _MAX_WORDS), dtype=np.uint32)
-    rows, cols = np.nonzero(two)
-    words[rows, first[rows, cols] + 1] = entropy[rows, cols] >> np.uint64(32)
-    words[np.arange(n)[:, None], first] = entropy & np.uint64(0xFFFFFFFF)
-    length = 3 + two.sum(axis=1)
 
-    pool = [_hashmix(words[:, i], i) for i in range(_POOL_SIZE)]
+def _words(values: np.ndarray) -> list[np.ndarray]:
+    """SeedSequence's 32-bit words of ``values``, all below 2**32 (one word) or none (two)."""
+    low = (values & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    return [low] if values.max() < 2**32 else [low, (values >> np.uint64(32)).astype(np.uint32)]
+
+
+def _seed_sequence_state(words: list[np.ndarray]) -> np.ndarray:
+    """(..., 2) ``generate_state(2, np.uint64)`` of the entropy ``words``, broadcast together."""
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [_hashmix(words[i] if i < len(words) else zero, i) for i in range(_POOL_SIZE)]
     call = _POOL_SIZE
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], call))
                 call += 1
-    for src in range(_POOL_SIZE, _MAX_WORDS):
-        extra = length > src
+    for word in words[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
-            pool[dst] = np.where(extra, _mix(pool[dst], _hashmix(words[:, src], call)), pool[dst])
+            pool[dst] = _mix(pool[dst], _hashmix(word, call))
             call += 1
 
     out = [
@@ -114,7 +110,37 @@ def philox_keys(entropy) -> np.ndarray:
         for i in range(_POOL_SIZE)
     ]
     high = np.uint64(32)
-    return np.stack([out[0] | (out[1] << high), out[2] | (out[3] << high)], axis=1)
+    return np.stack([out[0] | (out[1] << high), out[2] | (out[3] << high)], axis=-1)
+
+
+def philox_keys(seeds, steps, ids) -> np.ndarray:
+    """(S, K, A, 2) uint64 Philox keys of every (seed, step, id) of integers in [0, 2**64).
+
+    Entry [s, k, a] is ``SeedSequence((seeds[k], steps[s], ids[a])).generate_state(2,
+    np.uint64)``.  SeedSequence splits each value into 32-bit words (one below 2**32,
+    else two), hashes the first four words into its pool (zeros past the end), mixes the
+    pool words with each other, then mixes every further word into each pool word.
+    Here the hash runs on the seeds, steps and ids broadcast as (1, K, 1), (S, 1, 1) and
+    (1, 1, A), so each stage runs at the size of the values it depends on: the seed-only
+    stages at K, the (seed, step) stages at S·K, and only those after the id word joins
+    at S·K·A.  Word positions depend on widths, so each combination of the three axes'
+    width groups is hashed on its own and scattered into place; usually there is one.
+    """
+    axes = [np.asarray(values, dtype=np.uint64).reshape(-1) for values in (steps, seeds, ids)]
+    step_axis, seed_axis, id_axis = axes
+
+    def state(s, k, a) -> np.ndarray:  # entropy in SeedSequence's order: seed, step, id
+        return _seed_sequence_state(_words(seed_axis[k][None, :, None])
+                                    + _words(step_axis[s][:, None, None])
+                                    + _words(id_axis[a][None, None, :]))
+
+    combinations = list(itertools.product(*map(_width_groups, axes)))
+    if len(combinations) == 1:  # every axis has one width: no scatter
+        return state(*combinations[0])
+    keys = np.empty(tuple(map(len, axes)) + (2,), dtype=np.uint64)
+    for rows in combinations:
+        keys[np.ix_(*rows)] = state(*rows)
+    return keys
 
 
 # Philox4x64-10's round multipliers and key increments (Salmon et al., SC'11).
@@ -267,28 +293,39 @@ def _ziggurat_fast_path(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # Streams are computed for at most this many (seed, step, id) rows at once;
 # the derivation's temporaries, not its results, set the rollout's peak memory.
-_KEY_BLOCK_ROWS = 4096
+# On a 2-vCPU x86 host, 8,192 rows ran the in-process dense_noisy rollout in
+# 61 ms against 78 ms at 4,096 and 62 ms at 16,384, whose temporaries took
+# 2.3 MB more.
+_KEY_BLOCK_ROWS = 8192
 
 
 class _NoiseStreams:
     """The random streams of K lockstep rollouts: one Philox stream per (seed, step, object).
 
     Each stream is the one ``Generator(Philox(SeedSequence((seed, step, id))))``
-    yields.  Streams are computed for blocks of consecutive steps, at most
-    ``_KEY_BLOCK_ROWS`` rows a block (or one step, if a step alone has more),
-    when a step of the block first draws, so rollouts that draw nothing pay
-    nothing; only the block in use is kept.  It holds each row's key and the
-    ziggurat fast path of its first Philox block, so a draw of n <= 4 is a
-    slice where the first n draws are fast.  Other rows, and n > 4, reset one
-    bit generator to the stream's start: its key, a zero counter and an empty buffer.
+    yields.  Streams are computed for a block of steps when a step of it is
+    first drawn, so rollouts that draw nothing pay nothing, and only the block
+    in use is kept.  The first draw's block is its own step.  A later block
+    starts at the drawn step and follows the stride from the step drawn before
+    it (1 when policies draw every step, n when they draw once per n-step
+    plan), up to ``last_step`` and at most ``_KEY_BLOCK_ROWS`` rows (or one
+    step, if a step alone has more).  A step off the block derives its own,
+    so the stride is a guess that costs time when wrong, never bits.
+
+    A block holds each row's key and the ziggurat fast path of its first
+    Philox block, so a draw of n <= 4 is a slice where the first n draws are
+    fast.  Other rows, and n > 4, reset one bit generator to the stream's
+    start: its key, a zero counter and an empty buffer.
     """
 
-    def __init__(self, seeds: tuple[int, ...], ids: tuple[int, ...]):
+    def __init__(self, seeds: tuple[int, ...], ids: tuple[int, ...], last_step: int):
         self._seeds = seeds
         self._ids = ids
         self.has_negative_ids = bool(ids) and min(ids) < 0
-        self._block_steps = max(1, _KEY_BLOCK_ROWS // (len(seeds) * max(1, len(ids))))
-        self._block_first: int | None = None  # first step of self._block
+        self._last_step = last_step
+        self._block_size = max(1, _KEY_BLOCK_ROWS // (len(seeds) * max(1, len(ids))))
+        self._block_steps = range(0)
+        self._drawn: int | None = None  # the step drawn last
         # (steps, K, A, 2) keys, (steps, K, A, 4) fast-path normals and "draws 0..j all fast"
         self._block: list[np.ndarray] = []
         self._generator = np.random.Generator(np.random.Philox(0))
@@ -297,19 +334,20 @@ class _NoiseStreams:
                        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def _step_block(self, step: int) -> list[np.ndarray]:
-        """One step's (K, A) rows of the block; a negative id gets a key no draw reads."""
-        first = (step - 1) // self._block_steps * self._block_steps + 1
-        if first != self._block_first:
-            shape = (self._block_steps, len(self._seeds), len(self._ids))
-            entropy = np.empty(shape + (3,), dtype=np.uint64)
-            entropy[..., 0] = np.array(self._seeds, dtype=np.uint64)[:, None]
-            entropy[..., 1] = np.arange(first, first + self._block_steps)[:, None, None]
-            entropy[..., 2] = np.maximum(self._ids, 0)
-            keys = philox_keys(entropy)
-            block = (keys, *_ziggurat_fast_path(_philox_first_block(keys)))
-            self._block = [a.reshape(shape + a.shape[1:]) for a in block]
-            self._block_first = first
-        return [a[step - first] for a in self._block]
+        """One step's (K, A) rows of the block, deriving the block that starts there if needed."""
+        if step not in self._block_steps:
+            stride = 0 if self._drawn is None else step - self._drawn
+            if stride < 1:
+                self._block_steps = range(step, step + 1)
+            else:
+                last = min(self._last_step, step + stride * (self._block_size - 1))
+                self._block_steps = range(step, max(step, last) + 1, stride)
+            # A negative id gets a key no draw reads.
+            keys = philox_keys(self._seeds, self._block_steps, np.maximum(self._ids, 0))
+            fast_path = _ziggurat_fast_path(_philox_first_block(keys.reshape(-1, 2)))
+            self._block = [keys] + [a.reshape(keys.shape[:-1] + (4,)) for a in fast_path]
+        self._drawn = step
+        return [a[self._block_steps.index(step)] for a in self._block]
 
     def draw(self, step: int, rows, n: int) -> np.ndarray:
         keys, normals, all_fast = (a[:, rows] for a in self._step_block(step))
@@ -407,8 +445,13 @@ class PolicyContext:
         other scenarios of the batch: plans computed ahead of time and
         step-by-step execution see identical noise.  ``loc + scale * z``
         gives the bits of numpy's ``normal(loc, scale)``.  A negative object
-        id cannot key a stream and is a contract violation.
+        id cannot key a stream, and ``n`` must be an int >= 0 (not a bool):
+        either breach is a contract violation.
         """
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise PolicyContractViolation(
+                f"standard_normals at step {self.step}: n must be an int >= 0, got {n!r}"
+            )
         if self.noise.has_negative_ids:
             negative = [r for r in np.asarray(rows).tolist() if self.ids[r] < 0]
             if negative:
@@ -492,6 +535,8 @@ class Policy(ABC):
 
         A plan is (horizon, K, len(rows), 4); the rollout loop holds it to
         emulate slower replanning (see :func:`closed_loop_rollout`).  The
+        horizon is the replan interval, except that a window's last plan is
+        shorter when fewer steps remain.  The
         default returns None, "no plan of my own": the loop then steps the
         policy at every step, so it keeps observing the others.  A policy
         that reads other objects' poses and should act on stale ones between
@@ -591,10 +636,14 @@ def closed_loop_rollout(
     A ``replan_interval`` n above 1 emulates slower replanning, which makes
     the rollouts hybrid open/closed loop: at steps 1, n+1, 2n+1, ... each
     policy is asked for an n-step :meth:`Policy.plan` against the same
-    context, and the steps in between replay the plans it returned.  A policy
+    context (fewer steps for the last plan, if fewer remain of the T-step
+    window), and the steps in between replay the plans it returned.  A policy
     that returns None is stepped at every step, as at interval 1.  Fresh or
     held, every step's outputs pass the same checks.  A plan lives only
     within this call.
+
+    Random streams are derived only for the steps policies draw from, and
+    never past step T (see :class:`_NoiseStreams`).
 
     Returns the simulated futures as (K, R, T, 4) poses, plus one trace per
     (scenario, rollout), scenario by scenario, whose ``ids`` are that
@@ -650,7 +699,7 @@ def closed_loop_rollout(
         poses=_read_only(poses[:, :, :h]),
         valid=_read_only(valid[:, :h]),
         motion=_history_motion(poses[0, :, :h], valid[:, :h], dt),
-        noise=_NoiseStreams(seeds, ids),
+        noise=_NoiseStreams(seeds, ids, t_total),
     )
     plans = [None] * len(queries)  # None: the policy is stepped, as every one is at interval 1
     # An overflowing policy option makes non-finite poses, which _step_policies rejects.
@@ -661,9 +710,10 @@ def closed_loop_rollout(
                           valid=_read_only(valid[:, :upto]))
             j = (t - 1) % replan_interval
             if j == 0 and replan_interval > 1:  # all plan against this context before any is read
-                plans = [policy.plan(ctx, rows, replan_interval) for policy, rows, _ in queries]
+                horizon = min(replan_interval, t_total - t + 1)
+                plans = [policy.plan(ctx, rows, horizon) for policy, rows, _ in queries]
                 plans = [plan if plan is None
-                         else _as_poses(plan, (replan_interval, k, len(rows), 4),
+                         else _as_poses(plan, (horizon, k, len(rows), 4),
                                         f"{who} policy's plan", t)
                          for plan, (_, rows, who) in zip(plans, queries)]
             held = [plan if plan is None else plan[j] for plan in plans]

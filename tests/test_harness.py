@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from simreal import harness
 from simreal.errors import InvalidOption, PolicyContractViolation
 from simreal.harness import (
     _ZIGGURAT_KI,
@@ -181,6 +182,17 @@ class TestPolicyContract:
         expected = rf"^{who} policy's plan at step 1: expected \(5, 2, {rows}, 4\) poses .* {got}$"
         with pytest.raises(PolicyContractViolation, match=expected):
             closed_loop_rollout(scenario, av, env, seeds=(0, 1), replan_interval=5)
+
+    @pytest.mark.parametrize("n", [-1, 2.0, True])
+    def test_a_bad_draw_count_is_refused(self, n):
+        class BadDraw(ConstantVelocityPolicy):
+            def step(self, context, rows):
+                context.standard_normals(rows, n)
+                return super().step(context, rows)
+
+        scenario = straight_scenario()
+        with pytest.raises(PolicyContractViolation, match=rf"at step 1: n must be .* {n!r}$"):
+            closed_loop_rollout(scenario, BadDraw(), ConstantVelocityPolicy(), seeds=(0,))
 
     def test_context_arrays_are_read_only(self):
         scenario = straight_scenario()
@@ -481,6 +493,23 @@ class TestBaselines:
         )
         assert not np.array_equal(poses(fast, scenario, 0), poses(slow, scenario, 0))
 
+    @pytest.mark.parametrize("interval", [7, 200])
+    def test_plans_end_with_the_window(self, interval):
+        # The last plan is cut to the steps left, so no planned step goes unread.
+        class Recording(NoisyPlanPolicy):
+            def __init__(self):
+                super().__init__()
+                self.horizons = []
+
+            def plan(self, context, rows, horizon):
+                self.horizons.append(horizon)
+                return super().plan(context, rows, horizon)
+
+        scenario = generate(SynthSpec(Template.STRAIGHT_ROAD, agent_count=32, seed=0)).scenario
+        av, env = Recording(), Recording()
+        closed_loop_rollout(scenario, av, env, seeds=(0, 1), replan_interval=interval)
+        assert sum(av.horizons) == sum(env.horizons) == scenario.future_length == 80
+
     @pytest.mark.parametrize("interval", [10, 79, 80, 200])
     def test_replan_wrapper_replans_every_rollout(self, interval):
         # A plan spanning the whole future window must not leak into the next
@@ -652,10 +681,20 @@ _WORD_VALUES = st.one_of(
 
 class TestNoiseStreams:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(_WORD_VALUES, _WORD_VALUES, _WORD_VALUES), min_size=1, max_size=6))
-    def test_keys_equal_seed_sequence_state(self, rows):
-        want = [np.random.SeedSequence(r).generate_state(2, np.uint64) for r in rows]
-        assert philox_keys(np.array(rows, dtype=np.uint64)).tobytes() == np.array(want).tobytes()
+    @given(
+        seeds=st.lists(_WORD_VALUES, min_size=1, max_size=3),
+        steps=st.lists(_WORD_VALUES, min_size=1, max_size=4),
+        ids=st.lists(_WORD_VALUES, min_size=1, max_size=4),
+    )
+    def test_keys_equal_seed_sequence_state(self, seeds, steps, ids):
+        # One grid can mix values of one and two words on every axis.
+        keys = philox_keys(seeds, steps, ids)
+        assert keys.shape == (len(steps), len(seeds), len(ids), 2)
+        for s, step in enumerate(steps):
+            for k, seed in enumerate(seeds):
+                for a, oid in enumerate(ids):
+                    want = np.random.SeedSequence((seed, step, oid)).generate_state(2, np.uint64)
+                    assert keys[s, k, a].tobytes() == want.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -671,7 +710,7 @@ class TestNoiseStreams:
         # Steps in any order, past 80 too, and some that share a key block,
         # exercise the block cache.
         rows = data.draw(st.lists(st.integers(0, len(ids) - 1), min_size=1, max_size=6))
-        noise = _NoiseStreams(tuple(seeds), tuple(ids))
+        noise = _NoiseStreams(tuple(seeds), tuple(ids), 120)
         for step in steps:
             z = noise.draw(step, np.array(rows), n)
             assert z.shape == (len(seeds), len(rows), n)
@@ -721,7 +760,7 @@ class TestNoiseStreams:
         (0, 2, 50, None, 2),  # a fast first draw, then a slow one
     ])
     def test_slow_rows_keep_numpys_bits(self, seed, step, oid, layer, slow_from):
-        noise = _NoiseStreams((seed,), (oid,))
+        noise = _NoiseStreams((seed,), (oid,), 80)
         all_fast = noise._step_block(step)[2][0, 0]
         assert all_fast.tolist() == [j + 1 < slow_from for j in range(4)]
         if layer is not None:
@@ -745,20 +784,39 @@ class TestNoiseStreams:
         monkeypatch.undo()
 
         # A stream is slow unless its two draws read exactly two words of its first block.
-        ids = sorted(simulated_object_ids(scenario))
-        entropy = [(seed, step, oid) for seed in range(32) for step in range(1, 81) for oid in ids]
+        keys = philox_keys(range(32), range(1, 81), sorted(simulated_object_ids(scenario)))
         bitgen = np.random.Philox(0)
         generator = np.random.Generator(bitgen)
         start = bitgen.state
         slow = 0
-        for key in philox_keys(entropy).tolist():
+        for key in keys.reshape(-1, 2).tolist():
             start["state"]["key"] = key
             bitgen.state = start
             generator.standard_normal(2)
             state = bitgen.state
             slow += state["buffer_pos"] != 2 or state["state"]["counter"][0] != 1
         assert Counting.rows == slow
-        assert 0.01 < slow / len(entropy) < 0.06
+        assert 0.01 < slow / (keys.size // 2) < 0.06
+
+    @pytest.mark.parametrize("interval", [1, 3, 7, 80])
+    @pytest.mark.parametrize("policy", ["noisy-plan", "random"])
+    @pytest.mark.parametrize("agents", [32, 2])
+    def test_keys_are_derived_only_for_drawn_rows(self, monkeypatch, agents, policy, interval):
+        # noisy-plan draws once per plan, random at every step; both for
+        # every row of all 32 rollouts.
+        template = Template.STRAIGHT_ROAD if agents == 32 else Template.FOLLOWING_PAIR
+        scenario = generate(SynthSpec(template, agent_count=agents, seed=0)).scenario
+        derived = []
+
+        def counting(keys):
+            derived.append(len(keys))
+            return _philox_first_block(keys)
+
+        monkeypatch.setattr(harness, "_philox_first_block", counting)
+        generate_submission(scenario, create_policy(policy, scenario),
+                            create_policy(policy, scenario), k=32, replan_interval=interval)
+        drawn_steps = len(range(1, 81, interval)) if policy == "noisy-plan" else 80
+        assert sum(derived) == drawn_steps * 32 * agents
 
     def test_negative_seed_is_rejected(self):
         scenario = straight_scenario()
