@@ -133,10 +133,11 @@ def displacements_per_rollout(rollouts: ScenarioRollouts, scenario: Scenario) ->
     first, inverse = rollouts.distinct
     rows = np.searchsorted(rollouts.ids, ids)
     sim_xy = rollouts.rollouts[..., :2][np.ix_(first, rows)]  # (E, A, T, 2)
-    disp = np.linalg.norm(sim_xy - logged[None, :, :, :2], axis=-1)
+    # Only valid logged slots are read: an invalid one may hold any value.
+    disp = np.linalg.norm(sim_xy[:, logged_ok] - logged[logged_ok][:, :2], axis=-1)  # (E, V)
     # C order keeps each rollout's mean a reduction over one contiguous row,
     # which sums in the same order as a per-rollout mean.
-    return np.ascontiguousarray(disp[:, logged_ok]).mean(axis=1)[inverse]
+    return np.ascontiguousarray(disp).mean(axis=1)[inverse]
 
 
 def ade(rollouts: ScenarioRollouts, scenario: Scenario) -> float:

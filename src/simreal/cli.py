@@ -316,30 +316,31 @@ def _cmd_compare(args) -> int:
         summary = doc.get("summary") if isinstance(doc, dict) else None
         if not isinstance(summary, dict):
             raise ParseError("report has no summary section", path=str(path))
-        rows.append((path.stem, *(_summary_score(summary, key, path) for key in _SCORE_BOUNDS)))
+        rows.append([_summary_score(summary, key, path) for key in _SCORE_BOUNDS])
+    stems = [path.stem for path in args.reports]
+    names = [str(path) if stems.count(stem) > 1 else stem
+             for path, stem in zip(args.reports, stems)]
 
-    def ranks(key, reverse):
-        order = sorted(range(len(rows)), key=lambda i: rows[i][key], reverse=reverse)
-        out = [0] * len(rows)
-        for rank, i in enumerate(order, start=1):
-            out[i] = rank
-        return out
+    def ranks(key, sign):
+        """1 + the number of reports strictly better: equal values share a rank."""
+        return [1 + sum(sign * r[key] < sign * row[key] for r in rows) for row in rows]
 
-    comp_rank = ranks(1, reverse=True)   # higher composite is better
-    ade_rank = ranks(2, reverse=False)   # lower displacement is better
-    min_ade_rank = ranks(3, reverse=False)
+    comp_rank = ranks(0, -1)  # higher composite is better
+    ade_rank = ranks(1, 1)  # lower displacement is better
+    min_ade_rank = ranks(2, 1)
 
-    name_w = max(len(r[0]) for r in rows)
+    name_w = max(len("report"), *map(len, names))
     header = f"{'report'.ljust(name_w)}  composite(rank)      ade(rank)       min_ade(rank)"
     print(header)
     print("-" * len(header))
-    for i, (name, comp, a, ma) in enumerate(rows):
+    for i, (name, (comp, a, ma)) in enumerate(zip(names, rows)):
         print(f"{name.ljust(name_w)}  {comp:9.6f} (#{comp_rank[i]})   "
               f"{a:9.3f} (#{ade_rank[i]})   {ma:9.3f} (#{min_ade_rank[i]})")
-    if comp_rank != ade_rank:
-        print("note: ranking by composite disagrees with ranking by ADE")
-    if comp_rank != min_ade_rank:
-        print("note: ranking by composite disagrees with ranking by minADE")
+    for other, what in ((ade_rank, "ADE"), (min_ade_rank, "minADE")):
+        # Only a pair ordered strictly the opposite way disagrees; a tie does not.
+        if any(ci < cj and oi > oj for ci, oi in zip(comp_rank, other)
+               for cj, oj in zip(comp_rank, other)):
+            print(f"note: ranking by composite disagrees with ranking by {what}")
     return 0
 
 

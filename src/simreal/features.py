@@ -37,7 +37,15 @@ from .geometry import (
     polyline_distance_batch,
     separating_gap,
 )
-from .scene import TWO_PI, MapFeature, MapFeatureKind, Scenario, ScenarioRollouts
+from .errors import MalformedScenario
+from .scene import (
+    POSE_COORDINATE_LIMIT,
+    TWO_PI,
+    MapFeature,
+    MapFeatureKind,
+    Scenario,
+    ScenarioRollouts,
+)
 
 
 class MetricKind(Enum):
@@ -93,6 +101,13 @@ class SceneStates:
 
     ``poses`` is (K, A, T, 4) as [x, y, z, heading], ``valid`` is (K, A, T)
     and ``dims`` is (A, 3) as [length, width, height].  Row order follows ``ids``.
+
+    Every kernel relies on the bounds that construction checks: each pose
+    component of a valid slot, heading included, and each extent lies within
+    :data:`~simreal.scene.POSE_COORDINATE_LIMIT` (extents in [0, 1e7]), and
+    invalid slots hold zeros.  Then every box corner lies within 2e7 on each
+    axis, so no squared distance reaches 1e16: no kernel overflows or makes a
+    NaN.  A scene that breaks them raises :class:`MalformedScenario`.
     """
 
     ids: tuple[int, ...]
@@ -101,11 +116,19 @@ class SceneStates:
     dims: np.ndarray
     dt: float
 
+    def __post_init__(self):
+        limit = POSE_COORDINATE_LIMIT
+        if not (np.abs(self.poses) <= np.where(self.valid, limit, 0.0)[..., None]).all():
+            raise MalformedScenario(f"scene states: a valid slot's pose must be finite and within "
+                                    f"{limit:g}, and an invalid slot's all zeros")
+        if not ((self.dims >= 0.0) & (self.dims <= limit)).all():
+            raise MalformedScenario(f"scene states: box extents must be in [0, {limit:g}] m")
+
     @classmethod
     def from_logged_future(cls, scenario: Scenario) -> "SceneStates":
         """All logged tracks over the future window, with logged validity (K=1)."""
         ids = tuple(np.sort(scenario.tracks.ids).tolist())
-        poses, valid = scenario.future(ids)
+        poses, valid = _logged_future(scenario, ids)
         return cls._from_poses(scenario, ids, poses[None], valid[None])
 
     @classmethod
@@ -119,11 +142,11 @@ class SceneStates:
         The rows are the tracks of the members: every logged track in id order
         when the logged future is one, else ``rollouts.ids``.  A rollout's rows
         of tracks it does not simulate (valid in the history but not at the
-        handover step) are invalid, with zero poses.  Every kernel reads a slot
-        only through its validity, so the simulated rows get the bits a stack
-        over the rollout's own ids gives them.  The rollouts must meet the
-        submission contract (:func:`simreal.scene.rollout_problems`): every
-        row a track of the scenario, over its future length.
+        handover step) are invalid.  Every kernel reads a slot only through
+        its validity, so the simulated rows get the bits a stack over the
+        rollout's own ids gives them.  The rollouts must meet the submission
+        contract (:func:`simreal.scene.rollout_problems`): every row a track
+        of the scenario, over its future length.
         """
         ks = np.asarray(ks, dtype=np.intp)
         logged = np.flatnonzero(ks == LOGGED_FUTURE)
@@ -137,13 +160,19 @@ class SceneStates:
         valid[:, rows] = True
         ids = tuple(ids.tolist())
         for k in logged:
-            poses[k], valid[k] = scenario.future(ids)
+            poses[k], valid[k] = _logged_future(scenario, ids)
         return cls._from_poses(scenario, ids, poses, valid)
 
     @classmethod
     def _from_poses(cls, scenario, ids, poses, valid) -> "SceneStates":
         dims = scenario.tracks.dims[scenario.tracks.rows(ids)]
         return cls(ids, poses, valid, dims, scenario.timestep)
+
+
+def _logged_future(scenario: Scenario, ids) -> tuple[np.ndarray, np.ndarray]:
+    """``scenario.future(ids)`` with zeros in the invalid slots, whatever the scenario holds."""
+    poses, valid = scenario.future(ids)
+    return np.where(valid[..., None], poses, 0.0), valid
 
 
 def _box_table(states: SceneStates) -> BoxTable:
@@ -214,13 +243,10 @@ def _pair_bounds(lo, hi):
     """
     dx = hi[0] - lo[0]
     dy = hi[1] - lo[1]
-    # The centre distance only bounds, so it may round differently from
-    # ``hypot``; entries that overflow take ``hypot``.
+    # The centre distance only bounds, so it may round differently from ``hypot``.
     cd = dx * dx
     cd += dy * dy
     np.sqrt(cd, out=cd)
-    far = np.isinf(cd)
-    cd[far] = np.hypot(dx[far], dy[far])
     gated = np.abs(lo[2] - hi[2]) <= lo[3] + hi[3]
     return cd, gated, cd - (lo[4] + hi[4])
 
@@ -230,11 +256,11 @@ def _kept_pairs(cd, gated, lo, hi, real):
 
     ``cd`` and ``gated`` are :func:`_pair_bounds` of the pairs; ``lo`` and
     ``hi`` hold each pair's two rows' flat (K, A, T) row, gate flag, bound
-    ``U``, circumradius, slack and finiteness; ``real`` masks the pairs to
-    take.  Row i is the pair's lower object index.
+    ``U``, circumradius and slack; ``real`` masks the pairs to take.  Row i
+    is the pair's lower object index.
     """
-    src_lo, has_lo, u_lo, r_lo, slack, fin_lo = lo
-    src_hi, has_hi, u_hi, r_hi, _, fin_hi = hi
+    src_lo, has_lo, u_lo, r_lo, slack = lo
+    src_hi, has_hi, u_hi, r_hi, _ = hi
     for_lo = gated | ~has_lo
     for_hi = gated | ~has_hi
     swap = src_hi < src_lo  # rows of one (rollout, step) are in object order
@@ -242,17 +268,15 @@ def _kept_pairs(cd, gated, lo, hi, real):
     lower -= np.where(swap, r_lo, r_hi)
     reach = np.maximum(u_lo, u_hi)
     reach += slack
-    keep = (for_lo | for_hi) & (~(lower > reach) | ~(fin_lo & fin_hi))
-    keep = np.flatnonzero(keep & real)
+    keep = np.flatnonzero((for_lo | for_hi) & (lower <= reach) & real)
     swap, src_lo, src_hi, for_lo, for_hi = (v[keep] for v in (swap, src_lo, src_hi, for_lo, for_hi))
     return (np.where(swap, src_hi, src_lo), np.where(swap, src_lo, src_hi),
             np.where(swap, for_hi, for_lo), np.where(swap, for_lo, for_hi))
 
 
-def _nearest_candidates(states: SceneStates, finite: np.ndarray, slack: np.ndarray):
+def _nearest_candidates(states: SceneStates, slack: np.ndarray):
     """Candidate pairs of :func:`_nearest_object_arrays`, from a sweep of each step in x order.
 
-    ``finite`` is (K, A, T), true where a box's x, y and heading are finite;
     ``slack`` is each rollout's (K,) broad-phase slack.  Returns the flat
     (K, A, T) rows ``row_i`` and ``row_j`` of each candidate's two objects
     (i < j) and whether the pair defines row i's and row j's minimum, in
@@ -269,25 +293,22 @@ def _nearest_candidates(states: SceneStates, finite: np.ndarray, slack: np.ndarr
     row's ``U`` or pass the filter on the row's side, and the row stops
     there.  A pair is visited until both of its rows have stopped.  A row
     with no gated partner yet never stops, since a farther gated partner
-    would change the partners that define its minimum, and neither does any
-    row of a column with a non-finite pose, since a NaN centre turns its
-    partners' ``U`` to NaN, which keeps every pair of theirs.  Rows that
-    never stop visit every partner: when no box of a column overlaps
-    another vertically, the sweep visits all of its pairs.  The stop test
-    only tightens as d grows, so a pair is visited only if a pair of offset
-    d - 1 sharing one of its rows was.
+    would change the partners that define its minimum.  Rows that never
+    stop visit every partner: when no box of a column overlaps another
+    vertically, the sweep visits all of its pairs.  The stop test only
+    tightens as d grows, so a pair is visited only if a pair of offset d - 1
+    sharing one of its rows was.
 
     The visited pairs then get the filter of the all-pairs bound, with the
     same float operations: a pair is kept if it defines the minimum of one
     of its rows and ``(cd - r_i) - r_j`` is not above ``max(U_i, U_j) +
-    slack``, or if either box is non-finite.  Every pair that filter would
-    keep is visited, so these are exactly its candidates.
+    slack``.  Every pair that filter would keep is visited, so these are
+    exactly its candidates.
     """
     k, a, t = states.valid.shape
     n = k * t * a
-    # Sorted row s is place s % A of column s // A: valid rows first, in x
-    # order, with a NaN x sorted as +inf.
-    key = np.where(states.valid, np.fmin(states.poses[..., 0], np.inf), np.nan)
+    # Sorted row s is place s % A of column s // A: valid rows first, in x order.
+    key = np.where(states.valid, states.poses[..., 0], np.nan)
     obj = np.argsort(key.transpose(0, 2, 1), axis=-1)
     src = (obj * t + (np.arange(k)[:, None, None] * (a * t) + np.arange(t)[:, None])).reshape(-1)
     obj = obj.reshape(-1)
@@ -301,53 +322,50 @@ def _nearest_candidates(states: SceneStates, finite: np.ndarray, slack: np.ndarr
     rad = radius[obj]
     row_slack = np.repeat(slack, t * a)
     stop = rad + (radius.max() + 2.0 * row_slack)  # the stop test's margin over U
-    stop[np.repeat((states.valid & ~finite).any(axis=1).reshape(-1), a)] = np.nan
     all_u, gated_u = np.empty(n), np.empty(n)
     has_gated = np.zeros(n, dtype=bool)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Offset 1 pairs every valid row with the next one of its column.
-        cd1, gated1, upper = _pair_bounds([v[:-1] for v in rows], [v[1:] for v in rows])
-        real = np.arange(1, n) < end[:-1]
-        gated1 &= real
-        for u, pairs in ((all_u, real), (gated_u, gated1)):
-            bound = np.where(pairs, upper, np.inf)
-            u[:-1] = bound
-            u[-1] = np.inf
-            np.minimum(u[1:], bound, out=u[1:])
-        has_gated[:-1] = gated1
-        has_gated[1:] |= gated1
-        lo = np.flatnonzero(real)
-        visited = []
-        # Later offsets try the pairs beside a pair visited at offset d - 1.
-        for d in range(2, a):
-            mark = np.zeros(n + 1, dtype=bool)
-            mark[lo] = True
-            mark[lo - 1] = True  # -1 marks the spare last slot
-            lo = np.flatnonzero(mark[:n])
-            lo = lo[lo + d < end[lo]]
-            dx = rows[0][lo + d] - rows[0][lo]
-            lim = gated_u + stop
-            lo = lo[~((dx > lim[lo]) & (dx > lim[lo + d]))]  # a NaN limit never stops
-            if not len(lo):
-                break
-            hi = lo + d
-            cd, gated, upper = _pair_bounds([v[lo] for v in rows], [v[hi] for v in rows])
-            all_u[lo] = np.minimum(all_u[lo], upper)  # a row is lo and hi at most once each
-            all_u[hi] = np.minimum(all_u[hi], upper)
-            upper = np.where(gated, upper, np.inf)
-            gated_u[lo] = np.minimum(gated_u[lo], upper)
-            gated_u[hi] = np.minimum(gated_u[hi], upper)
-            has_gated[lo[gated]] = True
-            has_gated[hi[gated]] = True
-            visited.append((lo, hi, cd, gated))
+    # Offset 1 pairs every valid row with the next one of its column.
+    cd1, gated1, upper = _pair_bounds([v[:-1] for v in rows], [v[1:] for v in rows])
+    real = np.arange(1, n) < end[:-1]
+    gated1 &= real
+    for u, pairs in ((all_u, real), (gated_u, gated1)):
+        bound = np.where(pairs, upper, np.inf)
+        u[:-1] = bound
+        u[-1] = np.inf
+        np.minimum(u[1:], bound, out=u[1:])
+    has_gated[:-1] = gated1
+    has_gated[1:] |= gated1
+    lo = np.flatnonzero(real)
+    visited = []
+    # Later offsets try the pairs beside a pair visited at offset d - 1.
+    for d in range(2, a):
+        mark = np.zeros(n + 1, dtype=bool)
+        mark[lo] = True
+        mark[lo - 1] = True  # -1 marks the spare last slot
+        lo = np.flatnonzero(mark[:n])
+        lo = lo[lo + d < end[lo]]
+        dx = rows[0][lo + d] - rows[0][lo]
+        lim = gated_u + stop
+        lo = lo[(dx <= lim[lo]) | (dx <= lim[lo + d])]
+        if not len(lo):
+            break
+        hi = lo + d
+        cd, gated, upper = _pair_bounds([v[lo] for v in rows], [v[hi] for v in rows])
+        all_u[lo] = np.minimum(all_u[lo], upper)  # a row is lo and hi at most once each
+        all_u[hi] = np.minimum(all_u[hi], upper)
+        upper = np.where(gated, upper, np.inf)
+        gated_u[lo] = np.minimum(gated_u[lo], upper)
+        gated_u[hi] = np.minimum(gated_u[hi], upper)
+        has_gated[lo[gated]] = True
+        has_gated[hi[gated]] = True
+        visited.append((lo, hi, cd, gated))
 
-        attrs = (src, has_gated, np.where(has_gated, gated_u, all_u), rad, row_slack,
-                 finite.reshape(-1)[src])
-        kept = [_kept_pairs(cd1, gated1, [v[:-1] for v in attrs], [v[1:] for v in attrs], real)]
-        if visited:
-            lo, hi, cd, gated = (np.concatenate(parts) for parts in zip(*visited))
-            kept.append(_kept_pairs(cd, gated, [v[lo] for v in attrs], [v[hi] for v in attrs], True))
+    attrs = (src, has_gated, np.where(has_gated, gated_u, all_u), rad, row_slack)
+    kept = [_kept_pairs(cd1, gated1, [v[:-1] for v in attrs], [v[1:] for v in attrs], real)]
+    if visited:
+        lo, hi, cd, gated = (np.concatenate(parts) for parts in zip(*visited))
+        kept.append(_kept_pairs(cd, gated, [v[lo] for v in attrs], [v[hi] for v in attrs], True))
     row_i, row_j, for_i, for_j = (np.concatenate(parts) for parts in zip(*kept))
     order = np.argsort(row_i // t * (a * t) + row_j % (a * t))  # (rollout, i, j, step)
     return row_i[order], row_j[order], for_i[order], for_j[order]
@@ -402,8 +420,7 @@ def _nearest_object_arrays(states: SceneStates, table: BoxTable):
     1e-12 of the rollout's largest coordinate, far above the rounding of the
     bounds, the gap and the kernel; it is taken per rollout, so stacking
     rollouts sends the kernel exactly the pair-steps of extracting each
-    alone.  Pairs with a non-finite coordinate or heading always get their
-    kernel value, so NaN propagates as it would without pruning.
+    alone.
     """
     k, a, t = states.valid.shape
     vals = np.zeros((k, a, t))
@@ -411,18 +428,16 @@ def _nearest_object_arrays(states: SceneStates, table: BoxTable):
     if a < 2:
         return vals, ok
 
-    x, y, h = (states.poses[..., i] for i in (0, 1, 3))
-    finite = np.isfinite(x) & np.isfinite(y) & np.isfinite(h)
-    scale = np.where(finite, np.maximum(np.abs(x), np.abs(y)), 0.0).reshape(k, -1).max(axis=1)
+    x, y = states.poses[..., 0], states.poses[..., 1]
+    scale = np.maximum(np.abs(x), np.abs(y)).reshape(k, -1).max(axis=1)  # invalid slots are 0
     slack = _BROAD_PHASE_SLACK + _BROAD_PHASE_REL_SLACK * scale  # (K,)
-    row_i, row_j, for_i, for_j = _nearest_candidates(states, finite, slack)
-    odd = ~(finite.reshape(-1)[row_i] & finite.reshape(-1)[row_j])
+    row_i, row_j, for_i, for_j = _nearest_candidates(states, slack)
     roll = row_i // (a * t)
     has_any = states.valid & (states.valid.sum(axis=1, keepdims=True) >= 2)
 
     gap = _pair_kernel(separating_gap, table, row_i, row_j)  # phase A
     disjoint = gap >= 0.0
-    dist = gap.copy()  # final where the boxes overlap, or the gap is NaN
+    dist = gap.copy()  # final where the boxes overlap
     # (row, pair) entries: each pair counts towards the rows it defines.
     entry_row = np.concatenate([row_i[for_i], row_j[for_j]])
     entry_pair = np.concatenate([np.flatnonzero(for_i), np.flatnonzero(for_j)])
@@ -437,15 +452,14 @@ def _nearest_object_arrays(states: SceneStates, table: BoxTable):
         taken = pairs[entry_pair]
         np.minimum.at(best, entry_row[taken], dist[entry_pair[taken]])
 
-    with np.errstate(invalid="ignore"):  # NaN from non-finite poses
-        entry_gap = gap[entry_pair]
-        least = np.full(k * a * t, np.inf)
-        np.fmin.at(least, entry_row, entry_gap)
-        first = ~disjoint  # overlaps (and NaN gaps) are final from phase A
-        first[entry_pair[entry_gap == least[entry_row]]] = True  # ties included
-        settle(first)
-        reach = np.fmax(best[row_i], best[row_j]) + slack[roll]
-        settle(~first & (~(gap > reach) | odd))
+    entry_gap = gap[entry_pair]
+    least = np.full(k * a * t, np.inf)
+    np.minimum.at(least, entry_row, entry_gap)
+    first = ~disjoint  # overlaps are final from phase A
+    first[entry_pair[entry_gap == least[entry_row]]] = True  # ties included
+    settle(first)
+    reach = np.maximum(best[row_i], best[row_j]) + slack[roll]
+    settle(~first & (gap <= reach))
     return _masked(best.reshape(k, a, t), has_any), has_any
 
 
@@ -510,16 +524,13 @@ def _ttc_arrays(states: SceneStates, table: BoxTable, speed_vals, speed_ok,
     the same operands, so each gap and mask entry has the bits a dense pass
     over all pairs gives it, and the spans' kept pairs, in span order, are
     that pass's kept pairs in its (rollout, follower, leader, step) order.
-    Speeds are >= 0 (or NaN), so the closing
-    speed is at most the follower's speed ``s`` and a leader with gap >=
-    ``ttc_max * s`` reads the cap.  The cut keeps gaps below ``ttc_max * s``
-    plus a slack above that product's rounding.  Leaders past it are farther
-    than any leader inside it, so the nearest leader is the same unless it
-    reads the cap anyway, and the result equals the all-pairs computation
-    bit for bit.  Non-finite followers need no exception: an infinite speed
-    keeps every leader, a NaN speed keeps none and reads the cap as its NaN
-    closing speed would, and a non-finite pose with a finite speed (a NaN
-    heading) gives NaN gaps, which no leader passes in either form.
+    Speeds are >= 0, so the closing speed is at most the follower's speed
+    ``s`` and a leader with gap >= ``ttc_max * s`` reads the cap.  The cut
+    keeps gaps below ``ttc_max * s`` plus a slack above that product's
+    rounding.  Leaders past it are farther than any leader inside it, so the
+    nearest leader is the same unless it reads the cap anyway, and the
+    result equals the all-pairs computation bit for bit.  An infinite speed
+    (a timestep near 0 overflows one) needs no exception: it keeps every leader.
 
     Each follower's leader is a per-follower minimum over the leaders that
     pass every test, taken once over the candidates of all spans: the least
@@ -620,8 +631,8 @@ class _RoadEdges:
 
     Cells are filled the first time a point lands in them, so a map pays only
     for the cells its boxes visit, at most the grid's cell count.  Points
-    outside the grid, non-finite points, and every point of a map with fewer
-    than ``_GRID_MIN_SEGMENTS`` segments take all segments as candidates.
+    outside the grid, and every point of a map with fewer than
+    ``_GRID_MIN_SEGMENTS`` segments, take all segments as candidates.
     """
 
     def __init__(self, starts: np.ndarray, ends: np.ndarray):
@@ -633,10 +644,7 @@ class _RoadEdges:
         pts = np.concatenate([starts, ends])
         lo = pts.min(axis=0) - _GRID_PAD
         hi = pts.max(axis=0) + _GRID_PAD
-        span = (hi - lo).max()
-        if not np.isfinite(span):
-            return
-        self.size = max(_GRID_CELL, span / _GRID_MAX_CELLS)
+        self.size = max(_GRID_CELL, (hi - lo).max() / _GRID_MAX_CELLS)
         self.origin = lo
         self.shape = np.ceil((hi - lo) / self.size).astype(np.int64)
         self.slack = _BROAD_PHASE_SLACK + _BROAD_PHASE_REL_SLACK * np.abs([lo, hi]).max()
@@ -647,8 +655,7 @@ class _RoadEdges:
         if not self.size:
             return cell
         f = (pts - self.origin) / self.size
-        with np.errstate(invalid="ignore"):
-            inside = ((f >= 0.0) & (f < self.shape)).all(axis=1)
+        inside = ((f >= 0.0) & (f < self.shape)).all(axis=1)
         ix, iy = f[inside].astype(np.int64).T
         cell[inside] = iy * self.shape[0] + ix
         return cell
@@ -729,8 +736,6 @@ def _road_edge_arrays(states: SceneStates, table: BoxTable, map_features: Sequen
     The corners of the N valid slots are written once, corner-major, into a
     (2, 4, N) buffer whose (4N, 2) transpose the kernel reads without a copy.
     The most off-road corner is then a maximum over 4 contiguous rows of N.
-    Slots that read NaN are reduced again as rows of 4, whose NaN bytes are
-    the ones a reduction over each slot's 4 corners leaves.
     """
     vals = np.zeros(states.valid.shape)
     ok = np.zeros(states.valid.shape, dtype=bool)
@@ -745,11 +750,7 @@ def _road_edge_arrays(states: SceneStates, table: BoxTable, map_features: Sequen
     # side is off-road and signs positive.
     d *= side
     d = d.reshape(4, -1)
-    worst = np.maximum(np.maximum(d[0], d[1]), np.maximum(d[2], d[3]))
-    odd = np.flatnonzero(np.isnan(worst))
-    if len(odd):
-        worst[odd] = np.ascontiguousarray(d[:, odd].T).max(axis=1)
-    vals[ok] = worst
+    vals[ok] = np.maximum(np.maximum(d[0], d[1]), np.maximum(d[2], d[3]))
     return vals, ok
 
 

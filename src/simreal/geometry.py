@@ -109,24 +109,14 @@ def _corner_squares(px, py, sx, sy):
 def _nearest_corner_squares(px, py, sx, sy) -> np.ndarray:
     """Least of :func:`_corner_squares`: each pair's least squared corner-to-edge distance.
 
-    A running minimum over the corners gives every value but NaN its bits,
-    since a minimum is one of its inputs.  The rows that read NaN (from an
-    infinite centre) are reduced again as one contiguous row of 16 values:
-    the NaN numpy's reduction leaves depends on the layout, and this is the
-    one of the reference kernel in the tests.
+    A running minimum over the corners gives every value its bits, since a
+    minimum is one of its inputs.
     """
     squares = _corner_squares(px, py, sx, sy)
     near = next(squares)
     for q in squares:
         np.minimum(near, q, out=near)
-    near = near.min(axis=0)
-    odd = np.flatnonzero(np.isnan(near))
-    if len(odd):
-        rows = np.empty((len(odd), 16))
-        for i, q in enumerate(_corner_squares(px[:, odd], py[:, odd], sx[:, odd], sy[:, odd])):
-            rows[:, 4 * i : 4 * i + 4] = q.T
-        near[odd] = rows.min(axis=1)
-    return near
+    return near.min(axis=0)
 
 
 def _disjoint_rect_distance(ax, ay, bx, by) -> np.ndarray:
@@ -186,7 +176,7 @@ def box_signed_distance_batch(a, b, gap: np.ndarray) -> np.ndarray:
     """Vectorized signed box distance from the pairs' :func:`separating_gap`.
 
     ``a`` and ``b`` are as for :func:`separating_gap` and ``gap`` is its
-    result for them.  Overlapping pairs (gap < 0, or NaN) read their gap; disjoint
+    result for them.  Overlapping pairs (gap < 0) read their gap; disjoint
     pairs (gap >= 0) get the exact corner-to-edge minimum.  So the signed
     distance of boxes is ``box_signed_distance_batch(a, b, separating_gap(a, b))``,
     and a caller that needs the gaps first computes them once.
@@ -251,8 +241,8 @@ def _nearest_segment_loop(p, terms) -> tuple[np.ndarray, np.ndarray]:
 
     A strict ``<`` keeps the running minimum, so a later equal segment never
     displaces an earlier one: the lowest-index minimum stays, as ``argmin``
-    keeps it.  The two agree wherever no squared distance is NaN and no row
-    is all infinite, which :data:`_SEGMENT_LOOP_LIMIT` ensures.  The point
+    keeps it.  The two agree wherever every squared distance is finite,
+    which coordinates within the pose envelope (1e7 m) ensure.  The point
     columns are copied only when ``p`` is not the transpose of a C-ordered (2, P) array.
     """
     px, py = np.ascontiguousarray(p.T)
@@ -280,13 +270,6 @@ def _nearest_segment_loop(p, terms) -> tuple[np.ndarray, np.ndarray]:
 #: The loop wins from about 4k points for every S up to 64.
 _SEGMENT_LOOP_MIN_POINTS = 4096
 
-#: The loop is taken only when every coordinate lies within this bound, the
-#: pose envelope.  Offsets then stay below 3e7 and the projection ratio below
-#: 3e157, even on a segment shorter than 1e-150, so every squared distance is
-#: finite: no NaN and no all-infinite row, the two cases where ``<`` and
-#: ``argmin`` disagree.  Non-finite and farther inputs keep the block.
-_SEGMENT_LOOP_LIMIT = 1e7
-
 
 def polyline_distance_batch(
     points: np.ndarray, seg_starts: np.ndarray, seg_ends: np.ndarray
@@ -295,19 +278,19 @@ def polyline_distance_batch(
 
     Returns ``(dist, side)`` with ``dist >= 0`` and ``side`` in {-1, 0, +1}
     (+1 left of the nearest segment, -1 right, 0 on it).  Ties between
-    equidistant segments resolve to the lowest segment index.  Tall batches
-    (:data:`_SEGMENT_LOOP_MIN_POINTS`) inside :data:`_SEGMENT_LOOP_LIMIT` walk
-    the segments one at a time, others take one (P, S) block; both give the
-    same bits.  ``points`` may be any (P, 2) float array; the transpose of a
-    (2, P) array, whose two columns are contiguous, is read without a copy.
+    equidistant segments resolve to the lowest segment index.  Every
+    coordinate must lie within the pose envelope, 1e7 m, as a map's and a
+    scene's do (:class:`~simreal.scene.MapFeature`,
+    :class:`~simreal.features.SceneStates`).  Tall batches
+    (:data:`_SEGMENT_LOOP_MIN_POINTS`) walk the segments one at a time,
+    others take one (P, S) block; inside the envelope both give the same
+    bits.  ``points`` may be any (P, 2) float array; the transpose of a (2, P)
+    array, whose two columns are contiguous, is read without a copy.
     """
     p = np.asarray(points, dtype=float)
     s = np.asarray(seg_starts, dtype=float)
     e = np.asarray(seg_ends, dtype=float)
-    limit = _SEGMENT_LOOP_LIMIT
-    tall = len(p) >= _SEGMENT_LOOP_MIN_POINTS and len(s) > 0 and all(
-        -limit <= a.min() and a.max() <= limit for a in (p, s, e)  # False on NaN
-    )
+    tall = len(p) >= _SEGMENT_LOOP_MIN_POINTS and len(s) > 0
     terms = _segment_terms(s, e)
     d2, k = (_nearest_segment_loop if tall else _nearest_segment_block)(p, terms)
     sx, sy, dx, dy, _ = terms

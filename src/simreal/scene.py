@@ -34,8 +34,9 @@ DEFAULT_HISTORY_LENGTH = 11
 DEFAULT_FUTURE_LENGTH = 80
 DEFAULT_ROLLOUT_COUNT = 32
 MAX_SIMULATED_OBJECTS = 128
-#: Largest |x|, |y| or |z| of a submitted pose, in metres: far beyond any map,
-#: and far below the coordinates at which the kinematic features overflow.
+#: Largest |x|, |y| or |z| of a pose, box extent or map point coordinate, in
+#: metres: far beyond any map, and far below the values at which the feature
+#: kernels overflow.
 POSE_COORDINATE_LIMIT = 1e7
 
 
@@ -97,7 +98,8 @@ class Tracks:
 
     ``ids`` is (N,) int64, ``types`` (N,) uint8 codes into
     :data:`OBJECT_TYPES`, ``dims`` (N, 3) box extents [length, width,
-    height], fixed for the whole window, ``poses`` (N, L, 4) as [x, y, z,
+    height], fixed for the whole window, positive and at most
+    :data:`POSE_COORDINATE_LIMIT`, ``poses`` (N, L, 4) as [x, y, z,
     heading] at every relative time index and ``valid`` (N, L).  Where
     ``valid`` is False the pose carries no meaning and consumers must ignore
     it; where it is True the pose must be finite, with x, y and z within
@@ -128,6 +130,8 @@ class Tracks:
             (types[:, None] >= len(OBJECT_TYPES), "unknown object type code {code}"),
             (~(np.isfinite(dims) & (dims > 0.0)).all(axis=1, keepdims=True),
              "box extents must be finite and strictly positive"),
+            ((dims > POSE_COORDINATE_LIMIT).any(axis=1, keepdims=True),
+             f"box extents must be at most {POSE_COORDINATE_LIMIT:g} m"),
             (valid & ~np.isfinite(poses).all(axis=2), "pose at valid index {index} is not finite"),
             (valid & (np.abs(poses[..., :3]) > POSE_COORDINATE_LIMIT).any(axis=2),
              f"pose at valid index {{index}} has a coordinate beyond {POSE_COORDINATE_LIMIT:g} m"),
@@ -162,7 +166,8 @@ class Tracks:
 
 @dataclass(frozen=True, eq=False)
 class MapFeature:
-    """A polyline map element (road edge, lane center, or other): ``polyline`` is (P, 2)."""
+    """A polyline map element (road edge, lane center, or other): ``polyline`` is (P, 2),
+    its coordinates within :data:`POSE_COORDINATE_LIMIT`."""
 
     feature_id: int
     kind: MapFeatureKind
@@ -182,6 +187,9 @@ class MapFeature:
             raise MalformedScenario(
                 f"map feature {self.feature_id}: polyline points must be finite"
             )
+        if (np.abs(pts) > POSE_COORDINATE_LIMIT).any():
+            raise MalformedScenario(f"map feature {self.feature_id}: polyline points must lie "
+                                    f"within {POSE_COORDINATE_LIMIT:g} m")
         if (pts[1:] == pts[:-1]).all(axis=1).any():
             raise MalformedScenario(
                 f"map feature {self.feature_id}: consecutive polyline points must differ"

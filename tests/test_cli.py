@@ -7,6 +7,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -696,7 +697,8 @@ class TestCompare:
         ((0.8, 1.0, 1.5), ["ADE"]),
         ((0.8, 2.5, 0.5), ["minADE"]),
         ((0.8, 1.0, 0.5), ["ADE", "minADE"]),
-    ], ids=["agree", "ade-disagrees", "min-ade-disagrees", "both-disagree"])
+        ((0.95, 2.0, 1.0), []),  # ties on ADE and minADE order no pair the opposite way
+    ], ids=["agree", "ade-disagrees", "min-ade-disagrees", "both-disagree", "ties"])
     def test_ranking_disagreement_notes(self, tmp_path, capsys, b_scores, notes):
         reports = []
         for name, scores in (("a", (0.9, 2.0, 1.0)), ("b", b_scores)):
@@ -709,6 +711,40 @@ class TestCompare:
         assert [line for line in out.splitlines() if line.startswith("note:")] == [
             f"note: ranking by composite disagrees with ranking by {what}" for what in notes
         ]
+
+    def test_tied_scores_share_a_rank(self, tmp_path, capsys):
+        reports = []
+        for name, scores in (("a", (0.9, 2.0, 1.0)), ("b", (0.95, 2.0, 1.0))):
+            path = tmp_path / f"{name}.json"
+            keys = ("composite", "mean_ade", "mean_min_ade")
+            path.write_text(json.dumps({"summary": dict(zip(keys, scores))}))
+            reports.append(str(path))
+        assert main(["compare", "--reports"] + reports) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.split()[2::2] for row in rows] == [["(#2)", "(#1)", "(#1)"],
+                                                      ["(#1)", "(#1)", "(#1)"]]
+
+    def test_reports_with_one_stem_are_named_by_path(self, tmp_path, capsys):
+        reports = []
+        for name, composite in (("x", 0.5), ("y", 0.6), ("z", 0.7)):
+            path = tmp_path / name / ("report.json" if name != "z" else "z.json")
+            path.parent.mkdir()
+            doc = {"composite": composite, "mean_ade": 1.0, "mean_min_ade": 1.0}
+            path.write_text(json.dumps({"summary": doc}))
+            reports.append(str(path))
+        assert main(["compare", "--reports"] + reports) == 0
+        names = [row.split()[0] for row in capsys.readouterr().out.splitlines()[2:]]
+        assert names == reports[:2] + ["z"]
+
+    def test_header_fits_short_names(self, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"summary": {"composite": 0.5, "mean_ade": 1.0,
+                                                "mean_min_ade": 1.0}}))
+        assert main(["compare", "--reports", str(path)]) == 0
+        header, rule, row = capsys.readouterr().out.splitlines()
+        # The name column is as wide as its header, so the score columns line up.
+        assert header.startswith("report  composite(rank)")
+        assert row.startswith("a".ljust(len("report  ")) + " 0.500000")
 
     @pytest.mark.parametrize(
         "doc",
@@ -997,6 +1033,64 @@ class TestLoggedPoseEnvelope:
 
 
 @pytest.fixture(scope="module")
+def four_agent_inputs(tmp_path_factory):
+    """A 4-agent straight_road JSON scenario (seed 0, noise 0.2) and a k=2 archive of it."""
+    root = tmp_path_factory.mktemp("four_agent")
+    scenarios, archive = root / "scenarios", root / "sub.tar.gz"
+    assert main(["synth", "--template", "straight_road", "--count", "1", "--agents", "4",
+                 "--seed", "0", "--noise", "0.2", "--out", str(scenarios)]) == 0
+    assert main(["rollout", "--scenarios", str(scenarios), "--env-policy", "constant-velocity",
+                 "--av-policy", "constant-velocity", "--k", "2", "--jobs", "1",
+                 "--out", str(archive)]) == 0
+    (scenario,) = (p for p in scenarios.glob("*.json") if "tracks" in json.loads(p.read_text()))
+    return scenario, archive
+
+
+#: A scenario number past the 1e7 m envelope, by where it sits, and the error that names it.
+BEYOND_ENVELOPE_EDITS = {
+    "length-1e300": (["tracks", 1, "length"], 1e300,
+                     "track 1: box extents must be at most 1e+07 m"),
+    "length-1e154": (["tracks", 1, "length"], 1e154,
+                     "track 1: box extents must be at most 1e+07 m"),
+    "road-edge-point-1e300": (["map_features", 0, "polyline", 1, 0], 1e300,
+                              "map feature 0: polyline points must lie within 1e+07 m"),
+}
+
+
+class TestScenarioEnvelope:
+    """Box extents and map points past the envelope end in a typed error, with
+    no warning: left unchecked, a 1e300 m box overflows the kernels and a
+    1e154 m one is scored."""
+
+    @pytest.mark.parametrize("command", ["rollout", "validate", "evaluate"])
+    @pytest.mark.parametrize("edit", sorted(BEYOND_ENVELOPE_EDITS))
+    def test_exits_two_naming_the_element(self, four_agent_inputs, tmp_path, capsys, command,
+                                          edit):
+        source, archive = four_agent_inputs
+        path, value, message = BEYOND_ENVELOPE_EDITS[edit]
+        doc = json.loads(source.read_text())
+        _set_path(doc, path, value)
+        bad = tmp_path / "scenarios"
+        bad.mkdir()
+        (bad / source.name).write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = {
+            "rollout": ["--env-policy", "constant-velocity", "--av-policy", "constant-velocity",
+                        "--k", "2", "--jobs", "1", "--out", str(out)],
+            "validate": ["--archive", str(archive)],
+            "evaluate": ["--archive", str(archive), "--jobs", "1", "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--scenarios", str(bad), *argv]) == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err, err
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
 def tiny_inputs(tmp_path_factory):
     """Bytes of a 1-scenario, 2-agent, k=2 set: archive, scenario .bin, config and report."""
     root = tmp_path_factory.mktemp("tiny")
@@ -1173,6 +1267,8 @@ class TestJsonScenarioNeverRaises:
              truncate=None)  # a lone surrogate in the first top-level value
     @example(command="evaluate", edits=[(10**6, True, "replace", math.nan)], byte_edits=[],
              truncate=None)
+    @example(command="evaluate", edits=[(37, False, "replace", 1e300)], byte_edits=[],
+             truncate=None)  # track 1's length
     def test_exit_code_without_traceback(
         self, tiny_json_inputs, command, edits, byte_edits, truncate
     ):

@@ -3,11 +3,12 @@ from __future__ import annotations
 import functools
 import math
 import pickle
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import simreal.evaluate
 import simreal.scene
@@ -240,6 +241,29 @@ class TestOneExtractionMatchesTwoCalls:
         got = hex_bundle(bundle.components, bundle.composite, bundle.ade, bundle.min_ade,
                          bundle.excluded)
         assert got == hex_bundle(*two_call_bundle(scenario, rollouts, config))
+
+class TestInvalidLoggedSlots:
+    """Scoring never reads what an invalid logged slot holds."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(scene=scored_scenes(),
+           filler=st.sampled_from([0.0, math.nan, math.inf, -math.inf, 1e300]))
+    def test_any_filler_gives_the_same_bundle_without_warnings(self, scene, filler):
+        scenario, rollouts = scene
+        tracks = scenario.tracks
+        h = scenario.history_length
+        simulated = tracks.valid[:, h - 1]
+        # A logged gap in a simulated track's future, and a logged-only track.
+        assume((simulated[:, None] & ~tracks.valid[:, h:]).any())
+        assume((tracks.valid[:, :h].any(axis=1) & ~simulated).any())
+        filled = replace(scenario, tracks=replace(
+            tracks, poses=np.where(tracks.valid[..., None], tracks.poses, filler)))
+        want = evaluate_scenario(scenario, rollouts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = evaluate_scenario(filled, rollouts)
+        assert pickle.dumps(got) == pickle.dumps(want)
+
 
 @pytest.fixture(scope="module")
 def collision_run():

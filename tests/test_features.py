@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 import simreal.estimators
 import simreal.features
 import simreal.geometry
+from simreal.errors import MalformedScenario
 from simreal.estimators import rollout_features
 from simreal.features import (
     DEFAULT_FEATURE_PARAMS,
@@ -67,6 +68,14 @@ def track_series(metric, xs, ys=None, zs=None, heading=None, valid=None, dt=DT):
     return features(scene([obj], dt), metric)[0]
 
 
+def scene_states(poses, valid, dims, dt=DT):
+    """(K, A, T, 4) ``poses`` as :class:`SceneStates`, zeros in the invalid slots as its
+    constructors write them."""
+    poses = np.where(valid[..., None], poses, 0.0)
+    return SceneStates(ids=tuple(range(valid.shape[1])), poses=poses, valid=valid, dims=dims,
+                       dt=dt)
+
+
 def scene(objs, dt=DT):
     """objs: list of dicts with keys x, y (arrays), optional z/heading/dims."""
     n = len(objs)
@@ -80,7 +89,55 @@ def scene(objs, dt=DT):
         if "valid" in o:
             valid[i] = o["valid"]
         dims[i] = o.get("dims", (2.0, 2.0, 2.0))
-    return SceneStates(ids=tuple(range(n)), poses=poses[None], valid=valid[None], dims=dims, dt=dt)
+    return scene_states(poses[None], valid[None], dims, dt)
+
+
+class TestSceneStatesInvariant:
+    """A scene is refused unless every kernel can read it without overflow or NaN."""
+
+    LIMIT_UP = np.nextafter(POSE_COORDINATE_LIMIT, math.inf)
+
+    @staticmethod
+    def gapped():
+        """Two objects over 3 steps; object 0 is invalid at step 1."""
+        return scene([{"x": [0.0, 1.0, 2.0], "valid": [True, False, True]}, {"x": [5.0] * 3}])
+
+    def edited(self, slot, value):
+        states = self.gapped()
+        poses = states.poses.copy()
+        poses[(0, *slot)] = value
+        return replace(states, poses=poses)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [(0, 0), (0, 1)], ids=["valid", "invalid"])
+    @pytest.mark.parametrize("channel", [0, 1, 2, 3])
+    def test_a_non_finite_slot_is_refused(self, value, slot, channel):
+        with pytest.raises(MalformedScenario, match="finite"):
+            self.edited((*slot, channel), value)
+
+    @pytest.mark.parametrize("value", [LIMIT_UP, -2e7, 1e300])
+    @pytest.mark.parametrize("channel", [0, 1, 2])
+    def test_a_valid_coordinate_beyond_the_envelope_is_refused(self, value, channel):
+        with pytest.raises(MalformedScenario, match=r"within 1e\+07"):
+            self.edited((1, 2, channel), value)
+
+    @pytest.mark.parametrize("value", [1.0, -1e-300, 1e300])
+    def test_an_invalid_slot_that_is_not_zero_is_refused(self, value):
+        with pytest.raises(MalformedScenario, match="zeros"):
+            self.edited((0, 1, 0), value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, LIMIT_UP])
+    def test_a_bad_extent_is_refused(self, value):
+        states = self.gapped()
+        dims = states.dims.copy()
+        dims[1, 0] = value
+        with pytest.raises(MalformedScenario, match=r"box extents must be in \[0, 1e\+07\] m"):
+            replace(states, dims=dims)
+
+    def test_values_at_the_envelope_s_edges_are_accepted(self):
+        lim = POSE_COORDINATE_LIMIT
+        states = replace(self.edited((1, 2, 0), -lim), dims=np.array([[lim, 0.0, lim]] * 2))
+        assert states.poses[0, 1, 2, 0] == -lim
 
 
 class TestLinearSpeed:
@@ -289,16 +346,18 @@ def assert_interaction_matches_all_pairs(states):
 
 
 # Half-metre grid points with axis-aligned boxes give exact ties and touching
-# boxes; wide floats give far-apart objects; NaN exercises non-finite poses.
+# boxes; wide floats give far-apart objects, up to the pose envelope's edge.
 _COORDS = st.one_of(
     st.integers(-12, 12).map(lambda v: v / 2.0),
     st.floats(-1e3, 1e3, allow_nan=False),
-    st.sampled_from([-1e6, 1e6, math.nan]),
+    st.sampled_from([-1e6, 1e6, -POSE_COORDINATE_LIMIT, POSE_COORDINATE_LIMIT]),
 )
 _HEADING = st.one_of(
-    st.sampled_from([0.0, math.pi / 2, math.pi, math.pi / 4, math.nan]),
+    st.sampled_from([0.0, math.pi / 2, math.pi, math.pi / 4]),
     st.floats(-10.0, 10.0, allow_nan=False),
 )
+#: Box extents, the envelope's least and largest included.
+_DIMS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.5, 1e-300, POSE_COORDINATE_LIMIT])
 
 
 @st.composite
@@ -316,8 +375,8 @@ def box_scenes(draw):
     )
     valid = draw(hnp.arrays(bool, (a, t)))
     # Zero extents make both bounds tight, so only the slack absorbs rounding.
-    dims = draw(hnp.arrays(float, (a, 3), elements=st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.5])))
-    return SceneStates(ids=tuple(range(a)), poses=poses[None], valid=valid[None], dims=dims, dt=DT)
+    dims = draw(hnp.arrays(float, (a, 3), elements=_DIMS))
+    return scene_states(poses[None], valid[None], dims)
 
 
 class TestNearestObjectBroadPhase:
@@ -364,11 +423,11 @@ class TestNearestObjectBroadPhase:
     @example(  # boxes touching at gap exactly 0.0, a third one gap 1 away
         states=scene([{"x": [0.0] * 2}, {"x": [2.0] * 2}, {"x": [5.0] * 2}])
     )
-    @example(  # the nearest partner of rows 0 and 2 has a NaN heading at step 0
+    @example(  # boxes at the envelope's edges, one as large as it allows
         states=scene([
-            {"x": [0.0] * 2},
-            {"x": [2.5] * 2, "heading": [math.nan, 0.0]},
-            {"x": [5.0] * 2},
+            {"x": [1e7, -1e7], "y": [-1e7, 1e7], "dims": (1e7, 1e7, 2.0)},
+            {"x": [-1e7, 1e7], "y": [-1e7, 1e7], "heading": [0.3, 2.0]},
+            {"x": [1e7, 1e7], "y": [1e7, -1e7], "dims": (1e-300, 1e-300, 2.0)},
         ])
     )
     @example(  # every partner of row 0 overlaps it; rows 1 and 2 are disjoint
@@ -420,7 +479,7 @@ class TestNearestObjectBroadPhase:
         assert max(chunks) == 7 and len(chunks) > 100
 
 
-def reference_nearest_candidates(states, finite, slack):
+def reference_nearest_candidates(states, slack):
     """The nearest-object candidate filter on dense (K, A, A, T) bounds, as the
     kernel ran it before the sweep: (row_i, row_j, for_i, for_j) of every pair
     whose lower bound is within reach of either row's bound, in (rollout, i, j,
@@ -436,20 +495,16 @@ def reference_nearest_candidates(states, finite, slack):
     zlim = half_heights[:, None] + half_heights[None, :]
     gated = both_valid & (np.abs(z[:, :, None, :] - z[:, None, :, :]) <= zlim[:, :, None])
     defining = gated | (both_valid & ~gated.any(axis=2)[:, :, None, :])
-    with np.errstate(over="ignore", invalid="ignore"):
-        cd = np.sqrt(dx * dx + dy * dy)
-        far = np.isinf(cd)
-        cd[far] = np.hypot(dx[far], dy[far])
-        inner = np.minimum(states.dims[:, 0], states.dims[:, 1]) / 2.0
-        upper = cd - (inner[:, None] + inner[None, :])[:, :, None]
-        upper = np.where(defining, upper, np.inf).min(axis=2)
-        iu, ju = np.triu_indices(a, 1)
-        radius = np.hypot(states.dims[:, 0], states.dims[:, 1]) / 2.0
-        lower = cd[:, iu, ju] - radius[iu, None] - radius[ju, None]
-        reach = np.maximum(upper[:, iu], upper[:, ju]) + slack[:, None, None]
-        odd = ~(finite[:, iu] & finite[:, ju])
-        for_i, for_j = defining[:, iu, ju], defining[:, ju, iu]
-        roll, pair, step = np.nonzero((for_i | for_j) & (~(lower > reach) | odd))
+    cd = np.sqrt(dx * dx + dy * dy)
+    inner = np.minimum(states.dims[:, 0], states.dims[:, 1]) / 2.0
+    upper = cd - (inner[:, None] + inner[None, :])[:, :, None]
+    upper = np.where(defining, upper, np.inf).min(axis=2)
+    iu, ju = np.triu_indices(a, 1)
+    radius = np.hypot(states.dims[:, 0], states.dims[:, 1]) / 2.0
+    lower = cd[:, iu, ju] - radius[iu, None] - radius[ju, None]
+    reach = np.maximum(upper[:, iu], upper[:, ju]) + slack[:, None, None]
+    for_i, for_j = defining[:, iu, ju], defining[:, ju, iu]
+    roll, pair, step = np.nonzero((for_i | for_j) & (lower <= reach))
     return ((roll * a + iu[pair]) * t + step, (roll * a + ju[pair]) * t + step,
             for_i[roll, pair, step], for_j[roll, pair, step])
 
@@ -457,13 +512,9 @@ def reference_nearest_candidates(states, finite, slack):
 def assert_sweep_matches_dense_filter(states):
     """The sweep's candidates are the dense filter's, in its order."""
     k = len(states.valid)
-    finite = np.isfinite(states.poses[..., [0, 1, 3]]).all(axis=-1)
-    scale = np.where(finite[..., None], np.abs(states.poses[..., :2]), 0.0)
-    scale = scale.reshape(k, -1).max(axis=1)
-    slack = 1e-6 + 1e-12 * scale
-    with np.errstate(all="ignore"):
-        want = reference_nearest_candidates(states, finite, slack)
-    got = simreal.features._nearest_candidates(states, finite, slack)
+    slack = 1e-6 + 1e-12 * np.abs(states.poses[..., :2]).reshape(k, -1).max(axis=1)
+    want = reference_nearest_candidates(states, slack)
+    got = simreal.features._nearest_candidates(states, slack)
     for g, w, name in zip(got, want, ("row_i", "row_j", "for_i", "for_j")):
         assert g.dtype.kind == w.dtype.kind and g.tolist() == w.tolist(), name
 
@@ -471,7 +522,7 @@ def assert_sweep_matches_dense_filter(states):
 @st.composite
 def lane_clusters(draw):
     """K rollouts of 8 to 40 boxes in clusters along a lane: z-stacked boxes,
-    steps with one valid box, and now and then a NaN or infinite coordinate."""
+    steps with one valid box, and now and then a coordinate at the pose envelope's edge."""
     k, a, t = draw(st.integers(1, 3)), draw(st.integers(8, 40)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     centres = rng.choice([-300.0, -40.0, 0.0, 12.5, 60.0, 1e4], size=draw(st.integers(1, 5)))
@@ -495,12 +546,12 @@ def lane_clusters(draw):
         valid[kk, :, tt] = False
         valid[kk, rng.integers(a), tt] = True
     for _ in range(draw(st.integers(0, 2))):
-        poses[rng.integers(k), rng.integers(a), rng.integers(t), rng.choice([0, 1, 3])] = (
-            draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        poses[rng.integers(k), rng.integers(a), rng.integers(t), rng.choice([0, 1])] = (
+            draw(st.sampled_from([POSE_COORDINATE_LIMIT, -POSE_COORDINATE_LIMIT]))
         )
     dims = np.stack([rng.choice([4.5, 2.0, 0.5, 0.0], a), rng.choice([2.0, 0.5, 1.0], a),
                      rng.choice([1.5, 2.0, 0.0], a)], axis=-1)
-    return SceneStates(ids=tuple(range(a)), poses=poses, valid=valid, dims=dims, dt=DT)
+    return scene_states(poses, valid, dims)
 
 
 class TestNearestObjectSweep:
@@ -508,12 +559,11 @@ class TestNearestObjectSweep:
     @given(states=lane_clusters())
     def test_candidates_and_distances_match_all_pairs(self, states):
         assert_sweep_matches_dense_filter(states)
-        with np.errstate(all="ignore"):
-            values, valid = extract_features(states, [])[MetricKind.DIST_TO_NEAREST_OBJECT]
-            for k in range(len(states.valid)):
-                want_vals, want_ok = all_pairs_nearest(rollout_alone(states, k))
-                assert values[k].tobytes() == want_vals.tobytes()
-                assert valid[k].tobytes() == want_ok.tobytes()
+        values, valid = extract_features(states, [])[MetricKind.DIST_TO_NEAREST_OBJECT]
+        for k in range(len(states.valid)):
+            want_vals, want_ok = all_pairs_nearest(rollout_alone(states, k))
+            assert values[k].tobytes() == want_vals.tobytes()
+            assert valid[k].tobytes() == want_ok.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(states=box_scenes())
@@ -711,21 +761,20 @@ def lane_ttc(states, dt, params=DEFAULT_FEATURE_PARAMS):
 _LANE_X = st.one_of(
     st.integers(-30, 30).map(lambda v: v / 2.0),
     st.floats(-100.0, 100.0),
-    st.sampled_from([1e6, math.nan, math.inf, -math.inf]),
+    st.sampled_from([1e6, POSE_COORDINATE_LIMIT, -POSE_COORDINATE_LIMIT]),
 )
 _LANE_Y = st.one_of(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0, -2.0]), st.floats(-6.0, 6.0))
 _LANE_HEADING = st.one_of(
     st.sampled_from([0.0, 0.0, 0.1, math.pi / 4, math.pi, -math.pi / 2, 2 * math.pi]),
     st.floats(-7.0, 7.0),
-    st.sampled_from([math.nan, math.inf]),
 )
 
 
 @st.composite
 def lane_scenes(draw):
     """K rollouts of boxes near one lane, often following each other, with
-    invalid steps, non-finite poses, thresholds from tight to loose, and a
-    span budget for the kernel (``features._TTC_PAIR_STEPS``)."""
+    invalid steps, poses at the envelope's edge, thresholds from tight to
+    loose, and a span budget for the kernel (``features._TTC_PAIR_STEPS``)."""
     k, a, t = draw(st.integers(1, 3)), draw(st.integers(1, 12)), draw(st.integers(1, 6))
     poses = np.stack(
         [
@@ -739,12 +788,11 @@ def lane_scenes(draw):
     sizes = st.sampled_from([0.0, 0.5, 2.0, 4.5])
     dims = np.stack([draw(hnp.arrays(float, a, elements=sizes)) for _ in range(2)]
                     + [np.full(a, 1.5)], axis=-1)
-    states = SceneStates(
-        ids=tuple(range(a)),
-        poses=poses,
-        valid=draw(hnp.arrays(bool, (k, a, t), elements=st.sampled_from([True] * 3 + [False]))),
-        dims=dims,
-        dt=draw(st.sampled_from([0.1, 0.5])),
+    states = scene_states(
+        poses,
+        draw(hnp.arrays(bool, (k, a, t), elements=st.sampled_from([True] * 3 + [False]))),
+        dims,
+        draw(st.sampled_from([0.1, 0.5])),
     )
     params = FeatureParams(
         ttc_max=draw(st.sampled_from([5.0, 0.5, 1e-3, 1e3])),
@@ -800,22 +848,17 @@ class TestTimeToCollisionCut:
     @example(  # at step 2 the gap is exactly ttc_max * speed and |lat| exactly lat_lim
         case=(lane([[0, 1, 2, 3], [16] * 4], ys=[[0.0], [2.0]]), DEFAULT_FEATURE_PARAMS, SPAN)
     )
-    @example(  # a NaN heading on the leader only, at step 1: no leader there
-        case=(lane([[0, 1, 2, 3], [10] * 4], headings=[[0.0] * 4, [0.0, math.nan, 0.0, 0.0]]),
-              DEFAULT_FEATURE_PARAMS, SPAN)
-    )
     @example(  # stopped follower
         case=(lane([[0, 0, 0, 0], [8, 8, 9, 9]]), DEFAULT_FEATURE_PARAMS, SPAN)
     )
-    @example(  # non-finite follower poses
-        case=(lane([[0, math.nan, 2, math.inf, 4], [9, 9, 9, 9, 9]]), DEFAULT_FEATURE_PARAMS, SPAN)
+    @example(  # a follower jumping between the envelope's edges
+        case=(lane([[0, -1e7, 2, 1e7, 4], [9, 9, 9, 9, 9]]), DEFAULT_FEATURE_PARAMS, SPAN)
     )
     def test_matches_all_pairs_reference_bit_for_bit(self, case):
         states, params, pair_steps = case
-        with np.errstate(all="ignore"):
-            with mock.patch.object(simreal.features, "_TTC_PAIR_STEPS", pair_steps):
-                vals, ok = lane_ttc(states, states.dt, params)
-            want_vals, want_ok = all_pairs_ttc(states, *lane_speed(states, states.dt), params)
+        with mock.patch.object(simreal.features, "_TTC_PAIR_STEPS", pair_steps):
+            vals, ok = lane_ttc(states, states.dt, params)
+        want_vals, want_ok = all_pairs_ttc(states, *lane_speed(states, states.dt), params)
         assert vals.tobytes() == want_vals.tobytes()
         assert ok.tobytes() == want_ok.tobytes()
 
@@ -839,9 +882,6 @@ class TestTimeToCollisionCut:
         assert vals[0, 0].tolist() == [0.0, 0.5, 5.0, 5.0]  # gap 0 at step 2, overlap at 3
         vals, _ = lane_ttc(lane([[0, 1, 2, 3], [16] * 4], ys=[[0.0], [2.0]]), 0.5)
         assert vals[0, 0].tolist() == [0.0, 5.0, 5.0, 4.5]
-        heading = lane([[0, 1, 2, 3], [10] * 4], headings=[[0.0] * 4, [0.0, math.nan, 0.0, 0.0]])
-        vals, _ = lane_ttc(heading, 0.5)
-        assert vals[0, 0].tolist() == [0.0, 5.0, 2.0, 1.5]
 
     @pytest.mark.parametrize("pair_steps, spans", [
         (240, [(0, 3, 0, 4)]),  # the whole stack: 3 rollouts of 4 * 4 * 5 pair-steps
@@ -1004,11 +1044,17 @@ def _arc(radius, segments):
     return tuple((radius * math.cos(p), radius * math.sin(p)) for p in phis)
 
 
-#: No map, a 2-segment straight road, and a 100-segment arc that uses the grid.
+#: No map, a 2-segment straight road, the same with a 1e-9 m segment in one
+#: edge, and a 100-segment arc that uses the grid.
 _MAPS = {
     "none": (),
     "straight": (
         MapFeature(0, MapFeatureKind.ROAD_EDGE, ((-50.0, 3.0), (50.0, 3.0))),
+        MapFeature(1, MapFeatureKind.ROAD_EDGE, ((50.0, -3.0), (-50.0, -3.0))),
+    ),
+    "short": (
+        MapFeature(0, MapFeatureKind.ROAD_EDGE, ((-50.0, 3.0), (0.0, 3.0), (1e-9, 3.0),
+                                                 (50.0, 3.0))),
         MapFeature(1, MapFeatureKind.ROAD_EDGE, ((50.0, -3.0), (-50.0, -3.0))),
     ),
     "arc": (MapFeature(0, MapFeatureKind.ROAD_EDGE, _arc(8.0, 100)),),
@@ -1031,8 +1077,8 @@ def rollout_alone(states, k):
 
 @st.composite
 def stacked_states(draw):
-    """K rollouts of one box scene, with invalid steps, NaN poses, z-stacked
-    and touching boxes, and sometimes a repeated rollout."""
+    """K rollouts of one box scene, with invalid steps, poses at the envelope's
+    edge, z-stacked and touching boxes, and sometimes a repeated rollout."""
     k = draw(st.integers(1, 4))
     a = draw(st.integers(1, 6))
     t = draw(st.integers(1, 5))
@@ -1049,8 +1095,8 @@ def stacked_states(draw):
     valid = draw(hnp.arrays(bool, (k, a, t)))
     if k > 1 and draw(st.booleans()):
         poses[-1], valid[-1] = poses[0], valid[0]
-    dims = draw(hnp.arrays(float, (a, 3), elements=st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.5])))
-    return SceneStates(ids=tuple(range(a)), poses=poses, valid=valid, dims=dims, dt=DT)
+    dims = draw(hnp.arrays(float, (a, 3), elements=_DIMS))
+    return scene_states(poses, valid, dims)
 
 
 def scenario_with_rollouts(dims, poses, map_features=()):
@@ -1200,22 +1246,22 @@ def reference_road_edge(states, map_features):
 _EDGE_POSE = st.one_of(
     st.floats(-60.0, 60.0),
     st.integers(-24, 24).map(lambda v: v / 4.0),
-    st.sampled_from([math.nan, math.inf, -math.inf, 1e7, -1e7]),
+    st.sampled_from([POSE_COORDINATE_LIMIT, -POSE_COORDINATE_LIMIT]),
 )
 
 
 @st.composite
 def road_edge_scenes(draw):
-    """K rollouts of boxes near a road, some with non-finite or 1e7 poses, and
-    some tiled along the steps past the segment loop's point count."""
+    """K rollouts of boxes near a road, some with poses at the envelope's edge,
+    and some tiled along the steps past the segment loop's point count."""
     k, a, t = draw(st.integers(1, 2)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
     poses = draw(hnp.arrays(float, (k, a, t, 4), elements=_EDGE_POSE))
     valid = draw(hnp.arrays(bool, (k, a, t), elements=st.sampled_from([True] * 3 + [False])))
     if draw(st.booleans()):  # 4 corners per slot: at least 4,400 corners when all valid
         reps = -(-1100 // (k * a * t))
         poses, valid = np.tile(poses, (1, 1, reps, 1)), np.tile(valid, (1, 1, reps))
-    dims = draw(hnp.arrays(float, (a, 3), elements=st.sampled_from([0.0, 0.5, 2.0, 4.5])))
-    return SceneStates(ids=tuple(range(a)), poses=poses, valid=valid, dims=dims, dt=DT)
+    dims = draw(hnp.arrays(float, (a, 3), elements=_DIMS))
+    return scene_states(poses, valid, dims)
 
 
 def tiled_lane(map_name, offset, steps=1200):
@@ -1240,29 +1286,26 @@ def parked(centres, size, steps=1):
 
 class TestRoadEdgeMatchesReference:
     @settings(max_examples=200, deadline=None)
-    @given(case=st.tuples(road_edge_scenes(), st.sampled_from(["straight", "arc"])))
+    @given(case=st.tuples(road_edge_scenes(), st.sampled_from(["straight", "short", "arc"])))
     @example(case=tiled_lane("straight", 1.0))  # no grid, one call that walks the segments
     @example(case=tiled_lane("arc", 6.0))  # the grid's per-cell runs
     # 2,400 corners in the arc's centre cell, whose candidates are all 100
     # segments: the run splits after _POLYLINE_CHUNK // 100 = 2,000 of them.
     @example(case=(parked([(0.5, 0.5)], 0.5, steps=600), "arc"))
-    # One call with points in a grid cell, outside the grid and NaN.
-    @example(case=(parked([(8.5, 0.5), (100.0, 0.0), (math.nan, 1.0)], 2.0, steps=2), "arc"))
+    # One call with points in a grid cell, outside the grid and at the envelope's edge.
+    @example(case=(parked([(8.5, 0.5), (100.0, 0.0), (1e7, 1.0)], 2.0, steps=2), "arc"))
     @example(case=tiled_lane("straight", 2.5, steps=13_000))  # no grid, two calls
-    @example(  # four steps: a NaN centre, an infinite one, one at 1e7 and a NaN heading
-        case=(SceneStates(ids=(0,), poses=np.array([[[[math.nan, 0.0, 0.0, 0.0],
-                                                      [math.inf, 1.0, 0.0, 0.0],
-                                                      [1e7, -1e7, 0.0, 1.0],
-                                                      [0.0, 2.0, 0.0, math.nan]]]]),
-                          valid=np.ones((1, 1, 4), dtype=bool), dims=np.array([[4.5, 2.0, 1.5]]),
+    @example(  # two steps at opposite corners of the envelope, the box as large as it allows
+        case=(SceneStates(ids=(0,), poses=np.array([[[[1e7, -1e7, 0.0, 1.0],
+                                                      [-1e7, 1e7, 0.0, 0.0]]]]),
+                          valid=np.ones((1, 1, 2), dtype=bool), dims=np.array([[1e7, 1e7, 1.5]]),
                           dt=DT), "straight"),
     )
     def test_byte_for_byte(self, case):
         states, road = case
-        with np.errstate(all="ignore"):
-            table = simreal.features._box_table(states)
-            vals, ok = simreal.features._road_edge_arrays(states, table, _MAPS[road])
-            want_vals, want_ok = reference_road_edge(states, _MAPS[road])
+        table = simreal.features._box_table(states)
+        vals, ok = simreal.features._road_edge_arrays(states, table, _MAPS[road])
+        want_vals, want_ok = reference_road_edge(states, _MAPS[road])
         assert ok.tobytes() == want_ok.tobytes()
         assert vals.tobytes() == want_vals.tobytes()
 

@@ -13,7 +13,6 @@ import simreal.features
 import simreal.geometry
 from simreal.features import MetricKind, SceneStates, _nearest_edge, _RoadEdges, extract_features
 from simreal.geometry import (
-    _SEGMENT_LOOP_LIMIT,
     _SEGMENT_LOOP_MIN_POINTS,
     _corners_xy,
     _nearest_segment_block,
@@ -25,6 +24,7 @@ from simreal.geometry import (
 )
 from simreal.harness import generate_submission
 from simreal.policies import create_policy
+from simreal.scene import POSE_COORDINATE_LIMIT
 from simreal.synth import SynthSpec, Template, generate
 
 from oracles import brute_force_signed_distance, random_box, sat_overlap, box_corners
@@ -192,19 +192,20 @@ def reference_box_signed_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
+# Centres and extents span the pose envelope (1e7 m), its edges included.
 _CENTRES = st.one_of(
     st.integers(-12, 12).map(lambda v: v / 2.0),
     st.floats(-50.0, 50.0),
-    st.sampled_from([1e6, -1e6, math.nan, math.inf, -math.inf]),
+    st.sampled_from([1e6, -1e6, POSE_COORDINATE_LIMIT, -POSE_COORDINATE_LIMIT]),
 )
 _ANGLES = st.one_of(
     st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 4, 3 * math.pi]),
     st.floats(-10.0, 10.0),
-    st.sampled_from([math.nan, math.inf, -math.inf]),
 )
 _EXTENTS = st.one_of(
-    st.sampled_from([1.0, 2.0, 4.5, 0.0, 1e-9, 1e-300]),
+    st.sampled_from([1.0, 2.0, 4.5, 0.0, 1e-9, 1e-300, POSE_COORDINATE_LIMIT]),
     st.floats(1e-6, 10.0),
+    st.floats(1e-300, POSE_COORDINATE_LIMIT),
 )
 
 
@@ -222,8 +223,8 @@ def box_pairs(draw):
     mode = draw(hnp.arrays(np.int8, n, elements=st.integers(0, 3)))
     b[mode == 1] = a[mode == 1]
     shift = (a[:, 3] + b[:, 3]) / 2.0 * np.where(mode == 2, 1.0, 0.5)
-    with np.errstate(invalid="ignore"):  # infinite heading values
-        along = np.stack([a[:, 0] + shift * np.cos(a[:, 2]), a[:, 1] + shift * np.sin(a[:, 2])], -1)
+    along = np.stack([a[:, 0] + shift * np.cos(a[:, 2]), a[:, 1] + shift * np.sin(a[:, 2])], -1)
+    along = np.clip(along, -POSE_COORDINATE_LIMIT, POSE_COORDINATE_LIMIT)
     b[mode >= 2, :3] = np.concatenate([along, a[:, 2:3]], axis=-1)[mode >= 2]
     swap = draw(hnp.arrays(bool, n))
     a[swap], b[swap] = b[swap], a[swap]
@@ -238,24 +239,14 @@ class TestBoxKernelMatchesReference:
     @example(pair=(np.array([box(0, 0)]), np.array([box(1, 0.5, 0.3)])))  # overlapping
     @example(pair=(np.array([box(0, 0)]), np.array([box(3, 3, math.pi / 4)])))  # corner first
     @example(pair=(np.array([box(0, 0, 0.0, 1e-300, 1e-300)]), np.array([box(1e-9, 0)])))
-    @example(  # infinite centres reach the corner-to-edge pass and read NaN
-        pair=(np.array([box(math.inf, 0), box(0, -math.inf), box(math.nan, 0)] * 9),
-              np.array([box(5, 0), box(0, 5, 1.0), box(5, 0)] * 9))
-    )
-    @example(  # the reference reads a positive NaN (0x7ff8...) for the second pair
-        pair=(np.array([box(0, 0, math.pi / 2, 1, 1)] * 2),
-              np.array([box(0, 1, math.pi / 2, 1, 1), box(0, math.inf, math.pi / 2, 1, 1)]))
-    )
-    @example(  # several NaN pairs in one call, around a finite one
-        pair=(np.array([box(0, 0, math.pi / 2, 1, 1)] * 3),
-              np.array([box(0, math.inf, math.pi / 2, 1, 1), box(0, 1, math.pi / 2, 1, 1),
-                        box(0, -math.inf, math.pi / 2, 1, 1)]))
+    @example(  # the envelope's opposite corners, with the largest boxes it allows
+        pair=(np.array([box(1e7, 1e7, 0.3, 1e7, 1e7), box(-1e7, 1e7, 0.0, 1e7, 1e-300)]),
+              np.array([box(-1e7, -1e7, 2.0, 1e7, 1e7), box(1e7, -1e7, 1.0, 1e-300, 1e7)]))
     )
     def test_byte_for_byte(self, pair):
         a, b = pair
-        with np.errstate(all="ignore"):
-            got = signed_distance(a, b)
-            want = reference_box_signed_distance(a, b)
+        got = signed_distance(a, b)
+        want = reference_box_signed_distance(a, b)
         assert got.tobytes() == want.tobytes()
 
     def test_broadcast_shapes_match_reference(self):
@@ -266,11 +257,9 @@ class TestBoxKernelMatchesReference:
         assert got.tobytes() == want.tobytes()
 
 
-def _finite_pairs(a, b):
-    """The pairs of ``box_pairs`` whose centres and headings are finite, and the
-    broad-phase slack of each (1e-6 plus 1e-12 of its largest coordinate)."""
-    keep = np.isfinite(a[:, :3]).all(axis=1) & np.isfinite(b[:, :3]).all(axis=1)
-    a, b = a[keep], b[keep]
+def _with_slack(a, b):
+    """The pairs of ``box_pairs`` and the broad-phase slack of each (1e-6 plus
+    1e-12 of its largest coordinate)."""
     scale = np.abs(np.concatenate([a[:, :2], b[:, :2]], axis=1)).max(axis=1, initial=0.0)
     slack = simreal.features._BROAD_PHASE_SLACK + simreal.features._BROAD_PHASE_REL_SLACK * scale
     return a, b, slack
@@ -286,7 +275,7 @@ class TestNearestObjectPruningBounds:
     @example(pair=(np.array([box(0, 0)]), np.array([box(1, 0.5, 0.3)])))  # overlapping
     @example(pair=(np.array([box(1e6, 0, 0.4)]), np.array([box(1e6 + 3, 1, 1.2, 4.5, 1.0)])))
     def test_separating_gap_is_at_most_the_distance(self, pair):
-        a, b, slack = _finite_pairs(*pair)
+        a, b, slack = _with_slack(*pair)
         gap = separating_gap(a, b)
         dist = box_signed_distance_batch(a, b, gap)
         assert (gap <= dist + slack).all()
@@ -299,7 +288,7 @@ class TestNearestObjectPruningBounds:
     @example(pair=(np.array([box(0, 0, 0.0, 4.0, 1.0)]), np.array([box(0, 1.5, 0.0, 4.0, 1.0)])))
     @example(pair=(np.array([box(0, 0, 0.0, 0.0, 0.0)]), np.array([box(1e-9, 0)])))
     def test_signed_distance_is_at_most_the_inscribed_disc_bound(self, pair):
-        a, b, slack = _finite_pairs(*pair)
+        a, b, slack = _with_slack(*pair)
         dist = signed_distance(a, b)
         cd = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])
         inner_a, inner_b = np.minimum(a[:, 3], a[:, 4]) / 2.0, np.minimum(b[:, 3], b[:, 4]) / 2.0
@@ -365,8 +354,12 @@ _XY = st.one_of(_LATTICE, st.floats(-30.0, 30.0))
 
 @st.composite
 def segments_and_points(draw):
+    """Road-edge segments, some as short as 1e-9 m, and points up to the pose envelope."""
     lines = draw(st.lists(st.lists(st.tuples(_XY, _XY), min_size=2, max_size=25),
                           min_size=1, max_size=3))
+    if draw(st.booleans()):
+        x, y = draw(st.tuples(_XY, _XY))
+        lines.append([(x, y), (x + draw(st.sampled_from([1e-9, 1e-6])), y)])
     starts, ends = [], []
     for line in lines:
         pts = [p for i, p in enumerate(line) if i == 0 or p != line[i - 1]]
@@ -377,13 +370,11 @@ def segments_and_points(draw):
     on_segment = st.tuples(
         st.integers(0, len(starts) - 1), st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0, 1)
     ).map(lambda sf: starts[sf[0]] + sf[1] * (ends[sf[0]] - starts[sf[0]]))
-    far = st.sampled_from([-1e4, 1e4, -1e6, 1e6])
-    odd = st.sampled_from([math.nan, math.inf, -math.inf])
+    far = st.sampled_from([-1e4, 1e4, -1e6, 1e6, -POSE_COORDINATE_LIMIT, POSE_COORDINATE_LIMIT])
     point = st.one_of(
         on_segment,
         st.tuples(_XY, _XY).map(np.array),
         st.tuples(far | _XY, far).map(np.array),
-        st.tuples(odd | _XY, odd | _XY).map(np.array),
     )
     pts = np.array(draw(st.lists(point, min_size=1, max_size=60))).reshape(-1, 2)
     return starts, ends, pts
@@ -392,8 +383,7 @@ def segments_and_points(draw):
 def grid_and_scan(starts, ends, pts, cell):
     """(grid, its answer, the all-segment answer) with a grid on any map."""
     with mock.patch.object(simreal.features, "_GRID_MIN_SEGMENTS", 1), \
-            mock.patch.object(simreal.features, "_GRID_CELL", cell), \
-            np.errstate(invalid="ignore"):  # inf points meet zero-length axes
+            mock.patch.object(simreal.features, "_GRID_CELL", cell):
         edges = _RoadEdges(starts, ends)
         return edges, _nearest_edge(pts, edges), polyline_distance_batch(pts, starts, ends)
 
@@ -462,20 +452,12 @@ class TestRoadEdgeGrid:
 
 # ---------------------------------------------------------------------------
 # Segment loop: walking the segments one at a time gives the (P, S) block's
-# bits wherever every coordinate lies inside the loop's bound.
-
-
-@st.composite
-def inside_the_loop_bound(draw):
-    """``segments_and_points`` with every non-finite coordinate moved to +-1e7."""
-    starts, ends, pts = draw(segments_and_points())
-    edge = np.copysign(_SEGMENT_LOOP_LIMIT, pts)
-    return starts, ends, np.where(np.isfinite(pts), pts, edge)
+# bits wherever every coordinate lies inside the pose envelope.
 
 
 class TestSegmentLoop:
     @settings(max_examples=300, deadline=None)
-    @given(case=inside_the_loop_bound())
+    @given(case=segments_and_points())
     @example(  # equidistant from a left-hand and a right-hand segment, and on both
         case=(np.array([[0.0, 0.0], [0.0, 2.0]]), np.array([[10.0, 0.0], [10.0, 2.0]]),
               np.array([[5.0, 1.0], [0.0, 1.0], [-3.0, 1.0], [5.0, 0.0], [10.0, 2.0]])),
@@ -486,7 +468,7 @@ class TestSegmentLoop:
     )
     def test_matches_the_block_bit_for_bit(self, case):
         starts, ends, pts = case
-        assert (np.abs(pts) <= _SEGMENT_LOOP_LIMIT).all()
+        assert (np.abs(pts) <= POSE_COORDINATE_LIMIT).all()
         terms = _segment_terms(starts, ends)
         d2, k = _nearest_segment_loop(pts, terms)
         want_d2, want_k = _nearest_segment_block(pts, terms)
@@ -515,15 +497,3 @@ class TestSegmentLoop:
         assert dist.tobytes() == want_dist.tobytes()
         assert side.tobytes() == want_side.tobytes()
         assert set(side.tolist()) == {-1, 0, 1}
-
-    @pytest.mark.parametrize("odd", [math.nan, math.inf, _SEGMENT_LOOP_LIMIT * 1.5])
-    def test_a_point_outside_the_bound_keeps_the_block(self, odd):
-        starts = np.array([[-10.0, 0.0], [10.0, 0.0]])
-        ends = np.array([[10.0, 0.0], [10.0, 10.0]])
-        pts = self.tall_batch(starts, ends)
-        pts[7] = (odd, 1.0)
-        with mock.patch.object(simreal.geometry, "_nearest_segment_loop") as loop, \
-                np.errstate(invalid="ignore"):
-            dist, side = polyline_distance_batch(pts, starts, ends)
-        loop.assert_not_called()
-        assert np.isfinite(np.delete(dist, 7)).all()

@@ -225,6 +225,30 @@ class TestScenarioInvariants:
         with pytest.raises(MalformedScenario, match="finite"):
             MapFeature(0, MapFeatureKind.ROAD_EDGE, ((0.0, 0.0), (value, 1.0), (2.0, 2.0)))
 
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    @pytest.mark.parametrize("value", [np.nextafter(POSE_COORDINATE_LIMIT, math.inf), 1e154, 1e300])
+    def test_rejects_extent_beyond_the_limit(self, field, value):
+        dims = [4.6, 2.0, 1.8]
+        dims[field] = value
+        with pytest.raises(MalformedScenario,
+                           match=r"^track 4: box extents must be at most 1e\+07 m$"):
+            make_tracks([4], dims=dims)
+
+    def test_accepts_extents_up_to_the_limit(self):
+        tracks = make_tracks([0], dims=(POSE_COORDINATE_LIMIT, 1e-300, POSE_COORDINATE_LIMIT))
+        assert tracks.dims[0, 0] == POSE_COORDINATE_LIMIT
+
+    @pytest.mark.parametrize("value", [np.nextafter(-POSE_COORDINATE_LIMIT, -math.inf), 2e7, 1e300])
+    def test_rejects_polyline_point_beyond_the_limit(self, value):
+        with pytest.raises(MalformedScenario,
+                           match=r"^map feature 3: polyline points must lie within 1e\+07 m$"):
+            MapFeature(3, MapFeatureKind.ROAD_EDGE, ((0.0, 0.0), (1.0, value), (2.0, 2.0)))
+
+    def test_accepts_polyline_points_up_to_the_limit(self):
+        lim = POSE_COORDINATE_LIMIT
+        feature = MapFeature(0, MapFeatureKind.ROAD_EDGE, ((-lim, lim), (lim, -lim)))
+        assert np.abs(feature.polyline).max() == lim
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite_timestep(self, value):
         with pytest.raises(MalformedScenario, match="timestep must be finite"):
@@ -268,6 +292,11 @@ def _bad_extent(arrays, row):
     return "box extents must be finite and strictly positive"
 
 
+def _extent_beyond_envelope(arrays, row):
+    arrays["dims"][row, 2] = 2e7
+    return "box extents must be at most 1e+07 m"
+
+
 def _non_finite(arrays, row):
     arrays["poses"][row, 30, 2] = math.inf
     return "pose at valid index 30 is not finite"
@@ -283,7 +312,8 @@ class TestBadRowNamed:
     @given(
         ids=st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=40, unique=True),
         data=st.data(),
-        fault=st.sampled_from([_bad_extent, _non_finite, _beyond_envelope]),
+        fault=st.sampled_from([_bad_extent, _extent_beyond_envelope, _non_finite,
+                               _beyond_envelope]),
     )
     def test_error_names_the_bad_rows_id(self, ids, data, fault):
         """One bad row at a random position: the error names that row's id."""
